@@ -1,14 +1,5 @@
 module St = Spritely.State_table
-
-type protocol = Nfs | Snfs | Rfs | Kent
-
-let protocol_to_string = function
-  | Nfs -> "nfs"
-  | Snfs -> "snfs"
-  | Rfs -> "rfs"
-  | Kent -> "kent"
-
-let strict = function Nfs -> false | Snfs | Rfs | Kent -> true
+module Stack = Experiments.Stack
 
 type outcome = { reads : int; stale : int; server_divergence : int }
 
@@ -27,61 +18,22 @@ let run_sim f =
 
 (* one mount per client plus a quiesce hook forcing its dirty blocks to
    the server (the oracle hook each protocol client exports) *)
-let make_clients protocol e net rpc server_host sfs =
-  ignore e;
-  match protocol with
-  | Nfs ->
-      let server = Nfs.Nfs_server.serve rpc server_host ~fsid:1 sfs in
-      List.init nclients (fun i ->
-          let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-          let c =
-            Nfs.Nfs_client.mount rpc ~client:host ~server:server_host
-              ~root:(Nfs.Nfs_server.root_fh server)
-              ~name:(Printf.sprintf "nfs%d" i) ()
-          in
-          let m = Vfs.Mount.create () in
-          Vfs.Mount.mount m ~at:"/" (Nfs.Nfs_client.fs c);
-          (m, fun () -> Nfs.Nfs_client.quiesce c))
-  | Snfs ->
-      let server = Snfs.Snfs_server.serve rpc server_host ~fsid:1 sfs in
-      List.init nclients (fun i ->
-          let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-          let c =
-            Snfs.Snfs_client.mount rpc ~client:host ~server:server_host
-              ~root:(Snfs.Snfs_server.root_fh server)
-              ~name:(Printf.sprintf "snfs%d" i) ()
-          in
-          let m = Vfs.Mount.create () in
-          Vfs.Mount.mount m ~at:"/" (Snfs.Snfs_client.fs c);
-          (m, fun () -> Snfs.Snfs_client.quiesce c))
-  | Rfs ->
-      let server = Rfs.Rfs_server.serve rpc server_host ~fsid:1 sfs in
-      List.init nclients (fun i ->
-          let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-          let c =
-            Rfs.Rfs_client.mount rpc ~client:host ~server:server_host
-              ~root:(Rfs.Rfs_server.root_fh server)
-              ~name:(Printf.sprintf "rfs%d" i) ()
-          in
-          let m = Vfs.Mount.create () in
-          Vfs.Mount.mount m ~at:"/" (Rfs.Rfs_client.fs c);
-          (m, fun () -> Rfs.Rfs_client.quiesce c))
-  | Kent ->
-      let server = Kentfs.Kent_server.serve rpc server_host ~fsid:1 sfs in
-      List.init nclients (fun i ->
-          let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-          let c =
-            Kentfs.Kent_client.mount rpc ~client:host ~server:server_host
-              ~root:(Kentfs.Kent_server.root_fh server)
-              ~name:(Printf.sprintf "kent%d" i) ()
-          in
-          let m = Vfs.Mount.create () in
-          Vfs.Mount.mount m ~at:"/" (Kentfs.Kent_client.fs c);
-          (m, fun () -> Kentfs.Kent_client.quiesce c))
+let make_clients kind net rpc server_host sfs =
+  let server = Stack.serve rpc server_host ~fsid:1 sfs kind in
+  List.init nclients (fun i ->
+      let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
+      let c =
+        Stack.mount rpc ~client:host
+          ~name:(Printf.sprintf "%s%d" (Stack.kind_name kind) i)
+          server (Stack.default kind)
+      in
+      let m = Vfs.Mount.create () in
+      Vfs.Mount.mount m ~at:"/" c.Stack.fs;
+      (m, c.Stack.quiesce))
 
 let path_of f = Printf.sprintf "/f%d" f
 
-let replay protocol ops =
+let replay kind ops =
   run_sim (fun e ->
       let net = Netsim.Net.create e () in
       let rpc = Netsim.Rpc.create net () in
@@ -91,7 +43,7 @@ let replay protocol ops =
         Localfs.create e ~name:"sfs" ~disk ~cache_blocks:896 ~meta_policy:`Sync
           ()
       in
-      let mounts = make_clients protocol e net rpc server_host sfs in
+      let mounts = make_clients kind net rpc server_host sfs in
       let mount c = fst (List.nth mounts c) in
       (* serial reference model: Some stamp = last write, None = never
          created / removed *)
@@ -208,10 +160,10 @@ let replay protocol ops =
         all_files;
       { reads = !reads; stale = !stale; server_divergence = !server_divergence })
 
-let replay_all protocol seqs =
+let replay_all kind seqs =
   List.fold_left
     (fun acc seq ->
-      let o = replay protocol seq in
+      let o = replay kind seq in
       {
         reads = acc.reads + o.reads;
         stale = acc.stale + o.stale;

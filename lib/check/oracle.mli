@@ -14,15 +14,6 @@
     post-quiesce server state exact, so [server_divergence] is strict
     for all four protocols. *)
 
-type protocol = Nfs | Snfs | Rfs | Kent
-
-val protocol_to_string : protocol -> string
-
-(** Does the protocol promise zero stale reads under serialized
-    sharing? [false] only for {!Nfs}. *)
-(* snfs-lint: allow interface-drift — documented preset mode, the dual of the default *)
-val strict : protocol -> bool
-
 type outcome = {
   reads : int;  (** read observations diffed against the model *)
   stale : int;  (** reads that disagreed with the serial model *)
@@ -30,14 +21,11 @@ type outcome = {
       (** files whose server-side copy disagreed after quiesce *)
 }
 
-(** Replay one checker op sequence over a fresh simulated world:
-    [Open]s become creates/writes or reading opens held across
-    subsequent ops, [Close]s release them, [Note_clean] becomes fsync,
-    [Forget] closes everything that client holds, [Remove] unlinks.
-    Reads are diffed at open; on return all descriptors are closed,
-    caches quiesced and the server contents diffed. *)
-(* snfs-lint: allow interface-drift — offline trace-replay entry point for snfs_check *)
-val replay : protocol -> Invariant.op list -> outcome
-
-(** Sum of {!replay} over many sequences. *)
-val replay_all : protocol -> Invariant.op list list -> outcome
+(** Replay each checker op sequence over a fresh simulated world and
+    sum the outcomes: [Open]s become creates/writes or reading opens
+    held across subsequent ops, [Close]s release them, [Note_clean]
+    becomes fsync, [Forget] closes everything that client holds,
+    [Remove] unlinks. Reads are diffed at open; at the end of each
+    sequence all descriptors are closed, caches quiesced and the server
+    contents diffed. *)
+val replay_all : Experiments.Stack.kind -> Invariant.op list list -> outcome

@@ -22,21 +22,10 @@ let seeded ?(tmp = Testbed.Tmp_remote)
    evenly over two domains, which is what the BENCH campaign point
    measures. *)
 let default () =
-  let p name protocol = seeded ~protocol ~name ~seed:1L () in
-  [
-    p "local" Testbed.Local;
-    p "nfs" (Testbed.Nfs_proto Nfs.Nfs_client.default_config);
-    p "nfs-fixed"
-      (Testbed.Nfs_proto
-         { Nfs.Nfs_client.default_config with invalidate_on_close = false });
-    p "snfs" (Testbed.Snfs_proto Snfs.Snfs_client.default_config);
-    p "snfs-dc"
-      (Testbed.Snfs_proto
-         { Snfs.Snfs_client.default_config with delayed_close = true });
-    p "rfs" (Testbed.Rfs_proto Rfs.Rfs_client.default_config);
-    p "kent" (Testbed.Kent_proto Kentfs.Kent_client.default_config);
-    seeded ~tmp:Testbed.Tmp_local ~name:"snfs-tmp-local" ~seed:1L ();
-  ]
+  List.map
+    (fun (name, protocol) -> seeded ~protocol ~name ~seed:1L ())
+    Stack.presets
+  @ [ seeded ~tmp:Testbed.Tmp_local ~name:"snfs-tmp-local" ~seed:1L () ]
 
 type run = {
   name : string;

@@ -43,61 +43,22 @@ let run ~protocol ~clients ?(iterations = 8) () =
         Localfs.create engine ~name:"serverfs" ~disk:server_disk
           ~cache_blocks:896 ~meta_policy:`Sync ()
       in
-      let make_client =
-        match protocol with
-        | Testbed.Local -> invalid_arg "Scaling_exp.run: needs a remote protocol"
-        | Testbed.Nfs_proto config ->
-            let server = Nfs.Nfs_server.serve rpc server_host ~fsid:1 server_fs in
-            fun host name ->
-              let c =
-                Nfs.Nfs_client.mount rpc ~client:host ~server:server_host
-                  ~root:(Nfs.Nfs_server.root_fh server) ~config ~name ()
-              in
-              (Nfs.Nfs_client.fs c, Nfs.Nfs_client.cache c,
-               Netsim.Rpc.counters (Nfs.Nfs_server.service server))
-        | Testbed.Snfs_proto config ->
-            let server =
-              Snfs.Snfs_server.serve rpc server_host ~fsid:1 server_fs
-            in
-            fun host name ->
-              let c =
-                Snfs.Snfs_client.mount rpc ~client:host ~server:server_host
-                  ~root:(Snfs.Snfs_server.root_fh server) ~config ~name ()
-              in
-              Snfs.Snfs_client.start_syncer c ~interval:30.0;
-              (Snfs.Snfs_client.fs c, Snfs.Snfs_client.cache c,
-               Netsim.Rpc.counters (Snfs.Snfs_server.service server))
-        | Testbed.Rfs_proto config ->
-            let server = Rfs.Rfs_server.serve rpc server_host ~fsid:1 server_fs in
-            fun host name ->
-              let c =
-                Rfs.Rfs_client.mount rpc ~client:host ~server:server_host
-                  ~root:(Rfs.Rfs_server.root_fh server) ~config ~name ()
-              in
-              (Rfs.Rfs_client.fs c, Rfs.Rfs_client.cache c,
-               Netsim.Rpc.counters (Rfs.Rfs_server.service server))
-        | Testbed.Kent_proto config ->
-            let server =
-              Kentfs.Kent_server.serve rpc server_host ~fsid:1 server_fs
-            in
-            fun host name ->
-              let c =
-                Kentfs.Kent_client.mount rpc ~client:host ~server:server_host
-                  ~root:(Kentfs.Kent_server.root_fh server) ~config ~name ()
-              in
-              Kentfs.Kent_client.start_syncer c ~interval:30.0;
-              (Kentfs.Kent_client.fs c, Kentfs.Kent_client.cache c,
-               Netsim.Rpc.counters (Kentfs.Kent_server.service server))
+      let kind =
+        match Stack.kind_of protocol with
+        | Some kind -> kind
+        | None -> invalid_arg "Scaling_exp.run: needs a remote protocol"
       in
-      let counters = ref None in
+      let server = Stack.serve rpc server_host ~fsid:1 server_fs kind in
       let contexts =
         List.init clients (fun i ->
             let name = Printf.sprintf "client%d" i in
             let host = Netsim.Net.Host.create net name in
-            let fs, _cache, counts = make_client host name in
-            counters := Some counts;
+            let c = Stack.mount rpc ~client:host ~name server protocol in
+            (* the delayed-write protocols run /etc/update *)
+            if kind = Stack.Snfs || kind = Stack.Kent then
+              Blockcache.Cache.start_syncer c.Stack.cache ~interval:30.0 ();
             let mounts = Vfs.Mount.create () in
-            Vfs.Mount.mount mounts ~at:"/" fs;
+            Vfs.Mount.mount mounts ~at:"/" c.Stack.fs;
             Workload.App.make ~mounts ~host)
       in
       let t0 = Sim.Engine.now engine in
@@ -122,9 +83,7 @@ let run ~protocol ~clients ?(iterations = 8) () =
           Sim.Resource.busy_time (Netsim.Net.Host.cpu server_host) /. wall;
         server_disk_util = Diskm.Disk.busy_time server_disk /. wall;
         total_rpcs =
-          (match !counters with
-          | Some c -> Stats.Counter.total c
-          | None -> 0);
+          Stats.Counter.total (Netsim.Rpc.counters server.Stack.service);
       })
 
 let table () =

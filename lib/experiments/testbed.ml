@@ -1,16 +1,9 @@
-type protocol =
+type protocol = Stack.protocol =
   | Local
   | Nfs_proto of Nfs.Nfs_client.config
   | Snfs_proto of Snfs.Snfs_client.config
   | Rfs_proto of Rfs.Rfs_client.config
   | Kent_proto of Kentfs.Kent_client.config
-
-let protocol_name = function
-  | Local -> "local"
-  | Nfs_proto _ -> "NFS"
-  | Snfs_proto _ -> "SNFS"
-  | Rfs_proto _ -> "RFS"
-  | Kent_proto _ -> "Kent"
 
 type tmp_placement = Tmp_local | Tmp_remote
 
@@ -18,11 +11,8 @@ type t = {
   engine : Sim.Engine.t;
   client_host : Netsim.Net.Host.t;
   server_host : Netsim.Net.Host.t;
-  server_disk : Diskm.Disk.t;
-  client_disk : Diskm.Disk.t;
   rpc : Netsim.Rpc.t;
   service : Netsim.Rpc.service option;
-  protocol_cache : Blockcache.Cache.t option;
   ctx : Workload.App.t;
 }
 
@@ -50,76 +40,34 @@ let create engine ~protocol ~tmp ?(update_interval = Some 30.0)
   in
   let local_fs = Vfs.Local_mount.make client_fs in
   let mounts = Vfs.Mount.create () in
-  let remote_fs_and_stats =
-    match protocol with
-    | Local -> None
-    | Nfs_proto config ->
-        let server = Nfs.Nfs_server.serve rpc server_host ~fsid server_fs in
+  let remote =
+    Option.map
+      (fun kind ->
+        let server = Stack.serve rpc server_host ~fsid server_fs kind in
         let client =
-          Nfs.Nfs_client.mount rpc ~client:client_host ~server:server_host
-            ~root:(Nfs.Nfs_server.root_fh server)
-            ~config:{ config with cache_blocks = client_cache_blocks }
-            ()
+          Stack.mount rpc ~client:client_host ~name:(Stack.kind_name kind)
+            server
+            (Stack.with_cache_blocks client_cache_blocks protocol)
         in
-        Some
-          ( Nfs.Nfs_client.fs client,
-            Nfs.Nfs_server.service server,
-            Nfs.Nfs_client.cache client )
-    | Snfs_proto config ->
-        let server = Snfs.Snfs_server.serve rpc server_host ~fsid server_fs in
-        let client =
-          Snfs.Snfs_client.mount rpc ~client:client_host ~server:server_host
-            ~root:(Snfs.Snfs_server.root_fh server)
-            ~config:{ config with cache_blocks = client_cache_blocks }
-            ()
-        in
-        Some
-          ( Snfs.Snfs_client.fs client,
-            Snfs.Snfs_server.service server,
-            Snfs.Snfs_client.cache client )
-    | Rfs_proto config ->
-        let server = Rfs.Rfs_server.serve rpc server_host ~fsid server_fs in
-        let client =
-          Rfs.Rfs_client.mount rpc ~client:client_host ~server:server_host
-            ~root:(Rfs.Rfs_server.root_fh server)
-            ~config:{ config with cache_blocks = client_cache_blocks }
-            ()
-        in
-        Some
-          ( Rfs.Rfs_client.fs client,
-            Rfs.Rfs_server.service server,
-            Rfs.Rfs_client.cache client )
-    | Kent_proto config ->
-        let server = Kentfs.Kent_server.serve rpc server_host ~fsid server_fs in
-        let client =
-          Kentfs.Kent_client.mount rpc ~client:client_host ~server:server_host
-            ~root:(Kentfs.Kent_server.root_fh server)
-            ~config:{ config with cache_blocks = client_cache_blocks }
-            ()
-        in
-        Some
-          ( Kentfs.Kent_client.fs client,
-            Kentfs.Kent_server.service server,
-            Kentfs.Kent_client.cache client )
+        (server, client))
+      (Stack.kind_of protocol)
   in
   (* mount layout *)
-  (match (remote_fs_and_stats, tmp) with
+  (match (remote, tmp) with
   | None, _ -> Vfs.Mount.mount mounts ~at:"/" local_fs
-  | Some (remote, _, _), Tmp_remote ->
-      Vfs.Mount.mount mounts ~at:"/" remote;
+  | Some (_, client), Tmp_remote ->
+      Vfs.Mount.mount mounts ~at:"/" client.Stack.fs;
       Vfs.Mount.mount mounts ~at:"/local" local_fs
-  | Some (remote, _, _), Tmp_local ->
-      Vfs.Mount.mount mounts ~at:"/data" remote;
+  | Some (_, client), Tmp_local ->
+      Vfs.Mount.mount mounts ~at:"/data" client.Stack.fs;
       Vfs.Mount.mount mounts ~at:"/" local_fs);
   if name_cache then Vfs.Mount.enable_name_cache mounts;
-  let service = Option.map (fun (_, s, _) -> s) remote_fs_and_stats in
-  let protocol_cache = Option.map (fun (_, _, c) -> c) remote_fs_and_stats in
   let ctx = Workload.App.make ~mounts ~host:client_host in
   (* create the standard directories (runs in the caller's process) *)
   let ensure path =
     if not (Vfs.Fileio.exists mounts path) then Vfs.Fileio.mkdir mounts path
   in
-  (match (remote_fs_and_stats, tmp) with
+  (match (remote, tmp) with
   | None, _ -> List.iter ensure [ "/data"; "/tmp"; "/usr_tmp"; "/local" ]
   | Some _, Tmp_remote -> List.iter ensure [ "/data"; "/tmp"; "/usr_tmp" ]
   | Some _, Tmp_local ->
@@ -133,27 +81,22 @@ let create engine ~protocol ~tmp ?(update_interval = Some 30.0)
         match write_back_policy with `Unix -> None | `Sprite age -> Some age
       in
       Localfs.start_syncer client_fs ?min_age ~interval ();
-      (match protocol_cache with
-      | Some cache -> Blockcache.Cache.start_syncer cache ?min_age ~interval ()
-      | None -> ()));
+      Option.iter
+        (fun (_, client) ->
+          Blockcache.Cache.start_syncer client.Stack.cache ?min_age ~interval ())
+        remote);
   {
     engine;
     client_host;
     server_host;
-    server_disk;
-    client_disk;
     rpc;
-    service;
-    protocol_cache;
+    service = Option.map (fun (server, _) -> server.Stack.service) remote;
     ctx;
   }
 
 let ctx t = t.ctx
-let engine t = t.engine
-let client_disk t = t.client_disk
 let client_host t = t.client_host
 let server_host t = t.server_host
-let server_disk t = t.server_disk
 let service t = t.service
 let rpc t = t.rpc
 
@@ -161,8 +104,6 @@ let rpc_counts t =
   match t.service with
   | Some svc -> Stats.Counter.snapshot (Netsim.Rpc.counters svc)
   | None -> Stats.Counter.create ()
-
-let protocol_cache t = t.protocol_cache
 
 let drain t ~horizon =
   Sim.Engine.sleep t.engine horizon

@@ -12,14 +12,14 @@
     [/tmp], [/usr_tmp] when they are remote), and the client's
     always-local disk at [/local] (sort input/output live there). *)
 
-type protocol =
+(** The stack under test, wired by {!Stack}; re-exported so callers
+    can keep writing [Testbed.Snfs_proto]. *)
+type protocol = Stack.protocol =
   | Local
   | Nfs_proto of Nfs.Nfs_client.config
   | Snfs_proto of Snfs.Snfs_client.config
   | Rfs_proto of Rfs.Rfs_client.config
   | Kent_proto of Kentfs.Kent_client.config
-
-val protocol_name : protocol -> string
 
 (** Where /tmp and /usr_tmp live. *)
 type tmp_placement = Tmp_local | Tmp_remote
@@ -47,14 +47,8 @@ val create :
 (** Application context (mounts + client host) for workloads. *)
 val ctx : t -> Workload.App.t
 
-(* snfs-lint: allow interface-drift — testbed plumbing accessor for custom experiments *)
-val engine : t -> Sim.Engine.t
 val client_host : t -> Netsim.Net.Host.t
 val server_host : t -> Netsim.Net.Host.t
-(* snfs-lint: allow interface-drift — testbed plumbing accessor for custom experiments *)
-val server_disk : t -> Diskm.Disk.t
-(* snfs-lint: allow interface-drift — testbed plumbing accessor for custom experiments *)
-val client_disk : t -> Diskm.Disk.t
 
 (** RPC service of the protocol under test ([None] for Local). *)
 val service : t -> Netsim.Rpc.service option
@@ -67,10 +61,6 @@ val rpc : t -> Netsim.Rpc.t
 (** Snapshot of the server-side per-procedure call counts (empty
     counter for Local). *)
 val rpc_counts : t -> Stats.Counter.t
-
-(** The client's protocol block cache ([None] for Local). *)
-(* snfs-lint: allow interface-drift — testbed plumbing accessor for custom experiments *)
-val protocol_cache : t -> Blockcache.Cache.t option
 
 (** Let in-flight background work (write-behinds) settle without
     advancing past [horizon] virtual seconds. *)

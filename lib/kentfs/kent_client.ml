@@ -355,7 +355,6 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "kent")
 
 let fs t = match t.fs with Some fs -> fs | None -> assert false
 let cache t = t.cache
-let start_syncer t ~interval = Blockcache.Cache.start_syncer t.cache ~interval ()
 let acquires t = t.acquires
 let block_callbacks_served t = t.callbacks_served
 

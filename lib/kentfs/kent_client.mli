@@ -36,9 +36,6 @@ val mount :
 val fs : t -> Vfs.Fs.t
 val cache : t -> Blockcache.Cache.t
 
-(** Start the delayed-write daemon. *)
-val start_syncer : t -> interval:float -> unit
-
 (** Ownership acquisitions performed / block callbacks served. *)
 val acquires : t -> int
 val block_callbacks_served : t -> int
