@@ -95,169 +95,36 @@ let to_json p =
 
 (* ---- parsing ---- *)
 
-(* a minimal JSON reader, just enough for the schema above (and for
-   rejecting what isn't it) — no external JSON dependency, mirroring
-   the hand-rolled validator the obs tests use *)
-
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Bool of bool
-
 exception Malformed of string
 
 let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
-let parse_json s =
-  let pos = ref 0 in
-  let n = String.length s in
-  let peek () = if !pos >= n then malformed "unexpected end" else s.[!pos] in
-  let rec skip_ws () =
-    if
-      !pos < n
-      && match s.[!pos] with ' ' | '\n' | '\t' | '\r' -> true | _ -> false
-    then begin
-      incr pos;
-      skip_ws ()
-    end
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then malformed "expected %c at byte %d" c !pos;
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' ->
-          incr pos;
-          Buffer.contents buf
-      | '\\' ->
-          incr pos;
-          (match peek () with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | 'n' -> Buffer.add_char buf '\n'
-          | c -> malformed "bad escape \\%c" c);
-          incr pos;
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let numchar c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && numchar s.[!pos] do
-      incr pos
-    done;
-    if !pos = start then malformed "expected number at byte %d" start;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> malformed "bad number at byte %d" start
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else malformed "bad literal at byte %d" !pos
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                incr pos;
-                members ((key, v) :: acc)
-            | '}' ->
-                incr pos;
-                List.rev ((key, v) :: acc)
-            | c -> malformed "expected , or } but saw %c" c
-          in
-          Obj (members [])
-        end
-    | '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = ']' then begin
-          incr pos;
-          Arr []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                incr pos;
-                elems (v :: acc)
-            | ']' ->
-                incr pos;
-                List.rev (v :: acc)
-            | c -> malformed "expected , or ] but saw %c" c
-          in
-          Arr (elems [])
-        end
-    | '"' -> Str (parse_string ())
-    | 't' -> Bool (literal "true" true)
-    | 'f' -> Bool (literal "false" false)
-    | _ -> Num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then malformed "%d trailing bytes" (n - !pos);
-  v
+module J = Obs.Json
 
 let field obj key =
   match obj with
-  | Obj members -> (
+  | J.Obj members -> (
       match List.assoc_opt key members with
       | Some v -> v
       | None -> malformed "missing field %S" key)
   | _ -> malformed "expected an object around %S" key
 
 let as_int = function
-  | Num f when Float.is_integer f -> int_of_float f
+  | J.Num f when Float.is_integer f -> int_of_float f
   | _ -> malformed "expected an integer"
 
-let as_float = function Num f -> f | _ -> malformed "expected a number"
-let as_string = function Str s -> s | _ -> malformed "expected a string"
-let as_bool = function Bool b -> b | _ -> malformed "expected a bool"
+let as_float = function J.Num f -> f | _ -> malformed "expected a number"
+let as_string = function J.Str s -> s | _ -> malformed "expected a string"
+let as_bool = function J.Bool b -> b | _ -> malformed "expected a bool"
 
 let of_json s =
-  let j = parse_json s in
+  let j = try J.parse s with J.Error msg -> malformed "%s" msg in
   let schema_version = as_int (field j "schema_version") in
   if schema_version <> current_schema then
     malformed "unsupported schema_version %d (this build reads %d)"
       schema_version current_schema;
   let result_of = function
-    | Obj _ as r ->
+    | J.Obj _ as r ->
         {
           name = as_string (field r "name");
           events = as_int (field r "events");
@@ -267,12 +134,12 @@ let of_json s =
   in
   let results =
     match field j "results" with
-    | Arr rs -> List.map result_of rs
+    | J.Arr rs -> List.map result_of rs
     | _ -> malformed "results must be an array"
   in
   let campaign =
     match j with
-    | Obj members when List.mem_assoc "campaign" members ->
+    | J.Obj members when List.mem_assoc "campaign" members ->
         let c = field j "campaign" in
         Some
           {

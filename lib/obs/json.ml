@@ -57,7 +57,9 @@ let parse (s : string) : t =
               if !pos + 4 >= n then raise (Error "truncated \\u escape");
               let h = String.sub s (!pos + 1) 4 in
               pos := !pos + 4;
-              Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ h) land 0xff))
+              (match int_of_string_opt ("0x" ^ h) with
+              | Some code -> Buffer.add_char buf (Char.chr (code land 0xff))
+              | None -> raise (Error "bad \\u escape"))
           | c -> raise (Error (Printf.sprintf "bad escape \\%c" c)));
           advance ();
           go ()
@@ -142,7 +144,9 @@ let parse (s : string) : t =
         do
           advance ()
         done;
-        Num (float_of_string (String.sub s start (!pos - start)))
+        (match float_of_string_opt (String.sub s start (!pos - start)) with
+        | Some x -> Num x
+        | None -> raise (Error (Printf.sprintf "bad number at byte %d" start)))
     | c -> raise (Error (Printf.sprintf "unexpected char %c" c))
   in
   let v = parse_value () in

@@ -107,6 +107,11 @@ let test_malformed () =
   rejects "{";
   rejects "[]";
   rejects {|{"schema_version": 999, "point": 0}|};
+  (* lexically bad numbers and escapes are malformed too, not a
+     stray Failure from the number or escape decoder *)
+  rejects "-";
+  rejects {|{"schema_version": 1e}|};
+  rejects {|{"label": "\uZZZZ"}|};
   (* truncated object *)
   let json = Perf.to_json sample_point in
   rejects (String.sub json 0 (String.length json / 2))

@@ -70,160 +70,19 @@ let traced_scenario () =
   Obs.Trace.with_tracer tr (fun () -> run_sim scenario);
   tr
 
-(* ---- a minimal JSON parser, enough to validate the exporter ---- *)
+(* ---- JSON accessors that fail the test on a missing member ---- *)
 
-type json =
-  | J_obj of (string * json) list
-  | J_arr of json list
-  | J_str of string
-  | J_num of float
-  | J_bool of bool
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let pos = ref 0 in
-  let n = String.length s in
-  let peek () = if !pos >= n then raise (Bad_json "unexpected end") else s.[!pos] in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    if
-      !pos < n
-      && match s.[!pos] with ' ' | '\n' | '\t' | '\r' -> true | _ -> false
-    then (
-      advance ();
-      skip_ws ())
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then
-      raise (Bad_json (Printf.sprintf "expected %c at byte %d" c !pos));
-    advance ()
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' ->
-          advance ();
-          Buffer.contents buf
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              if !pos + 4 >= n then raise (Bad_json "truncated \\u escape");
-              let h = String.sub s (!pos + 1) 4 in
-              pos := !pos + 4;
-              Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ h) land 0xff))
-          | c -> raise (Bad_json (Printf.sprintf "bad escape \\%c" c)));
-          advance ();
-          go ()
-      | c when Char.code c < 0x20 -> raise (Bad_json "control char in string")
-      | c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ()
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (
-          advance ();
-          J_obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | '}' ->
-                advance ();
-                J_obj (List.rev ((k, v) :: acc))
-            | c -> raise (Bad_json (Printf.sprintf "bad char %c in object" c))
-          in
-          members []
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (
-          advance ();
-          J_arr [])
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                elements (v :: acc)
-            | ']' ->
-                advance ();
-                J_arr (List.rev (v :: acc))
-            | c -> raise (Bad_json (Printf.sprintf "bad char %c in array" c))
-          in
-          elements []
-    | '"' -> J_str (parse_string ())
-    | 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then (
-          pos := !pos + 4;
-          J_bool true)
-        else raise (Bad_json "bad literal")
-    | 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then (
-          pos := !pos + 5;
-          J_bool false)
-        else raise (Bad_json "bad literal")
-    | c when c = '-' || (c >= '0' && c <= '9') ->
-        let start = !pos in
-        while
-          !pos < n
-          &&
-          match s.[!pos] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        do
-          advance ()
-        done;
-        J_num (float_of_string (String.sub s start (!pos - start)))
-    | c -> raise (Bad_json (Printf.sprintf "unexpected char %c" c))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad_json "trailing garbage");
-  v
-
-let member k = function
-  | J_obj kvs -> List.assoc_opt k kvs
-  | _ -> None
+let member = Obs.Json.member
 
 let str_member k j =
-  match member k j with
-  | Some (J_str s) -> s
-  | _ -> Alcotest.fail (Printf.sprintf "missing string member %S" k)
+  match Obs.Json.str_member k j with
+  | Some s -> s
+  | None -> Alcotest.fail (Printf.sprintf "missing string member %S" k)
 
 let num_member k j =
-  match member k j with
-  | Some (J_num x) -> x
-  | _ -> Alcotest.fail (Printf.sprintf "missing numeric member %S" k)
+  match Obs.Json.num_member k j with
+  | Some x -> x
+  | None -> Alcotest.fail (Printf.sprintf "missing numeric member %S" k)
 
 (* ---- tests ---- *)
 
@@ -291,14 +150,14 @@ let test_spans_well_formed () =
 
 let test_chrome_export_parses () =
   let tr = traced_scenario () in
-  let json = parse_json (Obs.Chrome.to_string tr) in
+  let json = Obs.Json.parse (Obs.Chrome.to_string tr) in
   let entries =
     match member "traceEvents" json with
-    | Some (J_arr entries) -> entries
+    | Some (Obs.Json.Arr entries) -> entries
     | _ -> Alcotest.fail "no traceEvents array"
   in
   (match member "displayTimeUnit" json with
-  | Some (J_str "ms") -> ()
+  | Some (Obs.Json.Str "ms") -> ()
   | _ -> Alcotest.fail "displayTimeUnit missing");
   let phases = List.map (fun e -> str_member "ph" e) entries in
   let real = List.filter (fun p -> p <> "M") phases in
