@@ -10,8 +10,12 @@
 
 type outcome = { label : string; stale : int; fresh : int; callbacks : int }
 
-let scenario label make_fs =
-  Experiments.Driver.run @@ fun engine ->
+module Stack = Experiments.Stack
+
+(* [callbacks] names the metrics counter of the server's callbacks *)
+let scenario label kind ~fsid ~callbacks =
+  let metrics = Obs.Metrics.create () in
+  Experiments.Driver.run ~metrics @@ fun engine ->
   let net = Netsim.Net.create engine () in
   let rpc = Netsim.Rpc.create net () in
   let server_host = Netsim.Net.Host.create net "server" in
@@ -20,7 +24,16 @@ let scenario label make_fs =
     Localfs.create engine ~name:"backing" ~disk ~cache_blocks:896
       ~meta_policy:`Sync ()
   in
-  let mount_for, callbacks_of = make_fs rpc server_host backing in
+  let server = Stack.serve rpc server_host ~fsid backing kind in
+  let mount_for host =
+    let client =
+      Stack.mount rpc ~client:host ~name:(Netsim.Net.Host.name host) server
+        (Stack.default kind)
+    in
+    let m = Vfs.Mount.create () in
+    Vfs.Mount.mount m ~at:"/" client.Stack.fs;
+    m
+  in
   let writer_host = Netsim.Net.Host.create net "writer" in
   let reader_host = Netsim.Net.Host.create net "reader" in
   let m_writer = mount_for writer_host in
@@ -53,56 +66,25 @@ let scenario label make_fs =
   done;
   Vfs.Fileio.close wfd;
   Vfs.Fileio.close rfd;
-  { label; stale = !stale; fresh = !fresh; callbacks = callbacks_of () }
-
-let nfs_fs rpc server_host backing =
-  let server = Nfs.Nfs_server.serve rpc server_host ~fsid:1 backing in
-  let mount_for host =
-    let client =
-      Nfs.Nfs_client.mount rpc ~client:host ~server:server_host
-        ~root:(Nfs.Nfs_server.root_fh server)
-        ~name:(Netsim.Net.Host.name host) ()
-    in
-    let m = Vfs.Mount.create () in
-    Vfs.Mount.mount m ~at:"/" (Nfs.Nfs_client.fs client);
-    m
+  let callbacks =
+    match callbacks with
+    | None -> 0
+    | Some name ->
+        List.fold_left
+          (fun acc (_, n) -> acc + n)
+          0
+          (Obs.Metrics.counters_with metrics name)
   in
-  (mount_for, fun () -> 0)
-
-let snfs_fs rpc server_host backing =
-  let server = Snfs.Snfs_server.serve rpc server_host ~fsid:2 backing in
-  let mount_for host =
-    let client =
-      Snfs.Snfs_client.mount rpc ~client:host ~server:server_host
-        ~root:(Snfs.Snfs_server.root_fh server)
-        ~name:(Netsim.Net.Host.name host) ()
-    in
-    let m = Vfs.Mount.create () in
-    Vfs.Mount.mount m ~at:"/" (Snfs.Snfs_client.fs client);
-    m
-  in
-  (mount_for, fun () -> Snfs.Snfs_server.callbacks_sent server)
-
-let rfs_fs rpc server_host backing =
-  let server = Rfs.Rfs_server.serve rpc server_host ~fsid:3 backing in
-  let mount_for host =
-    let client =
-      Rfs.Rfs_client.mount rpc ~client:host ~server:server_host
-        ~root:(Rfs.Rfs_server.root_fh server)
-        ~name:(Netsim.Net.Host.name host) ()
-    in
-    let m = Vfs.Mount.create () in
-    Vfs.Mount.mount m ~at:"/" (Rfs.Rfs_client.fs client);
-    m
-  in
-  (mount_for, fun () -> Rfs.Rfs_server.invalidations_sent server)
+  { label; stale = !stale; fresh = !fresh; callbacks }
 
 let () =
   let outcomes =
     [
-      scenario "NFS" nfs_fs;
-      scenario "RFS" rfs_fs;
-      scenario "SNFS" snfs_fs;
+      scenario "NFS" Stack.Nfs ~fsid:1 ~callbacks:None;
+      scenario "RFS" Stack.Rfs ~fsid:3
+        ~callbacks:(Some "rfs_invalidations_sent_total");
+      scenario "SNFS" Stack.Snfs ~fsid:2
+        ~callbacks:(Some "snfs_callbacks_sent_total");
     ]
   in
   print_string

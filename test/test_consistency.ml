@@ -11,6 +11,8 @@
    Also: the same oracle under network message loss — retransmission
    and duplicate suppression must not break consistency. *)
 
+module Stack = Experiments.Stack
+
 let run_sim f =
   let e = Sim.Engine.create () in
   let result = ref None in
@@ -163,63 +165,27 @@ let run_trace ?(jitter = 0.0) ~drop ~make_clients ops =
         ops;
       !violations)
 
-let snfs_clients e net rpc server_host sfs =
-  ignore e;
-  let server = Snfs.Snfs_server.serve rpc server_host ~fsid:1 sfs in
+(* [nclients] hosts mounting one server with [protocol]; client i is
+   named [name ^ i] *)
+let clients name protocol _e net rpc server_host sfs =
+  let server =
+    Stack.serve rpc server_host ~fsid:1 sfs
+      (Option.get (Stack.kind_of protocol))
+  in
   List.init nclients (fun i ->
       let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
       let c =
-        Snfs.Snfs_client.mount rpc ~client:host ~server:server_host
-          ~root:(Snfs.Snfs_server.root_fh server)
-          ~name:(Printf.sprintf "snfs%d" i) ()
+        Stack.mount rpc ~client:host ~name:(Printf.sprintf "%s%d" name i)
+          server protocol
       in
       let m = Vfs.Mount.create () in
-      Vfs.Mount.mount m ~at:"/" (Snfs.Snfs_client.fs c);
+      Vfs.Mount.mount m ~at:"/" c.Stack.fs;
       m)
 
-let snfs_dc_clients e net rpc server_host sfs =
-  ignore e;
-  let server = Snfs.Snfs_server.serve rpc server_host ~fsid:1 sfs in
-  List.init nclients (fun i ->
-      let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-      let c =
-        Snfs.Snfs_client.mount rpc ~client:host ~server:server_host
-          ~root:(Snfs.Snfs_server.root_fh server)
-          ~config:
-            { Snfs.Snfs_client.default_config with delayed_close = true }
-          ~name:(Printf.sprintf "snfsdc%d" i) ()
-      in
-      let m = Vfs.Mount.create () in
-      Vfs.Mount.mount m ~at:"/" (Snfs.Snfs_client.fs c);
-      m)
-
-let kent_clients e net rpc server_host sfs =
-  ignore e;
-  let server = Kentfs.Kent_server.serve rpc server_host ~fsid:1 sfs in
-  List.init nclients (fun i ->
-      let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-      let c =
-        Kentfs.Kent_client.mount rpc ~client:host ~server:server_host
-          ~root:(Kentfs.Kent_server.root_fh server)
-          ~name:(Printf.sprintf "kent%d" i) ()
-      in
-      let m = Vfs.Mount.create () in
-      Vfs.Mount.mount m ~at:"/" (Kentfs.Kent_client.fs c);
-      m)
-
-let rfs_clients e net rpc server_host sfs =
-  ignore e;
-  let server = Rfs.Rfs_server.serve rpc server_host ~fsid:1 sfs in
-  List.init nclients (fun i ->
-      let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-      let c =
-        Rfs.Rfs_client.mount rpc ~client:host ~server:server_host
-          ~root:(Rfs.Rfs_server.root_fh server)
-          ~name:(Printf.sprintf "rfs%d" i) ()
-      in
-      let m = Vfs.Mount.create () in
-      Vfs.Mount.mount m ~at:"/" (Rfs.Rfs_client.fs c);
-      m)
+let snfs_clients = clients "snfs" (Stack.default Stack.Snfs)
+let snfs_dc_clients = clients "snfsdc" (List.assoc "snfs-dc" Stack.presets)
+let kent_clients = clients "kent" (Stack.default Stack.Kent)
+let rfs_clients = clients "rfs" (Stack.default Stack.Rfs)
 
 let prop_snfs_consistent =
   QCheck.Test.make ~name:"SNFS: serialized cross-client ops are consistent"
