@@ -280,7 +280,6 @@ let serve rpc host ?(threads = 8) ~fsid fs =
   in
   Lazy.force t
 
-let host t = t.host
 let root_fh t = Nfs.Wire.root_fh t.core
 let counters t = Netsim.Rpc.counters t.service
 let service t = t.service

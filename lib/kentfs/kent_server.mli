@@ -31,8 +31,6 @@ val p_acquire : string
 val serve :
   Netsim.Rpc.t -> Netsim.Net.Host.t -> ?threads:int -> fsid:int -> Localfs.t -> t
 
-(* snfs-lint: allow interface-drift — server identity accessor, symmetric across the four stacks *)
-val host : t -> Netsim.Net.Host.t
 val root_fh : t -> Nfs.Wire.fh
 val counters : t -> Stats.Counter.t
 val service : t -> Netsim.Rpc.service

@@ -24,7 +24,6 @@ let serve rpc host ?(threads = 4) ~fsid fs =
   let service = Netsim.Rpc.serve rpc host ~prog ~threads handler in
   { core; host; service }
 
-let host t = t.host
 let root_fh t = Wire.root_fh t.core
 let service t = t.service
 let counters t = Netsim.Rpc.counters t.service

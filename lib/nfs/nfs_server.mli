@@ -13,8 +13,6 @@ val serve :
   Netsim.Rpc.t -> Netsim.Net.Host.t -> ?threads:int -> fsid:int -> Localfs.t -> t
 
 val prog : string
-(* snfs-lint: allow interface-drift — server identity accessor, symmetric across the four stacks *)
-val host : t -> Netsim.Net.Host.t
 val root_fh : t -> Wire.fh
 val service : t -> Netsim.Rpc.service
 
