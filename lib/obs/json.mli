@@ -1,7 +1,8 @@
 (** A minimal self-contained JSON parser.
 
-    Just enough for {!Analyze} to read back Chrome trace JSON (and for
-    the exporter tests to validate it) without adding an external JSON
+    Just enough for {!Analyze} to read back Chrome trace JSON, for
+    [Experiments.Perf] to read BENCH points, and for the exporter tests
+    to validate their output, without adding an external JSON
     dependency. Accepts the subset the exporter emits — objects,
     arrays, strings with the usual escapes, numbers, booleans, null —
     and rejects everything else with {!Error}. *)
