@@ -5,7 +5,7 @@
                     [--rules a,b,...] [--skip-rules a,b,...] [--stats]
 
    Runs the Analysis.Driver passes over ROOT (default ".")'s
-   lib/bin/test/bench/examples trees, prints GNU-style
+   lib/bin/test/examples trees, prints GNU-style
    [path:line:col: error: [rule] message] findings, optionally writes
    the full deterministic JSON report and/or a SARIF 2.1.0 report, and
    exits non-zero if any finding is not absorbed by the baseline file

@@ -162,5 +162,5 @@ let load_tree root =
   List.iter
     (fun dir ->
       if Sys.file_exists (Filename.concat root dir) then walk dir)
-    [ "lib"; "bin"; "test"; "bench"; "examples" ];
+    [ "lib"; "bin"; "test"; "examples" ];
   List.rev !acc

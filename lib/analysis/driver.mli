@@ -61,6 +61,6 @@ val rule_docs : (string * string) list
     pseudo-rule — the SARIF rule table *)
 
 val load_tree : string -> input list
-(** Read every [.ml]/[.mli] under [root]/{lib,bin,test,bench,examples},
+(** Read every [.ml]/[.mli] under [root]/{lib,bin,test,examples},
     skipping dot- and underscore-prefixed entries, in sorted order.
     Returned paths are relative to [root]. *)

@@ -8,9 +8,6 @@
     another library is inferred blocking and a pure function that
     merely shares a primitive's name is not. *)
 
-val blocking_suffixes : string list list
-(** application-head suffixes that relinquish the processor *)
-
 val deferring_suffixes : string list list
 (** heads whose lambda arguments run in a later task *)
 

@@ -11,21 +11,14 @@ let nondeterministic =
     ([ "Random"; "self_init" ], "ambient entropy; use Sim.Rand with a fixed seed");
   ]
 
-(* additionally forbidden in lib/ and bench/: a benchmark configured
-   through the environment is as irreproducible as a library that is —
-   bench harness knobs must be explicit CLI flags *)
-let env_reads =
+(* additionally forbidden in lib/: a library configured through the
+   environment is irreproducible, and printing is the CLI's job *)
+let lib_only =
   [
     ([ "Sys"; "getenv" ], "environment read; thread configuration explicitly");
     ([ "Sys"; "getenv_opt" ], "environment read; thread configuration explicitly");
     ([ "Unix"; "getenv" ], "environment read; thread configuration explicitly");
     ([ "Unix"; "environment" ], "environment read; thread configuration explicitly");
-  ]
-
-(* additionally forbidden in lib/ only (bench/ legitimately prints its
-   measurements) *)
-let lib_only =
-  [
     ([ "Printf"; "printf" ], "ad-hoc stdout printing in library code");
     ([ "Printf"; "eprintf" ], "ad-hoc stderr printing in library code");
     ([ "Format"; "printf" ], "ad-hoc stdout printing in library code");
@@ -47,14 +40,11 @@ let check_file (file : Source.t) =
   | Some structure ->
       let in_bin = Source.under "bin" file.Source.path in
       let in_lib = Source.under "lib" file.Source.path in
-      let in_bench = Source.under "bench" file.Source.path in
       if in_bin then []
       else begin
         let findings = ref [] in
         let active =
-          if in_lib then nondeterministic @ env_reads @ lib_only
-          else if in_bench then nondeterministic @ env_reads
-          else nondeterministic
+          if in_lib then nondeterministic @ lib_only else nondeterministic
         in
         Astutil.iter_exprs
           (fun e ->

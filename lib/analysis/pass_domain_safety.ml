@@ -19,9 +19,7 @@ let name = "domain-safety"
    access from outside the defining module is exactly how per-domain
    isolation gets bypassed. *)
 
-let in_scope path =
-  Source.under "lib" path || Source.under "bench" path
-  || Source.under "examples" path
+let in_scope path = Source.under "lib" path || Source.under "examples" path
 
 (* applications whose thunk/function argument runs in other domains *)
 let fanout_suffixes = [ [ "Domain"; "spawn" ]; [ "Sweep"; "map" ] ]

@@ -5,7 +5,7 @@
     byte-identical to sequential runs if fanned code never touches
     shared mutable process state except through [Atomic.t] or a
     [Domain.DLS] key (DESIGN §11.2). This pass checks that contract
-    statically over [lib/], [bench/] and [examples/]:
+    statically over [lib/] and [examples/]:
 
     - classify every toplevel binding (including bindings at the top of
       nested modules and functor bodies): [Atomic.make] and

@@ -28,9 +28,7 @@ let name = "fanout"
    the reason is part of the idiom, so the bound is documented where
    the loop lives. *)
 
-let in_scope path =
-  Source.under "lib" path || Source.under "bench" path
-  || Source.under "examples" path
+let in_scope path = Source.under "lib" path || Source.under "examples" path
 
 let serve_suffix = [ "Rpc"; "serve" ]
 

@@ -30,7 +30,7 @@ let name = "hot-alloc"
 (* built as two halves so this very file never marks itself hot *)
 let marker = "snfs-" ^ "hot"
 
-let in_scope path = Source.under "lib" path || Source.under "bench" path
+let in_scope path = Source.under "lib" path
 
 (* The hot set PR 6 hand-tuned and test_alloc measures: event-queue
    cycle, blockcache table/LRU primitives, the DRC request path, the

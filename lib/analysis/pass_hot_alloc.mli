@@ -1,9 +1,9 @@
 (** Hot-path allocation pass.
 
-    DESIGN §11's zero-allocation rules were established by measurement
-    ([test_alloc]'s exact-zero [Gc.minor_words] probes, the BENCH_<n>
-    trajectory); this pass enforces them structurally so the next PR
-    cannot quietly re-introduce per-event allocation. A function is
+    DESIGN §11's zero-allocation rules are measured by [test_alloc]'s
+    exact-zero [Gc.minor_words] probes and by [perfbench/]'s minor
+    words per event; this pass enforces them structurally so the next
+    PR cannot quietly re-introduce per-event allocation. A function is
     {e hot} when it appears on the built-in allowlist (the
     [Sim.Eventq] cycle, the blockcache open-addressing table and
     intrusive LRU, the rpc DRC request path, the pooled [Xdr.Enc]

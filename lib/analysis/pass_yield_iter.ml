@@ -18,9 +18,7 @@ let name = "yield-iter"
    walk the list — the list iteration may still be a [fanout] finding,
    but it is no longer UB. *)
 
-let in_scope path =
-  Source.under "lib" path || Source.under "bench" path
-  || Source.under "examples" path
+let in_scope path = Source.under "lib" path || Source.under "examples" path
 
 let iter_suffixes = [ [ "Hashtbl"; "iter" ]; [ "Hashtbl"; "fold" ] ]
 

@@ -11,6 +11,6 @@
     The fix idiom is snapshot-then-iterate: project the bindings into a
     list first, then walk the list (the list walk may then be a
     [fanout] finding — a cost question, not a soundness one). Scope:
-    [lib/], [bench/] and [examples/]. *)
+    [lib/] and [examples/]. *)
 
 val pass : Pass.t

@@ -2,12 +2,9 @@ open Parsetree
 
 let name = "yield-race"
 
-(* The primitive blocking/deferring vocabularies live with the effect
-   inference now; this pass consumes the inferred per-binding
-   summaries. *)
-let blocking_suffixes = Effects.blocking_suffixes
-let deferring_suffixes = Effects.deferring_suffixes
-let suffix_in p suffixes = List.exists (Astutil.has_suffix p) suffixes
+(* Blocking heads are judged by the effect inference's per-binding
+   summaries; only the deferring vocabulary is consulted here. *)
+let defers p = List.exists (Astutil.has_suffix p) Effects.deferring_suffixes
 
 (* where a tainted binding's value came from, for the
    claim-and-clear exemption *)
@@ -25,66 +22,9 @@ type entry = {
 let is_lambda e =
   match e.pexp_desc with Pexp_fun _ | Pexp_function _ -> true | _ -> false
 
-(* ---- the legacy per-module fixpoint (kept as the comparison
-   baseline: [intra] proves what the whole-program summaries add) ---- *)
-
-let body_blocks local e =
-  let found = ref false in
-  let rec expr it e =
-    if !found then ()
-    else begin
-      (match (Astutil.uncurry_pipes e).pexp_desc with
-      | Pexp_apply (head, args) -> (
-          match Astutil.path_of_expr head with
-          | Some p when suffix_in p blocking_suffixes -> found := true
-          | Some [ f ] when List.mem f local -> found := true
-          | Some p when suffix_in p deferring_suffixes ->
-              List.iter
-                (fun (_, a) -> if not (is_lambda a) then expr it a)
-                args;
-              raise Exit
-          | _ -> ())
-      | _ -> ());
-      Ast_iterator.default_iterator.expr it e
-    end
-  in
-  let it = { Ast_iterator.default_iterator with expr } in
-  (try it.expr it e with Exit -> ());
-  !found
-
-let local_blocking structure =
-  let toplevel =
-    List.concat_map
-      (fun item ->
-        match item.pstr_desc with
-        | Pstr_value (_, vbs) ->
-            List.concat_map
-              (fun vb ->
-                match Astutil.pat_names vb.pvb_pat with
-                | [ x ] -> [ (x, vb.pvb_expr) ]
-                | _ -> [])
-              vbs
-        | _ -> [])
-      structure
-  in
-  let rec fix acc =
-    let acc' =
-      List.filter_map
-        (fun (x, body) ->
-          if List.mem x acc then Some x
-          else if body_blocks acc body then Some x
-          else None)
-        toplevel
-    in
-    if List.length acc' = List.length acc then acc else fix acc'
-  in
-  fix []
-
 (* ---- the main walk ---- *)
 
-let in_scope path =
-  Source.under "lib" path || Source.under "bench" path
-  || Source.under "examples" path
+let in_scope path = Source.under "lib" path || Source.under "examples" path
 
 let taint_source mutable_fields e =
   let e = Astutil.uncurry_pipes e in
@@ -225,7 +165,7 @@ let check_file ~blocking (file : Source.t) mutable_fields =
                  argument position *)
               walk env head;
               (match Astutil.path_of_expr head with
-              | Some p when suffix_in p deferring_suffixes ->
+              | Some p when defers p ->
                   List.iter
                     (fun (_, a) ->
                       if is_lambda a then walk [] a else walk env a)
@@ -284,24 +224,6 @@ let check_file ~blocking (file : Source.t) mutable_fields =
       walk_structure [ Source.module_name file.Source.path ] structure;
       !findings
   | _ -> []
-
-(* The legacy judgement: primitive suffixes plus the same-module
-   fixpoint. Exposed so the test suite can prove which races only the
-   whole-program summaries can see. *)
-let intra (ctx : Pass.ctx) =
-  List.concat_map
-    (fun (f : Source.t) ->
-      let local =
-        match f.Source.impl with
-        | Some structure when in_scope f.Source.path -> local_blocking structure
-        | _ -> []
-      in
-      let blocking ~module_path:_ p =
-        suffix_in p blocking_suffixes
-        || match p with [ x ] -> List.mem x local | _ -> false
-      in
-      check_file ~blocking f ctx.Pass.mutable_fields)
-    ctx.Pass.files
 
 let run (ctx : Pass.ctx) =
   List.concat_map

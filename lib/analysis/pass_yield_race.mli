@@ -16,18 +16,12 @@
     merely shares a primitive's name is not), and only unresolvable
     heads fall back to the primitive suffix vocabulary.
 
-    The environment machinery is unchanged: let-bound direct mutable
-    reads are tracked, every live binding is marked "crossed" at each
-    blocking application, and the first use of a crossed binding is
-    reported. Lambdas handed to deferring primitives
+    Let-bound direct mutable reads are tracked, every live binding is
+    marked "crossed" at each blocking application, and the first use
+    of a crossed binding is reported. Lambdas handed to deferring primitives
     ([Engine.spawn]/[after]/[at], [Metrics.register_poll]) run later in
     a fresh task, so they are analysed with a fresh environment.
-    Claim-and-clear and bump-cell stores stay exempt. Scope: [lib/],
-    [bench/] and [examples/]. *)
+    Claim-and-clear and bump-cell stores stay exempt. Scope: [lib/]
+    and [examples/]. *)
 
 val pass : Pass.t
-
-val intra : Pass.ctx -> Finding.t list
-(** the legacy judgement — primitive suffixes plus the same-module
-    wrapper fixpoint only, no call graph. Kept so the test suite can
-    prove the cross-library races that only [pass] sees. *)

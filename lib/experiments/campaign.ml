@@ -1,8 +1,8 @@
 (* A campaign: a list of independent Andrew-benchmark configurations,
    runnable sequentially or fanned out over domains with Sweep. This is
    the shared substance behind `snfs_sim campaign --jobs N`, the
-   bench/perf campaign measurement, and the parallel-determinism
-   tests — all three run exactly this code. *)
+   perfbench andrew workload, and the parallel-determinism tests — all
+   three run exactly this code. *)
 
 type config = {
   name : string;

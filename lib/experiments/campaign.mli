@@ -6,7 +6,7 @@
     its own engine and installs per-domain observability slots, a
     campaign's results are byte-identical whether run with [jobs:1] or
     fanned out over domains; [snfs_sim campaign --jobs N], the
-    bench/perf campaign measurement, and the parallel-determinism tests
+    [perfbench/] andrew workload, and the parallel-determinism tests
     all share this module. *)
 
 type config = {
@@ -50,6 +50,7 @@ type run = {
     installs a tracer and metrics registry for the run. [slot]
     (default 0) offsets the tracer's span-id range so traces from
     different campaign slots never share ids when merged. *)
+(* snfs-lint: allow interface-drift — called from perfbench/, which the analyzer does not scan *)
 val run_one : ?observe:bool -> ?slot:int -> config -> run
 
 (** Run a whole campaign with {!Sweep.map}; results in input order.

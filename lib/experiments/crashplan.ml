@@ -10,15 +10,12 @@ type event =
   | Client_crash of { at : float; client : int }
   | Client_partition of { at : float; client : int; heal_after : float }
 
-type t = { seed : int64; events : event list }
+type t = event list
 
 let event_time = function
   | Server_crash { at; _ } | Client_crash { at; _ }
   | Client_partition { at; _ } ->
       at
-
-let events t = t.events
-let seed t = t.seed
 
 (* The canonical schedule of the crash campaign: the server dies
    mid-benchmark and recovers; later two state-holding clients die
@@ -44,10 +41,7 @@ let generate ~seed ?(clients = 4) () =
       Client_crash { at = crash2; client = 2 };
     ]
   in
-  {
-    seed;
-    events = List.sort (fun a b -> compare (event_time a) (event_time b)) events;
-  }
+  List.sort (fun a b -> compare (event_time a) (event_time b)) events
 
 let describe t =
   List.map
@@ -60,7 +54,7 @@ let describe t =
       | Client_partition { at; client; heal_after } ->
           Printf.sprintf "t=%6.2f client%d partitioned, heals at t=%.2f" at
             client (at +. heal_after))
-    t.events
+    t
 
 let fault_event engine name args =
   if Obs.Trace.on () then
@@ -103,4 +97,4 @@ let install t engine ~net ~server ~clients =
               Sim.Engine.sleep engine heal_after;
               Netsim.Net.heal net clients.(client) server;
               fault_event engine "heal" [ ("client", Obs.Trace.Int client) ]))
-    t.events
+    t

@@ -22,11 +22,6 @@ type t
     demotion. Instants carry seed-dependent jitter. *)
 val generate : seed:int64 -> ?clients:int -> unit -> t
 
-(* snfs-lint: allow interface-drift — schedule introspection for custom drivers *)
-val events : t -> event list
-(* snfs-lint: allow interface-drift — schedule introspection for custom drivers *)
-val seed : t -> int64
-
 (** One human-readable line per event, in time order. *)
 val describe : t -> string list
 

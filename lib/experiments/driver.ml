@@ -1,6 +1,4 @@
-let default_sample_interval = 5.0
-
-let run ?trace ?metrics ?(sample_interval = default_sample_interval) f =
+let run ?trace ?metrics ?(sample_interval = 5.0) f =
   let go () =
     (* the engine is created only after the registry is installed, so
        creation-time instruments (engine queue depth, resource polls)

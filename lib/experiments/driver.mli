@@ -20,9 +20,6 @@
     (default 5.0) simulated seconds; sampling is started on first use
     and continues across runs sharing one registry. *)
 
-(* snfs-lint: allow interface-drift — documented default for custom experiment drivers *)
-val default_sample_interval : float
-
 val run :
   ?trace:Obs.Trace.t ->
   ?metrics:Obs.Metrics.t ->

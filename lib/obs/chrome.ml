@@ -120,9 +120,3 @@ let to_string tr =
     events;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
-
-let write_file tr ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string tr))

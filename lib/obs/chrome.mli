@@ -9,6 +9,3 @@
     Output is deterministic: equal traces render to identical bytes. *)
 
 val to_string : Trace.t -> string
-
-(* snfs-lint: allow interface-drift — one-call trace export for interactive sessions *)
-val write_file : Trace.t -> path:string -> unit

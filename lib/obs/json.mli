@@ -1,11 +1,10 @@
 (** A minimal self-contained JSON parser.
 
-    Just enough for {!Analyze} to read back Chrome trace JSON, for
-    [Experiments.Perf] to read BENCH points, and for the exporter tests
-    to validate their output, without adding an external JSON
-    dependency. Accepts the subset the exporter emits — objects,
-    arrays, strings with the usual escapes, numbers, booleans, null —
-    and rejects everything else with {!Error}. *)
+    Just enough for {!Analyze} to read back Chrome trace JSON and for
+    the exporter tests to validate their output, without adding an
+    external JSON dependency. Accepts the subset the exporter emits —
+    objects, arrays, strings with the usual escapes, numbers, booleans,
+    null — and rejects everything else with {!Error}. *)
 
 type t =
   | Obj of (string * t) list

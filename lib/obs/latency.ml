@@ -34,15 +34,6 @@ let errors t ~prog ~proc =
   | Some h -> Stats.Histogram.count h
   | None -> 0
 
-let to_list t =
-  List.filter_map
-    (fun (prog, proc, outcome) ->
-      match outcome with
-      | Success -> Some ((prog, proc), Hashtbl.find t.tbl (prog, proc, outcome))
-      | Timeout -> None)
-    t.keys
-  |> List.sort compare
-
 let procs t =
   List.map (fun (prog, proc, _) -> (prog, proc)) t.keys
   |> List.sort_uniq compare

@@ -15,9 +15,6 @@ type t
     spent waiting before giving up. *)
 type outcome = Success | Timeout
 
-(* snfs-lint: allow interface-drift — latency introspection for report scripts *)
-val outcome_label : outcome -> string
-
 val create : unit -> t
 
 (** Record one sample, in (simulated) seconds. [outcome] defaults to
@@ -28,22 +25,8 @@ val record : t -> ?outcome:outcome -> prog:string -> proc:string -> float -> uni
     use. *)
 val histogram : t -> prog:string -> proc:string -> Stats.Histogram.t
 
-(** The histogram for one procedure and outcome, created empty on
-    first use. *)
-(* snfs-lint: allow interface-drift — latency introspection for report scripts *)
-val histogram_of :
-  t -> outcome:outcome -> prog:string -> proc:string -> Stats.Histogram.t
-
 (** Timed-out calls recorded for one procedure. *)
 val errors : t -> prog:string -> proc:string -> int
-
-(** All [Success] histograms, sorted by [(prog, proc)]. *)
-(* snfs-lint: allow interface-drift — latency introspection for report scripts *)
-val to_list : t -> ((string * string) * Stats.Histogram.t) list
-
-(** All [(prog, proc)] pairs with any recording, sorted. *)
-(* snfs-lint: allow interface-drift — latency introspection for report scripts *)
-val procs : t -> (string * string) list
 
 val is_empty : t -> bool
 

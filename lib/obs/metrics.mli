@@ -103,7 +103,7 @@ val gauge_value : t -> ?labels:labels -> string -> float
 val counters_with : t -> string -> (labels * int) list
 
 (** The histogram under a name (created empty on first use). *)
-(* snfs-lint: allow interface-drift — registry accessor for report scripts *)
+(* snfs-lint: allow interface-drift — called from perfbench/, which the analyzer does not scan *)
 val histogram : t -> ?labels:labels -> string -> Stats.Histogram.t
 
 (** {1 Sampling}

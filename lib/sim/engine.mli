@@ -15,9 +15,9 @@ val create : unit -> t
 val now : t -> float
 
 (** Number of events the dispatch loop has executed since [create].
-    The numerator of the events/sec macro-benchmark (bench/perf.ml);
-    also exported to the metrics registry as the cumulative poll
-    [sim_events_total]. *)
+    Campaign runs report it as [events]; it is also exported to the
+    metrics registry as the cumulative poll [sim_events_total], which
+    [perfbench/] reports as [sim.events]. *)
 val events_executed : t -> int
 
 (** [at t time fn] schedules callback [fn] at absolute virtual [time].

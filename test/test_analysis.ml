@@ -76,16 +76,6 @@ let test_determinism_scoping () =
   check_quiet "sprintf in lib/" "determinism"
     [ input "lib/a.ml" "let d x = Printf.sprintf \"%d\" x\n" ]
 
-let test_determinism_bench_scope () =
-  (* bench/ is a reporting harness: printing is its job, but env-read
-     configuration and un-waived wall-clock reads are still flagged *)
-  check_fires "env read in bench/" "determinism"
-    [ input "bench/b.ml" "let d () = Sys.getenv_opt \"DEBUG\"\n" ];
-  check_fires "wall clock in bench/" "determinism"
-    [ input "bench/b.ml" "let t = Unix.gettimeofday ()\n" ];
-  check_quiet "printing in bench/" "determinism"
-    [ input "bench/b.ml" "let p x = Printf.printf \"%d\" x\n" ]
-
 let test_determinism_strings_inert () =
   (* the parser, not a text scan: prose never trips the pass *)
   check_quiet "comments and strings" "determinism"
@@ -330,16 +320,6 @@ let test_yield_race_scope () =
           \  let v = g.g_version in\n\
           \  Sim.Engine.sleep e 1.0;\n\
           \  use v\n");
-    ];
-  (* bench/ is linted like lib/: the same stale read fires there *)
-  check_fires "bench/ is in scope" "yield-race"
-    [
-      input "bench/b.ml"
-        (gnode_type
-       ^ "let f g e =\n\
-          \  let v = g.g_version in\n\
-          \  Sim.Engine.sleep e 1.0;\n\
-          \  use v\n");
     ]
 
 let test_yield_race_bump_cell () =
@@ -411,14 +391,6 @@ let cross_library_race =
   ]
 
 let test_yield_race_cross_library () =
-  (* the legacy per-module judgement (primitive suffixes plus the
-     same-module fixpoint) provably misses the race... *)
-  (match Analysis.Pass_yield_race.intra (D.context cross_library_race) with
-  | [] -> ()
-  | f :: _ ->
-      Alcotest.fail
-        ("the per-module judgement should miss this: " ^ F.to_string f));
-  (* ...and the interprocedural pass catches it *)
   check_fires "cross-library wrapper race" "yield-race" cross_library_race
 
 let test_yield_race_cross_library_pure_wrapper () =
@@ -1096,8 +1068,6 @@ let () =
             test_determinism_alias_flagged;
           Alcotest.test_case "bin//test/ scoping" `Quick
             test_determinism_scoping;
-          Alcotest.test_case "bench/ scoping" `Quick
-            test_determinism_bench_scope;
           Alcotest.test_case "strings and comments inert" `Quick
             test_determinism_strings_inert;
         ] );
@@ -1135,14 +1105,14 @@ let () =
             test_yield_race_local_wrapper_fixpoint;
           Alcotest.test_case "deferred lambdas don't block" `Quick
             test_yield_race_deferred_lambda_ok;
-          Alcotest.test_case "lib/ and bench/ scope" `Quick
+          Alcotest.test_case "test/ is out of scope" `Quick
             test_yield_race_scope;
           Alcotest.test_case "bump cells update, not read" `Quick
             test_yield_race_bump_cell;
           Alcotest.test_case "clock and DLS wrapper idioms" `Quick
             test_yield_race_wrapper_idioms;
-          Alcotest.test_case "cross-library race: intra misses, pass sees"
-            `Quick test_yield_race_cross_library;
+          Alcotest.test_case "cross-library wrapper race" `Quick
+            test_yield_race_cross_library;
           Alcotest.test_case "pure cross-library wrapper trusted" `Quick
             test_yield_race_cross_library_pure_wrapper;
         ] );

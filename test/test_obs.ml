@@ -186,6 +186,22 @@ let test_chrome_export_parses () =
       | ph -> Alcotest.fail (Printf.sprintf "unexpected phase %S" ph))
     entries
 
+(* malformed input raises Obs.Json.Error, never a stray Failure from
+   the number or escape decoder *)
+let test_json_rejects_malformed () =
+  let rejects s =
+    match Obs.Json.parse s with
+    | exception Obs.Json.Error _ -> ()
+    | _ -> Alcotest.failf "accepted malformed input %S" s
+  in
+  rejects "";
+  rejects "{";
+  rejects "-";
+  rejects {|{"n": 1e}|};
+  rejects {|{"s": "\uZZZZ"}|};
+  let json = Obs.Chrome.to_string (traced_scenario ()) in
+  rejects (String.sub json 0 (String.length json / 2))
+
 (* every server-side flow arrow must point at a minted client op: the
    flow id IS the inducing operation's root span id *)
 let test_flow_ids_match_inducing_op () =
@@ -330,6 +346,11 @@ let () =
             test_chrome_export_parses;
           Alcotest.test_case "flow ids match inducing op" `Quick
             test_flow_ids_match_inducing_op;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "malformed input raises Error" `Quick
+            test_json_rejects_malformed;
         ] );
       ( "latency",
         Alcotest.test_case "exact percentiles" `Quick test_percentiles_exact
