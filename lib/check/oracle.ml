@@ -16,8 +16,8 @@ let run_sim f =
   | Some v -> v
   | None -> failwith "Oracle: simulation main process did not complete"
 
-(* one mount per client plus a quiesce hook forcing its dirty blocks to
-   the server (the oracle hook each protocol client exports) *)
+(* one mount per client plus its block cache, whose dirty blocks the
+   quiesce forces to the server *)
 let make_clients kind net rpc server_host sfs =
   let server = Stack.serve rpc server_host ~fsid:1 sfs kind in
   List.init nclients (fun i ->
@@ -29,7 +29,7 @@ let make_clients kind net rpc server_host sfs =
       in
       let m = Vfs.Mount.create () in
       Vfs.Mount.mount m ~at:"/" c.Stack.fs;
-      (m, c.Stack.quiesce))
+      (m, c.Stack.cache))
 
 let path_of f = Printf.sprintf "/f%d" f
 
@@ -136,7 +136,7 @@ let replay kind ops =
           settle ())
         ops;
       close_all (fun _ _ -> true);
-      List.iter (fun (_, quiesce) -> quiesce ()) mounts;
+      List.iter (fun (_, cache) -> Blockcache.Cache.flush_all cache) mounts;
       Sim.Engine.sleep e 1.0;
       (* after the quiesce every protocol's server copy must be exact *)
       let server_mount = Vfs.Mount.create () in

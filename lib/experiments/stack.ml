@@ -92,7 +92,6 @@ let serve ?recovery_grace rpc host ~fsid fs = function
 type client = {
   fs : Vfs.Fs.t;
   cache : Blockcache.Cache.t;
-  quiesce : unit -> unit;
   snfs_client : Snfs.Snfs_client.t option;
 }
 
@@ -103,7 +102,6 @@ let mount rpc ~client ~name { host = server; root; _ } = function
       {
         fs = Nfs.Nfs_client.fs c;
         cache = Nfs.Nfs_client.cache c;
-        quiesce = (fun () -> Nfs.Nfs_client.quiesce c);
         snfs_client = None;
       }
   | Snfs_proto config ->
@@ -113,7 +111,6 @@ let mount rpc ~client ~name { host = server; root; _ } = function
       {
         fs = Snfs.Snfs_client.fs c;
         cache = Snfs.Snfs_client.cache c;
-        quiesce = (fun () -> Snfs.Snfs_client.quiesce c);
         snfs_client = Some c;
       }
   | Rfs_proto config ->
@@ -121,7 +118,6 @@ let mount rpc ~client ~name { host = server; root; _ } = function
       {
         fs = Rfs.Rfs_client.fs c;
         cache = Rfs.Rfs_client.cache c;
-        quiesce = (fun () -> Rfs.Rfs_client.quiesce c);
         snfs_client = None;
       }
   | Kent_proto config ->
@@ -131,6 +127,5 @@ let mount rpc ~client ~name { host = server; root; _ } = function
       {
         fs = Kentfs.Kent_client.fs c;
         cache = Kentfs.Kent_client.cache c;
-        quiesce = (fun () -> Kentfs.Kent_client.quiesce c);
         snfs_client = None;
       }

@@ -73,8 +73,6 @@ val serve :
 type client = {
   fs : Vfs.Fs.t;  (** the protocol client's own file system, unwrapped *)
   cache : Blockcache.Cache.t;
-  quiesce : unit -> unit;
-      (** force every delayed-write block back to the server *)
   snfs_client : Snfs.Snfs_client.t option;  (** SNFS only *)
 }
 

@@ -39,8 +39,3 @@ val cache : t -> Blockcache.Cache.t
 (** Ownership acquisitions performed / block callbacks served. *)
 val acquires : t -> int
 val block_callbacks_served : t -> int
-
-(** Oracle hook: push every owned dirty block back to the server, so
-    the consistency oracle can diff the server-side contents against
-    its serial reference model. *)
-val quiesce : t -> unit

@@ -168,7 +168,6 @@ let counters svc = svc.counts
 let executed_count svc = svc.executed
 let duplicate_count svc = svc.duplicates
 let set_on_restart svc f = svc.on_restart <- Some f
-let thread_pool svc = svc.pool
 
 let payload_cpu t bytes = t.config.cpu_per_kbyte *. (float_of_int bytes /. 1024.)
 

@@ -99,11 +99,6 @@ val duplicate_count : service -> int
     rebooted; protocol layers reset volatile state here. *)
 val set_on_restart : service -> (unit -> unit) -> unit
 
-(** The worker-thread pool, exposed so SNFS can enforce the "at most
-    N-1 threads performing callbacks" rule. *)
-(* snfs-lint: allow interface-drift — server thread-pool introspection for experiments *)
-val thread_pool : service -> Sim.Semaphore.t
-
 (** [call t ~src ~dst ~prog ~proc ?bulk args] performs a remote call
     from process context: marshalled [args] (plus [bulk] payload bytes)
     travel to [dst], the handler runs there, and the marshalled reply

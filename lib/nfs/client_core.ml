@@ -1,0 +1,246 @@
+type 'p gnode = {
+  g_ino : int;
+  g_gen : int;
+  mutable g_attrs : Localfs.attrs;
+  mutable g_last_read : int;
+  g_proto : 'p;
+}
+
+type arrival = Lookup | Reply | Write
+
+type 'p t = {
+  rpc : Netsim.Rpc.t;
+  client : Netsim.Net.Host.t;
+  server : Netsim.Net.Host.t;
+  root : Wire.fh;
+  name : string;
+  policy : 'p policy;
+  engine : Sim.Engine.t;
+  cache : Blockcache.Cache.t;
+  gnodes : (int, 'p gnode) Hashtbl.t;
+  budget : Netsim.Rpc.budget option;
+  read_ahead : bool;
+  readahead_name : string;
+  mutable fs : Vfs.Fs.t option;
+}
+
+and 'p policy = {
+  prog : string;
+  cat : string;
+  fresh : 'p t -> Localfs.attrs -> 'p;
+  merge : 'p t -> Obs.Causal.t -> arrival -> 'p gnode -> Localfs.attrs -> unit;
+  on_remove : 'p gnode -> unit;
+}
+
+let block_size = 4096
+
+let call t ctx ~proc ?bulk args =
+  Netsim.Rpc.call t.rpc ~ctx ~src:t.client ~dst:t.server ~prog:t.policy.prog
+    ~proc ?budget:t.budget ?bulk args
+
+let engine t = t.engine
+let cache t = t.cache
+let gnodes t = t.gnodes
+let host t = Netsim.Net.Host.name t.client
+
+let op t name f =
+  Obs.Causal.root ~now:(fun () -> Sim.Engine.now t.engine) ~track:(host t) ~name f
+
+let proto_event t name args =
+  if Obs.Trace.on () then
+    Obs.Trace.instant
+      ~ts:(Sim.Engine.now t.engine)
+      ~cat:t.policy.cat ~name ~track:(host t) ~args ()
+
+let find t ino =
+  match Hashtbl.find_opt t.gnodes ino with
+  | Some g -> g
+  | None -> invalid_arg "Client_core: unknown gnode"
+
+let gnode t vn = find t vn.Vfs.Fs.vid
+
+let fh_of t g = { Wire.fsid = t.root.Wire.fsid; ino = g.g_ino; gen = g.g_gen }
+
+(* Install or update a gnode from attributes that just arrived. *)
+let note t ctx arrival (attrs : Localfs.attrs) =
+  match Hashtbl.find_opt t.gnodes attrs.ino with
+  | Some g ->
+      t.policy.merge t ctx arrival g attrs;
+      g
+  | None ->
+      let g =
+        {
+          g_ino = attrs.ino;
+          g_gen = attrs.gen;
+          g_attrs = attrs;
+          g_last_read = -2;
+          g_proto = t.policy.fresh t attrs;
+        }
+      in
+      Hashtbl.replace t.gnodes attrs.ino g;
+      g
+
+let vn_of t g =
+  match t.fs with
+  | Some fs -> { Vfs.Fs.fs; vid = g.g_ino }
+  | None -> assert false
+
+let fs t = match t.fs with Some fs -> fs | None -> assert false
+
+let flush ?(ctx = Obs.Causal.none) t g =
+  Blockcache.Cache.flush_file ~ctx t.cache ~file:g.g_ino;
+  Blockcache.Cache.wait_pending t.cache ~file:g.g_ino
+
+let drop t g =
+  Blockcache.Cache.wait_pending t.cache ~file:g.g_ino;
+  ignore (Blockcache.Cache.cancel_dirty t.cache ~file:g.g_ino)
+
+(* ---- data path ---- *)
+
+let cached_read t ctx g ~index =
+  if index * block_size >= g.g_attrs.Localfs.size then (0, 0)
+  else begin
+    let result = Blockcache.Cache.read ~ctx t.cache ~file:g.g_ino ~index in
+    (* one-block read-ahead on sequential access *)
+    if
+      t.read_ahead
+      && index = g.g_last_read + 1
+      && (index + 1) * block_size < g.g_attrs.Localfs.size
+      && Blockcache.Cache.peek t.cache ~file:g.g_ino ~index:(index + 1) = None
+    then
+      Sim.Engine.spawn t.engine ~name:t.readahead_name (fun () ->
+          ignore (Blockcache.Cache.read t.cache ~file:g.g_ino ~index:(index + 1)));
+    g.g_last_read <- index;
+    result
+  end
+
+let cached_write t ctx g ~index ~stamp ~len mode =
+  Blockcache.Cache.write ~ctx t.cache ~file:g.g_ino ~index ~stamp ~len
+    (mode :> [ `Sync | `Async | `Delayed ]);
+  (* optimistic local size; the authoritative one returns on the write
+     reply *)
+  let size = max g.g_attrs.Localfs.size ((index * block_size) + len) in
+  g.g_attrs <- { g.g_attrs with Localfs.size }
+
+(* ---- namespace ---- *)
+
+let do_root t () =
+  match Hashtbl.find_opt t.gnodes t.root.Wire.ino with
+  | Some g -> vn_of t g
+  | None ->
+      op t "root" @@ fun ctx ->
+      vn_of t (note t ctx Reply (Wire.getattr (call t ctx) t.root))
+
+let do_lookup t ~dir name =
+  op t "lookup" @@ fun ctx ->
+  let _fh, attrs = Wire.lookup (call t ctx) ~dir:(fh_of t (gnode t dir)) name in
+  vn_of t (note t ctx Lookup attrs)
+
+let do_create t ~dir name =
+  op t "create" @@ fun ctx ->
+  let _fh, attrs = Wire.create (call t ctx) ~dir:(fh_of t (gnode t dir)) name in
+  vn_of t (note t ctx Reply attrs)
+
+let do_mkdir t ~dir name =
+  op t "mkdir" @@ fun ctx ->
+  let _fh, attrs = Wire.mkdir (call t ctx) ~dir:(fh_of t (gnode t dir)) name in
+  vn_of t (note t ctx Reply attrs)
+
+let do_remove t ~dir name =
+  op t "remove" @@ fun ctx ->
+  let dir = fh_of t (gnode t dir) in
+  (match Wire.lookup (call t ctx) ~dir name with
+  | fh, _ -> (
+      match Hashtbl.find_opt t.gnodes fh.Wire.ino with
+      | Some g ->
+          (* the delete-before-write-back optimization (Section 5.4):
+             dirty blocks of the dead file are simply dropped *)
+          t.policy.on_remove g;
+          drop t g;
+          Hashtbl.remove t.gnodes g.g_ino
+      | None -> ())
+  | exception Localfs.Error _ -> ());
+  Wire.remove (call t ctx) ~dir name
+
+let do_rmdir t ~dir name =
+  op t "rmdir" @@ fun ctx ->
+  Wire.rmdir (call t ctx) ~dir:(fh_of t (gnode t dir)) name
+
+let do_rename t ~fromdir fname ~todir tname =
+  op t "rename" @@ fun ctx ->
+  let fromdir = fh_of t (gnode t fromdir) in
+  let todir = fh_of t (gnode t todir) in
+  Wire.rename (call t ctx) ~fromdir fname ~todir tname
+
+let do_readdir t vn =
+  op t "readdir" @@ fun ctx -> Wire.readdir (call t ctx) (fh_of t (gnode t vn))
+
+let do_fsync t vn = op t "fsync" @@ fun ctx -> flush ~ctx t (gnode t vn)
+
+(* ---- construction ---- *)
+
+let create policy rpc ~client ~server ~root ~name ~cache_blocks ~read_ahead
+    ~retry_budget =
+  let engine = Netsim.Net.engine (Netsim.Rpc.net rpc) in
+  let rec t =
+    lazy
+      (let backend =
+         {
+           Blockcache.Cache.read_block =
+             (fun ~ctx ~file ~index ->
+               let t = Lazy.force t in
+               Wire.read (call t ctx) (fh_of t (find t file)) ~index);
+           write_block =
+             (fun ~ctx ~file ~index ~stamp ~len ->
+               let t = Lazy.force t in
+               let g = find t file in
+               match Wire.write (call t ctx) (fh_of t g) ~index ~stamp ~len with
+               | attrs -> t.policy.merge t ctx Write g attrs
+               | exception Localfs.Error Localfs.Stale ->
+                   (* removed while the write was in flight: its data
+                      no longer matters *)
+                   ());
+         }
+       in
+       {
+         rpc;
+         client;
+         server;
+         root;
+         name;
+         policy;
+         engine;
+         cache =
+           Blockcache.Cache.create engine ~name:(name ^ ".cache")
+             ~capacity_blocks:cache_blocks ~block_size backend;
+         gnodes = Hashtbl.create 256;
+         budget = Option.map Netsim.Rpc.budget retry_budget;
+         read_ahead;
+         readahead_name = policy.cat ^ ".readahead";
+         fs = None;
+       })
+  in
+  Lazy.force t
+
+let attach t ~getattr ~setattr ~fs_open ~fs_close ~read_block ~write_block =
+  t.fs <-
+    Some
+      {
+        Vfs.Fs.fs_name = t.name;
+        block_size;
+        root = do_root t;
+        lookup = do_lookup t;
+        create = do_create t;
+        mkdir = do_mkdir t;
+        remove = do_remove t;
+        rmdir = do_rmdir t;
+        rename = do_rename t;
+        readdir = do_readdir t;
+        getattr;
+        setattr;
+        fs_open;
+        fs_close;
+        read_block;
+        write_block;
+        fsync = do_fsync t;
+      }

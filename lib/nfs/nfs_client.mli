@@ -51,14 +51,3 @@ val mount :
 val fs : t -> Vfs.Fs.t
 
 val cache : t -> Blockcache.Cache.t
-
-(** Attribute-cache probe RPCs issued (the periodic consistency checks
-    of Section 2.1). *)
-(* snfs-lint: allow interface-drift — consistency-protocol counter for experiment reports *)
-val attr_probes : t -> int
-
-(** Oracle hook: force everything dirty out to the server, so the
-    consistency oracle can diff the server-side contents against its
-    serial reference model. NFS writes through, so this only drains
-    pending write-behinds and delayed partial blocks. *)
-val quiesce : t -> unit

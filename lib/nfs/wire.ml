@@ -80,12 +80,6 @@ let p_reopen = "reopen"
 
 let data_procs = [ p_read; p_write ]
 
-let basic_procs =
-  [
-    p_lookup; p_getattr; p_setattr; p_read; p_write; p_create; p_remove;
-    p_mkdir; p_rmdir; p_rename; p_readdir;
-  ]
-
 (* ---- client stubs ---- *)
 
 type call = proc:string -> ?bulk:int -> bytes -> bytes
@@ -375,7 +369,7 @@ let handle_basic c ~caller ~ctx ~proc d =
   in
   (* membership test as a literal-string match (a comparison tree),
      not a [List.mem] scan with polymorphic equality — this runs once
-     per served RPC. The literals mirror [basic_procs]. *)
+     per served RPC. The literals are the basic [p_*] names. *)
   match proc with
   | "lookup" | "getattr" | "setattr" | "read" | "write" | "create" | "remove"
   | "mkdir" | "rmdir" | "rename" | "readdir" ->

@@ -36,14 +36,6 @@ val p_read : string
 val p_write : string
 val p_create : string
 val p_remove : string
-(* snfs-lint: allow interface-drift — wire procedure name, completing the NFS proc set *)
-val p_mkdir : string
-(* snfs-lint: allow interface-drift — wire procedure name, completing the NFS proc set *)
-val p_rmdir : string
-(* snfs-lint: allow interface-drift — wire procedure name, completing the NFS proc set *)
-val p_rename : string
-(* snfs-lint: allow interface-drift — wire procedure name, completing the NFS proc set *)
-val p_readdir : string
 val p_open : string
 val p_close : string
 val p_callback : string
@@ -53,10 +45,6 @@ val p_reopen : string
 (** Procedures that move file data (the "data transfer operations" row
     of Table 5-2). *)
 val data_procs : string list
-
-(** All basic (shared) procedures. *)
-(* snfs-lint: allow interface-drift — shared proc list for servers reusing the dispatcher *)
-val basic_procs : string list
 
 (** {2 Client-side stubs}
 

@@ -34,7 +34,3 @@ val cache : t -> Blockcache.Cache.t
 
 (** Invalidation callbacks served. *)
 val invalidations_served : t -> int
-
-(** Oracle hook: drain pending write-throughs so the consistency
-    oracle can diff the server-side contents against its model. *)
-val quiesce : t -> unit

@@ -3,7 +3,6 @@ type phantom = { mutable expires : float }
 type t = {
   snfs : Snfs_server.t;
   engine : Sim.Engine.t;
-  nfs_service : Netsim.Rpc.service;
   probe_interval : float;
   (* implicit SNFS opens held for NFS clients: (file, client, write) *)
   phantoms : (int * int * bool, phantom) Hashtbl.t;
@@ -106,13 +105,12 @@ let serve rpc host ?(threads = 4) ?(nfs_probe_interval = 150.0) ~fsid fs =
              Nfs.Wire.enc_status e (Error Localfs.Stale);
              { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 }
        in
-       let nfs_service =
+       let _nfs_service =
          Netsim.Rpc.serve rpc host ~prog:Nfs.Nfs_server.prog ~threads handler
        in
        {
          snfs;
          engine;
-         nfs_service;
          probe_interval = nfs_probe_interval;
          phantoms = Hashtbl.create 64;
        })
@@ -121,5 +119,4 @@ let serve rpc host ?(threads = 4) ?(nfs_probe_interval = 150.0) ~fsid fs =
 
 let snfs t = t.snfs
 let nfs_root_fh t = Nfs.Wire.root_fh (Snfs_server.core t.snfs)
-let nfs_counters t = Netsim.Rpc.counters t.nfs_service
 let phantom_opens t = Hashtbl.length t.phantoms

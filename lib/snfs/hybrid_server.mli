@@ -37,8 +37,5 @@ val snfs : t -> Snfs_server.t
 (** Root file handle as seen by plain NFS clients. *)
 val nfs_root_fh : t -> Nfs.Wire.fh
 
-(* snfs-lint: allow interface-drift — per-protocol counter surface for experiments *)
-val nfs_counters : t -> Stats.Counter.t
-
 (** Implicit SNFS opens currently held on behalf of NFS clients. *)
 val phantom_opens : t -> int

@@ -68,9 +68,3 @@ val delayed_close_hits : t -> int
 
 (** Callbacks served (write-back and/or invalidate). *)
 val callbacks_served : t -> int
-
-(** Oracle hook: force every delayed-write block back to the server
-    (what a write-back callback for every dirty file would do), so the
-    consistency oracle can diff the server-side contents against its
-    serial reference model. *)
-val quiesce : t -> unit

@@ -1,4 +1,4 @@
-(* End-to-end integration tests: NFS, SNFS, and RFS clients and servers
+(* End-to-end integration tests: NFS, SNFS, RFS and Kent clients and servers
    over the simulated network, exercised through the GFS system-call
    layer. Covers basic correctness on every protocol, the consistency
    differences the paper is about, callbacks, write-aversion, and crash
@@ -115,7 +115,7 @@ let kent_client ?config w name =
   Vfs.Mount.mount mounts ~at:"/" (Kentfs.Kent_client.fs client);
   (host, client, mounts)
 
-(* ---- generic protocol conformance, run against all three ---- *)
+(* ---- generic protocol conformance, run against all four ---- *)
 
 let basic_ops_roundtrip make_mounts () =
   run_sim (fun e ->
@@ -144,6 +144,45 @@ let basic_ops_roundtrip make_mounts () =
       Alcotest.(check bool) "renamed" true (Vfs.Fileio.exists m "/src/b.c");
       Vfs.Fileio.unlink m "/src/b.c";
       Alcotest.(check bool) "gone" false (Vfs.Fileio.exists m "/src/b.c"))
+
+(* the namespace operations and fsync every client gets from the shared
+   client core *)
+let namespace_and_fsync make_mounts () =
+  run_sim (fun e ->
+      let w = make_world e in
+      let _, _, m = make_mounts w "c1" in
+      let server = Vfs.Mount.create () in
+      Vfs.Mount.mount server ~at:"/" (Vfs.Local_mount.make w.server_fs);
+      let on_server path =
+        let fd = Vfs.Fileio.openf server path Vfs.Fs.Read_only in
+        let observed = Vfs.Fileio.read fd ~len:4096 in
+        Vfs.Fileio.close fd;
+        observed
+      in
+      Vfs.Fileio.mkdir m "/a";
+      Vfs.Fileio.mkdir m "/b";
+      (* a partial block: every protocol holds it back *)
+      let stamp = Vfs.Stamp.fresh () in
+      let fd = Vfs.Fileio.creat m "/a/x" in
+      ignore (Vfs.Fileio.write ~stamp fd ~len:1000);
+      Alcotest.(check bool) "still dirty before fsync" false
+        (List.mem (stamp, 1000) (on_server "/a/x"));
+      Vfs.Fileio.fsync fd;
+      Alcotest.(check (list (pair int int))) "on the server after fsync"
+        [ (stamp, 1000) ] (on_server "/a/x");
+      Vfs.Fileio.close fd;
+      (match Vfs.Fileio.rmdir m "/a" with
+      | () -> Alcotest.fail "rmdir of a non-empty directory succeeded"
+      | exception Localfs.Error Localfs.Notempty -> ());
+      Vfs.Fileio.rename m ~src:"/a/x" ~dst:"/b/y";
+      Alcotest.(check bool) "gone from /a" false (Vfs.Fileio.exists m "/a/x");
+      Alcotest.(check (list string)) "moved to /b" [ "y" ]
+        (Vfs.Fileio.readdir m "/b");
+      Alcotest.(check (list (pair int int))) "moved with its data"
+        [ (stamp, 1000) ] (on_server "/b/y");
+      Vfs.Fileio.rmdir m "/a";
+      Alcotest.(check bool) "emptied directory removed" false
+        (Vfs.Fileio.exists m "/a"))
 
 let sequential_write_sharing make_mounts () =
   (* writer closes before reader opens: every protocol must provide
@@ -716,6 +755,8 @@ let () =
     ( name ^ " conformance",
       [
         Alcotest.test_case "basic ops" `Quick (basic_ops_roundtrip make);
+        Alcotest.test_case "namespace and fsync" `Quick
+          (namespace_and_fsync make);
         Alcotest.test_case "sequential write sharing" `Quick
           (sequential_write_sharing make);
       ] )
