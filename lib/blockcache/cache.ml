@@ -41,15 +41,13 @@ type t = {
      (linear probing, power-of-two capacity, load factor <= 1/2).
      [find] runs on every cache read and write; Hashtbl's generic int
      hashing and bucket chains were a steady profile line, and here a
-     probe is a physical compare and an int compare. [tempty] and
-     [ttomb] are sentinel blocks marking never-used and deleted slots;
-     keys in those slots are meaningless. *)
+     probe is a physical compare and an int compare. [tempty] is the
+     sentinel block marking empty slots (their keys are meaningless)
+     and what a failed lookup returns, so a hit allocates nothing. *)
   mutable tkeys : int array;
   mutable tvals : block array;
-  mutable tlive : int; (* real entries *)
-  mutable tused : int; (* real entries + tombstones *)
+  mutable tlive : int;
   tempty : block;
-  ttomb : block;
   file_heads : (int, block) Hashtbl.t; (* newest block of each file *)
   mutable count : int;
   lru : block; (* sentinel: lru_next side is least recently used *)
@@ -83,96 +81,81 @@ let new_block ~file ~index =
 
 (* ---- open-addressing block table ---- *)
 
-(* multiplicative mixing so packed keys (file lsl 21 lor index, where
-   both halves are small) spread over the low bits used for the slot *)
+(* A full-width multiply folded with its high bits, so every bit of the
+   packed key (file lsl 21 lor index) reaches the slot bits: mixing only
+   the low bits put block i of neighbouring files in adjacent slots. *)
 let tab_index t k =
-  let h = (k * 0x9E3779B1) lxor (k asr 21) in
-  h land (Array.length t.tkeys - 1)
+  let h = k * 0x1E3779B97F4A7C15 in
+  (h lxor (h lsr 29)) land (Array.length t.tkeys - 1)
 
-let tab_find t k =
+(* The slot holding [k], or the empty slot that ends its probe run.
+   The probe loops are [while] loops over non-escaping refs: a local
+   [let rec] capturing the arrays would allocate a closure per call. *)
+(* snfs-hot *)
+let tab_slot t k =
   let keys = t.tkeys and vals = t.tvals in
   let mask = Array.length keys - 1 in
-  let rec probe i =
-    let v = Array.unsafe_get vals i in
-    if v == t.tempty then None
-    else if v != t.ttomb && Array.unsafe_get keys i = k then
-      (* the one option per successful lookup the design budgets for; the
-         table itself stores blocks unboxed — snfs-lint: allow hot-alloc *)
-      Some v
-    else probe ((i + 1) land mask)
-  in
-  probe (tab_index t k)
+  let i = ref (tab_index t k) in
+  while Array.unsafe_get vals !i != t.tempty && Array.unsafe_get keys !i <> k do
+    i := (!i + 1) land mask
+  done;
+  !i
 
-(* raw insert during rehash: no duplicate or tombstone checks *)
-let tab_place t k v =
-  let keys = t.tkeys and vals = t.tvals in
-  let mask = Array.length keys - 1 in
-  let rec probe i =
-    if Array.unsafe_get vals i == t.tempty then begin
-      Array.unsafe_set keys i k;
-      Array.unsafe_set vals i v
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe (tab_index t k)
+(* the block stored under [k], or [t.tempty] *)
+let tab_find t k = Array.unsafe_get t.tvals (tab_slot t k)
 
-let tab_rehash t cap =
+let rec tab_grow t =
   let keys = t.tkeys and vals = t.tvals in
-  t.tkeys <- Array.make cap 0;
-  t.tvals <- Array.make cap t.tempty;
-  t.tused <- t.tlive;
+  t.tkeys <- Array.make (2 * Array.length keys) 0;
+  t.tvals <- Array.make (2 * Array.length keys) t.tempty;
+  t.tlive <- 0;
   for i = 0 to Array.length vals - 1 do
     let v = Array.unsafe_get vals i in
-    if v != t.tempty && v != t.ttomb then tab_place t keys.(i) v
+    if v != t.tempty then tab_add t (Array.unsafe_get keys i) v
   done
 
-let tab_add t k b =
-  (* keep load factor (including tombstones) at or below 1/2; rehash
-     in place when tombstones alone crossed the threshold *)
-  if 2 * (t.tused + 1) > Array.length t.tkeys then
-    tab_rehash t
-      (if 2 * (t.tlive + 1) > Array.length t.tkeys then
-         2 * Array.length t.tkeys
-       else Array.length t.tkeys);
-  let keys = t.tkeys and vals = t.tvals in
-  let mask = Array.length keys - 1 in
-  (* [slot] remembers the first tombstone passed, so deleted slots are
-     reused before empty ones *)
-  let rec probe i slot =
-    let v = Array.unsafe_get vals i in
-    if v == t.tempty then begin
-      let dst = if slot >= 0 then slot else i in
-      if dst = i then t.tused <- t.tused + 1;
-      Array.unsafe_set keys dst k;
-      Array.unsafe_set vals dst b;
-      t.tlive <- t.tlive + 1
-    end
-    else if v != t.ttomb && Array.unsafe_get keys i = k then
-      Array.unsafe_set vals i b (* overwrite in place *)
-    else probe ((i + 1) land mask) (if slot < 0 && v == t.ttomb then i else slot)
-  in
-  probe (tab_index t k) (-1)
+and tab_add t k b =
+  (* keep the load factor at or below 1/2; deletion leaves no
+     tombstones, so the table only ever rehashes to grow *)
+  if 2 * (t.tlive + 1) > Array.length t.tkeys then tab_grow t;
+  let i = tab_slot t k in
+  if Array.unsafe_get t.tvals i == t.tempty then begin
+    Array.unsafe_set t.tkeys i k;
+    t.tlive <- t.tlive + 1
+  end;
+  Array.unsafe_set t.tvals i b
 
+(* Deletion by backward shift (Knuth's Algorithm R for linear probing):
+   walk the run after the freed slot and pull back every entry that may
+   legally sit in the hole, so no probe run ever has a gap. The entry
+   at [j] stays when its home slot lies cyclically in (hole, j], i.e.
+   it is nearer home than the hole is. *)
 let tab_remove t k =
   let keys = t.tkeys and vals = t.tvals in
   let mask = Array.length keys - 1 in
-  let rec probe i =
-    let v = Array.unsafe_get vals i in
-    if v == t.tempty then false
-    else if v != t.ttomb && Array.unsafe_get keys i = k then begin
-      Array.unsafe_set vals i t.ttomb;
-      t.tlive <- t.tlive - 1;
-      true
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe (tab_index t k)
+  let hole = ref (tab_slot t k) in
+  Array.unsafe_get vals !hole != t.tempty
+  && begin
+       let j = ref ((!hole + 1) land mask) in
+       while Array.unsafe_get vals !j != t.tempty do
+         let kj = Array.unsafe_get keys !j in
+         if (!j - tab_index t kj) land mask >= (!j - !hole) land mask then begin
+           Array.unsafe_set keys !hole kj;
+           Array.unsafe_set vals !hole (Array.unsafe_get vals !j);
+           hole := !j
+         end;
+         j := (!j + 1) land mask
+       done;
+       Array.unsafe_set vals !hole t.tempty;
+       t.tlive <- t.tlive - 1;
+       true
+     end
 
 let tab_iter t f =
   let vals = t.tvals in
   for i = 0 to Array.length vals - 1 do
     let v = Array.unsafe_get vals i in
-    if v != t.tempty && v != t.ttomb then f v
+    if v != t.tempty then f v
   done
 
 let create engine ~name ~capacity_blocks ~block_size backend =
@@ -188,9 +171,7 @@ let create engine ~name ~capacity_blocks ~block_size backend =
       tkeys = Array.make 512 0;
       tvals = Array.make 512 tempty;
       tlive = 0;
-      tused = 0;
       tempty;
-      ttomb = new_block ~file:(-1) ~index:0;
       file_heads = Hashtbl.create 64;
       count = 0;
       lru = new_block ~file:(-1) ~index:0;
@@ -274,9 +255,9 @@ let touch t b =
 
 (* One flat table with the block address packed into a single int key:
    the lookup on every cache read/write hashes one immediate int
-   instead of walking two tables (and allocates one option instead of
-   two). 21 bits of index is a 2 GB file at 1 kB blocks — far beyond
-   anything the workloads create — and leaves 40+ bits for file ids. *)
+   instead of walking two tables. 21 bits of index is a 2 GB file at
+   1 kB blocks — far beyond anything the workloads create — and leaves
+   40+ bits for file ids. *)
 let index_bits = 21
 
 let key ~file ~index =
@@ -284,6 +265,7 @@ let key ~file ~index =
     invalid_arg (Printf.sprintf "Cache: block index %d out of range" index);
   (file lsl index_bits) lor index
 
+(* the block at (file, index), or [t.tempty] when none is cached *)
 let find t ~file ~index = tab_find t (key ~file ~index)
 
 (* The per-file doubly-linked chain replaces the old per-file hash
@@ -330,7 +312,8 @@ let table_insert t b =
   tab_add t (key ~file:b.bfile ~index:b.bindex) b;
   chain_push t b;
   t.count <- t.count + 1;
-  lru_append t b
+  lru_append t b;
+  b
 
 let blocks_of_file t ~file =
   match Hashtbl.find_opt t.file_heads file with
@@ -410,13 +393,15 @@ let rec ensure_capacity t =
         | Dirty _ -> do_writeback t b (* blocks; may race, rechecked below *)
         | Clean | Writing _ -> ());
         (* only evict if it is still present and became clean *)
-        (match find t ~file:b.bfile ~index:b.bindex with
-        | Some b' when b' == b && evictable b && b.w = Clean ->
-            t.evictions <- t.evictions + 1;
-            cache_incr t "cache_evictions_total";
-            cache_event t "evict" ~file:b.bfile ~index:b.bindex;
-            table_remove t b
-        | _ -> ());
+        if
+          find t ~file:b.bfile ~index:b.bindex == b
+          && evictable b && b.w = Clean
+        then begin
+          t.evictions <- t.evictions + 1;
+          cache_incr t "cache_evictions_total";
+          cache_event t "evict" ~file:b.bfile ~index:b.bindex;
+          table_remove t b
+        end;
         ensure_capacity t
     | None ->
         (* everything is in flight; wait a moment and retry *)
@@ -457,67 +442,63 @@ let wait_pending t ~file =
 (* ---- public data path ---- *)
 
 let peek t ~file ~index =
-  match find t ~file ~index with
-  | Some b when b.fetching = None -> Some (b.stamp, b.len)
-  | Some _ | None -> None
+  let b = find t ~file ~index in
+  if b != t.tempty && b.fetching = None then Some (b.stamp, b.len) else None
+
+(* the contents of a cached block, waiting out its fetch if one is in
+   flight *)
+let resident t b =
+  match b.fetching with
+  | Some iv -> Sim.Ivar.read iv
+  | None ->
+      touch t b;
+      (b.stamp, b.len)
 
 let read ?(ctx = Obs.Causal.none) t ~file ~index =
-  match find t ~file ~index with
-  | Some b -> (
-      cache_event ~ctx t "hit" ~file ~index;
-      cache_incr t "cache_hits_total";
-      match b.fetching with
-      | Some iv ->
-          t.hits <- t.hits + 1;
-          Sim.Ivar.read iv
-      | None ->
-          t.hits <- t.hits + 1;
-          touch t b;
-          (b.stamp, b.len))
-  | None ->
-      t.misses <- t.misses + 1;
-      cache_incr t "cache_misses_total";
-      cache_event ~ctx t "miss" ~file ~index;
-      ensure_capacity t;
-      (* recheck: someone may have inserted it while we evicted *)
-      (match find t ~file ~index with
-      | Some b -> (
-          match b.fetching with
-          | Some iv -> Sim.Ivar.read iv
-          | None ->
-              touch t b;
-              (b.stamp, b.len))
-      | None ->
-          let b = new_block ~file ~index in
-          let iv = Sim.Ivar.create t.engine in
-          b.fetching <- Some iv;
-          table_insert t b;
-          let stamp, len = t.backend.read_block ~ctx ~file ~index in
-          (match b.fetching with
-          | Some iv' when iv' == iv ->
-              b.stamp <- stamp;
-              b.len <- len;
-              b.fetching <- None
-          | Some _ | None -> () (* overwritten while fetching *));
-          let result = (b.stamp, b.len) in
-          Sim.Ivar.fill iv result;
-          if b.doomed then table_remove t b;
-          result)
+  let b = find t ~file ~index in
+  if b != t.tempty then begin
+    cache_event ~ctx t "hit" ~file ~index;
+    cache_incr t "cache_hits_total";
+    t.hits <- t.hits + 1;
+    resident t b
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    cache_incr t "cache_misses_total";
+    cache_event ~ctx t "miss" ~file ~index;
+    ensure_capacity t;
+    (* recheck: someone may have inserted it while we evicted *)
+    let b = find t ~file ~index in
+    if b != t.tempty then resident t b
+    else begin
+      let b = table_insert t (new_block ~file ~index) in
+      let iv = Sim.Ivar.create t.engine in
+      b.fetching <- Some iv;
+      let stamp, len = t.backend.read_block ~ctx ~file ~index in
+      (match b.fetching with
+      | Some iv' when iv' == iv ->
+          b.stamp <- stamp;
+          b.len <- len;
+          b.fetching <- None
+      | Some _ | None -> () (* overwritten while fetching *));
+      let result = (b.stamp, b.len) in
+      Sim.Ivar.fill iv result;
+      if b.doomed then table_remove t b;
+      result
+    end
+  end
 
 let write ?(ctx = Obs.Causal.none) t ~file ~index ~stamp ~len mode =
   if len < 0 || len > t.block_size then
     invalid_arg (Printf.sprintf "Cache.write: bad length %d" len);
   let b =
-    match find t ~file ~index with
-    | Some b -> b
-    | None ->
-        ensure_capacity t;
-        (match find t ~file ~index with
-        | Some b -> b
-        | None ->
-            let b = new_block ~file ~index in
-            table_insert t b;
-            b)
+    let b = find t ~file ~index in
+    if b != t.tempty then b
+    else begin
+      ensure_capacity t;
+      let b = find t ~file ~index in
+      if b != t.tempty then b else table_insert t (new_block ~file ~index)
+    end
   in
   b.stamp <- stamp;
   b.len <- max b.len len;
@@ -559,23 +540,21 @@ let flush_all t =
   List.iter (fun file -> flush_file t ~file) (List.sort compare files)
 
 let flush_block ?(ctx = Obs.Causal.none) t ~file ~index =
-  match find t ~file ~index with
-  | None -> ()
-  | Some b -> do_writeback ~ctx t b
+  let b = find t ~file ~index in
+  if b != t.tempty then do_writeback ~ctx t b
 
 let drop_block t ~file ~index =
-  match find t ~file ~index with
-  | None -> ()
-  | Some b -> (
-      match (b.w, b.fetching) with
-      | Dirty _, _ ->
-          t.writes_averted <- t.writes_averted + 1;
-          cache_incr t "cache_writes_averted_total";
-          b.w <- Clean;
-          table_remove t b
-      | Writing _, _ -> b.doomed <- true
-      | Clean, None -> table_remove t b
-      | Clean, Some _ -> b.doomed <- true)
+  let b = find t ~file ~index in
+  if b != t.tempty then
+    match (b.w, b.fetching) with
+    | Dirty _, _ ->
+        t.writes_averted <- t.writes_averted + 1;
+        cache_incr t "cache_writes_averted_total";
+        b.w <- Clean;
+        table_remove t b
+    | Writing _, _ -> b.doomed <- true
+    | Clean, None -> table_remove t b
+    | Clean, Some _ -> b.doomed <- true
 
 let drop_clean t ~file =
   List.iter
@@ -587,9 +566,9 @@ let drop_clean t ~file =
     (blocks_of_file t ~file)
 
 let block_dirty t ~file ~index =
-  match find t ~file ~index with
-  | None -> false
-  | Some b -> ( match b.w with Dirty _ | Writing _ -> true | Clean -> false)
+  let b = find t ~file ~index in
+  b != t.tempty
+  && match b.w with Dirty _ | Writing _ -> true | Clean -> false
 
 let dirty_count t ~file =
   blocks_of_file t ~file
