@@ -106,8 +106,10 @@ let next_queue t =
     t.queue
   else t.timers
 
-(* Two out-of-line calls per dispatched event (next_queue's precedes
-   and pop_until, which advances the clock cell unboxed) — the loop
+(* One out-of-line call per dispatched event: the event's closure.
+   next_queue's precedes and pop_until, which advances the clock cell
+   unboxed, inline here along with pop_fn's sift (the root dune file
+   says why an -opaque build would keep them as calls) — the loop
    itself allocates nothing and compares nothing it doesn't need. *)
 let dispatch_until t limit =
   t.stopped <- false;

@@ -41,11 +41,13 @@ let check_zero_alloc name f =
   end
 
 (* The measured loops pass literal float times: a fresh float (from
-   [float_of_int], arithmetic, or a float-array read) is boxed at a
-   non-inlined call site, which is caller-side allocation and would
-   mask what these tests pin down — that the queue itself allocates
-   nothing. The engine's dispatch loop passes sums of floats, but those
-   two boxed words per push are the caller's, not the queue's. *)
+   [float_of_int], arithmetic, or a float-array read) passed to a call
+   that stays out of line is boxed, which is caller-side allocation and
+   would mask what these tests pin down — that the queue itself
+   allocates nothing. Here no such call is left: [Eventq.push] and the
+   pops inline into the loops below. The literals keep the queue tests
+   meaningful in an -opaque build, where every call into [Eventq] is out
+   of line. *)
 
 let push_mixed q i =
   match i land 3 with
@@ -141,6 +143,28 @@ let test_xdr_round_trip () =
       done;
       Xdr.Dec.check_done dec)
 
+(* An event dispatched through the engine, from [Engine.after] to the
+   closure's return, allocates nothing. Both calls cross from this
+   module into [Engine], and [Engine.after] hands [Eventq.push] a sum of
+   floats: out of line, that sum is boxed, two words per event. It stays
+   unboxed only when the build inlines across modules, which dune's dev
+   profile forbids by compiling with -opaque; this test fails there by
+   design. [tick] is a static closure, not [Eventq.nop]: the dispatch
+   loop takes [nop] for its empty-queue sentinel and would stop. *)
+let tick () = ()
+
+let test_engine_after_dispatch () =
+  let e = Sim.Engine.create () in
+  let schedule_and_run () =
+    for _ = 1 to 1000 do
+      Sim.Engine.after e 1.0 tick
+    done;
+    Sim.Engine.run e
+  in
+  check_zero_alloc "engine after + dispatch" schedule_and_run;
+  (* the warm-up and the measured call each dispatched all 1000 *)
+  Alcotest.(check int) "events dispatched" 2000 (Sim.Engine.events_executed e)
+
 let test_measure_sanity () =
   (* the harness itself must see allocation when there is some *)
   if native then begin
@@ -200,6 +224,31 @@ let test_cache_churn_at_capacity () =
         "churn at capacity allocates %.0f bytes per step (bound 512)" per_step
   end
 
+(* One whole run of the andrew workload's SNFS config allocates a
+   fixed number of minor words: the simulation is deterministic, so
+   from the second run in a process on (the first also fills lazy
+   tables) the count is exact, not a sample. The ceiling sits about 5%
+   above the count of a build that inlines across modules, so a new
+   per-event or per-RPC allocation on the hot path fails here, with no
+   timing noise. An -opaque build allocates some 13% more. *)
+let snfs_run_minor_words_ceiling = 2_170_000.0
+
+let test_snfs_andrew_run () =
+  if native then begin
+    let config =
+      List.find
+        (fun (c : Experiments.Campaign.config) -> c.name = "snfs")
+        (Experiments.Campaign.default ())
+    in
+    let run () = ignore (Experiments.Campaign.run_one config) in
+    run ();
+    let words = measure run in
+    if words > snfs_run_minor_words_ceiling then
+      Alcotest.failf
+        "one SNFS Andrew run allocates %.0f minor words (ceiling %.0f)" words
+        snfs_run_minor_words_ceiling
+  end
+
 let () =
   Alcotest.run "alloc"
     [
@@ -209,11 +258,14 @@ let () =
           Alcotest.test_case "eventq pop_fn drain" `Quick test_eventq_pop_fn;
           Alcotest.test_case "eventq order key" `Quick test_eventq_order_key;
           Alcotest.test_case "xdr round trip" `Quick test_xdr_round_trip;
+          Alcotest.test_case "engine after + dispatch" `Quick
+            test_engine_after_dispatch;
           Alcotest.test_case "harness sanity" `Quick test_measure_sanity;
         ] );
       ( "bounded allocation",
         [
           Alcotest.test_case "block cache churn at capacity" `Quick
             test_cache_churn_at_capacity;
+          Alcotest.test_case "one SNFS Andrew run" `Quick test_snfs_andrew_run;
         ] );
     ]
