@@ -106,8 +106,8 @@ let metrics_format_arg =
 
 let report_arg =
   let doc =
-    "Print a plain-text flight report (counters, gauges, histograms, RPC \
-     latency) after the run."
+    "Print a plain-text flight report (counters, gauges and histograms, \
+     RPC round-trip latencies included) after the run."
   in
   Arg.(value & flag & info [ "report" ] ~doc)
 
@@ -126,10 +126,11 @@ let with_observability ~trace_file ~latency_table ~metrics_file ~metrics_format
   let msink = Option.map open_sink metrics_file in
   let tracer = Option.map (fun _ -> Obs.Trace.create ()) sink in
   let metrics =
-    if Option.is_some msink || report then Some (Obs.Metrics.create ())
+    if Option.is_some msink || report || latency_table then
+      Some (Obs.Metrics.create ())
     else None
   in
-  let latencies = f ?trace:tracer ?metrics () in
+  f ?trace:tracer ?metrics ();
   (match (tracer, sink) with
   | Some tr, Some (path, oc) ->
       output_string oc (Obs.Chrome.to_string tr);
@@ -147,10 +148,11 @@ let with_observability ~trace_file ~latency_table ~metrics_file ~metrics_format
         (match metrics_format with `Prom -> "prometheus" | `Csv -> "csv")
         path
   | _ -> ());
-  (match metrics with
-  | Some m when report -> print_string (Obs.Metrics.report ~latency:latencies m)
-  | _ -> ());
-  if latency_table then print_string (Obs.Latency.table latencies)
+  match metrics with
+  | Some m ->
+      if report then print_string (Obs.Metrics.report m);
+      if latency_table then print_string (Netsim.Rpc.latency_table m)
+  | None -> ()
 
 let andrew_cmd, andrew_term =
   let tmp_arg =
@@ -167,7 +169,7 @@ let andrew_cmd, andrew_term =
     with_observability ~trace_file ~latency_table ~metrics_file ~metrics_format
       ~report
     @@ fun ?trace ?metrics () ->
-    let phases, counts, latencies =
+    let phases, counts =
       Experiments.Driver.run ?trace ?metrics (fun engine ->
           let tb =
             Experiments.Testbed.create engine ~protocol ~tmp
@@ -183,7 +185,7 @@ let andrew_cmd, andrew_term =
           let counts =
             Stats.Counter.diff (Experiments.Testbed.rpc_counts tb) before
           in
-          (phases, counts, Netsim.Rpc.latencies (Experiments.Testbed.rpc tb)))
+          (phases, counts))
     in
     Printf.printf
       "Andrew (%s): MakeDir %.1f  Copy %.1f  ScanDir %.1f  ReadAll %.1f  \
@@ -195,8 +197,7 @@ let andrew_cmd, andrew_term =
       (Workload.Andrew.total phases);
     List.iter
       (fun (name, n) -> Printf.printf "  %-10s %6d\n" name n)
-      (Stats.Counter.to_list counts);
-    latencies
+      (Stats.Counter.to_list counts)
   in
   let term =
     Term.(
@@ -229,8 +230,7 @@ let sort_cmd =
       r.Experiments.Sort_exp.client_busy;
     List.iter
       (fun (name, n) -> Printf.printf "  %-10s %6d\n" name n)
-      (Stats.Counter.to_list r.Experiments.Sort_exp.counts);
-    r.Experiments.Sort_exp.latencies
+      (Stats.Counter.to_list r.Experiments.Sort_exp.counts)
   in
   Cmd.v
     (Cmd.info "sort" ~doc:"Run the external-sort benchmark once.")
@@ -374,11 +374,7 @@ let crash_cmd =
             verdicts :=
               Experiments.Crash_exp.run ?trace ?metrics ~protocol ~seed ()
               :: !verdicts)
-          protocols;
-        (* the per-run RPC latency histograms die with each engine; the
-           flight report covers the campaign through the shared metrics
-           registry instead *)
-        Obs.Latency.create ());
+          protocols);
         let verdicts = List.rev !verdicts in
         print_string (Experiments.Crash_exp.table verdicts);
         (match Obs.Flight.last () with

@@ -4,7 +4,9 @@
    Run with:  dune exec examples/quickstart.exe *)
 
 let () =
-  Experiments.Driver.run @@ fun engine ->
+  (* cache statistics are counted in a metrics registry *)
+  let metrics = Obs.Metrics.create () in
+  Experiments.Driver.run ~metrics @@ fun engine ->
   (* one network, one server host with a disk and a local file system,
      one client host *)
   let net = Netsim.Net.create engine () in
@@ -70,11 +72,13 @@ let () =
   Vfs.Fileio.close fd;
   Vfs.Fileio.unlink mounts "/project/scratch.tmp";
   Sim.Engine.sleep engine 60.0;
+  let cache = Blockcache.Cache.name (Snfs.Snfs_client.cache client) in
   Printf.printf
     "temporary file: wrote 100 kB, deleted it; extra write RPCs: %d, \
      writes averted: %d\n"
     (Stats.Counter.get counts "write" - before)
-    (Blockcache.Cache.writes_averted (Snfs.Snfs_client.cache client));
+    (Obs.Metrics.counter_value metrics ~labels:[ ("cache", cache) ]
+       "cache_writes_averted_total");
   Printf.printf "state table footprint: %d entries, ~%d bytes (sec 4.5)\n"
     (Spritely.State_table.entry_count table)
     (Spritely.State_table.approx_bytes table);

@@ -52,11 +52,6 @@ type t = {
   mutable count : int;
   lru : block; (* sentinel: lru_next side is least recently used *)
   pending : (int, pending) Hashtbl.t; (* async write-behinds per file *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable writebacks : int;
-  mutable writes_averted : int;
-  mutable evictions : int;
   mutable syncer_started : bool;
 }
 
@@ -176,11 +171,6 @@ let create engine ~name ~capacity_blocks ~block_size backend =
       count = 0;
       lru = new_block ~file:(-1) ~index:0;
       pending = Hashtbl.create 16;
-      hits = 0;
-      misses = 0;
-      writebacks = 0;
-      writes_averted = 0;
-      evictions = 0;
       syncer_started = false;
     }
   in
@@ -203,11 +193,6 @@ let create engine ~name ~capacity_blocks ~block_size backend =
 let name t = t.name
 let block_size t = t.block_size
 let capacity_blocks t = t.capacity
-let hits t = t.hits
-let misses t = t.misses
-let writebacks t = t.writebacks
-let writes_averted t = t.writes_averted
-let evictions t = t.evictions
 let resident_blocks t = t.count
 
 (* One instant per cache action on this cache's own track. Args carry
@@ -352,7 +337,6 @@ let rec do_writeback ?(ctx = Obs.Causal.none) t b =
   | Dirty _ ->
       let st = Writing { redirtied = None } in
       b.w <- st;
-      t.writebacks <- t.writebacks + 1;
       cache_incr t "cache_writebacks_total";
       cache_event ~ctx t "writeback" ~file:b.bfile ~index:b.bindex;
       t.backend.write_block ~ctx ~file:b.bfile ~index:b.bindex ~stamp:b.stamp
@@ -397,7 +381,6 @@ let rec ensure_capacity t =
           find t ~file:b.bfile ~index:b.bindex == b
           && evictable b && b.w = Clean
         then begin
-          t.evictions <- t.evictions + 1;
           cache_incr t "cache_evictions_total";
           cache_event t "evict" ~file:b.bfile ~index:b.bindex;
           table_remove t b
@@ -459,11 +442,9 @@ let read ?(ctx = Obs.Causal.none) t ~file ~index =
   if b != t.tempty then begin
     cache_event ~ctx t "hit" ~file ~index;
     cache_incr t "cache_hits_total";
-    t.hits <- t.hits + 1;
     resident t b
   end
   else begin
-    t.misses <- t.misses + 1;
     cache_incr t "cache_misses_total";
     cache_event ~ctx t "miss" ~file ~index;
     ensure_capacity t;
@@ -548,7 +529,6 @@ let drop_block t ~file ~index =
   if b != t.tempty then
     match (b.w, b.fetching) with
     | Dirty _, _ ->
-        t.writes_averted <- t.writes_averted + 1;
         cache_incr t "cache_writes_averted_total";
         b.w <- Clean;
         table_remove t b
@@ -597,7 +577,6 @@ let cancel_dirty t ~file =
       match (b.w, b.fetching) with
       | Dirty _, _ ->
           incr averted;
-          t.writes_averted <- t.writes_averted + 1;
           cache_incr t "cache_writes_averted_total";
           b.w <- Clean;
           table_remove t b

@@ -124,18 +124,13 @@ val holds_file : t -> file:int -> bool
     traditional Unix policy). Call at most once. *)
 val start_syncer : t -> ?min_age:float -> interval:float -> unit -> unit
 
-(** {2 Statistics} *)
+(** {2 Statistics}
 
-val hits : t -> int
-val misses : t -> int
+    Hits, misses, evictions, backend block writes issued and dirty
+    blocks cancelled by delete are counted in the metrics registry, as
+    [cache_hits_total], [cache_misses_total], [cache_evictions_total],
+    [cache_writebacks_total] and [cache_writes_averted_total] labelled
+    with the cache's name. *)
 
-(** Backend block writes issued. *)
-(* snfs-lint: allow interface-drift — cache observability counter for experiments *)
-val writebacks : t -> int
-
-(** Dirty blocks cancelled by delete. *)
-val writes_averted : t -> int
-
-val evictions : t -> int
 (* snfs-lint: allow interface-drift — cache observability counter for experiments *)
 val resident_blocks : t -> int

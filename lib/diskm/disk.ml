@@ -12,10 +12,6 @@ type t = {
   params : params;
   engine : Sim.Engine.t;
   arm : Sim.Resource.t;
-  mutable reads : int;
-  mutable writes : int;
-  mutable bytes_read : int;
-  mutable bytes_written : int;
   mutable next_at : int option; (* address following the last request *)
 }
 
@@ -25,10 +21,6 @@ let create engine ?(params = ra81) name =
     params;
     engine;
     arm = Sim.Resource.create engine ~capacity:1 (name ^ ".arm");
-    reads = 0;
-    writes = 0;
-    bytes_read = 0;
-    bytes_written = 0;
     next_at = None;
   }
 
@@ -61,8 +53,6 @@ let finish_span t sp =
 
 let read ?at ?(ctx = Obs.Causal.none) t ~bytes =
   if bytes < 0 then invalid_arg "Disk.read: negative size";
-  t.reads <- t.reads + 1;
-  t.bytes_read <- t.bytes_read + bytes;
   let dur = service_time t ~at bytes in
   if Obs.Metrics.on () then begin
     Obs.Metrics.incr ~labels:[ ("device", t.name) ] "disk_reads_total";
@@ -77,8 +67,6 @@ let read ?at ?(ctx = Obs.Causal.none) t ~bytes =
 
 let write ?at ?(ctx = Obs.Causal.none) t ~bytes =
   if bytes < 0 then invalid_arg "Disk.write: negative size";
-  t.writes <- t.writes + 1;
-  t.bytes_written <- t.bytes_written + bytes;
   let dur = service_time t ~at bytes in
   if Obs.Metrics.on () then begin
     Obs.Metrics.incr ~labels:[ ("device", t.name) ] "disk_writes_total";
@@ -91,8 +79,4 @@ let write ?at ?(ctx = Obs.Causal.none) t ~bytes =
   Sim.Resource.use t.arm dur;
   finish_span t sp
 
-let reads t = t.reads
-let writes t = t.writes
-let bytes_read t = t.bytes_read
-let bytes_written t = t.bytes_written
 let busy_time t = Sim.Resource.busy_time t.arm

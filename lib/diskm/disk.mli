@@ -6,8 +6,12 @@
     used DEC RA81/RA82 drives; {!ra81} approximates one.
 
     Calls block the calling simulation process for queueing plus
-    service time. Completed-operation counts and busy time are exposed
-    for the utilization and disk-load analyses (Section 5.2). *)
+    service time. Busy time is exposed for the utilization and
+    disk-load analyses (Section 5.2); requests and bytes are counted in
+    the metrics registry ([disk_reads_total], [disk_writes_total],
+    [disk_bytes_read_total], [disk_bytes_written_total], labelled with
+    the device name), and each request's service time is observed as
+    [disk_io_seconds]. *)
 
 type params = {
   positioning : float;  (** average seek + rotational latency, seconds *)
@@ -41,11 +45,6 @@ val read : ?at:int -> ?ctx:Obs.Causal.t -> t -> bytes:int -> unit
 
 (** [write t ?at ?ctx ~bytes] blocks for one write request. *)
 val write : ?at:int -> ?ctx:Obs.Causal.t -> t -> bytes:int -> unit
-
-val reads : t -> int
-val writes : t -> int
-val bytes_read : t -> int
-val bytes_written : t -> int
 
 (** Cumulative time the arm was busy. *)
 val busy_time : t -> float

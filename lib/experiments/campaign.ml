@@ -19,8 +19,8 @@ let seeded ?(tmp = Testbed.Tmp_remote)
 
 (* The standard campaign: every protocol stack plus the design variants
    the paper compares, over one Andrew run each. Eight configs split
-   evenly over two domains, which is what the BENCH campaign point
-   measures. *)
+   evenly over two domains ([--jobs 2]); perfbench's andrew workload
+   runs the same eight per seed. *)
 let default () =
   List.map
     (fun (name, protocol) -> seeded ~protocol ~name ~seed:1L ())

@@ -4,7 +4,6 @@ type run_result = {
   temp_bytes : int;
   counts : Stats.Counter.t;
   client_busy : float;
-  latencies : Obs.Latency.t;
 }
 
 let sort_config ~input_kb =
@@ -39,7 +38,6 @@ let run_sort ?trace ?metrics ~protocol ?(update = Some 30.0) ~input_kb ~label
         temp_bytes = result.Workload.Sort_workload.temp_bytes_written;
         counts;
         client_busy;
-        latencies = Netsim.Rpc.latencies (Testbed.rpc tb);
       })
 
 let protocols () =

@@ -6,7 +6,6 @@ type run_result = {
   temp_bytes : int;
   counts : Stats.Counter.t;
   client_busy : float;  (** client CPU busy seconds during the run *)
-  latencies : Obs.Latency.t;  (** per-procedure RPC round-trip times *)
 }
 
 (** Run the sort once: [input_kb] of input, temporaries on the given

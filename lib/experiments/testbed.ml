@@ -11,7 +11,6 @@ type t = {
   engine : Sim.Engine.t;
   client_host : Netsim.Net.Host.t;
   server_host : Netsim.Net.Host.t;
-  rpc : Netsim.Rpc.t;
   service : Netsim.Rpc.service option;
   ctx : Workload.App.t;
 }
@@ -89,7 +88,6 @@ let create engine ~protocol ~tmp ?(update_interval = Some 30.0)
     engine;
     client_host;
     server_host;
-    rpc;
     service = Option.map (fun (server, _) -> server.Stack.service) remote;
     ctx;
   }
@@ -98,7 +96,6 @@ let ctx t = t.ctx
 let client_host t = t.client_host
 let server_host t = t.server_host
 let service t = t.service
-let rpc t = t.rpc
 
 let rpc_counts t =
   match t.service with

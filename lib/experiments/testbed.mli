@@ -53,11 +53,6 @@ val server_host : t -> Netsim.Net.Host.t
 (** RPC service of the protocol under test ([None] for Local). *)
 val service : t -> Netsim.Rpc.service option
 
-(** The RPC transport (present even for Local, where it is idle);
-    {!Netsim.Rpc.latencies} on it yields the per-procedure round-trip
-    latency histograms. *)
-val rpc : t -> Netsim.Rpc.t
-
 (** Snapshot of the server-side per-procedure call counts (empty
     counter for Local). *)
 val rpc_counts : t -> Stats.Counter.t

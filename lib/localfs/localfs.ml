@@ -409,5 +409,3 @@ let fsync ?ctx t ino =
   Blockcache.Cache.flush_file ?ctx t.cache ~file:inode_table_fid
 
 let sync_all t = Blockcache.Cache.flush_all t.cache
-
-let data_writes_averted t = Blockcache.Cache.writes_averted t.cache

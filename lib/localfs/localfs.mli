@@ -125,9 +125,3 @@ val fsync : ?ctx:Obs.Causal.t -> t -> ino -> unit
 
 (** Flush everything dirty (umount / shutdown). *)
 val sync_all : t -> unit
-
-(** {2 Accounting} *)
-
-(** Dirty data-block writes avoided because the file was deleted
-    first. *)
-val data_writes_averted : t -> int

@@ -26,9 +26,6 @@ and t = {
   mutable drop_prob : float;
   mutable hosts : host list; (* newest first; addr = position from end *)
   mutable next_addr : int;
-  mutable messages_sent : int;
-  mutable messages_dropped : int;
-  mutable bytes_sent : int;
   mutable partitions : (int * int) list; (* normalized (lo, hi) addr pairs *)
 }
 
@@ -41,9 +38,6 @@ let create engine ?(params = default_params) ?(seed = 0x5EEDL) () =
     drop_prob = 0.0;
     hosts = [];
     next_addr = 0;
-    messages_sent = 0;
-    messages_dropped = 0;
-    bytes_sent = 0;
     partitions = [];
   }
 
@@ -56,10 +50,6 @@ let set_drop_probability t p =
 let set_jitter t j =
   if j < 0.0 then invalid_arg "Net.set_jitter";
   t.params <- { t.params with jitter = j }
-
-let messages_sent t = t.messages_sent
-let messages_dropped t = t.messages_dropped
-let bytes_sent t = t.bytes_sent
 
 module Host = struct
   type nonrec net = t [@@warning "-34"]
@@ -135,9 +125,7 @@ let send t ~src ~dst ~bytes ~deliver =
   if bytes < 0 then invalid_arg "Net.send: negative size";
   if not src.hup then () (* a dead host transmits nothing *)
   else begin
-    t.messages_sent <- t.messages_sent + 1;
     let wire_bytes = bytes + t.params.header_bytes in
-    t.bytes_sent <- t.bytes_sent + wire_bytes;
     if Obs.Metrics.on () then begin
       Obs.Metrics.incr ~labels:[ ("host", src.hname) ] "net_messages_total";
       Obs.Metrics.incr
@@ -175,7 +163,6 @@ let send t ~src ~dst ~bytes ~deliver =
         in
         Sim.Engine.after t.engine delay @@ fun () ->
         if dropped then begin
-          t.messages_dropped <- t.messages_dropped + 1;
           if Obs.Metrics.on () then
             Obs.Metrics.incr
               ~labels:[ ("host", src.hname) ]

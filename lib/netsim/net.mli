@@ -7,7 +7,11 @@
     or the destination is down (crash injection).
 
     A host owns a CPU resource (used by the RPC layer to charge
-    per-message processing time) and can be crashed and rebooted. *)
+    per-message processing time) and can be crashed and rebooted.
+
+    Messages sent, wire bytes sent and messages dropped are counted in
+    the metrics registry ([net_messages_total], [net_bytes_total],
+    [net_messages_dropped_total], labelled with the sending host). *)
 
 type t
 
@@ -35,13 +39,6 @@ val set_drop_probability : t -> float -> unit
 
 (** Change the delivery jitter (failure injection). *)
 val set_jitter : t -> float -> unit
-
-(** Messages transmitted / dropped so far. *)
-(* snfs-lint: allow interface-drift — network observability counter for experiments *)
-val messages_sent : t -> int
-val messages_dropped : t -> int
-(* snfs-lint: allow interface-drift — network observability counter for experiments *)
-val bytes_sent : t -> int
 
 module Host : sig
   type net := t

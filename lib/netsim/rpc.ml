@@ -61,16 +61,11 @@ let drc_slots = 4096
 
 (* Everything the request path needs per procedure, resolved once per
    procedure instead of once per request: the display name (a string
-   concatenation), the operation-count cell (a string-hashed counter
-   lookup) and, once the first reply has come back, the client-side
-   success-latency sink (a tuple-keyed histogram lookup). *)
+   concatenation) and the operation-count cell (a string-hashed counter
+   lookup). *)
 type proc_info = {
   pname : string; (* "prog.proc" *)
   count : int ref; (* this proc's cell in the service's [counts] *)
-  mutable lat_ok : Stats.Histogram.t option;
-      (* created on first successful reply, exactly where the slow
-         path would have created it, so procedures that only ever time
-         out don't grow a spurious empty success histogram *)
 }
 
 type service = {
@@ -83,8 +78,6 @@ type service = {
   mutable drc_used : int; (* occupied slots, for the gauge poll *)
   procs : (string, proc_info) Hashtbl.t;
   counts : Stats.Counter.t;
-  mutable executed : int; (* calls actually run (duplicates suppressed) *)
-  mutable duplicates : int; (* retransmissions absorbed by the dup cache *)
   mutable on_restart : (unit -> unit) option;
   mutable epoch_seen : int;
 }
@@ -93,7 +86,6 @@ type t = {
   net : Net.t;
   config : config;
   services : (int * string, service) Hashtbl.t; (* (host addr, prog) *)
-  latencies : Obs.Latency.t;
   (* one-slot memo for the per-call service lookup: every client in a
      testbed talks to the same server address and program, so the
      tuple-keyed hash lookup hits this slot almost always. [serve]
@@ -102,7 +94,6 @@ type t = {
   mutable memo_prog : string;
   mutable memo_svc : service option;
   mutable next_xid : int;
-  mutable retransmissions : int;
   mutable in_flight : int;
 }
 
@@ -112,12 +103,10 @@ let create net ?(config = default_config) () =
       net;
       config;
       services = Hashtbl.create 8;
-      latencies = Obs.Latency.create ();
       memo_addr = -1;
       memo_prog = "";
       memo_svc = None;
       next_xid = 1;
-      retransmissions = 0;
       in_flight = 0;
     }
   in
@@ -127,8 +116,6 @@ let create net ?(config = default_config) () =
 
 let net t = t.net
 let config t = t.config
-let retransmissions t = t.retransmissions
-let latencies t = t.latencies
 
 let serve t host ~prog ~threads handler =
   let key = (Net.Host.addr host, prog) in
@@ -148,8 +135,6 @@ let serve t host ~prog ~threads handler =
           drc_used = 0;
           procs = Hashtbl.create 16;
           counts = Stats.Counter.create ();
-          executed = 0;
-          duplicates = 0;
           on_restart = None;
           epoch_seen = Net.Host.boot_epoch host;
         }
@@ -165,8 +150,6 @@ let serve t host ~prog ~threads handler =
 let service_host svc = svc.host
 let service_prog svc = svc.prog
 let counters svc = svc.counts
-let executed_count svc = svc.executed
-let duplicate_count svc = svc.duplicates
 let set_on_restart svc f = svc.on_restart <- Some f
 
 let payload_cpu t bytes = t.config.cpu_per_kbyte *. (float_of_int bytes /. 1024.)
@@ -181,14 +164,12 @@ let proc_info svc proc =
         {
           pname = svc.prog ^ "." ^ proc;
           count = Stats.Counter.cell svc.counts proc;
-          lat_ok = None;
         }
       in
       Hashtbl.replace svc.procs proc i;
       i
 
 let note_duplicate svc ~trace_name ~pname ~xid =
-  svc.duplicates <- svc.duplicates + 1;
   if Obs.Metrics.on () then
     Obs.Metrics.incr
       ~labels:[ ("host", Net.Host.name svc.host); ("prog", svc.prog) ]
@@ -235,7 +216,6 @@ let handle_request t svc info ~caller ~ctx ~xid ~proc ~args ~bulk ~reply_to =
         Sim.Semaphore.with_unit svc.pool (fun () ->
             let count = info.count in
             count := !count + 1;
-            svc.executed <- svc.executed + 1;
               (* same site as the legacy Stats.Counter path, so the
                  registry and the counter tables can never disagree *)
               if Obs.Metrics.on () then
@@ -286,6 +266,48 @@ let handle_request t svc info ~caller ~ctx ~xid ~proc ~args ~bulk ~reply_to =
    mistaken for a crashed client, but still finishing (~31 s) before the
    default client-side schedule (~63 s) would time the opener out. *)
 let impatient config = { config with retries = 4 }
+
+(* Every call's round trip, client side, once: successes under
+   [outcome=ok], calls that ran out their retransmission schedule under
+   [outcome=timeout] (the time spent waiting before giving up). *)
+let latency_metric = "rpc_latency_seconds"
+
+let observe_latency ~prog ~proc outcome seconds =
+  Obs.Metrics.observe
+    ~labels:[ ("prog", prog); ("proc", proc); ("outcome", outcome) ]
+    latency_metric seconds
+
+(* One row per (procedure, outcome) recorded, successes first within a
+   procedure, so a run with timeouts shows where the timed-out calls'
+   waiting went instead of folding them into the success percentiles. *)
+let latency_table m =
+  let ms seconds = Printf.sprintf "%.3f" (seconds *. 1e3) in
+  let rows =
+    List.map
+      (fun (labels, h) ->
+        let label k = Option.value ~default:"" (List.assoc_opt k labels) in
+        let prog = label "prog" and proc = label "proc" in
+        let outcome = label "outcome" in
+        ( (prog, proc, outcome <> "ok"),
+          [
+            prog ^ "." ^ proc;
+            outcome;
+            string_of_int (Stats.Histogram.count h);
+            ms (Stats.Histogram.mean h);
+            ms (Stats.Histogram.percentile h 50.0);
+            ms (Stats.Histogram.percentile h 90.0);
+            ms (Stats.Histogram.percentile h 99.0);
+            ms (Stats.Histogram.max_value h);
+          ] ))
+      (Obs.Metrics.histograms_with m latency_metric)
+  in
+  Stats.Table.render
+    ~header:
+      [
+        "procedure"; "outcome"; "n"; "mean ms"; "p50 ms"; "p90 ms"; "p99 ms";
+        "max ms";
+      ]
+    (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) rows))
 
 let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
   let engine = Net.engine t.net in
@@ -355,16 +377,8 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
     | Some reply ->
         Net.Host.use_cpu src (payload_cpu t (Bytes.length reply.data + reply.bulk));
         let now = Sim.Engine.now engine in
-        (match info with
-        | Some ({ lat_ok = Some h; _ } : proc_info) ->
-            Stats.Histogram.add h (now -. issued)
-        | Some info ->
-            (* first success for this procedure: resolve the histogram
-               through the slow path (which registers it) and cache it *)
-            let h = Obs.Latency.histogram t.latencies ~prog ~proc in
-            info.lat_ok <- Some h;
-            Stats.Histogram.add h (now -. issued)
-        | None -> Obs.Latency.record t.latencies ~prog ~proc (now -. issued));
+        if Obs.Metrics.on () then
+          observe_latency ~prog ~proc "ok" (now -. issued);
         Obs.Trace.finish ~ts:now sp
           ~args:
             (if Obs.Trace.on () then
@@ -375,14 +389,14 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
     | None ->
         if n >= config.retries then begin
           let now = Sim.Engine.now engine in
-          (* the failed call is part of the latency story too: record
-             the time wasted before giving up under its own outcome *)
-          Obs.Latency.record t.latencies ~outcome:Obs.Latency.Timeout ~prog
-            ~proc (now -. issued);
-          if Obs.Metrics.on () then
+          if Obs.Metrics.on () then begin
+            (* the failed call is part of the latency story too: record
+               the time wasted before giving up under its own outcome *)
+            observe_latency ~prog ~proc "timeout" (now -. issued);
             Obs.Metrics.incr
               ~labels:[ ("prog", prog); ("proc", proc) ]
-              "rpc_timeouts_total";
+              "rpc_timeouts_total"
+          end;
           if Obs.Trace.on () then
             Obs.Trace.instant ~ts:now ~cat:"rpc" ~name:"timeout" ~track
               ~args:
@@ -396,7 +410,6 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
           raise (Timeout { prog; proc })
         end
         else begin
-          t.retransmissions <- t.retransmissions + 1;
           if Obs.Metrics.on () then
             Obs.Metrics.incr
               ~labels:[ ("prog", prog); ("proc", proc) ]

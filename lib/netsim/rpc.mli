@@ -11,7 +11,11 @@
       data), so network transmission times are meaningful.
 
     Executed calls are counted per procedure name; the tables of the
-    paper are read off these counters. *)
+    paper are read off these counters. While a metrics registry is
+    installed, executed calls, retransmissions, timeouts and the
+    duplicates the duplicate-request cache absorbs are also counted
+    there, and every call's round-trip time is observed (see
+    {!latency_table}). *)
 
 type t
 
@@ -87,14 +91,6 @@ val service_prog : service -> string
     procedure name. *)
 val counters : service -> Stats.Counter.t
 
-(** Calls this service actually ran (one per distinct request). *)
-val executed_count : service -> int
-
-(** Retransmitted requests absorbed by the duplicate-request cache —
-    dropped while the original was in progress, or answered from the
-    cached reply — rather than re-executed. *)
-val duplicate_count : service -> int
-
 (** Invoked when the service first receives traffic after its host
     rebooted; protocol layers reset volatile state here. *)
 val set_on_restart : service -> (unit -> unit) -> unit
@@ -136,10 +132,10 @@ val call :
     Section 3.2). *)
 val impatient : config -> config
 
-(** Total retransmissions performed by clients (for failure tests). *)
-val retransmissions : t -> int
-
-(** Round-trip latency histograms, one per [(prog, proc, outcome)]:
-    successful calls under [Success], calls that exhausted their
-    retransmission schedule under [Timeout]. *)
-val latencies : t -> Obs.Latency.t
+(** The per-procedure round-trip latency table of the calls recorded
+    in [m]: one row per (procedure, outcome) with n and the mean, p50,
+    p90, p99 and max in ms. [call] records every round trip it makes
+    while a registry is installed, as the histogram
+    [rpc_latency_seconds{prog, proc, outcome}], where [outcome] is
+    [ok], or [timeout] when the retransmission schedule ran out. *)
+val latency_table : Obs.Metrics.t -> string

@@ -228,15 +228,21 @@ let gauge_value t ?(labels = []) name =
 let sorted_keys t = List.sort compare t.order
 let series_count t = List.length t.order
 
-let counters_with t name =
+(* every instrument under [name] that [pick] accepts, sorted by labels *)
+let instruments_with t name pick =
   List.filter_map
-    (fun (n, labels) ->
+    (fun ((n, labels) as key) ->
       if String.equal n name then
-        match Hashtbl.find_opt t.tbl (n, labels) with
-        | Some (Counter c) -> Some (labels, c.c)
-        | _ -> None
+        Option.bind (Hashtbl.find_opt t.tbl key) (fun i ->
+            Option.map (fun v -> (labels, v)) (pick i))
       else None)
     (sorted_keys t)
+
+let counters_with t name =
+  instruments_with t name (function Counter c -> Some c.c | _ -> None)
+
+let histograms_with t name =
+  instruments_with t name (function Hist h -> Some h | _ -> None)
 
 let histogram t ?(labels = []) name = hist_of t name labels
 
@@ -414,7 +420,7 @@ let to_csv t =
         (sorted_keys t));
   Buffer.contents buf
 
-let report ?latency t =
+let report t =
   let keys = sorted_keys t in
   let buf = Buffer.create 1024 in
   let counters =
@@ -467,9 +473,4 @@ let report ?latency t =
       hists;
     Buffer.add_char buf '\n'
   end;
-  (match latency with
-  | Some l when not (Latency.is_empty l) ->
-      Buffer.add_string buf "== rpc latency ==\n";
-      Buffer.add_string buf (Latency.table l)
-  | Some _ | None -> ());
   Buffer.contents buf

@@ -102,6 +102,10 @@ val gauge_value : t -> ?labels:labels -> string -> float
     sorted by labels. *)
 val counters_with : t -> string -> (labels * int) list
 
+(** All label sets registered under a histogram name, with their
+    histograms, sorted by labels. *)
+val histograms_with : t -> string -> (labels * Stats.Histogram.t) list
+
 (** The histogram under a name (created empty on first use). *)
 (* snfs-lint: allow interface-drift — called from perfbench/, which the analyzer does not scan *)
 val histogram : t -> ?labels:labels -> string -> Stats.Histogram.t
@@ -149,6 +153,6 @@ val to_prometheus : t -> string
 val to_csv : t -> string
 
 (** Plain-text "flight report": counters, gauges and histogram
-    summaries as tables, followed by the per-procedure latency table
-    when [latency] is given and non-empty. *)
-val report : ?latency:Latency.t -> t -> string
+    summaries as tables. The histogram section lists every series,
+    the RPC layer's per-procedure round-trip latencies included. *)
+val report : t -> string

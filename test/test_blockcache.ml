@@ -13,6 +13,16 @@ let run_sim f =
   | Some v -> v
   | None -> Alcotest.fail "simulation main process did not complete"
 
+(* [run_sim] under a fresh metrics registry, where the cache's
+   statistics are counted: [f] also gets [total], the run's count so far
+   of one registry counter, summed over its labels *)
+let counted f =
+  let m = Obs.Metrics.create () in
+  let total name =
+    List.fold_left (fun a (_, n) -> a + n) 0 (Obs.Metrics.counters_with m name)
+  in
+  Obs.Metrics.with_metrics m (fun () -> run_sim (f total))
+
 (* A backend with a fixed per-op delay that records everything. *)
 type backend_log = {
   mutable breads : (int * int) list;
@@ -45,16 +55,16 @@ let make_cache ?(capacity = 16) e backend =
     ~block_size:4096 backend
 
 let test_miss_then_hit () =
-  run_sim (fun e ->
+  counted (fun total e ->
       let log, backend = make_backend e in
       Hashtbl.replace log.store (1, 0) (42, 4096);
       let c = make_cache e backend in
       let stamp, len = Blockcache.Cache.read c ~file:1 ~index:0 in
       Alcotest.(check (pair int int)) "fetched" (42, 4096) (stamp, len);
-      Alcotest.(check int) "one miss" 1 (Blockcache.Cache.misses c);
+      Alcotest.(check int) "one miss" 1 (total "cache_misses_total");
       let stamp2, _ = Blockcache.Cache.read c ~file:1 ~index:0 in
       Alcotest.(check int) "hit content" 42 stamp2;
-      Alcotest.(check int) "one hit" 1 (Blockcache.Cache.hits c);
+      Alcotest.(check int) "one hit" 1 (total "cache_hits_total");
       Alcotest.(check int) "one backend read" 1 (List.length log.breads))
 
 let test_concurrent_misses_coalesce () =
@@ -116,7 +126,7 @@ let test_wait_pending_multiple () =
       Alcotest.(check int) "all written" 4 (List.length log.bwrites))
 
 let test_cancel_dirty_averts_writes () =
-  run_sim (fun e ->
+  counted (fun total e ->
       let log, backend = make_backend e in
       let c = make_cache e backend in
       for i = 0 to 4 do
@@ -124,7 +134,7 @@ let test_cancel_dirty_averts_writes () =
       done;
       let averted = Blockcache.Cache.cancel_dirty c ~file:9 in
       Alcotest.(check int) "averted" 5 averted;
-      Alcotest.(check int) "stat" 5 (Blockcache.Cache.writes_averted c);
+      Alcotest.(check int) "stat" 5 (total "cache_writes_averted_total");
       Alcotest.(check int) "backend untouched" 0 (List.length log.bwrites);
       Alcotest.(check bool) "gone" false (Blockcache.Cache.holds_file c ~file:9))
 
@@ -150,7 +160,7 @@ let test_invalidate_clean () =
       Alcotest.(check int) "refetched" 2 (List.length log.breads))
 
 let test_eviction_lru () =
-  run_sim (fun e ->
+  counted (fun total e ->
       let log, backend = make_backend e in
       for i = 0 to 9 do
         Hashtbl.replace log.store (1, i) (i + 100, 4096)
@@ -164,7 +174,7 @@ let test_eviction_lru () =
       ignore (Blockcache.Cache.read c ~file:1 ~index:0);
       (* bring in 4: should evict 1 *)
       ignore (Blockcache.Cache.read c ~file:1 ~index:4);
-      Alcotest.(check int) "evictions" 1 (Blockcache.Cache.evictions c);
+      Alcotest.(check int) "evictions" 1 (total "cache_evictions_total");
       Alcotest.(check (option (pair int int)))
         "0 still resident" (Some (100, 4096))
         (Blockcache.Cache.peek c ~file:1 ~index:0);

@@ -1,9 +1,9 @@
 (* Fault-path tests: the duplicate-request cache under message loss and
    delay (Section 3.2's delayed duplicates), partition-driven crash
    detection (Section 2.4), and the post-reboot recovery grace period.
-   These exercise the failure machinery directly, with counters from
-   the RPC layer (executed/duplicate/retransmission counts) proving
-   that suppression — not luck — produced the right answer. *)
+   These exercise the failure machinery directly, with the RPC layer's
+   metrics-registry counters (executed calls, duplicates, retransmits)
+   proving that suppression — not luck — produced the right answer. *)
 
 let run_sim f =
   let e = Sim.Engine.create () in
@@ -15,6 +15,16 @@ let run_sim f =
   match !result with
   | Some v -> v
   | None -> Alcotest.fail "simulation main process did not complete"
+
+(* [run_sim] under a fresh metrics registry, where the network and RPC
+   statistics are counted: [f] also gets [total], the run's count so far
+   of one registry counter, summed over its labels *)
+let counted f =
+  let m = Obs.Metrics.create () in
+  let total name =
+    List.fold_left (fun a (_, n) -> a + n) 0 (Obs.Metrics.counters_with m name)
+  in
+  Obs.Metrics.with_metrics m (fun () -> run_sim (f total))
 
 type world = {
   net : Netsim.Net.t;
@@ -75,13 +85,13 @@ let test_dup_suppression_under_jitter () =
      attempts are retransmitted while the original request is still in
      flight or already executing, so the server sees a stream of the
      delayed duplicates Section 3.2 warns about *)
-  run_sim (fun e ->
+  counted (fun total e ->
       let net = Netsim.Net.create e () in
       let rpc = Netsim.Rpc.create net () in
       let server = Netsim.Net.Host.create net "server" in
       let client = Netsim.Net.Host.create net "client" in
       let executions = Hashtbl.create 64 in
-      let svc = serve_echo rpc server executions in
+      ignore (serve_echo rpc server executions);
       Netsim.Net.set_jitter net 1.0;
       let ncalls = 50 in
       for i = 1 to ncalls do
@@ -89,11 +99,11 @@ let test_dup_suppression_under_jitter () =
           (echo_once rpc ~src:client ~dst:server i)
       done;
       Alcotest.(check bool) "jitter forced retransmissions" true
-        (Netsim.Rpc.retransmissions rpc > 0);
+        (total "rpc_retransmits_total" > 0);
       Alcotest.(check bool) "duplicates reached the server" true
-        (Netsim.Rpc.duplicate_count svc > 0);
+        (total "rpc_duplicates_total" > 0);
       Alcotest.(check int) "every request executed exactly once" ncalls
-        (Netsim.Rpc.executed_count svc);
+        (total "rpc_server_calls_total");
       Hashtbl.iter
         (fun x n ->
           Alcotest.(check int)
@@ -105,13 +115,13 @@ let test_dup_suppression_under_drops () =
   (* message loss: a dropped reply makes the client retransmit a
      request the server already executed; the cached reply must be
      replayed rather than the handler run again *)
-  run_sim (fun e ->
+  counted (fun total e ->
       let net = Netsim.Net.create e () in
       let rpc = Netsim.Rpc.create net () in
       let server = Netsim.Net.Host.create net "server" in
       let client = Netsim.Net.Host.create net "client" in
       let executions = Hashtbl.create 64 in
-      let svc = serve_echo rpc server executions in
+      ignore (serve_echo rpc server executions);
       Netsim.Net.set_drop_probability net 0.2;
       let ncalls = 40 in
       let ok = ref 0 in
@@ -125,11 +135,11 @@ let test_dup_suppression_under_drops () =
       Alcotest.(check bool) "most calls eventually succeeded" true
         (!ok > ncalls / 2);
       Alcotest.(check bool) "messages were dropped" true
-        (Netsim.Net.messages_dropped net > 0);
+        (total "net_messages_dropped_total" > 0);
       Alcotest.(check bool) "retransmissions happened" true
-        (Netsim.Rpc.retransmissions rpc > 0);
+        (total "rpc_retransmits_total" > 0);
       Alcotest.(check bool) "duplicates absorbed by the cache" true
-        (Netsim.Rpc.duplicate_count svc > 0);
+        (total "rpc_duplicates_total" > 0);
       Hashtbl.iter
         (fun x n ->
           Alcotest.(check int)

@@ -14,16 +14,23 @@ let run_sim f =
   | Some v -> v
   | None -> Alcotest.fail "simulation main process did not complete"
 
+(* [run_sim] under a fresh metrics registry, where the disk and cache
+   statistics are counted: [f] also gets [total], the run's count so far
+   of one registry counter, summed over its labels *)
+let counted f =
+  let m = Obs.Metrics.create () in
+  let total name =
+    List.fold_left (fun a (_, n) -> a + n) 0 (Obs.Metrics.counters_with m name)
+  in
+  Obs.Metrics.with_metrics m (fun () -> run_sim (f total))
+
 let make_fs ?(meta_policy = `Delayed) ?(cache_blocks = 64) e =
   let disk = Diskm.Disk.create e "d0" in
-  let fs =
-    Localfs.create e ~name:"fs0" ~disk ~cache_blocks ~meta_policy ()
-  in
-  (fs, disk)
+  Localfs.create e ~name:"fs0" ~disk ~cache_blocks ~meta_policy ()
 
 let test_create_lookup () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       let root = Localfs.root fs in
       let ino = Localfs.create_file fs ~dir:root "hello.c" in
       Alcotest.(check int) "lookup finds it" ino
@@ -34,13 +41,13 @@ let test_create_lookup () =
 
 let test_lookup_missing () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       Alcotest.check_raises "noent" (Localfs.Error Localfs.Noent) (fun () ->
           ignore (Localfs.lookup fs ~dir:(Localfs.root fs) "nope")))
 
 let test_create_duplicate () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       let root = Localfs.root fs in
       ignore (Localfs.create_file fs ~dir:root "x");
       Alcotest.check_raises "exists" (Localfs.Error Localfs.Exist) (fun () ->
@@ -48,7 +55,7 @@ let test_create_duplicate () =
 
 let test_mkdir_and_nesting () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       let root = Localfs.root fs in
       let d1 = Localfs.mkdir fs ~dir:root "src" in
       let d2 = Localfs.mkdir fs ~dir:d1 "lib" in
@@ -59,7 +66,7 @@ let test_mkdir_and_nesting () =
 
 let test_write_read_block () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       let root = Localfs.root fs in
       let ino = Localfs.create_file fs ~dir:root "data" in
       Localfs.write_block fs ino ~index:0 ~stamp:77 ~len:4096 `Delayed;
@@ -73,7 +80,7 @@ let test_write_read_block () =
 
 let test_read_hole () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       let ino = Localfs.create_file fs ~dir:(Localfs.root fs) "empty" in
       Alcotest.(check (pair int int))
         "hole" (0, 0)
@@ -81,7 +88,7 @@ let test_read_hole () =
 
 let test_remove_and_stale () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       let root = Localfs.root fs in
       let ino = Localfs.create_file fs ~dir:root "gone" in
       Localfs.remove fs ~dir:root "gone";
@@ -91,20 +98,22 @@ let test_remove_and_stale () =
         (fun () -> ignore (Localfs.getattr fs ino)))
 
 let test_remove_cancels_delayed_writes () =
-  run_sim (fun e ->
-      let fs, disk = make_fs e in
+  counted (fun total e ->
+      let fs = make_fs e in
       let root = Localfs.root fs in
       let ino = Localfs.create_file fs ~dir:root "tmp" in
       for i = 0 to 9 do
         Localfs.write_block fs ino ~index:i ~stamp:i ~len:4096 `Delayed
       done;
-      let data_writes_before = Diskm.Disk.writes disk in
+      let data_writes_before = total "disk_writes_total" in
       Localfs.remove fs ~dir:root "tmp";
       Localfs.sync_all fs;
       (* the 10 data blocks were never written; only metadata reached
          the disk *)
-      Alcotest.(check int) "10 writes averted" 10 (Localfs.data_writes_averted fs);
-      let writes_after = Diskm.Disk.writes disk in
+      Alcotest.(check int)
+        "10 writes averted" 10
+        (total "cache_writes_averted_total");
+      let writes_after = total "disk_writes_total" in
       Alcotest.(check bool)
         (Printf.sprintf "only structural writes (%d -> %d)" data_writes_before
            writes_after)
@@ -112,8 +121,8 @@ let test_remove_cancels_delayed_writes () =
         (writes_after - data_writes_before < 10))
 
 let test_structural_writes_happen () =
-  run_sim (fun e ->
-      let fs, disk = make_fs ~meta_policy:`Delayed e in
+  counted (fun total e ->
+      let fs = make_fs ~meta_policy:`Delayed e in
       let root = Localfs.root fs in
       (* create files, write, delete them all, then sync: data writes
          averted but metadata still hits the disk (Table 5-5's point) *)
@@ -125,34 +134,34 @@ let test_structural_writes_happen () =
       done;
       Localfs.sync_all fs;
       Alcotest.(check bool) "structural disk writes happened" true
-        (Diskm.Disk.writes disk > 0);
+        (total "disk_writes_total" > 0);
       Alcotest.(check int) "data writes averted" 5
-        (Localfs.data_writes_averted fs))
+        (total "cache_writes_averted_total"))
 
 let test_sync_meta_policy_writes_through () =
-  run_sim (fun e ->
-      let fs, disk = make_fs ~meta_policy:`Sync e in
+  counted (fun total e ->
+      let fs = make_fs ~meta_policy:`Sync e in
       let root = Localfs.root fs in
-      let before = Diskm.Disk.writes disk in
+      let before = total "disk_writes_total" in
       ignore (Localfs.create_file fs ~dir:root "f");
       Alcotest.(check bool) "metadata written synchronously" true
-        (Diskm.Disk.writes disk > before))
+        (total "disk_writes_total" > before))
 
 let test_sync_data_write () =
-  run_sim (fun e ->
-      let fs, disk = make_fs ~meta_policy:`Sync e in
+  counted (fun total e ->
+      let fs = make_fs ~meta_policy:`Sync e in
       let ino = Localfs.create_file fs ~dir:(Localfs.root fs) "f" in
-      let before = Diskm.Disk.writes disk in
+      let before = total "disk_writes_total" in
       let t0 = Sim.Engine.now e in
       Localfs.write_block fs ino ~index:0 ~stamp:1 ~len:4096 `Sync;
       (* data + inode both hit the disk before we continue *)
       Alcotest.(check bool) "two disk writes" true
-        (Diskm.Disk.writes disk - before >= 2);
+        (total "disk_writes_total" - before >= 2);
       Alcotest.(check bool) "took disk time" true (Sim.Engine.now e > t0))
 
 let test_readdir () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       let root = Localfs.root fs in
       ignore (Localfs.create_file fs ~dir:root "b");
       ignore (Localfs.create_file fs ~dir:root "a");
@@ -162,7 +171,7 @@ let test_readdir () =
 
 let test_rename () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       let root = Localfs.root fs in
       let d = Localfs.mkdir fs ~dir:root "sub" in
       let ino = Localfs.create_file fs ~dir:root "old" in
@@ -177,7 +186,7 @@ let test_rename () =
 
 let test_rename_clobbers () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       let root = Localfs.root fs in
       let a = Localfs.create_file fs ~dir:root "a" in
       let b = Localfs.create_file fs ~dir:root "b" in
@@ -188,7 +197,7 @@ let test_rename_clobbers () =
 
 let test_rmdir () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       let root = Localfs.root fs in
       let d = Localfs.mkdir fs ~dir:root "d" in
       ignore (Localfs.create_file fs ~dir:d "f");
@@ -200,8 +209,8 @@ let test_rmdir () =
           ignore (Localfs.lookup fs ~dir:root "d")))
 
 let test_truncate () =
-  run_sim (fun e ->
-      let fs, _ = make_fs e in
+  counted (fun total e ->
+      let fs = make_fs e in
       let ino = Localfs.create_file fs ~dir:(Localfs.root fs) "f" in
       for i = 0 to 3 do
         Localfs.write_block fs ino ~index:i ~stamp:(i + 1) ~len:4096 `Delayed
@@ -213,11 +222,13 @@ let test_truncate () =
         "reads as hole" (0, 0)
         (Localfs.read_block fs ino ~index:0);
       (* the delayed writes were cancelled *)
-      Alcotest.(check int) "writes averted" 4 (Localfs.data_writes_averted fs))
+      Alcotest.(check int)
+        "writes averted" 4
+        (total "cache_writes_averted_total"))
 
 let test_mtime_updates () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       let ino = Localfs.create_file fs ~dir:(Localfs.root fs) "f" in
       let t1 = (Localfs.getattr fs ino).Localfs.mtime in
       Sim.Engine.sleep e 5.0;
@@ -227,7 +238,7 @@ let test_mtime_updates () =
 
 let test_dir_data_mismatch () =
   run_sim (fun e ->
-      let fs, _ = make_fs e in
+      let fs = make_fs e in
       let root = Localfs.root fs in
       let d = Localfs.mkdir fs ~dir:root "d" in
       Alcotest.check_raises "write to dir" (Localfs.Error Localfs.Isdir)

@@ -157,27 +157,66 @@ let test_csv_shape () =
   Alcotest.(check string) "no sampling: header only" "series,time,value\n"
     (Obs.Metrics.to_csv empty)
 
-(* ---- Latency outcomes (satellite) ---- *)
+(* ---- RPC latency outcomes ---- *)
 
+(* p.x succeeds once and times out once; p.y only times out: nothing
+   serves program p on the silent host *)
 let test_latency_outcomes () =
-  let lat = Obs.Latency.create () in
-  Obs.Latency.record lat ~prog:"p" ~proc:"x" 0.002;
-  Obs.Latency.record lat ~outcome:Obs.Latency.Timeout ~prog:"p" ~proc:"x" 1.1;
-  Obs.Latency.record lat ~outcome:Obs.Latency.Timeout ~prog:"p" ~proc:"y" 1.1;
-  Alcotest.(check int) "errors x" 1 (Obs.Latency.errors lat ~prog:"p" ~proc:"x");
-  Alcotest.(check int) "errors y" 1 (Obs.Latency.errors lat ~prog:"p" ~proc:"y");
-  Alcotest.(check int) "total errors" 2 (Obs.Latency.total_errors lat);
-  Alcotest.(check int) "all outcomes sampled" 3 (Obs.Latency.total_samples lat);
+  let m = Obs.Metrics.create () in
+  Experiments.Driver.run ~metrics:m (fun engine ->
+      let net = Netsim.Net.create engine () in
+      let rpc = Netsim.Rpc.create net () in
+      let client = Netsim.Net.Host.create net "client" in
+      let server = Netsim.Net.Host.create net "server" in
+      let silent = Netsim.Net.Host.create net "silent" in
+      ignore
+        (Netsim.Rpc.serve rpc server ~prog:"p" ~threads:1
+           (fun ~caller:_ ~ctx:_ ~proc:_ _ ->
+             { Netsim.Rpc.data = Bytes.empty; bulk = 0 }));
+      let call dst proc =
+        match
+          Netsim.Rpc.call rpc ~src:client ~dst ~prog:"p" ~proc Bytes.empty
+        with
+        | _ -> ()
+        | exception Netsim.Rpc.Timeout _ -> ()
+      in
+      call server "x";
+      call silent "x";
+      call silent "y");
+  let samples ?proc outcome =
+    List.fold_left
+      (fun acc (labels, h) ->
+        let has k v = String.equal (List.assoc k labels) v in
+        if
+          has "outcome" outcome
+          && Option.fold ~none:true ~some:(has "proc") proc
+        then acc + Stats.Histogram.count h
+        else acc)
+      0
+      (Obs.Metrics.histograms_with m "rpc_latency_seconds")
+  in
+  Alcotest.(check int) "errors x" 1 (samples ~proc:"x" "timeout");
+  Alcotest.(check int) "errors y" 1 (samples ~proc:"y" "timeout");
+  Alcotest.(check int) "total errors" 2 (samples "timeout");
+  Alcotest.(check int) "all outcomes sampled" 3
+    (samples "ok" + samples "timeout");
   (* timed-out calls never pollute the success percentiles *)
-  Alcotest.(check int) "success count" 1
-    (Stats.Histogram.count (Obs.Latency.histogram lat ~prog:"p" ~proc:"x"));
-  let table = Obs.Latency.table lat in
-  (* successes and timeouts each get their own outcome row *)
+  Alcotest.(check int) "success count" 1 (samples ~proc:"x" "ok");
+  let table = Netsim.Rpc.latency_table m in
   Alcotest.(check bool) "outcome column" true (contains table "outcome");
-  Alcotest.(check bool) "ok row" true (contains table "ok");
-  Alcotest.(check bool) "timeout row" true (contains table "timeout");
-  (* a procedure with only timeouts still gets a row *)
-  Alcotest.(check bool) "timeout-only row" true (contains table "p.y")
+  (* successes and timeouts each get their own outcome row, successes
+     first, and a procedure with only timeouts still gets a row *)
+  let rows =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        | proc :: outcome :: _ when String.starts_with ~prefix:"p." proc ->
+            Some (proc, outcome)
+        | _ -> None)
+      (String.split_on_char '\n' table)
+  in
+  Alcotest.(check (list (pair string string)))
+    "rows" [ ("p.x", "ok"); ("p.x", "timeout"); ("p.y", "timeout") ] rows
 
 (* ---- the acceptance properties, on a real seeded Andrew run ---- *)
 

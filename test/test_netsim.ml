@@ -14,6 +14,16 @@ let run_sim f =
   | Some v -> v
   | None -> Alcotest.fail "simulation main process did not complete"
 
+(* [run_sim] under a fresh metrics registry, where the RPC
+   statistics are counted: [f] also gets [total], the run's count so far
+   of one registry counter, summed over its labels *)
+let counted f =
+  let m = Obs.Metrics.create () in
+  let total name =
+    List.fold_left (fun a (_, n) -> a + n) 0 (Obs.Metrics.counters_with m name)
+  in
+  Obs.Metrics.with_metrics m (fun () -> run_sim (f total))
+
 let echo_handler ~caller:_ ~ctx:_ ~proc:_ dec =
   let s = Xdr.Dec.string dec in
   let e = Xdr.Enc.create () in
@@ -76,7 +86,7 @@ let test_timeout_no_server () =
           Alcotest.(check bool) "waited" true (Sim.Engine.now e >= 31.0))
 
 let test_retransmit_on_loss () =
-  run_sim (fun e ->
+  counted (fun total e ->
       let net, rpc, client, server = setup e in
       let svc = Netsim.Rpc.serve rpc server ~prog:"echo" ~threads:2 echo_handler in
       (* heavy loss: calls still succeed thanks to retransmission (the
@@ -94,7 +104,7 @@ let test_retransmit_on_loss () =
           (Xdr.Dec.string d)
       done;
       Alcotest.(check bool) "some retransmissions happened" true
-        (Netsim.Rpc.retransmissions rpc > 0);
+        (total "rpc_retransmits_total" > 0);
       (* duplicate suppression: executions never exceed logical calls *)
       Alcotest.(check int) "no duplicate execution" 10
         (Stats.Counter.get (Netsim.Rpc.counters svc) "ping"))

@@ -232,11 +232,8 @@ let test_flow_ids_match_inducing_op () =
   Alcotest.(check bool) "every arrow lands" true (!ends > 0)
 
 let test_percentiles_exact () =
-  let lat = Obs.Latency.create () in
-  List.iter
-    (fun v -> Obs.Latency.record lat ~prog:"p" ~proc:"q" v)
-    [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
-  let h = Obs.Latency.histogram lat ~prog:"p" ~proc:"q" in
+  let h = Stats.Histogram.create "p.q" in
+  List.iter (Stats.Histogram.add h) [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
   let check_p p expected =
     Alcotest.(check (float 1e-9))
       (Printf.sprintf "p%.0f" p)
@@ -251,30 +248,14 @@ let test_percentiles_exact () =
   Alcotest.(check (float 1e-9)) "p62.5 interpolates" 3.5
     (Stats.Histogram.percentile h 62.5);
   Alcotest.(check int) "count" 5 (Stats.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "max" 5.0 (Stats.Histogram.max_value h);
-  Alcotest.(check int) "registry total" 5 (Obs.Latency.total_samples lat);
-  Alcotest.(check bool) "not empty" false (Obs.Latency.is_empty lat);
-  (* the rendered table names the procedure *)
-  let table = Obs.Latency.table lat in
-  Alcotest.(check bool) "table row present" true
-    (let re = "p.q" in
-     let found = ref false in
-     String.iteri
-       (fun i _ ->
-         if
-           i + String.length re <= String.length table
-           && String.sub table i (String.length re) = re
-         then found := true)
-       table;
-     !found)
+  Alcotest.(check (float 1e-9)) "max" 5.0 (Stats.Histogram.max_value h)
 
 let prop_percentiles_ordered =
   QCheck.Test.make ~name:"percentiles monotone and bounded" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 50) pos_float)
     (fun samples ->
-      let lat = Obs.Latency.create () in
-      List.iter (fun v -> Obs.Latency.record lat ~prog:"a" ~proc:"b" v) samples;
-      let h = Obs.Latency.histogram lat ~prog:"a" ~proc:"b" in
+      let h = Stats.Histogram.create "a.b" in
+      List.iter (Stats.Histogram.add h) samples;
       let p q = Stats.Histogram.percentile h q in
       let sorted = List.sort compare samples in
       let arr = Array.of_list sorted in

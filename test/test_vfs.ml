@@ -12,6 +12,16 @@ let run_sim f =
   | Some v -> v
   | None -> Alcotest.fail "simulation main process did not complete"
 
+(* [run_sim] under a fresh metrics registry, where the disk
+   statistics are counted: [f] also gets [total], the run's count so far
+   of one registry counter, summed over its labels *)
+let counted f =
+  let m = Obs.Metrics.create () in
+  let total name =
+    List.fold_left (fun a (_, n) -> a + n) 0 (Obs.Metrics.counters_with m name)
+  in
+  Obs.Metrics.with_metrics m (fun () -> run_sim (f total))
+
 let make_local e name =
   let disk = Diskm.Disk.create e (name ^ "-disk") in
   let lfs = Localfs.create e ~name ~disk ~cache_blocks:128 () in
@@ -258,15 +268,17 @@ let test_disk_sequential_cheaper () =
         (sequential *. 3.0 < scattered))
 
 let test_disk_counters () =
-  run_sim (fun e ->
+  counted (fun total e ->
       let d = Diskm.Disk.create e "d" in
       Diskm.Disk.read d ~bytes:4096;
       Diskm.Disk.write d ~bytes:8192;
       Diskm.Disk.write d ~bytes:100;
-      Alcotest.(check int) "reads" 1 (Diskm.Disk.reads d);
-      Alcotest.(check int) "writes" 2 (Diskm.Disk.writes d);
-      Alcotest.(check int) "bytes read" 4096 (Diskm.Disk.bytes_read d);
-      Alcotest.(check int) "bytes written" 8292 (Diskm.Disk.bytes_written d);
+      Alcotest.(check int) "reads" 1 (total "disk_reads_total");
+      Alcotest.(check int) "writes" 2 (total "disk_writes_total");
+      Alcotest.(check int) "bytes read" 4096 (total "disk_bytes_read_total");
+      Alcotest.(check int)
+        "bytes written" 8292
+        (total "disk_bytes_written_total");
       Alcotest.(check bool) "busy time accrued" true (Diskm.Disk.busy_time d > 0.0))
 
 let test_disk_queueing () =
