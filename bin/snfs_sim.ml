@@ -157,15 +157,19 @@ let with_observability ~trace_file ~latency_table ~metrics_file ~metrics_format
 let andrew_cmd, andrew_term =
   let tmp_arg =
     let doc = "Where /tmp lives: local or remote." in
-    Arg.(value & opt string "remote" & info [ "tmp" ] ~docv:"WHERE" ~doc)
+    Arg.(
+      value
+      & opt
+          (enum
+             [
+               ("local", Experiments.Testbed.Tmp_local);
+               ("remote", Experiments.Testbed.Tmp_remote);
+             ])
+          Experiments.Testbed.Tmp_remote
+      & info [ "tmp" ] ~docv:"WHERE" ~doc)
   in
   let run protocol tmp no_update trace_file latency_table metrics_file
       metrics_format report =
-    let tmp =
-      match tmp with
-      | "local" -> Experiments.Testbed.Tmp_local
-      | _ -> Experiments.Testbed.Tmp_remote
-    in
     with_observability ~trace_file ~latency_table ~metrics_file ~metrics_format
       ~report
     @@ fun ?trace ?metrics () ->
@@ -176,16 +180,7 @@ let andrew_cmd, andrew_term =
               ~update_interval:(if no_update then None else Some 30.0)
               ()
           in
-          let ctx = Experiments.Testbed.ctx tb in
-          let config = Workload.Andrew.default_config in
-          let tree = Workload.Andrew.setup ctx config in
-          Experiments.Testbed.drain tb ~horizon:65.0;
-          let before = Experiments.Testbed.rpc_counts tb in
-          let phases = Workload.Andrew.run ctx config tree in
-          let counts =
-            Stats.Counter.diff (Experiments.Testbed.rpc_counts tb) before
-          in
-          (phases, counts))
+          Experiments.Testbed.andrew tb Workload.Andrew.default_config)
     in
     Printf.printf
       "Andrew (%s): MakeDir %.1f  Copy %.1f  ScanDir %.1f  ReadAll %.1f  \
@@ -195,9 +190,7 @@ let andrew_cmd, andrew_term =
       phases.Workload.Andrew.scandir phases.Workload.Andrew.readall
       phases.Workload.Andrew.make
       (Workload.Andrew.total phases);
-    List.iter
-      (fun (name, n) -> Printf.printf "  %-10s %6d\n" name n)
-      (Stats.Counter.to_list counts)
+    print_string (Experiments.Report.counts counts)
   in
   let term =
     Term.(
@@ -228,9 +221,7 @@ let sort_cmd =
       input_kb r.Experiments.Sort_exp.label r.Experiments.Sort_exp.elapsed
       (r.Experiments.Sort_exp.temp_bytes / 1024)
       r.Experiments.Sort_exp.client_busy;
-    List.iter
-      (fun (name, n) -> Printf.printf "  %-10s %6d\n" name n)
-      (Stats.Counter.to_list r.Experiments.Sort_exp.counts)
+    print_string (Experiments.Report.counts r.Experiments.Sort_exp.counts)
   in
   Cmd.v
     (Cmd.info "sort" ~doc:"Run the external-sort benchmark once.")

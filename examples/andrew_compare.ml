@@ -4,32 +4,32 @@
 
    Run with:  dune exec examples/andrew_compare.exe *)
 
+(* label, and the Stack preset the command line spells it as *)
 let variants =
   [
-    ("local disk", Experiments.Testbed.Local);
-    ("NFS", Experiments.Testbed.Nfs_proto Nfs.Nfs_client.default_config);
-    ( "NFS (bug fixed)",
-      Experiments.Testbed.Nfs_proto
-        { Nfs.Nfs_client.default_config with invalidate_on_close = false } );
-    ("RFS", Experiments.Testbed.Rfs_proto Rfs.Rfs_client.default_config);
-    ( "Kent blocks",
-      Experiments.Testbed.Kent_proto Kentfs.Kent_client.default_config );
-    ("SNFS", Experiments.Testbed.Snfs_proto Snfs.Snfs_client.default_config);
-    ( "SNFS (delayed close)",
-      Experiments.Testbed.Snfs_proto
-        { Snfs.Snfs_client.default_config with delayed_close = true } );
+    ("local disk", "local");
+    ("NFS", "nfs");
+    ("NFS (bug fixed)", "nfs-fixed");
+    ("RFS", "rfs");
+    ("Kent blocks", "kent");
+    ("SNFS", "snfs");
+    ("SNFS (delayed close)", "snfs-dc");
   ]
 
 let () =
   let rows =
     List.map
-      (fun (label, protocol) ->
-        let result =
-          Experiments.Andrew_exp.run_variant
-            { Experiments.Andrew_exp.label; protocol; tmp = Experiments.Testbed.Tmp_remote }
+      (fun (label, preset) ->
+        let r =
+          Experiments.Campaign.run_one
+            {
+              Experiments.Campaign.name = label;
+              protocol = List.assoc preset Experiments.Stack.presets;
+              tmp = Experiments.Testbed.Tmp_remote;
+              andrew = Workload.Andrew.default_config;
+            }
         in
-        let p = result.Experiments.Andrew_exp.phases in
-        let c = result.Experiments.Andrew_exp.counts in
+        let p = r.Experiments.Campaign.phases in
         [
           label;
           Printf.sprintf "%.1f" p.Workload.Andrew.makedir;
@@ -38,7 +38,7 @@ let () =
           Printf.sprintf "%.1f" p.Workload.Andrew.readall;
           Printf.sprintf "%.1f" p.Workload.Andrew.make;
           Printf.sprintf "%.1f" (Workload.Andrew.total p);
-          string_of_int (Stats.Counter.total c);
+          string_of_int (Stats.Counter.total r.Experiments.Campaign.counts);
         ])
       variants
   in

@@ -16,6 +16,18 @@ let has_suffix path suff =
   let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
   drop (lp - ls) path = suff
 
+(* [Stdlib.print_endline] and friends must not dodge the bare-ident
+   entries *)
+let strip_stdlib = function "Stdlib" :: rest -> rest | path -> path
+
+let is_lambda e =
+  match e.pexp_desc with Pexp_fun _ | Pexp_function _ -> true | _ -> false
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn > 0 && go 0
+
 let pos (loc : Location.t) =
   let p = loc.loc_start in
   (p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol)

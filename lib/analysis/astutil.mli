@@ -13,6 +13,16 @@ val flatten : Longident.t -> string list option
     [has_suffix ["Netsim";"Rpc";"call"] ["Rpc";"call"] = true]. *)
 val has_suffix : string list -> string list -> bool
 
+(** Drop a leading ["Stdlib"], so [Stdlib.print_endline] matches the
+    same entries as [print_endline]. *)
+val strip_stdlib : string list -> string list
+
+(** Is the expression a [fun] or [function]? *)
+val is_lambda : Parsetree.expression -> bool
+
+(** [contains hay needle]: does [needle] (non-empty) occur in [hay]? *)
+val contains : string -> string -> bool
+
 (** 1-based line and 0-based column of a location's start. *)
 val pos : Location.t -> int * int
 

@@ -58,9 +58,6 @@ let default_defer =
 
 let join = String.concat "."
 
-let is_lambda e =
-  match e.pexp_desc with Pexp_fun _ | Pexp_function _ -> true | _ -> false
-
 (* ---- collection: modules, bindings, scopes, functor applications ---- *)
 
 type raw_ref = { rr_path : string list; rr_sync : bool }
@@ -102,7 +99,7 @@ let scan_file defer (file : Source.t) structure =
               if List.exists (Astutil.has_suffix p) defer then
                 List.iter
                   (fun (_, a) ->
-                    if is_lambda a then expr ~sync:false it a
+                    if Astutil.is_lambda a then expr ~sync:false it a
                     else expr ~sync it a)
                   args
               else List.iter (fun (_, a) -> expr ~sync it a) args

@@ -110,11 +110,6 @@ let blocking_head cg summary ~file ~module_path p =
   | [] -> is_primitive p
   | ids -> List.exists (Hashtbl.mem summary) ids
 
-let is_lambda e =
-  match e.Parsetree.pexp_desc with
-  | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ -> true
-  | _ -> false
-
 (* Does an expression contain a blocking application in synchronous
    position? Used by passes that must judge a lambda body (the thunk
    handed to an iterator) rather than a toplevel binding. *)
@@ -138,7 +133,7 @@ let expr_blocks cg summary ~file ~module_path e =
             ->
               List.iter
                 (fun (_, a) ->
-                  let sync' = sync && not (is_lambda a) in
+                  let sync' = sync && not (Astutil.is_lambda a) in
                   expr ~sync:sync' it a)
                 args
           | _ ->

@@ -30,10 +30,6 @@ let lib_only =
     ([ "prerr_string" ], "ad-hoc stderr printing in library code");
   ]
 
-(* [Stdlib.print_endline] and friends must not dodge the bare-ident
-   entries *)
-let strip_stdlib = function "Stdlib" :: rest -> rest | path -> path
-
 let check_file (file : Source.t) =
   match file.Source.impl with
   | None -> []
@@ -51,7 +47,7 @@ let check_file (file : Source.t) =
             match Astutil.path_of_expr e with
             | None -> ()
             | Some path -> (
-                let path = strip_stdlib path in
+                let path = Astutil.strip_stdlib path in
                 match List.assoc_opt path active with
                 | None -> ()
                 | Some why ->

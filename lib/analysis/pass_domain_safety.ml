@@ -81,9 +81,6 @@ let classify mutable_fields e =
   | Pexp_array _ -> Mutable "array literal"
   | _ -> Inert
 
-let is_lambda e =
-  match e.pexp_desc with Pexp_fun _ | Pexp_function _ -> true | _ -> false
-
 (* every raw identifier path mentioned in [e], in source order *)
 let raw_paths e =
   let acc = ref [] in
@@ -121,7 +118,7 @@ let scan_file cg (file : Source.t) structure ~roots ~findings =
               let opaque = ref false in
               List.iter
                 (fun (_, a) ->
-                  if is_lambda a then add_refs_of a
+                  if Astutil.is_lambda a then add_refs_of a
                   else
                     match Astutil.path_of_expr a with
                     | Some pa -> (

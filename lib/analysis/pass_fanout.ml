@@ -55,26 +55,14 @@ let projection_prims =
 
 let suffix_in p suffixes = List.exists (Astutil.has_suffix p) suffixes
 
-let is_lambda e =
-  match e.pexp_desc with Pexp_fun _ | Pexp_function _ -> true | _ -> false
-
 (* ---- the bounded-reason waiver ---- *)
-
-let contains line token =
-  let nl = String.length line and nt = String.length token in
-  let rec go i =
-    if i + nt > nl then false
-    else if String.sub line i nt = token then true
-    else go (i + 1)
-  in
-  nt > 0 && go 0
 
 let bounded_waived ~src ~line =
   let lines = String.split_on_char '\n' src in
   let has i =
     i >= 1
     && i <= List.length lines
-    && contains (List.nth lines (i - 1)) "snfs-fanout: bounded"
+    && Astutil.contains (List.nth lines (i - 1)) "snfs-fanout: bounded"
   in
   has line || has (line - 1)
 
@@ -190,7 +178,7 @@ let run (ctx : Pass.ctx) =
   let scan_node (n : Callgraph.node) label =
     let resolve p = Callgraph.resolve_in cg ~node:n.Callgraph.id p in
     let fn_yields fn =
-      if is_lambda fn then
+      if Astutil.is_lambda fn then
         Effects.expr_blocks cg ctx.Pass.may_yield ~file:n.Callgraph.path
           ~module_path:n.Callgraph.module_path fn
       else

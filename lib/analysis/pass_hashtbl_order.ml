@@ -2,18 +2,13 @@ open Parsetree
 
 let name = "hashtbl-order"
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn > 0 && go 0
-
 (* emission sinks: order of these calls is observable output *)
 let is_sink path =
   match List.rev path with
   | [] -> false
   | last :: rev_prefix ->
-      contains last "callback" || contains last "emit"
-      || contains last "deliver" || contains last "instant"
+      Astutil.contains last "callback" || Astutil.contains last "emit"
+      || Astutil.contains last "deliver" || Astutil.contains last "instant"
       || Astutil.has_suffix path [ "Rpc"; "call" ]
       || List.exists (fun m -> m = "Trace" || m = "Chrome") rev_prefix
 

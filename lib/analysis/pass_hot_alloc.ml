@@ -65,8 +65,6 @@ let builtin_allowlist =
       [ "is_none"; "live"; "keep"; "id"; "of_id"; "mint" ] );
   ]
 
-let strip_stdlib = function "Stdlib" :: rest -> rest | p -> p
-
 let raising_heads = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg";
                       "error" ]
 
@@ -100,7 +98,7 @@ let string_allocators =
 (* reference to an identifier that allocates (or walks the heap) on
    every use, regardless of position *)
 let banned_ref path =
-  match strip_stdlib path with
+  match Astutil.strip_stdlib path with
   | ("Printf" | "Format") :: _ :: _ ->
       Some
         (Printf.sprintf "%s allocates its format closure and output on \
@@ -187,7 +185,7 @@ let check_body (file : Source.t) ~arities ~modname findings body =
     let e = Astutil.uncurry_pipes e in
     match e.pexp_desc with
     | Pexp_apply (head, args) -> (
-        match Option.map strip_stdlib (Astutil.path_of_expr head) with
+        match Option.map Astutil.strip_stdlib (Astutil.path_of_expr head) with
         | Some [ f ] when List.mem f raising_heads ->
             () (* cold raise path: whatever the message costs is fine *)
         | Some p ->
@@ -222,7 +220,7 @@ let check_body (file : Source.t) ~arities ~modname findings body =
             walk head;
             List.iter (fun (_, a) -> walk a) args)
     | Pexp_ident { txt; _ } -> (
-        match Option.map strip_stdlib (Astutil.flatten txt) with
+        match Option.map Astutil.strip_stdlib (Astutil.flatten txt) with
         | Some p -> (
             match banned_ref p with
             | Some msg -> report e.pexp_loc msg
@@ -333,14 +331,7 @@ let marker_lines src =
   let tbl = Hashtbl.create 4 in
   List.iteri
     (fun i line ->
-      let contains =
-        let ln = String.length line and lm = String.length marker in
-        let rec at j =
-          j + lm <= ln && (String.sub line j lm = marker || at (j + 1))
-        in
-        at 0
-      in
-      if contains then Hashtbl.replace tbl (i + 1) ())
+      if Astutil.contains line marker then Hashtbl.replace tbl (i + 1) ())
     lines;
   tbl
 

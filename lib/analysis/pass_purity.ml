@@ -18,8 +18,6 @@ let banned_bare =
 
 let printing_fns = [ "printf"; "eprintf"; "fprintf"; "kfprintf" ]
 
-let strip_stdlib = function "Stdlib" :: rest -> rest | path -> path
-
 let mutable_ctor_suffixes =
   [
     [ "Hashtbl"; "create" ];
@@ -37,7 +35,7 @@ let check_refs file structure findings =
       match Astutil.path_of_expr e with
       | None -> ()
       | Some path ->
-          let path = strip_stdlib path in
+          let path = Astutil.strip_stdlib path in
           let bad =
             match path with
             | m :: _ :: _ when List.mem m banned_modules ->

@@ -22,16 +22,13 @@ let in_scope path = Source.under "lib" path || Source.under "examples" path
 
 let iter_suffixes = [ [ "Hashtbl"; "iter" ]; [ "Hashtbl"; "fold" ] ]
 
-let is_lambda e =
-  match e.pexp_desc with Pexp_fun _ | Pexp_function _ -> true | _ -> false
-
 let check_file cg may_yield (file : Source.t) =
   match file.Source.impl with
   | Some structure when in_scope file.Source.path ->
       let findings = ref [] in
       let check_under module_path items =
         let fn_yields fn =
-          if is_lambda fn then
+          if Astutil.is_lambda fn then
             Effects.expr_blocks cg may_yield ~file:file.Source.path
               ~module_path fn
           else

@@ -19,9 +19,6 @@ type entry = {
   mutable reported : bool;
 }
 
-let is_lambda e =
-  match e.pexp_desc with Pexp_fun _ | Pexp_function _ -> true | _ -> false
-
 (* ---- the main walk ---- *)
 
 let in_scope path = Source.under "lib" path || Source.under "examples" path
@@ -168,7 +165,7 @@ let check_file ~blocking (file : Source.t) mutable_fields =
               | Some p when defers p ->
                   List.iter
                     (fun (_, a) ->
-                      if is_lambda a then walk [] a else walk env a)
+                      if Astutil.is_lambda a then walk [] a else walk env a)
                     args
               | _ -> List.iter (fun (_, a) -> walk env a) args);
               if is_blocking_head head then

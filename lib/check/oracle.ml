@@ -5,17 +5,6 @@ type outcome = { reads : int; stale : int; server_divergence : int }
 
 let nclients = 3
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"oracle-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> failwith "Oracle: simulation main process did not complete"
-
 (* one mount per client plus its block cache, whose dirty blocks the
    quiesce forces to the server *)
 let make_clients kind net rpc server_host sfs =
@@ -34,7 +23,7 @@ let make_clients kind net rpc server_host sfs =
 let path_of f = Printf.sprintf "/f%d" f
 
 let replay kind ops =
-  run_sim (fun e ->
+  Experiments.Driver.run (fun e ->
       let net = Netsim.Net.create e () in
       let rpc = Netsim.Rpc.create net () in
       let server_host = Netsim.Net.Host.create net "server" in

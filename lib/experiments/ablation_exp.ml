@@ -3,35 +3,20 @@ let run_one ~label ~protocol ~name_cache =
       let tb =
         Testbed.create engine ~protocol ~tmp:Testbed.Tmp_remote ~name_cache ()
       in
-      let ctx = Testbed.ctx tb in
-      let andrew = Workload.Andrew.default_config in
-      let tree = Workload.Andrew.setup ctx andrew in
-      Testbed.drain tb ~horizon:65.0;
-      let before = Testbed.rpc_counts tb in
-      let phases = Workload.Andrew.run ctx andrew tree in
-      let counts = Stats.Counter.diff (Testbed.rpc_counts tb) before in
-      let lookups = Stats.Counter.get counts Nfs.Wire.p_lookup in
-      let reads = Stats.Counter.get counts Nfs.Wire.p_read in
+      let phases, counts = Testbed.andrew tb Workload.Andrew.default_config in
       [
         label;
         Report.secs (Workload.Andrew.total phases);
         string_of_int (Stats.Counter.total counts);
-        string_of_int lookups;
-        string_of_int reads;
+        string_of_int (Stats.Counter.get counts Nfs.Wire.p_lookup);
+        string_of_int (Stats.Counter.get counts Nfs.Wire.p_read);
       ])
 
 let table () =
-  let nfs = Testbed.Nfs_proto Nfs.Nfs_client.default_config in
-  let nfs_fixed =
-    Testbed.Nfs_proto
-      { Nfs.Nfs_client.default_config with invalidate_on_close = false }
-  in
-  let snfs = Testbed.Snfs_proto Snfs.Snfs_client.default_config in
-  let snfs_dc =
-    Testbed.Snfs_proto
-      { Snfs.Snfs_client.default_config with delayed_close = true }
-  in
-  let rfs = Testbed.Rfs_proto Rfs.Rfs_client.default_config in
+  let preset name = List.assoc name Stack.presets in
+  let nfs = preset "nfs" and nfs_fixed = preset "nfs-fixed" in
+  let snfs = preset "snfs" and snfs_dc = preset "snfs-dc" in
+  let rfs = preset "rfs" in
   let rows =
     [
       run_one ~label:"NFS (measured system)" ~protocol:nfs ~name_cache:false;
@@ -62,25 +47,21 @@ let table () =
    the difference is dramatic: the age policy gives young temporaries
    time to die. *)
 let sort_under ~label ~write_back_policy ~update =
-  Driver.run (fun engine ->
-      let tb =
-        Testbed.create engine
-          ~protocol:(Testbed.Snfs_proto Snfs.Snfs_client.default_config)
-          ~tmp:Testbed.Tmp_remote ~update_interval:update ~write_back_policy ()
-      in
-      let ctx = Testbed.ctx tb in
-      let config =
-        { Workload.Sort_workload.default_config with input_bytes = 2816 * 1024 }
-      in
-      Workload.Sort_workload.setup ctx config;
-      let before = Testbed.rpc_counts tb in
-      let result = Workload.Sort_workload.run ctx config in
-      let counts = Stats.Counter.diff (Testbed.rpc_counts tb) before in
-      [
-        label;
-        Report.secs result.Workload.Sort_workload.elapsed;
-        string_of_int (Stats.Counter.get counts Nfs.Wire.p_write);
-      ])
+  let r =
+    Driver.run (fun engine ->
+        let tb =
+          Testbed.create engine
+            ~protocol:(Stack.default Stack.Snfs)
+            ~tmp:Testbed.Tmp_remote ~update_interval:update ~write_back_policy
+            ()
+        in
+        Sort_exp.sort tb ~input_kb:2816 ~label)
+  in
+  [
+    label;
+    Report.secs r.Sort_exp.elapsed;
+    string_of_int (Stats.Counter.get r.Sort_exp.counts Nfs.Wire.p_write);
+  ]
 
 let write_back_policy_table () =
   Report.banner

@@ -1,64 +1,28 @@
-type variant = {
-  label : string;
-  protocol : Testbed.protocol;
-  tmp : Testbed.tmp_placement;
-}
+(* The paper's five configurations: local; NFS and SNFS each with /tmp
+   local and /tmp remote. *)
+let paper_configs () =
+  List.map
+    (fun (name, protocol, tmp) ->
+      { Campaign.name; protocol; tmp; andrew = Workload.Andrew.default_config })
+    [
+      ("local", Testbed.Local, Testbed.Tmp_local);
+      ("NFS /tmp local", Stack.default Stack.Nfs, Testbed.Tmp_local);
+      ("SNFS /tmp local", Stack.default Stack.Snfs, Testbed.Tmp_local);
+      ("NFS /tmp remote", Stack.default Stack.Nfs, Testbed.Tmp_remote);
+      ("SNFS /tmp remote", Stack.default Stack.Snfs, Testbed.Tmp_remote);
+    ]
 
-let paper_variants () =
-  [
-    { label = "local"; protocol = Testbed.Local; tmp = Testbed.Tmp_local };
-    {
-      label = "NFS /tmp local";
-      protocol = Testbed.Nfs_proto Nfs.Nfs_client.default_config;
-      tmp = Testbed.Tmp_local;
-    };
-    {
-      label = "SNFS /tmp local";
-      protocol = Testbed.Snfs_proto Snfs.Snfs_client.default_config;
-      tmp = Testbed.Tmp_local;
-    };
-    {
-      label = "NFS /tmp remote";
-      protocol = Testbed.Nfs_proto Nfs.Nfs_client.default_config;
-      tmp = Testbed.Tmp_remote;
-    };
-    {
-      label = "SNFS /tmp remote";
-      protocol = Testbed.Snfs_proto Snfs.Snfs_client.default_config;
-      tmp = Testbed.Tmp_remote;
-    };
-  ]
-
-type run_result = {
-  variant : variant;
-  phases : Workload.Andrew.phase_times;
-  counts : Stats.Counter.t;
-}
-
-let run_variant ?(andrew = Workload.Andrew.default_config) variant =
-  Driver.run (fun engine ->
-      let tb =
-        Testbed.create engine ~protocol:variant.protocol ~tmp:variant.tmp ()
-      in
-      let ctx = Testbed.ctx tb in
-      let tree = Workload.Andrew.setup ctx andrew in
-      (* quiesce: let the setup's delayed writes reach the server before
-         the timed run, as the paper's repeated-trial methodology did *)
-      Testbed.drain tb ~horizon:65.0;
-      (* count only RPCs issued during the timed benchmark *)
-      let before = Testbed.rpc_counts tb in
-      let phases = Workload.Andrew.run ctx andrew tree in
-      let counts = Stats.Counter.diff (Testbed.rpc_counts tb) before in
-      { variant; phases; counts })
+let find results name =
+  List.find (fun (r : Campaign.run) -> r.name = name) results
 
 (* ---- Table 5-1 ---- *)
 
 let table_5_1 () =
-  let results = List.map (fun v -> run_variant v) (paper_variants ()) in
-  let row r =
+  let results = List.map (fun c -> Campaign.run_one c) (paper_configs ()) in
+  let row (r : Campaign.run) =
     let p = r.phases in
     [
-      r.variant.label;
+      r.name;
       Report.secs p.Workload.Andrew.makedir;
       Report.secs p.Workload.Andrew.copy;
       Report.secs p.Workload.Andrew.scandir;
@@ -67,13 +31,11 @@ let table_5_1 () =
       Report.secs (Workload.Andrew.total p);
     ]
   in
-  let find label =
-    List.find (fun r -> r.variant.label = label) results
-  in
-  let t l = Workload.Andrew.total (find l).phases in
+  let t l = Workload.Andrew.total (find results l).phases in
   let ratio a b = (t a -. t b) /. t a in
   let phase_ratio phase a b =
-    let pa = phase (find a).phases and pb = phase (find b).phases in
+    let pa = phase (find results a).phases
+    and pb = phase (find results b).phases in
     (pa -. pb) /. pa
   in
   Report.banner "Table 5-1: Andrew benchmark, elapsed seconds per phase"
@@ -113,47 +75,39 @@ let count_rows = [
     ("callback", Nfs.Wire.p_callback);
   ]
 
-let rpc_table results =
-  let labels = List.map (fun r -> r.variant.label) results in
+let rpc_table (results : Campaign.run list) =
+  let labels = List.map (fun (r : Campaign.run) -> r.name) results in
+  let cells f =
+    List.map (fun (r : Campaign.run) -> string_of_int (f r.counts)) results
+  in
+  let named = List.map snd count_rows in
   let rows =
     List.map
-      (fun (name, proc) ->
-        name
-        :: List.map (fun r -> string_of_int (Stats.Counter.get r.counts proc))
-             results)
+      (fun (name, proc) -> name :: cells (fun c -> Stats.Counter.get c proc))
       count_rows
     @ [
         "other RPCs"
-        :: List.map
-             (fun r ->
-               let named =
-                 Stats.Counter.total_of r.counts (List.map snd count_rows)
-               in
-               string_of_int (Stats.Counter.total r.counts - named))
-             results;
+        :: cells (fun c ->
+               Stats.Counter.total c - Stats.Counter.total_of c named);
         "data transfer ops"
-        :: List.map
-             (fun r ->
-               string_of_int
-                 (Stats.Counter.total_of r.counts Nfs.Wire.data_procs))
-             results;
-        "Total"
-        :: List.map (fun r -> string_of_int (Stats.Counter.total r.counts))
-             results;
+        :: cells (fun c -> Stats.Counter.total_of c Nfs.Wire.data_procs);
+        "Total" :: cells Stats.Counter.total;
       ]
   in
   Report.table ~header:("operation" :: labels) rows
 
 let table_5_2 () =
-  let remote = List.filter (fun v -> v.protocol <> Testbed.Local) (paper_variants ()) in
-  let results = List.map (fun v -> run_variant v) remote in
-  let total label =
-    let r = List.find (fun r -> r.variant.label = label) results in
-    float_of_int (Stats.Counter.total r.counts)
+  let results =
+    List.map
+      (fun c -> Campaign.run_one c)
+      (List.filter
+         (fun (c : Campaign.config) -> c.protocol <> Testbed.Local)
+         (paper_configs ()))
   in
-  let data label =
-    let r = List.find (fun r -> r.variant.label = label) results in
-    float_of_int (Stats.Counter.total_of r.counts Nfs.Wire.data_procs)
+  let total name = float_of_int (Stats.Counter.total (find results name).counts) in
+  let data name =
+    float_of_int
+      (Stats.Counter.total_of (find results name).counts Nfs.Wire.data_procs)
   in
   Report.banner "Table 5-2: RPC calls during the Andrew benchmark"
   ^ "\n" ^ rpc_table results
@@ -175,12 +129,12 @@ let table_5_2 () =
 
 (* ---- Figures 5-1 / 5-2 ---- *)
 
-let figure ~title variant =
+(* Testbed.andrew's method, with the monitor attached between the
+   quiesce and the timed run *)
+let figure ~title protocol =
   (* the monitor is a registry consumer, so the run needs one installed *)
   Driver.run ~metrics:(Obs.Metrics.create ()) (fun engine ->
-      let tb =
-        Testbed.create engine ~protocol:variant.protocol ~tmp:variant.tmp ()
-      in
+      let tb = Testbed.create engine ~protocol ~tmp:Testbed.Tmp_remote () in
       let ctx = Testbed.ctx tb in
       let andrew = Workload.Andrew.default_config in
       let tree = Workload.Andrew.setup ctx andrew in
@@ -211,20 +165,8 @@ let figure ~title variant =
           calls_line)
 
 let figures_5_1_and_5_2 () =
-  let nfs =
-    {
-      label = "NFS /tmp remote";
-      protocol = Testbed.Nfs_proto Nfs.Nfs_client.default_config;
-      tmp = Testbed.Tmp_remote;
-    }
-  in
-  let snfs =
-    {
-      label = "SNFS /tmp remote";
-      protocol = Testbed.Snfs_proto Snfs.Snfs_client.default_config;
-      tmp = Testbed.Tmp_remote;
-    }
-  in
-  figure ~title:"Figure 5-1: server utilization and call rates, NFS" nfs
+  figure ~title:"Figure 5-1: server utilization and call rates, NFS"
+    (Stack.default Stack.Nfs)
   ^ "\n"
-  ^ figure ~title:"Figure 5-2: server utilization and call rates, SNFS" snfs
+  ^ figure ~title:"Figure 5-2: server utilization and call rates, SNFS"
+      (Stack.default Stack.Snfs)

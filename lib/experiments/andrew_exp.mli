@@ -2,26 +2,6 @@
     phase), Table 5-2 (RPC operation counts), and Figures 5-1/5-2
     (server utilization and call rates over time). *)
 
-type variant = {
-  label : string;
-  protocol : Testbed.protocol;
-  tmp : Testbed.tmp_placement;
-}
-
-(** The paper's five configurations: local; NFS and SNFS each with
-    /tmp local and /tmp remote. *)
-(* snfs-lint: allow interface-drift — preset enumerating the paper's Andrew variants *)
-val paper_variants : unit -> variant list
-
-type run_result = {
-  variant : variant;
-  phases : Workload.Andrew.phase_times;
-  counts : Stats.Counter.t;  (** RPC ops during the timed benchmark *)
-}
-
-(** Run the Andrew benchmark once in a fresh simulation. *)
-val run_variant : ?andrew:Workload.Andrew.config -> variant -> run_result
-
 (** Table 5-1: elapsed time per phase for every configuration. *)
 val table_5_1 : unit -> string
 

@@ -1,8 +1,8 @@
 (* A campaign: a list of independent Andrew-benchmark configurations,
    runnable sequentially or fanned out over domains with Sweep. This is
-   the shared substance behind `snfs_sim campaign --jobs N`, the
-   perfbench andrew workload, and the parallel-determinism tests — all
-   three run exactly this code. *)
+   the shared substance behind `snfs_sim campaign --jobs N`, Tables 5-1
+   and 5-2, the perfbench andrew workload, and the parallel-determinism
+   tests — all of them run exactly this code. *)
 
 type config = {
   name : string;
@@ -30,6 +30,7 @@ let default () =
 type run = {
   name : string;
   phases : Workload.Andrew.phase_times;
+  counts : Stats.Counter.t;
   events : int;
   report : string;
   metrics_csv : string;
@@ -47,38 +48,28 @@ let run_one ?(observe = false) ?(slot = 0) config =
     else None
   in
   let metrics = if observe then Some (Obs.Metrics.create ()) else None in
-  let phases, counts, events =
+  let (phases, counts), events =
     Driver.run ?trace ?metrics (fun engine ->
         let tb =
           Testbed.create engine ~protocol:config.protocol ~tmp:config.tmp ()
         in
-        let ctx = Testbed.ctx tb in
-        let tree = Workload.Andrew.setup ctx config.andrew in
-        Testbed.drain tb ~horizon:65.0;
-        let before = Testbed.rpc_counts tb in
-        let phases = Workload.Andrew.run ctx config.andrew tree in
-        let counts =
-          Stats.Counter.diff (Testbed.rpc_counts tb) before
-        in
-        (phases, counts, Sim.Engine.events_executed engine))
+        let result = Testbed.andrew tb config.andrew in
+        (result, Sim.Engine.events_executed engine))
   in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "%-15s MakeDir %6.1f  Copy %6.1f  ScanDir %6.1f  ReadAll %6.1f  Make \
-        %6.1f  Total %7.1f\n"
-       config.name phases.Workload.Andrew.makedir phases.Workload.Andrew.copy
-       phases.Workload.Andrew.scandir phases.Workload.Andrew.readall
-       phases.Workload.Andrew.make
-       (Workload.Andrew.total phases));
-  List.iter
-    (fun (name, n) -> Buffer.add_string buf (Printf.sprintf "  %-10s %6d\n" name n))
-    (Stats.Counter.to_list counts);
   {
     name = config.name;
     phases;
+    counts;
     events;
-    report = Buffer.contents buf;
+    report =
+      Printf.sprintf
+        "%-15s MakeDir %6.1f  Copy %6.1f  ScanDir %6.1f  ReadAll %6.1f  Make \
+         %6.1f  Total %7.1f\n"
+        config.name phases.Workload.Andrew.makedir phases.Workload.Andrew.copy
+        phases.Workload.Andrew.scandir phases.Workload.Andrew.readall
+        phases.Workload.Andrew.make
+        (Workload.Andrew.total phases)
+      ^ Report.counts counts;
     metrics_csv =
       (match metrics with Some m -> Obs.Metrics.to_csv m | None -> "");
     trace_json =

@@ -5,9 +5,9 @@
     placement, and a (seeded) Andrew workload. Because every run builds
     its own engine and installs per-domain observability slots, a
     campaign's results are byte-identical whether run with [jobs:1] or
-    fanned out over domains; [snfs_sim campaign --jobs N], the
-    [perfbench/] andrew workload, and the parallel-determinism tests
-    all share this module. *)
+    fanned out over domains; [snfs_sim campaign --jobs N], Tables 5-1
+    and 5-2, the [perfbench/] andrew workload, and the
+    parallel-determinism tests all share this module. *)
 
 type config = {
   name : string;
@@ -32,14 +32,15 @@ val seeded :
     /tmp). *)
 val default : unit -> config list
 
-(** The result of one config's Andrew run. [report] is a deterministic
-    rendering (phase times plus per-procedure RPC counts); with
+(** The result of one config's Andrew run ({!Testbed.andrew}). [report]
+    is a deterministic rendering (phase times plus [counts]); with
     [~observe:true], [metrics_csv] and [trace_json] hold the full
     metrics time-series export and Chrome trace (empty strings
     otherwise). *)
 type run = {
   name : string;
   phases : Workload.Andrew.phase_times;
+  counts : Stats.Counter.t;  (** RPC calls of the timed run, per procedure *)
   events : int;  (** simulation events executed by this run's engine *)
   report : string;
   metrics_csv : string;
@@ -50,7 +51,6 @@ type run = {
     installs a tracer and metrics registry for the run. [slot]
     (default 0) offsets the tracer's span-id range so traces from
     different campaign slots never share ids when merged. *)
-(* snfs-lint: allow interface-drift — called from perfbench/, which the analyzer does not scan *)
 val run_one : ?observe:bool -> ?slot:int -> config -> run
 
 (** Run a whole campaign with {!Sweep.map}; results in input order.

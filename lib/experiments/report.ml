@@ -11,4 +11,10 @@ let pct v = Printf.sprintf "%+.0f%%" (v *. 100.0)
 
 let vs ~measured ~paper = Printf.sprintf "%s (paper: %s)" measured paper
 
+let counts c =
+  String.concat ""
+    (List.map
+       (fun (name, n) -> Printf.sprintf "  %-10s %6d\n" name n)
+       (Stats.Counter.to_list c))
+
 let table = Stats.Table.render

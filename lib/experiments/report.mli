@@ -11,6 +11,10 @@ val pct : float -> string
 (** "measured (paper: reference)" cell. *)
 val vs : measured:string -> paper:string -> string
 
+(** Per-procedure call counts, one ["  <proc> <n>"] line each, in
+    procedure-name order. *)
+val counts : Stats.Counter.t -> string
+
 val table :
   ?aligns:Stats.Table.align list ->
   header:string list ->

@@ -12,6 +12,23 @@ let sort_config ~input_kb =
     input_bytes = input_kb * 1024;
   }
 
+let sort tb ~input_kb ~label =
+  let ctx = Testbed.ctx tb in
+  let config = sort_config ~input_kb in
+  Workload.Sort_workload.setup ctx config;
+  let cpu = Netsim.Net.Host.cpu (Testbed.client_host tb) in
+  let busy_before = Sim.Resource.busy_time cpu in
+  let result, counts =
+    Testbed.counting tb (fun () -> Workload.Sort_workload.run ctx config)
+  in
+  {
+    label;
+    elapsed = result.Workload.Sort_workload.elapsed;
+    temp_bytes = result.Workload.Sort_workload.temp_bytes_written;
+    counts;
+    client_busy = Sim.Resource.busy_time cpu -. busy_before;
+  }
+
 let run_sort ?trace ?metrics ~protocol ?(update = Some 30.0) ~input_kb ~label
     () =
   Driver.run ?trace ?metrics (fun engine ->
@@ -19,26 +36,7 @@ let run_sort ?trace ?metrics ~protocol ?(update = Some 30.0) ~input_kb ~label
         Testbed.create engine ~protocol ~tmp:Testbed.Tmp_remote
           ~update_interval:update ()
       in
-      let ctx = Testbed.ctx tb in
-      let config = sort_config ~input_kb in
-      Workload.Sort_workload.setup ctx config;
-      let before = Testbed.rpc_counts tb in
-      let busy_before =
-        Sim.Resource.busy_time (Netsim.Net.Host.cpu (Testbed.client_host tb))
-      in
-      let result = Workload.Sort_workload.run ctx config in
-      let counts = Stats.Counter.diff (Testbed.rpc_counts tb) before in
-      let client_busy =
-        Sim.Resource.busy_time (Netsim.Net.Host.cpu (Testbed.client_host tb))
-        -. busy_before
-      in
-      {
-        label;
-        elapsed = result.Workload.Sort_workload.elapsed;
-        temp_bytes = result.Workload.Sort_workload.temp_bytes_written;
-        counts;
-        client_busy;
-      })
+      sort tb ~input_kb ~label)
 
 let protocols () =
   [

@@ -8,10 +8,16 @@ type run_result = {
   client_busy : float;  (** client CPU busy seconds during the run *)
 }
 
-(** Run the sort once: [input_kb] of input, temporaries on the given
-    protocol's /usr_tmp. [update] is the /etc/update interval option.
-    [trace] installs a tracer for the duration of the run; [metrics]
-    a registry (sampled by {!Driver.run}). *)
+(** [sort tb ~input_kb ~label] sorts [input_kb] of input on the
+    testbed, temporaries on its /usr_tmp: setup, then the run, counting
+    its RPCs and the client CPU it keeps busy. Call it inside
+    {!Driver.run}. *)
+val sort : Testbed.t -> input_kb:int -> label:string -> run_result
+
+(** {!sort} in a fresh simulation: [input_kb] of input, temporaries on
+    the given protocol's /usr_tmp. [update] is the /etc/update interval
+    option. [trace] installs a tracer for the duration of the run;
+    [metrics] a registry (sampled by {!Driver.run}). *)
 val run_sort :
   ?trace:Obs.Trace.t ->
   ?metrics:Obs.Metrics.t ->

@@ -104,3 +104,16 @@ let rpc_counts t =
 
 let drain t ~horizon =
   Sim.Engine.sleep t.engine horizon
+
+let counting t f =
+  let before = rpc_counts t in
+  let v = f () in
+  (v, Stats.Counter.diff (rpc_counts t) before)
+
+let andrew t config =
+  let tree = Workload.Andrew.setup t.ctx config in
+  (* quiesce: let the setup's delayed writes reach the server before
+     the timed run, as the paper's repeated-trial methodology did *)
+  drain t ~horizon:65.0;
+  (* count only RPCs issued during the timed benchmark *)
+  counting t (fun () -> Workload.Andrew.run t.ctx config tree)

@@ -60,3 +60,14 @@ val rpc_counts : t -> Stats.Counter.t
 (** Let in-flight background work (write-behinds) settle without
     advancing past [horizon] virtual seconds. *)
 val drain : t -> horizon:float -> unit
+
+(** [counting t f] runs [f] and returns its result with the calls the
+    server ran, per procedure, while [f] ran (empty for Local). The
+    paper's tables count only the measured run, never the setup. *)
+val counting : t -> (unit -> 'a) -> 'a * Stats.Counter.t
+
+(** The paper's Andrew method (Section 5.2): set up the source tree,
+    let the setup's delayed writes settle for 65 s, then time the five
+    phases and count the RPCs of that timed run only. *)
+val andrew :
+  t -> Workload.Andrew.config -> Workload.Andrew.phase_times * Stats.Counter.t

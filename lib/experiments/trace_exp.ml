@@ -6,9 +6,9 @@ let run_one ~label ~protocol =
       Workload.Trace.setup ctx config;
       Testbed.drain tb ~horizon:65.0;
       let ops = Workload.Trace.generate config in
-      let before = Testbed.rpc_counts tb in
-      let r = Workload.Trace.replay ctx config ops in
-      let counts = Stats.Counter.diff (Testbed.rpc_counts tb) before in
+      let r, counts =
+        Testbed.counting tb (fun () -> Workload.Trace.replay ctx config ops)
+      in
       (label, r, counts))
 
 let ms v = Printf.sprintf "%.1f" (v *. 1000.0)

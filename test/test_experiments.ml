@@ -61,12 +61,17 @@ let test_testbed_tmp_local_split () =
 
 (* ---- headline shape claims, as regressions ---- *)
 
-let andrew_total variant_protocol tmp =
+let andrew_total protocol tmp =
   let r =
-    Experiments.Andrew_exp.run_variant
-      { Experiments.Andrew_exp.label = "t"; protocol = variant_protocol; tmp }
+    Experiments.Campaign.run_one
+      {
+        Experiments.Campaign.name = "t";
+        protocol;
+        tmp;
+        andrew = Workload.Andrew.default_config;
+      }
   in
-  (Workload.Andrew.total r.Experiments.Andrew_exp.phases, r)
+  (Workload.Andrew.total r.Experiments.Campaign.phases, r)
 
 let test_andrew_snfs_beats_nfs () =
   let nfs_total, nfs_r = andrew_total nfs Experiments.Testbed.Tmp_remote in
@@ -82,7 +87,7 @@ let test_andrew_snfs_beats_nfs () =
     (win > 0.10 && win < 0.30);
   (* and SNFS moves less data *)
   let data r =
-    Stats.Counter.total_of r.Experiments.Andrew_exp.counts Nfs.Wire.data_procs
+    Stats.Counter.total_of r.Experiments.Campaign.counts Nfs.Wire.data_procs
   in
   Alcotest.(check bool) "fewer data RPCs" true (data snfs_r < data nfs_r)
 
