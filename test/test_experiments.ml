@@ -187,6 +187,80 @@ let test_report_helpers () =
   Alcotest.(check string) "vs" "5 (paper: 4)"
     (Experiments.Report.vs ~measured:"5" ~paper:"4")
 
+(* ---- exact counts ---- *)
+
+(* The events, server calls and network bytes of one run are exact
+   and compiler-independent, so they are pinned as literals: a change
+   that only rewires how stacks are built must leave every one of
+   them unchanged. A registry holds one engine's [sim_events_total]
+   poll at a time, so a run of several engines reports its last. *)
+let exact_counts f =
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.with_metrics m (fun () -> ignore (f ()));
+  let sum name =
+    List.fold_left (fun a (_, n) -> a + n) 0 (Obs.Metrics.counters_with m name)
+  in
+  ( int_of_float (Obs.Metrics.gauge_value m "sim_events_total"),
+    sum "rpc_server_calls_total",
+    sum "net_bytes_total" )
+
+let test_exact_counts () =
+  let check label counts f =
+    Alcotest.(check (triple int int int))
+      (label ^ ": events, server calls, net bytes")
+      counts (exact_counts f)
+  in
+  check "SNFS Andrew" (41555, 3973, 1551444) (fun () ->
+      Experiments.Campaign.run_one
+        {
+          Experiments.Campaign.name = "t";
+          protocol = snfs;
+          tmp = Experiments.Testbed.Tmp_remote;
+          andrew = Workload.Andrew.default_config;
+        });
+  check "scaling NFS x4" (21157, 1848, 4790960) (fun () ->
+      Experiments.Scaling_exp.run ~protocol:nfs ~clients:4 ());
+  check "scaling SNFS x4" (11956, 1156, 214800) (fun () ->
+      Experiments.Scaling_exp.run ~protocol:snfs ~clients:4 ());
+  check "sharing table" (1917, 960, 2766684) Experiments.Sharing_exp.table;
+  List.iter
+    (fun (protocol, counts) ->
+      check
+        ("crash seed 42 " ^ Experiments.Crash_exp.protocol_name protocol)
+        counts
+        (fun () -> Experiments.Crash_exp.run ~protocol ~seed:42L ()))
+    [
+      (Experiments.Crash_exp.Nfs, (51128, 4631, 7825602));
+      (Experiments.Crash_exp.Snfs, (40635, 3917, 787264));
+      (Experiments.Crash_exp.Rfs, (50171, 4581, 5088804));
+      (Experiments.Crash_exp.Kent, (43398, 4131, 831824));
+    ];
+  let ops =
+    Check.Invariant.
+      [
+        Open (0, 0, Spritely.State_table.Write);
+        Open (1, 0, Spritely.State_table.Read);
+        Open (2, 1, Spritely.State_table.Write);
+        Close (2, 1, Spritely.State_table.Write);
+        Close (0, 0, Spritely.State_table.Write);
+        Open (2, 0, Spritely.State_table.Read);
+        Forget 1;
+        Remove 1;
+      ]
+  in
+  List.iter
+    (fun (kind, counts) ->
+      check
+        ("oracle " ^ Experiments.Stack.kind_name kind)
+        counts
+        (fun () -> Check.Oracle.replay_all kind [ ops ]))
+    [
+      (Experiments.Stack.Nfs, (246, 21, 36556));
+      (Experiments.Stack.Snfs, (377, 35, 38864));
+      (Experiments.Stack.Rfs, (366, 33, 38572));
+      (Experiments.Stack.Kent, (362, 33, 38500));
+    ]
+
 let () =
   Alcotest.run "experiments"
     [
@@ -211,4 +285,6 @@ let () =
           Alcotest.test_case "monitor rows" `Quick test_monitor_rows;
           Alcotest.test_case "report helpers" `Quick test_report_helpers;
         ] );
+      ( "exact counts",
+        [ Alcotest.test_case "events, calls, bytes" `Slow test_exact_counts ] );
     ]
