@@ -10,34 +10,21 @@
 
 type outcome = { label : string; stale : int; fresh : int; callbacks : int }
 
+module Cluster = Experiments.Cluster
 module Stack = Experiments.Stack
 
 (* [callbacks] names the metrics counter of the server's callbacks *)
 let scenario label kind ~fsid ~callbacks =
   let metrics = Obs.Metrics.create () in
   Experiments.Driver.run ~metrics @@ fun engine ->
-  let net = Netsim.Net.create engine () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let disk = Diskm.Disk.create engine "disk" in
-  let backing =
-    Localfs.create engine ~name:"backing" ~disk ~cache_blocks:896
-      ~meta_policy:`Sync ()
-  in
-  let server = Stack.serve rpc server_host ~fsid backing kind in
+  let cluster = Cluster.create engine in
+  let server = Cluster.serve cluster ~fsid kind in
   let mount_for host =
-    let client =
-      Stack.mount rpc ~client:host ~name:(Netsim.Net.Host.name host) server
-        (Stack.default kind)
-    in
-    let m = Vfs.Mount.create () in
-    Vfs.Mount.mount m ~at:"/" client.Stack.fs;
-    m
+    (Cluster.mount cluster server ~host ~name:host (Stack.default kind))
+      .Cluster.mounts
   in
-  let writer_host = Netsim.Net.Host.create net "writer" in
-  let reader_host = Netsim.Net.Host.create net "reader" in
-  let m_writer = mount_for writer_host in
-  let m_reader = mount_for reader_host in
+  let m_writer = mount_for "writer" in
+  let m_reader = mount_for "reader" in
 
   (* the writer creates the file; the reader opens it and keeps it open *)
   let stamp0 = Vfs.Stamp.fresh () in

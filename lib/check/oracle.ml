@@ -1,39 +1,24 @@
 module St = Spritely.State_table
 module Stack = Experiments.Stack
+module Cluster = Experiments.Cluster
 
 type outcome = { reads : int; stale : int; server_divergence : int }
 
 let nclients = 3
 
-(* one mount per client plus its block cache, whose dirty blocks the
-   quiesce forces to the server *)
-let make_clients kind net rpc server_host sfs =
-  let server = Stack.serve rpc server_host ~fsid:1 sfs kind in
-  List.init nclients (fun i ->
-      let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-      let c =
-        Stack.mount rpc ~client:host
-          ~name:(Printf.sprintf "%s%d" (Stack.kind_name kind) i)
-          server (Stack.default kind)
-      in
-      let m = Vfs.Mount.create () in
-      Vfs.Mount.mount m ~at:"/" c.Stack.fs;
-      (m, c.Stack.cache))
-
 let path_of f = Printf.sprintf "/f%d" f
 
 let replay kind ops =
   Experiments.Driver.run (fun e ->
-      let net = Netsim.Net.create e () in
-      let rpc = Netsim.Rpc.create net () in
-      let server_host = Netsim.Net.Host.create net "server" in
-      let disk = Diskm.Disk.create e "sd" in
-      let sfs =
-        Localfs.create e ~name:"sfs" ~disk ~cache_blocks:896 ~meta_policy:`Sync
-          ()
+      let cluster = Cluster.create e in
+      let server = Cluster.serve cluster ~fsid:1 kind in
+      let clients =
+        List.init nclients (fun i ->
+            Cluster.mount cluster server ~host:(Printf.sprintf "client%d" i)
+              ~name:(Printf.sprintf "%s%d" (Stack.kind_name kind) i)
+              (Stack.default kind))
       in
-      let mounts = make_clients kind net rpc server_host sfs in
-      let mount c = fst (List.nth mounts c) in
+      let mount c = (List.nth clients c).Cluster.mounts in
       (* serial reference model: Some stamp = last write, None = never
          created / removed *)
       let model : (int, int) Hashtbl.t = Hashtbl.create 8 in
@@ -125,11 +110,15 @@ let replay kind ops =
           settle ())
         ops;
       close_all (fun _ _ -> true);
-      List.iter (fun (_, cache) -> Blockcache.Cache.flush_all cache) mounts;
+      (* the quiesce forces every client's dirty blocks to the server *)
+      List.iter
+        (fun c -> Blockcache.Cache.flush_all c.Cluster.stack.Stack.cache)
+        clients;
       Sim.Engine.sleep e 1.0;
       (* after the quiesce every protocol's server copy must be exact *)
       let server_mount = Vfs.Mount.create () in
-      Vfs.Mount.mount server_mount ~at:"/" (Vfs.Local_mount.make sfs);
+      Vfs.Mount.mount server_mount ~at:"/"
+        (Vfs.Local_mount.make cluster.Cluster.server_fs);
       let server_divergence = ref 0 in
       let all_files =
         Hashtbl.fold (fun f _ acc -> f :: acc) model [] |> List.sort compare

@@ -71,20 +71,12 @@ let file_matches mounts path ~stamp ~bytes =
 
 let run ?trace ?metrics ~protocol ~seed () =
   Driver.run ?trace ?metrics (fun engine ->
-      let net = Netsim.Net.create engine () in
-      let rpc = Netsim.Rpc.create net () in
-      let server_host = Netsim.Net.Host.create net "server" in
-      let server_disk = Diskm.Disk.create engine "server-disk" in
-      let server_fs =
-        Localfs.create engine ~name:"serverfs" ~disk:server_disk
-          ~cache_blocks:896 ~meta_policy:`Sync ()
-      in
+      let cluster = Cluster.create engine in
       (* Clients get a retry budget and (for SNFS) a keepalive, but no
          cache syncer: dirty delayed writes must still be sitting in the
          crashed clients' caches when the schedule kills them. *)
       let server =
-        Stack.serve rpc server_host ~recovery_grace:10.0 ~fsid:1 server_fs
-          protocol
+        Cluster.serve cluster ~recovery_grace:10.0 ~fsid:1 protocol
       in
       let snfs_server = server.Stack.snfs_server in
       Option.iter
@@ -95,28 +87,20 @@ let run ?trace ?metrics ~protocol ~seed () =
       let config =
         Stack.with_retry_budget retry_budget (Stack.default protocol)
       in
-      let mount_client host name =
-        let c = Stack.mount rpc ~client:host ~name server config in
+      let mount_client name =
+        let c = Cluster.mount cluster server ~host:name ~name config in
         Option.iter
           (fun c -> Snfs.Snfs_client.start_keepalive c ~interval:5.0)
-          c.Stack.snfs_client;
-        c.Stack.fs
+          c.Cluster.stack.Stack.snfs_client;
+        c
       in
-      let hosts =
-        Array.init 4 (fun i ->
-            Netsim.Net.Host.create net (Printf.sprintf "client%d" i))
+      let clients =
+        Array.init 4 (fun i -> mount_client (Printf.sprintf "client%d" i))
       in
-      let ctxs =
-        Array.mapi
-          (fun i host ->
-            let fs = mount_client host (Printf.sprintf "client%d" i) in
-            let mounts = Vfs.Mount.create () in
-            Vfs.Mount.mount mounts ~at:"/" fs;
-            Workload.App.make ~mounts ~host)
-          hosts
-      in
+      let hosts = Array.map (fun c -> c.Cluster.host) clients in
       let plan = Crashplan.generate ~seed () in
-      Crashplan.install plan engine ~net ~server:server_host ~clients:hosts;
+      Crashplan.install plan engine ~net:cluster.Cluster.net
+        ~server:cluster.Cluster.server_host ~clients:hosts;
       (* acknowledged writes by surviving clients: path -> (stamp, bytes) *)
       let model : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
       (* unacknowledged writes by clients the schedule kills *)
@@ -124,7 +108,7 @@ let run ?trace ?metrics ~protocol ~seed () =
       let andrew_total = ref 0.0 in
       let wg = Sim.Waitgroup.create engine in
       Sim.Waitgroup.add wg ~n:2 ();
-      let m i = ctxs.(i).Workload.App.mounts in
+      let m i = clients.(i).Cluster.mounts in
       let sleep_until at =
         let now = Sim.Engine.now engine in
         if at > now then Sim.Engine.sleep engine (at -. now)
@@ -167,7 +151,7 @@ let run ?trace ?metrics ~protocol ~seed () =
          open of the dead client2's file *)
       Sim.Engine.spawn engine ~name:"story.client0" (fun () ->
           sleep_until 5.0;
-          let ctx = ctxs.(0) in
+          let ctx = Workload.App.make ~mounts:(m 0) ~host:hosts.(0) in
           Vfs.Fileio.mkdir (m 0) "/c0";
           Vfs.Fileio.mkdir (m 0) "/c0/tmp";
           let cfg =
@@ -224,10 +208,7 @@ let run ?trace ?metrics ~protocol ~seed () =
       (* quiesce: let retransmissions and write-behind settle *)
       Sim.Engine.sleep engine 45.0;
       (* a fresh verifier client reads the model back *)
-      let verifier_host = Netsim.Net.Host.create net "verifier" in
-      let verifier_fs = mount_client verifier_host "verifier" in
-      let vm = Vfs.Mount.create () in
-      Vfs.Mount.mount vm ~at:"/" verifier_fs;
+      let vm = (mount_client "verifier").Cluster.mounts in
       let checked =
         Hashtbl.fold (fun path sb acc -> (path, sb) :: acc) model []
         |> List.sort compare

@@ -35,31 +35,22 @@ let client_loop ctx ~home ~iterations =
 
 let run ~protocol ~clients ?(iterations = 8) () =
   Driver.run (fun engine ->
-      let net = Netsim.Net.create engine () in
-      let rpc = Netsim.Rpc.create net () in
-      let server_host = Netsim.Net.Host.create net "server" in
-      let server_disk = Diskm.Disk.create engine "server-disk" in
-      let server_fs =
-        Localfs.create engine ~name:"serverfs" ~disk:server_disk
-          ~cache_blocks:896 ~meta_policy:`Sync ()
-      in
       let kind =
         match Stack.kind_of protocol with
         | Some kind -> kind
         | None -> invalid_arg "Scaling_exp.run: needs a remote protocol"
       in
-      let server = Stack.serve rpc server_host ~fsid:1 server_fs kind in
+      let cluster = Cluster.create engine in
+      let server = Cluster.serve cluster ~fsid:1 kind in
       let contexts =
         List.init clients (fun i ->
             let name = Printf.sprintf "client%d" i in
-            let host = Netsim.Net.Host.create net name in
-            let c = Stack.mount rpc ~client:host ~name server protocol in
+            let c = Cluster.mount cluster server ~host:name ~name protocol in
             (* the delayed-write protocols run /etc/update *)
             if kind = Stack.Snfs || kind = Stack.Kent then
-              Blockcache.Cache.start_syncer c.Stack.cache ~interval:30.0 ();
-            let mounts = Vfs.Mount.create () in
-            Vfs.Mount.mount mounts ~at:"/" c.Stack.fs;
-            Workload.App.make ~mounts ~host)
+              Blockcache.Cache.start_syncer c.Cluster.stack.Stack.cache
+                ~interval:30.0 ();
+            Workload.App.make ~mounts:c.Cluster.mounts ~host:c.Cluster.host)
       in
       let t0 = Sim.Engine.now engine in
       let elapsed = Array.make clients 0.0 in
@@ -80,8 +71,11 @@ let run ~protocol ~clients ?(iterations = 8) () =
         avg_elapsed = sum /. float_of_int clients;
         max_elapsed = Array.fold_left Float.max 0.0 elapsed;
         server_cpu_util =
-          Sim.Resource.busy_time (Netsim.Net.Host.cpu server_host) /. wall;
-        server_disk_util = Diskm.Disk.busy_time server_disk /. wall;
+          Sim.Resource.busy_time
+            (Netsim.Net.Host.cpu cluster.Cluster.server_host)
+          /. wall;
+        server_disk_util =
+          Diskm.Disk.busy_time cluster.Cluster.server_disk /. wall;
         total_rpcs =
           Stats.Counter.total (Netsim.Rpc.counters server.Stack.service);
       })
@@ -101,10 +95,8 @@ let table () =
     ]
   in
   let rows =
-    List.map (row (Testbed.Nfs_proto Nfs.Nfs_client.default_config) "NFS") counts
-    @ List.map
-        (row (Testbed.Snfs_proto Snfs.Snfs_client.default_config) "SNFS")
-        counts
+    List.map (row (Stack.default Stack.Nfs) "NFS") counts
+    @ List.map (row (Stack.default Stack.Snfs) "SNFS") counts
   in
   Report.banner
     "Scaling (extension): one server, N clients running edit/compile loops"

@@ -50,13 +50,6 @@ let presets =
     ("kent", default Kent);
   ]
 
-let with_cache_blocks cache_blocks = function
-  | Local -> Local
-  | Nfs_proto c -> Nfs_proto { c with cache_blocks }
-  | Snfs_proto c -> Snfs_proto { c with cache_blocks }
-  | Rfs_proto c -> Rfs_proto { c with cache_blocks }
-  | Kent_proto c -> Kent_proto { c with cache_blocks }
-
 let with_retry_budget retry_budget = function
   | Local -> Local
   | Nfs_proto c -> Nfs_proto { c with retry_budget }
@@ -71,7 +64,7 @@ type server = {
   snfs_server : Snfs.Snfs_server.t option;
 }
 
-let serve ?recovery_grace rpc host ~fsid fs = function
+let serve ~recovery_grace rpc host ~fsid fs = function
   | Nfs ->
       let s = Nfs.Nfs_server.serve rpc host ~fsid fs in
       let root = Nfs.Nfs_server.root_fh s in
@@ -95,37 +88,29 @@ type client = {
   snfs_client : Snfs.Snfs_client.t option;
 }
 
-let mount rpc ~client ~name { host = server; root; _ } = function
-  | Local -> invalid_arg "Stack.mount: Local has no server to mount"
-  | Nfs_proto config ->
-      let c = Nfs.Nfs_client.mount rpc ~client ~server ~root ~config ~name () in
-      {
-        fs = Nfs.Nfs_client.fs c;
-        cache = Nfs.Nfs_client.cache c;
-        snfs_client = None;
-      }
-  | Snfs_proto config ->
-      let c =
-        Snfs.Snfs_client.mount rpc ~client ~server ~root ~config ~name ()
-      in
-      {
-        fs = Snfs.Snfs_client.fs c;
-        cache = Snfs.Snfs_client.cache c;
-        snfs_client = Some c;
-      }
-  | Rfs_proto config ->
-      let c = Rfs.Rfs_client.mount rpc ~client ~server ~root ~config ~name () in
-      {
-        fs = Rfs.Rfs_client.fs c;
-        cache = Rfs.Rfs_client.cache c;
-        snfs_client = None;
-      }
-  | Kent_proto config ->
-      let c =
-        Kentfs.Kent_client.mount rpc ~client ~server ~root ~config ~name ()
-      in
-      {
-        fs = Kentfs.Kent_client.fs c;
-        cache = Kentfs.Kent_client.cache c;
-        snfs_client = None;
-      }
+let mount rpc ~client ~name { host = server; root; _ } protocol =
+  let fs, cache, snfs_client =
+    match protocol with
+    | Local -> invalid_arg "Stack.mount: Local has no server to mount"
+    | Nfs_proto config ->
+        let c =
+          Nfs.Nfs_client.mount rpc ~client ~server ~root ~config ~name ()
+        in
+        (Nfs.Nfs_client.fs c, Nfs.Nfs_client.cache c, None)
+    | Snfs_proto config ->
+        let c =
+          Snfs.Snfs_client.mount rpc ~client ~server ~root ~config ~name ()
+        in
+        (Snfs.Snfs_client.fs c, Snfs.Snfs_client.cache c, Some c)
+    | Rfs_proto config ->
+        let c =
+          Rfs.Rfs_client.mount rpc ~client ~server ~root ~config ~name ()
+        in
+        (Rfs.Rfs_client.fs c, Rfs.Rfs_client.cache c, None)
+    | Kent_proto config ->
+        let c =
+          Kentfs.Kent_client.mount rpc ~client ~server ~root ~config ~name ()
+        in
+        (Kentfs.Kent_client.fs c, Kentfs.Kent_client.cache c, None)
+  in
+  { fs; cache; snfs_client }

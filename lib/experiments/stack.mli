@@ -1,14 +1,15 @@
 (** The one place a protocol stack is wired.
 
-    Every experiment, the consistency oracle, the tests and the
-    examples build their NFS, SNFS, RFS and Kent servers and clients
-    through {!serve} and {!mount}; no other module names a protocol's
-    [serve] or [mount]. Adding a protocol means adding one case here.
+    {!serve} and {!mount} are the only code in [lib/experiments] that
+    names a protocol's [serve] or [mount], and {!Cluster} is their only
+    caller: the experiments, the consistency oracle and tests, and the
+    write-sharing example get a served stack and its client mounts from
+    it. Adding a protocol means adding one case here.
 
-    What stays with each caller is behaviour, not wiring: host, disk
-    and file-system names and their creation order, the [fsid], which
-    clients run a syncer or keepalive, the SNFS laundromat, and any
-    config override. *)
+    {!Cluster} fixes the server's host, disk and file-system names.
+    Its callers pass the model inputs, the [fsid] and each mount's
+    name, and keep their behaviour: which clients run a syncer or
+    keepalive, the SNFS laundromat, and any config override. *)
 
 (** The protocols with no configuration attached. *)
 type kind = Nfs | Snfs | Rfs | Kent
@@ -44,9 +45,6 @@ val default : kind -> protocol
     invalidate-on-close bug), snfs, snfs-dc (delayed close), rfs, kent. *)
 val presets : (string * protocol) list
 
-(** Override the client cache size of a remote protocol's config. *)
-val with_cache_blocks : int -> protocol -> protocol
-
 (** Override the retry budget of a remote protocol's config. *)
 val with_retry_budget : float option -> protocol -> protocol
 
@@ -58,11 +56,10 @@ type server = {
   snfs_server : Snfs.Snfs_server.t option;  (** SNFS only *)
 }
 
-(** [serve rpc host ~fsid fs kind] exports [fs] from [host].
-    [recovery_grace] is passed to the SNFS server and ignored by the
-    others. *)
+(** [serve ~recovery_grace rpc host ~fsid fs kind] exports [fs] from
+    [host], for {!Cluster.serve}. *)
 val serve :
-  ?recovery_grace:float ->
+  recovery_grace:float option ->
   Netsim.Rpc.t ->
   Netsim.Net.Host.t ->
   fsid:int ->

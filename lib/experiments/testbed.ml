@@ -18,16 +18,18 @@ type t = {
 let fsid = 7
 
 let create engine ~protocol ~tmp ?(update_interval = Some 30.0)
-    ?(server_cache_blocks = 896) ?(client_cache_blocks = 4096)
     ?(name_cache = false) ?(write_back_policy = `Unix) () =
-  let net = Netsim.Net.create engine () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let client_host = Netsim.Net.Host.create net "client" in
-  let server_disk = Diskm.Disk.create engine "server-disk" in
-  let server_fs =
-    Localfs.create engine ~name:"serverfs" ~disk:server_disk
-      ~cache_blocks:server_cache_blocks ~meta_policy:`Sync ()
+  let cluster = Cluster.create engine in
+  let client_host, remote =
+    match Stack.kind_of protocol with
+    | None -> (Netsim.Net.Host.create cluster.Cluster.net "client", None)
+    | Some kind ->
+        let server = Cluster.serve cluster ~fsid kind in
+        let c =
+          Cluster.mount cluster server ~host:"client"
+            ~name:(Stack.kind_name kind) protocol
+        in
+        (c.Cluster.host, Some (server.Stack.service, c.Cluster.stack))
   in
   let client_disk = Diskm.Disk.create engine "client-disk" in
   (* traditional Unix: data writes delayed, structural writes
@@ -35,22 +37,10 @@ let create engine ~protocol ~tmp ?(update_interval = Some 30.0)
      metadata in Table 5-5 *)
   let client_fs =
     Localfs.create engine ~name:"clientfs" ~disk:client_disk
-      ~cache_blocks:client_cache_blocks ~meta_policy:`Sync ()
+      ~cache_blocks:4096 ~meta_policy:`Sync ()
   in
   let local_fs = Vfs.Local_mount.make client_fs in
   let mounts = Vfs.Mount.create () in
-  let remote =
-    Option.map
-      (fun kind ->
-        let server = Stack.serve rpc server_host ~fsid server_fs kind in
-        let client =
-          Stack.mount rpc ~client:client_host ~name:(Stack.kind_name kind)
-            server
-            (Stack.with_cache_blocks client_cache_blocks protocol)
-        in
-        (server, client))
-      (Stack.kind_of protocol)
-  in
   (* mount layout *)
   (match (remote, tmp) with
   | None, _ -> Vfs.Mount.mount mounts ~at:"/" local_fs
@@ -87,8 +77,8 @@ let create engine ~protocol ~tmp ?(update_interval = Some 30.0)
   {
     engine;
     client_host;
-    server_host;
-    service = Option.map (fun (server, _) -> server.Stack.service) remote;
+    server_host = cluster.Cluster.server_host;
+    service = Option.map fst remote;
     ctx;
   }
 

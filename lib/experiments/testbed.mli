@@ -1,12 +1,8 @@
-(** Experiment testbed: one client and one server wired the way the
-    paper's Titans were (Section 5.2).
-
-    - server: RA81-class disk, 3.5 MB buffer cache, synchronous
-      metadata (it serves NFS);
-    - client: its own local disk and file system (with the traditional
-      synchronous-metadata Unix behaviour), a 16 MB protocol cache, and
-      the 30-second [/etc/update] daemon unless disabled;
-    - network: 10 Mb/s shared medium.
+(** Experiment testbed: a one-client {!Cluster}, wired the way the
+    paper's Titans were (Section 5.2). The client has its own local
+    disk and file system (with the traditional synchronous-metadata
+    Unix behaviour), a 16 MB protocol cache, and the 30-second
+    [/etc/update] daemon unless disabled.
 
     The mount layout puts the file system under test at [/data] (and
     [/tmp], [/usr_tmp] when they are remote), and the client's
@@ -32,8 +28,6 @@ val create :
   tmp:tmp_placement ->
   ?update_interval:float option ->
   (* Some s = /etc/update period; None = infinite write-delay *)
-  ?server_cache_blocks:int ->
-  ?client_cache_blocks:int ->
   ?name_cache:bool ->
   (* directory-name lookup cache ablation (Section 5.2 footnote 6);
      off by default, as in the measured systems *)

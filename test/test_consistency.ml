@@ -12,6 +12,7 @@
    and duplicate suppression must not break consistency. *)
 
 module Stack = Experiments.Stack
+module Cluster = Experiments.Cluster
 
 let run_sim f =
   let e = Sim.Engine.create () in
@@ -72,15 +73,9 @@ let ops_arbitrary =
    the number of stale or missing observations *)
 let run_trace ?(jitter = 0.0) ~drop ~make_clients ops =
   run_sim (fun e ->
-      let net = Netsim.Net.create e () in
-      let rpc = Netsim.Rpc.create net () in
-      let server_host = Netsim.Net.Host.create net "server" in
-      let disk = Diskm.Disk.create e "sd" in
-      let sfs =
-        Localfs.create e ~name:"sfs" ~disk ~cache_blocks:896
-          ~meta_policy:`Sync ()
-      in
-      let mounts = make_clients e net rpc server_host sfs in
+      let cluster = Cluster.create e in
+      let mounts = make_clients cluster in
+      let net = cluster.Cluster.net in
       Netsim.Net.set_drop_probability net drop;
       ignore jitter;
       if jitter > 0.0 then Netsim.Net.set_jitter net jitter;
@@ -167,20 +162,14 @@ let run_trace ?(jitter = 0.0) ~drop ~make_clients ops =
 
 (* [nclients] hosts mounting one server with [protocol]; client i is
    named [name ^ i] *)
-let clients name protocol _e net rpc server_host sfs =
+let clients name protocol cluster =
   let server =
-    Stack.serve rpc server_host ~fsid:1 sfs
-      (Option.get (Stack.kind_of protocol))
+    Cluster.serve cluster ~fsid:1 (Option.get (Stack.kind_of protocol))
   in
   List.init nclients (fun i ->
-      let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-      let c =
-        Stack.mount rpc ~client:host ~name:(Printf.sprintf "%s%d" name i)
-          server protocol
-      in
-      let m = Vfs.Mount.create () in
-      Vfs.Mount.mount m ~at:"/" c.Stack.fs;
-      m)
+      (Cluster.mount cluster server ~host:(Printf.sprintf "c%d" i)
+         ~name:(Printf.sprintf "%s%d" name i) protocol)
+        .Cluster.mounts)
 
 let snfs_clients = clients "snfs" (Stack.default Stack.Snfs)
 let snfs_dc_clients = clients "snfsdc" (List.assoc "snfs-dc" Stack.presets)
