@@ -125,6 +125,244 @@ let test_process_exception_propagates () =
   | () -> Alcotest.fail "exception should propagate"
   | exception _ -> ()
 
+(* ---- process fibers ---- *)
+
+(* The (time, tag) trace of two processes: one spawned at t = 1, and
+   an [after 0.0] event scheduled right behind its start. With
+   [warm_up] a first process has already run and returned, so the
+   second spawn resumes its parked fiber instead of making one. *)
+let spawn_trace ~warm_up =
+  let e = Sim.Engine.create () in
+  let out = ref [] in
+  let note tag = out := (Sim.Engine.now e, tag) :: !out in
+  if warm_up then Sim.Engine.spawn e ~name:"first" (fun () -> note "first");
+  Sim.Engine.at e 1.0 (fun () ->
+      Sim.Engine.spawn e ~name:"second" (fun () ->
+          note "second";
+          Sim.Engine.sleep e 0.5;
+          note "second woke");
+      Sim.Engine.after e 0.0 (fun () -> note "event"));
+  Sim.Engine.run e;
+  List.filter (fun (_, tag) -> tag <> "first") (List.rev !out)
+
+let test_reused_fiber_schedule () =
+  Alcotest.(check (list (pair (float 0.0) string)))
+    "same instants and order as a fresh fiber"
+    (spawn_trace ~warm_up:false) (spawn_trace ~warm_up:true)
+
+let test_reused_fiber_failure_names_job () =
+  let e = Sim.Engine.create () in
+  Sim.Engine.spawn e ~name:"first" (fun () -> ());
+  Sim.Engine.at e 1.0 (fun () ->
+      Sim.Engine.spawn e ~name:"second" (fun () -> failwith "boom"));
+  match Sim.Engine.run e with
+  | () -> Alcotest.fail "exception should propagate"
+  | exception exn ->
+      Alcotest.(check string)
+        "names the failing job" {|process "second" failed with Failure("boom")|}
+        (Printexc.to_string exn)
+
+let test_run_after_retire () =
+  let e = Sim.Engine.create () in
+  let ran = ref [] in
+  let job tag () =
+    Sim.Engine.sleep e 1.0;
+    ran := (tag, Sim.Engine.now e) :: !ran
+  in
+  Sim.Engine.spawn e (job "a");
+  Sim.Engine.spawn e (job "b");
+  Sim.Engine.run e;
+  (* both fibers parked, then retired when run returned *)
+  Sim.Engine.spawn e (job "c");
+  Sim.Engine.spawn e (job "d");
+  Sim.Engine.run e;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "second run" [ ("a", 1.0); ("b", 1.0); ("c", 2.0); ("d", 2.0) ]
+    (List.rev !ran);
+  Alcotest.(check int) "events" 8 (Sim.Engine.events_executed e)
+
+(* More processes finish at once than the engine keeps fibers parked:
+   the surplus fibers end, and a second wave still runs on time. *)
+let test_many_finished_processes () =
+  let e = Sim.Engine.create () in
+  let woke = ref [] in
+  let wave start =
+    for i = 0 to 199 do
+      Sim.Engine.spawn e (fun () ->
+          Sim.Engine.sleep e 1.0;
+          woke := (start + i, Sim.Engine.now e) :: !woke)
+    done
+  in
+  wave 0;
+  Sim.Engine.at e 2.0 (fun () -> wave 200);
+  Sim.Engine.run e;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "both waves in spawn order"
+    (List.init 400 (fun i -> (i, if i < 200 then 1.0 else 3.0)))
+    (List.rev !woke)
+
+(* ---- dispatch order against a one-list reference ---- *)
+
+(* A random program of scheduling calls. Each event, when it fires,
+   runs its children; a [Sleeper] process sleeps through its delays
+   before running its children, and a [Waiter] suspends until the next
+   [After] event resumes it. *)
+type op =
+  | After of float * op list
+  | At of float * op list (* at [now + d], computed by the caller *)
+  | Timer of float * op list
+  | Sleeper of float list * op list
+  | Waiter of op list
+
+let rec show_op = function
+  | After (d, k) -> Printf.sprintf "after %g %s" d (show_ops k)
+  | At (d, k) -> Printf.sprintf "at +%g %s" d (show_ops k)
+  | Timer (d, k) -> Printf.sprintf "timer %g %s" d (show_ops k)
+  | Sleeper (ds, k) ->
+      Printf.sprintf "sleeper [%s] %s"
+        (String.concat ";" (List.map string_of_float ds))
+        (show_ops k)
+  | Waiter k -> "waiter " ^ show_ops k
+
+and show_ops ops = "[" ^ String.concat "; " (List.map show_op ops) ^ "]"
+
+let gen_program timer_delays =
+  let open QCheck.Gen in
+  (* multiples of 0.5, zero included, so equal-time ties are common *)
+  let step = map (fun k -> 0.5 *. float_of_int k) (int_bound 4) in
+  let rec op depth =
+    let kids =
+      if depth = 0 then return [] else list_size (int_bound 3) (op (depth - 1))
+    in
+    frequency
+      [
+        (3, map2 (fun d k -> After (d, k)) step kids);
+        (2, map2 (fun d k -> At (d, k)) step kids);
+        (3, map2 (fun d k -> Timer (d, k)) (oneofl timer_delays) kids);
+        ( 1,
+          map2
+            (fun ds k -> Sleeper (ds, k))
+            (list_size (int_bound 3) step)
+            kids );
+        (1, map (fun k -> Waiter k) kids);
+      ]
+  in
+  let limit = map (fun k -> 0.25 *. float_of_int k) (int_bound 24) in
+  let limits =
+    map (List.sort_uniq Float.compare) (list_size (int_bound 3) limit)
+  in
+  pair (list_size (int_range 1 8) (op 3)) limits
+
+type entry = Ev of int | Limit of float
+
+(* Runs [prog] on an engine, through [run_until] at each limit and then
+   [run]. Every engine call that queues an event is mirrored by one
+   [key] call, which numbers the event as the engine's own sequence
+   counter does. Returns the dispatch trace, the keys of every queued
+   event, and the engine's event count. *)
+let run_program (prog, limits) =
+  let e = Sim.Engine.create () in
+  let next_seq = ref 0 and keys = ref [] and trace = ref [] in
+  let key time =
+    let s = !next_seq in
+    incr next_seq;
+    keys := (time, s) :: !keys;
+    s
+  in
+  let fired s = trace := Ev s :: !trace in
+  let waiting = Queue.create () in
+  let rec exec op =
+    let now = Sim.Engine.now e in
+    match op with
+    | After (d, kids) ->
+        let s = key (now +. d) in
+        Sim.Engine.after e d (fun () ->
+            fired s;
+            if not (Queue.is_empty waiting) then Queue.pop waiting ();
+            List.iter exec kids)
+    | At (d, kids) ->
+        let time = now +. d in
+        let s = key time in
+        Sim.Engine.at e time (fun () ->
+            fired s;
+            List.iter exec kids)
+    | Timer (d, kids) ->
+        let s = key (now +. d) in
+        Sim.Engine.timer e d (fun () ->
+            fired s;
+            List.iter exec kids)
+    | Sleeper (ds, kids) ->
+        let s = key now in
+        Sim.Engine.spawn e (fun () ->
+            fired s;
+            List.iter
+              (fun d ->
+                let s = key (Sim.Engine.now e +. d) in
+                Sim.Engine.sleep e d;
+                fired s)
+              ds;
+            List.iter exec kids)
+    | Waiter kids ->
+        let s = key now in
+        Sim.Engine.spawn e (fun () ->
+            fired s;
+            Sim.Engine.suspend e (fun resume -> Queue.push resume waiting);
+            List.iter exec kids)
+  in
+  List.iter exec prog;
+  List.iter
+    (fun limit ->
+      Sim.Engine.run_until e limit;
+      trace := Limit limit :: !trace)
+    limits;
+  Sim.Engine.run e;
+  (List.rev !trace, !keys, Sim.Engine.events_executed e)
+
+(* The reference: every queued event in one list sorted by (time, seq),
+   with each limit after the last event at or before it. *)
+let reference keys limits =
+  let sorted =
+    List.sort
+      (fun (ta, sa) (tb, sb) ->
+        match Float.compare ta tb with 0 -> Int.compare sa sb | c -> c)
+      keys
+  in
+  let rec merge events limits =
+    match (events, limits) with
+    | (t, s) :: rest, l :: _ when t <= l -> Ev s :: merge rest limits
+    | _, l :: ls -> Limit l :: merge events ls
+    | (_, s) :: rest, [] -> Ev s :: merge rest []
+    | [], [] -> []
+  in
+  merge sorted limits
+
+let show_entry = function
+  | Ev s -> string_of_int s
+  | Limit l -> Printf.sprintf "|%g|" l
+
+let prop_dispatch_order ~name timer_delays =
+  QCheck.Test.make ~name ~count:300
+    (QCheck.make
+       ~print:(fun (prog, limits) ->
+         Printf.sprintf "%s limits [%s]" (show_ops prog)
+           (String.concat ";" (List.map string_of_float limits)))
+       (gen_program timer_delays))
+    (fun ((_, limits) as program) ->
+      let trace, keys, events = run_program program in
+      let expected = reference keys limits in
+      if trace <> expected then
+        QCheck.Test.fail_reportf "dispatched %s\nexpected %s"
+          (String.concat " " (List.map show_entry trace))
+          (String.concat " " (List.map show_entry expected));
+      events = List.length keys)
+
+let prop_dispatch_few_lanes =
+  prop_dispatch_order ~name:"dispatch order, few timer delays" [ 0.0; 1.0; 2.0 ]
+
+let prop_dispatch_many_lanes =
+  prop_dispatch_order ~name:"dispatch order, many timer delays"
+    (List.init 40 (fun i -> 0.25 *. float_of_int i))
+
 (* ---- ivar ---- *)
 
 let test_ivar_basic () =
@@ -427,7 +665,16 @@ let () =
           Alcotest.test_case "run_until" `Quick test_run_until;
           Alcotest.test_case "process exception" `Quick
             test_process_exception_propagates;
-        ] );
+          Alcotest.test_case "reused fiber keeps the schedule" `Quick
+            test_reused_fiber_schedule;
+          Alcotest.test_case "reused fiber failure names its job" `Quick
+            test_reused_fiber_failure_names_job;
+          Alcotest.test_case "run again after fibers retire" `Quick
+            test_run_after_retire;
+          Alcotest.test_case "more finished processes than parked fibers"
+            `Quick test_many_finished_processes;
+        ]
+        @ qc [ prop_dispatch_few_lanes; prop_dispatch_many_lanes ] );
       ( "ivar",
         [
           Alcotest.test_case "basic" `Quick test_ivar_basic;
