@@ -41,8 +41,8 @@ let builtin_allowlist =
   [
     ( "lib/sim/eventq.ml",
       [
-        "push"; "pop_fn"; "pop_until"; "precedes"; "min_time"; "min_seq";
-        "is_empty"; "length";
+        "push"; "pop_fn"; "pop_until"; "min_time"; "min_seq"; "is_empty";
+        "length";
       ] );
     ( "lib/blockcache/cache.ml",
       [
@@ -128,11 +128,16 @@ let banned_ref path =
 
 (* syntactically structured operand: polymorphic =/<> on it walks the
    heap (scalar comparisons are left alone — the parser cannot see
-   types, and int/float [=] is the hot paths' bread and butter) *)
+   types, and int/float [=] is the hot paths' bread and butter). [None]
+   and [[]] count too: the other operand is then an option or a list,
+   so the comparison is a [caml_equal] C call where a match (or
+   [Option.is_none]) is one test *)
 let rec structured e =
   match e.pexp_desc with
   | Pexp_tuple _ | Pexp_record _ | Pexp_array _ -> true
   | Pexp_construct (_, Some _) -> true
+  | Pexp_construct ({ txt = Longident.Lident ("None" | "[]"); _ }, None) ->
+      true
   | Pexp_variant (_, Some _) -> true
   | Pexp_constraint (inner, _) -> structured inner
   | _ -> false
@@ -196,8 +201,9 @@ let check_body (file : Source.t) ~arities ~modname findings body =
             | [ ("=" | "<>") ]
               when List.exists (fun (_, a) -> structured a) args ->
                 report e.pexp_loc
-                  "polymorphic =/<> on a structured value walks the heap \
-                   per comparison"
+                  "polymorphic =/<> on a structured value (or against None \
+                   or []) is a caml_equal C call per comparison; match on \
+                   the shape instead"
             | [ f ] -> (
                 let arity =
                   match Hashtbl.find_opt arities (modname, f) with

@@ -360,7 +360,7 @@ let mark_dirty t b =
 (* ---- capacity / eviction ---- *)
 
 let evictable b =
-  (not b.doomed) && b.fetching = None
+  (not b.doomed) && Option.is_none b.fetching
   && match b.w with Clean | Dirty _ -> true | Writing _ -> false
 
 let rec ensure_capacity t =
@@ -426,7 +426,8 @@ let wait_pending t ~file =
 
 let peek t ~file ~index =
   let b = find t ~file ~index in
-  if b != t.tempty && b.fetching = None then Some (b.stamp, b.len) else None
+  if b != t.tempty && Option.is_none b.fetching then Some (b.stamp, b.len)
+  else None
 
 (* the contents of a cached block, waiting out its fetch if one is in
    flight *)

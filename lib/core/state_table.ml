@@ -104,7 +104,8 @@ let find_client f client =
 let open_clients f =
   List.filter (fun c -> c.c_readers > 0 || c.c_writers > 0) f.f_clients
 
-let entry_idle f = open_clients f = []
+let entry_idle f =
+  List.for_all (fun c -> c.c_readers = 0 && c.c_writers = 0) f.f_clients
 
 (* Reclaim closed entries to make room (Section 4.3.1): clean closed
    entries vanish silently; CLOSED_DIRTY ones require a write-back
@@ -258,7 +259,7 @@ let open_file t ~file ~client ~mode =
   }
 
 let drop_if_empty t f =
-  if entry_idle f && f.f_last_writer = None && not f.f_inconsistent then
+  if entry_idle f && Option.is_none f.f_last_writer && not f.f_inconsistent then
     Hashtbl.remove t.entries f.f_file
 
 let prune_client f c =
@@ -319,7 +320,10 @@ let forget_client t client =
           | Some _ | None -> ());
           f.f_clients <-
             List.filter (fun c -> c.c_client <> client) f.f_clients;
-          if entry_idle f && f.f_last_writer = None && not f.f_inconsistent
+          if
+            entry_idle f
+            && Option.is_none f.f_last_writer
+            && not f.f_inconsistent
           then Hashtbl.remove t.entries file)
     files
 
@@ -335,7 +339,7 @@ let state t ~file =
       let opens = open_clients f in
       let writers = List.filter (fun c -> c.c_writers > 0) opens in
       match (opens, writers) with
-      | [], _ -> if f.f_last_writer = None then Closed else Closed_dirty
+      | [], _ -> if Option.is_none f.f_last_writer then Closed else Closed_dirty
       | [ c ], [] ->
           if f.f_last_writer = Some c.c_client then One_rdr_dirty
           else One_reader
@@ -417,7 +421,7 @@ let to_reports t =
       in
       let lw_report =
         match f.f_last_writer with
-        | Some w when find_client f w = None ->
+        | Some w when Option.is_none (find_client f w) ->
             [
               {
                 r_client = w;
@@ -479,7 +483,8 @@ let of_reports ?max_entries reports =
   let empty =
     Hashtbl.fold
       (fun file f acc ->
-        if entry_idle f && f.f_last_writer = None then file :: acc else acc)
+        if entry_idle f && Option.is_none f.f_last_writer then file :: acc
+        else acc)
       t.entries []
   in
   List.iter (fun file -> Hashtbl.remove t.entries file) empty;

@@ -106,7 +106,8 @@ let cached_read t ctx g ~index =
       t.read_ahead
       && index = g.g_last_read + 1
       && (index + 1) * block_size < g.g_attrs.Localfs.size
-      && Blockcache.Cache.peek t.cache ~file:g.g_ino ~index:(index + 1) = None
+      && Option.is_none
+           (Blockcache.Cache.peek t.cache ~file:g.g_ino ~index:(index + 1))
     then
       Sim.Engine.spawn t.engine ~name:t.readahead_name (fun () ->
           ignore (Blockcache.Cache.read t.cache ~file:g.g_ino ~index:(index + 1)));

@@ -28,18 +28,22 @@ val at : t -> float -> (unit -> unit) -> unit
 val after : t -> float -> (unit -> unit) -> unit
 
 (** [timer t delay fn] is {!after} for watchdogs: same semantics and
-    the same global execution order, but the event is kept on a
-    dedicated timer heap. Use it for long-dated timeouts that are
-    usually obsolete by the time they fire (RPC retransmission
-    timers); keeping them out of the main heap keeps the sift depth
-    of the busy events independent of how many watchdogs are
+    the same global execution order, but the event waits in a FIFO
+    lane kept for [delay] alone rather than in the event heap. Use it
+    for long-dated timeouts that are usually obsolete by the time they
+    fire (RPC retransmission timers), with few distinct delays: each
+    new delay makes a lane, and dispatch scans the lanes whenever one's
+    earliest event fires. Keeping watchdogs out of the heap keeps the
+    sift depth of the busy events independent of how many are
     outstanding. Raises [Invalid_argument] on negative delay. *)
 val timer : t -> float -> (unit -> unit) -> unit
 
 (** [spawn t fn] creates a new process executing [fn]. The process
     starts when the engine next reaches the head of its event queue (it
     never runs synchronously inside [spawn]). [name] is used in error
-    reports. *)
+    reports. A process that has returned leaves its fiber (up to 64 of
+    them) parked for a later [spawn] to reuse, until {!run} or
+    {!run_until} returns. *)
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
 (** Run until the event queue drains or {!stop} is called. Exceptions

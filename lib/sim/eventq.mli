@@ -1,7 +1,10 @@
 (** Binary min-heap of timestamped events.
 
     Events are ordered by time; ties are broken by insertion sequence
-    number so that the simulation is fully deterministic. *)
+    number so that the simulation is fully deterministic. The heap
+    itself holds only timestamps, sequence numbers and slot indices;
+    each event's closure is stored once, in a slot, until it is
+    popped. *)
 
 type t
 
@@ -20,15 +23,9 @@ val min_time : t -> float
 (** Sequence number of the earliest event. Raises [Not_found] if
     empty. With {!min_time} this exposes the full ordering key, so two
     queues sharing one sequence counter can be merged by comparing
-    tops (the engine's main/timer split relies on this). *)
+    tops (the engine merges its heap with its watchdog lanes this
+    way). *)
 val min_seq : t -> int
-
-(** [precedes a b] is true when [a]'s earliest event orders before
-    [b]'s, by the full (time, seq) key. Both queues must be
-    non-empty. The comparison lives here so the dispatch loop never
-    moves a raw timestamp across the module boundary (a float return
-    is fine, but two per event plus the seq reads added up). *)
-val precedes : t -> t -> bool
 
 (** The do-nothing closure used to fill freed queue slots, and the
     sentinel {!pop_until} returns when it has nothing to dispatch.

@@ -6,7 +6,7 @@ type 'a t = {
 
 let create engine = { engine; value = None; waiters = [] }
 
-let is_full t = t.value <> None
+let is_full t = Option.is_some t.value
 
 let peek t = t.value
 

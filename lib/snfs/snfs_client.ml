@@ -44,7 +44,7 @@ type t = {
    cached data: the delayed writes have not reached the server yet, so
    our local size and mtime are the authoritative ones. *)
 let merge_attrs (g : gnode) (server : Localfs.attrs) =
-  if g.g_proto.cached_version <> None then
+  if Option.is_some g.g_proto.cached_version then
     {
       server with
       Localfs.size = max server.Localfs.size g.g_attrs.Localfs.size;

@@ -710,6 +710,8 @@ let test_hot_alloc_constructs () =
   fires "Hashtbl use" "let go t k = Hashtbl.find t k\n";
   fires "polymorphic compare ref" "let c a b = compare a b\n";
   fires "structured polymorphic =" "let eq a b = (a, 1) = (b, 2)\n";
+  fires "= None" "let vacant b = b.fetching = None\n";
+  fires "<> []" "let busy t = t.waiters <> []\n";
   fires "mutable float in mixed record"
     "let tick t = t\ntype cell = { mutable last : float; name : int }\n"
 
