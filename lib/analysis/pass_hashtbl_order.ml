@@ -65,7 +65,10 @@ let rec tainted env e =
   | Pexp_ident { txt = Lident x; _ } -> List.mem x env
   | Pexp_apply (head, args) -> (
       match head_path head with
-      | Some p when Astutil.has_suffix p [ "Hashtbl"; "fold" ] -> true
+      | Some p
+        when Astutil.has_suffix p [ "Hashtbl"; "fold" ]
+             || Astutil.has_suffix p [ "Inttbl"; "fold" ] ->
+          true
       | Some p when is_sort p -> false
       | Some p when is_propagator p ->
           List.exists (fun (_, a) -> tainted env a) args

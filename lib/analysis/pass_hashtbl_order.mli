@@ -3,7 +3,8 @@
     Hash-bucket order is not part of any contract, so values produced
     by [Hashtbl.iter]/[Hashtbl.fold] in [lib/] must not decide the
     order of observable emission (trace events, callbacks, RPC sends)
-    without an intervening sort.
+    without an intervening sort. [Sim.Inttbl.fold] is held to the same
+    rule: its slot order is deterministic but no more meaningful.
 
     Unlike the old textual window heuristic, taint is tracked through
     let-bindings and list pipelines: a [Hashtbl.fold] result stays

@@ -32,8 +32,9 @@ let marker = "snfs-" ^ "hot"
 
 let in_scope path = Source.under "lib" path
 
-(* The hot set PR 6 hand-tuned and test_alloc measures: event-queue
-   cycle, blockcache table/LRU primitives, the DRC request path, the
+(* The hot set test_alloc measures: event-queue cycle, the int-keyed
+   table under the block cache, client gnodes and server per-client
+   state, the block cache's LRU primitives, the DRC request path, the
    pooled XDR encoder operations, and the observability fast paths.
    Entries are bare names for file-toplevel bindings, [Sub.name] for
    bindings inside a nested module. *)
@@ -44,11 +45,9 @@ let builtin_allowlist =
         "push"; "pop_fn"; "pop_until"; "min_time"; "min_seq"; "is_empty";
         "length";
       ] );
+    ("lib/sim/inttbl.ml", [ "index"; "slot"; "find"; "replace"; "remove" ]);
     ( "lib/blockcache/cache.ml",
-      [
-        "tab_index"; "tab_find"; "tab_add"; "tab_remove"; "lru_unlink";
-        "lru_append"; "touch"; "key"; "find";
-      ] );
+      [ "lru_unlink"; "lru_append"; "touch"; "key"; "find" ] );
     ("lib/netsim/rpc.ml", [ "note_duplicate"; "handle_request" ]);
     ( "lib/xdr/xdr.ml",
       [

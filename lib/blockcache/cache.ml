@@ -34,24 +34,19 @@ type pending = { mutable count : int; mutable waiters : (unit -> unit) list }
 type t = {
   engine : Sim.Engine.t;
   name : string;
+  write_behind_name : string; (* process names, built once *)
+  flusher_name : string;
   capacity : int;
   block_size : int;
   backend : backend;
-  (* Open-addressing table from packed (file, index) keys to blocks
-     (linear probing, power-of-two capacity, load factor <= 1/2).
-     [find] runs on every cache read and write; Hashtbl's generic int
-     hashing and bucket chains were a steady profile line, and here a
-     probe is a physical compare and an int compare. [tempty] is the
-     sentinel block marking empty slots (their keys are meaningless)
-     and what a failed lookup returns, so a hit allocates nothing. *)
-  mutable tkeys : int array;
-  mutable tvals : block array;
-  mutable tlive : int;
-  tempty : block;
-  file_heads : (int, block) Hashtbl.t; (* newest block of each file *)
+  (* Packed (file, index) keys to blocks. [find] runs on every cache
+     read and write; a miss returns the table's sentinel block, so a
+     hit or a miss allocates nothing. *)
+  blocks : block Sim.Inttbl.t;
+  file_heads : block Sim.Inttbl.t; (* newest block of each file *)
   mutable count : int;
   lru : block; (* sentinel: lru_next side is least recently used *)
-  pending : (int, pending) Hashtbl.t; (* async write-behinds per file *)
+  pending : pending Sim.Inttbl.t; (* async write-behinds per file *)
   mutable syncer_started : bool;
 }
 
@@ -74,103 +69,25 @@ let new_block ~file ~index =
   in
   b
 
-(* ---- open-addressing block table ---- *)
-
-(* A full-width multiply folded with its high bits, so every bit of the
-   packed key (file lsl 21 lor index) reaches the slot bits: mixing only
-   the low bits put block i of neighbouring files in adjacent slots. *)
-let tab_index t k =
-  let h = k * 0x1E3779B97F4A7C15 in
-  (h lxor (h lsr 29)) land (Array.length t.tkeys - 1)
-
-(* The slot holding [k], or the empty slot that ends its probe run.
-   The probe loops are [while] loops over non-escaping refs: a local
-   [let rec] capturing the arrays would allocate a closure per call. *)
-(* snfs-hot *)
-let tab_slot t k =
-  let keys = t.tkeys and vals = t.tvals in
-  let mask = Array.length keys - 1 in
-  let i = ref (tab_index t k) in
-  while Array.unsafe_get vals !i != t.tempty && Array.unsafe_get keys !i <> k do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-(* the block stored under [k], or [t.tempty] *)
-let tab_find t k = Array.unsafe_get t.tvals (tab_slot t k)
-
-let rec tab_grow t =
-  let keys = t.tkeys and vals = t.tvals in
-  t.tkeys <- Array.make (2 * Array.length keys) 0;
-  t.tvals <- Array.make (2 * Array.length keys) t.tempty;
-  t.tlive <- 0;
-  for i = 0 to Array.length vals - 1 do
-    let v = Array.unsafe_get vals i in
-    if v != t.tempty then tab_add t (Array.unsafe_get keys i) v
-  done
-
-and tab_add t k b =
-  (* keep the load factor at or below 1/2; deletion leaves no
-     tombstones, so the table only ever rehashes to grow *)
-  if 2 * (t.tlive + 1) > Array.length t.tkeys then tab_grow t;
-  let i = tab_slot t k in
-  if Array.unsafe_get t.tvals i == t.tempty then begin
-    Array.unsafe_set t.tkeys i k;
-    t.tlive <- t.tlive + 1
-  end;
-  Array.unsafe_set t.tvals i b
-
-(* Deletion by backward shift (Knuth's Algorithm R for linear probing):
-   walk the run after the freed slot and pull back every entry that may
-   legally sit in the hole, so no probe run ever has a gap. The entry
-   at [j] stays when its home slot lies cyclically in (hole, j], i.e.
-   it is nearer home than the hole is. *)
-let tab_remove t k =
-  let keys = t.tkeys and vals = t.tvals in
-  let mask = Array.length keys - 1 in
-  let hole = ref (tab_slot t k) in
-  Array.unsafe_get vals !hole != t.tempty
-  && begin
-       let j = ref ((!hole + 1) land mask) in
-       while Array.unsafe_get vals !j != t.tempty do
-         let kj = Array.unsafe_get keys !j in
-         if (!j - tab_index t kj) land mask >= (!j - !hole) land mask then begin
-           Array.unsafe_set keys !hole kj;
-           Array.unsafe_set vals !hole (Array.unsafe_get vals !j);
-           hole := !j
-         end;
-         j := (!j + 1) land mask
-       done;
-       Array.unsafe_set vals !hole t.tempty;
-       t.tlive <- t.tlive - 1;
-       true
-     end
-
-let tab_iter t f =
-  let vals = t.tvals in
-  for i = 0 to Array.length vals - 1 do
-    let v = Array.unsafe_get vals i in
-    if v != t.tempty then f v
-  done
-
 let create engine ~name ~capacity_blocks ~block_size backend =
   if capacity_blocks <= 0 then invalid_arg "Cache.create: capacity must be > 0";
-  let tempty = new_block ~file:(-1) ~index:0 in
+  (* one sentinel for both block tables: it is never stored in
+     either *)
+  let none = new_block ~file:(-1) ~index:0 in
   let t =
     {
       engine;
       name;
+      write_behind_name = name ^ ".write_behind";
+      flusher_name = name ^ ".flusher";
       capacity = capacity_blocks;
       block_size;
       backend;
-      tkeys = Array.make 512 0;
-      tvals = Array.make 512 tempty;
-      tlive = 0;
-      tempty;
-      file_heads = Hashtbl.create 64;
+      blocks = Sim.Inttbl.create ~empty:none 256;
+      file_heads = Sim.Inttbl.create ~empty:none 32;
       count = 0;
       lru = new_block ~file:(-1) ~index:0;
-      pending = Hashtbl.create 16;
+      pending = Sim.Inttbl.create ~empty:{ count = 0; waiters = [] } 0;
       syncer_started = false;
     }
   in
@@ -184,10 +101,10 @@ let create engine ~name ~capacity_blocks ~block_size backend =
     (fun () ->
       (* a count is order-independent, so the unsorted table walk is
          deterministic *)
-      let n = ref 0 in
-      tab_iter t (fun b ->
-          match b.w with Dirty _ | Writing _ -> incr n | Clean -> ());
-      float_of_int !n);
+      Sim.Inttbl.fold
+        (fun _ b n -> match b.w with Dirty _ | Writing _ -> n + 1 | Clean -> n)
+        t.blocks 0
+      |> float_of_int);
   t
 
 let name t = t.name
@@ -250,8 +167,10 @@ let key ~file ~index =
     invalid_arg (Printf.sprintf "Cache: block index %d out of range" index);
   (file lsl index_bits) lor index
 
-(* the block at (file, index), or [t.tempty] when none is cached *)
-let find t ~file ~index = tab_find t (key ~file ~index)
+(* the block at (file, index), or [none t] when none is cached *)
+let find t ~file ~index = Sim.Inttbl.find t.blocks (key ~file ~index)
+
+let none t = Sim.Inttbl.empty t.blocks
 
 (* The per-file doubly-linked chain replaces the old per-file hash
    tables for whole-file walks (flush, invalidate, drop). Chain order
@@ -260,14 +179,12 @@ let find t ~file ~index = tab_find t (key ~file ~index)
 let chain_unlink t b =
   (if b.fprev == b then (
      (* no predecessor: b is the head of its chain, or unlinked *)
-     match Hashtbl.find_opt t.file_heads b.bfile with
-     | Some h when h == b ->
-         if b.fnext == b then Hashtbl.remove t.file_heads b.bfile
-         else begin
-           b.fnext.fprev <- b.fnext;
-           Hashtbl.replace t.file_heads b.bfile b.fnext
-         end
-     | Some _ | None -> ())
+     if Sim.Inttbl.find t.file_heads b.bfile == b then
+       if b.fnext == b then ignore (Sim.Inttbl.remove t.file_heads b.bfile)
+       else begin
+         b.fnext.fprev <- b.fnext;
+         Sim.Inttbl.replace t.file_heads b.bfile b.fnext
+       end)
    else if b.fnext == b then b.fprev.fnext <- b.fprev (* prev becomes tail *)
    else begin
      b.fprev.fnext <- b.fnext;
@@ -277,38 +194,37 @@ let chain_unlink t b =
   b.fnext <- b
 
 let chain_push t b =
-  (match Hashtbl.find_opt t.file_heads b.bfile with
-  | Some h ->
-      b.fnext <- h;
-      h.fprev <- b
-  | None -> b.fnext <- b);
+  let h = Sim.Inttbl.find t.file_heads b.bfile in
+  if h != none t then begin
+    b.fnext <- h;
+    h.fprev <- b
+  end
+  else b.fnext <- b;
   b.fprev <- b;
-  Hashtbl.replace t.file_heads b.bfile b
+  Sim.Inttbl.replace t.file_heads b.bfile b
 
 let table_remove t b =
   let k = key ~file:b.bfile ~index:b.bindex in
-  if tab_remove t k then begin
+  if Sim.Inttbl.remove t.blocks k then begin
     t.count <- t.count - 1;
     lru_unlink t b;
     chain_unlink t b
   end
 
 let table_insert t b =
-  tab_add t (key ~file:b.bfile ~index:b.bindex) b;
+  Sim.Inttbl.replace t.blocks (key ~file:b.bfile ~index:b.bindex) b;
   chain_push t b;
   t.count <- t.count + 1;
   lru_append t b;
   b
 
 let blocks_of_file t ~file =
-  match Hashtbl.find_opt t.file_heads file with
-  | None -> []
-  | Some h ->
-      let rec walk acc b =
-        let acc = b :: acc in
-        if b.fnext == b then List.rev acc else walk acc b.fnext
-      in
-      walk [] h
+  let rec walk acc b =
+    let acc = b :: acc in
+    if b.fnext == b then List.rev acc else walk acc b.fnext
+  in
+  let h = Sim.Inttbl.find t.file_heads file in
+  if h == none t then [] else walk [] h
 
 (* ---- write-back machinery ---- *)
 
@@ -379,7 +295,8 @@ let rec ensure_capacity t =
         (* only evict if it is still present and became clean *)
         if
           find t ~file:b.bfile ~index:b.bindex == b
-          && evictable b && b.w = Clean
+          && evictable b
+          && match b.w with Clean -> true | Dirty _ | Writing _ -> false
         then begin
           cache_incr t "cache_evictions_total";
           cache_event t "evict" ~file:b.bfile ~index:b.bindex;
@@ -394,39 +311,33 @@ let rec ensure_capacity t =
 
 (* ---- pending async writes ---- *)
 
-let pending_for t file =
-  match Hashtbl.find_opt t.pending file with
-  | Some p -> p
-  | None ->
-      let p = { count = 0; waiters = [] } in
-      Hashtbl.replace t.pending file p;
-      p
+let pending_incr t file =
+  let p = Sim.Inttbl.find t.pending file in
+  if p != Sim.Inttbl.empty t.pending then p.count <- p.count + 1
+  else Sim.Inttbl.replace t.pending file { count = 1; waiters = [] }
 
-let pending_incr t file = (pending_for t file).count <- (pending_for t file).count + 1
-
+(* only after a [pending_incr] of the same file *)
 let pending_decr t file =
-  let p = pending_for t file in
+  let p = Sim.Inttbl.find t.pending file in
   p.count <- p.count - 1;
   if p.count = 0 then begin
     let ws = List.rev p.waiters in
     p.waiters <- [];
-    Hashtbl.remove t.pending file;
+    ignore (Sim.Inttbl.remove t.pending file);
     List.iter (fun w -> w ()) ws
   end
 
 let wait_pending t ~file =
-  match Hashtbl.find_opt t.pending file with
-  | None -> ()
-  | Some p ->
-      if p.count > 0 then
-        Sim.Engine.suspend t.engine (fun resume ->
-            p.waiters <- (fun () -> resume ()) :: p.waiters)
+  let p = Sim.Inttbl.find t.pending file in
+  if p.count > 0 then
+    Sim.Engine.suspend t.engine (fun resume ->
+        p.waiters <- (fun () -> resume ()) :: p.waiters)
 
 (* ---- public data path ---- *)
 
 let peek t ~file ~index =
   let b = find t ~file ~index in
-  if b != t.tempty && Option.is_none b.fetching then Some (b.stamp, b.len)
+  if b != none t && Option.is_none b.fetching then Some (b.stamp, b.len)
   else None
 
 (* the contents of a cached block, waiting out its fetch if one is in
@@ -440,7 +351,7 @@ let resident t b =
 
 let read ?(ctx = Obs.Causal.none) t ~file ~index =
   let b = find t ~file ~index in
-  if b != t.tempty then begin
+  if b != none t then begin
     cache_event ~ctx t "hit" ~file ~index;
     cache_incr t "cache_hits_total";
     resident t b
@@ -451,7 +362,7 @@ let read ?(ctx = Obs.Causal.none) t ~file ~index =
     ensure_capacity t;
     (* recheck: someone may have inserted it while we evicted *)
     let b = find t ~file ~index in
-    if b != t.tempty then resident t b
+    if b != none t then resident t b
     else begin
       let b = table_insert t (new_block ~file ~index) in
       let iv = Sim.Ivar.create t.engine in
@@ -475,11 +386,11 @@ let write ?(ctx = Obs.Causal.none) t ~file ~index ~stamp ~len mode =
     invalid_arg (Printf.sprintf "Cache.write: bad length %d" len);
   let b =
     let b = find t ~file ~index in
-    if b != t.tempty then b
+    if b != none t then b
     else begin
       ensure_capacity t;
       let b = find t ~file ~index in
-      if b != t.tempty then b else table_insert t (new_block ~file ~index)
+      if b != none t then b else table_insert t (new_block ~file ~index)
     end
   in
   b.stamp <- stamp;
@@ -492,7 +403,7 @@ let write ?(ctx = Obs.Causal.none) t ~file ~index ~stamp ~len mode =
   | `Sync -> do_writeback ~ctx t b
   | `Async ->
       pending_incr t file;
-      Sim.Engine.spawn t.engine ~name:(t.name ^ ".write_behind") (fun () ->
+      Sim.Engine.spawn t.engine ~name:t.write_behind_name (fun () ->
           (* write-behind completes after the caller returns: charge it
              to the operation anyway — it induced the disk write *)
           do_writeback ~ctx t b;
@@ -518,16 +429,16 @@ let flush_file ?(ctx = Obs.Causal.none) t ~file =
   loop ()
 
 let flush_all t =
-  let files = Hashtbl.fold (fun file _ acc -> file :: acc) t.file_heads [] in
-  List.iter (fun file -> flush_file t ~file) (List.sort compare files)
+  let files = Sim.Inttbl.fold (fun file _ acc -> file :: acc) t.file_heads [] in
+  List.iter (fun file -> flush_file t ~file) (List.sort Int.compare files)
 
 let flush_block ?(ctx = Obs.Causal.none) t ~file ~index =
   let b = find t ~file ~index in
-  if b != t.tempty then do_writeback ~ctx t b
+  if b != none t then do_writeback ~ctx t b
 
 let drop_block t ~file ~index =
   let b = find t ~file ~index in
-  if b != t.tempty then
+  if b != none t then
     match (b.w, b.fetching) with
     | Dirty _, _ ->
         cache_incr t "cache_writes_averted_total";
@@ -548,7 +459,7 @@ let drop_clean t ~file =
 
 let block_dirty t ~file ~index =
   let b = find t ~file ~index in
-  b != t.tempty
+  b != none t
   && match b.w with Dirty _ | Writing _ -> true | Clean -> false
 
 let dirty_count t ~file =
@@ -601,7 +512,7 @@ let flush_batch t ?(parallelism = 4) victims =
       Sim.Waitgroup.add wg ~n:(List.length victims) ();
       List.iter
         (fun b ->
-          Sim.Engine.spawn t.engine ~name:(t.name ^ ".flusher") (fun () ->
+          Sim.Engine.spawn t.engine ~name:t.flusher_name (fun () ->
               Sim.Semaphore.with_unit pool (fun () -> do_writeback t b);
               Sim.Waitgroup.done_ wg))
         victims;
@@ -617,11 +528,12 @@ let start_syncer t ?(min_age = 0.0) ~interval () =
       match b.w with Dirty since -> now -. since >= min_age | Clean | Writing _ -> false
     in
     let victims =
-      let acc = ref [] in
-      tab_iter t (fun b -> if old_enough b then acc := b :: !acc);
-      List.sort
-        (fun a b -> compare (a.bfile, a.bindex) (b.bfile, b.bindex))
-        !acc
+      Sim.Inttbl.fold
+        (fun _ b acc -> if old_enough b then b :: acc else acc)
+        t.blocks []
+      |> List.sort (fun a b ->
+             let c = Int.compare a.bfile b.bfile in
+             if c <> 0 then c else Int.compare a.bindex b.bindex)
     in
     flush_batch t victims;
     loop ()

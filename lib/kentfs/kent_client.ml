@@ -10,8 +10,9 @@ type config = {
 let default_config =
   { cache_blocks = 4096; read_ahead = true; retry_budget = None }
 
-(* per file: the block indices this client owns *)
-type owned = (int, unit) Hashtbl.t
+(* per file: the block indices this client owns, bound to [true];
+   [false] is the empty sentinel, so a lookup is the membership test *)
+type owned = bool Sim.Inttbl.t
 type gnode = owned Core.gnode
 
 type t = {
@@ -29,14 +30,14 @@ let policy =
   {
     Core.prog = Kent_server.prog;
     cat = "kent";
-    fresh = (fun _ _ -> Hashtbl.create 8);
+    fresh = (fun _ _ -> Sim.Inttbl.create ~empty:false 0);
     merge = (fun _ _ _ g attrs -> keep_size g attrs);
     on_remove = ignore;
   }
 
 (* first write to a block: get ownership (and invalidate other copies) *)
 let acquire t ctx (g : gnode) ~index ~len =
-  if not (Hashtbl.mem g.g_proto index) then begin
+  if not (Sim.Inttbl.find g.g_proto index) then begin
     t.acquires <- t.acquires + 1;
     if Obs.Metrics.on () then
       Obs.Metrics.incr
@@ -55,7 +56,7 @@ let acquire t ctx (g : gnode) ~index ~len =
     (match Wire.dec_status d with
     | Ok () -> ()
     | Error err -> raise (Localfs.Error err));
-    Hashtbl.replace g.g_proto index ()
+    Sim.Inttbl.replace g.g_proto index true
   end
 
 (* attributes are always fetched: the server's size is authoritative
@@ -91,7 +92,7 @@ let do_setattr t vn ~size =
   Core.op t.core "setattr" @@ fun ctx ->
   let g = Core.gnode t.core vn in
   Core.drop t.core g;
-  Hashtbl.reset g.g_proto;
+  Sim.Inttbl.clear g.g_proto;
   g.g_attrs <- Wire.setattr (Core.call t.core ctx) (Core.fh_of t.core g) ~size
 
 (* block-level callback from the server *)
@@ -122,18 +123,18 @@ let handle_callback t dec =
          ("writeback", Obs.Trace.Bool writeback);
          ("invalidate", Obs.Trace.Bool invalidate);
        ]);
-  (match Hashtbl.find_opt (Core.gnodes t.core) ino with
+  (match Core.find_opt t.core ino with
   | None -> ()
   | Some g ->
       (* give up ownership FIRST: a write racing with this recall must
          go back through acquire rather than slip into the flushed
          block unnoticed — and keep flushing until the block is clean,
          in case one sneaked in anyway *)
-      Hashtbl.remove g.g_proto index;
+      ignore (Sim.Inttbl.remove g.g_proto index);
       if writeback then
         while
           Blockcache.Cache.block_dirty cache ~file:ino ~index
-          && not (Hashtbl.mem g.g_proto index)
+          && not (Sim.Inttbl.find g.g_proto index)
         do
           Blockcache.Cache.flush_block ~ctx:cctx cache ~file:ino ~index
         done;

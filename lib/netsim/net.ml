@@ -99,7 +99,14 @@ end
 
 let pair a b = if a.haddr <= b.haddr then (a.haddr, b.haddr) else (b.haddr, a.haddr)
 
-let partitioned t a b = List.mem (pair a b) t.partitions
+(* [send] asks on every message, and almost no run has a partition:
+   the empty case allocates no pair and walks no list *)
+let partitioned t a b =
+  match t.partitions with
+  | [] -> false
+  | ps ->
+      let lo = Int.min a.haddr b.haddr and hi = Int.max a.haddr b.haddr in
+      List.exists (fun (l, h) -> l = lo && h = hi) ps
 
 let partition_event t name a b =
   if Obs.Trace.on () then
@@ -117,7 +124,9 @@ let partition t a b =
 
 let heal t a b =
   if partitioned t a b then begin
-    t.partitions <- List.filter (fun p -> p <> pair a b) t.partitions;
+    let lo, hi = pair a b in
+    t.partitions <-
+      List.filter (fun (l, h) -> not (l = lo && h = hi)) t.partitions;
     partition_event t "heal" a b
   end
 

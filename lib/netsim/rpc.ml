@@ -64,6 +64,7 @@ let drc_slots = 4096
    concatenation) and the operation-count cell (a string-hashed counter
    lookup). *)
 type proc_info = {
+  proc : string;
   pname : string; (* "prog.proc" *)
   count : int ref; (* this proc's cell in the service's [counts] *)
 }
@@ -76,7 +77,9 @@ type service = {
   drc_xid : int array;
   drc_reply : reply option array;
   mutable drc_used : int; (* occupied slots, for the gauge poll *)
-  procs : (string, proc_info) Hashtbl.t;
+  (* in registration order; a protocol has a few dozen procedures, so
+     a scan by string equality beats hashing the name *)
+  mutable procs : proc_info array;
   counts : Stats.Counter.t;
   mutable on_restart : (unit -> unit) option;
   mutable epoch_seen : int;
@@ -133,7 +136,7 @@ let serve t host ~prog ~threads handler =
           drc_xid = Array.make drc_slots (-1);
           drc_reply = Array.make drc_slots None;
           drc_used = 0;
-          procs = Hashtbl.create 16;
+          procs = [||];
           counts = Stats.Counter.create ();
           on_restart = None;
           epoch_seen = Net.Host.boot_epoch host;
@@ -156,18 +159,33 @@ let payload_cpu t bytes = t.config.cpu_per_kbyte *. (float_of_int bytes /. 1024.
 
 let server_now svc = Sim.Engine.now (Net.Host.engine svc.host)
 
+let register_proc svc proc =
+  let i =
+    {
+      proc;
+      pname = svc.prog ^ "." ^ proc;
+      count = Stats.Counter.cell svc.counts proc;
+    }
+  in
+  svc.procs <- Array.append svc.procs [| i |];
+  i
+
+(* snfs-hot *)
 let proc_info svc proc =
-  match Hashtbl.find_opt svc.procs proc with
-  | Some i -> i
-  | None ->
-      let i =
-        {
-          pname = svc.prog ^ "." ^ proc;
-          count = Stats.Counter.cell svc.counts proc;
-        }
-      in
-      Hashtbl.replace svc.procs proc i;
-      i
+  let procs = svc.procs in
+  let n = Array.length procs in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let p = (Array.unsafe_get procs !i).proc in
+    not (p == proc || String.equal p proc)
+  do
+    incr i
+  done;
+  if !i < n then Array.unsafe_get procs !i else register_proc svc proc
+
+let proc_name svc proc = (proc_info svc proc).pname
 
 let note_duplicate svc ~trace_name ~pname ~xid =
   if Obs.Metrics.on () then

@@ -17,7 +17,7 @@ type 'p t = {
   policy : 'p policy;
   engine : Sim.Engine.t;
   cache : Blockcache.Cache.t;
-  gnodes : (int, 'p gnode) Hashtbl.t;
+  gnodes : 'p gnode Sim.Inttbl.t; (* by inode number *)
   budget : Netsim.Rpc.budget option;
   read_ahead : bool;
   readahead_name : string;
@@ -27,7 +27,7 @@ type 'p t = {
 and 'p policy = {
   prog : string;
   cat : string;
-  fresh : 'p t -> Localfs.attrs -> 'p;
+  fresh : Sim.Engine.t -> Localfs.attrs -> 'p;
   merge : 'p t -> Obs.Causal.t -> arrival -> 'p gnode -> Localfs.attrs -> unit;
   on_remove : 'p gnode -> unit;
 }
@@ -40,7 +40,6 @@ let call t ctx ~proc ?bulk args =
 
 let engine t = t.engine
 let cache t = t.cache
-let gnodes t = t.gnodes
 let host t = Netsim.Net.Host.name t.client
 
 let op t name f =
@@ -52,33 +51,45 @@ let proto_event t name args =
       ~ts:(Sim.Engine.now t.engine)
       ~cat:t.policy.cat ~name ~track:(host t) ~args ()
 
+(* snfs-hot *)
 let find t ino =
-  match Hashtbl.find_opt t.gnodes ino with
-  | Some g -> g
-  | None -> invalid_arg "Client_core: unknown gnode"
+  let g = Sim.Inttbl.find t.gnodes ino in
+  if g == Sim.Inttbl.empty t.gnodes then
+    invalid_arg "Client_core: unknown gnode";
+  g
+
+let find_opt t ino =
+  let g = Sim.Inttbl.find t.gnodes ino in
+  if g == Sim.Inttbl.empty t.gnodes then None else Some g
+
+let fold f t acc = Sim.Inttbl.fold (fun _ g acc -> f g acc) t.gnodes acc
 
 let gnode t vn = find t vn.Vfs.Fs.vid
 
 let fh_of t g = { Wire.fsid = t.root.Wire.fsid; ino = g.g_ino; gen = g.g_gen }
 
+let new_gnode engine policy (attrs : Localfs.attrs) =
+  {
+    g_ino = attrs.ino;
+    g_gen = attrs.gen;
+    g_attrs = attrs;
+    g_last_read = -2;
+    g_proto = policy.fresh engine attrs;
+  }
+
 (* Install or update a gnode from attributes that just arrived. *)
+(* snfs-hot *)
 let note t ctx arrival (attrs : Localfs.attrs) =
-  match Hashtbl.find_opt t.gnodes attrs.ino with
-  | Some g ->
-      t.policy.merge t ctx arrival g attrs;
-      g
-  | None ->
-      let g =
-        {
-          g_ino = attrs.ino;
-          g_gen = attrs.gen;
-          g_attrs = attrs;
-          g_last_read = -2;
-          g_proto = t.policy.fresh t attrs;
-        }
-      in
-      Hashtbl.replace t.gnodes attrs.ino g;
-      g
+  let g = Sim.Inttbl.find t.gnodes attrs.ino in
+  if g == Sim.Inttbl.empty t.gnodes then begin
+    let g = new_gnode t.engine t.policy attrs in
+    Sim.Inttbl.replace t.gnodes attrs.ino g;
+    g
+  end
+  else begin
+    t.policy.merge t ctx arrival g attrs;
+    g
+  end
 
 let vn_of t g =
   match t.fs with
@@ -126,11 +137,11 @@ let cached_write t ctx g ~index ~stamp ~len mode =
 (* ---- namespace ---- *)
 
 let do_root t () =
-  match Hashtbl.find_opt t.gnodes t.root.Wire.ino with
-  | Some g -> vn_of t g
-  | None ->
-      op t "root" @@ fun ctx ->
-      vn_of t (note t ctx Reply (Wire.getattr (call t ctx) t.root))
+  let g = Sim.Inttbl.find t.gnodes t.root.Wire.ino in
+  if g != Sim.Inttbl.empty t.gnodes then vn_of t g
+  else
+    op t "root" @@ fun ctx ->
+    vn_of t (note t ctx Reply (Wire.getattr (call t ctx) t.root))
 
 let do_lookup t ~dir name =
   op t "lookup" @@ fun ctx ->
@@ -152,13 +163,13 @@ let do_remove t ~dir name =
   let dir = fh_of t (gnode t dir) in
   (match Wire.lookup (call t ctx) ~dir name with
   | fh, _ -> (
-      match Hashtbl.find_opt t.gnodes fh.Wire.ino with
+      match find_opt t fh.Wire.ino with
       | Some g ->
           (* the delete-before-write-back optimization (Section 5.4):
              dirty blocks of the dead file are simply dropped *)
           t.policy.on_remove g;
           drop t g;
-          Hashtbl.remove t.gnodes g.g_ino
+          ignore (Sim.Inttbl.remove t.gnodes g.g_ino)
       | None -> ())
   | exception Localfs.Error _ -> ());
   Wire.remove (call t ctx) ~dir name
@@ -214,7 +225,21 @@ let create policy rpc ~client ~server ~root ~name ~cache_blocks ~read_ahead
          cache =
            Blockcache.Cache.create engine ~name:(name ^ ".cache")
              ~capacity_blocks:cache_blocks ~block_size backend;
-         gnodes = Hashtbl.create 256;
+         (* the sentinel is a gnode no inode number names *)
+         gnodes =
+           Sim.Inttbl.create
+             ~empty:
+               (new_gnode engine policy
+                  {
+                    Localfs.ino = -1;
+                    gen = 0;
+                    ftype = Localfs.File;
+                    size = 0;
+                    nlink = 0;
+                    mtime = 0.0;
+                    ctime = 0.0;
+                  })
+             64;
          budget = Option.map Netsim.Rpc.budget retry_budget;
          read_ahead;
          readahead_name = policy.cat ^ ".readahead";

@@ -32,8 +32,9 @@ type 'p policy = {
   cat : string;
       (** trace category of {!proto_event}, and prefix of the
           read-ahead process name *)
-  fresh : 'p t -> Localfs.attrs -> 'p;
-      (** per-file state of a file seen for the first time *)
+  fresh : Sim.Engine.t -> Localfs.attrs -> 'p;
+      (** per-file state of a file seen for the first time; also called
+          once by {!create}, for the gnode table's empty sentinel *)
   merge : 'p t -> Obs.Causal.t -> arrival -> 'p gnode -> Localfs.attrs -> unit;
       (** attributes arrived for a known file: fold them into its
           gnode *)
@@ -79,8 +80,12 @@ val engine : 'p t -> Sim.Engine.t
 (** The client host's name: the trace track and metric [host] label. *)
 val host : 'p t -> string
 
-(** Known files by inode number. *)
-val gnodes : 'p t -> (int, 'p gnode) Hashtbl.t
+(** The known file with this inode number, if any. *)
+val find_opt : 'p t -> int -> 'p gnode option
+
+(** [fold f t acc] folds [f] over the known files, in no particular
+    order: callers whose output could show it sort. *)
+val fold : ('p gnode -> 'acc -> 'acc) -> 'p t -> 'acc -> 'acc
 
 (** [call t ctx] is the {!Wire.call} stub that stamps every RPC of one
     client operation with its causal context. *)

@@ -58,7 +58,8 @@ let policy =
     Core.prog = Nfs_server.prog;
     cat = "nfs";
     fresh =
-      (fun c attrs -> { fetched = now c; cached_mtime = attrs.Localfs.mtime });
+      (fun engine attrs ->
+        { fetched = Sim.Engine.now engine; cached_mtime = attrs.Localfs.mtime });
     merge =
       (fun c ctx arrival g attrs ->
         g.g_attrs <- attrs;

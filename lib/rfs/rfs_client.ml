@@ -109,7 +109,7 @@ let handle_callback t dec =
       ~track:(Core.host t.core) ~id:(Obs.Causal.id cctx) ();
   Core.proto_event t.core "invalidate"
     (Obs.Causal.arg cctx [ ("ino", Obs.Trace.Int ino) ]);
-  (match Hashtbl.find_opt (Core.gnodes t.core) ino with
+  (match Core.find_opt t.core ino with
   | None -> ()
   | Some g ->
       (* drop clean copies only: our own writes still in flight (or

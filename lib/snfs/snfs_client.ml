@@ -283,7 +283,7 @@ let handle_callback t dec =
          ("writeback", Obs.Trace.Bool args.cb_writeback);
          ("invalidate", Obs.Trace.Bool args.cb_invalidate);
        ]);
-  (match Hashtbl.find_opt (Core.gnodes t.core) ino with
+  (match Core.find_opt t.core ino with
   | None -> () (* nothing cached; trivially satisfied *)
   | Some g ->
       (* a delayed-close file must really close so the new client can
@@ -305,8 +305,8 @@ let build_reports t =
   let cache = Core.cache t.core in
   (* the reopen protocol (Section 2.4) reports the full per-client state *)
   (* snfs-fanout: bounded — one-shot crash-recovery sweep, not steady state *)
-  Hashtbl.fold
-    (fun _ (g : gnode) acc ->
+  Core.fold
+    (fun (g : gnode) acc ->
       let st = g.g_proto in
       let unsent_reads =
         List.length (List.filter (fun u -> not u.u_write) st.unsent)
@@ -322,7 +322,7 @@ let build_reports t =
          Option.value ~default:0 st.cached_version)
         :: acc
       else acc)
-    (Core.gnodes t.core) []
+    t.core []
   |> List.sort compare
 
 let recover_now t =

@@ -15,13 +15,13 @@ type t = {
   (* client addr -> last RPC time. The cell is a [float ref] rather
      than a float value so the per-request refresh is a store into the
      existing (flat, unboxed) cell instead of a boxed-float
-     [Hashtbl.replace]. *)
-  last_heard : (int, float ref) Hashtbl.t;
+     [replace]. *)
+  last_heard : float ref Sim.Inttbl.t;
   (* per-file consistency critical section: the table must not be
      consulted by a second open while a first open's callbacks are
      still in flight, or the second open trusts a cachability the
      target client has not yet learned about *)
-  file_locks : (int, Sim.Semaphore.t) Hashtbl.t;
+  file_locks : Sim.Semaphore.t Sim.Inttbl.t;
   mutable clients_reaped : int;
   (* the NFSD-style Active/Courtesy/Expirable ledger; None until the
      laundromat is started (oracle runs and plain benchmarks never
@@ -83,7 +83,7 @@ let reap t client ~(state : Spritely.Lifecycle.state) =
       ("client", Obs.Trace.Int client);
       ("state", Obs.Trace.Str (Spritely.Lifecycle.state_to_string state));
     ];
-  Hashtbl.remove t.last_heard client;
+  ignore (Sim.Inttbl.remove t.last_heard client);
   (match t.lifecycle with
   | Some lc -> Spritely.Lifecycle.forget lc ~client
   | None -> ());
@@ -231,14 +231,22 @@ let relinquish_for_space t ~ctx =
 
 let in_grace t = Sim.Engine.now t.engine < t.grace_until
 
+(* the laundromat's lease clock: [client] was heard from just now *)
+let heard t client =
+  let cell = Sim.Inttbl.find t.last_heard client in
+  if cell != Sim.Inttbl.empty t.last_heard then
+    cell := Sim.Engine.now t.engine
+  else Sim.Inttbl.replace t.last_heard client (ref (Sim.Engine.now t.engine))
+
 let with_file_lock t file f =
   let lock =
-    match Hashtbl.find_opt t.file_locks file with
-    | Some l -> l
-    | None ->
-        let l = Sim.Semaphore.create t.engine 1 in
-        Hashtbl.replace t.file_locks file l;
-        l
+    let l = Sim.Inttbl.find t.file_locks file in
+    if l != Sim.Inttbl.empty t.file_locks then l
+    else begin
+      let l = Sim.Semaphore.create t.engine 1 in
+      Sim.Inttbl.replace t.file_locks file l;
+      l
+    end
   in
   Sim.Semaphore.with_unit lock f
 
@@ -357,11 +365,7 @@ let serve rpc host ?(threads = 8) ?(max_table_entries = 1000)
        let handler ~caller ~ctx ~proc dec =
          let tt = Lazy.force t in
          let caller_addr = Netsim.Net.Host.addr caller in
-         (match Hashtbl.find_opt tt.last_heard caller_addr with
-         | Some cell -> cell := Sim.Engine.now engine
-         | None ->
-             Hashtbl.replace tt.last_heard caller_addr
-               (ref (Sim.Engine.now engine)));
+         heard tt caller_addr;
          (* any RPC from a Courtesy client revives it: it resumes with
             its state intact, no reopen storm. The [nonactive] guard
             keeps this off the hot path while nobody is suspect. *)
@@ -406,8 +410,9 @@ let serve rpc host ?(threads = 8) ?(max_table_entries = 1000)
          callback_tokens = Sim.Semaphore.create engine (threads - 1);
          callbacks_sent = 0;
          callbacks_failed = 0;
-         last_heard = Hashtbl.create 16;
-         file_locks = Hashtbl.create 64;
+         last_heard = Sim.Inttbl.create ~empty:(ref 0.0) 16;
+         file_locks =
+           Sim.Inttbl.create ~empty:(Sim.Semaphore.create engine 1) 32;
          clients_reaped = 0;
          lifecycle = None;
          laundromat_runs = 0;
@@ -494,14 +499,9 @@ let start_laundromat ?(lease = 120.0) ?(courtesy_lifetime = 300.0) t ~interval =
         ~prog:(client_prog_for (Nfs.Wire.core_fsid t.core))
         ~proc:Nfs.Wire.p_ping (Xdr.Enc.to_bytes e)
     with
-    | _reply -> (
-        match Hashtbl.find_opt t.last_heard client with
-        | Some cell ->
-            cell := Sim.Engine.now engine;
-            true
-        | None ->
-            Hashtbl.replace t.last_heard client (ref (Sim.Engine.now engine));
-            true)
+    | _reply ->
+        heard t client;
+        true
     | exception Netsim.Rpc.Timeout _ -> false
   in
   let rec loop () =
@@ -510,9 +510,8 @@ let start_laundromat ?(lease = 120.0) ?(courtesy_lifetime = 300.0) t ~interval =
     if Obs.Metrics.on () then Obs.Metrics.incr "snfs_laundromat_runs_total";
     let now = Sim.Engine.now engine in
     let silent_too_long client =
-      match Hashtbl.find_opt t.last_heard client with
-      | Some heard -> now -. !heard >= lease
-      | None -> true
+      let heard = Sim.Inttbl.find t.last_heard client in
+      heard == Sim.Inttbl.empty t.last_heard || now -. !heard >= lease
     in
     (* 1: silent Active clients are probed; the unresponsive become
        Courtesy, their opens and dirty state retained *)

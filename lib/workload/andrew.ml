@@ -94,10 +94,10 @@ let phase_readall ctx config (tree : File_tree.tree) =
 (* "compile" one module: read the source and some shared headers, burn
    CPU, stage a compiler temporary in /tmp (created, read back, and
    deleted — the short-lived file that Section 5.4 is about), and emit
-   the object file into the target tree *)
-let compile ctx config (tree : File_tree.tree) index (name, bytes) =
+   the object file into the target tree. [headers] is the tree's
+   header files, made an array once per make phase. *)
+let compile ctx config headers index (name, bytes) =
   ignore (Vfs.Fileio.read_file ctx.App.mounts (config.dst_root ^ "/" ^ name));
-  let headers = Array.of_list tree.File_tree.header_files in
   let nh = Array.length headers in
   for j = 0 to min config.headers_per_compile nh - 1 do
     let hname, _ = headers.((index + j) mod nh) in
@@ -119,7 +119,8 @@ let compile ctx config (tree : File_tree.tree) index (name, bytes) =
   (obj, obj_bytes)
 
 let phase_make ctx config (tree : File_tree.tree) =
-  let objs = List.mapi (compile ctx config tree) tree.File_tree.c_files in
+  let headers = Array.of_list tree.File_tree.header_files in
+  let objs = List.mapi (compile ctx config headers) tree.File_tree.c_files in
   (* link: read every object, compute, write the program *)
   List.iter (fun (obj, _) -> ignore (Vfs.Fileio.read_file ctx.App.mounts obj)) objs;
   App.think ctx config.link_cpu;

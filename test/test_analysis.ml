@@ -106,6 +106,13 @@ let test_hashtbl_order_fold_dataflow () =
          [] in\n\
         \  let ordered = List.rev pending in\n\
         \  List.iter (fun (k, v) -> emit k v) ordered\n";
+    ];
+  check_fires "Inttbl fold -> iter sink" "hashtbl-order"
+    [
+      input "lib/srv/cb.ml"
+        "let flush t =\n\
+        \  Sim.Inttbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []\n\
+        \  |> List.iter (fun (k, v) -> emit k v)\n";
     ]
 
 let test_hashtbl_order_sort_cleanses () =

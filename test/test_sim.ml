@@ -645,6 +645,91 @@ let prop_rand_float_bounds =
       done;
       !ok)
 
+(* ---- int-keyed table against a Hashtbl model ---- *)
+
+(* The table's key mixer, copied to aim keys at the end of the array:
+   each key in [wrapping] has its home slot among the last two slots of
+   an 8-, 16- or 32-slot table, so once a few are live their probe runs
+   wrap past the end, and removals must shift entries back across it.
+   Should the mixer change, these keys stop being aimed, but the model
+   check still holds. *)
+let mixed k =
+  let h = k * 0x1E3779B97F4A7C15 in
+  h lxor (h lsr 29)
+
+let wrapping =
+  Seq.ints 0
+  |> Seq.filter (fun k -> mixed k land 31 >= 30)
+  |> Seq.take 40 |> List.of_seq
+
+let scattered = [ 0; -1; 7; 100; 4096; 1 lsl 40; max_int; min_int ]
+let table_keys = wrapping @ scattered
+
+type table_op = Add of int | Remove of int | Clear
+
+let print_table_op = function
+  | Add k -> Printf.sprintf "add %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+
+let table_ops_arbitrary =
+  let open QCheck.Gen in
+  let key = frequency [ (4, oneofl wrapping); (1, oneofl scattered) ] in
+  let add = map (fun k -> Add k) key in
+  let op = frequency [ (5, add); (4, map (fun k -> Remove k) key) ] in
+  (* adds grow the table from no slots and churn runs it near its
+     load limit; then a clear empties it, and it fills again *)
+  let phase fill =
+    map2 ( @ ) (list_repeat fill add) (list_size (int_range 50 150) op)
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print_table_op ops))
+    (map3 (fun a b c -> a @ (Clear :: b) @ c) (phase 30) (phase 10) (phase 60))
+
+(* After every step, [find] of every key is the value the model holds
+   (the same string, physically) or the sentinel, [remove] reports
+   whether the key was bound, and [fold] visits exactly the model's
+   bindings. A run whose table never held 17 keys did not grow past 32
+   slots, and fails. *)
+let prop_inttbl_matches_model =
+  QCheck.Test.make ~name:"Inttbl matches a Hashtbl model" ~count:200
+    table_ops_arbitrary (fun ops ->
+      let empty = "empty" in
+      let t = Sim.Inttbl.create ~empty 0 in
+      let model = Hashtbl.create 64 in
+      let most = ref 0 and step = ref 0 in
+      let bindings_of fold tbl =
+        List.sort compare (fold (fun k v acc -> (k, v) :: acc) tbl [])
+      in
+      let agrees () =
+        List.for_all
+          (fun k ->
+            match Hashtbl.find_opt model k with
+            | Some v -> Sim.Inttbl.find t k == v
+            | None -> Sim.Inttbl.find t k == empty)
+          table_keys
+        && bindings_of Sim.Inttbl.fold t = bindings_of Hashtbl.fold model
+      in
+      List.for_all
+        (fun op ->
+          incr step;
+          (match op with
+          | Add k ->
+              let v = string_of_int !step in
+              Sim.Inttbl.replace t k v;
+              Hashtbl.replace model k v
+          | Remove k ->
+              if Sim.Inttbl.remove t k <> Hashtbl.mem model k then
+                QCheck.Test.fail_reportf "remove %d disagrees on membership" k;
+              Hashtbl.remove model k
+          | Clear ->
+              Sim.Inttbl.clear t;
+              Hashtbl.reset model);
+          most := max !most (Hashtbl.length model);
+          agrees ())
+        ops
+      && !most > 16)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
@@ -720,4 +805,5 @@ let () =
           Alcotest.test_case "seeds differ" `Quick test_rand_seeds_differ;
         ]
         @ qc [ prop_rand_int_bounds; prop_rand_float_bounds ] );
+      ("inttbl", qc [ prop_inttbl_matches_model ]);
     ]
