@@ -7,6 +7,7 @@ type result = {
   fresh : Finding.t list;
   baselined : Finding.t list;
   stats : stat list;
+  live_waivers : (string * int) list;
   files_scanned : int;
 }
 
@@ -93,20 +94,60 @@ let analyze ?(baseline = Baseline.empty) ?only ?skip ?(clock = fun () -> 0.)
           found)
         passes
   in
-  let src_of =
-    let tbl = Hashtbl.create (List.length inputs) in
-    List.iter (fun i -> Hashtbl.replace tbl i.path i.src) inputs;
-    fun path -> Hashtbl.find_opt tbl path
+  (* the waivers of every file the passes saw, with whether each one
+     suppresses a raw finding *)
+  let waivers =
+    List.concat_map
+      (fun (f : Source.t) ->
+        if f.Source.parse_error <> None then []
+        else
+          let here =
+            List.filter (fun (r : Finding.t) -> r.Finding.path = f.Source.path) raw
+          in
+          List.map
+            (fun w ->
+              ( f.Source.path,
+                w,
+                List.exists
+                  (fun (r : Finding.t) ->
+                    Waiver.covers w ~rule:r.Finding.rule ~line:r.Finding.line)
+                  here ))
+            (Waiver.scan f.Source.src))
+      ctx.Pass.files
   in
-  let kept =
-    List.filter
-      (fun (f : Finding.t) ->
-        match src_of f.Finding.path with
-        | Some src ->
-            not (Waiver.waived ~src ~rule:f.Finding.rule ~line:f.Finding.line)
-        | None -> true)
-      raw
+  let waived (r : Finding.t) =
+    List.exists
+      (fun (path, w, _) ->
+        path = r.Finding.path
+        && Waiver.covers w ~rule:r.Finding.rule ~line:r.Finding.line)
+      waivers
   in
+  (* a waiver of a rule that ran and found nothing there is stale *)
+  let ran = List.map (fun p -> p.Pass.name) passes in
+  let stale =
+    List.filter_map
+      (fun (path, (w : Waiver.t), used) ->
+        if used || not (List.mem w.Waiver.rule ran) then None
+        else
+          Some
+            (Finding.v ~path ~line:w.Waiver.line ~rule:"stale-waiver"
+               (Printf.sprintf
+                  "'snfs-lint: allow %s' suppresses no %s finding on this \
+                   line or the next; delete it"
+                  w.Waiver.rule w.Waiver.rule)))
+      waivers
+  in
+  let live_waivers =
+    List.fold_left
+      (fun acc (_, (w : Waiver.t), used) ->
+        if not used then acc
+        else
+          let n = Option.value ~default:0 (List.assoc_opt w.Waiver.rule acc) in
+          (w.Waiver.rule, n + 1) :: List.remove_assoc w.Waiver.rule acc)
+      [] waivers
+    |> List.sort compare
+  in
+  let kept = List.filter (fun r -> not (waived r)) raw @ stale in
   let findings = List.sort_uniq Finding.compare kept in
   let fresh, baselined = Baseline.apply baseline findings in
   {
@@ -115,6 +156,7 @@ let analyze ?(baseline = Baseline.empty) ?only ?skip ?(clock = fun () -> 0.)
     baselined;
     stats =
       List.sort (fun a b -> String.compare a.s_pass b.s_pass) !stats;
+    live_waivers;
     files_scanned = List.length ctx.Pass.files;
   }
 
@@ -128,10 +170,19 @@ let stats_to_string r =
         (Printf.sprintf "%-16s %5d finding(s) %8.1f ms\n" s.s_pass
            s.s_findings s.s_time_ms))
     r.stats;
+  Buffer.add_string buf
+    (Printf.sprintf "live waivers: %d\n"
+       (List.fold_left (fun n (_, k) -> n + k) 0 r.live_waivers));
+  List.iter
+    (fun (rule, k) ->
+      Buffer.add_string buf (Printf.sprintf "  %-16s %3d\n" rule k))
+    r.live_waivers;
   Buffer.contents buf
 
 let rule_docs =
   ("parse-error", "files the compiler frontend rejected")
+  :: ( "stale-waiver",
+       "snfs-lint waivers that suppress no finding of a rule that ran" )
   :: List.map (fun p -> (p.Pass.name, p.Pass.doc)) passes
 
 let read_file path =

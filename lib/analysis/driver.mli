@@ -15,10 +15,14 @@ type stat = {
 
 type result = {
   findings : Finding.t list;
-      (** every post-waiver finding, sorted and deduplicated *)
+      (** every post-waiver finding, sorted and deduplicated, stale
+          waivers included *)
   fresh : Finding.t list;  (** findings not covered by the baseline *)
   baselined : Finding.t list;  (** findings the baseline absorbs *)
   stats : stat list;  (** one entry per executed pass, sorted by name *)
+  live_waivers : (string * int) list;
+      (** per rule, the waivers that suppressed a finding, sorted by
+          rule; rules with none are absent *)
   files_scanned : int;  (** parsed input count *)
 }
 
@@ -46,19 +50,22 @@ val analyze :
     [skip] ([only] wins when both are given; an unregistered name
     raises {!Unknown_rule}). Unparseable files yield a single
     [parse-error] finding each, regardless of the selection. A finding
-    is dropped when its flagged line (or the line above) carries
-    [snfs-lint: allow <rule>]. [clock] feeds the per-pass timing stats;
+    is dropped when its flagged line (or the line above) carries a
+    {!Waiver}. A waiver that suppresses nothing is itself a
+    [stale-waiver] finding, when the rule it names ran and its file
+    parsed. [clock] feeds the per-pass timing stats;
     the default returns a constant, keeping the library free of wall
     clocks (its own determinism pass bans them) — the CLI injects
     [Sys.time], tests inject a fake. *)
 
 val stats_to_string : result -> string
-(** the [--stats] rendering: files scanned, then one line per pass
-    (name, finding count, rounded ms), sorted by pass name *)
+(** the [--stats] rendering: files scanned, one line per pass (name,
+    finding count, rounded ms) sorted by pass name, then the live
+    waiver total and one line per rule that has any *)
 
 val rule_docs : (string * string) list
-(** [(id, doc)] for every registered pass plus the [parse-error]
-    pseudo-rule — the SARIF rule table *)
+(** [(id, doc)] for every registered pass plus the [parse-error] and
+    [stale-waiver] pseudo-rules — the SARIF rule table *)
 
 val load_tree : string -> input list
 (** Read every [.ml]/[.mli] under [root]/{lib,bin,test,examples},

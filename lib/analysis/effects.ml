@@ -2,8 +2,8 @@
 
    A fixpoint over the whole-program call graph computing, for every
    toplevel binding in the tree, whether calling it can reach a
-   cooperative blocking point (Engine sleep/suspend, Ivar/Mailbox
-   waits, Rpc.call, disk and cache waits, ...). Seeds are (a) nodes
+   cooperative blocking point (Engine sleep/suspend, Ivar waits,
+   Rpc.call, disk and cache waits, ...). Seeds are (a) nodes
    whose own id matches a primitive blocking suffix — [Sim.Engine.sleep]
    IS the primitive; its body has nothing deeper to point at — and
    (b) nodes whose body applies a primitive suffix in synchronous
@@ -24,11 +24,8 @@ let blocking_suffixes =
   [
     [ "Engine"; "sleep" ];
     [ "Engine"; "suspend" ];
-    [ "Engine"; "yield" ];
     [ "Ivar"; "read" ];
     [ "Ivar"; "read_timeout" ];
-    [ "Mailbox"; "recv" ];
-    [ "Mailbox"; "recv_timeout" ];
     [ "Resource"; "acquire" ];
     [ "Resource"; "use" ];
     [ "Semaphore"; "acquire" ];

@@ -6,8 +6,21 @@
 
     {v (* snfs-lint: allow yield-race — b.lock serializes this path *) v}
 
-    The rule name must be followed by a non-identifier character (or
-    end-of-line) so [allow determinism] never waives a hypothetical
-    [determinism-strict] finding. *)
+    The rule name runs to the first character that cannot be part of
+    one, so [allow determinism] never waives a hypothetical
+    [determinism-strict] finding. Only ordinary comments waive: the
+    same text in a string literal or a doc comment (like the example
+    above) is inert. *)
 
-val waived : src:string -> rule:string -> line:int -> bool
+type t = {
+  line : int;  (** 1-based line the waiver text sits on *)
+  rule : string;  (** the rule it names *)
+}
+
+val scan : string -> t list
+(** the waivers in one source file, in source order; [[]] when the
+    file does not lex *)
+
+val covers : t -> rule:string -> line:int -> bool
+(** whether the waiver suppresses a finding of [rule] on [line] (its
+    own line or the next) *)

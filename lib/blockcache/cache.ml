@@ -108,8 +108,6 @@ let create engine ~name ~capacity_blocks ~block_size backend =
   t
 
 let name t = t.name
-let block_size t = t.block_size
-let capacity_blocks t = t.capacity
 let resident_blocks t = t.count
 
 (* One instant per cache action on this cache's own track. Args carry

@@ -42,12 +42,7 @@ val create :
   backend ->
   t
 
-(* snfs-lint: allow interface-drift — config introspection for experiment reports *)
 val name : t -> string
-(* snfs-lint: allow interface-drift — config introspection for experiment reports *)
-val block_size : t -> int
-(* snfs-lint: allow interface-drift — config introspection for experiment reports *)
-val capacity_blocks : t -> int
 
 (** {2 Data path} *)
 
@@ -132,5 +127,4 @@ val start_syncer : t -> ?min_age:float -> interval:float -> unit -> unit
     [cache_writebacks_total] and [cache_writes_averted_total] labelled
     with the cache's name. *)
 
-(* snfs-lint: allow interface-drift — cache observability counter for experiments *)
 val resident_blocks : t -> int

@@ -29,6 +29,7 @@ let op_to_string = function
   | Tick -> "tick"
   | Scan -> "scan"
 
+(* courtesy lifetime used by the checker, in [Tick] steps *)
 let lifetime_steps = 2
 
 type violation = { v_inv : string; v_path : op list; v_detail : string }

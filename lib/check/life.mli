@@ -44,10 +44,6 @@ type op = Demote of int | Conflict of int | Revive of int | Tick | Scan
 
 val op_to_string : op -> string
 
-(** Courtesy lifetime used by the checker, in [Tick] steps. *)
-(* snfs-lint: allow interface-drift — checker parameter readback, documents what a counterexample path means *)
-val lifetime_steps : int
-
 type violation = {
   v_inv : string;  (** invariant name, or ["exception"] *)
   v_path : op list;  (** op sequence reaching the violation *)

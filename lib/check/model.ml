@@ -287,5 +287,3 @@ let observe t ~clients ~files =
               o_last_writer = f.last_writer;
               o_inconsistent = f.inconsistent;
             } ))
-
-let entry_count t = List.length t.files

@@ -29,17 +29,6 @@ type expected_open = {
   x_callbacks : Spritely.State_table.callback list;
 }
 
-(* snfs-lint: allow interface-drift — spelled-out Table 4-1 event for hand-written scenario tests *)
-val open_file : t -> file:int -> client:int -> mode:mode -> t * expected_open
-(* snfs-lint: allow interface-drift — spelled-out Table 4-1 event for hand-written scenario tests *)
-val close_file : t -> file:int -> client:int -> mode:mode -> t
-(* snfs-lint: allow interface-drift — spelled-out Table 4-1 event for hand-written scenario tests *)
-val note_clean : t -> file:int -> client:int -> t
-(* snfs-lint: allow interface-drift — spelled-out Table 4-1 event for hand-written scenario tests *)
-val remove_file : t -> file:int -> t
-(* snfs-lint: allow interface-drift — spelled-out Table 4-1 event for hand-written scenario tests *)
-val forget_client : t -> int -> t
-
 (** Apply one checker op (closes etc. must be legal, cf. {!legal}). *)
 val apply : t -> Invariant.op -> t * expected_open option
 
@@ -51,7 +40,3 @@ val legal : t -> Invariant.op -> bool
 (** Observation snapshot over the universe [files × clients], in the
     same shape the checker extracts from the real table. *)
 val observe : t -> clients:int -> files:int -> Invariant.obs
-
-(** Live entries (for generating ops). *)
-(* snfs-lint: allow interface-drift — model introspection for scenario assertions *)
-val entry_count : t -> int

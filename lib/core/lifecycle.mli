@@ -40,7 +40,6 @@ type t
     demoted client is due immediately. *)
 val create : ?courtesy_lifetime:float -> unit -> t
 
-(* snfs-lint: allow interface-drift — configuration readback for reports *)
 val courtesy_lifetime : t -> float
 
 (** [Active] when the client has no entry. *)

@@ -4,6 +4,8 @@ type params = {
   per_request_overhead : float;
 }
 
+(* the default: a DEC RA81, ~22 ms average seek plus ~8.3 ms average
+   rotational latency, 2.2 MB/s peak transfer *)
 let ra81 =
   { positioning = 0.030; transfer_rate = 2.2e6; per_request_overhead = 0.001 }
 
@@ -23,8 +25,6 @@ let create engine ?(params = ra81) name =
     arm = Sim.Resource.create engine ~capacity:1 (name ^ ".arm");
     next_at = None;
   }
-
-let name t = t.name
 
 let service_time t ~at bytes =
   let sequential =

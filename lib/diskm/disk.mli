@@ -19,17 +19,9 @@ type params = {
   per_request_overhead : float;  (** controller / driver overhead, seconds *)
 }
 
-(** Approximation of a DEC RA81: ~22 ms average seek plus ~8.3 ms
-    average rotational latency, 2.2 MB/s peak transfer. *)
-(* snfs-lint: allow interface-drift — the paper's disk preset, referenced from DESIGN.md *)
-val ra81 : params
-
 type t
 
 val create : Sim.Engine.t -> ?params:params -> string -> t
-
-(* snfs-lint: allow interface-drift — identity accessor for report labelling *)
-val name : t -> string
 
 (** [read t ?at ~bytes] blocks for one read request of [bytes] bytes.
     [at] is an abstract block address: a request whose address follows

@@ -25,7 +25,7 @@ type row = {
   server_rpcs : int;
 }
 
-(* snfs-lint: allow interface-drift — called from perfbench/, which the analyzer does not scan *)
+(* snfs-lint: allow interface-drift — called from perfbench/ *)
 val run_protocol :
   label:string ->
   make_clients:

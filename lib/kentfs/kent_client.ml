@@ -15,11 +15,7 @@ let default_config =
 type owned = bool Sim.Inttbl.t
 type gnode = owned Core.gnode
 
-type t = {
-  core : owned Core.t;
-  mutable acquires : int;
-  mutable callbacks_served : int;
-}
+type t = { core : owned Core.t }
 
 (* our owned dirty blocks may extend past the server's size *)
 let keep_size (g : gnode) (attrs : Localfs.attrs) =
@@ -38,7 +34,6 @@ let policy =
 (* first write to a block: get ownership (and invalidate other copies) *)
 let acquire t ctx (g : gnode) ~index ~len =
   if not (Sim.Inttbl.find g.g_proto index) then begin
-    t.acquires <- t.acquires + 1;
     if Obs.Metrics.on () then
       Obs.Metrics.incr
         ~labels:[ ("host", Core.host t.core) ]
@@ -106,7 +101,6 @@ let handle_callback t dec =
   let cctx = Obs.Causal.of_id (Xdr.Dec.ctx dec) in
   let ino = fh.Wire.ino in
   let cache = Core.cache t.core in
-  t.callbacks_served <- t.callbacks_served + 1;
   if Obs.Metrics.on () then
     Obs.Metrics.incr
       ~labels:[ ("host", Core.host t.core) ]
@@ -150,7 +144,7 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "kent")
       ~cache_blocks:config.cache_blocks ~read_ahead:config.read_ahead
       ~retry_budget:config.retry_budget
   in
-  let t = { core; acquires = 0; callbacks_served = 0 } in
+  let t = { core } in
   let _svc =
     Netsim.Rpc.serve rpc client
       ~prog:(Kent_server.client_prog_for root.Wire.fsid)
@@ -169,5 +163,3 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "kent")
 
 let fs t = Core.fs t.core
 let cache t = Core.cache t.core
-let acquires t = t.acquires
-let block_callbacks_served t = t.callbacks_served

@@ -35,7 +35,3 @@ val mount :
 
 val fs : t -> Vfs.Fs.t
 val cache : t -> Blockcache.Cache.t
-
-(** Ownership acquisitions performed / block callbacks served. *)
-val acquires : t -> int
-val block_callbacks_served : t -> int

@@ -23,8 +23,6 @@ type t = {
   service : Netsim.Rpc.service;
   (* at most threads-1 handlers may be issuing callbacks (Section 3.2) *)
   callback_tokens : Sim.Semaphore.t;
-  mutable recalls : int;
-  mutable invalidations : int;
 }
 
 let bstate t key =
@@ -56,15 +54,10 @@ let block_callback t ~ctx ~ino ~index ~target ~writeback ~invalidate =
   Xdr.Enc.bool e invalidate;
   (* the inducing operation rides in the callback payload *)
   Xdr.Enc.ctx e (Obs.Causal.id ctx);
-  if invalidate then begin
-    t.invalidations <- t.invalidations + 1;
-    if Obs.Metrics.on () then
-      Obs.Metrics.incr "kent_invalidations_sent_total"
-  end;
-  if writeback then begin
-    t.recalls <- t.recalls + 1;
-    if Obs.Metrics.on () then Obs.Metrics.incr "kent_recalls_sent_total"
-  end;
+  if invalidate && Obs.Metrics.on () then
+    Obs.Metrics.incr "kent_invalidations_sent_total";
+  if writeback && Obs.Metrics.on () then
+    Obs.Metrics.incr "kent_recalls_sent_total";
   if Obs.Trace.on () && Obs.Causal.keep ctx then
     Obs.Trace.instant
       ~ts:(Sim.Engine.now (Netsim.Net.engine (Netsim.Rpc.net t.rpc)))
@@ -238,8 +231,9 @@ let forget_file t ino =
    waiting for a lock occupy pool threads; the block protocol therefore
    needs more headroom than the file-granularity servers — a software
    echo of Kent's finding that the protocol wanted hardware support *)
-let serve rpc host ?(threads = 8) ~fsid fs =
-  if threads < 2 then invalid_arg "Kent_server.serve: need at least 2 threads";
+let threads = 8
+
+let serve rpc host ~fsid fs =
   let engine = Netsim.Net.engine (Netsim.Rpc.net rpc) in
   let rec t =
     lazy
@@ -274,14 +268,9 @@ let serve rpc host ?(threads = 8) ~fsid fs =
          blocks = Hashtbl.create 256;
          service;
          callback_tokens = Sim.Semaphore.create engine (threads - 1);
-         recalls = 0;
-         invalidations = 0;
        })
   in
   Lazy.force t
 
 let root_fh t = Nfs.Wire.root_fh t.core
-let counters t = Netsim.Rpc.counters t.service
 let service t = t.service
-let recalls_sent t = t.recalls
-let invalidations_sent t = t.invalidations

@@ -28,13 +28,10 @@ val client_prog_for : int -> string
     the shared wire vocabulary). *)
 val p_acquire : string
 
-val serve :
-  Netsim.Rpc.t -> Netsim.Net.Host.t -> ?threads:int -> fsid:int -> Localfs.t -> t
+(** Serve [fs] with 8 server threads. Ownership recalls and copy
+    invalidations sent count in the metrics registry as
+    [kent_recalls_sent_total] and [kent_invalidations_sent_total]. *)
+val serve : Netsim.Rpc.t -> Netsim.Net.Host.t -> fsid:int -> Localfs.t -> t
 
 val root_fh : t -> Nfs.Wire.fh
-val counters : t -> Stats.Counter.t
 val service : t -> Netsim.Rpc.service
-
-(** Ownership recalls / copy invalidations sent. *)
-val recalls_sent : t -> int
-val invalidations_sent : t -> int

@@ -125,10 +125,8 @@ let create engine ~name ~disk ~cache_blocks ?(block_size = 4096)
   t.next_ino <- root_ino + 1;
   t
 
-let engine t = t.engine
 let name t = t.name
 let block_size t = t.block_size
-let cache t = t.cache
 
 let start_syncer t ?min_age ~interval () =
   Blockcache.Cache.start_syncer t.cache ?min_age ~interval ()

@@ -43,7 +43,7 @@ type error =
 
 exception Error of error
 
-(* snfs-lint: allow interface-drift — diagnostic formatting helper for interactive use *)
+(* snfs-lint: allow interface-drift — called from perfbench/ *)
 val error_to_string : error -> string
 
 (** How metadata (inode, directory) updates reach the disk:
@@ -61,12 +61,8 @@ val create :
   unit ->
   t
 
-(* snfs-lint: allow interface-drift — plumbing accessor, symmetric with cache *)
-val engine : t -> Sim.Engine.t
 val name : t -> string
 val block_size : t -> int
-(* snfs-lint: allow interface-drift — plumbing accessor for cache-level assertions *)
-val cache : t -> Blockcache.Cache.t
 
 (** Start the periodic flusher of delayed writes (the [/etc/update]
     daemon). Optional: experiments disable it for the infinite

@@ -5,6 +5,7 @@ type params = {
   jitter : float;
 }
 
+(* the default: a 10 Mbit/s LAN of the paper's era *)
 let default_params =
   { latency = 0.0003; bandwidth = 1.25e6; header_bytes = 64; jitter = 0.0 }
 

@@ -26,10 +26,6 @@ type params = {
           duplicate-request caches must absorb) *)
 }
 
-(** 10 Mbit/s LAN of the paper's era. *)
-(* snfs-lint: allow interface-drift — documented default parameter set *)
-val default_params : params
-
 val create : Sim.Engine.t -> ?params:params -> ?seed:int64 -> unit -> t
 
 val engine : t -> Sim.Engine.t

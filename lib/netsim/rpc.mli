@@ -28,9 +28,6 @@ type config = {
   cpu_per_kbyte : float;  (** marginal cost of touching payload bytes *)
 }
 
-(* snfs-lint: allow interface-drift — documented default configuration *)
-val default_config : config
-
 val create : Net.t -> ?config:config -> unit -> t
 
 val net : t -> Net.t

@@ -6,7 +6,10 @@ type t = {
   service : Netsim.Rpc.service;
 }
 
-let serve rpc host ?(threads = 4) ~fsid fs =
+(* the server daemon count *)
+let threads = 4
+
+let serve rpc host ~fsid fs =
   let core = Wire.make_server_core ~fsid fs () in
   let handler ~caller ~ctx ~proc dec =
     match
@@ -26,4 +29,3 @@ let serve rpc host ?(threads = 4) ~fsid fs =
 
 let root_fh t = Wire.root_fh t.core
 let service t = t.service
-let counters t = Netsim.Rpc.counters t.service

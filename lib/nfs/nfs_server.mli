@@ -7,14 +7,10 @@
 
 type t
 
-(** [serve rpc host fs] exports local file system [fs] from [host]
-    under RPC program {!prog}. [threads] is the server daemon count. *)
-val serve :
-  Netsim.Rpc.t -> Netsim.Net.Host.t -> ?threads:int -> fsid:int -> Localfs.t -> t
+(** [serve rpc host ~fsid fs] exports local file system [fs] from
+    [host] under RPC program {!prog}, with 4 server daemons. *)
+val serve : Netsim.Rpc.t -> Netsim.Net.Host.t -> fsid:int -> Localfs.t -> t
 
 val prog : string
 val root_fh : t -> Wire.fh
 val service : t -> Netsim.Rpc.service
-
-(** RPC-operation counters (Tables 5-2, 5-4, 5-6). *)
-val counters : t -> Stats.Counter.t

@@ -49,10 +49,6 @@ val series_count : t -> int
 
 (** {1 Global slot} *)
 
-(* snfs-lint: allow interface-drift — scoped-install lifecycle hook for test harnesses *)
-val install : t -> unit
-(* snfs-lint: allow interface-drift — scoped-install lifecycle hook for test harnesses *)
-val uninstall : unit -> unit
 
 (** True while a registry is installed. *)
 val on : unit -> bool
@@ -107,7 +103,7 @@ val counters_with : t -> string -> (labels * int) list
 val histograms_with : t -> string -> (labels * Stats.Histogram.t) list
 
 (** The histogram under a name (created empty on first use). *)
-(* snfs-lint: allow interface-drift — called from perfbench/, which the analyzer does not scan *)
+(* snfs-lint: allow interface-drift — called from perfbench/ *)
 val histogram : t -> ?labels:labels -> string -> Stats.Histogram.t
 
 (** {1 Sampling}

@@ -64,10 +64,8 @@ val limit : t -> int
     domain, so independent simulations on separate domains
     ({!Experiments.Sweep}) each see their own tracer and never a
     sibling's. *)
-(* snfs-lint: allow interface-drift — scoped-install lifecycle hook for test harnesses *)
 val install : t -> unit
 
-(* snfs-lint: allow interface-drift — scoped-install lifecycle hook for test harnesses *)
 val uninstall : unit -> unit
 
 (** Is a tracer installed? Probe sites check this before building
@@ -75,7 +73,6 @@ val uninstall : unit -> unit
 val on : unit -> bool
 
 (** The installed tracer, if any (the flight recorder inspects it). *)
-(* snfs-lint: allow interface-drift — slot accessor for the flight recorder *)
 val current : unit -> t option
 
 (** [with_tracer t f] runs [f] with [t] installed, uninstalling on the

@@ -14,7 +14,7 @@ let default_config =
 type version = { mutable cached_version : int option }
 type gnode = version Core.gnode
 
-type t = { core : version Core.t; mutable invalidations_served : int }
+type t = { core : version Core.t }
 
 let block_size = 4096
 
@@ -98,7 +98,6 @@ let handle_callback t dec =
   (* the inducing operation rode the wire: close the causal chain with
      the effect end of the flow arrow on this client's track *)
   let cctx = Obs.Causal.of_id args.cb_ctx in
-  t.invalidations_served <- t.invalidations_served + 1;
   if Obs.Metrics.on () then
     Obs.Metrics.incr
       ~labels:[ ("host", Core.host t.core) ]
@@ -129,7 +128,7 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "rfs")
       ~cache_blocks:config.cache_blocks ~read_ahead:config.read_ahead
       ~retry_budget:config.retry_budget
   in
-  let t = { core; invalidations_served = 0 } in
+  let t = { core } in
   let _svc =
     Netsim.Rpc.serve rpc client
       ~prog:(Rfs_server.client_prog_for root.Wire.fsid)
@@ -148,4 +147,3 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "rfs")
 
 let fs t = Core.fs t.core
 let cache t = Core.cache t.core
-let invalidations_served t = t.invalidations_served

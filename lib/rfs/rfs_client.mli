@@ -31,6 +31,3 @@ val mount :
 
 val fs : t -> Vfs.Fs.t
 val cache : t -> Blockcache.Cache.t
-
-(** Invalidation callbacks served. *)
-val invalidations_served : t -> int

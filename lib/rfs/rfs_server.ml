@@ -116,8 +116,9 @@ let handle_close t d =
   Nfs.Wire.enc_status e (Ok ());
   { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 }
 
-let serve rpc host ?(threads = 4) ~fsid fs =
-  if threads < 2 then invalid_arg "Rfs_server.serve: need at least 2 threads";
+let threads = 4
+
+let serve rpc host ~fsid fs =
   let engine = Netsim.Net.engine (Netsim.Rpc.net rpc) in
   let rec t =
     lazy
@@ -163,5 +164,4 @@ let serve rpc host ?(threads = 4) ~fsid fs =
   Lazy.force t
 
 let root_fh t = Nfs.Wire.root_fh t.core
-let counters t = Netsim.Rpc.counters t.service
 let service t = t.service

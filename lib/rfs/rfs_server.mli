@@ -14,9 +14,8 @@ type t
 val prog : string
 val client_prog_for : int -> string
 
-val serve :
-  Netsim.Rpc.t -> Netsim.Net.Host.t -> ?threads:int -> fsid:int -> Localfs.t -> t
+(** Serve [fs] with 4 server threads. *)
+val serve : Netsim.Rpc.t -> Netsim.Net.Host.t -> fsid:int -> Localfs.t -> t
 
 val root_fh : t -> Nfs.Wire.fh
-val counters : t -> Stats.Counter.t
 val service : t -> Netsim.Rpc.service

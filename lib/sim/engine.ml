@@ -315,5 +315,3 @@ let suspend (_t : t) register = Effect.perform (Suspend register)
 let sleep (_t : t) d =
   if d < 0.0 then invalid_arg "Engine.sleep: negative duration";
   Effect.perform (Sleep d)
-
-let yield t = sleep t 0.0

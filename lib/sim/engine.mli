@@ -71,7 +71,3 @@ val sleep : t -> float -> unit
     called exactly once. *)
 val suspend : t -> (('a -> unit) -> unit) -> 'a
 
-(** Reschedule the calling process after all events already queued at
-    the current instant. *)
-(* snfs-lint: allow interface-drift — core cooperative-scheduling primitive *)
-val yield : t -> unit

@@ -8,8 +8,6 @@ let create engine = { engine; value = None; waiters = [] }
 
 let is_full t = Option.is_some t.value
 
-let peek t = t.value
-
 let fill t v =
   match t.value with
   | Some _ -> invalid_arg "Ivar.fill: already filled"

@@ -11,8 +11,6 @@ val create : Engine.t -> 'a t
 val fill : 'a t -> 'a -> unit
 
 val is_full : 'a t -> bool
-(* snfs-lint: allow interface-drift — non-blocking probe completing the Ivar API *)
-val peek : 'a t -> 'a option
 
 (** Block until filled, then return the value. *)
 val read : 'a t -> 'a

@@ -27,13 +27,3 @@ let range t lo hi = lo +. ((hi -. lo) *. float t)
 let exponential t mean =
   let u = float t in
   -.mean *. log (1.0 -. u)
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-let split t = create (next t)

@@ -15,16 +15,7 @@ val int : t -> int -> int
 val float : t -> float
 
 (** Uniform in [\[lo, hi)]. *)
-(* snfs-lint: allow interface-drift — deterministic PRNG utility for workloads *)
 val range : t -> float -> float -> float
 
 (** Exponentially distributed with the given mean. *)
 val exponential : t -> float -> float
-
-(** Fisher-Yates shuffle (in place). *)
-(* snfs-lint: allow interface-drift — deterministic PRNG utility for workloads *)
-val shuffle : t -> 'a array -> unit
-
-(** Derive an independent child generator. *)
-(* snfs-lint: allow interface-drift — deterministic PRNG utility for workloads *)
-val split : t -> t

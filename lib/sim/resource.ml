@@ -38,9 +38,6 @@ let create engine ?(capacity = 1) name =
   t
 
 let name t = t.name
-let capacity t = t.capacity
-let in_use t = t.held
-let queue_length t = Queue.length t.waiters
 
 let note_acquired t =
   if t.held = 0 then t.busy.(1) <- Engine.now t.engine;

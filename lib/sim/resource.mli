@@ -10,13 +10,6 @@ type t
 val create : Engine.t -> ?capacity:int -> string -> t
 
 val name : t -> string
-(* snfs-lint: allow interface-drift — resource introspection *)
-val capacity : t -> int
-
-(* snfs-lint: allow interface-drift — low-level pair underlying use, for non-scoped holds *)
-val acquire : t -> unit
-(* snfs-lint: allow interface-drift — low-level pair underlying use, for non-scoped holds *)
-val release : t -> unit
 
 (** [use t dur] acquires a unit, holds it for [dur] seconds of virtual
     time, and releases it. This is the normal way to charge CPU or
@@ -29,7 +22,7 @@ val use : t -> float -> unit
     starts when the previous one ends). Equivalent to a dedicated
     process calling {!use}, minus the process: the fast path for
     fire-and-forget serialized devices such as the network medium.
-    Do not mix with {!acquire}/{!use} on the same resource — the two
+    Do not mix with {!use} on the same resource — the two
     disciplines don't see each other's occupancy. Raises
     [Invalid_argument] if the capacity is not 1 or [dur] is
     negative. *)
@@ -37,11 +30,3 @@ val reserve : t -> float -> float
 
 (** Cumulative busy time (any unit held) up to the current instant. *)
 val busy_time : t -> float
-
-(** Units currently held. *)
-(* snfs-lint: allow interface-drift — resource introspection *)
-val in_use : t -> int
-
-(** Processes blocked waiting for a unit. *)
-(* snfs-lint: allow interface-drift — resource introspection *)
-val queue_length : t -> int

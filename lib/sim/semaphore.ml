@@ -8,21 +8,10 @@ let create engine n =
   if n < 0 then invalid_arg "Semaphore.create: negative count";
   { engine; units = n; waiters = Queue.create () }
 
-let available t = t.units
-
-let waiting t = Queue.length t.waiters
-
 let acquire t =
   if t.units > 0 then t.units <- t.units - 1
   else
     Engine.suspend t.engine (fun resume -> Queue.push resume t.waiters)
-
-let try_acquire t =
-  if t.units > 0 then begin
-    t.units <- t.units - 1;
-    true
-  end
-  else false
 
 let release t =
   if Queue.is_empty t.waiters then t.units <- t.units + 1

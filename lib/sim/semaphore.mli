@@ -5,22 +5,6 @@ type t
 (** [create engine n] makes a semaphore with [n] initial units. *)
 val create : Engine.t -> int -> t
 
-(** Block until a unit is available, then take it. *)
-(* snfs-lint: allow interface-drift — low-level acquire underlying with_unit *)
-val acquire : t -> unit
-
-(** Take a unit without blocking; [false] if none available. *)
-val try_acquire : t -> bool
-
-val release : t -> unit
-
-(** [with_unit t fn] brackets [fn] with acquire/release, releasing on
-    exception as well. *)
+(** [with_unit t fn] blocks until a unit is available, takes it, runs
+    [fn], and gives the unit back, on exception as well. *)
 val with_unit : t -> (unit -> 'a) -> 'a
-
-(** Units currently available. *)
-val available : t -> int
-
-(** Number of processes blocked in [acquire]. *)
-(* snfs-lint: allow interface-drift — semaphore introspection *)
-val waiting : t -> int

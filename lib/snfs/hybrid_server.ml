@@ -56,7 +56,10 @@ let note_nfs_access t ~ctx ~file ~client ~write =
              just without consistency vis-a-vis SNFS clients *)
           ())
 
-let serve rpc host ?(threads = 4) ?(nfs_probe_interval = 150.0) ~fsid fs =
+(* threads of each half: the SNFS service and the NFS one *)
+let threads = 4
+
+let serve rpc host ?(nfs_probe_interval = 150.0) ~fsid fs =
   let snfs = Snfs_server.serve rpc host ~threads ~fsid fs in
   let engine = Netsim.Net.engine (Netsim.Rpc.net rpc) in
   let rec t =

@@ -25,7 +25,6 @@ type t
 val serve :
   Netsim.Rpc.t ->
   Netsim.Net.Host.t ->
-  ?threads:int ->
   ?nfs_probe_interval:float ->
   fsid:int ->
   Localfs.t ->

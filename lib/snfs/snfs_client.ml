@@ -35,8 +35,6 @@ type t = {
   core : open_state Core.t;
   config : config;
   mutable next_unsent_id : int;
-  mutable delayed_close_hits : int;
-  mutable callbacks_served : int;
   mutable last_epoch : int option; (* server boot epoch, for keepalive *)
 }
 
@@ -169,7 +167,6 @@ let do_open t vn mode =
   let write = Vfs.Fs.mode_writes mode in
   if t.config.delayed_close && take_unsent st ~write then begin
     (* the server still thinks we have this open: reuse it *)
-    t.delayed_close_hits <- t.delayed_close_hits + 1;
     if Obs.Metrics.on () then
       Obs.Metrics.incr
         ~labels:[ ("host", Core.host t.core) ]
@@ -258,7 +255,6 @@ let handle_callback t dec =
   (* the inducing operation rode the wire: close the causal chain with
      the effect end of the flow arrow on this client's track *)
   let cctx = Obs.Causal.of_id args.cb_ctx in
-  t.callbacks_served <- t.callbacks_served + 1;
   if Obs.Metrics.on () then
     Obs.Metrics.incr
       ~labels:
@@ -388,16 +384,7 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "snfs")
       ~cache_blocks:config.cache_blocks ~read_ahead:config.read_ahead
       ~retry_budget:config.retry_budget
   in
-  let t =
-    {
-      core;
-      config;
-      next_unsent_id = 0;
-      delayed_close_hits = 0;
-      callbacks_served = 0;
-      last_epoch = None;
-    }
-  in
+  let t = { core; config; next_unsent_id = 0; last_epoch = None } in
   (* the client fields server-initiated RPCs: register its service *)
   let _svc =
     Netsim.Rpc.serve rpc client
@@ -427,6 +414,3 @@ let cache t = Core.cache t.core
 
 let start_syncer t ~interval =
   Blockcache.Cache.start_syncer (cache t) ~interval ()
-
-let delayed_close_hits t = t.delayed_close_hits
-let callbacks_served t = t.callbacks_served

@@ -62,9 +62,3 @@ val start_keepalive : t -> interval:float -> unit
 (** Immediately run the recovery hand-shake (what the keepalive daemon
     does upon detecting a reboot). *)
 val recover_now : t -> unit
-
-(** Opens satisfied locally thanks to delayed close (Section 6.2). *)
-val delayed_close_hits : t -> int
-
-(** Callbacks served (write-back and/or invalidate). *)
-val callbacks_served : t -> int

@@ -11,7 +11,6 @@ type t = {
   service : Netsim.Rpc.service;
   callback_tokens : Sim.Semaphore.t; (* at most threads-1 concurrent *)
   mutable callbacks_sent : int;
-  mutable callbacks_failed : int;
   (* client addr -> last RPC time. The cell is a [float ref] rather
      than a float value so the per-request refresh is a store into the
      existing (flat, unboxed) cell instead of a boxed-float
@@ -89,8 +88,7 @@ let reap t client ~(state : Spritely.Lifecycle.state) =
   | None -> ());
   Spritely.State_table.forget_client t.table client
 
-let note_callback_failure t ~cause =
-  t.callbacks_failed <- t.callbacks_failed + 1;
+let note_callback_failure ~cause =
   if Obs.Metrics.on () then begin
     Obs.Metrics.incr "snfs_callbacks_failed_total";
     Obs.Metrics.incr ~labels:[ ("cause", cause) ]
@@ -111,7 +109,7 @@ let conflict_with_suspect t ~file (cb : Spritely.State_table.callback) =
       | Spritely.Lifecycle.Active -> false
       | Spritely.Lifecycle.Courtesy | Spritely.Lifecycle.Expirable ->
           ignore (Spritely.Lifecycle.note_conflict lc ~client:cb.target);
-          note_callback_failure t ~cause:"courtesy_conflict";
+          note_callback_failure ~cause:"courtesy_conflict";
           server_event t "callback_conflict"
             [ ("file", Obs.Trace.Int file);
               ("client", Obs.Trace.Int cb.target) ];
@@ -181,7 +179,7 @@ let perform_callback_live t ~ctx ~file (cb : Spritely.State_table.callback) =
       if cb.writeback then
         Spritely.State_table.note_clean t.table ~file ~client:cb.target
   | exception Netsim.Rpc.Timeout _ -> (
-      note_callback_failure t ~cause:"timeout";
+      note_callback_failure ~cause:"timeout";
       server_event t "callback_failed"
         [
           ("file", Obs.Trace.Int file);
@@ -409,7 +407,6 @@ let serve rpc host ?(threads = 8) ?(max_table_entries = 1000)
          service;
          callback_tokens = Sim.Semaphore.create engine (threads - 1);
          callbacks_sent = 0;
-         callbacks_failed = 0;
          last_heard = Sim.Inttbl.create ~empty:(ref 0.0) 16;
          file_locks =
            Sim.Inttbl.create ~empty:(Sim.Semaphore.create engine 1) 32;
@@ -432,7 +429,6 @@ let serve rpc host ?(threads = 8) ?(max_table_entries = 1000)
       t.table <-
         Spritely.State_table.create ~max_entries:t.max_table_entries ();
       t.callbacks_sent <- 0;
-      t.callbacks_failed <- 0;
       Hashtbl.reset t.recovered;
       (* the courtesy ledger is volatile too: a rebooted server starts
          trusting everyone again and relearns silence from scratch *)
@@ -587,4 +583,3 @@ let service t = t.service
 let counters t = Netsim.Rpc.counters t.service
 let state_table t = t.table
 let callbacks_sent t = t.callbacks_sent
-let callbacks_failed t = t.callbacks_failed

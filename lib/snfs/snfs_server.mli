@@ -51,9 +51,10 @@ val service : t -> Netsim.Rpc.service
 val counters : t -> Stats.Counter.t
 val state_table : t -> Spritely.State_table.t
 
-(** Callbacks issued / failed (dead clients). *)
+(** Callbacks issued since the last boot. A callback that fails (its
+    client is dead) counts in the metrics registry as
+    [snfs_callbacks_failed_total]. *)
 val callbacks_sent : t -> int
-val callbacks_failed : t -> int
 
 (** Deliver a list of prescribed callbacks now (used by the hybrid
     NFS/SNFS server of Section 6.1, whose implicit opens also produce

@@ -27,8 +27,6 @@ let to_list t =
   Hashtbl.fold (fun k c acc -> (k, !c) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset t = Hashtbl.reset t
-
 (* fresh refs, not Hashtbl.copy: a shared ref would let post-snapshot
    increments leak into the snapshot *)
 let snapshot t =
@@ -36,8 +34,9 @@ let snapshot t =
   Hashtbl.iter (fun k c -> Hashtbl.replace out k (ref !c)) t;
   out
 
-(* A counter [reset] between the two snapshots would otherwise surface
-   as a negative delta and silently poison interval arithmetic. *)
+(* A [later] behind [earlier] (snapshots passed in the wrong order)
+   would otherwise surface as a negative delta and silently poison
+   interval arithmetic. *)
 let diff later earlier =
   let out = create () in
   Hashtbl.iter

@@ -10,10 +10,8 @@ val create : unit -> t
 val incr : t -> ?n:int -> string -> unit
 
 (** The named counter's storage cell, created at zero if needed.
-    Callers on hot paths look the cell up once and bump it directly;
-    the cell stays live across {!reset} (which detaches it) only until
-    the next {!cell} call for that name, so don't cache across
-    resets. *)
+    Callers on hot paths look the cell up once and bump it directly:
+    a name keeps its cell for the life of the set. *)
 val cell : t -> string -> int ref
 
 val get : t -> string -> int
@@ -27,14 +25,11 @@ val total_of : t -> string list -> int
 (** All (name, count) pairs, sorted by name. *)
 val to_list : t -> (string * int) list
 
-val reset : t -> unit
-
 (** Independent copy. *)
 val snapshot : t -> t
 
 (** [diff later earlier] returns a counter set with the per-name
     difference, for measuring an interval. Names whose delta is not
-    positive are omitted: in particular a counter that was {!reset}
-    between the snapshots (so [later] is behind [earlier]) is clamped
-    to zero rather than reported as a negative interval. *)
+    positive are omitted, so a [later] behind [earlier] is clamped to
+    zero rather than reported as a negative interval. *)
 val diff : t -> t -> t

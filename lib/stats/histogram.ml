@@ -7,8 +7,6 @@ type t = {
 
 let create name = { name; samples = Array.make 64 0.0; len = 0; sorted = true }
 
-let name t = t.name
-
 let add t v =
   if t.len = Array.length t.samples then begin
     let bigger = Array.make (2 * t.len) 0.0 in

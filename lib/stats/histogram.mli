@@ -8,8 +8,6 @@ type t
 
 val create : string -> t
 
-(* snfs-lint: allow interface-drift — identity accessor for report labelling *)
-val name : t -> string
 val add : t -> float -> unit
 val count : t -> int
 val mean : t -> float

@@ -9,7 +9,6 @@ let create ~bin name =
   if bin <= 0.0 then invalid_arg "Timeseries.create: bin must be > 0";
   { name; bin; data = Array.make 64 0.0; max_bin = -1 }
 
-let name t = t.name
 let bin_width t = t.bin
 
 let ensure t i =

@@ -11,8 +11,6 @@ type t
 (** [create ~bin name] makes a series with bins of [bin] seconds. *)
 val create : bin:float -> string -> t
 
-(* snfs-lint: allow interface-drift — identity accessor for report labelling *)
-val name : t -> string
 val bin_width : t -> float
 
 (** Add [v] to the bin containing time [time]. *)

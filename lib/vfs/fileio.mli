@@ -52,7 +52,6 @@ val copy_file : Mount.t -> src:string -> dst:string -> int
 
 val unlink : Mount.t -> string -> unit
 val mkdir : Mount.t -> string -> unit
-(* snfs-lint: allow interface-drift — completes the directory API alongside mkdir *)
 val rmdir : Mount.t -> string -> unit
 val rename : Mount.t -> src:string -> dst:string -> unit
 val stat : Mount.t -> string -> Localfs.attrs

@@ -852,6 +852,64 @@ let test_waiver_name_boundary () =
   Alcotest.(check int) "prefix of a rule name is not a waiver" 1
     (count "yield-race" [ input "lib/a.ml" src ])
 
+let test_stale_waiver () =
+  let stale =
+    "let now () =\n\
+    \  (* snfs-lint: allow determinism — nothing here reads a clock *)\n\
+    \  0.0\n"
+  in
+  check_fires "a waiver with nothing to waive" "stale-waiver"
+    [ input "lib/a.ml" stale ];
+  (match rule_findings "stale-waiver" [ input "lib/a.ml" stale ] with
+  | [ f ] -> Alcotest.(check int) "reported on the waiver's line" 2 f.F.line
+  | fs -> Alcotest.failf "expected one stale waiver, got %d" (List.length fs));
+  (* a waiver is a comment: the same text in a string literal or a doc
+     comment neither waives nor goes stale *)
+  check_quiet "string literals and doc comments are inert" "stale-waiver"
+    [
+      input "lib/a.ml"
+        "let s = \"(* snfs-lint: allow determinism *)\"\n\
+         (** {v (* snfs-lint: allow determinism *) v} *)\n\
+         let t = 0\n";
+    ];
+  check_fires "a doc-comment waiver does not waive" "determinism"
+    [ input "lib/a.ml" "(** snfs-lint: allow determinism *)\nlet n = Sys.time ()\n" ]
+
+let test_used_waiver_quiet () =
+  let used =
+    "let now () =\n\
+    \  (* snfs-lint: allow determinism *)\n\
+    \  Unix.gettimeofday ()\n"
+  in
+  check_quiet "a waiver that suppresses a finding" "stale-waiver"
+    [ input "lib/a.ml" used ];
+  let r = D.analyze [ input "lib/a.ml" used ] in
+  Alcotest.(check (list (pair string int))) "counted live"
+    [ ("determinism", 1) ] r.D.live_waivers;
+  Alcotest.(check bool) "--stats prints the live count" true
+    (contains_sub (D.stats_to_string r) "live waivers: 1")
+
+let test_stale_waiver_rules () =
+  (* only rules that ran can judge their waivers: with determinism
+     skipped, its waiver is neither used nor stale *)
+  let src =
+    "let now () =\n\
+    \  (* snfs-lint: allow determinism *)\n\
+    \  0.0\n"
+  in
+  let stale r =
+    List.filter (fun f -> f.F.rule = "stale-waiver") r.D.findings
+    |> List.length
+  in
+  let inputs = [ input "lib/a.ml" src ] in
+  Alcotest.(check int) "all rules: stale" 1 (stale (D.analyze inputs));
+  Alcotest.(check int) "--rules without determinism: not judged" 0
+    (stale (D.analyze ~only:[ "hot-alloc" ] inputs));
+  Alcotest.(check int) "--rules with determinism: stale" 1
+    (stale (D.analyze ~only:[ "determinism" ] inputs));
+  Alcotest.(check int) "--skip-rules determinism: not judged" 0
+    (stale (D.analyze ~skip:[ "determinism" ] inputs))
+
 (* ---- parse errors ---- *)
 
 let test_parse_error () =
@@ -1192,6 +1250,11 @@ let () =
         [
           Alcotest.test_case "missing .mli" `Quick test_missing_mli;
           Alcotest.test_case "waivers" `Quick test_waiver;
+          Alcotest.test_case "stale waiver fires" `Quick test_stale_waiver;
+          Alcotest.test_case "used waiver stays quiet" `Quick
+            test_used_waiver_quiet;
+          Alcotest.test_case "stale waivers of rules that ran" `Quick
+            test_stale_waiver_rules;
           Alcotest.test_case "waiver name boundary" `Quick
             test_waiver_name_boundary;
           Alcotest.test_case "parse errors are findings" `Quick

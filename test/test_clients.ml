@@ -57,7 +57,8 @@ let snfs_world ?config e =
   Vfs.Mount.mount m ~at:"/" (Snfs.Snfs_client.fs client);
   (w, server, client, m)
 
-let count server proc = Stats.Counter.get (Nfs.Nfs_server.counters server) proc
+let count server proc =
+  Stats.Counter.get (Netsim.Rpc.counters (Nfs.Nfs_server.service server)) proc
 
 let scount server proc = Stats.Counter.get (Snfs.Snfs_server.counters server) proc
 

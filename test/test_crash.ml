@@ -58,6 +58,42 @@ let test_determinism () =
   Alcotest.(check bool) "trace JSON byte-identical" true (trace1 = trace2);
   Alcotest.(check bool) "metrics CSV byte-identical" true (csv1 = csv2)
 
+(* Seeds 1-25 on every protocol, each run ending in its oracle verdict
+   or in an aborted simulation: a process failure, which Crash_exp.run
+   lets escape. The aborts are ROADMAP item 1's known bug (a retried
+   CREATE re-executed after the reboot wiped the duplicate-request
+   cache); the list empties when that is fixed. Any other exception,
+   or a seed moving between ok, failed and abort, fails the test. *)
+let known_aborts =
+  [
+    (CE.Nfs, [ 9; 10; 11; 12; 14; 16; 19; 21; 22; 25 ]);
+    (CE.Rfs, [ 8; 10; 11; 13; 16; 20; 21; 23; 24 ]);
+    (CE.Kent, [ 3; 4; 5; 7; 10; 11 ]);
+  ]
+
+let test_seed_sweep () =
+  let outcome protocol seed =
+    match CE.run ~protocol ~seed:(Int64.of_int seed) () with
+    | v -> if v.CE.ok then "ok" else "failed"
+    | exception e ->
+        let msg = Printexc.to_string e in
+        if String.starts_with ~prefix:"process " msg then "abort" else raise e
+  in
+  List.iter
+    (fun protocol ->
+      let aborts =
+        Option.value ~default:[] (List.assoc_opt protocol known_aborts)
+      in
+      let expected =
+        List.init 25 (fun i ->
+            (i + 1, if List.mem (i + 1) aborts then "abort" else "ok"))
+      in
+      Alcotest.(check (list (pair int string)))
+        (CE.protocol_name protocol ^ " outcomes, seeds 1-25")
+        expected
+        (List.init 25 (fun i -> (i + 1, outcome protocol (i + 1)))))
+    CE.all_protocols
+
 let () =
   Alcotest.run "crash"
     [
@@ -67,6 +103,8 @@ let () =
           Alcotest.test_case "snfs lifecycle" `Slow test_snfs_lifecycle;
           Alcotest.test_case "rfs" `Slow (test_protocol CE.Rfs);
           Alcotest.test_case "kent" `Slow (test_protocol CE.Kent);
+          Alcotest.test_case "seeds 1-25, every protocol" `Slow
+            test_seed_sweep;
         ] );
       ( "determinism",
         [

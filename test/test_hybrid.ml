@@ -13,6 +13,20 @@ let run_sim f =
   | Some v -> v
   | None -> Alcotest.fail "simulation main process did not complete"
 
+(* [run_sim] under a fresh metrics registry: [f] also gets [count],
+   the run's count so far of one registry counter, summed over every
+   label set that contains [labels] *)
+let counted f =
+  let m = Obs.Metrics.create () in
+  let count ~labels name =
+    List.fold_left
+      (fun acc (ls, n) ->
+        if List.for_all (fun l -> List.mem l ls) labels then acc + n else acc)
+      0
+      (Obs.Metrics.counters_with m name)
+  in
+  Obs.Metrics.with_metrics m (fun () -> run_sim (f count))
+
 type world = {
   engine : Sim.Engine.t;
   net : Netsim.Net.t;
@@ -95,9 +109,9 @@ let test_nfs_read_forces_writeback () =
         (Snfs.Snfs_server.callbacks_sent (Snfs.Hybrid_server.snfs w.hybrid) > 0))
 
 let test_nfs_write_invalidates_snfs_cache () =
-  run_sim (fun e ->
+  counted (fun count e ->
       let w = make_world ~probe:5.0 e in
-      let cs, ms = snfs_client w "s1" in
+      let _, ms = snfs_client w "s1" in
       let _, mn = nfs_client w "n1" in
       (* NFS client creates the file; SNFS client opens and caches it
          (after the creating client's access record has expired, so the
@@ -125,7 +139,7 @@ let test_nfs_write_invalidates_snfs_cache () =
           Alcotest.(check int) "SNFS reader sees the NFS write" stamp2 s
       | [] -> Alcotest.fail "no data");
       Alcotest.(check bool) "SNFS client served a callback" true
-        (Snfs.Snfs_client.callbacks_served cs > 0))
+        (count ~labels:[ ("host", "s1") ] "snfs_callbacks_served_total" > 0))
 
 let test_snfs_denied_caching_during_probe_window () =
   run_sim (fun e ->

@@ -16,6 +16,16 @@ let run_sim f =
   | Some v -> v
   | None -> Alcotest.fail "simulation main process did not complete"
 
+(* [run_sim] under a fresh metrics registry: [f] also gets [count],
+   the run's count so far of one registry counter under one label set
+   (none by default) *)
+let counted f =
+  let m = Obs.Metrics.create () in
+  let count ?labels name = Obs.Metrics.counter_value m ?labels name in
+  Obs.Metrics.with_metrics m (fun () -> run_sim (f count))
+
+let host h = [ ("host", h) ]
+
 type world = {
   net : Netsim.Net.t;
   rpc : Netsim.Rpc.t;
@@ -55,9 +65,9 @@ let test_concurrent_sharing_visibility () =
      re-opens. Kent has no opens to hook consistency on; instead the
      reader's cache misses (its copy was invalidated at acquire) and
      the server recalls the dirty block from the owner *)
-  run_sim (fun e ->
+  counted (fun count e ->
       let w = make_world e in
-      let _, c1, m1 = kent_client w "k1" in
+      let _, _, m1 = kent_client w "k1" in
       let _, _, m2 = kent_client w "k2" in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/f" in
@@ -70,9 +80,9 @@ let test_concurrent_sharing_visibility () =
       Alcotest.(check int) "reader sees writer's dirty block via recall"
         stamp1 (first_stamp observed);
       Alcotest.(check bool) "recall delivered to the owner" true
-        (Kentfs.Kent_client.block_callbacks_served c1 > 0);
+        (count ~labels:(host "k1") "kent_callbacks_served_total" > 0);
       Alcotest.(check bool) "server recalled" true
-        (Kentfs.Kent_server.recalls_sent w.kent_server > 0);
+        (count "kent_recalls_sent_total" > 0);
       (* the writer overwrites while the reader still has the file: the
          re-acquire invalidates the reader's cached copy *)
       let stamp2 = Vfs.Stamp.fresh () in
@@ -80,7 +90,7 @@ let test_concurrent_sharing_visibility () =
       ignore (Vfs.Fileio.write ~stamp:stamp2 wfd ~len:4096);
       Sim.Engine.sleep e 0.5;
       Alcotest.(check bool) "reader's copy invalidated" true
-        (Kentfs.Kent_server.invalidations_sent w.kent_server > 0);
+        (count "kent_invalidations_sent_total" > 0);
       let fd2 = Vfs.Fileio.openf m2 "/f" Vfs.Fs.Read_only in
       let observed = Vfs.Fileio.read fd2 ~len:4096 in
       Vfs.Fileio.close fd2;
@@ -93,34 +103,34 @@ let test_ownership_transfer_between_writers () =
   (* a block's ownership moves writer-to-writer: the second writer's
      acquire recalls and invalidates the first writer's dirty copy, and
      the first writer then reads the second writer's data back *)
-  run_sim (fun e ->
+  counted (fun count e ->
       let w = make_world e in
-      let _, c1, m1 = kent_client w "k1" in
-      let _, c2, m2 = kent_client w "k2" in
+      let _, _, m1 = kent_client w "k1" in
+      let _, _, m2 = kent_client w "k2" in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/doc" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:8192);
       Vfs.Fileio.close fd;
-      let acquires_before = Kentfs.Kent_client.acquires c2 in
+      let acquires () = count ~labels:(host "k2") "kent_acquires_total" in
+      let acquires_before = acquires () in
       (* k2 takes over block 0 *)
       let stamp2 = Vfs.Stamp.fresh () in
       let wfd = Vfs.Fileio.openf m2 "/doc" Vfs.Fs.Write_only in
       ignore (Vfs.Fileio.write ~stamp:stamp2 wfd ~len:4096);
       Sim.Engine.sleep e 0.5;
       Alcotest.(check int) "one acquire for the takeover"
-        (acquires_before + 1)
-        (Kentfs.Kent_client.acquires c2);
+        (acquires_before + 1) (acquires ());
       Alcotest.(check bool) "old owner called back" true
-        (Kentfs.Kent_client.block_callbacks_served c1 > 0);
+        (count ~labels:(host "k1") "kent_callbacks_served_total" > 0);
       Alcotest.(check bool) "old owner's copy invalidated" true
-        (Kentfs.Kent_server.invalidations_sent w.kent_server > 0);
+        (count "kent_invalidations_sent_total" > 0);
       (* the first writer reads block 0 back: recall from k2 *)
       let rfd = Vfs.Fileio.openf m1 "/doc" Vfs.Fs.Read_only in
       let observed = Vfs.Fileio.read rfd ~len:4096 in
       Alcotest.(check int) "first writer sees the new owner's data" stamp2
         (first_stamp observed);
       Alcotest.(check bool) "second recall, from the new owner" true
-        (Kentfs.Kent_client.block_callbacks_served c2 > 0);
+        (count ~labels:(host "k2") "kent_callbacks_served_total" > 0);
       (* block 1 never changed hands: k1 still sees its own data *)
       Vfs.Fileio.seek rfd 4096;
       let observed = Vfs.Fileio.read rfd ~len:4096 in

@@ -15,13 +15,25 @@ let run_sim f =
   | Some v -> v
   | None -> Alcotest.fail "simulation main process did not complete"
 
-(* [run_sim] under a fresh metrics registry, where the caches count
-   their statistics: [f] also gets [count], the run's count so far of
-   one registry counter under one label set *)
+(* [run_sim] under a fresh metrics registry, where caches, clients and
+   servers count their statistics: [f] also gets [count], the run's
+   count so far of one registry counter, summed over every label set
+   that contains [labels] (default: all of them) *)
 let counted f =
   let m = Obs.Metrics.create () in
-  let count ~labels name = Obs.Metrics.counter_value m ~labels name in
+  let count ?(labels = []) name =
+    List.fold_left
+      (fun acc (ls, n) ->
+        if List.for_all (fun l -> List.mem l ls) labels then acc + n else acc)
+      0
+      (Obs.Metrics.counters_with m name)
+  in
   Obs.Metrics.with_metrics m (fun () -> run_sim (f count))
+
+(* the server's count so far of one procedure's calls *)
+let calls service proc = Stats.Counter.get (Netsim.Rpc.counters service) proc
+
+let host h = [ ("host", h) ]
 
 type world = {
   engine : Sim.Engine.t;
@@ -263,10 +275,10 @@ let test_nfs_stale_read_under_concurrent_sharing () =
 let test_snfs_consistent_under_concurrent_sharing () =
   (* same scenario under SNFS: the second open triggers a callback and
      disables caching, so the reader sees fresh data *)
-  run_sim (fun e ->
+  counted (fun count e ->
       let w = make_world e in
       let _, _, m1 = snfs_client w "c1" in
-      let _, c2, m2 = snfs_client w "c2" in
+      let _, _, m2 = snfs_client w "c2" in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/f" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:4096);
@@ -290,15 +302,15 @@ let test_snfs_consistent_under_concurrent_sharing () =
           Alcotest.(check int) "SNFS reader sees fresh data" stamp2 s
       | [] -> Alcotest.fail "no data");
       Alcotest.(check bool) "callback was served" true
-        (Snfs.Snfs_client.callbacks_served c2 > 0);
+        (count ~labels:(host "c2") "snfs_callbacks_served_total" > 0);
       Vfs.Fileio.close wfd;
       Vfs.Fileio.close rfd)
 
 let test_rfs_invalidate_on_write () =
-  run_sim (fun e ->
+  counted (fun count e ->
       let w = make_world e in
       let _, _, m1 = rfs_client w "c1" in
-      let _, c2, m2 = rfs_client w "c2" in
+      let _, _, m2 = rfs_client w "c2" in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/f" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:4096);
@@ -313,7 +325,7 @@ let test_rfs_invalidate_on_write () =
       Vfs.Fileio.close wfd;
       Sim.Engine.sleep e 1.0;
       Alcotest.(check bool) "invalidation delivered" true
-        (Rfs.Rfs_client.invalidations_served c2 > 0);
+        (count ~labels:(host "c2") "rfs_invalidations_served_total" > 0);
       let fd2 = Vfs.Fileio.openf m2 "/f" Vfs.Fs.Read_only in
       let observed = Vfs.Fileio.read fd2 ~len:4096 in
       Vfs.Fileio.close fd2;
@@ -355,7 +367,7 @@ let test_nfs_cannot_avert_writes () =
       Vfs.Fileio.close fd;
       Vfs.Fileio.unlink m "/tmpfile";
       let writes =
-        Stats.Counter.get (Nfs.Nfs_server.counters server) "write"
+        calls (Nfs.Nfs_server.service server) "write"
       in
       Alcotest.(check int) "all 16 blocks written through" 16 writes)
 
@@ -426,11 +438,11 @@ let test_nfs_bug_forces_rereads () =
       ignore (Vfs.Fileio.write fd ~len:16384);
       Vfs.Fileio.close fd;
       let reads_before =
-        Stats.Counter.get (Nfs.Nfs_server.counters server) "read"
+        calls (Nfs.Nfs_server.service server) "read"
       in
       ignore (Vfs.Fileio.read_file m "/f");
       let reads_after =
-        Stats.Counter.get (Nfs.Nfs_server.counters server) "read"
+        calls (Nfs.Nfs_server.service server) "read"
       in
       Alcotest.(check bool) "invalidate-on-close forces re-reads" true
         (reads_after - reads_before >= 4))
@@ -447,17 +459,17 @@ let test_nfs_fixed_client_keeps_cache () =
       ignore (Vfs.Fileio.write fd ~len:16384);
       Vfs.Fileio.close fd;
       let reads_before =
-        Stats.Counter.get (Nfs.Nfs_server.counters server) "read"
+        calls (Nfs.Nfs_server.service server) "read"
       in
       ignore (Vfs.Fileio.read_file m "/f");
       let reads_after =
-        Stats.Counter.get (Nfs.Nfs_server.counters server) "read"
+        calls (Nfs.Nfs_server.service server) "read"
       in
       Alcotest.(check int) "fixed client reads from cache" reads_before
         reads_after)
 
 let test_snfs_delayed_close () =
-  run_sim (fun e ->
+  counted (fun count e ->
       let w = make_world e in
       let config =
         {
@@ -466,7 +478,7 @@ let test_snfs_delayed_close () =
           delayed_close_timeout = 60.0;
         }
       in
-      let _, client, m = snfs_client ~config w "c1" in
+      let _, _, m = snfs_client ~config w "c1" in
       let server = Snfs_setup.get w in
       let fd = Vfs.Fileio.creat m "/header.h" in
       ignore (Vfs.Fileio.write fd ~len:4096);
@@ -485,7 +497,7 @@ let test_snfs_delayed_close () =
       in
       Alcotest.(check int) "no open RPCs for reopens" opens_before opens_after;
       Alcotest.(check int) "all served locally" 5
-        (Snfs.Snfs_client.delayed_close_hits client);
+        (count ~labels:(host "c1") "snfs_delayed_close_hits_total");
       (* the idle timer eventually sends the close *)
       Sim.Engine.sleep e 120.0;
       Alcotest.(check bool) "spontaneous close arrived" true
@@ -543,7 +555,7 @@ let test_snfs_crash_recovery () =
 let test_snfs_dead_client_callback () =
   (* a client holding dirty blocks crashes; an open by another client
      times out the callback, forgets the dead client, and proceeds *)
-  run_sim (fun e ->
+  counted (fun count e ->
       let w = make_world e in
       let h1, _, m1 = snfs_client w "c1" in
       let _, _, m2 = snfs_client w "c2" in
@@ -559,7 +571,7 @@ let test_snfs_dead_client_callback () =
       Alcotest.(check bool) "open survived dead client" true
         (List.length observed >= 0);
       Alcotest.(check bool) "callback failure recorded" true
-        (Snfs.Snfs_server.callbacks_failed server > 0);
+        (count "snfs_callbacks_failed_total" > 0);
       (* the data the dead client never wrote back is lost; the server
          knows the file may be inconsistent *)
       let attrs = Vfs.Fileio.stat m2 "/doomed" in
@@ -617,10 +629,10 @@ let test_kent_block_granularity_sharing () =
   (* two clients write-share ONE FILE but different blocks: under
      Kent's protocol both keep caching (SNFS would have disabled both
      caches for the whole file) *)
-  run_sim (fun e ->
+  counted (fun count e ->
       let w = make_world e in
-      let _, c1, m1 = kent_client w "k1" in
-      let _, c2, m2 = kent_client w "k2" in
+      let _, _, m1 = kent_client w "k1" in
+      let _, _, m2 = kent_client w "k2" in
       let server = Kent_setup.get w in
       (* client 1 creates a 4-block file *)
       let fd = Vfs.Fileio.creat m1 "/shared" in
@@ -637,13 +649,13 @@ let test_kent_block_granularity_sharing () =
       Vfs.Fileio.seek fd2 (2 * 4096);
       ignore (Vfs.Fileio.write fd2 ~len:4096);
       Alcotest.(check int) "client 1 needed no new acquire" 4
-        (Kentfs.Kent_client.acquires c1);
+        (count ~labels:(host "k1") "kent_acquires_total");
       Alcotest.(check int) "client 2 acquired its block once" 1
-        (Kentfs.Kent_client.acquires c2);
+        (count ~labels:(host "k2") "kent_acquires_total");
       (* steady state: both write their own blocks with NO traffic at
          all — this is the case SNFS handles by disabling caching *)
       let writes_before =
-        Stats.Counter.get (Kentfs.Kent_server.counters server) "write"
+        calls (Kentfs.Kent_server.service server) "write"
       in
       for _ = 1 to 10 do
         Vfs.Fileio.seek fd1 0;
@@ -652,18 +664,17 @@ let test_kent_block_granularity_sharing () =
         ignore (Vfs.Fileio.write fd2 ~len:4096)
       done;
       Alcotest.(check int) "steady state: zero write RPCs" writes_before
-        (Stats.Counter.get (Kentfs.Kent_server.counters server) "write");
+        (calls (Kentfs.Kent_server.service server) "write");
       Alcotest.(check int) "steady state: no more acquires" 1
-        (Kentfs.Kent_client.acquires c2);
+        (count ~labels:(host "k2") "kent_acquires_total");
       Vfs.Fileio.close fd1;
       Vfs.Fileio.close fd2)
 
 let test_kent_read_recalls_dirty_block () =
-  run_sim (fun e ->
+  counted (fun count e ->
       let w = make_world e in
       let _, _, m1 = kent_client w "k1" in
       let _, _, m2 = kent_client w "k2" in
-      let server = Kent_setup.get w in
       (* writer holds a dirty owned block *)
       let stamp = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/doc" in
@@ -678,7 +689,7 @@ let test_kent_read_recalls_dirty_block () =
       | (s, _) :: _ -> Alcotest.(check int) "fresh data via recall" stamp s
       | [] -> Alcotest.fail "no data");
       Alcotest.(check bool) "a recall happened" true
-        (Kentfs.Kent_server.recalls_sent server > 0))
+        (count "kent_recalls_sent_total" > 0))
 
 let test_snfs_recovery_grace_period () =
   (* Section 2.4: "the consistency state of the file cannot change

@@ -16,6 +16,13 @@ let run_sim f =
   | Some v -> v
   | None -> Alcotest.fail "simulation main process did not complete"
 
+(* [run_sim] under a fresh metrics registry: [f] also gets [count],
+   the run's count so far of one registry counter under one label set *)
+let counted f =
+  let m = Obs.Metrics.create () in
+  let count ~labels name = Obs.Metrics.counter_value m ~labels name in
+  Obs.Metrics.with_metrics m (fun () -> run_sim (f count))
+
 type world = {
   net : Netsim.Net.t;
   rpc : Netsim.Rpc.t;
@@ -54,10 +61,10 @@ let test_concurrent_sharing_visibility () =
   (* the two-client scenario of the SNFS suite: the writer still holds
      the file open, yet a fresh open by the reader must observe the new
      data, because RFS writes through and invalidates reader caches *)
-  run_sim (fun e ->
+  counted (fun count e ->
       let w = make_world e in
       let _, _, m1 = rfs_client w "c1" in
-      let _, c2, m2 = rfs_client w "c2" in
+      let _, _, m2 = rfs_client w "c2" in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/f" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:4096);
@@ -71,7 +78,8 @@ let test_concurrent_sharing_visibility () =
       ignore (Vfs.Fileio.write ~stamp:stamp2 wfd ~len:4096);
       Sim.Engine.sleep e 1.0;
       Alcotest.(check bool) "reader cache invalidated" true
-        (Rfs.Rfs_client.invalidations_served c2 > 0);
+        (count ~labels:[ ("host", "c2") ] "rfs_invalidations_served_total"
+        > 0);
       let fd2 = Vfs.Fileio.openf m2 "/f" Vfs.Fs.Read_only in
       let observed = Vfs.Fileio.read fd2 ~len:4096 in
       Vfs.Fileio.close fd2;
@@ -119,13 +127,10 @@ let test_version_revalidation_avoids_rereads () =
       ignore (Vfs.Fileio.write fd ~len:16384);
       Vfs.Fileio.close fd;
       Sim.Engine.sleep e 1.0;
-      let reads_before =
-        Stats.Counter.get (Rfs.Rfs_server.counters server) "read"
-      in
+      let calls = Netsim.Rpc.counters (Rfs.Rfs_server.service server) in
+      let reads_before = Stats.Counter.get calls "read" in
       ignore (Vfs.Fileio.read_file m "/f");
-      let reads_after =
-        Stats.Counter.get (Rfs.Rfs_server.counters server) "read"
-      in
+      let reads_after = Stats.Counter.get calls "read" in
       Alcotest.(check int) "no read RPCs on reopen" reads_before reads_after)
 
 let () =

@@ -421,55 +421,6 @@ let test_ivar_multiple_readers () =
       Sim.Engine.sleep e 0.1;
       Alcotest.(check int) "all readers woken" 30 !seen)
 
-(* ---- mailbox ---- *)
-
-let test_mailbox_fifo () =
-  run_sim (fun e ->
-      let mb = Sim.Mailbox.create e in
-      Sim.Mailbox.send mb 1;
-      Sim.Mailbox.send mb 2;
-      Sim.Mailbox.send mb 3;
-      Alcotest.(check int) "first" 1 (Sim.Mailbox.recv mb);
-      Alcotest.(check int) "second" 2 (Sim.Mailbox.recv mb);
-      Alcotest.(check int) "third" 3 (Sim.Mailbox.recv mb))
-
-let test_mailbox_blocking () =
-  run_sim (fun e ->
-      let mb = Sim.Mailbox.create e in
-      Sim.Engine.spawn e (fun () ->
-          Sim.Engine.sleep e 1.0;
-          Sim.Mailbox.send mb "hello");
-      let v = Sim.Mailbox.recv mb in
-      Alcotest.(check string) "received" "hello" v;
-      Alcotest.(check (float 1e-9)) "blocked until send" 1.0 (Sim.Engine.now e))
-
-let test_mailbox_timeout () =
-  run_sim (fun e ->
-      let mb : int Sim.Mailbox.t = Sim.Mailbox.create e in
-      Alcotest.(check (option int)) "timeout" None
-        (Sim.Mailbox.recv_timeout mb 1.0);
-      (* a message sent after a timed-out receiver goes to the queue *)
-      Sim.Mailbox.send mb 5;
-      Alcotest.(check (option int)) "queued" (Some 5)
-        (Sim.Mailbox.recv_timeout mb 1.0))
-
-let test_mailbox_receivers_fifo () =
-  run_sim (fun e ->
-      let mb = Sim.Mailbox.create e in
-      let order = ref [] in
-      Sim.Engine.spawn e (fun () ->
-          let v = Sim.Mailbox.recv mb in
-          order := ("first", v) :: !order);
-      Sim.Engine.spawn e (fun () ->
-          let v = Sim.Mailbox.recv mb in
-          order := ("second", v) :: !order);
-      Sim.Engine.sleep e 0.1;
-      Sim.Mailbox.send mb 1;
-      Sim.Mailbox.send mb 2;
-      Sim.Engine.sleep e 0.1;
-      Alcotest.(check (list (pair string int)))
-        "receiver order" [ ("first", 1); ("second", 2) ] (List.rev !order))
-
 (* ---- semaphore ---- *)
 
 let test_semaphore_mutual_exclusion () =
@@ -504,20 +455,30 @@ let test_semaphore_capacity () =
       Sim.Engine.sleep e 20.0;
       Alcotest.(check int) "bounded by capacity" 3 !max_active)
 
-let test_semaphore_try_acquire () =
+let test_semaphore_waits_while_exhausted () =
   run_sim (fun e ->
       let sem = Sim.Semaphore.create e 1 in
-      Alcotest.(check bool) "first" true (Sim.Semaphore.try_acquire sem);
-      Alcotest.(check bool) "exhausted" false (Sim.Semaphore.try_acquire sem);
-      Sim.Semaphore.release sem;
-      Alcotest.(check bool) "after release" true (Sim.Semaphore.try_acquire sem))
+      let entered = ref [] in
+      Sim.Engine.spawn e (fun () ->
+          Sim.Semaphore.with_unit sem (fun () ->
+              entered := ("holder", Sim.Engine.now e) :: !entered;
+              Sim.Engine.sleep e 2.0));
+      Sim.Engine.sleep e 0.5;
+      Sim.Semaphore.with_unit sem (fun () ->
+          entered := ("waiter", Sim.Engine.now e) :: !entered);
+      Alcotest.(check (list (pair string (float 1e-9))))
+        "the waiter enters when the holder leaves"
+        [ ("holder", 0.0); ("waiter", 2.0) ]
+        (List.rev !entered))
 
 let test_semaphore_release_on_exception () =
   run_sim (fun e ->
       let sem = Sim.Semaphore.create e 1 in
       (try Sim.Semaphore.with_unit sem (fun () -> failwith "boom")
        with Failure _ -> ());
-      Alcotest.(check int) "released" 1 (Sim.Semaphore.available sem))
+      (* the unit came back: the next holder enters without waiting *)
+      Sim.Semaphore.with_unit sem (fun () -> ());
+      Alcotest.(check (float 1e-9)) "no wait" 0.0 (Sim.Engine.now e))
 
 (* ---- resource ---- *)
 
@@ -769,19 +730,13 @@ let () =
           Alcotest.test_case "multiple readers" `Quick
             test_ivar_multiple_readers;
         ] );
-      ( "mailbox",
-        [
-          Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
-          Alcotest.test_case "blocking" `Quick test_mailbox_blocking;
-          Alcotest.test_case "timeout" `Quick test_mailbox_timeout;
-          Alcotest.test_case "receivers fifo" `Quick test_mailbox_receivers_fifo;
-        ] );
       ( "semaphore",
         [
           Alcotest.test_case "mutual exclusion" `Quick
             test_semaphore_mutual_exclusion;
           Alcotest.test_case "capacity" `Quick test_semaphore_capacity;
-          Alcotest.test_case "try_acquire" `Quick test_semaphore_try_acquire;
+          Alcotest.test_case "waits while exhausted" `Quick
+            test_semaphore_waits_while_exhausted;
           Alcotest.test_case "release on exception" `Quick
             test_semaphore_release_on_exception;
         ] );

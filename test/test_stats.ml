@@ -38,18 +38,24 @@ let test_counter_snapshot_diff () =
   (* snapshot unaffected by later increments *)
   Alcotest.(check int) "snapshot frozen" 5 (Stats.Counter.get snap "read")
 
-let test_counter_reset () =
+let test_counter_cell_stays_live () =
+  (* Rpc caches each procedure's cell once: later lookups and
+     increments by name must reach that same cell *)
   let c = Stats.Counter.create () in
-  Stats.Counter.incr c "x";
-  Stats.Counter.reset c;
-  Alcotest.(check int) "cleared" 0 (Stats.Counter.total c)
+  let cell = Stats.Counter.cell c "x" in
+  incr cell;
+  Stats.Counter.incr c ~n:2 "x";
+  Alcotest.(check bool) "same cell" true (Stats.Counter.cell c "x" == cell);
+  incr cell;
+  Alcotest.(check int) "cached bumps counted" 4 (Stats.Counter.get c "x");
+  Alcotest.(check int) "total" 4 (Stats.Counter.total c)
 
 let test_counter_diff_clamped () =
   let earlier = Stats.Counter.create () in
   Stats.Counter.incr earlier ~n:5 "read";
   Stats.Counter.incr earlier ~n:2 "write";
   let later = Stats.Counter.create () in
-  (* "read" went backwards (a reset happened between the snapshots),
+  (* "read" went backwards (the snapshots came in the wrong order),
      "write" is unchanged: neither may appear in the interval *)
   Stats.Counter.incr later ~n:3 "read";
   Stats.Counter.incr later ~n:2 "write";
@@ -204,7 +210,8 @@ let () =
           Alcotest.test_case "snapshot/diff" `Quick test_counter_snapshot_diff;
           Alcotest.test_case "diff clamps regressions" `Quick
             test_counter_diff_clamped;
-          Alcotest.test_case "reset" `Quick test_counter_reset;
+          Alcotest.test_case "cell stays live" `Quick
+            test_counter_cell_stays_live;
         ] );
       ( "timeseries",
         [
