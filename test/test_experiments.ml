@@ -204,6 +204,50 @@ let exact_counts f =
     sum "rpc_server_calls_total",
     sum "net_bytes_total" )
 
+(* The callback traffic of one run, every counter by name: the SNFS
+   callbacks sent by kind, served and failed, the RFS invalidations,
+   the Kent recalls and invalidations, and the calls each client
+   callback program ([<prog>_cb.<fsid>]) executed. Counters at 0 are
+   left out, so each pin lists only the traffic its protocol makes. *)
+let callback_counts f =
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.with_metrics m (fun () -> ignore (f ()));
+  let sum ?(keep = fun _ -> true) name =
+    List.fold_left
+      (fun a (labels, n) -> if keep labels then a + n else a)
+      0
+      (Obs.Metrics.counters_with m name)
+  in
+  let kind k = List.mem ("kind", k) in
+  let cb_prog prefix labels =
+    match List.assoc_opt "prog" labels with
+    | Some prog ->
+        String.length prog > String.length prefix
+        && String.sub prog 0 (String.length prefix) = prefix
+    | None -> false
+  in
+  [
+    ("snfs sent writeback_invalidate",
+     sum ~keep:(kind "writeback_invalidate") "snfs_callbacks_sent_total");
+    ("snfs sent writeback",
+     sum ~keep:(kind "writeback") "snfs_callbacks_sent_total");
+    ("snfs sent invalidate",
+     sum ~keep:(kind "invalidate") "snfs_callbacks_sent_total");
+    ("snfs sent relinquish",
+     sum ~keep:(kind "relinquish") "snfs_callbacks_sent_total");
+    ("snfs served", sum "snfs_callbacks_served_total");
+    ("snfs failed", sum "snfs_callbacks_failed_total");
+    ("rfs invalidations sent", sum "rfs_invalidations_sent_total");
+    ("rfs invalidations served", sum "rfs_invalidations_served_total");
+    ("kent recalls sent", sum "kent_recalls_sent_total");
+    ("kent invalidations sent", sum "kent_invalidations_sent_total");
+    ("kent callbacks served", sum "kent_callbacks_served_total");
+    ("snfs_cb calls", sum ~keep:(cb_prog "snfs_cb.") "rpc_server_calls_total");
+    ("rfs_cb calls", sum ~keep:(cb_prog "rfs_cb.") "rpc_server_calls_total");
+    ("kent_cb calls", sum ~keep:(cb_prog "kent_cb.") "rpc_server_calls_total");
+  ]
+  |> List.filter (fun (_, n) -> n <> 0)
+
 let test_exact_counts () =
   let check label counts f =
     Alcotest.(check (triple int int int))
@@ -259,6 +303,49 @@ let test_exact_counts () =
       (Experiments.Stack.Snfs, (377, 35, 38864));
       (Experiments.Stack.Rfs, (366, 33, 38572));
       (Experiments.Stack.Kent, (362, 33, 38500));
+    ];
+  let check_callbacks label counts f =
+    Alcotest.(check (list (pair string int)))
+      (label ^ ": callback counters")
+      counts (callback_counts f)
+  in
+  check_callbacks "sharing table" 
+    [
+      ("snfs sent writeback_invalidate", 1);
+      ("snfs served", 1);
+      ("rfs invalidations sent", 95);
+      ("rfs invalidations served", 95);
+      ("kent recalls sent", 55);
+      ("kent invalidations sent", 58);
+      ("kent callbacks served", 104);
+      ("snfs_cb calls", 1);
+      ("rfs_cb calls", 95);
+      ("kent_cb calls", 104);
+    ]
+    Experiments.Sharing_exp.table;
+  List.iter
+    (fun (protocol, counts) ->
+      check_callbacks
+        ("crash seed 42 " ^ Experiments.Crash_exp.protocol_name protocol)
+        counts
+        (fun () -> Experiments.Crash_exp.run ~protocol ~seed:42L ()))
+    [
+      (Experiments.Crash_exp.Nfs, []);
+      (Experiments.Crash_exp.Snfs, 
+        [
+          ("snfs sent writeback", 1);
+          ("snfs served", 1);
+          ("snfs failed", 1);
+          ("snfs_cb calls", 2);
+        ] );
+      (Experiments.Crash_exp.Rfs, [ ("rfs invalidations sent", 1) ]);
+      (Experiments.Crash_exp.Kent, 
+        [
+          ("kent recalls sent", 8);
+          ("kent invalidations sent", 2);
+          ("kent callbacks served", 4);
+          ("kent_cb calls", 4);
+        ] );
     ]
 
 let () =
