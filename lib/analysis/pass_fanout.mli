@@ -6,9 +6,15 @@
     a callback broadcast into O(clients) blocking round-trips.
 
     The server-reachable set is the whole-program call-graph closure of
-    every [Rpc.serve] application — the handler argument plus every
+    every serve-head application — the handler argument plus every
     toplevel binding of a serve-applying file (dispatch and spawned
-    maintenance loops alike). Inside it the pass flags:
+    maintenance loops alike). A serve head is [Rpc.serve] or, found by
+    fixpoint, a binding that forwards a handler to one: a parameter of
+    its own is the head's handler argument (the last positional one)
+    or is applied inside it, seen through its local lets — so the
+    handlers protocols pass to [Wire.serve] and
+    [Client_core.serve_callbacks] stay server-reachable. Inside it the
+    pass flags:
 
     - iteration whose per-element function may yield (inferred
       interprocedurally): an O(n) blocking fan-out per request;

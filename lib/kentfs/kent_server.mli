@@ -22,7 +22,6 @@
 type t
 
 val prog : string
-val client_prog_for : int -> string
 
 (** Acquire-ownership procedure name (the protocol's one addition to
     the shared wire vocabulary). *)

@@ -27,20 +27,12 @@ let policy =
     on_remove = ignore;
   }
 
-(* open and close RPCs: [fh] and the declared write intent *)
-let open_close t ctx g ~proc ~write =
+(* open RPC: returns the file's version for cache revalidation *)
+let rfs_open t ctx (g : gnode) ~write =
   let e = Xdr.Enc.create () in
   Wire.enc_fh e (Core.fh_of t.core g);
   Xdr.Enc.bool e write;
-  let d = Xdr.Dec.of_bytes (Core.call t.core ctx ~proc (Xdr.Enc.to_bytes e)) in
-  (match Wire.dec_status d with
-  | Ok () -> ()
-  | Error err -> raise (Localfs.Error err));
-  d
-
-(* open RPC: returns the file's version for cache revalidation *)
-let rfs_open t ctx (g : gnode) ~write =
-  let d = open_close t ctx g ~proc:Wire.p_open ~write in
+  let d = Wire.request (Core.call t.core ctx) ~proc:Wire.p_open e in
   let version = Xdr.Dec.uint32 d in
   let attrs = Wire.dec_attrs d in
   g.g_attrs <- attrs;
@@ -72,7 +64,9 @@ let do_close t vn mode =
   (* write-through discipline: everything pending reaches the server
      before the close *)
   Core.flush ~ctx t.core g;
-  ignore (open_close t ctx g ~proc:Wire.p_close ~write:(Vfs.Fs.mode_writes mode))
+  (* the close RPC is SNFS's *)
+  Wire.snfs_close (Core.call t.core ctx) (Core.fh_of t.core g)
+    ~write_mode:(Vfs.Fs.mode_writes mode)
 
 let do_read_block t vn ~index =
   Core.op t.core "read" @@ fun ctx ->
@@ -92,34 +86,26 @@ let do_setattr t vn ~size =
   Core.drop t.core g;
   g.g_attrs <- Wire.setattr (Core.call t.core ctx) (Core.fh_of t.core g) ~size
 
-let handle_callback t dec =
+let on_callback t dec =
   let args = Wire.dec_callback dec in
-  let ino = args.cb_fh.ino in
-  (* the inducing operation rode the wire: close the causal chain with
-     the effect end of the flow arrow on this client's track *)
-  let cctx = Obs.Causal.of_id args.cb_ctx in
-  if Obs.Metrics.on () then
-    Obs.Metrics.incr
-      ~labels:[ ("host", Core.host t.core) ]
-      "rfs_invalidations_served_total";
-  if Obs.Trace.on () && Obs.Causal.live cctx then
-    Obs.Trace.flow_end
-      ~ts:(Sim.Engine.now (Core.engine t.core))
-      ~track:(Core.host t.core) ~id:(Obs.Causal.id cctx) ();
-  Core.proto_event t.core "invalidate"
-    (Obs.Causal.arg cctx [ ("ino", Obs.Trace.Int ino) ]);
-  (match Core.find_opt t.core ino with
-  | None -> ()
-  | Some g ->
-      (* drop clean copies only: our own writes still in flight (or
-         staged partial blocks) are newer than the invalidating write
-         and must not be lost — and waiting for them here could
-         deadlock against the server's callback threads *)
-      Blockcache.Cache.drop_clean (Core.cache t.core) ~file:ino;
-      g.g_proto.cached_version <- None);
-  let e = Xdr.Enc.create () in
-  Wire.enc_status e (Ok ());
-  { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 }
+  ( args.cb_ctx,
+    fun cctx ->
+      let ino = args.cb_fh.ino in
+      if Obs.Metrics.on () then
+        Obs.Metrics.incr
+          ~labels:[ ("host", Core.host t.core) ]
+          "rfs_invalidations_served_total";
+      Core.proto_event t.core "invalidate"
+        (Obs.Causal.arg cctx [ ("ino", Obs.Trace.Int ino) ]);
+      match Core.find_opt t.core ino with
+      | None -> ()
+      | Some g ->
+          (* drop clean copies only: our own writes still in flight (or
+             staged partial blocks) are newer than the invalidating
+             write and must not be lost — and waiting for them here
+             could deadlock against the server's callback threads *)
+          Blockcache.Cache.drop_clean (Core.cache t.core) ~file:ino;
+          g.g_proto.cached_version <- None )
 
 let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "rfs")
     () =
@@ -129,17 +115,7 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "rfs")
       ~retry_budget:config.retry_budget
   in
   let t = { core } in
-  let _svc =
-    Netsim.Rpc.serve rpc client
-      ~prog:(Rfs_server.client_prog_for root.Wire.fsid)
-      ~threads:2
-      (fun ~caller:_ ~ctx:_ ~proc dec ->
-        if proc = Wire.p_callback then handle_callback t dec
-        else
-          let e = Xdr.Enc.create () in
-          Wire.enc_status e (Error Localfs.Stale);
-          { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 })
-  in
+  Core.serve_callbacks core ~ping:false (on_callback t);
   Core.attach core ~getattr:(do_getattr t) ~setattr:(do_setattr t)
     ~fs_open:(do_open t) ~fs_close:(do_close t) ~read_block:(do_read_block t)
     ~write_block:(do_write_block t);

@@ -12,7 +12,6 @@
 type t
 
 val prog : string
-val client_prog_for : int -> string
 
 (** Serve [fs] with 4 server threads. *)
 val serve : Netsim.Rpc.t -> Netsim.Net.Host.t -> fsid:int -> Localfs.t -> t

@@ -249,51 +249,43 @@ let do_setattr t vn ~size =
 
 (* ---- callback service (Section 4.2.2) ---- *)
 
-let handle_callback t dec =
+let on_callback t dec =
   let args = Wire.dec_callback dec in
-  let ino = args.cb_fh.ino in
-  (* the inducing operation rode the wire: close the causal chain with
-     the effect end of the flow arrow on this client's track *)
-  let cctx = Obs.Causal.of_id args.cb_ctx in
-  if Obs.Metrics.on () then
-    Obs.Metrics.incr
-      ~labels:
-        [
-          ("host", Core.host t.core);
-          ( "kind",
-            match (args.cb_writeback, args.cb_invalidate) with
-            | true, true -> "writeback_invalidate"
-            | true, false -> "writeback"
-            | false, true -> "invalidate"
-            | false, false -> "noop" );
-        ]
-      "snfs_callbacks_served_total";
-  if Obs.Trace.on () && Obs.Causal.live cctx then
-    Obs.Trace.flow_end
-      ~ts:(Sim.Engine.now (engine t))
-      ~track:(Core.host t.core) ~id:(Obs.Causal.id cctx) ();
-  Core.proto_event t.core "callback"
-    (Obs.Causal.arg cctx
-       [
-         ("ino", Obs.Trace.Int ino);
-         ("writeback", Obs.Trace.Bool args.cb_writeback);
-         ("invalidate", Obs.Trace.Bool args.cb_invalidate);
-       ]);
-  (match Core.find_opt t.core ino with
-  | None -> () (* nothing cached; trivially satisfied *)
-  | Some g ->
-      (* a delayed-close file must really close so the new client can
-         cache it (Section 6.2) *)
-      release_unsent t cctx g;
-      if args.cb_writeback then Core.flush ~ctx:cctx t.core g;
-      if args.cb_invalidate then begin
-        drop_cache t g;
-        g.g_proto.cache_enabled <- false;
-        g.g_proto.cached_version <- None
-      end);
-  let e = Xdr.Enc.create () in
-  Wire.enc_status e (Ok ());
-  { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 }
+  ( args.cb_ctx,
+    fun cctx ->
+      let ino = args.cb_fh.ino in
+      if Obs.Metrics.on () then
+        Obs.Metrics.incr
+          ~labels:
+            [
+              ("host", Core.host t.core);
+              ( "kind",
+                match (args.cb_writeback, args.cb_invalidate) with
+                | true, true -> "writeback_invalidate"
+                | true, false -> "writeback"
+                | false, true -> "invalidate"
+                | false, false -> "noop" );
+            ]
+          "snfs_callbacks_served_total";
+      Core.proto_event t.core "callback"
+        (Obs.Causal.arg cctx
+           [
+             ("ino", Obs.Trace.Int ino);
+             ("writeback", Obs.Trace.Bool args.cb_writeback);
+             ("invalidate", Obs.Trace.Bool args.cb_invalidate);
+           ]);
+      match Core.find_opt t.core ino with
+      | None -> () (* nothing cached; trivially satisfied *)
+      | Some g ->
+          (* a delayed-close file must really close so the new client
+             can cache it (Section 6.2) *)
+          release_unsent t cctx g;
+          if args.cb_writeback then Core.flush ~ctx:cctx t.core g;
+          if args.cb_invalidate then begin
+            drop_cache t g;
+            g.g_proto.cache_enabled <- false;
+            g.g_proto.cached_version <- None
+          end )
 
 (* ---- crash recovery (Section 2.4) ---- *)
 
@@ -336,14 +328,7 @@ let recover_now t =
       Xdr.Enc.bool e dirty;
       Xdr.Enc.uint32 e version)
     reports;
-  let d =
-    Xdr.Dec.of_bytes
-      (Core.call t.core Obs.Causal.none ~proc:Wire.p_reopen
-         (Xdr.Enc.to_bytes e))
-  in
-  match Wire.dec_status d with
-  | Ok () -> ()
-  | Error err -> raise (Localfs.Error err)
+  ignore (Wire.request (Core.call t.core Obs.Causal.none) ~proc:Wire.p_reopen e)
 
 let ping t =
   let e = Xdr.Enc.create () in
@@ -385,25 +370,8 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "snfs")
       ~retry_budget:config.retry_budget
   in
   let t = { core; config; next_unsent_id = 0; last_epoch = None } in
-  (* the client fields server-initiated RPCs: register its service *)
-  let _svc =
-    Netsim.Rpc.serve rpc client
-      ~prog:(Snfs_server.client_prog_for root.Wire.fsid)
-      ~threads:2
-      (fun ~caller:_ ~ctx:_ ~proc dec ->
-        if proc = Wire.p_callback then handle_callback t dec
-        else if proc = Wire.p_ping then begin
-          (* liveness probe from the server's client reaper *)
-          let e = Xdr.Enc.create () in
-          Wire.enc_status e (Ok ());
-          Xdr.Enc.uint32 e (Netsim.Net.Host.boot_epoch client);
-          { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 }
-        end
-        else
-          let e = Xdr.Enc.create () in
-          Wire.enc_status e (Error Localfs.Stale);
-          { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 })
-  in
+  (* the client fields the server's callbacks and laundromat pings *)
+  Core.serve_callbacks core ~ping:true (on_callback t);
   Core.attach core ~getattr:(do_getattr t) ~setattr:(do_setattr t)
     ~fs_open:(do_open t) ~fs_close:(do_close t) ~read_block:(do_read_block t)
     ~write_block:(do_write_block t);

@@ -633,6 +633,47 @@ let test_fanout_cross_file_handler () =
         (Printf.sprintf "expected exactly the handler iteration, got %d"
            (List.length fs))
 
+let test_fanout_forwarding_wrapper () =
+  (* the handler reaches [Rpc.serve] through a shared serve function:
+     the wrapper forwards its own parameter, so it is a serve head and
+     the file that hands it a handler is server code *)
+  match
+    rule_findings "fanout"
+      [
+        input "lib/wire/wire.ml"
+          "let serve rpc host dispatch =\n\
+          \  let handler q = match dispatch q with Some r -> r | None -> \
+           stale in\n\
+          \  Netsim.Rpc.serve rpc host handler\n";
+        input "lib/srv/server.ml"
+          "let handle t q = Hashtbl.iter (fun _ c -> touch c q) t.clients\n\
+           let start rpc host t = Wire.serve rpc host (fun q -> handle t q)\n";
+      ]
+  with
+  | [ f ] ->
+      Alcotest.(check string) "flagged in the protocol's file"
+        "lib/srv/server.ml" f.F.path;
+      Alcotest.(check bool) "message names the protocol's serving root" true
+        (contains_sub f.F.message "reachable from 'Server.start'")
+  | fs ->
+      Alcotest.fail
+        (Printf.sprintf "expected exactly the handler iteration, got %d"
+           (List.length fs))
+
+let test_fanout_wrapper_without_forwarding () =
+  (* a wrapper that serves a handler of its own making is no serve
+     head: what its callers pass it is not a handler *)
+  check_quiet "non-forwarding wrapper" "fanout"
+    [
+      input "lib/wire/wire.ml"
+        "let serve rpc host log =\n\
+        \  log \"serving\";\n\
+        \  Netsim.Rpc.serve rpc host (fun q -> reply q)\n";
+      input "lib/srv/server.ml"
+        "let handle t q = Hashtbl.iter (fun _ c -> touch c q) t.clients\n\
+         let start rpc host t = Wire.serve rpc host (fun q -> handle t q)\n";
+    ]
+
 let test_fanout_bounded_waiver () =
   let waived =
     "let handle t q =\n\
@@ -1214,6 +1255,10 @@ let () =
             test_fanout_projection;
           Alcotest.test_case "cross-file handler reachability" `Quick
             test_fanout_cross_file_handler;
+          Alcotest.test_case "handler through a forwarding wrapper" `Quick
+            test_fanout_forwarding_wrapper;
+          Alcotest.test_case "wrapper that does not forward" `Quick
+            test_fanout_wrapper_without_forwarding;
           Alcotest.test_case "bounded waiver idiom" `Quick
             test_fanout_bounded_waiver;
           Alcotest.test_case "clean variants" `Quick
