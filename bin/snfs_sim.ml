@@ -412,4 +412,22 @@ let main =
           Srinivasan & Mogul, SOSP 1989, from a discrete-event simulation.")
     [ table_cmd; figures_cmd; all_cmd; andrew_cmd; sort_cmd; campaign_cmd; crash_cmd; scaling_cmd; ablations_cmd; trace_cmd; sharing_cmd; analyze_cmd ]
 
-let () = exit (Cmd.eval main)
+(* An aborted simulation explains itself: a process failure prints the
+   backtrace inside the failed process, which the re-raise out of the
+   engine would otherwise replace. The exit code stays cmdliner's
+   internal-error code. *)
+let () =
+  Printexc.record_backtrace true;
+  exit
+    (match Cmd.eval ~catch:false main with
+    | code -> code
+    | exception e ->
+        let bt =
+          match e with
+          | Sim.Engine.Process_failure (_, _, inner) -> inner
+          | _ -> Printexc.get_raw_backtrace ()
+        in
+        Printf.eprintf "snfs_sim: internal error, uncaught exception:\n  %s\n%s%!"
+          (Printexc.to_string e)
+          (Printexc.raw_backtrace_to_string bt);
+        Cmd.Exit.internal_error)

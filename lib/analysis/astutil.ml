@@ -66,23 +66,6 @@ let rec pat_names p =
   | Ppat_lazy p | Ppat_exception p | Ppat_open (_, p) -> pat_names p
   | _ -> []
 
-let mutable_field_names structures signatures =
-  let fields = Hashtbl.create 64 in
-  let type_declaration _it (td : type_declaration) =
-    match td.ptype_kind with
-    | Ptype_record labels ->
-        List.iter
-          (fun ld ->
-            if ld.pld_mutable = Asttypes.Mutable then
-              Hashtbl.replace fields ld.pld_name.Asttypes.txt ())
-          labels
-    | _ -> ()
-  in
-  let it = { Ast_iterator.default_iterator with type_declaration } in
-  List.iter (fun s -> it.structure it s) structures;
-  List.iter (fun s -> it.signature it s) signatures;
-  fields
-
 let iter_exprs f structure =
   let expr it e =
     f e;

@@ -34,12 +34,5 @@ val uncurry_pipes : Parsetree.expression -> Parsetree.expression
 (** All variable names bound by a pattern. *)
 val pat_names : Parsetree.pattern -> string list
 
-(** Names of every record field declared [mutable] anywhere in the
-    given structures/signatures (submodules included). Field names are
-    collected globally: the analysis does not type-check, so any
-    field whose name is declared mutable in some type counts. *)
-val mutable_field_names :
-  Parsetree.structure list -> Parsetree.signature list -> (string, unit) Hashtbl.t
-
 (** Iterate over every expression of a structure, in source order. *)
 val iter_exprs : (Parsetree.expression -> unit) -> Parsetree.structure -> unit

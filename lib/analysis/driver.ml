@@ -45,17 +45,15 @@ let select_passes ?only ?skip () =
     passes
 
 (* Build the shared pass context: parse everything, then pre-compute
-   the fact tables every interprocedural pass consumes — the global
-   mutable-field-name set, the whole-program call graph and the
+   the fact tables every interprocedural pass consumes — the
+   workspace's record declarations, the whole-program call graph and the
    may-yield effect summaries. *)
 let context inputs =
   let files = List.map (fun i -> Source.parse ~path:i.path i.src) inputs in
-  let structures = List.filter_map (fun f -> f.Source.impl) files in
-  let signatures = List.filter_map (fun f -> f.Source.intf) files in
   let cg = Callgraph.build files in
   {
     Pass.files;
-    mutable_fields = Astutil.mutable_field_names structures signatures;
+    records = Records.collect files;
     cg;
     may_yield = Effects.may_yield cg;
   }
@@ -132,9 +130,9 @@ let analyze ?(baseline = Baseline.empty) ?only ?skip ?(clock = fun () -> 0.)
           Some
             (Finding.v ~path ~line:w.Waiver.line ~rule:"stale-waiver"
                (Printf.sprintf
-                  "'snfs-lint: allow %s' suppresses no %s finding on this \
-                   line or the next; delete it"
-                  w.Waiver.rule w.Waiver.rule)))
+                  "'%s' suppresses no %s finding on this line or the next; \
+                   delete it"
+                  w.Waiver.text w.Waiver.rule)))
       waivers
   in
   let live_waivers =

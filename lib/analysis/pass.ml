@@ -1,6 +1,6 @@
 type ctx = {
   files : Source.t list;
-  mutable_fields : (string, unit) Hashtbl.t;
+  records : Records.t;
   cg : Callgraph.t;
   may_yield : (string, unit) Hashtbl.t;
 }

@@ -49,7 +49,7 @@ type classification =
   | Mutable of string (* human description *)
   | Inert
 
-let classify mutable_fields e =
+let classify records e =
   let e = unwrap (Astutil.uncurry_pipes e) in
   match e.pexp_desc with
   | Pexp_apply (head, _) -> (
@@ -67,16 +67,12 @@ let classify mutable_fields e =
           | Some (_, what) -> Mutable (what ^ " container")
           | None -> Inert)
       | None -> Inert)
-  | Pexp_record (fields, _) ->
-      let is_mutable (lid, _) =
-        match Astutil.flatten lid.Asttypes.txt with
-        | Some p -> (
-            match List.rev p with
-            | f :: _ -> Hashtbl.mem mutable_fields f
-            | [] -> false)
-        | None -> false
+  | Pexp_record (fields, base) ->
+      let labels =
+        List.filter_map (fun (lid, _) -> Astutil.flatten lid.Asttypes.txt) fields
       in
-      if List.exists is_mutable fields then Mutable "mutable record literal"
+      if Records.literal_mutable records labels ~closed:(base = None) then
+        Mutable "mutable record literal"
       else Inert
   | Pexp_array _ -> Mutable "array literal"
   | _ -> Inert
@@ -196,7 +192,7 @@ let run (ctx : Pass.ctx) =
   List.iter
     (fun (n : Callgraph.node) ->
       if in_scope n.Callgraph.path then
-        match classify ctx.Pass.mutable_fields n.Callgraph.body with
+        match classify ctx.Pass.records n.Callgraph.body with
         | Mutable what ->
             let line, col = Astutil.pos n.Callgraph.body.pexp_loc in
             Hashtbl.replace globals n.Callgraph.id

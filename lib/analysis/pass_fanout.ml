@@ -24,10 +24,11 @@ let name = "fanout"
      application heads) to build its result from a table fold.
 
    A site that is genuinely bounded (a per-file opener list capped by
-   the protocol, a fixed report vector) is waived in place with
-   [(* snfs-fanout: bounded <reason> *)] on the same or previous line —
-   the reason is part of the idiom, so the bound is documented where
-   the loop lives. *)
+   the protocol, a fixed report vector) is waived in place by a
+   bounded-reason comment on the same or previous line (spelt in
+   [Waiver]) — the reason is part of the idiom, so the bound is
+   documented where the loop lives. The driver applies it like any
+   waiver and reports one that suppresses nothing as stale. *)
 
 let in_scope path = Source.under "lib" path || Source.under "examples" path
 
@@ -55,17 +56,6 @@ let projection_prims =
   [ [ "Hashtbl"; "fold" ]; [ "Hashtbl"; "iter" ]; [ "Hashtbl"; "to_seq" ] ]
 
 let suffix_in p suffixes = List.exists (Astutil.has_suffix p) suffixes
-
-(* ---- the bounded-reason waiver ---- *)
-
-let bounded_waived ~src ~line =
-  let lines = String.split_on_char '\n' src in
-  let has i =
-    i >= 1
-    && i <= List.length lines
-    && Astutil.contains (List.nth lines (i - 1)) "snfs-fanout: bounded"
-  in
-  has line || has (line - 1)
 
 (* ---- table-projection inference ----
 
@@ -250,13 +240,6 @@ let run (ctx : Pass.ctx) =
   let cg = ctx.Pass.cg in
   let reached = server_reachable cg in
   let derived = projections cg in
-  let src_of =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (f : Source.t) -> Hashtbl.replace tbl f.Source.path f.Source.src)
-      ctx.Pass.files;
-    fun path -> Option.value ~default:"" (Hashtbl.find_opt tbl path)
-  in
   let findings = ref [] in
   let scan_node (n : Callgraph.node) label =
     let resolve p = Callgraph.resolve_in cg ~node:n.Callgraph.id p in
@@ -305,10 +288,8 @@ let run (ctx : Pass.ctx) =
     in
     let report loc msg =
       let line, col = Astutil.pos loc in
-      if not (bounded_waived ~src:(src_of n.Callgraph.path) ~line) then
-        findings :=
-          Finding.v ~path:n.Callgraph.path ~line ~col ~rule:name msg
-          :: !findings
+      findings :=
+        Finding.v ~path:n.Callgraph.path ~line ~col ~rule:name msg :: !findings
     in
     let expr it e =
       (match (Astutil.uncurry_pipes e).pexp_desc with

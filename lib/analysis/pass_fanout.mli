@@ -25,8 +25,9 @@
       [clients_with_state]).
 
     A genuinely bounded site is waived in place with
-    [(* snfs-fanout: bounded <reason> *)] on the flagged or previous
-    line, so the bound is documented where the loop lives. Unwaived
+    [(* snfs-fanout: bounded <reason> *)] in a comment on the flagged
+    or previous line, so the bound is documented where the loop lives;
+    one that suppresses nothing is a [stale-waiver]. Unwaived
     sites on the real tree are the measured backlog for ROADMAP item 1
     and live in the committed lint baseline. *)
 

@@ -49,6 +49,7 @@ let builtin_allowlist =
     ( "lib/blockcache/cache.ml",
       [ "lru_unlink"; "lru_append"; "touch"; "key"; "find" ] );
     ("lib/netsim/rpc.ml", [ "note_duplicate"; "handle_request" ]);
+    ("lib/netsim/drc.ml", [ "admit"; "arrive"; "reply"; "publish" ]);
     ( "lib/xdr/xdr.ml",
       [
         "Enc.check"; "Enc.reset"; "Enc.length"; "Enc.release"; "Enc.uint32";

@@ -23,17 +23,15 @@ type entry = {
 
 let in_scope path = Source.under "lib" path || Source.under "examples" path
 
-let taint_source mutable_fields e =
+let taint_source records e =
   let e = Astutil.uncurry_pipes e in
   match e.pexp_desc with
   | Pexp_field (_, { txt; _ }) -> (
       match Astutil.flatten txt with
-      | Some p -> (
-          match List.rev p with
-          | f :: _ when Hashtbl.mem mutable_fields f ->
-              Some (Printf.sprintf "mutable field '%s'" f, Field f)
-          | _ -> None)
-      | None -> None)
+      | Some p when Records.label_mutable records p ->
+          let f = List.nth p (List.length p - 1) in
+          Some (Printf.sprintf "mutable field '%s'" f, Field f)
+      | _ -> None)
   | Pexp_apply (head, args) -> (
       match Astutil.path_of_expr head with
       | Some p
@@ -54,7 +52,7 @@ let taint_source mutable_fields e =
 (* Check one file against a blocking-head judgement. [blocking] is
    consulted per application head, in the scope of the module path the
    application appears under. *)
-let check_file ~blocking (file : Source.t) mutable_fields =
+let check_file ~blocking (file : Source.t) records =
   match file.Source.impl with
   | Some structure when in_scope file.Source.path ->
       let findings = ref [] in
@@ -96,7 +94,7 @@ let check_file ~blocking (file : Source.t) mutable_fields =
                     match Astutil.pat_names vb.pvb_pat with
                     | [ x ] -> (
                         let env = drop [ x ] env in
-                        match taint_source mutable_fields vb.pvb_expr with
+                        match taint_source records vb.pvb_expr with
                         | Some (what, origin) ->
                             let line, _ = Astutil.pos vb.pvb_expr.pexp_loc in
                             {
@@ -229,7 +227,7 @@ let run (ctx : Pass.ctx) =
         Effects.blocking_head ctx.Pass.cg ctx.Pass.may_yield
           ~file:f.Source.path ~module_path p
       in
-      check_file ~blocking f ctx.Pass.mutable_fields)
+      check_file ~blocking f ctx.Pass.records)
     ctx.Pass.files
 
 let pass =

@@ -1,4 +1,4 @@
-type t = { line : int; rule : string }
+type t = { line : int; rule : string; text : string }
 
 let ident_char c =
   (c >= 'a' && c <= 'z')
@@ -8,18 +8,29 @@ let ident_char c =
 
 let marker = "snfs-lint: allow "
 
+(* the fan-out pass's own idiom: the reason that follows documents the
+   bound where the loop lives *)
+let bounded = "snfs-fanout: bounded"
+
+let at src i stop m =
+  i + String.length m <= stop && String.sub src i (String.length m) = m
+
 (* every waiver in src.[start, stop), [line] being the line of [start] *)
 let in_span src ~start ~stop ~line acc =
   let nm = String.length marker in
   let rec go i line acc =
-    if i + nm > stop then acc
+    if i >= stop then acc
     else if src.[i] = '\n' then go (i + 1) (line + 1) acc
-    else if String.sub src i nm = marker then begin
+    else if at src i stop marker then begin
       let j = ref (i + nm) in
       while !j < stop && ident_char src.[!j] do incr j done;
       let rule = String.sub src (i + nm) (!j - i - nm) in
-      go !j line (if rule = "" then acc else { line; rule } :: acc)
+      go !j line
+        (if rule = "" then acc else { line; rule; text = marker ^ rule } :: acc)
     end
+    else if at src i stop bounded then
+      go (i + String.length bounded) line
+        ({ line; rule = "fanout"; text = bounded } :: acc)
     else go (i + 1) line acc
   in
   go start line acc

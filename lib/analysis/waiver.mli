@@ -8,13 +8,15 @@
 
     The rule name runs to the first character that cannot be part of
     one, so [allow determinism] never waives a hypothetical
-    [determinism-strict] finding. Only ordinary comments waive: the
-    same text in a string literal or a doc comment (like the example
-    above) is inert. *)
+    [determinism-strict] finding. [snfs-fanout: bounded <reason>] is
+    the fan-out pass's spelling of [snfs-lint: allow fanout]. Only
+    ordinary comments waive: the same text in a string literal or a
+    doc comment (like the example above) is inert. *)
 
 type t = {
   line : int;  (** 1-based line the waiver text sits on *)
   rule : string;  (** the rule it names *)
+  text : string;  (** the waiver as written, up to the reason *)
 }
 
 val scan : string -> t list

@@ -83,11 +83,11 @@ let create engine ~name ~capacity_blocks ~block_size backend =
       capacity = capacity_blocks;
       block_size;
       backend;
-      blocks = Sim.Inttbl.create ~empty:none 256;
-      file_heads = Sim.Inttbl.create ~empty:none 32;
+      blocks = Sim.Inttbl.create ~empty:none;
+      file_heads = Sim.Inttbl.create ~empty:none;
       count = 0;
       lru = new_block ~file:(-1) ~index:0;
-      pending = Sim.Inttbl.create ~empty:{ count = 0; waiters = [] } 0;
+      pending = Sim.Inttbl.create ~empty:{ count = 0; waiters = [] };
       syncer_started = false;
     }
   in

@@ -20,7 +20,6 @@ let client_loop ctx ~home ~iterations =
       ignore (Vfs.Fileio.read_file m (Printf.sprintf "%s/src%d.c" home i))
     done;
     Workload.App.think ctx 0.5;
-    (* snfs-lint: allow yield-race — mount table wired once at setup *)
     Vfs.Fileio.write_file m
       (Printf.sprintf "%s/src%d.c" home ((it mod 3) + 1))
       ~bytes:6_000;

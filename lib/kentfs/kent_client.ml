@@ -26,7 +26,7 @@ let policy =
   {
     Core.prog = Kent_server.prog;
     cat = "kent";
-    fresh = (fun _ _ -> Sim.Inttbl.create ~empty:false 0);
+    fresh = (fun _ _ -> Sim.Inttbl.create ~empty:false);
     merge = (fun _ _ _ g attrs -> keep_size g attrs);
     on_remove = ignore;
   }

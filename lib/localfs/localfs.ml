@@ -25,6 +25,11 @@ let error_to_string = function
   | Stale -> "stale file handle"
   | Again -> "resource temporarily unavailable"
 
+let () =
+  Printexc.register_printer (function
+    | Error e -> Some (Printf.sprintf "Localfs.Error(%s)" (error_to_string e))
+    | _ -> None)
+
 let fail e = raise (Error e)
 
 type meta_policy = [ `Sync | `Delayed ]

@@ -40,6 +40,10 @@ let budget ?(initial_backoff = 0.5) ?(max_backoff = 30.0) give_up_after =
 
 type reply = { data : bytes; bulk : int }
 
+(* the DRC's reply of a call still executing: no handler replies with
+   negative bulk *)
+let pending = { data = Bytes.empty; bulk = -1 }
+
 (* [ctx] is the causal context of the client operation this request
    serves (Obs.Causal.none for background traffic). It rides the
    request like [caller] does — an explicit field of the simulated
@@ -48,16 +52,6 @@ type reply = { data : bytes; bulk : int }
    it. *)
 type handler =
   caller:Net.Host.t -> ctx:Obs.Causal.t -> proc:string -> Xdr.Dec.t -> reply
-
-(* Duplicate-request cache, direct-mapped by xid like the bounded
-   "recent request cache" of real NFS servers. xids come from the
-   transport's single monotonic counter, so a slot collision only
-   evicts an entry [drc_slots] xids older — far outside any
-   retransmission window — and the cache stays a fixed-size array
-   instead of a hash table that grows (and rehashes) with every call
-   ever made. [drc_xid.(i) = -1] marks a free slot; [drc_reply.(i) =
-   None] under a live xid means the call is still executing. *)
-let drc_slots = 4096
 
 (* Everything the request path needs per procedure, resolved once per
    procedure instead of once per request: the display name (a string
@@ -74,9 +68,7 @@ type service = {
   host : Net.Host.t;
   mutable handler : handler;
   pool : Sim.Semaphore.t;
-  drc_xid : int array;
-  drc_reply : reply option array;
-  mutable drc_used : int; (* occupied slots, for the gauge poll *)
+  drc : reply Drc.t;
   (* in registration order; a protocol has a few dozen procedures, so
      a scan by string equality beats hashing the name *)
   mutable procs : proc_info array;
@@ -133,9 +125,7 @@ let serve t host ~prog ~threads handler =
           host;
           handler;
           pool = Sim.Semaphore.create (Net.engine t.net) threads;
-          drc_xid = Array.make drc_slots (-1);
-          drc_reply = Array.make drc_slots None;
-          drc_used = 0;
+          drc = Drc.create ~pending;
           procs = [||];
           counts = Stats.Counter.create ();
           on_restart = None;
@@ -147,7 +137,7 @@ let serve t host ~prog ~threads handler =
       Obs.Metrics.register_poll
         ~labels:[ ("host", Net.Host.name host); ("prog", prog) ]
         "rpc_dup_cache_entries"
-        (fun () -> float_of_int svc.drc_used);
+        (fun () -> float_of_int (Drc.length svc.drc));
       svc
 
 let service_host svc = svc.host
@@ -205,35 +195,27 @@ let handle_request t svc info ~caller ~ctx ~xid ~proc ~args ~bulk ~reply_to =
   let epoch = Net.Host.boot_epoch svc.host in
   if epoch <> svc.epoch_seen then begin
     svc.epoch_seen <- epoch;
-    Array.fill svc.drc_xid 0 drc_slots (-1);
-    Array.fill svc.drc_reply 0 drc_slots None;
-    svc.drc_used <- 0;
+    Drc.reset svc.drc;
     match svc.on_restart with None -> () | Some f -> f ()
   end;
-  let slot = xid land (drc_slots - 1) in
-  if svc.drc_xid.(slot) = xid then
-    match svc.drc_reply.(slot) with
-    | None ->
-        (* retransmission of a call being served: drop *)
-        note_duplicate svc ~trace_name:"dup_drop" ~pname:info.pname ~xid
-    | Some reply ->
-        (* replay cached reply *)
-        note_duplicate svc ~trace_name:"dup_replay" ~pname:info.pname ~xid;
-        reply_to reply
-  else begin
-    if svc.drc_xid.(slot) = -1 then svc.drc_used <- svc.drc_used + 1;
-    svc.drc_xid.(slot) <- xid;
-    svc.drc_reply.(slot) <- None;
-    let arrival = server_now svc in
-    Sim.Engine.spawn (Net.Host.engine svc.host) ~name:info.pname
-      (* one spawned task per executed request is the DRC's budgeted cost;
-         duplicates were filtered above — snfs-lint: allow hot-alloc *)
-      (fun () ->
-        (* the semaphore scoping closure rides the same per-executed-request
-           budget — snfs-lint: allow hot-alloc *)
-        Sim.Semaphore.with_unit svc.pool (fun () ->
-            let count = info.count in
-            count := !count + 1;
+  match Drc.arrive svc.drc xid with
+  | Drop ->
+      (* retransmission of a call being served *)
+      note_duplicate svc ~trace_name:"dup_drop" ~pname:info.pname ~xid
+  | Replay ->
+      note_duplicate svc ~trace_name:"dup_replay" ~pname:info.pname ~xid;
+      reply_to (Drc.reply svc.drc xid)
+  | Execute ->
+      let arrival = server_now svc in
+      Sim.Engine.spawn (Net.Host.engine svc.host) ~name:info.pname
+        (* one spawned task per executed request is the DRC's budgeted cost;
+           duplicates were filtered above — snfs-lint: allow hot-alloc *)
+        (fun () ->
+          (* the semaphore scoping closure rides the same per-executed-request
+             budget — snfs-lint: allow hot-alloc *)
+          Sim.Semaphore.with_unit svc.pool (fun () ->
+              let count = info.count in
+              count := !count + 1;
               (* same site as the legacy Stats.Counter path, so the
                  registry and the counter tables can never disagree *)
               if Obs.Metrics.on () then
@@ -270,15 +252,8 @@ let handle_request t svc info ~caller ~ctx ~xid ~proc ~args ~bulk ~reply_to =
               Net.Host.use_cpu svc.host
                 (payload_cpu t (Bytes.length reply.data + reply.bulk));
               Obs.Trace.finish ~ts:(server_now svc) sp;
-              (* publish only if the slot still belongs to this xid: a
-                 colliding newer request may have evicted it while the
-                 handler ran *)
-              if svc.drc_xid.(slot) = xid then
-                (* the one reply box per executed request the direct-mapped
-                   DRC must retain — snfs-lint: allow hot-alloc *)
-                svc.drc_reply.(slot) <- Some reply;
+              Drc.publish svc.drc xid reply;
               reply_to reply))
-  end
 
 (* Enough retries that transient packet loss is very unlikely to be
    mistaken for a crashed client, but still finishing (~31 s) before the

@@ -267,8 +267,7 @@ let create policy rpc ~client ~server ~root ~name ~cache_blocks ~read_ahead
                     nlink = 0;
                     mtime = 0.0;
                     ctime = 0.0;
-                  })
-             64;
+                  });
          budget = Option.map Netsim.Rpc.budget retry_budget;
          read_ahead;
          readahead_name = policy.cat ^ ".readahead";

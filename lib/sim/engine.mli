@@ -46,8 +46,13 @@ val timer : t -> float -> (unit -> unit) -> unit
     {!run_until} returns. *)
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
-(** Run until the event queue drains or {!stop} is called. Exceptions
-    raised by processes propagate out of [run]. *)
+(** An exception a process raised, with the process's name and the
+    backtrace inside it (empty unless backtraces are recorded). It
+    prints as [process "NAME" failed with EXN]. *)
+exception Process_failure of string * exn * Printexc.raw_backtrace
+
+(** Run until the event queue drains or {!stop} is called. An exception
+    a process raises escapes [run] as {!Process_failure}. *)
 val run : t -> unit
 
 (** Halt {!run} / {!run_until} after the current event. Daemon

@@ -8,15 +8,7 @@ type 'a t = {
   empty : 'a;
 }
 
-let create ~empty n =
-  if n <= 0 then { keys = [||]; vals = [||]; live = 0; empty }
-  else begin
-    let cap = ref 8 in
-    while !cap < 2 * n do
-      cap := 2 * !cap
-    done;
-    { keys = Array.make !cap 0; vals = Array.make !cap empty; live = 0; empty }
-  end
+let create ~empty = { keys = [||]; vals = [||]; live = 0; empty }
 
 let empty t = t.empty
 

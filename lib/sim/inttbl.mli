@@ -23,10 +23,9 @@
 
 type 'a t
 
-(** [create ~empty n] is an empty table sized for about [n] entries
-    before its first growth. With [n = 0] it allocates no slots until
-    the first {!replace}. *)
-val create : empty:'a -> int -> 'a t
+(** [create ~empty] is an empty table. It allocates no slots until the
+    first {!replace}, then doubles as it fills. *)
+val create : empty:'a -> 'a t
 
 (** The sentinel {!find} returns for an absent key. *)
 val empty : 'a t -> 'a

@@ -292,7 +292,6 @@ let on_callback t dec =
 let build_reports t =
   let cache = Core.cache t.core in
   (* the reopen protocol (Section 2.4) reports the full per-client state *)
-  (* snfs-fanout: bounded — one-shot crash-recovery sweep, not steady state *)
   Core.fold
     (fun (g : gnode) acc ->
       let st = g.g_proto in

@@ -361,9 +361,8 @@ let serve rpc host ?(threads = 8) ?(max_table_entries = 1000)
          table = Spritely.State_table.create ~max_entries:max_table_entries ();
          max_table_entries;
          callbacks_sent = 0;
-         last_heard = Sim.Inttbl.create ~empty:(ref 0.0) 16;
-         file_locks =
-           Sim.Inttbl.create ~empty:(Sim.Semaphore.create engine 1) 32;
+         last_heard = Sim.Inttbl.create ~empty:(ref 0.0);
+         file_locks = Sim.Inttbl.create ~empty:(Sim.Semaphore.create engine 1);
          clients_reaped = 0;
          lifecycle = None;
          laundromat_runs = 0;

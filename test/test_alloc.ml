@@ -318,14 +318,78 @@ let test_cache_churn_at_capacity () =
         "churn at capacity allocates %.0f bytes per step (bound 512)" per_step
   end
 
+(* Per-host tables start empty and grow with what they hold (DESIGN.md,
+   "Purpose-built tables"), so a host that has done nothing yet costs
+   a few hundred words. Footprints are exact: [Obj.reachable_words] of
+   everything the simulation holds, before and after one more host,
+   is a pure function of the code. A fixed-size table allocated at
+   its bound, such as a duplicate-request cache of 4,096 slots, fails
+   here with no timing noise. *)
+let footprint ~before ~after roots =
+  let words () = Obj.reachable_words (Obj.repr (roots ())) in
+  before ();
+  let w0 = words () in
+  after ();
+  words () - w0
+
+(* The 32nd mount of a 32-client SNFS cluster: its host, its client
+   (gnode table, block cache, RPC stub) and its callback service: 385
+   words. *)
+let mount_footprint_bound = 512
+
+let test_mount_footprint () =
+  let e = Sim.Engine.create () in
+  let cluster = Experiments.Cluster.create e in
+  let server = Experiments.Cluster.serve cluster ~fsid:1 Experiments.Stack.Snfs in
+  let clients = ref [] in
+  let mount i =
+    let name = Printf.sprintf "client%d" i in
+    clients :=
+      Experiments.Cluster.mount cluster server ~host:name ~name
+        (Experiments.Stack.default Experiments.Stack.Snfs)
+      :: !clients
+  in
+  let words =
+    footprint
+      ~before:(fun () -> for i = 0 to 30 do mount i done)
+      ~after:(fun () -> mount 31)
+      (fun () -> (e, cluster, server, !clients))
+  in
+  if words > mount_footprint_bound then
+    Alcotest.failf "one mount holds %d words (bound %d)" words
+      mount_footprint_bound
+
+(* A program served on a host, before its first request: its pool,
+   procedure and counter tables and an empty duplicate-request cache:
+   81 words. *)
+let served_footprint_bound = 640
+
+let test_served_footprint () =
+  let e = Sim.Engine.create () in
+  let net = Netsim.Net.create e () in
+  let rpc = Netsim.Rpc.create net () in
+  let host = Netsim.Net.Host.create net "server" in
+  let words =
+    footprint ~before:ignore
+      ~after:(fun () ->
+        ignore
+          (Netsim.Rpc.serve rpc host ~prog:"prog" ~threads:4
+             (fun ~caller:_ ~ctx:_ ~proc:_ _ -> assert false)
+            : Netsim.Rpc.service))
+      (fun () -> (e, net, rpc, host))
+  in
+  if words > served_footprint_bound then
+    Alcotest.failf "a served program holds %d words before its first request \
+                    (bound %d)" words served_footprint_bound
+
 (* One whole run of the andrew workload's SNFS config allocates a
    fixed number of minor words: the simulation is deterministic, so
    from the second run in a process on (the first also fills lazy
-   tables) the count is exact, not a sample. The ceiling sits about 5%
-   above the count of a build that inlines across modules, so a new
-   per-event or per-RPC allocation on the hot path fails here, with no
-   timing noise. An -opaque build allocates some 18% more. *)
-let snfs_run_minor_words_ceiling = 1_955_000.0
+   tables) the count is exact, not a sample: 1,816,968 words in a build
+   that inlines across modules. The ceiling sits about 7% above it, so
+   a new per-event or per-RPC allocation on the hot path fails here,
+   with no timing noise. An -opaque build allocates some 18% more. *)
+let snfs_run_minor_words_ceiling = 1_942_000.0
 
 let test_snfs_andrew_run () =
   if native then begin
@@ -366,5 +430,12 @@ let () =
           Alcotest.test_case "block cache churn at capacity" `Quick
             test_cache_churn_at_capacity;
           Alcotest.test_case "one SNFS Andrew run" `Quick test_snfs_andrew_run;
+        ] );
+      ( "per-host footprint",
+        [
+          Alcotest.test_case "one mount of a 32-client cluster" `Quick
+            test_mount_footprint;
+          Alcotest.test_case "a served program before its first request"
+            `Quick test_served_footprint;
         ] );
     ]

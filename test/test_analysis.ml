@@ -230,6 +230,27 @@ let test_yield_race_seeded () =
           \  apply t g attrs v\n");
     ]
 
+let test_yield_race_qualified_field () =
+  (* [g.X.g_version] names the immutable field of [X.gnode], though
+     [Y.gnode] declares one of the same name mutable *)
+  let types =
+    [
+      input "lib/snfs/x.ml" "type gnode = { g_version : int }\n";
+      input "lib/snfs/y.ml" gnode_type;
+    ]
+  in
+  let refresh field =
+    input "lib/snfs/z.ml"
+      ("let refresh t g =\n\
+       \  let v = g." ^ field ^ " in\n\
+       \  let attrs = Nfs.Wire.getattr (call t) (fh_of t g) in\n\
+       \  apply t g attrs v\n")
+  in
+  check_quiet "immutable field, qualified" "yield-race"
+    (types @ [ refresh "X.g_version" ]);
+  check_fires "mutable field, qualified" "yield-race"
+    (types @ [ refresh "Y.g_version" ])
+
 let test_yield_race_reread_ok () =
   check_quiet "re-read after the yield point" "yield-race"
     [
@@ -556,6 +577,44 @@ let test_domain_safety_clean_variants () =
         \    cs\n";
     ]
 
+(* A literal is judged by the record type it builds, not by whether
+   one of its labels is mutable in some other record: [Msg.reply]
+   shares [data] with [Ts.t], whose [data] is mutable. *)
+let shared_label_types =
+  [
+    input "lib/x/ts.ml" "type t = { mutable data : int array; name : string }\n";
+    input "lib/x/msg.ml" "type reply = { data : bytes; bulk : int }\n";
+  ]
+
+let swept body =
+  input "lib/x/runner.ml"
+    ("let go ~jobs cs = Experiments.Sweep.map ~jobs ~f:(fun c -> " ^ body
+   ^ "; c) cs\n")
+
+let test_domain_safety_record_literals () =
+  check_quiet "immutable record sharing a label with a mutable one"
+    "domain-safety"
+    (shared_label_types
+    @ [
+        input "lib/x/empty.ml"
+          "let bare = { data = Bytes.empty; bulk = 0 }\n\
+           let qualified = { Msg.data = Bytes.empty; bulk = 0 }\n\
+           let widened = { qualified with Msg.bulk = 1 }\n";
+        swept "ignore (Empty.bare, Empty.qualified, Empty.widened)";
+      ]);
+  check_fires "the mutable record sharing that label" "domain-safety"
+    (shared_label_types
+    @ [
+        input "lib/x/cell.ml" "let cell = { Ts.data = [||]; name = \"x\" }\n";
+        swept "Cell.cell.Ts.data.(0) <- c";
+      ]);
+  check_fires "the same literal by its label set" "domain-safety"
+    (shared_label_types
+    @ [
+        input "lib/x/cell.ml" "let cell = { data = [||]; name = \"x\" }\n";
+        swept "ignore Cell.cell";
+      ])
+
 (* ---- fanout ---- *)
 
 let test_fanout_table_iter () =
@@ -691,6 +750,41 @@ let test_fanout_bounded_waiver () =
   in
   Alcotest.(check int) "a comment without the token does not waive" 1
     (count "fanout" [ input "lib/srv/server.ml" wrong ])
+
+let test_fanout_bounded_waiver_judged () =
+  let live =
+    "let handle t q =\n\
+    \  (* snfs-fanout: bounded — at most the three wired replicas *)\n\
+    \  Hashtbl.iter (fun _ c -> touch c q) t.clients\n\
+     let serve rpc host t = Netsim.Rpc.serve rpc host (fun q -> handle t q)\n"
+  in
+  check_quiet "a live comment" "stale-waiver"
+    [ input "lib/srv/server.ml" live ];
+  Alcotest.(check (list (pair string int))) "counted live"
+    [ ("fanout", 1) ]
+    (D.analyze [ input "lib/srv/server.ml" live ]).D.live_waivers;
+  let idle =
+    "let handle t q =\n\
+    \  (* snfs-fanout: bounded — nothing here walks a table *)\n\
+    \  touch t q\n\
+     let serve rpc host t = Netsim.Rpc.serve rpc host (fun q -> handle t q)\n"
+  in
+  (match rule_findings "stale-waiver" [ input "lib/srv/server.ml" idle ] with
+  | [ f ] ->
+      Alcotest.(check int) "an idle comment is stale on its line" 2 f.F.line;
+      Alcotest.(check bool) "the message quotes it" true
+        (contains_sub f.F.message "'snfs-fanout: bounded'")
+  | fs -> Alcotest.failf "expected one stale waiver, got %d" (List.length fs));
+  let quoted =
+    "let handle t q =\n\
+    \  let why = \"snfs-fanout: bounded\" in\n\
+    \  Hashtbl.iter (fun _ c -> touch c why q) t.clients\n\
+     let serve rpc host t = Netsim.Rpc.serve rpc host (fun q -> handle t q)\n"
+  in
+  Alcotest.(check int) "the phrase in a string literal does not waive" 1
+    (count "fanout" [ input "lib/srv/server.ml" quoted ]);
+  check_quiet "nor goes stale" "stale-waiver"
+    [ input "lib/srv/server.ml" quoted ]
 
 let test_fanout_clean_variants () =
   check_quiet "no serve application: not a server path" "fanout"
@@ -1203,6 +1297,8 @@ let () =
         [
           Alcotest.test_case "stale read across RPC fires" `Quick
             test_yield_race_seeded;
+          Alcotest.test_case "qualified field judged by its type" `Quick
+            test_yield_race_qualified_field;
           Alcotest.test_case "re-read is clean" `Quick
             test_yield_race_reread_ok;
           Alcotest.test_case "claim-and-clear is clean" `Quick
@@ -1244,6 +1340,8 @@ let () =
             test_domain_safety_dls_ownership;
           Alcotest.test_case "clean variants" `Quick
             test_domain_safety_clean_variants;
+          Alcotest.test_case "record literals judged by their type" `Quick
+            test_domain_safety_record_literals;
         ] );
       ( "fanout",
         [
@@ -1261,6 +1359,8 @@ let () =
             test_fanout_wrapper_without_forwarding;
           Alcotest.test_case "bounded waiver idiom" `Quick
             test_fanout_bounded_waiver;
+          Alcotest.test_case "bounded waivers judged live or stale" `Quick
+            test_fanout_bounded_waiver_judged;
           Alcotest.test_case "clean variants" `Quick
             test_fanout_clean_variants;
         ] );

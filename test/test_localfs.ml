@@ -247,11 +247,18 @@ let test_dir_data_mismatch () =
       Alcotest.check_raises "lookup in file" (Localfs.Error Localfs.Notdir)
         (fun () -> ignore (Localfs.lookup fs ~dir:f "x")))
 
+(* a process that dies of a file-system error says which one *)
+let test_error_printer () =
+  Alcotest.(check string) "named, not numbered"
+    "Localfs.Error(file exists)"
+    (Printexc.to_string (Localfs.Error Localfs.Exist))
+
 let () =
   Alcotest.run "localfs"
     [
       ( "namespace",
         [
+          Alcotest.test_case "errors print by name" `Quick test_error_printer;
           Alcotest.test_case "create/lookup" `Quick test_create_lookup;
           Alcotest.test_case "lookup missing" `Quick test_lookup_missing;
           Alcotest.test_case "duplicate create" `Quick test_create_duplicate;

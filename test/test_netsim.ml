@@ -291,6 +291,167 @@ let test_partition_is_directional_pairwise () =
       let d = Xdr.Dec.of_bytes reply in
       Alcotest.(check string) "third unaffected" "echo:ok" (Xdr.Dec.string d))
 
+(* ---- the duplicate-request cache against the fixed table ---- *)
+
+(* What [Netsim.Drc] must behave as: 4,096 slots indexed by [xid land
+   4095], a new xid evicting its slot's entry. [occupied] lists the
+   slots in use, so the model can look for collisions without a scan. *)
+module Fixed = struct
+  let slots = 4096
+
+  type t = {
+    xids : int array;
+    replies : int option array;
+    mutable occupied : int list;
+  }
+
+  let create () =
+    { xids = Array.make slots (-1); replies = Array.make slots None; occupied = [] }
+
+  let used t = List.length t.occupied
+
+  let arrive t xid =
+    let i = xid land (slots - 1) in
+    if t.xids.(i) = xid then
+      match t.replies.(i) with None -> `Drop | Some r -> `Replay r
+    else begin
+      if t.xids.(i) = -1 then t.occupied <- i :: t.occupied;
+      t.xids.(i) <- xid;
+      t.replies.(i) <- None;
+      `Execute
+    end
+
+  let publish t xid r =
+    let i = xid land (slots - 1) in
+    if t.xids.(i) = xid then t.replies.(i) <- Some r
+
+  let reset t =
+    Array.fill t.xids 0 slots (-1);
+    Array.fill t.replies 0 slots None;
+    t.occupied <- []
+
+  (* a live entry other than [xid] on [xid]'s slot of a table of [size]
+     slots, though its residue differs: the one reason to grow *)
+  let false_collision t xid ~size =
+    List.exists
+      (fun i ->
+        let y = t.xids.(i) in
+        y land (size - 1) = xid land (size - 1) && i <> xid land (slots - 1))
+      t.occupied
+end
+
+type drc_op =
+  | Fresh of int  (** the next xid, after [n] that other services took *)
+  | Retransmit of int  (** the [i]th xid seen so far, again *)
+  | Congruent of int * int  (** the [i]th xid seen plus [k] * 4096 *)
+  | Complete of int  (** the [i]th executing call finishes *)
+  | Reset  (** the server reboots *)
+
+let show_drc_op = function
+  | Fresh n -> Printf.sprintf "fresh+%d" n
+  | Retransmit i -> Printf.sprintf "again %d" i
+  | Congruent (i, k) -> Printf.sprintf "congruent %d%+d" i k
+  | Complete i -> Printf.sprintf "complete %d" i
+  | Reset -> "reset"
+
+let gen_drc_ops =
+  let open QCheck.Gen in
+  (* small gaps keep the table small; large ones spread the residues *)
+  let gap = frequency [ (3, int_bound 3); (2, int_bound 5000) ] in
+  list_size (int_range 1 300)
+    (frequency
+       [
+         (10, map (fun n -> Fresh n) gap);
+         (5, map (fun i -> Retransmit i) nat);
+         (3, map2 (fun i k -> Congruent (i, k)) nat (int_range (-2) 2));
+         (7, map (fun i -> Complete i) nat);
+         (1, return Reset);
+       ])
+
+(* After every step the cache made the fixed table's decision, replayed
+   its reply and holds its entry count; and it holds exactly the slots
+   the doublings its false collisions forced, measured in heap words
+   against an empty cache and a one-slot one. *)
+let prop_drc_matches_fixed_table =
+  let words d = Obj.reachable_words (Obj.repr d) in
+  let empty_words = words (Netsim.Drc.create ~pending:(-1)) in
+  let one_slot_words =
+    let d = Netsim.Drc.create ~pending:(-1) in
+    ignore (Netsim.Drc.arrive d 1 : Netsim.Drc.decision);
+    words d
+  in
+  QCheck.Test.make ~name:"DRC matches the fixed 4096-slot table" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_drc_op ops))
+       gen_drc_ops)
+    (fun ops ->
+      let drc = Netsim.Drc.create ~pending:(-1) and fixed = Fixed.create () in
+      let size = ref 0 and counter = ref 0 and replies = ref 0 in
+      let seen = ref [||] and running = ref [] in
+      let rec remove_one x = function
+        | [] -> []
+        | y :: rest -> if y = x then rest else y :: remove_one x rest
+      in
+      let arrive xid =
+        let expected = Fixed.arrive fixed xid in
+        if expected = `Execute then begin
+          size := Int.max 1 !size;
+          while Fixed.false_collision fixed xid ~size:!size do
+            size := 2 * !size
+          done;
+          running := xid :: !running
+        end;
+        let got =
+          match Netsim.Drc.arrive drc xid with
+          | Execute -> `Execute
+          | Drop -> `Drop
+          | Replay -> `Replay (Netsim.Drc.reply drc xid)
+        in
+        got = expected
+      in
+      let step op =
+        match op with
+        | Fresh n ->
+            counter := !counter + 1 + n;
+            seen := Array.append !seen [| !counter |];
+            arrive !counter
+        | Retransmit i when !seen <> [||] ->
+            arrive !seen.(i mod Array.length !seen)
+        | Congruent (i, k) when !seen <> [||] ->
+            let xid = !seen.(i mod Array.length !seen) + (k * Fixed.slots) in
+            xid < 1 || arrive xid
+        | Complete i when !running <> [] ->
+            let xid = List.nth !running (i mod List.length !running) in
+            running := remove_one xid !running;
+            incr replies;
+            Fixed.publish fixed xid !replies;
+            Netsim.Drc.publish drc xid !replies;
+            true
+        | Reset ->
+            Fixed.reset fixed;
+            Netsim.Drc.reset drc;
+            size := 0;
+            true
+        | Retransmit _ | Congruent _ | Complete _ -> true
+      in
+      List.iteri
+        (fun n op ->
+          let fail fmt =
+            QCheck.Test.fail_reportf ("step %d (%s): " ^^ fmt) n (show_drc_op op)
+          in
+          if not (step op) then fail "decision or replayed reply differs";
+          if Netsim.Drc.length drc <> Fixed.used fixed then
+            fail "%d entries, expected %d" (Netsim.Drc.length drc)
+              (Fixed.used fixed);
+          let expected =
+            if !size = 0 then empty_words
+            else one_slot_words + (2 * (!size - 1))
+          in
+          if words drc <> expected then
+            fail "%d words, expected %d (%d slots)" (words drc) expected !size)
+        ops;
+      true)
+
 let () =
   Alcotest.run "netsim"
     [
@@ -315,4 +476,6 @@ let () =
           Alcotest.test_case "partition pairwise" `Quick
             test_partition_is_directional_pairwise;
         ] );
+      ( "duplicate-request cache",
+        [ QCheck_alcotest.to_alcotest prop_drc_matches_fixed_table ] );
     ]

@@ -656,7 +656,7 @@ let prop_inttbl_matches_model =
   QCheck.Test.make ~name:"Inttbl matches a Hashtbl model" ~count:200
     table_ops_arbitrary (fun ops ->
       let empty = "empty" in
-      let t = Sim.Inttbl.create ~empty 0 in
+      let t = Sim.Inttbl.create ~empty in
       let model = Hashtbl.create 64 in
       let most = ref 0 and step = ref 0 in
       let bindings_of fold tbl =
