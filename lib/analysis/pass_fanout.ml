@@ -19,9 +19,10 @@ let name = "fanout"
      serve head — dispatch and the spawned maintenance loops alike;
    - inside that set it flags (a) iteration whose per-element function
      may yield — an O(n) blocking fan-out, the recall storm itself;
-     (b) [Hashtbl.iter]/[fold] over a live table; (c) [List] iteration
-     over a *table projection* — a function inferred (by fixpoint over
-     application heads) to build its result from a table fold.
+     (b) [Hashtbl.iter]/[fold] or [Sim.Inttbl.fold] over a live table;
+     (c) [List] iteration over a *table projection* — a function
+     inferred (by fixpoint over application heads) to build its result
+     from a table fold.
 
    A site that is genuinely bounded (a per-file opener list capped by
    the protocol, a fixed report vector) is waived in place by a
@@ -35,7 +36,8 @@ let in_scope path = Source.under "lib" path || Source.under "examples" path
 let serve_suffix = [ "Rpc"; "serve" ]
 
 (* iteration heads: (suffix, element-fn position is first, data is last) *)
-let table_iter_suffixes = [ [ "Hashtbl"; "iter" ]; [ "Hashtbl"; "fold" ] ]
+let table_iter_suffixes =
+  [ [ "Hashtbl"; "iter" ]; [ "Hashtbl"; "fold" ]; [ "Inttbl"; "fold" ] ]
 
 let list_iter_suffixes =
   [
@@ -53,7 +55,12 @@ let list_iter_suffixes =
 
 (* heads that build a value straight out of a table's full contents *)
 let projection_prims =
-  [ [ "Hashtbl"; "fold" ]; [ "Hashtbl"; "iter" ]; [ "Hashtbl"; "to_seq" ] ]
+  [
+    [ "Hashtbl"; "fold" ];
+    [ "Hashtbl"; "iter" ];
+    [ "Hashtbl"; "to_seq" ];
+    [ "Inttbl"; "fold" ];
+  ]
 
 let suffix_in p suffixes = List.exists (Astutil.has_suffix p) suffixes
 

@@ -62,6 +62,7 @@ let find_opt t ino =
   let g = Sim.Inttbl.find t.gnodes ino in
   if g == Sim.Inttbl.empty t.gnodes then None else Some g
 
+(* snfs-fanout: bounded — this client's gnodes, once per server reboot *)
 let fold f t acc = Sim.Inttbl.fold (fun _ g acc -> f g acc) t.gnodes acc
 
 let gnode t vn = find t vn.Vfs.Fs.vid

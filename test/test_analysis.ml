@@ -786,6 +786,50 @@ let test_fanout_bounded_waiver_judged () =
   check_quiet "nor goes stale" "stale-waiver"
     [ input "lib/srv/server.ml" quoted ]
 
+let test_fanout_inttbl_fold () =
+  check_fires "Sim.Inttbl.fold on the dispatch path" "fanout"
+    [
+      input "lib/srv/server.ml"
+        "let handle t q = Sim.Inttbl.fold (fun _ c n -> n + c) t.clients 0\n\
+         let serve rpc host t = Netsim.Rpc.serve rpc host (fun q -> handle \
+         t q)\n";
+    ];
+  (* a wrapper over the fold is a table projection, as [Client_core.fold]
+     is: iterating what it builds is flagged at the caller *)
+  let fs =
+    rule_findings "fanout"
+      [
+        input "lib/srv/table.ml"
+          "let fold f t acc = Sim.Inttbl.fold (fun _ g acc -> f g acc) t.tbl \
+           acc\n";
+        input "lib/srv/server.ml"
+          "let sweep t = List.iter note (Table.fold (fun g acc -> g :: acc) \
+           t [])\n\
+           let serve rpc host t = Netsim.Rpc.serve rpc host (fun q -> sweep \
+           t)\n";
+      ]
+  in
+  Alcotest.(check bool) "iterating the wrapper's projection is flagged" true
+    (List.exists
+       (fun f ->
+         f.F.path = "lib/srv/server.ml"
+         && contains_sub f.F.message "table projection 'Table.fold'")
+       fs)
+
+let test_fanout_inttbl_quiet () =
+  check_quiet "Sim.Inttbl.find is a lookup, not a walk" "fanout"
+    [
+      input "lib/srv/server.ml"
+        "let handle t q = Sim.Inttbl.find t.clients q\n\
+         let serve rpc host t = Netsim.Rpc.serve rpc host (fun q -> handle \
+         t q)\n";
+    ];
+  check_quiet "Sim.Inttbl.fold off any server path" "fanout"
+    [
+      input "lib/cache/sweep.ml"
+        "let total t = Sim.Inttbl.fold (fun _ c n -> n + c) t.clients 0\n";
+    ]
+
 let test_fanout_clean_variants () =
   check_quiet "no serve application: not a server path" "fanout"
     [
@@ -1351,6 +1395,10 @@ let () =
             test_fanout_blocking_per_element;
           Alcotest.test_case "table projections" `Quick
             test_fanout_projection;
+          Alcotest.test_case "Sim.Inttbl.fold is a table walk" `Quick
+            test_fanout_inttbl_fold;
+          Alcotest.test_case "Sim.Inttbl lookups and unserved folds are quiet"
+            `Quick test_fanout_inttbl_quiet;
           Alcotest.test_case "cross-file handler reachability" `Quick
             test_fanout_cross_file_handler;
           Alcotest.test_case "handler through a forwarding wrapper" `Quick

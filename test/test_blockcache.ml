@@ -433,6 +433,109 @@ let prop_table_matches_model =
             ops
           && !most > 256))
 
+(* ---- the syncer's write-back order ---- *)
+
+(* Localfs caches its metadata under the pseudo-files -1 and -2, so
+   negative ids sort first. Indices are written out of order (and
+   again, re-dirtying a block), or as one sequential run. *)
+let sync_files = [ -2; -1; 1; 2; 3 ]
+
+type sync_op =
+  | Sync_write of int * int (* file, index *)
+  | Sync_run of int * int * int (* file, first index, blocks *)
+  | Sync_flush of int
+  | Sync_cancel of int
+  | Sync_drop of int * int
+  | Sync_wait of float
+
+let print_sync_op = function
+  | Sync_write (f, i) -> Printf.sprintf "write %d/%d" f i
+  | Sync_run (f, i, n) -> Printf.sprintf "run %d/%d+%d" f i n
+  | Sync_flush f -> Printf.sprintf "flush %d" f
+  | Sync_cancel f -> Printf.sprintf "cancel %d" f
+  | Sync_drop (f, i) -> Printf.sprintf "drop %d/%d" f i
+  | Sync_wait d -> Printf.sprintf "wait %g" d
+
+let sync_ops_arbitrary =
+  QCheck.(
+    let open Gen in
+    let file = oneofl sync_files and index = int_bound 40 in
+    let op =
+      frequency
+        [
+          (6, map2 (fun f i -> Sync_write (f, i)) file index);
+          ( 2,
+            map3 (fun f i n -> Sync_run (f, i, 1 + n)) file index (int_bound 7)
+          );
+          (1, map (fun f -> Sync_flush f) file);
+          (1, map (fun f -> Sync_cancel f) file);
+          (2, map2 (fun f i -> Sync_drop (f, i)) file index);
+          (3, map (fun d -> Sync_wait (float_of_int d)) (int_bound 12));
+        ]
+    in
+    make
+      ~print:(fun ops -> String.concat "; " (List.map print_sync_op ops))
+      (list_size (int_range 1 80) op))
+
+(* The ops run before the syncer's first tick at 60 s (waits stop short
+   of it); the model keeps each dirty block's dirty-since time. At the
+   tick the backend must receive exactly the blocks dirty for at least
+   [min_age], in (file, index) order. *)
+let syncer_writes_model ~min_age ops =
+  run_sim (fun e ->
+      let log, backend = make_backend ~delay:0.0 e in
+      let c = make_cache ~capacity:4096 e backend in
+      let interval = 60.0 in
+      Blockcache.Cache.start_syncer c ~min_age ~interval ();
+      let dirty = Hashtbl.create 64 in
+      let write f i =
+        Blockcache.Cache.write c ~file:f ~index:i ~stamp:1 ~len:4096 `Delayed;
+        if not (Hashtbl.mem dirty (f, i)) then
+          Hashtbl.replace dirty (f, i) (Sim.Engine.now e)
+      in
+      let forget f =
+        Hashtbl.filter_map_inplace
+          (fun (f', _) since -> if f' = f then None else Some since)
+          dirty
+      in
+      List.iter
+        (function
+          | Sync_write (f, i) -> write f i
+          | Sync_run (f, i, n) ->
+              for i = i to i + n - 1 do
+                write f i
+              done
+          | Sync_flush f ->
+              Blockcache.Cache.flush_file c ~file:f;
+              forget f
+          | Sync_cancel f ->
+              ignore (Blockcache.Cache.cancel_dirty c ~file:f);
+              forget f
+          | Sync_drop (f, i) ->
+              Blockcache.Cache.drop_block c ~file:f ~index:i;
+              Hashtbl.remove dirty (f, i)
+          | Sync_wait d ->
+              let d = Float.min d (interval -. 1.0 -. Sim.Engine.now e) in
+              if d > 0.0 then Sim.Engine.sleep e d)
+        ops;
+      log.bwrites <- [];
+      Sim.Engine.sleep e (interval +. 1.0 -. Sim.Engine.now e);
+      let want =
+        Hashtbl.fold
+          (fun key since acc ->
+            if interval -. since >= min_age then key :: acc else acc)
+          dirty []
+        |> List.sort compare
+      in
+      List.rev_map (fun (f, i, _) -> (f, i)) log.bwrites = want)
+
+let prop_syncer_order =
+  QCheck.Test.make
+    ~name:"a syncer tick writes the aged dirty blocks in (file, index) order"
+    ~count:200 sync_ops_arbitrary (fun ops ->
+      syncer_writes_model ~min_age:0.0 ops
+      && syncer_writes_model ~min_age:30.0 ops)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "blockcache"
@@ -469,5 +572,9 @@ let () =
           Alcotest.test_case "min age" `Quick test_syncer_min_age;
           Alcotest.test_case "delete averts" `Quick test_delete_before_syncer_averts;
         ] );
-      ("properties", qc [ prop_flush_convergence; prop_table_matches_model ]);
+      ( "properties",
+        qc
+          [
+            prop_flush_convergence; prop_table_matches_model; prop_syncer_order;
+          ] );
     ]
