@@ -25,6 +25,7 @@ type t = {
      to a mutable float field allocates a fresh box, and the dispatch
      loop stores the clock once per event. A float array cell is
      unboxed storage, so advancing the clock allocates nothing. *)
+  limit : float array; (* the running dispatch's limit, one cell too *)
   mutable seq : int;
   mutable stopped : bool;
   mutable events : int; (* events executed since creation *)
@@ -44,6 +45,14 @@ type t = {
   mutable idle : (fiber * (unit, unit) Effect.Deep.continuation) list;
       (* parked process fibers, discontinued when dispatch returns *)
   mutable parked : int; (* length of [idle] *)
+  mutable entered : bool;
+      (* the running fiber was entered by its own start or wake-up
+         event, so nothing else runs at this instant once it blocks.
+         Read only inside a fiber, and set by every way into one: true
+         by [start] and by a sleep's return (only its wake-up event
+         resumes a sleep), false by [suspend]'s resume, which may run
+         inside any event and restores the resumer's value once the
+         fiber blocks again. *)
 }
 
 type _ Effect.t +=
@@ -65,6 +74,7 @@ let create () =
   let t =
     {
       now = [| 0.0 |];
+      limit = [| 0.0 |];
       seq = 0;
       stopped = false;
       events = 0;
@@ -73,6 +83,7 @@ let create () =
       first = new_lane 0.0 1;
       idle = [];
       parked = 0;
+      entered = false;
     }
   in
   (* registered at creation, so the gauges exist whenever a registry is
@@ -198,6 +209,7 @@ let rec work t f =
 
 let start t name fn =
   let open Effect.Deep in
+  t.entered <- true;
   match t.idle with
   | (f, k) :: rest ->
       t.idle <- rest;
@@ -222,7 +234,11 @@ let start t name fn =
               | Suspend register ->
                   Some
                     (fun (k : (b, _) continuation) ->
-                      register (fun v -> continue k v))
+                      register (fun v ->
+                          let entered = t.entered in
+                          t.entered <- false;
+                          continue k v;
+                          t.entered <- entered))
               | Sleep d ->
                   Some
                     (fun (k : (b, _) continuation) ->
@@ -283,6 +299,7 @@ let next t limit =
    itself allocates nothing and compares nothing it doesn't need. *)
 let dispatch_loop t limit =
   t.stopped <- false;
+  t.limit.(0) <- limit;
   let continue_loop = ref true in
   while !continue_loop do
     if t.stopped then continue_loop := false
@@ -312,6 +329,29 @@ let run_until t limit =
 
 let suspend (_t : t) register = Effect.perform (Suspend register)
 
-let sleep (_t : t) d =
+(* is [time] strictly before every queued event? One queued at [time]
+   already has a smaller seq than a wake-up queued now, so it goes
+   first. *)
+let leads t time =
+  (Eventq.is_empty t.queue || time < Eventq.min_time t.queue)
+  && (t.first.count = 0
+     || time < Array.unsafe_get t.first.times t.first.head)
+
+(* When the wake-up would be the next event dispatched, the fiber
+   continues in place: the clock, the seq counter and the event count
+   move exactly as queueing the wake-up and dispatching it would have
+   moved them, without the two stack switches and the queue round
+   trip. *)
+let sleep t d =
   if d < 0.0 then invalid_arg "Engine.sleep: negative duration";
-  Effect.perform (Sleep d)
+  let time = t.now.(0) +. d in
+  if t.entered && (not t.stopped) && time <= t.limit.(0) && leads t time
+  then begin
+    t.now.(0) <- time;
+    t.seq <- t.seq + 1;
+    t.events <- t.events + 1
+  end
+  else begin
+    Effect.perform (Sleep d);
+    t.entered <- true
+  end

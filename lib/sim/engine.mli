@@ -67,7 +67,20 @@ val run_until : t -> float -> unit
 
 (** {2 Operations usable only inside a process} *)
 
-(** Block the calling process for the given virtual duration. *)
+(** Block the calling process for the given virtual duration.
+
+    When the wake-up would be the next event dispatched, the process
+    continues in place instead: the clock moves to [now + d], one
+    sequence number and one executed event are counted, and no event
+    is queued. It does so when all four of these hold: the process is
+    running in its own start or wake-up event, not inside another event
+    whose [resume] (see {!suspend}) woke it, so nothing else runs at
+    this instant once it blocks; {!stop} has not been called; [now + d]
+    is within the running {!run_until} limit; and [now + d] is strictly
+    earlier than every queued event (one queued at the same time has a
+    smaller sequence number and goes first). A queued wake-up would
+    then have been dispatched next, so the dispatch order, the clock
+    and {!events_executed} are exactly what they would have been. *)
 val sleep : t -> float -> unit
 
 (** [suspend t register] blocks the calling process. [register] is

@@ -204,25 +204,33 @@ let test_many_finished_processes () =
 (* ---- dispatch order against a one-list reference ---- *)
 
 (* A random program of scheduling calls. Each event, when it fires,
-   runs its children; a [Sleeper] process sleeps through its delays
-   before running its children, and a [Waiter] suspends until the next
-   [After] event resumes it. *)
+   runs its children. A [Proc] process runs its steps in order: [Nap]
+   sleeps, [Wait] suspends until the next [After] event or a [Wake]
+   step resumes it, [Wake] resumes the longest-waiting [Wait] (if any)
+   and goes on, and [Do] runs an op. [Stop] calls [Engine.stop], and
+   the runner then runs the engine again. *)
 type op =
   | After of float * op list
   | At of float * op list (* at [now + d], computed by the caller *)
   | Timer of float * op list
-  | Sleeper of float list * op list
-  | Waiter of op list
+  | Proc of step list
+  | Stop
+
+and step = Nap of float | Wait | Wake | Do of op
 
 let rec show_op = function
   | After (d, k) -> Printf.sprintf "after %g %s" d (show_ops k)
   | At (d, k) -> Printf.sprintf "at +%g %s" d (show_ops k)
   | Timer (d, k) -> Printf.sprintf "timer %g %s" d (show_ops k)
-  | Sleeper (ds, k) ->
-      Printf.sprintf "sleeper [%s] %s"
-        (String.concat ";" (List.map string_of_float ds))
-        (show_ops k)
-  | Waiter k -> "waiter " ^ show_ops k
+  | Proc steps ->
+      "proc [" ^ String.concat "; " (List.map show_step steps) ^ "]"
+  | Stop -> "stop"
+
+and show_step = function
+  | Nap d -> Printf.sprintf "nap %g" d
+  | Wait -> "wait"
+  | Wake -> "wake"
+  | Do op -> show_op op
 
 and show_ops ops = "[" ^ String.concat "; " (List.map show_op ops) ^ "]"
 
@@ -234,17 +242,21 @@ let gen_program timer_delays =
     let kids =
       if depth = 0 then return [] else list_size (int_bound 3) (op (depth - 1))
     in
+    let steps =
+      let run_op =
+        if depth = 0 then [] else [ (2, map (fun o -> Do o) (op (depth - 1))) ]
+      in
+      frequency
+        ([ (3, map (fun d -> Nap d) step); (1, return Wait); (1, return Wake) ]
+        @ run_op)
+    in
     frequency
       [
         (3, map2 (fun d k -> After (d, k)) step kids);
         (2, map2 (fun d k -> At (d, k)) step kids);
         (3, map2 (fun d k -> Timer (d, k)) (oneofl timer_delays) kids);
-        ( 1,
-          map2
-            (fun ds k -> Sleeper (ds, k))
-            (list_size (int_bound 3) step)
-            kids );
-        (1, map (fun k -> Waiter k) kids);
+        (2, map (fun s -> Proc s) (list_size (int_bound 4) steps));
+        (1, return Stop);
       ]
   in
   let limit = map (fun k -> 0.25 *. float_of_int k) (int_bound 24) in
@@ -253,13 +265,20 @@ let gen_program timer_delays =
   in
   pair (list_size (int_range 1 8) (op 3)) limits
 
-type entry = Ev of int | Limit of float
+(* A dispatched event's key and the clock it ran at, a return from a
+   run that a [Stop] cut short, or the end of a [run_until]. *)
+type entry = Ev of int * float | Halt | Limit of float
 
 (* Runs [prog] on an engine, through [run_until] at each limit and then
-   [run]. Every engine call that queues an event is mirrored by one
-   [key] call, which numbers the event as the engine's own sequence
-   counter does. Returns the dispatch trace, the keys of every queued
-   event, and the engine's event count. *)
+   [run], each run again for as long as a [Stop] cuts it short. Every
+   engine call that queues an event is mirrored by one [key] call,
+   which numbers the event as the engine's own sequence counter does.
+   The mirror keeps its own clock: each op and step gets the time of
+   the event that runs it, and a resumed [Wait] the time its resumer
+   passes, so an engine clock that moves while an event still has work
+   to do shows in the trace. Returns the dispatch trace, the keys of
+   every queued event, the keys of the events that called [Stop], and
+   the engine's event count. *)
 let run_program (prog, limits) =
   let e = Sim.Engine.create () in
   let next_seq = ref 0 and keys = ref [] and trace = ref [] in
@@ -269,87 +288,122 @@ let run_program (prog, limits) =
     keys := (time, s) :: !keys;
     s
   in
-  let fired s = trace := Ev s :: !trace in
+  let current = ref (-1) and halts = ref [] and halted = ref false in
+  let fired s =
+    current := s;
+    trace := Ev (s, Sim.Engine.now e) :: !trace
+  in
   let waiting = Queue.create () in
-  let rec exec op =
-    let now = Sim.Engine.now e in
+  let wake now = if not (Queue.is_empty waiting) then Queue.pop waiting now in
+  let rec exec now op =
     match op with
     | After (d, kids) ->
-        let s = key (now +. d) in
+        let time = now +. d in
+        let s = key time in
         Sim.Engine.after e d (fun () ->
             fired s;
-            if not (Queue.is_empty waiting) then Queue.pop waiting ();
-            List.iter exec kids)
+            wake time;
+            List.iter (exec time) kids)
     | At (d, kids) ->
         let time = now +. d in
         let s = key time in
         Sim.Engine.at e time (fun () ->
             fired s;
-            List.iter exec kids)
+            List.iter (exec time) kids)
     | Timer (d, kids) ->
-        let s = key (now +. d) in
+        let time = now +. d in
+        let s = key time in
         Sim.Engine.timer e d (fun () ->
             fired s;
-            List.iter exec kids)
-    | Sleeper (ds, kids) ->
+            List.iter (exec time) kids)
+    | Proc steps ->
         let s = key now in
         Sim.Engine.spawn e (fun () ->
             fired s;
-            List.iter
-              (fun d ->
-                let s = key (Sim.Engine.now e +. d) in
-                Sim.Engine.sleep e d;
-                fired s)
-              ds;
-            List.iter exec kids)
-    | Waiter kids ->
-        let s = key now in
-        Sim.Engine.spawn e (fun () ->
-            fired s;
-            Sim.Engine.suspend e (fun resume -> Queue.push resume waiting);
-            List.iter exec kids)
+            run_steps now steps)
+    | Stop ->
+        Sim.Engine.stop e;
+        (* a stop before the first run is forgotten when it starts *)
+        if !current >= 0 then begin
+          halted := true;
+          halts := !current :: !halts
+        end
+  and run_steps now = function
+    | [] -> ()
+    | Nap d :: rest ->
+        let time = now +. d in
+        let s = key time in
+        Sim.Engine.sleep e d;
+        fired s;
+        run_steps time rest
+    | Wait :: rest ->
+        let now =
+          Sim.Engine.suspend e (fun resume -> Queue.push resume waiting)
+        in
+        run_steps now rest
+    | Wake :: rest ->
+        wake now;
+        run_steps now rest
+    | Do op :: rest ->
+        exec now op;
+        run_steps now rest
   in
-  List.iter exec prog;
+  List.iter (exec 0.0) prog;
+  let rec drive run =
+    halted := false;
+    run ();
+    if !halted then begin
+      trace := Halt :: !trace;
+      drive run
+    end
+  in
   List.iter
     (fun limit ->
-      Sim.Engine.run_until e limit;
+      drive (fun () -> Sim.Engine.run_until e limit);
       trace := Limit limit :: !trace)
     limits;
-  Sim.Engine.run e;
-  (List.rev !trace, !keys, Sim.Engine.events_executed e)
+  drive (fun () -> Sim.Engine.run e);
+  (List.rev !trace, !keys, !halts, Sim.Engine.events_executed e)
 
 (* The reference: every queued event in one list sorted by (time, seq),
-   with each limit after the last event at or before it. *)
-let reference keys limits =
+   each at its own time, a halt after each event that stopped the
+   engine, and each limit after the last event at or before it. *)
+let reference keys halts limits =
   let sorted =
     List.sort
       (fun (ta, sa) (tb, sb) ->
         match Float.compare ta tb with 0 -> Int.compare sa sb | c -> c)
       keys
   in
+  let ev (t, s) rest =
+    Ev (s, t) :: (if List.mem s halts then Halt :: rest else rest)
+  in
   let rec merge events limits =
     match (events, limits) with
-    | (t, s) :: rest, l :: _ when t <= l -> Ev s :: merge rest limits
+    | ((t, _) as k) :: rest, l :: _ when t <= l -> ev k (merge rest limits)
     | _, l :: ls -> Limit l :: merge events ls
-    | (_, s) :: rest, [] -> Ev s :: merge rest []
+    | k :: rest, [] -> ev k (merge rest [])
     | [], [] -> []
   in
   merge sorted limits
 
 let show_entry = function
-  | Ev s -> string_of_int s
+  | Ev (s, t) -> Printf.sprintf "%d@%g" s t
+  | Halt -> "stop"
   | Limit l -> Printf.sprintf "|%g|" l
 
+(* 300 cases under [dune runtest]; QCHECK_LONG=1 (a CI step) runs 20
+   times as many. *)
 let prop_dispatch_order ~name timer_delays =
-  QCheck.Test.make ~name ~count:300
+  QCheck.Test.make ~name ~count:300 ~long_factor:20
     (QCheck.make
        ~print:(fun (prog, limits) ->
          Printf.sprintf "%s limits [%s]" (show_ops prog)
            (String.concat ";" (List.map string_of_float limits)))
        (gen_program timer_delays))
     (fun ((_, limits) as program) ->
-      let trace, keys, events = run_program program in
-      let expected = reference keys limits in
+      let trace, keys, halts, events = run_program program in
+      let expected = reference keys halts limits in
       if trace <> expected then
         QCheck.Test.fail_reportf "dispatched %s\nexpected %s"
           (String.concat " " (List.map show_entry trace))
