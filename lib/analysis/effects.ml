@@ -25,7 +25,6 @@ let blocking_suffixes =
     [ "Engine"; "sleep" ];
     [ "Engine"; "suspend" ];
     [ "Ivar"; "read" ];
-    [ "Ivar"; "read_timeout" ];
     [ "Resource"; "acquire" ];
     [ "Resource"; "use" ];
     [ "Semaphore"; "acquire" ];

@@ -445,7 +445,7 @@ let write ?(ctx = Obs.Causal.none) t ~file ~index ~stamp ~len mode =
     end
   in
   b.stamp <- stamp;
-  b.len <- max b.len len;
+  b.len <- Int.max b.len len;
   b.fetching <- None;
   mark_dirty t b;
   match mode with

@@ -145,7 +145,7 @@ let next_meta_stamp t =
 let set_inode t ino inode =
   let cap = Array.length t.inodes in
   if ino >= cap then begin
-    let bigger = Array.make (max (2 * cap) (ino + 1)) None in
+    let bigger = Array.make (Int.max (2 * cap) (ino + 1)) None in
     Array.blit t.inodes 0 bigger 0 cap;
     t.inodes <- bigger
   end;
@@ -187,7 +187,7 @@ let dir_entries inode =
 (* Directory contents live in the directory's own pseudo-file; an entry
    hashes to a block so big directories cost more than small ones. *)
 let dir_block_of_name t inode name =
-  let nblocks = max 1 ((inode.i_size + t.block_size - 1) / t.block_size) in
+  let nblocks = Int.max 1 ((inode.i_size + t.block_size - 1) / t.block_size) in
   Hashtbl.hash name mod nblocks
 
 let read_dir_block ?ctx t inode name =
@@ -274,7 +274,7 @@ let remove ?ctx t ~dir name =
       let inode = get_inode t ino in
       if inode.i_ftype = Dir then fail Isdir;
       Hashtbl.remove entries name;
-      d.i_size <- max 0 (d.i_size - dir_entry_bytes name);
+      d.i_size <- Int.max 0 (d.i_size - dir_entry_bytes name);
       d.i_mtime <- Sim.Engine.now t.engine;
       write_dir_block ?ctx t d name;
       inode.i_nlink <- inode.i_nlink - 1;
@@ -296,7 +296,7 @@ let rmdir ?ctx t ~dir name =
       if inode.i_ftype <> Dir then fail Notdir;
       if Hashtbl.length (dir_entries inode) <> 0 then fail Notempty;
       Hashtbl.remove entries name;
-      d.i_size <- max 0 (d.i_size - dir_entry_bytes name);
+      d.i_size <- Int.max 0 (d.i_size - dir_entry_bytes name);
       d.i_mtime <- Sim.Engine.now t.engine;
       write_dir_block ?ctx t d name;
       drop_inode t ino;
@@ -325,7 +325,7 @@ let rename ?ctx t ~fromdir fname ~todir tname =
           end
       | Some _ | None -> ());
       Hashtbl.remove fentries fname;
-      fd.i_size <- max 0 (fd.i_size - dir_entry_bytes fname);
+      fd.i_size <- Int.max 0 (fd.i_size - dir_entry_bytes fname);
       Hashtbl.replace tentries tname ino;
       td.i_size <- td.i_size + dir_entry_bytes tname;
       let now = Sim.Engine.now t.engine in
@@ -340,7 +340,7 @@ let readdir ?ctx t ~dir =
   let d = get_inode t dir in
   let entries = dir_entries d in
   (* scanning a directory reads all its blocks *)
-  let nblocks = max 1 ((d.i_size + t.block_size - 1) / t.block_size) in
+  let nblocks = Int.max 1 ((d.i_size + t.block_size - 1) / t.block_size) in
   for index = 0 to nblocks - 1 do
     ignore (Blockcache.Cache.read ?ctx t.cache ~file:d.i_ino ~index)
   done;
@@ -373,7 +373,7 @@ let read_block ?ctx t ino ~index =
   if index * t.block_size >= i.i_size then (0, 0) (* hole / EOF *)
   else begin
     let stamp, len = Blockcache.Cache.read ?ctx t.cache ~file:ino ~index in
-    let valid = min len (i.i_size - (index * t.block_size)) in
+    let valid = Int.min len (i.i_size - (index * t.block_size)) in
     (stamp, valid)
   end
 

@@ -131,6 +131,21 @@ let heal t a b =
     partition_event t "heal" a b
   end
 
+(* a dropped message, noted when it would have arrived *)
+let drop t src dst wire_bytes =
+  if Obs.Metrics.on () then
+    Obs.Metrics.incr
+      ~labels:[ ("host", src.hname) ]
+      "net_messages_dropped_total";
+  if Obs.Trace.on () then
+    Obs.Trace.instant ~ts:(Sim.Engine.now t.engine) ~cat:"net" ~name:"drop"
+      ~track:"net"
+      ~args:
+        [ ("src", Obs.Trace.Str src.hname);
+          ("dst", Obs.Trace.Str dst.hname);
+          ("bytes", Obs.Trace.Int wire_bytes) ]
+      ()
+
 let send t ~src ~dst ~bytes ~deliver =
   if bytes < 0 then invalid_arg "Net.send: negative size";
   if not src.hup then () (* a dead host transmits nothing *)
@@ -153,38 +168,23 @@ let send t ~src ~dst ~bytes ~deliver =
           [ ("dst", Obs.Trace.Str dst.hname);
             ("bytes", Obs.Trace.Int wire_bytes) ]
         ();
-    (* Transmission occupies the shared medium. No process per message:
-       the medium is a FIFO reservation (Resource.reserve), and the
-       transmission end + propagation delay are plain scheduled events.
-       A per-message fiber here was the single biggest allocator in an
-       RPC round trip. The jitter draw still happens at transmission
-       end, exactly where the old per-message process drew it, so the
-       random stream is unchanged. *)
+    (* One event per message: the medium is a FIFO reservation, so the
+       send knows when transmission ends. The delivery is queued now,
+       at [finish +. delay] with the jitter drawn at send, and takes its
+       seq now: among events at that instant it runs before those
+       queued while the message is on the wire (DESIGN.md 11.1 rule 9). *)
     let finish =
       Sim.Resource.reserve t.medium
         (float_of_int wire_bytes /. t.params.bandwidth)
     in
-    Sim.Engine.at t.engine finish (fun () ->
-        let delay =
-          t.params.latency
-          +. (if t.params.jitter > 0.0 then
-                Sim.Rand.float t.rand *. t.params.jitter
-              else 0.0)
-        in
-        Sim.Engine.after t.engine delay @@ fun () ->
-        if dropped then begin
-          if Obs.Metrics.on () then
-            Obs.Metrics.incr
-              ~labels:[ ("host", src.hname) ]
-              "net_messages_dropped_total";
-          if Obs.Trace.on () then
-            Obs.Trace.instant ~ts:(Sim.Engine.now t.engine) ~cat:"net"
-              ~name:"drop" ~track:"net"
-              ~args:
-                [ ("src", Obs.Trace.Str src.hname);
-                  ("dst", Obs.Trace.Str dst.hname);
-                  ("bytes", Obs.Trace.Int wire_bytes) ]
-              ()
-        end
-        else if dst.hup then deliver ())
+    let delay =
+      if t.params.jitter > 0.0 then
+        t.params.latency +. (Sim.Rand.float t.rand *. t.params.jitter)
+      else t.params.latency
+    in
+    let arrival = finish +. delay in
+    if dropped then
+      Sim.Engine.at t.engine arrival (fun () -> drop t src dst wire_bytes)
+    else
+      Sim.Engine.at t.engine arrival (fun () -> if dst.hup then deliver ())
   end

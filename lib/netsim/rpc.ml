@@ -44,6 +44,10 @@ type reply = { data : bytes; bulk : int }
    negative bulk *)
 let pending = { data = Bytes.empty; bulk = -1 }
 
+(* a returned call's reply: the record may outlive the call in a timer
+   or a retransmission still in flight, the reply's data need not *)
+let returned = { data = Bytes.empty; bulk = -2 }
+
 (* [ctx] is the causal context of the client operation this request
    serves (Obs.Causal.none for background traffic). It rides the
    request like [caller] does — an explicit field of the simulated
@@ -66,6 +70,7 @@ type proc_info = {
 type service = {
   prog : string;
   host : Net.Host.t;
+  config : config; (* the transport's: server CPU charges *)
   mutable handler : handler;
   pool : Sim.Semaphore.t;
   drc : reply Drc.t;
@@ -123,6 +128,7 @@ let serve t host ~prog ~threads handler =
         {
           prog;
           host;
+          config = t.config;
           handler;
           pool = Sim.Semaphore.create (Net.engine t.net) threads;
           drc = Drc.create ~pending;
@@ -145,7 +151,8 @@ let service_prog svc = svc.prog
 let counters svc = svc.counts
 let set_on_restart svc f = svc.on_restart <- Some f
 
-let payload_cpu t bytes = t.config.cpu_per_kbyte *. (float_of_int bytes /. 1024.)
+let payload_cpu config bytes =
+  config.cpu_per_kbyte *. (float_of_int bytes /. 1024.)
 
 let server_now svc = Sim.Engine.now (Net.Host.engine svc.host)
 
@@ -188,9 +195,110 @@ let note_duplicate svc ~trace_name ~pname ~xid =
       ~args:[ ("proc", Obs.Trace.Str pname); ("xid", Obs.Trace.Int xid) ]
       ()
 
-(* Runs on the server when a request message arrives. [reply_to] sends a
-   reply back along the path of this particular request message. *)
-let handle_request t svc info ~caller ~ctx ~xid ~proc ~args ~bulk ~reply_to =
+(* One call's state, from its first transmission to its return: what
+   the request carries, where it goes, and what its caller waits for.
+   The request delivery, the reply delivery, the retransmission timer
+   and the server's execution are small closures over this record. *)
+type call = {
+  src : Net.Host.t;
+  dst : Net.Host.t;
+  svc : service option; (* None: no such program at [dst] *)
+  info : proc_info;
+  ctx : Obs.Causal.t;
+  xid : int;
+  proc : string;
+  args : bytes;
+  bulk : int;
+  mutable reply : reply; (* [pending] until one lands *)
+  mutable resume : unit -> unit; (* the waiting caller's *)
+  mutable round : int; (* the round whose timer is live; -1: none *)
+}
+
+(* Wake the caller if it still waits: a timer or a reply, whichever
+   comes first, ends the round. *)
+let wake c =
+  if c.round >= 0 then begin
+    c.round <- -1;
+    c.resume ()
+  end
+
+(* Runs on the client when a reply message arrives. The first reply of
+   the call lands, later ones (to retransmissions) are ignored. *)
+let land_reply c reply =
+  if c.reply == pending then begin
+    if Obs.Trace.on () then
+      Obs.Trace.instant
+        ~ts:(Sim.Engine.now (Net.Host.engine c.src))
+        ~cat:"rpc" ~name:"reply" ~track:(Net.Host.name c.src)
+        ~args:[ ("xid", Obs.Trace.Int c.xid) ]
+        ();
+    c.reply <- reply;
+    wake c
+  end
+
+(* sends a reply back along the path of this call's request *)
+let reply_to c reply =
+  Net.send (Net.Host.net c.dst) ~src:c.dst ~dst:c.src
+    ~bytes:(Bytes.length reply.data + reply.bulk)
+    ~deliver:(fun () -> land_reply c reply)
+
+(* The server's execution of a request, in its own process. It is
+   spawned at the request's arrival, so the clock it starts at is the
+   arrival time. *)
+let execute svc c =
+  let traced = Obs.Trace.on () && Obs.Causal.keep c.ctx in
+  let arrival = if traced then server_now svc else 0.0 in
+  Sim.Semaphore.acquire svc.pool;
+  match
+    let count = c.info.count in
+    count := !count + 1;
+    (* same site as the legacy Stats.Counter path, so the registry and
+       the counter tables can never disagree *)
+    if Obs.Metrics.on () then
+      Obs.Metrics.incr
+        ~labels:
+          [
+            ("host", Net.Host.name svc.host);
+            ("prog", svc.prog);
+            ("proc", c.proc);
+          ]
+        "rpc_server_calls_total";
+    let sp =
+      if traced then
+        (* [queued] = dispatch-to-thread wait, so the analyzer can split
+           server queueing from server compute *)
+        Obs.Trace.span ~ts:(server_now svc) ~cat:"rpc"
+          ~name:("exec " ^ svc.prog ^ "." ^ c.proc)
+          ~track:(Net.Host.name svc.host)
+          ~args:
+            (Obs.Causal.arg c.ctx
+               [
+                 ("xid", Obs.Trace.Int c.xid);
+                 ("queued", Obs.Trace.Float (server_now svc -. arrival));
+               ])
+          ()
+      else Obs.Trace.none
+    in
+    Net.Host.use_cpu svc.host
+      (svc.config.server_cpu_per_call
+      +. payload_cpu svc.config (Bytes.length c.args + c.bulk));
+    let reply =
+      svc.handler ~caller:c.src ~ctx:c.ctx ~proc:c.proc
+        (Xdr.Dec.of_bytes c.args)
+    in
+    Net.Host.use_cpu svc.host
+      (payload_cpu svc.config (Bytes.length reply.data + reply.bulk));
+    Obs.Trace.finish ~ts:(server_now svc) sp;
+    Drc.publish svc.drc c.xid reply;
+    reply_to c reply
+  with
+  | () -> Sim.Semaphore.release svc.pool
+  | exception e ->
+      Sim.Semaphore.release svc.pool;
+      raise e
+
+(* Runs on the server when a request message arrives. *)
+let handle_request svc c =
   (* volatile server state does not survive a reboot *)
   let epoch = Net.Host.boot_epoch svc.host in
   if epoch <> svc.epoch_seen then begin
@@ -198,62 +306,19 @@ let handle_request t svc info ~caller ~ctx ~xid ~proc ~args ~bulk ~reply_to =
     Drc.reset svc.drc;
     match svc.on_restart with None -> () | Some f -> f ()
   end;
-  match Drc.arrive svc.drc xid with
+  match Drc.arrive svc.drc c.xid with
   | Drop ->
       (* retransmission of a call being served *)
-      note_duplicate svc ~trace_name:"dup_drop" ~pname:info.pname ~xid
+      note_duplicate svc ~trace_name:"dup_drop" ~pname:c.info.pname ~xid:c.xid
   | Replay ->
-      note_duplicate svc ~trace_name:"dup_replay" ~pname:info.pname ~xid;
-      reply_to (Drc.reply svc.drc xid)
+      note_duplicate svc ~trace_name:"dup_replay" ~pname:c.info.pname
+        ~xid:c.xid;
+      reply_to c (Drc.reply svc.drc c.xid)
   | Execute ->
-      let arrival = server_now svc in
-      Sim.Engine.spawn (Net.Host.engine svc.host) ~name:info.pname
+      Sim.Engine.spawn (Net.Host.engine svc.host) ~name:c.info.pname
         (* one spawned task per executed request is the DRC's budgeted cost;
            duplicates were filtered above — snfs-lint: allow hot-alloc *)
-        (fun () ->
-          (* the semaphore scoping closure rides the same per-executed-request
-             budget — snfs-lint: allow hot-alloc *)
-          Sim.Semaphore.with_unit svc.pool (fun () ->
-              let count = info.count in
-              count := !count + 1;
-              (* same site as the legacy Stats.Counter path, so the
-                 registry and the counter tables can never disagree *)
-              if Obs.Metrics.on () then
-                Obs.Metrics.incr
-                  ~labels:
-                    [
-                      ("host", Net.Host.name svc.host);
-                      ("prog", svc.prog);
-                      ("proc", proc);
-                    ]
-                  "rpc_server_calls_total";
-              let sp =
-                if Obs.Trace.on () && Obs.Causal.keep ctx then
-                  (* [queued] = dispatch-to-thread wait, so the analyzer
-                     can split server queueing from server compute *)
-                  Obs.Trace.span ~ts:(server_now svc) ~cat:"rpc"
-                    ~name:("exec " ^ svc.prog ^ "." ^ proc)
-                    ~track:(Net.Host.name svc.host)
-                    ~args:
-                      (Obs.Causal.arg ctx
-                         [
-                           ("xid", Obs.Trace.Int xid);
-                           ("queued", Obs.Trace.Float (server_now svc -. arrival));
-                         ])
-                    ()
-                else Obs.Trace.none
-              in
-              Net.Host.use_cpu svc.host
-                (t.config.server_cpu_per_call
-                +. payload_cpu t (Bytes.length args + bulk));
-              let reply =
-                svc.handler ~caller ~ctx ~proc (Xdr.Dec.of_bytes args)
-              in
-              Net.Host.use_cpu svc.host
-                (payload_cpu t (Bytes.length reply.data + reply.bulk));
-              Obs.Trace.finish ~ts:(server_now svc) sp;
-              Drc.publish svc.drc xid reply;
-              reply_to reply))
+        (fun () -> execute svc c)
 
 (* Enough retries that transient packet loss is very unlikely to be
    mistaken for a crashed client, but still finishing (~31 s) before the
@@ -302,6 +367,9 @@ let latency_table m =
       ]
     (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) rows))
 
+(* a call to a program [dst] does not serve: its requests go nowhere *)
+let unserved proc = { proc; pname = ""; count = ref 0 }
+
 let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
   let engine = Net.engine t.net in
   let xid = t.next_xid in
@@ -324,9 +392,12 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
         | None -> ());
         s
   in
-  let info = match svc with Some s -> Some (proc_info s proc) | None -> None in
+  let info =
+    match svc with Some s -> proc_info s proc | None -> unserved proc
+  in
   let issued = Sim.Engine.now engine in
   let track = Net.Host.name src in
+  let bytes = Bytes.length args + bulk in
   let sp =
     if Obs.Trace.on () && Obs.Causal.keep ctx then
       Obs.Trace.span ~ts:issued ~cat:"rpc" ~name:(prog ^ "." ^ proc) ~track
@@ -334,89 +405,92 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
           (Obs.Causal.arg ctx
              [ ("xid", Obs.Trace.Int xid);
                ("dst", Obs.Trace.Str (Net.Host.name dst));
-               ("bytes", Obs.Trace.Int (Bytes.length args + bulk)) ])
+               ("bytes", Obs.Trace.Int bytes) ])
         ()
     else Obs.Trace.none
   in
-  let result : reply Sim.Ivar.t = Sim.Ivar.create engine in
-  let reply_to reply =
-    Net.send t.net ~src:dst ~dst:src
-      ~bytes:(Bytes.length reply.data + reply.bulk)
-      ~deliver:(fun () ->
-        if not (Sim.Ivar.is_full result) then begin
-          if Obs.Trace.on () then
-            Obs.Trace.instant ~ts:(Sim.Engine.now engine) ~cat:"rpc"
-              ~name:"reply" ~track
-              ~args:[ ("xid", Obs.Trace.Int xid) ]
-              ();
-          Sim.Ivar.fill result reply
-        end)
+  let c =
+    {
+      src;
+      dst;
+      svc;
+      info;
+      ctx;
+      xid;
+      proc;
+      args;
+      bulk;
+      reply = pending;
+      resume = ignore;
+      round = -1;
+    }
   in
-  let transmit () =
-    Net.send t.net ~src ~dst
-      ~bytes:(Bytes.length args + bulk)
-      ~deliver:(fun () ->
-        match (svc, info) with
-        | Some svc, Some info ->
-            handle_request t svc info ~caller:src ~ctx ~xid ~proc ~args ~bulk
-              ~reply_to
-        | _ -> () (* no such program: silence, client times out *))
+  let deliver () =
+    match c.svc with Some svc -> handle_request svc c | None -> ()
   in
+  (* a round's timer wakes the caller only if no reply has landed and
+     the round is still live; at most one round is live at a time *)
+  let expire () = if c.reply == pending then wake c in
   Net.Host.use_cpu src
-    (config.client_cpu_per_call +. payload_cpu t (Bytes.length args + bulk));
+    (config.client_cpu_per_call +. payload_cpu t.config bytes);
   let rec attempt n timeout =
-    transmit ();
-    match Sim.Ivar.read_timeout result timeout with
-    | Some reply ->
-        Net.Host.use_cpu src (payload_cpu t (Bytes.length reply.data + reply.bulk));
-        let now = Sim.Engine.now engine in
-        if Obs.Metrics.on () then
-          observe_latency ~prog ~proc "ok" (now -. issued);
-        Obs.Trace.finish ~ts:now sp
+    Net.send t.net ~src ~dst ~bytes ~deliver;
+    Sim.Engine.timer engine timeout expire;
+    c.round <- n;
+    Sim.Engine.suspend engine (fun resume -> c.resume <- resume);
+    if c.reply != pending then begin
+      Net.Host.use_cpu src
+        (payload_cpu t.config (Bytes.length c.reply.data + c.reply.bulk));
+      let now = Sim.Engine.now engine in
+      if Obs.Metrics.on () then
+        observe_latency ~prog ~proc "ok" (now -. issued);
+      Obs.Trace.finish ~ts:now sp
+        ~args:
+          (if Obs.Trace.on () then
+             [ ("status", Obs.Trace.Str "ok");
+               ("retries", Obs.Trace.Int n) ]
+           else []);
+      let data = c.reply.data in
+      c.reply <- returned;
+      data
+    end
+    else if n >= config.retries then begin
+      let now = Sim.Engine.now engine in
+      if Obs.Metrics.on () then begin
+        (* the failed call is part of the latency story too: record
+           the time wasted before giving up under its own outcome *)
+        observe_latency ~prog ~proc "timeout" (now -. issued);
+        Obs.Metrics.incr
+          ~labels:[ ("prog", prog); ("proc", proc) ]
+          "rpc_timeouts_total"
+      end;
+      if Obs.Trace.on () then
+        Obs.Trace.instant ~ts:now ~cat:"rpc" ~name:"timeout" ~track
           ~args:
-            (if Obs.Trace.on () then
-               [ ("status", Obs.Trace.Str "ok");
-                 ("retries", Obs.Trace.Int n) ]
-             else []);
-        reply.data
-    | None ->
-        if n >= config.retries then begin
-          let now = Sim.Engine.now engine in
-          if Obs.Metrics.on () then begin
-            (* the failed call is part of the latency story too: record
-               the time wasted before giving up under its own outcome *)
-            observe_latency ~prog ~proc "timeout" (now -. issued);
-            Obs.Metrics.incr
-              ~labels:[ ("prog", prog); ("proc", proc) ]
-              "rpc_timeouts_total"
-          end;
-          if Obs.Trace.on () then
-            Obs.Trace.instant ~ts:now ~cat:"rpc" ~name:"timeout" ~track
-              ~args:
-                [ ("proc", Obs.Trace.Str (prog ^ "." ^ proc));
-                  ("xid", Obs.Trace.Int xid) ]
-              ();
-          Obs.Trace.finish ~ts:now sp
-            ~args:
-              (if Obs.Trace.on () then [ ("status", Obs.Trace.Str "timeout") ]
-               else []);
-          raise (Timeout { prog; proc })
-        end
-        else begin
-          if Obs.Metrics.on () then
-            Obs.Metrics.incr
-              ~labels:[ ("prog", prog); ("proc", proc) ]
-              "rpc_retransmits_total";
-          if Obs.Trace.on () then
-            Obs.Trace.instant ~ts:(Sim.Engine.now engine) ~cat:"rpc"
-              ~name:"retransmit" ~track
-              ~args:
-                [ ("proc", Obs.Trace.Str (prog ^ "." ^ proc));
-                  ("xid", Obs.Trace.Int xid);
-                  ("attempt", Obs.Trace.Int (n + 1)) ]
-              ();
-          attempt (n + 1) (timeout *. config.backoff)
-        end
+            [ ("proc", Obs.Trace.Str (prog ^ "." ^ proc));
+              ("xid", Obs.Trace.Int xid) ]
+          ();
+      Obs.Trace.finish ~ts:now sp
+        ~args:
+          (if Obs.Trace.on () then [ ("status", Obs.Trace.Str "timeout") ]
+           else []);
+      raise (Timeout { prog; proc })
+    end
+    else begin
+      if Obs.Metrics.on () then
+        Obs.Metrics.incr
+          ~labels:[ ("prog", prog); ("proc", proc) ]
+          "rpc_retransmits_total";
+      if Obs.Trace.on () then
+        Obs.Trace.instant ~ts:(Sim.Engine.now engine) ~cat:"rpc"
+          ~name:"retransmit" ~track
+          ~args:
+            [ ("proc", Obs.Trace.Str (prog ^ "." ^ proc));
+              ("xid", Obs.Trace.Int xid);
+              ("attempt", Obs.Trace.Int (n + 1)) ]
+          ();
+      attempt (n + 1) (timeout *. config.backoff)
+    end
   in
   (* manual unwind, not Fun.protect: the protect frame and its finally
      closure are measurable on a path taken once per RPC *)

@@ -132,7 +132,7 @@ let cached_write t ctx g ~index ~stamp ~len mode =
     (mode :> [ `Sync | `Async | `Delayed ]);
   (* optimistic local size; the authoritative one returns on the write
      reply *)
-  let size = max g.g_attrs.Localfs.size ((index * block_size) + len) in
+  let size = Int.max g.g_attrs.Localfs.size ((index * block_size) + len) in
   g.g_attrs <- { g.g_attrs with Localfs.size }
 
 (* ---- namespace ---- *)

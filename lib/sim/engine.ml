@@ -323,9 +323,11 @@ let dispatch_until t limit =
 
 let run t = dispatch_until t infinity
 
+(* A run cut short by [stop] may leave events before the limit queued,
+   so only a run that found nothing more due moves the clock on. *)
 let run_until t limit =
   dispatch_until t limit;
-  if t.now.(0) < limit then t.now.(0) <- limit
+  if (not t.stopped) && t.now.(0) < limit then t.now.(0) <- limit
 
 let suspend (_t : t) register = Effect.perform (Suspend register)
 

@@ -61,8 +61,10 @@ val run : t -> unit
     The engine can be run again afterwards. *)
 val stop : t -> unit
 
-(** Run until the given virtual time (events strictly later stay
-    queued, and the clock is left at the limit). *)
+(** Run until the given virtual time: events strictly later stay
+    queued, and the clock is left at the limit. A run that {!stop}
+    ends early leaves the clock at the stopping event's time, since
+    events before the limit may still be queued. *)
 val run_until : t -> float -> unit
 
 (** {2 Operations usable only inside a process} *)

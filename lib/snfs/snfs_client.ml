@@ -45,7 +45,7 @@ let merge_attrs (g : gnode) (server : Localfs.attrs) =
   if Option.is_some g.g_proto.cached_version then
     {
       server with
-      Localfs.size = max server.Localfs.size g.g_attrs.Localfs.size;
+      Localfs.size = Int.max server.Localfs.size g.g_attrs.Localfs.size;
       mtime = Float.max server.Localfs.mtime g.g_attrs.Localfs.mtime;
     }
   else server

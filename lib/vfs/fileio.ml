@@ -58,7 +58,7 @@ let read fd ~len =
     let stamp, valid = fs.Fs.read_block fd.vn ~index in
     if valid <= block_off then continue_reading := false (* EOF *)
     else begin
-      let take = min (valid - block_off) !remaining in
+      let take = Int.min (valid - block_off) !remaining in
       out := (stamp, take) :: !out;
       fd.pos <- fd.pos + take;
       remaining := !remaining - take;
@@ -81,7 +81,7 @@ let write ?stamp fd ~len =
   while !remaining > 0 do
     let index = fd.pos / bs in
     let block_off = fd.pos mod bs in
-    let take = min (bs - block_off) !remaining in
+    let take = Int.min (bs - block_off) !remaining in
     (* the block's valid length after this write *)
     let blen = block_off + take in
     fs.Fs.write_block fd.vn ~index ~stamp ~len:blen;

@@ -236,6 +236,49 @@ let test_rpc_proc_lookup () =
   Alcotest.(check string) "resolved name" "prog.rmdir"
     (Netsim.Rpc.proc_name svc lookups.(10))
 
+(* A null RPC between two idle hosts, from the caller's spawn to its
+   retransmission timer firing dead, is seven events: the caller's
+   start and CPU charge, the request's delivery, the server process's
+   start and CPU charge, the reply's delivery and the timer. Each
+   message is one event, and the call's state is one record with a
+   closure per delivery, the timer and the execution: 191 minor words.
+   A second event per message fails the count. *)
+let rpc_round_trip_events = 7
+let rpc_round_trip_words = 200.0
+
+let null_reply = { Netsim.Rpc.data = Bytes.empty; bulk = 0 }
+
+let test_rpc_round_trip () =
+  let e = Sim.Engine.create () in
+  let net = Netsim.Net.create e () in
+  let rpc = Netsim.Rpc.create net () in
+  let client = Netsim.Net.Host.create net "client" in
+  let server = Netsim.Net.Host.create net "server" in
+  ignore
+    (Netsim.Rpc.serve rpc server ~prog:"prog" ~threads:1
+       (fun ~caller:_ ~ctx:_ ~proc:_ _ -> null_reply)
+      : Netsim.Rpc.service);
+  let call () =
+    ignore
+      (Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"prog" ~proc:"null"
+         Bytes.empty
+        : bytes)
+  in
+  let round_trip () =
+    Sim.Engine.spawn e ~name:"caller" call;
+    Sim.Engine.run e
+  in
+  (* the first call resolves the service and the procedure *)
+  round_trip ();
+  let before = Sim.Engine.events_executed e in
+  let words = measure round_trip in
+  Alcotest.(check int) "events per round trip" rpc_round_trip_events
+    (Sim.Engine.events_executed e - before);
+  if native && words > rpc_round_trip_words then
+    Alcotest.failf
+      "a null RPC round trip allocates %.0f minor words (bound %.0f)" words
+      rpc_round_trip_words
+
 (* Finding the gnode of a known file, which every client operation on
    a file does first, allocates nothing. The client core here mounts an
    NFS server and learns the root and eight created files. *)
@@ -393,7 +436,7 @@ let footprint ~before ~after roots =
   words () - w0
 
 (* The 32nd mount of a 32-client SNFS cluster: its host, its client
-   (gnode table, block cache, RPC stub) and its callback service: 372
+   (gnode table, block cache, RPC stub) and its callback service: 373
    words. *)
 let mount_footprint_bound = 512
 
@@ -421,7 +464,7 @@ let test_mount_footprint () =
 
 (* A program served on a host, before its first request: its pool,
    procedure and counter tables and an empty duplicate-request cache:
-   81 words. *)
+   82 words. *)
 let served_footprint_bound = 640
 
 let test_served_footprint () =
@@ -445,11 +488,11 @@ let test_served_footprint () =
 (* One whole run of the andrew workload's SNFS config allocates a
    fixed number of minor words: the simulation is deterministic, so
    from the second run in a process on (the first also fills lazy
-   tables) the count is exact, not a sample: 1,612,451 words in a build
+   tables) the count is exact, not a sample: 1,193,585 words in a build
    that inlines across modules. The ceiling sits about 7% above it, so
    a new per-event or per-RPC allocation on the hot path fails here,
-   with no timing noise. An -opaque build allocates some 22% more. *)
-let snfs_run_minor_words_ceiling = 1_725_000.0
+   with no timing noise. An -opaque build allocates some 27% more. *)
+let snfs_run_minor_words_ceiling = 1_277_000.0
 
 let test_snfs_andrew_run () =
   if native then begin
@@ -493,6 +536,7 @@ let () =
             test_cache_churn_at_capacity;
           Alcotest.test_case "block write then cancel" `Quick
             test_block_lifecycle;
+          Alcotest.test_case "rpc round trip" `Quick test_rpc_round_trip;
           Alcotest.test_case "one SNFS Andrew run" `Quick test_snfs_andrew_run;
         ] );
       ( "per-host footprint",

@@ -254,7 +254,7 @@ let test_exact_counts () =
       (label ^ ": events, server calls, net bytes")
       counts (exact_counts f)
   in
-  check "SNFS Andrew" (41555, 3973, 1551444) (fun () ->
+  check "SNFS Andrew" (33613, 3973, 1551444) (fun () ->
       Experiments.Campaign.run_one
         {
           Experiments.Campaign.name = "t";
@@ -262,11 +262,11 @@ let test_exact_counts () =
           tmp = Experiments.Testbed.Tmp_remote;
           andrew = Workload.Andrew.default_config;
         });
-  check "scaling NFS x4" (21157, 1848, 4790960) (fun () ->
+  check "scaling NFS x4" (17353, 1848, 4790960) (fun () ->
       Experiments.Scaling_exp.run ~protocol:nfs ~clients:4 ());
-  check "scaling SNFS x4" (11956, 1156, 214800) (fun () ->
+  check "scaling SNFS x4" (9644, 1156, 214800) (fun () ->
       Experiments.Scaling_exp.run ~protocol:snfs ~clients:4 ());
-  check "sharing table" (1917, 960, 2766684) Experiments.Sharing_exp.table;
+  check "sharing table" (1620, 960, 2766684) Experiments.Sharing_exp.table;
   List.iter
     (fun (protocol, counts) ->
       check
@@ -274,10 +274,10 @@ let test_exact_counts () =
         counts
         (fun () -> Experiments.Crash_exp.run ~protocol ~seed:42L ()))
     [
-      (Experiments.Crash_exp.Nfs, (51128, 4631, 7825602));
-      (Experiments.Crash_exp.Snfs, (40635, 3917, 787264));
-      (Experiments.Crash_exp.Rfs, (50171, 4581, 5088804));
-      (Experiments.Crash_exp.Kent, (43398, 4131, 831824));
+      (Experiments.Crash_exp.Nfs, (41557, 4631, 7825602));
+      (Experiments.Crash_exp.Snfs, (32744, 3917, 787264));
+      (Experiments.Crash_exp.Rfs, (40687, 4581, 5088804));
+      (Experiments.Crash_exp.Kent, (35078, 4131, 831824));
     ];
   let ops =
     Check.Invariant.
@@ -299,10 +299,10 @@ let test_exact_counts () =
         counts
         (fun () -> Check.Oracle.replay_all kind [ ops ]))
     [
-      (Experiments.Stack.Nfs, (246, 21, 36556));
-      (Experiments.Stack.Snfs, (377, 35, 38864));
-      (Experiments.Stack.Rfs, (366, 33, 38572));
-      (Experiments.Stack.Kent, (362, 33, 38500));
+      (Experiments.Stack.Nfs, (204, 21, 36556));
+      (Experiments.Stack.Snfs, (307, 35, 38864));
+      (Experiments.Stack.Rfs, (300, 33, 38572));
+      (Experiments.Stack.Kent, (296, 33, 38500));
     ];
   let check_callbacks label counts f =
     Alcotest.(check (list (pair string int)))

@@ -452,6 +452,175 @@ let prop_drc_matches_fixed_table =
         ops;
       true)
 
+(* ---- network order ---- *)
+
+(* A schedule of network operations, each at a whole millisecond, on
+   three hosts. Sizes reach a few ms of transmission at the default
+   bandwidth, so the medium queues messages behind one another. *)
+type net_op =
+  | Send of int * int * int  (** src, dst, payload bytes *)
+  | Crash of int
+  | Reboot of int
+  | Cut of int * int  (** [Net.partition] *)
+  | Heal of int * int
+
+let show_net_op (ms, op) =
+  match op with
+  | Send (a, b, n) -> Printf.sprintf "%dms send %d->%d %dB" ms a b n
+  | Crash h -> Printf.sprintf "%dms crash %d" ms h
+  | Reboot h -> Printf.sprintf "%dms reboot %d" ms h
+  | Cut (a, b) -> Printf.sprintf "%dms cut %d-%d" ms a b
+  | Heal (a, b) -> Printf.sprintf "%dms heal %d-%d" ms a b
+
+let net_hosts = 3
+
+let gen_net_ops =
+  let open QCheck.Gen in
+  let host = int_bound (net_hosts - 1) in
+  list_size (int_range 1 60)
+    (pair (int_bound 40)
+       (frequency
+          [
+            (12, map3 (fun a b n -> Send (a, b, n)) host host (int_bound 4000));
+            (2, map (fun h -> Crash h) host);
+            (2, map (fun h -> Reboot h) host);
+            (1, map2 (fun a b -> Cut (a, b)) host host);
+            (1, map2 (fun a b -> Heal (a, b)) host host);
+          ]))
+
+(* Every op is queued before the run, in list order, so ops at one
+   instant run in that order and before any delivery queued during the
+   run at the same instant. The model replays them in the same order:
+   a send from a live host reserves the medium after the previous
+   message (start at the later of now and the medium's reserved end,
+   then the wire time), and the message arrives at that finish plus
+   the latency; it is delivered if no partition cut the pair at send
+   and the destination is up once every op at or before its arrival
+   has run. The property checks the deliveries (which, at what clock,
+   in what order, to a live host) and that each send counts its
+   message and wire bytes at once. *)
+let prop_network_order =
+  QCheck.Test.make ~name:"deliveries at reserved finish + latency, FIFO"
+    ~count:300 ~long_factor:20
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_net_op ops))
+       gen_net_ops)
+    (fun ops ->
+      let params =
+        {
+          Netsim.Net.latency = 0.0003;
+          bandwidth = 1.25e6;
+          header_bytes = 64;
+          jitter = 0.0;
+        }
+      in
+      let ops =
+        List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) ops
+      in
+      let time ms = float_of_int ms *. 0.001 in
+      (* the model *)
+      let up = Array.make net_hosts true and cut = ref [] in
+      let pair a b = (Int.min a b, Int.max a b) in
+      let reserved = ref 0.0 and expected = ref [] and id = ref 0 in
+      let history = ref [] in
+      List.iter
+        (fun (ms, op) ->
+          let now = time ms in
+          match op with
+          | Send (a, b, n) ->
+              let i = !id in
+              incr id;
+              if up.(a) then begin
+                let wire = n + params.header_bytes in
+                let start = if !reserved > now then !reserved else now in
+                reserved := start +. (float_of_int wire /. params.bandwidth);
+                let arrival = !reserved +. params.latency in
+                if not (List.mem (pair a b) !cut) then
+                  expected := (i, b, arrival) :: !expected
+              end
+          | Crash h ->
+              up.(h) <- false;
+              history := (now, h, false) :: !history
+          | Reboot h ->
+              up.(h) <- true;
+              history := (now, h, true) :: !history
+          | Cut (a, b) ->
+              if not (List.mem (pair a b) !cut) then cut := pair a b :: !cut
+          | Heal (a, b) ->
+              cut := List.filter (fun p -> p <> pair a b) !cut)
+        ops;
+      let up_at h t =
+        List.fold_left
+          (fun acc (when_, h', state) ->
+            if h' = h && when_ <= t then state else acc)
+          true (List.rev !history)
+      in
+      let expected =
+        List.rev !expected
+        |> List.filter (fun (_, b, arrival) -> up_at b arrival)
+      in
+      (* the network *)
+      let m = Obs.Metrics.create () in
+      let total name =
+        List.fold_left (fun a (_, n) -> a + n) 0
+          (Obs.Metrics.counters_with m name)
+      in
+      let e = Sim.Engine.create () in
+      let delivered = ref [] and miscounted = ref [] in
+      Obs.Metrics.with_metrics m (fun () ->
+          let net = Netsim.Net.create e ~params () in
+          let hosts =
+            Array.init net_hosts (fun i ->
+                Netsim.Net.Host.create net (string_of_int i))
+          in
+          let next = ref 0 in
+          List.iter
+            (fun (ms, op) ->
+              let run =
+                match op with
+                | Send (a, b, n) ->
+                    let i = !next in
+                    incr next;
+                    fun () ->
+                      let msgs = total "net_messages_total"
+                      and bytes = total "net_bytes_total" in
+                      let live = Netsim.Net.Host.is_up hosts.(a) in
+                      Netsim.Net.send net ~src:hosts.(a) ~dst:hosts.(b) ~bytes:n
+                        ~deliver:(fun () ->
+                          delivered :=
+                            (i, b, Sim.Engine.now e,
+                             Netsim.Net.Host.is_up hosts.(b))
+                            :: !delivered);
+                      let wire = if live then n + params.header_bytes else 0 in
+                      if total "net_messages_total" - msgs <> Bool.to_int live
+                         || total "net_bytes_total" - bytes <> wire
+                      then miscounted := i :: !miscounted
+                | Crash h -> fun () -> Netsim.Net.Host.crash hosts.(h)
+                | Reboot h -> fun () -> Netsim.Net.Host.reboot hosts.(h)
+                | Cut (a, b) ->
+                    fun () -> Netsim.Net.partition net hosts.(a) hosts.(b)
+                | Heal (a, b) ->
+                    fun () -> Netsim.Net.heal net hosts.(a) hosts.(b)
+              in
+              Sim.Engine.at e (time ms) run)
+            ops;
+          Sim.Engine.run e);
+      let delivered = List.rev !delivered in
+      let show l =
+        String.concat " "
+          (List.map (fun (i, b, t) -> Printf.sprintf "%d->%d@%.9g" i b t) l)
+      in
+      if !miscounted <> [] then
+        QCheck.Test.fail_reportf "sends %s miscounted"
+          (String.concat "," (List.rev_map string_of_int !miscounted));
+      if List.exists (fun (_, _, _, live) -> not live) delivered then
+        QCheck.Test.fail_report "a message was delivered to a down host";
+      let got = List.map (fun (i, b, t, _) -> (i, b, t)) delivered in
+      if got <> expected then
+        QCheck.Test.fail_reportf "delivered %s\nexpected %s" (show got)
+          (show expected);
+      true)
+
 let () =
   Alcotest.run "netsim"
     [
@@ -478,4 +647,6 @@ let () =
         ] );
       ( "duplicate-request cache",
         [ QCheck_alcotest.to_alcotest prop_drc_matches_fixed_table ] );
+      ( "network order",
+        [ QCheck_alcotest.to_alcotest prop_network_order ] );
     ]

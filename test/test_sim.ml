@@ -118,6 +118,20 @@ let test_run_until () =
   Sim.Engine.run e;
   Alcotest.(check (list int)) "rest fires" [ 5; 2; 1 ] !fired
 
+(* A [run_until] that an event's [stop] ends early leaves the clock at
+   that event: an event before the limit is still queued, and the clock
+   must not pass it. *)
+let test_run_until_stopped () =
+  let e = Sim.Engine.create () in
+  let ran_at = ref nan in
+  Sim.Engine.at e 1.0 (fun () -> Sim.Engine.stop e);
+  Sim.Engine.at e 2.0 (fun () -> ran_at := Sim.Engine.now e);
+  Sim.Engine.run_until e 3.0;
+  Alcotest.(check (float 0.0)) "clock at the stop" 1.0 (Sim.Engine.now e);
+  Sim.Engine.at e 2.5 (fun () -> ());
+  Sim.Engine.run e;
+  Alcotest.(check (float 0.0)) "queued event at its time" 2.0 !ran_at
+
 let test_process_exception_propagates () =
   let e = Sim.Engine.create () in
   Sim.Engine.spawn e ~name:"boom" (fun () -> failwith "expected");
@@ -422,7 +436,6 @@ let prop_dispatch_many_lanes =
 let test_ivar_basic () =
   run_sim (fun e ->
       let iv = Sim.Ivar.create e in
-      Alcotest.(check bool) "empty" false (Sim.Ivar.is_full iv);
       Sim.Engine.spawn e (fun () ->
           Sim.Engine.sleep e 1.0;
           Sim.Ivar.fill iv 42);
@@ -439,27 +452,6 @@ let test_ivar_double_fill () =
       Alcotest.check_raises "double fill"
         (Invalid_argument "Ivar.fill: already filled") (fun () ->
           Sim.Ivar.fill iv 2))
-
-let test_ivar_timeout () =
-  run_sim (fun e ->
-      let iv = Sim.Ivar.create e in
-      let r = Sim.Ivar.read_timeout iv 2.0 in
-      Alcotest.(check (option int)) "timed out" None r;
-      Alcotest.(check (float 1e-9)) "waited full timeout" 2.0 (Sim.Engine.now e);
-      (* late fill is still possible and observable *)
-      Sim.Ivar.fill iv 7;
-      Alcotest.(check (option int)) "late fill" (Some 7)
-        (Sim.Ivar.read_timeout iv 1.0))
-
-let test_ivar_timeout_beaten () =
-  run_sim (fun e ->
-      let iv = Sim.Ivar.create e in
-      Sim.Engine.spawn e (fun () ->
-          Sim.Engine.sleep e 0.5;
-          Sim.Ivar.fill iv "yes");
-      let r = Sim.Ivar.read_timeout iv 2.0 in
-      Alcotest.(check (option string)) "filled first" (Some "yes") r;
-      Alcotest.(check (float 1e-9)) "at fill time" 0.5 (Sim.Engine.now e))
 
 let test_ivar_multiple_readers () =
   run_sim (fun e ->
@@ -763,6 +755,8 @@ let () =
           Alcotest.test_case "past scheduling rejected" `Quick
             test_at_past_rejected;
           Alcotest.test_case "run_until" `Quick test_run_until;
+          Alcotest.test_case "run_until cut short by stop" `Quick
+            test_run_until_stopped;
           Alcotest.test_case "process exception" `Quick
             test_process_exception_propagates;
           Alcotest.test_case "reused fiber keeps the schedule" `Quick
@@ -779,8 +773,6 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_ivar_basic;
           Alcotest.test_case "double fill" `Quick test_ivar_double_fill;
-          Alcotest.test_case "timeout" `Quick test_ivar_timeout;
-          Alcotest.test_case "fill beats timeout" `Quick test_ivar_timeout_beaten;
           Alcotest.test_case "multiple readers" `Quick
             test_ivar_multiple_readers;
         ] );
