@@ -56,13 +56,13 @@ let builtin_allowlist =
         "Enc.int32"; "Enc.bool"; "Enc.enum"; "Enc.pad"; "Enc.opaque_fixed";
         "Enc.opaque"; "Enc.string";
       ] );
-    ("lib/obs/trace.ml", [ "on"; "mint_op"; "mint" ]);
+    ("lib/obs/trace.ml", [ "on"; "mint" ]);
     ("lib/obs/metrics.ml", [ "on" ]);
     (* the causal-context fast path: consulted on every operation of
        every protocol, traced or not, so it must stay allocation-free
        even if someone drops the marker comments *)
     ( "lib/obs/causal.ml",
-      [ "is_none"; "live"; "keep"; "id"; "of_id"; "mint" ] );
+      [ "is_none"; "live"; "id"; "of_id"; "mint" ] );
   ]
 
 let raising_heads = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg";

@@ -119,7 +119,7 @@ let cache_incr t metric =
     Obs.Metrics.incr ~labels:[ ("cache", t.name) ] metric
 
 let cache_event ?(ctx = Obs.Causal.none) t name ~file ~index =
-  if Obs.Trace.on () && Obs.Causal.keep ctx then
+  if Obs.Trace.on () then
     Obs.Trace.instant
       ~ts:(Sim.Engine.now t.engine)
       ~cat:"cache" ~name ~track:t.name

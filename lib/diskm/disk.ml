@@ -1,28 +1,22 @@
-type params = {
-  positioning : float;
-  transfer_rate : float;
-  per_request_overhead : float;
-}
-
-(* the default: a DEC RA81, ~22 ms average seek plus ~8.3 ms average
-   rotational latency, 2.2 MB/s peak transfer *)
-let ra81 =
-  { positioning = 0.030; transfer_rate = 2.2e6; per_request_overhead = 0.001 }
+(* a DEC RA81: ~22 ms average seek plus ~8.3 ms average rotational
+   latency (seconds), 2.2 MB/s peak transfer (bytes per second), and
+   1 ms of controller and driver overhead per request *)
+let positioning = 0.030
+let transfer_rate = 2.2e6
+let per_request_overhead = 0.001
 
 type t = {
   name : string;
-  params : params;
   engine : Sim.Engine.t;
   arm : Sim.Resource.t;
   mutable next_at : int option; (* address following the last request *)
 }
 
-let create engine ?(params = ra81) name =
+let create engine name =
   {
     name;
-    params;
     engine;
-    arm = Sim.Resource.create engine ~capacity:1 (name ^ ".arm");
+    arm = Sim.Resource.create engine (name ^ ".arm");
     next_at = None;
   }
 
@@ -33,14 +27,14 @@ let service_time t ~at bytes =
     | _, _ -> false
   in
   (t.next_at <- match at with Some a -> Some (a + 1) | None -> None);
-  t.params.per_request_overhead
-  +. (if sequential then 0.0 else t.params.positioning)
-  +. (float_of_int bytes /. t.params.transfer_rate)
+  per_request_overhead
+  +. (if sequential then 0.0 else positioning)
+  +. (float_of_int bytes /. transfer_rate)
 
 (* Span covers queueing for the arm plus service: that whole wait is
    what the request's operation experiences as "disk". *)
 let io_span t ~ctx name bytes =
-  if Obs.Trace.on () && Obs.Causal.keep ctx then
+  if Obs.Trace.on () then
     Obs.Trace.span
       ~ts:(Sim.Engine.now t.engine)
       ~cat:"disk" ~name ~track:t.name

@@ -3,7 +3,7 @@
     A disk serves requests one at a time in FIFO order (a single arm).
     Each request costs an average positioning time (seek + rotational
     latency) plus size-proportional transfer time. The paper's testbed
-    used DEC RA81/RA82 drives; {!ra81} approximates one.
+    used DEC RA81/RA82 drives; every disk here approximates an RA81.
 
     Calls block the calling simulation process for queueing plus
     service time. Busy time is exposed for the utilization and
@@ -13,15 +13,9 @@
     the device name), and each request's service time is observed as
     [disk_io_seconds]. *)
 
-type params = {
-  positioning : float;  (** average seek + rotational latency, seconds *)
-  transfer_rate : float;  (** bytes per second *)
-  per_request_overhead : float;  (** controller / driver overhead, seconds *)
-}
-
 type t
 
-val create : Sim.Engine.t -> ?params:params -> string -> t
+val create : Sim.Engine.t -> string -> t
 
 (** [read t ?at ~bytes] blocks for one read request of [bytes] bytes.
     [at] is an abstract block address: a request whose address follows

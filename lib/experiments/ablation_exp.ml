@@ -34,7 +34,7 @@ let table () =
   in
   Report.banner "Ablations: Andrew benchmark, everything remote"
   ^ "\n"
-  ^ Report.table
+  ^ Stats.Table.render
       ~header:[ "variant"; "total (s)"; "RPCs"; "lookups"; "reads" ]
       rows
   ^ "Section 7 wonders whether the lookup rate \"swamps other file\n\
@@ -67,7 +67,7 @@ let write_back_policy_table () =
   Report.banner
     "Write-back policy ablation (sec 4.2.3): SNFS, 2816 kB sort"
   ^ "\n"
-  ^ Report.table
+  ^ Stats.Table.render
       ~header:[ "policy"; "elapsed (s)"; "write RPCs" ]
       [
         sort_under ~label:"Unix: sync() flushes everything"

@@ -40,7 +40,7 @@ let table_5_1 () =
   in
   Report.banner "Table 5-1: Andrew benchmark, elapsed seconds per phase"
   ^ "\n"
-  ^ Report.table
+  ^ Stats.Table.render
       ~header:[ "configuration"; "MakeDir"; "Copy"; "ScanDir"; "ReadAll"; "Make"; "Total" ]
       (List.map row results)
   ^ Printf.sprintf
@@ -94,7 +94,7 @@ let rpc_table (results : Campaign.run list) =
         "Total" :: cells Stats.Counter.total;
       ]
   in
-  Report.table ~header:("operation" :: labels) rows
+  Stats.Table.render ~header:("operation" :: labels) rows
 
 let table_5_2 () =
   let results =

@@ -37,16 +37,8 @@ type run = {
   trace_json : string;
 }
 
-(* One billion ids per slot: no realistic run mints more, so sibling
-   slots' span ids (and minted op ids) can never collide when their
-   traces are merged into one file. *)
-let slot_id_stride = 1_000_000_000
-
-let run_one ?(observe = false) ?(slot = 0) config =
-  let trace =
-    if observe then Some (Obs.Trace.create ~id_base:(slot * slot_id_stride) ())
-    else None
-  in
+let run_one ?(observe = false) config =
+  let trace = if observe then Some (Obs.Trace.create ()) else None in
   let metrics = if observe then Some (Obs.Metrics.create ()) else None in
   let (phases, counts), events =
     Driver.run ?trace ?metrics (fun engine ->
@@ -76,9 +68,6 @@ let run_one ?(observe = false) ?(slot = 0) config =
       (match trace with Some t -> Obs.Chrome.to_string t | None -> "");
   }
 
-let run ~jobs ?observe configs =
-  Sweep.map ~jobs
-    ~f:(fun (slot, c) -> run_one ?observe ~slot c)
-    (List.mapi (fun i c -> (i, c)) configs)
+let run ~jobs configs = Sweep.map ~jobs ~f:(fun c -> run_one c) configs
 
 let table runs = String.concat "" (List.map (fun r -> r.report) runs)

@@ -48,15 +48,12 @@ type run = {
 }
 
 (** Run one config in a fresh simulation. [observe] (default false)
-    installs a tracer and metrics registry for the run. [slot]
-    (default 0) offsets the tracer's span-id range so traces from
-    different campaign slots never share ids when merged. *)
-val run_one : ?observe:bool -> ?slot:int -> config -> run
+    installs a tracer and metrics registry for the run. *)
+val run_one : ?observe:bool -> config -> run
 
-(** Run a whole campaign with {!Sweep.map}; results in input order.
-    Each config's tracer allocates span ids from its own disjoint
-    per-slot range. *)
-val run : jobs:int -> ?observe:bool -> config list -> run list
+(** Run a whole campaign, unobserved, with {!Sweep.map}; results in
+    input order. *)
+val run : jobs:int -> config list -> run list
 
 (** Concatenated reports. *)
 val table : run list -> string

@@ -23,8 +23,7 @@ let event_time = function
    courtesy lifetime. Jitter keeps the instants seed-dependent without
    letting phases overlap (the client-lifecycle story needs the server
    recovery finished first). *)
-let generate ~seed ?(clients = 4) () =
-  if clients < 4 then invalid_arg "Crashplan.generate: needs >= 4 clients";
+let generate ~seed () =
   let rand = Sim.Rand.create seed in
   let r lo hi = Sim.Rand.range rand lo hi in
   let server_at = r 38.0 46.0 in

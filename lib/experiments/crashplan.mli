@@ -14,13 +14,13 @@ type event =
 
 type t
 
-(** The canonical campaign schedule over [clients] (>= 4) client
-    hosts: the server crashes and reboots mid-benchmark (around
+(** The canonical campaign schedule over four client hosts (numbered
+    from 0): the server crashes and reboots mid-benchmark (around
     t=40); once recovery is over, client 1 and client 2 crash without
     closing (around t=80/t=90) and client 3 is partitioned, healing
     around t=210 — inside a 120 s courtesy lifetime started by its
     demotion. Instants carry seed-dependent jitter. *)
-val generate : seed:int64 -> ?clients:int -> unit -> t
+val generate : seed:int64 -> unit -> t
 
 (** One human-readable line per event, in time order. *)
 val describe : t -> string list

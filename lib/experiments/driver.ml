@@ -1,4 +1,7 @@
-let run ?trace ?metrics ?(sample_interval = 5.0) f =
+(* simulated seconds between metric samples *)
+let sample_interval = 5.0
+
+let run ?trace ?metrics f =
   let go () =
     (* the engine is created only after the registry is installed, so
        creation-time instruments (engine queue depth, resource polls)

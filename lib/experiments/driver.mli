@@ -16,13 +16,12 @@
     already installed that same registry around a larger scope, in
     which case it is left alone. Whenever a registry is installed
     (through this argument or by the caller), a sampler daemon
-    snapshots it into time-series bins every [?sample_interval]
-    (default 5.0) simulated seconds; sampling is started on first use
-    and continues across runs sharing one registry. *)
+    snapshots it into time-series bins every 5 simulated seconds;
+    sampling is started on first use and continues across runs sharing
+    one registry. *)
 
 val run :
   ?trace:Obs.Trace.t ->
   ?metrics:Obs.Metrics.t ->
-  ?sample_interval:float ->
   (Sim.Engine.t -> 'a) ->
   'a

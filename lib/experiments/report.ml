@@ -16,5 +16,3 @@ let counts c =
     (List.map
        (fun (name, n) -> Printf.sprintf "  %-10s %6d\n" name n)
        (Stats.Counter.to_list c))
-
-let table = Stats.Table.render

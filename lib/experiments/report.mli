@@ -14,9 +14,3 @@ val vs : measured:string -> paper:string -> string
 (** Per-procedure call counts, one ["  <proc> <n>"] line each, in
     procedure-name order. *)
 val counts : Stats.Counter.t -> string
-
-val table :
-  ?aligns:Stats.Table.align list ->
-  header:string list ->
-  string list list ->
-  string

@@ -7,8 +7,11 @@ type point = {
   total_rpcs : int;
 }
 
+(* edit/compile cycles each client runs *)
+let iterations = 8
+
 (* one client's workload: an edit/compile loop over private files *)
-let client_loop ctx ~home ~iterations =
+let client_loop ctx ~home =
   let m = ctx.Workload.App.mounts in
   Vfs.Fileio.mkdir m home;
   for i = 1 to 3 do
@@ -32,7 +35,7 @@ let client_loop ctx ~home ~iterations =
     Vfs.Fileio.write_file m (Printf.sprintf "%s/prog%d.o" home it) ~bytes:20_000
   done
 
-let run ~protocol ~clients ?(iterations = 8) () =
+let run ~protocol ~clients () =
   Driver.run (fun engine ->
       let kind =
         match Stack.kind_of protocol with
@@ -58,7 +61,7 @@ let run ~protocol ~clients ?(iterations = 8) () =
       List.iteri
         (fun i ctx ->
           Sim.Engine.spawn engine ~name:(Printf.sprintf "load%d" i) (fun () ->
-              client_loop ctx ~home:(Printf.sprintf "/home%d" i) ~iterations;
+              client_loop ctx ~home:(Printf.sprintf "/home%d" i);
               elapsed.(i) <- Sim.Engine.now engine -. t0;
               Sim.Waitgroup.done_ wg))
         contexts;
@@ -100,7 +103,7 @@ let table () =
   Report.banner
     "Scaling (extension): one server, N clients running edit/compile loops"
   ^ "\n"
-  ^ Report.table
+  ^ Stats.Table.render
       ~header:
         [ "protocol"; "clients"; "avg time"; "max time"; "srv CPU"; "srv disk";
           "RPCs" ]

@@ -17,10 +17,9 @@ type point = {
   total_rpcs : int;
 }
 
-(** One measurement: [clients] hosts each run [iterations] of the loop
+(** One measurement: [clients] hosts each run eight cycles of the loop
     under the protocol (which must not be [Local]). *)
-val run :
-  protocol:Testbed.protocol -> clients:int -> ?iterations:int -> unit -> point
+val run : protocol:Testbed.protocol -> clients:int -> unit -> point
 
 (** The scaling table: NFS vs SNFS for 1, 2, 4, 8, 16 clients. *)
 val table : unit -> string

@@ -111,7 +111,7 @@ let table () =
   Report.banner
     "Shared database (extension): 4 clients, disjoint records, one file"
   ^ "\n"
-  ^ Report.table
+  ^ Stats.Table.render
       ~header:[ "protocol"; "elapsed (s)"; "stale reads"; "of"; "server RPCs" ]
       (List.map
          (fun r ->

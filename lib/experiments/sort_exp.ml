@@ -86,7 +86,7 @@ let table_of_runs ~title ~update ~paper =
       sizes
   in
   Report.banner title ^ "\n"
-  ^ Report.table
+  ^ Stats.Table.render
       ~header:[ "input"; "temp written"; "local"; "NFS"; "SNFS" ]
       rows
 
@@ -128,7 +128,7 @@ let table_5_4 () =
       ~input_kb ~label:"SNFS" ()
   in
   Report.banner "Table 5-4: RPC calls for the 2816 kB sort" ^ "\n"
-  ^ Report.table
+  ^ Stats.Table.render
       ~header:[ "version"; "reads"; "writes"; "others"; "total" ]
       [ ops_row "NFS" nfs; ops_row "SNFS" snfs ]
   ^ Printf.sprintf
@@ -148,7 +148,7 @@ let table_5_6 () =
   Report.banner "Table 5-6: RPC calls for the 2816 kB sort, with and without \
                  /etc/update"
   ^ "\n"
-  ^ Report.table
+  ^ Stats.Table.render
       ~header:[ "version/update"; "reads"; "writes"; "others"; "total" ]
       [
         run "NFS, update on" nfs (Some 30.0);
@@ -177,7 +177,7 @@ let reread_check () =
   Report.banner
     "Section 5.3 microbenchmark: write-close, reread same vs other (1 MB)"
   ^ "\n"
-  ^ Report.table
+  ^ Stats.Table.render
       ~header:[ "protocol"; "write+close"; "reread same"; "read other" ]
       [
         run "NFS" (Testbed.Nfs_proto Nfs.Nfs_client.default_config);

@@ -60,11 +60,11 @@ let table () =
   Report.banner
     "Trace-driven mix (extension): 400 ops, 75% reads, 15% temporaries"
   ^ "\n"
-  ^ Report.table
+  ^ Stats.Table.render
       ~header:[ "protocol"; "elapsed"; "RPCs"; "write RPCs"; "read RPCs" ]
       summary_rows
   ^ "\nper-operation latency (milliseconds):\n"
-  ^ Report.table
+  ^ Stats.Table.render
       ~header:[ "class"; "n"; "mean"; "p50"; "p99"; "max" ]
       latency_rows
   ^ "write-through shows up in the rewrite/temp tails; SNFS's delayed\n\

@@ -3,12 +3,11 @@ module Wire = Nfs.Wire
 
 type config = {
   cache_blocks : int;
-  read_ahead : bool;
   retry_budget : float option;
 }
 
 let default_config =
-  { cache_blocks = 4096; read_ahead = true; retry_budget = None }
+  { cache_blocks = 4096; retry_budget = None }
 
 (* per file: the block indices this client owns, bound to [true];
    [false] is the empty sentinel, so a lookup is the membership test *)
@@ -128,7 +127,7 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "kent")
     () =
   let core =
     Core.create policy rpc ~client ~server ~root ~name
-      ~cache_blocks:config.cache_blocks ~read_ahead:config.read_ahead
+      ~cache_blocks:config.cache_blocks
       ~retry_budget:config.retry_budget
   in
   let t = { core } in

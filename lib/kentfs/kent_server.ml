@@ -109,7 +109,7 @@ let handle_acquire t ~caller ~ctx d =
           (* the logical size advances now, so other clients' opens see
              the new extent even while the data stays with the owner *)
           let size =
-            (index * Localfs.block_size (Wire.core_fs t.core)) + len
+            (index * Localfs.block_size) + len
           in
           let current =
             (Localfs.getattr ~ctx (Wire.core_fs t.core) ino).Localfs.size

@@ -48,7 +48,6 @@ type inode = {
 type t = {
   engine : Sim.Engine.t;
   name : string;
-  block_size : int;
   meta_policy : meta_policy;
   cache : Blockcache.Cache.t;
   (* Dense array indexed by ino, not a hash table: inos are small
@@ -74,8 +73,9 @@ let inodes_per_block = 32
 
 let root_ino = 2
 
-let create engine ~name ~disk ~cache_blocks ?(block_size = 4096)
-    ?(meta_policy = `Delayed) () =
+let block_size = 4096
+
+let create engine ~name ~disk ~cache_blocks ?(meta_policy = `Delayed) () =
   (* abstract disk layout: each file's blocks are contiguous, so
      sequential file I/O pays positioning only once per extent *)
   let disk_address ~file ~index =
@@ -106,7 +106,6 @@ let create engine ~name ~disk ~cache_blocks ?(block_size = 4096)
     {
       engine;
       name;
-      block_size;
       meta_policy;
       cache;
       inodes = Array.make 256 None;
@@ -131,7 +130,6 @@ let create engine ~name ~disk ~cache_blocks ?(block_size = 4096)
   t
 
 let name t = t.name
-let block_size t = t.block_size
 
 let start_syncer t ?min_age ~interval () =
   Blockcache.Cache.start_syncer t.cache ?min_age ~interval ()
@@ -177,7 +175,7 @@ let meta_mode t : [ `Sync | `Async | `Delayed ] =
 let write_inode_block ?ctx t ino =
   Blockcache.Cache.write ?ctx t.cache ~file:inode_table_fid
     ~index:(inode_block_index ino) ~stamp:(next_meta_stamp t)
-    ~len:t.block_size (meta_mode t)
+    ~len:block_size (meta_mode t)
 
 let dir_entries inode =
   match inode.i_entries with
@@ -186,19 +184,19 @@ let dir_entries inode =
 
 (* Directory contents live in the directory's own pseudo-file; an entry
    hashes to a block so big directories cost more than small ones. *)
-let dir_block_of_name t inode name =
-  let nblocks = Int.max 1 ((inode.i_size + t.block_size - 1) / t.block_size) in
+let dir_block_of_name inode name =
+  let nblocks = Int.max 1 ((inode.i_size + block_size - 1) / block_size) in
   Hashtbl.hash name mod nblocks
 
 let read_dir_block ?ctx t inode name =
   ignore
     (Blockcache.Cache.read ?ctx t.cache ~file:inode.i_ino
-       ~index:(dir_block_of_name t inode name))
+       ~index:(dir_block_of_name inode name))
 
 let write_dir_block ?ctx t inode name =
   Blockcache.Cache.write ?ctx t.cache ~file:inode.i_ino
-    ~index:(dir_block_of_name t inode name)
-    ~stamp:(next_meta_stamp t) ~len:t.block_size (meta_mode t)
+    ~index:(dir_block_of_name inode name)
+    ~stamp:(next_meta_stamp t) ~len:block_size (meta_mode t)
 
 let dir_entry_bytes name = 16 + String.length name
 
@@ -340,7 +338,7 @@ let readdir ?ctx t ~dir =
   let d = get_inode t dir in
   let entries = dir_entries d in
   (* scanning a directory reads all its blocks *)
-  let nblocks = Int.max 1 ((d.i_size + t.block_size - 1) / t.block_size) in
+  let nblocks = Int.max 1 ((d.i_size + block_size - 1) / block_size) in
   for index = 0 to nblocks - 1 do
     ignore (Blockcache.Cache.read ?ctx t.cache ~file:d.i_ino ~index)
   done;
@@ -370,10 +368,10 @@ let read_block ?ctx t ino ~index =
   let i = get_inode t ino in
   if i.i_ftype = Dir then fail Isdir;
   if index < 0 then invalid_arg "Localfs.read_block: negative index";
-  if index * t.block_size >= i.i_size then (0, 0) (* hole / EOF *)
+  if index * block_size >= i.i_size then (0, 0) (* hole / EOF *)
   else begin
     let stamp, len = Blockcache.Cache.read ?ctx t.cache ~file:ino ~index in
-    let valid = Int.min len (i.i_size - (index * t.block_size)) in
+    let valid = Int.min len (i.i_size - (index * block_size)) in
     (stamp, valid)
   end
 
@@ -382,7 +380,7 @@ let write_block ?ctx t ino ~index ~stamp ~len mode =
   if i.i_ftype = Dir then fail Isdir;
   if index < 0 then invalid_arg "Localfs.write_block: negative index";
   Blockcache.Cache.write ?ctx t.cache ~file:ino ~index ~stamp ~len mode;
-  let endpos = (index * t.block_size) + len in
+  let endpos = (index * block_size) + len in
   if endpos > i.i_size then i.i_size <- endpos;
   i.i_mtime <- Sim.Engine.now t.engine;
   (* a synchronous data write carries its metadata to disk with it (the
@@ -394,17 +392,17 @@ let write_block ?ctx t ino ~index ~stamp ~len mode =
   | `Sync, `Sync ->
       Blockcache.Cache.write ?ctx t.cache ~file:inode_table_fid
         ~index:(inode_block_index ino) ~stamp:(next_meta_stamp t)
-        ~len:t.block_size `Sync;
+        ~len:block_size `Sync;
       if index >= direct_blocks then
         Blockcache.Cache.write ?ctx t.cache ~file:indirect_fid ~index:ino
-          ~stamp:(next_meta_stamp t) ~len:t.block_size `Sync
+          ~stamp:(next_meta_stamp t) ~len:block_size `Sync
   | (`Sync | `Async | `Delayed), _ ->
       Blockcache.Cache.write ?ctx t.cache ~file:inode_table_fid
         ~index:(inode_block_index ino) ~stamp:(next_meta_stamp t)
-        ~len:t.block_size `Delayed;
+        ~len:block_size `Delayed;
       if index >= direct_blocks then
         Blockcache.Cache.write ?ctx t.cache ~file:indirect_fid ~index:ino
-          ~stamp:(next_meta_stamp t) ~len:t.block_size `Delayed
+          ~stamp:(next_meta_stamp t) ~len:block_size `Delayed
 
 let fsync ?ctx t ino =
   let _ = get_inode t ino in

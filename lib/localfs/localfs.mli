@@ -56,13 +56,14 @@ val create :
   name:string ->
   disk:Diskm.Disk.t ->
   cache_blocks:int ->
-  ?block_size:int ->
   ?meta_policy:meta_policy ->
   unit ->
   t
 
 val name : t -> string
-val block_size : t -> int
+
+(** Bytes per block, for file data and metadata alike. *)
+val block_size : int
 
 (** Start the periodic flusher of delayed writes (the [/etc/update]
     daemon). Optional: experiments disable it for the infinite

@@ -14,7 +14,6 @@ type host = {
   hname : string;
   haddr : int;
   hcpu : Sim.Resource.t;
-  hcpu_factor : float;
   mutable hup : bool;
   mutable hepoch : int;
 }
@@ -30,12 +29,12 @@ and t = {
   mutable partitions : (int * int) list; (* normalized (lo, hi) addr pairs *)
 }
 
-let create engine ?(params = default_params) ?(seed = 0x5EEDL) () =
+let create engine ?(params = default_params) () =
   {
     engine;
     params;
-    medium = Sim.Resource.create engine ~capacity:1 "net.medium";
-    rand = Sim.Rand.create seed;
+    medium = Sim.Resource.create engine "net.medium";
+    rand = Sim.Rand.create 0x5EEDL;
     drop_prob = 0.0;
     hosts = [];
     next_addr = 0;
@@ -57,14 +56,13 @@ module Host = struct
 
   type t = host
 
-  let create net ?(cpu_factor = 1.0) name =
+  let create net name =
     let h =
       {
         hnet = net;
         hname = name;
         haddr = net.next_addr;
-        hcpu = Sim.Resource.create net.engine ~capacity:1 (name ^ ".cpu");
-        hcpu_factor = cpu_factor;
+        hcpu = Sim.Resource.create net.engine (name ^ ".cpu");
         hup = true;
         hepoch = 0;
       }
@@ -78,10 +76,9 @@ module Host = struct
   let net h = h.hnet
   let engine h = h.hnet.engine
   let cpu h = h.hcpu
-  let cpu_factor h = h.hcpu_factor
 
   let use_cpu h seconds =
-    if seconds > 0.0 then Sim.Resource.use h.hcpu (seconds *. h.hcpu_factor)
+    if seconds > 0.0 then Sim.Resource.use h.hcpu seconds
 
   let is_up h = h.hup
   let crash h = h.hup <- false

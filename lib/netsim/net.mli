@@ -26,7 +26,10 @@ type params = {
           duplicate-request caches must absorb) *)
 }
 
-val create : Sim.Engine.t -> ?params:params -> ?seed:int64 -> unit -> t
+(** [create engine ()] makes a network with the given parameters
+    (default: a 10 Mbit/s LAN). Drops and jitter draw from a generator
+    with a fixed seed. *)
+val create : Sim.Engine.t -> ?params:params -> unit -> t
 
 val engine : t -> Sim.Engine.t
 
@@ -40,19 +43,16 @@ module Host : sig
   type net := t
   type t
 
-  (** [create net name] registers a new host. [cpu_factor] scales all
-      CPU charges on this host (1.0 = Titan-like reference speed). *)
-  val create : net -> ?cpu_factor:float -> string -> t
+  (** [create net name] registers a new host with a Titan-speed CPU. *)
+  val create : net -> string -> t
 
   val name : t -> string
   val addr : t -> int
   val net : t -> net
   val engine : t -> Sim.Engine.t
   val cpu : t -> Sim.Resource.t
-  val cpu_factor : t -> float
 
-  (** Charge [seconds] (scaled by the host's CPU factor) of CPU time to
-      the calling process. *)
+  (** Charge [seconds] of CPU time to the calling process. *)
   val use_cpu : t -> float -> unit
 
   val is_up : t -> bool

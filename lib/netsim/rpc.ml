@@ -22,21 +22,11 @@ exception Timeout of { prog : string; proc : string }
 exception Server_unavailable of { prog : string; proc : string; waited : float }
 
 (* Retry budget for callers that must survive a server crash window
-   but not retry forever: whole calls are re-issued with bounded
-   exponential backoff until the budget of wall-clock (simulated)
-   seconds is spent, then the typed failure surfaces. *)
-type budget = {
-  give_up_after : float;
-  initial_backoff : float;
-  max_backoff : float;
-}
-
-let budget ?(initial_backoff = 0.5) ?(max_backoff = 30.0) give_up_after =
-  if give_up_after <= 0.0 then
-    invalid_arg "Rpc.budget: give_up_after must be positive";
-  if initial_backoff <= 0.0 then
-    invalid_arg "Rpc.budget: initial_backoff must be positive";
-  { give_up_after; initial_backoff; max_backoff = Float.max initial_backoff max_backoff }
+   but not retry forever: whole calls are re-issued with exponential
+   backoff, from 0.5 s doubling up to 30 s, until the budget of
+   simulated seconds is spent, then the typed failure surfaces. *)
+let initial_backoff = 0.5
+let max_backoff = 30.0
 
 type reply = { data : bytes; bulk : int }
 
@@ -246,7 +236,7 @@ let reply_to c reply =
    spawned at the request's arrival, so the clock it starts at is the
    arrival time. *)
 let execute svc c =
-  let traced = Obs.Trace.on () && Obs.Causal.keep c.ctx in
+  let traced = Obs.Trace.on () in
   let arrival = if traced then server_now svc else 0.0 in
   Sim.Semaphore.acquire svc.pool;
   match
@@ -399,7 +389,7 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
   let track = Net.Host.name src in
   let bytes = Bytes.length args + bulk in
   let sp =
-    if Obs.Trace.on () && Obs.Causal.keep ctx then
+    if Obs.Trace.on () then
       Obs.Trace.span ~ts:issued ~cat:"rpc" ~name:(prog ^ "." ^ proc) ~track
         ~args:
           (Obs.Causal.arg ctx
@@ -503,12 +493,12 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
       t.in_flight <- t.in_flight - 1;
       raise e
 
-let call t ?config ?(ctx = Obs.Causal.none) ~src ~dst ~prog ~proc ?budget:b
+let call t ?config ?(ctx = Obs.Causal.none) ~src ~dst ~prog ~proc ?budget
     ?(bulk = 0) args =
   let config = match config with Some c -> c | None -> t.config in
-  match b with
+  match budget with
   | None -> call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args
-  | Some b ->
+  | Some give_up_after ->
       (* each round is a complete call (fresh xid, its own span and
          latency record); between rounds the caller sleeps out a
          bounded exponential backoff. Rounds stop as soon as the next
@@ -521,7 +511,7 @@ let call t ?config ?(ctx = Obs.Causal.none) ~src ~dst ~prog ~proc ?budget:b
         | data -> data
         | exception Timeout _ ->
             let waited = Sim.Engine.now engine -. started in
-            if waited +. backoff >= b.give_up_after then begin
+            if waited +. backoff >= give_up_after then begin
               if Obs.Metrics.on () then
                 Obs.Metrics.incr
                   ~labels:[ ("prog", prog); ("proc", proc) ]
@@ -542,7 +532,7 @@ let call t ?config ?(ctx = Obs.Causal.none) ~src ~dst ~prog ~proc ?budget:b
                   ~labels:[ ("prog", prog); ("proc", proc) ]
                   "rpc_budget_retries_total";
               Sim.Engine.sleep engine backoff;
-              go (Float.min (backoff *. 2.0) b.max_backoff)
+              go (Float.min (backoff *. 2.0) max_backoff)
             end
       in
-      go b.initial_backoff
+      go initial_backoff

@@ -37,28 +37,11 @@ val config : t -> config
     client host may be down, or the network is dropping messages). *)
 exception Timeout of { prog : string; proc : string }
 
-(** Raised by {!call} when a retry {!budget} is given and the server
+(** Raised by {!call} when a retry budget is given and the server
     stayed unreachable for the whole budget: [waited] seconds of
     complete call rounds (each itself a full retransmission schedule)
     separated by bounded exponential backoff. *)
 exception Server_unavailable of { prog : string; proc : string; waited : float }
-
-(** A patience budget for {!call}: on [Timeout], sleep out a bounded
-    exponential backoff and try again with a fresh call, until the next
-    backoff would overrun [give_up_after] seconds since the first
-    attempt — then raise {!Server_unavailable}. *)
-type budget = {
-  give_up_after : float;  (** total seconds before giving up *)
-  initial_backoff : float;  (** first inter-round sleep *)
-  max_backoff : float;  (** backoff ceiling *)
-}
-
-(** [budget give_up_after] with a 0.5 s initial backoff doubling up to
-    30 s. Raises [Invalid_argument] on non-positive arguments; the
-    ceiling is clamped to at least [initial_backoff]. Size the budget
-    to exceed the longest outage worth riding out (a server reboot plus
-    its grace period), since the caller blocks for all of it. *)
-val budget : ?initial_backoff:float -> ?max_backoff:float -> float -> budget
 
 (** Reply from a handler: marshalled result plus [bulk] unmarshalled
     payload bytes (file data) that count toward message size. *)
@@ -104,9 +87,12 @@ val set_on_restart : service -> (unit -> unit) -> unit
     comes back. Blocks the calling process for the full round trip.
     Raises {!Timeout} on persistent failure.
 
-    With [?budget], a {!Timeout} instead starts a new round after a
-    bounded exponential backoff (see {!budget}), and only
-    {!Server_unavailable} escapes, after the budget is spent. Each
+    With [?budget] (seconds), a {!Timeout} instead starts a new round
+    after an exponential backoff, 0.5 s doubling up to 30 s, until the
+    next backoff would overrun [budget] seconds since the first
+    attempt; then {!Server_unavailable} escapes. Size the budget to
+    exceed the longest outage worth riding out (a server reboot plus
+    its grace period), since the caller blocks for all of it. Each
     round is a fresh call with a fresh XID, so a round whose reply was
     merely lost can be re-executed at the server (within one round the
     duplicate-request cache still deduplicates retransmissions):
@@ -114,9 +100,8 @@ val set_on_restart : service -> (unit -> unit) -> unit
     are.
 
     [?ctx] (default {!Obs.Causal.none}) is the issuing operation's
-    causal context: it tags the call's client span, rides the request
-    to the server handler, and suppresses the call's spans entirely
-    when the operation was sampled out. *)
+    causal context: it tags the call's client span and rides the
+    request to the server handler. *)
 val call :
   t ->
   ?config:config ->
@@ -125,7 +110,7 @@ val call :
   dst:Net.Host.t ->
   prog:string ->
   proc:string ->
-  ?budget:budget ->
+  ?budget:float ->
   ?bulk:int ->
   bytes ->
   bytes

@@ -18,8 +18,7 @@ type 'p t = {
   engine : Sim.Engine.t;
   cache : Blockcache.Cache.t;
   gnodes : 'p gnode Sim.Inttbl.t; (* by inode number *)
-  budget : Netsim.Rpc.budget option;
-  read_ahead : bool;
+  budget : float option; (* seconds an RPC rides out a server outage *)
   readahead_name : string;
   mutable fs : Vfs.Fs.t option;
 }
@@ -115,8 +114,7 @@ let cached_read t ctx g ~index =
     let result = Blockcache.Cache.read ~ctx t.cache ~file:g.g_ino ~index in
     (* one-block read-ahead on sequential access *)
     if
-      t.read_ahead
-      && index = g.g_last_read + 1
+      index = g.g_last_read + 1
       && (index + 1) * block_size < g.g_attrs.Localfs.size
       && Option.is_none
            (Blockcache.Cache.peek t.cache ~file:g.g_ino ~index:(index + 1))
@@ -221,8 +219,11 @@ let serve_callbacks t ~ping callback =
 
 (* ---- construction ---- *)
 
-let create policy rpc ~client ~server ~root ~name ~cache_blocks ~read_ahead
-    ~retry_budget =
+let create policy rpc ~client ~server ~root ~name ~cache_blocks ~retry_budget =
+  (match retry_budget with
+  | Some b when b <= 0.0 ->
+      invalid_arg "Client_core.create: retry_budget must be positive"
+  | Some _ | None -> ());
   let engine = Netsim.Net.engine (Netsim.Rpc.net rpc) in
   let rec t =
     lazy
@@ -269,8 +270,7 @@ let create policy rpc ~client ~server ~root ~name ~cache_blocks ~read_ahead
                     mtime = 0.0;
                     ctime = 0.0;
                   });
-         budget = Option.map Netsim.Rpc.budget retry_budget;
-         read_ahead;
+         budget = retry_budget;
          readahead_name = policy.cat ^ ".readahead";
          fs = None;
        })

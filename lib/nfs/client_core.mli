@@ -45,7 +45,8 @@ type 'p policy = {
 
 (** [create policy rpc ~client ~server ~root ~name ...] builds the
     client and its block cache (["<name>.cache"]). Every RPC rides out
-    server outages for [retry_budget] seconds when it is set. *)
+    server outages for [retry_budget] seconds when it is set; raises
+    [Invalid_argument] when that budget is not positive. *)
 val create :
   'p policy ->
   Netsim.Rpc.t ->
@@ -54,7 +55,6 @@ val create :
   root:Wire.fh ->
   name:string ->
   cache_blocks:int ->
-  read_ahead:bool ->
   retry_budget:float option ->
   'p t
 

@@ -5,7 +5,6 @@ type config = {
   attr_min : float;
   attr_max : float;
   invalidate_on_close : bool;
-  read_ahead : bool;
   retry_budget : float option;
       (* ride out server outages this long before Server_unavailable *)
 }
@@ -16,7 +15,6 @@ let default_config =
     attr_min = 3.0;
     attr_max = 150.0;
     invalidate_on_close = true;
-    read_ahead = true;
     retry_budget = None;
   }
 
@@ -158,7 +156,7 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "nfs")
     () =
   let core =
     Core.create policy rpc ~client ~server ~root ~name
-      ~cache_blocks:config.cache_blocks ~read_ahead:config.read_ahead
+      ~cache_blocks:config.cache_blocks
       ~retry_budget:config.retry_budget
   in
   let t = { core; config } in

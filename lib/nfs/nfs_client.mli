@@ -22,7 +22,6 @@ type config = {
   attr_min : float;  (** minimum attribute-cache timeout (3 s) *)
   attr_max : float;  (** maximum attribute-cache timeout (150 s) *)
   invalidate_on_close : bool;  (** the Ultrix bug; [true] in the paper *)
-  read_ahead : bool;
   retry_budget : float option;
       (** when set, every RPC rides out server outages up to this many
           seconds (bounded exponential backoff between fresh calls)

@@ -397,7 +397,7 @@ let event srv ~cat ~name args =
 (* ---- the one callback channel ---- *)
 
 let callback srv ~impatient ~ctx ~target ~proc ~instant e =
-  if Obs.Trace.on () && Obs.Causal.keep ctx then instant ();
+  if Obs.Trace.on () then instant ();
   (* the flow arrow ties the work induced on the client back to the
      inducing client operation *)
   if Obs.Causal.live ctx then

@@ -45,7 +45,6 @@ type op_stat = {
 type run = {
   label : string;
   protocol : string;
-  sample_every : int;
   ops : op_stat list; (* sorted by op id *)
   orphan_spans : int; (* op-tagged spans with no root op span *)
   callback_spans : int;
@@ -89,7 +88,6 @@ let parse_chrome ~label text =
     | Some (Json.Arr es) -> es
     | _ -> raise (Json.Error (label ^ ": no traceEvents array"))
   in
-  let sample_every = ref 1 in
   let tid_names = Hashtbl.create 16 in
   let opens : (int, Json.t) Hashtbl.t = Hashtbl.create 256 in
   let spans = ref [] in
@@ -107,10 +105,6 @@ let parse_chrome ~label text =
       match get "ph" e with
       | Some "M" -> (
           match get "name" e with
-          | Some "trace_config" ->
-              (match arg_num "sample_every" e with
-              | Some k -> sample_every := int_of_float k
-              | None -> ())
           | Some "thread_name" -> (
               match (getn "tid" e, Json.member "args" e) with
               | Some tid, Some args -> (
@@ -184,13 +178,13 @@ let parse_chrome ~label text =
       (fun a b -> compare (a.t0, a.id, a.name) (b.t0, b.id, b.name))
       !spans
   in
-  (spans, !sample_every, List.rev !flow_starts, List.rev !flow_ends)
+  (spans, List.rev !flow_starts, List.rev !flow_ends)
 
 (* ---- spans -> per-operation stats ---- *)
 
 let clamp x = if x > 0.0 then x else 0.0
 
-let of_spans ~label (spans, sample_every, flow_starts, flow_ends) =
+let of_spans ~label (spans, flow_starts, flow_ends) =
   (* dominant non-callback RPC program names the protocol *)
   let prog_votes = Hashtbl.create 8 in
   List.iter
@@ -289,7 +283,6 @@ let of_spans ~label (spans, sample_every, flow_starts, flow_ends) =
   {
     label;
     protocol;
-    sample_every;
     ops;
     orphan_spans = !orphans;
     callback_spans = !callback_spans;
@@ -394,8 +387,7 @@ let report runs =
   List.iter
     (fun run ->
       Buffer.add_string buf
-        (Printf.sprintf "== %s (protocol %s, sampling 1/%d) ==\n" run.label
-           run.protocol run.sample_every);
+        (Printf.sprintf "== %s (protocol %s) ==\n" run.label run.protocol);
       Buffer.add_string buf
         (Printf.sprintf
            "traced ops %d, orphan spans %d, callback spans %d \

@@ -31,7 +31,6 @@ type op_stat = {
 type run = {
   label : string;
   protocol : string;  (** inferred from the dominant RPC program *)
-  sample_every : int;  (** recorded sampling rate *)
   ops : op_stat list;  (** sorted by op id *)
   orphan_spans : int;  (** op-tagged spans with no root — 0 when trees
                            are complete *)

@@ -7,9 +7,6 @@
      0   no context — tracing off, or background work (write-back
          daemons, laundromat, retransmission timers) that no single
          operation caused;
-    -1   sampled out — the operation was minted under head sampling
-         and dropped, and every downstream probe site must stay
-         silent so sampled traces contain only complete trees;
     >0   the operation id, which is also the id of the operation's
          root span in the trace. *)
 
@@ -22,12 +19,6 @@ let is_none c = c = 0
 
 (* snfs-hot *)
 let live c = c > 0
-
-(* May downstream spans be emitted under this context? True for [none]
-   (untagged background emission keeps working) and live ids; false
-   only for sampled-out operations. *)
-(* snfs-hot *)
-let keep c = c >= 0
 
 (* snfs-hot *)
 let id c = c
@@ -44,26 +35,23 @@ let mint () = if Trace.on () then Trace.mint () else none
    sites already guarded by [Trace.on]. *)
 let arg c args = if c > 0 then ("op", Trace.Int c) :: args else args
 
-(* Run [f] as a root client operation: mint a context and, when the
-   operation is kept, wrap [f] in the operation's root span (cat
-   "op", id = the op id). [now] supplies simulated time; it is only
+(* Run [f] as a root client operation: mint a context and, while
+   tracing is on, wrap [f] in the operation's root span (cat "op",
+   id = the op id). [now] supplies simulated time; it is only
    consulted when tracing is on. *)
 let root ~now ~track ~name f =
   if not (Trace.on ()) then f none
   else
     let c = Trace.mint () in
-    if c <= 0 then f c
-    else begin
-      let sp =
-        Trace.span_with_id ~ts:(now ()) ~cat:"op" ~name ~track ~id:c
-          ~args:[ ("op", Trace.Int c) ]
-          ()
-      in
-      match f c with
-      | v ->
-          Trace.finish ~ts:(now ()) sp;
-          v
-      | exception e ->
-          Trace.finish ~ts:(now ()) sp ~args:[ ("error", Trace.Bool true) ];
-          raise e
-    end
+    let sp =
+      Trace.span_with_id ~ts:(now ()) ~cat:"op" ~name ~track ~id:c
+        ~args:[ ("op", Trace.Int c) ]
+        ()
+    in
+    match f c with
+    | v ->
+        Trace.finish ~ts:(now ()) sp;
+        v
+    | exception e ->
+        Trace.finish ~ts:(now ()) sp ~args:[ ("error", Trace.Bool true) ];
+        raise e

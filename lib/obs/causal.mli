@@ -11,9 +11,8 @@
     determinism and the Domain-isolation story of {!Trace} are
     untouched.
 
-    The carrier is a bare [int]: 0 = no context ({!none}), -1 =
-    sampled out, positive = the operation id (also the id of the
-    operation's root span). *)
+    The carrier is a bare [int]: 0 = no context ({!none}), positive =
+    the operation id (also the id of the operation's root span). *)
 
 type t = int
 
@@ -26,12 +25,6 @@ val is_none : t -> bool
 (** A real operation id (positive)? *)
 val live : t -> bool
 
-(** May downstream spans be emitted under this context? True for
-    {!none} and live ids; false only for sampled-out operations, so a
-    sampled trace contains only complete operation trees. Probe sites
-    guard with [Trace.on () && Causal.keep ctx]. *)
-val keep : t -> bool
-
 (** The operation id (only meaningful when {!live}). *)
 val id : t -> int
 
@@ -40,17 +33,16 @@ val id : t -> int
 val of_id : int -> t
 
 (** Mint a context for a new client operation: {!none} when tracing is
-    off, the sampled-out marker when the tracer's head sampling drops
-    this operation, a fresh op id otherwise. Allocation-free when
-    tracing is off. *)
+    off, a fresh op id otherwise. Allocation-free when tracing is
+    off. *)
 val mint : unit -> t
 
 (** [arg c args] prepends [("op", Int (id c))] when [c] is live. *)
 val arg : t -> (string * Trace.value) list -> (string * Trace.value) list
 
 (** [root ~now ~track ~name f] runs [f ctx] as a root client
-    operation: mints a context and, when the operation is kept, wraps
-    [f] in the operation's root span (cat ["op"], span id = op id).
+    operation: mints a context and, while tracing is on, wraps [f] in
+    the operation's root span (cat ["op"], span id = op id).
     [now] is only consulted while tracing is on. *)
 val root :
   now:(unit -> float) -> track:string -> name:string -> (t -> 'a) -> 'a

@@ -8,9 +8,9 @@
    inducing op id (with "bp":"e" so the arrow binds to the enclosing
    slice), which is how Perfetto draws callback-causality arrows.
    Tracks are mapped to tids in order of first appearance, with "M"
-   metadata events carrying the names; a "trace_config" metadata entry
-   records the tracer's sample rate and id base so an analyzer can
-   scale sampled numbers back up.
+   metadata events carrying the names. A constant "trace_config"
+   metadata entry heads every trace (every operation is recorded, and
+   span ids start at 1).
 
    All numbers are printed with fixed formats so equal traces render to
    equal bytes. *)
@@ -74,9 +74,7 @@ let to_string tr =
   in
   sep ();
   Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"trace_config\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"sample_every\":%d,\"id_base\":%d}}"
-       (Trace.sample_every tr) (Trace.id_base tr));
+    "{\"name\":\"trace_config\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"sample_every\":1,\"id_base\":0}}";
   List.iter
     (fun (track, tid) ->
       sep ();

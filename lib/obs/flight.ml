@@ -15,11 +15,12 @@ type state = { tracer : Trace.t; mutable last : snapshot option }
 
 let slot : state option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let default_limit = 4096
+(* ring size: the newest events a post-mortem sees *)
+let limit = 4096
 
 let armed () = Domain.DLS.get slot <> None
 
-let arm ?(limit = default_limit) () =
+let arm () =
   match Domain.DLS.get slot with
   | Some _ -> ()
   | None -> (

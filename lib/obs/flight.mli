@@ -1,8 +1,7 @@
 (** Flight recorder: last-N-events ring dumped on failure.
 
-    Part of the observability budget: a full trace of a fleet-scale
-    run is too large to keep, but the {e last} few thousand events are
-    exactly what a post-mortem needs. {!arm} installs a ring-limited
+    A full trace of a long run is large to keep, but the {e last} few
+    thousand events are exactly what a post-mortem needs. {!arm} installs a ring-limited
     {!Trace} into the ordinary per-domain tracer slot (a no-op when a
     real tracer is already installed), so every existing probe site
     feeds the ring at the usual cost. On an oracle or invariant
@@ -10,10 +9,10 @@
     Chrome JSON; {!last} retrieves it for writing to disk. The module
     itself performs no I/O, so library determinism is untouched. *)
 
-(** Arm the recorder on this domain with a ring of [limit] events
-    (default 4096). No-op when already armed or when a full tracer is
+(** Arm the recorder on this domain with a ring of the newest 4096
+    events. No-op when already armed or when a full tracer is
     installed. *)
-val arm : ?limit:int -> unit -> unit
+val arm : unit -> unit
 
 val armed : unit -> bool
 

@@ -5,7 +5,6 @@ let norm labels =
 
 type instrument =
   | Counter of { mutable c : int }
-  | Gauge of { mutable g : float }
   | Poll of { mutable f : unit -> float; cumulative : bool }
   | Hist of Stats.Histogram.t
 
@@ -23,59 +22,9 @@ type t = {
   tbl : (key, instrument) Hashtbl.t;
   mutable order : key list; (* registration order, newest first *)
   mutable sampling : sampling option;
-  (* Observability budget: at most [label_budget] distinct values per
-     (metric name, label key); later values fold into "other". The
-     admitted sets live here, keyed by (name, label key). *)
-  label_budget : int option;
-  label_values : (string * string, (string, unit) Hashtbl.t) Hashtbl.t;
 }
 
-let create ?label_budget () =
-  (match label_budget with
-  | Some k when k < 1 ->
-      invalid_arg "Metrics.create: label_budget must be >= 1"
-  | Some _ | None -> ());
-  {
-    tbl = Hashtbl.create 64;
-    order = [];
-    sampling = None;
-    label_budget;
-    label_values = Hashtbl.create 16;
-  }
-
-let label_budget t = t.label_budget
-
-(* The fold-over name every overflowing label value collapses to. *)
-let other = "other"
-
-(* Apply the label budget: the first [k] distinct values seen for a
-   (name, label key) pair are admitted — in registration order, so the
-   policy is deterministic for a deterministic workload — and every
-   later value is rewritten to [other]. Sets [folded] when a rewrite
-   happened (register_poll aggregates folded polls by summing). *)
-let fold_labels t name labels k folded =
-  List.map
-    (fun ((key, v) as pair) ->
-      if String.equal v other then pair
-      else
-        let seen =
-          match Hashtbl.find_opt t.label_values (name, key) with
-          | Some s -> s
-          | None ->
-              let s = Hashtbl.create 8 in
-              Hashtbl.replace t.label_values (name, key) s;
-              s
-        in
-        if Hashtbl.mem seen v then pair
-        else if Hashtbl.length seen < k then begin
-          Hashtbl.add seen v ();
-          pair
-        end
-        else begin
-          folded := true;
-          (key, other)
-        end)
-    labels
+let create () = { tbl = Hashtbl.create 64; order = []; sampling = None }
 
 (* The installed registry. A single mutable slot, exactly like
    Trace's: the disabled case is one load-and-compare per probe site.
@@ -126,11 +75,10 @@ let with_metrics t f =
 
 let kind_name = function
   | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
   | Poll _ -> "polled gauge"
   | Hist _ -> "histogram"
 
-let find_or_add_raw t name labels make =
+let find_or_add t name labels make =
   let key = (name, norm labels) in
   match Hashtbl.find_opt t.tbl key with
   | Some i -> i
@@ -139,15 +87,6 @@ let find_or_add_raw t name labels make =
       Hashtbl.replace t.tbl key i;
       t.order <- key :: t.order;
       i
-
-(* the no-budget case — every probe site with metrics on but no
-   budget configured — must not pay for folding *)
-let find_or_add t name labels make =
-  match t.label_budget with
-  | None -> find_or_add_raw t name labels make
-  | Some k ->
-      let folded = ref false in
-      find_or_add_raw t name (fold_labels t name labels k folded) make
 
 let clash name i want =
   invalid_arg
@@ -160,22 +99,6 @@ let incr ?(labels = []) ?(n = 1) name =
       match find_or_add t name labels (fun () -> Counter { c = 0 }) with
       | Counter c -> c.c <- c.c + n
       | i -> clash name i "counter")
-
-let set ?(labels = []) name v =
-  match current () with
-  | None -> ()
-  | Some t -> (
-      match find_or_add t name labels (fun () -> Gauge { g = 0.0 }) with
-      | Gauge g -> g.g <- v
-      | i -> clash name i "gauge")
-
-let add ?(labels = []) name v =
-  match current () with
-  | None -> ()
-  | Some t -> (
-      match find_or_add t name labels (fun () -> Gauge { g = 0.0 }) with
-      | Gauge g -> g.g <- g.g +. v
-      | i -> clash name i "gauge")
 
 let hist_of t name labels =
   match
@@ -193,23 +116,8 @@ let register_poll ?(labels = []) ?(cumulative = false) name f =
   match current () with
   | None -> ()
   | Some t -> (
-      let folded = ref false in
-      let labels =
-        match t.label_budget with
-        | None -> labels
-        | Some k -> fold_labels t name labels k folded
-      in
-      match
-        find_or_add_raw t name labels (fun () -> Poll { f; cumulative })
-      with
-      | Poll p ->
-          if !folded && p.f != f then begin
-            (* distinct sources folded onto one "other" series report
-               their sum, not whichever registered last *)
-            let prev = p.f in
-            p.f <- (fun () -> prev () +. f ())
-          end
-          else p.f <- f (* last registration wins *)
+      match find_or_add t name labels (fun () -> Poll { f; cumulative }) with
+      | Poll p -> p.f <- f (* last registration wins *)
       | i -> clash name i "polled gauge")
 
 (* ---- reading ---- *)
@@ -221,12 +129,10 @@ let counter_value t ?(labels = []) name =
 
 let gauge_value t ?(labels = []) name =
   match lookup t name labels with
-  | Some (Gauge g) -> g.g
   | Some (Poll p) -> p.f ()
   | _ -> 0.0
 
 let sorted_keys t = List.sort compare t.order
-let series_count t = List.length t.order
 
 (* every instrument under [name] that [pick] accepts, sorted by labels *)
 let instruments_with t name pick =
@@ -259,7 +165,7 @@ let start_sampling t ~origin ~interval =
       match Hashtbl.find_opt t.tbl key with
       | Some (Counter c) -> Hashtbl.replace baselines key (float_of_int c.c)
       | Some (Poll p) when p.cumulative -> Hashtbl.replace baselines key (p.f ())
-      | Some (Gauge _ | Poll _ | Hist _) | None -> ())
+      | Some (Poll _ | Hist _) | None -> ())
     t.order;
   t.sampling <- Some { origin; interval; baselines; series = Hashtbl.create 64 }
 
@@ -297,7 +203,6 @@ let sample t ~now =
         (fun key ->
           match Hashtbl.find_opt t.tbl key with
           | Some (Counter c) -> record key (delta key (float_of_int c.c))
-          | Some (Gauge g) -> record key g.g
           | Some (Poll p) ->
               let cur = p.f () in
               record key (if p.cumulative then delta key cur else cur)
@@ -360,11 +265,6 @@ let to_prometheus t =
           type_line name "counter";
           Buffer.add_string buf
             (Printf.sprintf "%s%s %d\n" name (prom_labels labels) c.c)
-      | Some (Gauge g) ->
-          type_line name "gauge";
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s %s\n" name (prom_labels labels)
-               (float_str g.g))
       | Some (Poll p) ->
           type_line name "gauge";
           Buffer.add_string buf
@@ -436,7 +336,6 @@ let report t =
     List.filter_map
       (fun ((name, labels) as key) ->
         match Hashtbl.find_opt t.tbl key with
-        | Some (Gauge g) -> Some [ series_id name labels; float_str g.g ]
         | Some (Poll p) -> Some [ series_id name labels; float_str (p.f ()) ]
         | _ -> None)
       keys

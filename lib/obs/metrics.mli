@@ -1,5 +1,5 @@
-(** Unified metrics registry: counters, gauges, polled gauges and
-    histograms, keyed by metric name plus sorted label pairs.
+(** Unified metrics registry: counters, polled gauges and histograms,
+    keyed by metric name plus sorted label pairs.
 
     Every simulation layer publishes its health here — the engine
     (events, queue depth), resources (busy time, queue length), the
@@ -30,22 +30,8 @@ type t
     matters. *)
 type labels = (string * string) list
 
-(** [create ()] makes an unbounded registry. [label_budget] caps the
-    registry's cardinality for fleet-scale runs: at most
-    [label_budget] distinct values are admitted per (metric name,
-    label key) — first come, first kept, which is deterministic for a
-    deterministic workload — and every later value folds into the
-    ["other"] aggregate. Counters and histograms folded together
-    accumulate naturally; polled gauges folded onto one ["other"]
-    series report their sum. *)
-val create : ?label_budget:int -> unit -> t
-
-(** The configured budget, if any. *)
-val label_budget : t -> int option
-
-(** Registered series (instrument) count — what the label budget
-    bounds. *)
-val series_count : t -> int
+(** [create ()] makes an empty registry. *)
+val create : unit -> t
 
 (** {1 Global slot} *)
 
@@ -68,12 +54,6 @@ val with_metrics : t -> (unit -> 'a) -> 'a
 (** Add [n] (default 1) to a counter. *)
 val incr : ?labels:labels -> ?n:int -> string -> unit
 
-(** Set a gauge to [v]. *)
-val set : ?labels:labels -> string -> float -> unit
-
-(** Add [v] (may be negative) to a gauge, creating it at zero. *)
-val add : ?labels:labels -> string -> float -> unit
-
 (** Record [v] into a histogram. *)
 val observe : ?labels:labels -> string -> float -> unit
 
@@ -90,7 +70,7 @@ val register_poll :
 (** Current value of a counter (0 when absent). *)
 val counter_value : t -> ?labels:labels -> string -> int
 
-(** Current value of a gauge or polled gauge (0 when absent; polls are
+(** Current value of a polled gauge (0 when absent; the poll is
     evaluated). *)
 val gauge_value : t -> ?labels:labels -> string -> float
 
@@ -123,7 +103,7 @@ val sampling_active : t -> bool
 
 (** Take one sample at absolute simulated time [now]. Counters and
     cumulative polls contribute their delta since the previous sample;
-    gauges and level polls contribute their current value. The sample
+    level polls contribute their current value. The sample
     is attributed to the middle of the interval that just ended (so a
     sample taken at the end of bin [k] lands in bin [k]). No-op when
     sampling has not started. *)
@@ -139,7 +119,7 @@ val series : t -> string -> (labels * Stats.Timeseries.t) list
     and all numbers are formatted with fixed conversions. *)
 
 (** Prometheus text exposition format: a point-in-time snapshot of all
-    counters, gauges (polls evaluated) and histograms (as summaries
+    counters, polled gauges (evaluated) and histograms (as summaries
     with p50/p90/p99 quantiles). *)
 val to_prometheus : t -> string
 
@@ -148,7 +128,7 @@ val to_prometheus : t -> string
     sampling never ran. *)
 val to_csv : t -> string
 
-(** Plain-text "flight report": counters, gauges and histogram
+(** Plain-text "flight report": counters, polled gauges and histogram
     summaries as tables. The histogram section lists every series,
     the RPC layer's per-procedure round-trip latencies included. *)
 val report : t -> string

@@ -17,30 +17,13 @@ type t = {
   mutable next_span : int;
   mutable count : int;
   mutable live : int; (* length of [events], for ring truncation *)
-  id_base : int;
-  sample_every : int;
   limit : int; (* 0 = unbounded; otherwise keep the newest [limit] *)
-  mutable next_op : int; (* operation ordinal, drives head sampling *)
 }
 
-let create ?(id_base = 0) ?(sample_every = 1) ?(limit = 0) () =
-  if id_base < 0 then invalid_arg "Trace.create: id_base must be >= 0";
-  if sample_every < 1 then
-    invalid_arg "Trace.create: sample_every must be >= 1";
+let create ?(limit = 0) () =
   if limit < 0 then invalid_arg "Trace.create: limit must be >= 0";
-  {
-    events = [];
-    next_span = id_base + 1;
-    count = 0;
-    live = 0;
-    id_base;
-    sample_every;
-    limit;
-    next_op = 0;
-  }
+  { events = []; next_span = 1; count = 0; live = 0; limit }
 
-let id_base t = t.id_base
-let sample_every t = t.sample_every
 let limit t = t.limit
 
 (* The installed tracer. A single mutable slot (rather than a tracer
@@ -107,21 +90,15 @@ let instant ?(track = "sim") ?(args = []) ~ts ~cat ~name () =
   | None -> ()
   | Some tr -> emit tr { ts; cat; name; kind = Instant; track; id = 0; args }
 
-(* Head-based sampling happens at mint time, on the operation ordinal:
-   an operation is either fully traced or fully dropped, so sampled
-   trees are always complete. 0 means "no tracer"; -1 means "sampled
-   out" (downstream probe sites must then skip emission). *)
-let mint_op tr =
-  let ordinal = tr.next_op in
-  tr.next_op <- ordinal + 1;
-  if tr.sample_every > 1 && ordinal mod tr.sample_every <> 0 then -1
-  else begin
-    let id = tr.next_span in
-    tr.next_span <- id + 1;
-    id
-  end
-
-let mint () = match current () with None -> 0 | Some tr -> mint_op tr
+(* An op id comes from the same counter as span ids, so the
+   operation's root span can carry it; 0 means "no tracer". *)
+let mint () =
+  match current () with
+  | None -> 0
+  | Some tr ->
+      let id = tr.next_span in
+      tr.next_span <- id + 1;
+      id
 
 type span =
   | No_span

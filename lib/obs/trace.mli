@@ -35,26 +35,11 @@ type event = {
 
 type t
 
-(** [create ()] makes an unbounded, unsampled tracer whose span ids
-    start at 1.
-
-    [id_base] offsets all allocated ids (spans and minted op ids), so
-    tracers running on separate campaign slots allocate from disjoint
-    ranges and merged traces never collide ({!Experiments.Campaign}).
-
-    [sample_every] enables head-based operation sampling: {!mint}
-    keeps one operation in every [sample_every] (by operation ordinal,
-    a deterministic per-tracer counter) and drops the rest. Sampling
-    is decided at the root, so a kept operation's whole tree is
-    recorded and a dropped one's is skipped entirely. The rate is
-    recorded in the Chrome export's [trace_config] metadata.
+(** [create ()] makes an unbounded tracer whose span ids start at 1.
 
     [limit] (0 = unbounded) turns the tracer into a flight-recorder
     ring holding the newest [limit] events — see {!Flight}. *)
-val create : ?id_base:int -> ?sample_every:int -> ?limit:int -> unit -> t
-
-val id_base : t -> int
-val sample_every : t -> int
+val create : ?limit:int -> unit -> t
 
 (** The ring bound given at {!create} (0 when unbounded). *)
 val limit : t -> int
@@ -81,8 +66,7 @@ val with_tracer : t -> (unit -> 'a) -> 'a
 
 (** Mint a fresh operation id from the installed tracer: the causal
     identity {!Causal} threads through RPCs and induced work. Returns
-    0 when no tracer is installed, -1 when the tracer's head sampling
-    dropped this operation, and a fresh positive id otherwise. *)
+    0 when no tracer is installed and a fresh positive id otherwise. *)
 val mint : unit -> int
 
 (** Point event. *)

@@ -9,7 +9,6 @@
 
 type config = {
   cache_blocks : int;
-  read_ahead : bool;
   retry_budget : float option;
       (** seconds of server outage to ride out per RPC before
           {!Netsim.Rpc.Server_unavailable}; [None] = classic timeout *)

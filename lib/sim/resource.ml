@@ -1,23 +1,20 @@
 type t = {
   engine : Engine.t;
   name : string;
-  capacity : int;
   mutable held : int;
   waiters : (unit -> unit) Queue.t;
   (* float array cells, not mutable float fields: in a mixed record
      every store to a mutable float field boxes, and these are written
      on every acquire/release/reserve on the hot RPC and disk paths *)
   busy : float array; (* [0] accumulated; [1] busy-since (held > 0) *)
-  reserved : float array; (* [0] reserved-until (reserve-mode, cap 1) *)
+  reserved : float array; (* [0] reserved-until (reserve mode) *)
 }
 
-let create engine ?(capacity = 1) name =
-  if capacity <= 0 then invalid_arg "Resource.create: capacity must be > 0";
+let create engine name =
   let t =
     {
       engine;
       name;
-      capacity;
       held = 0;
       waiters = Queue.create ();
       busy = [| 0.0; 0.0 |];
@@ -48,7 +45,7 @@ let note_released t =
   if t.held = 0 then t.busy.(0) <- t.busy.(0) +. (Engine.now t.engine -. t.busy.(1))
 
 let acquire t =
-  if t.held < t.capacity then note_acquired t
+  if t.held = 0 then note_acquired t
   else begin
     Engine.suspend t.engine (fun resume -> Queue.push resume t.waiters);
     note_acquired t
@@ -69,8 +66,6 @@ let use t dur =
       raise e
 
 let reserve t dur =
-  if t.capacity <> 1 then
-    invalid_arg "Resource.reserve: only capacity-1 resources";
   if dur < 0.0 then invalid_arg "Resource.reserve: negative duration";
   let now = Engine.now t.engine in
   let start = if t.reserved.(0) > now then t.reserved.(0) else now in

@@ -3,7 +3,6 @@ module Wire = Nfs.Wire
 
 type config = {
   cache_blocks : int;
-  read_ahead : bool;
   delayed_close : bool;
   delayed_close_timeout : float;
   retry_budget : float option;
@@ -12,7 +11,6 @@ type config = {
 let default_config =
   {
     cache_blocks = 4096;
-    read_ahead = true;
     delayed_close = false;
     delayed_close_timeout = 120.0;
     retry_budget = None;
@@ -365,7 +363,7 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "snfs")
     () =
   let core =
     Core.create policy rpc ~client ~server ~root ~name
-      ~cache_blocks:config.cache_blocks ~read_ahead:config.read_ahead
+      ~cache_blocks:config.cache_blocks
       ~retry_budget:config.retry_budget
   in
   let t = { core; config; next_unsent_id = 0; last_epoch = None } in

@@ -22,7 +22,6 @@
 
 type config = {
   cache_blocks : int;
-  read_ahead : bool;
   delayed_close : bool;  (** Section 6.2 extension; off in the paper *)
   delayed_close_timeout : float;
       (** spontaneous close after this much idle time *)

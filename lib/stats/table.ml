@@ -1,14 +1,11 @@
-type align = Left | Right
-
-let pad align width s =
+(* the first column is left-aligned, the rest right-aligned *)
+let pad i width s =
   let n = width - String.length s in
   if n <= 0 then s
-  else
-    match align with
-    | Left -> s ^ String.make n ' '
-    | Right -> String.make n ' ' ^ s
+  else if i = 0 then s ^ String.make n ' '
+  else String.make n ' ' ^ s
 
-let render ?aligns ~header rows =
+let render ~header rows =
   let ncols = List.length header in
   List.iteri
     (fun i row ->
@@ -17,14 +14,6 @@ let render ?aligns ~header rows =
           (Printf.sprintf "Table.render: row %d has %d cells, expected %d" i
              (List.length row) ncols))
     rows;
-  let aligns =
-    match aligns with
-    | Some a ->
-        if List.length a <> ncols then
-          invalid_arg "Table.render: aligns arity mismatch";
-        a
-    | None -> List.mapi (fun i _ -> if i = 0 then Left else Right) header
-  in
   let widths = Array.make ncols 0 in
   let measure row =
     List.iteri (fun i s -> widths.(i) <- max widths.(i) (String.length s)) row
@@ -32,7 +21,7 @@ let render ?aligns ~header rows =
   measure header;
   List.iter measure rows;
   let line row =
-    List.mapi (fun i s -> pad (List.nth aligns i) widths.(i) s) row
+    List.mapi (fun i s -> pad i widths.(i) s) row
     |> String.concat "  "
   in
   let sep =

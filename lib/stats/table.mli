@@ -1,12 +1,9 @@
 (** Plain-text table rendering for the experiment reports. *)
 
-type align = Left | Right
-
 (** [render ~header rows] lays the table out with padded columns.
-    All rows must have the same arity as the header. Columns default to
-    right-aligned except the first, which is left-aligned; override
-    with [aligns]. *)
-val render : ?aligns:align list -> header:string list -> string list list -> string
+    All rows must have the same arity as the header. The first column
+    is left-aligned, the rest right-aligned. *)
+val render : header:string list -> string list list -> string
 
 (** [render_series ~columns rows] prints a compact aligned numeric
     listing; used for figure (time-series) output. *)

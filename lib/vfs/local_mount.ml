@@ -1,9 +1,9 @@
-let make ?(write_policy = `Delayed) lfs =
+let make lfs =
   let rec fs =
     lazy
       {
         Fs.fs_name = Localfs.name lfs;
-        block_size = Localfs.block_size lfs;
+        block_size = Localfs.block_size;
         root = (fun () -> vn (Localfs.root lfs));
         lookup = (fun ~dir name -> vn (Localfs.lookup lfs ~dir:dir.Fs.vid name));
         create = (fun ~dir name -> vn (Localfs.create_file lfs ~dir:dir.Fs.vid name));
@@ -22,7 +22,7 @@ let make ?(write_policy = `Delayed) lfs =
         read_block = (fun v ~index -> Localfs.read_block lfs v.Fs.vid ~index);
         write_block =
           (fun v ~index ~stamp ~len ->
-            Localfs.write_block lfs v.Fs.vid ~index ~stamp ~len write_policy);
+            Localfs.write_block lfs v.Fs.vid ~index ~stamp ~len `Delayed);
         fsync = (fun v -> Localfs.fsync lfs v.Fs.vid);
       }
   and vn vid = { Fs.fs = Lazy.force fs; vid } in

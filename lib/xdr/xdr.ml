@@ -149,10 +149,9 @@ module Enc = struct
 
   (* Causal-context field: the inducing operation's trace id, carried
      in callback payloads so induced work on another host can name the
-     operation that caused it. Ids are per-campaign-slot offset and may
-     exceed 32 bits, hence hyper. Non-positive contexts (none, or
-     sampled out) marshal as 0. *)
-  let ctx e c = hyper e (Int64.of_int (if c > 0 then c else 0))
+     operation that caused it: 0 for none, else the op id, as a hyper
+     (the field's fixed wire width). *)
+  let ctx e c = hyper e (Int64.of_int c)
 end
 
 module Dec = struct

@@ -72,8 +72,7 @@ module Enc : sig
   val option : t -> ('a -> unit) -> 'a option -> unit
 
   (** Causal-context field (see {!Obs.Causal}): the inducing
-      operation's trace id as a hyper; non-positive contexts marshal
-      as 0 ("no context"). *)
+      operation's trace id as a hyper, 0 for "no context". *)
   val ctx : t -> int -> unit
 end
 

@@ -300,7 +300,7 @@ let test_gnode_lookup () =
       cluster.Experiments.Cluster.rpc
       ~client:(Netsim.Net.Host.create cluster.Experiments.Cluster.net "client")
       ~server:server.Experiments.Stack.host ~root:server.Experiments.Stack.root
-      ~name:"alloc" ~cache_blocks:16 ~read_ahead:false ~retry_budget:None
+      ~name:"alloc" ~cache_blocks:16 ~retry_budget:None
   in
   let unused _ = assert false in
   Nfs.Client_core.attach core ~getattr:unused

@@ -876,10 +876,10 @@ let test_hot_alloc_seeded () =
        ^ "let wrap x = Some x\n");
     ];
   (* the causal-context fast path is hot by name, no marker needed:
-     a boxed rewrite of Causal.keep must be caught even after the
+     a boxed rewrite of Causal.live must be caught even after the
      marker comments are stripped *)
   check_fires "causal fast path is allowlisted by name" "hot-alloc"
-    [ input "lib/obs/causal.ml" "let keep c = Some c <> None\n" ];
+    [ input "lib/obs/causal.ml" "let live c = Some c <> None\n" ];
   check_fires "trace mint is allowlisted by name" "hot-alloc"
     [ input "lib/obs/trace.ml" "let mint () = Some 1\n" ];
   check_quiet "unlisted causal helpers are not hot" "hot-alloc"

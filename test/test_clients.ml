@@ -33,13 +33,13 @@ let make_world e =
   in
   { engine = e; net; rpc; server_host; server_fs }
 
-let nfs_world ?config e =
+let nfs_world e =
   let w = make_world e in
   let server = Nfs.Nfs_server.serve w.rpc w.server_host ~fsid:1 w.server_fs in
   let host = Netsim.Net.Host.create w.net "c" in
   let client =
     Nfs.Nfs_client.mount w.rpc ~client:host ~server:w.server_host
-      ~root:(Nfs.Nfs_server.root_fh server) ?config ()
+      ~root:(Nfs.Nfs_server.root_fh server) ()
   in
   let m = Vfs.Mount.create () in
   Vfs.Mount.mount m ~at:"/" (Nfs.Nfs_client.fs client);
@@ -169,19 +169,6 @@ let test_nfs_readahead () =
         (count server "read" - before);
       Vfs.Fileio.close fd)
 
-let test_nfs_no_readahead_config () =
-  run_sim (fun e ->
-      let config = { Nfs.Nfs_client.default_config with read_ahead = false } in
-      let _, server, _, m = nfs_world ~config e in
-      Vfs.Fileio.write_file m "/big" ~bytes:(8 * 4096);
-      Sim.Engine.sleep e 1.0;
-      let fd = Vfs.Fileio.openf m "/big" Vfs.Fs.Read_only in
-      let before = count server "read" in
-      ignore (Vfs.Fileio.read fd ~len:4096);
-      Sim.Engine.sleep e 1.0;
-      Alcotest.(check int) "exactly one read" 1 (count server "read" - before);
-      Vfs.Fileio.close fd)
-
 (* ---- SNFS client ---- *)
 
 let test_snfs_no_attribute_probes () =
@@ -301,7 +288,6 @@ let () =
           Alcotest.test_case "own writes don't invalidate" `Quick
             test_nfs_own_writes_do_not_invalidate;
           Alcotest.test_case "read-ahead" `Quick test_nfs_readahead;
-          Alcotest.test_case "read-ahead off" `Quick test_nfs_no_readahead_config;
         ] );
       ( "snfs client",
         [

@@ -294,7 +294,7 @@ let test_retry_budget_surfaces_server_unavailable () =
       (* outage longer than the budget: typed failure, not Timeout *)
       Netsim.Net.Host.crash server;
       let t0 = Sim.Engine.now e in
-      (match echo ~budget:(Netsim.Rpc.budget 20.0) 5 with
+      (match echo ~budget:20.0 5 with
       | _ -> Alcotest.fail "call must not succeed against a dead server"
       | exception Netsim.Rpc.Server_unavailable { prog; proc; waited } ->
           Alcotest.(check string) "prog" "echo" prog;
@@ -310,7 +310,43 @@ let test_retry_budget_surfaces_server_unavailable () =
           Sim.Engine.sleep e 5.0;
           Netsim.Net.Host.reboot server);
       Alcotest.(check int) "budgeted call survives the reboot" 8
-        (echo ~budget:(Netsim.Rpc.budget 60.0) 7))
+        (echo ~budget:60.0 7))
+
+(* a retry budget is checked where the client config enters: mounting
+   refuses a budget that is not positive, whatever the protocol *)
+let test_retry_budget_validated_at_mount () =
+  let e = Sim.Engine.create () in
+  let w = make_world e in
+  let root = Snfs.Snfs_server.root_fh w.snfs_server in
+  let refused =
+    Invalid_argument "Client_core.create: retry_budget must be positive"
+  in
+  List.iteri
+    (fun i budget ->
+      let retry_budget = Some budget in
+      let host kind =
+        Netsim.Net.Host.create w.net (Printf.sprintf "%s%d" kind i)
+      in
+      Alcotest.check_raises "SNFS mount refuses" refused (fun () ->
+          ignore
+            (Snfs.Snfs_client.mount w.rpc ~client:(host "s")
+               ~server:w.server_host ~root
+               ~config:{ Snfs.Snfs_client.default_config with retry_budget }
+               ()));
+      Alcotest.check_raises "NFS mount refuses" refused (fun () ->
+          ignore
+            (Nfs.Nfs_client.mount w.rpc ~client:(host "n")
+               ~server:w.server_host ~root
+               ~config:{ Nfs.Nfs_client.default_config with retry_budget }
+               ())))
+    [ 0.0; -1.0 ];
+  (* a positive budget mounts *)
+  ignore
+    (Snfs.Snfs_client.mount w.rpc
+       ~client:(Netsim.Net.Host.create w.net "ok")
+       ~server:w.server_host ~root
+       ~config:{ Snfs.Snfs_client.default_config with retry_budget = Some 0.5 }
+       ())
 
 let test_grace_rejects_unrecovered_clients () =
   (* after a reboot with recovery_grace, an open from a client that has
@@ -389,6 +425,8 @@ let () =
         [
           Alcotest.test_case "server unavailable surfaced" `Quick
             test_retry_budget_surfaces_server_unavailable;
+          Alcotest.test_case "non-positive budget refused at mount" `Quick
+            test_retry_budget_validated_at_mount;
         ] );
       ( "recovery grace",
         [

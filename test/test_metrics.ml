@@ -18,7 +18,6 @@ let test_disabled_is_silent () =
   Alcotest.(check bool) "off" false (Obs.Metrics.on ());
   (* all emitters are no-ops without a registry *)
   Obs.Metrics.incr "c";
-  Obs.Metrics.set "g" 1.0;
   Obs.Metrics.observe "h" 1.0;
   Obs.Metrics.register_poll "p" (fun () -> 1.0);
   Alcotest.(check bool) "still off" false (Obs.Metrics.on ())
@@ -42,28 +41,32 @@ let test_counters_and_labels () =
 let test_gauges_and_polls () =
   let m = Obs.Metrics.create () in
   Obs.Metrics.with_metrics m (fun () ->
-      Obs.Metrics.set "depth" 3.0;
-      Obs.Metrics.add "depth" 2.0;
-      Obs.Metrics.add "balance" (-1.5);
       let level = ref 7.0 in
       Obs.Metrics.register_poll "polled" (fun () -> !level);
       (* last registration wins *)
       Obs.Metrics.register_poll "polled" (fun () -> !level +. 1.0);
+      Obs.Metrics.register_poll "depth" ~labels:[ ("q", "a") ] (fun () -> 3.0);
+      Obs.Metrics.register_poll "depth" ~labels:[ ("q", "b") ] (fun () -> -1.5);
       level := 10.0);
-  Alcotest.(check (float 1e-9)) "set+add" 5.0 (Obs.Metrics.gauge_value m "depth");
-  Alcotest.(check (float 1e-9))
-    "add from zero" (-1.5)
-    (Obs.Metrics.gauge_value m "balance");
   Alcotest.(check (float 1e-9))
     "poll evaluated late" 11.0
-    (Obs.Metrics.gauge_value m "polled")
+    (Obs.Metrics.gauge_value m "polled");
+  Alcotest.(check (float 1e-9))
+    "labelled poll" 3.0
+    (Obs.Metrics.gauge_value m "depth" ~labels:[ ("q", "a") ]);
+  Alcotest.(check (float 1e-9))
+    "sibling label set" (-1.5)
+    (Obs.Metrics.gauge_value m "depth" ~labels:[ ("q", "b") ]);
+  Alcotest.(check (float 1e-9))
+    "absent" 0.0
+    (Obs.Metrics.gauge_value m "depth")
 
 let test_kind_clash_rejected () =
   let m = Obs.Metrics.create () in
   Obs.Metrics.with_metrics m (fun () ->
       Obs.Metrics.incr "x";
-      Alcotest.(check bool) "counter then gauge" true
-        (match Obs.Metrics.set "x" 1.0 with
+      Alcotest.(check bool) "counter then polled gauge" true
+        (match Obs.Metrics.register_poll "x" (fun () -> 1.0) with
         | () -> false
         | exception Invalid_argument _ -> true);
       Alcotest.(check bool) "counter then histogram" true
@@ -76,18 +79,20 @@ let test_kind_clash_rejected () =
 let test_sampling_deltas_and_levels () =
   let m = Obs.Metrics.create () in
   let level = ref 2.0 in
+  let temp = ref 0.0 in
   let busy = ref 0.0 in
   Obs.Metrics.with_metrics m (fun () ->
       Obs.Metrics.register_poll "queue" (fun () -> !level);
+      Obs.Metrics.register_poll "temp" (fun () -> !temp);
       Obs.Metrics.register_poll "busy" ~cumulative:true (fun () -> !busy);
       Obs.Metrics.start_sampling m ~origin:0.0 ~interval:10.0;
       Alcotest.(check bool) "active" true (Obs.Metrics.sampling_active m);
       Obs.Metrics.incr "ops" ~n:3;
-      Obs.Metrics.set "temp" 40.0;
+      temp := 40.0;
       busy := 4.0;
       Obs.Metrics.sample m ~now:10.0;
       Obs.Metrics.incr "ops" ~n:2;
-      Obs.Metrics.set "temp" 60.0;
+      temp := 60.0;
       level := 5.0;
       busy := 9.0;
       Obs.Metrics.sample m ~now:20.0);
@@ -103,8 +108,8 @@ let test_sampling_deltas_and_levels () =
   Alcotest.(check (float 1e-9)) "counter delta bin1" 2.0 (bin "ops" 1);
   Alcotest.(check (float 1e-9)) "cumulative poll delta bin0" 4.0 (bin "busy" 0);
   Alcotest.(check (float 1e-9)) "cumulative poll delta bin1" 5.0 (bin "busy" 1);
-  Alcotest.(check (float 1e-9)) "gauge level bin0" 40.0 (bin "temp" 0);
-  Alcotest.(check (float 1e-9)) "gauge level bin1" 60.0 (bin "temp" 1);
+  Alcotest.(check (float 1e-9)) "level poll set late bin0" 40.0 (bin "temp" 0);
+  Alcotest.(check (float 1e-9)) "level poll set late bin1" 60.0 (bin "temp" 1);
   Alcotest.(check (float 1e-9)) "level poll bin0" 2.0 (bin "queue" 0);
   Alcotest.(check (float 1e-9)) "level poll bin1" 5.0 (bin "queue" 1)
 
@@ -115,13 +120,15 @@ let test_prometheus_shape () =
   Obs.Metrics.with_metrics m (fun () ->
       Obs.Metrics.incr "zeta_total" ~labels:[ ("host", "c1") ];
       Obs.Metrics.incr "alpha_total" ~n:2;
-      Obs.Metrics.set "queue_depth" 3.0;
+      Obs.Metrics.register_poll "queue_depth" (fun () -> 3.0);
       List.iter (Obs.Metrics.observe "latency_seconds") [ 0.25; 0.75 ]);
   let p = Obs.Metrics.to_prometheus m in
   Alcotest.(check bool) "counter type line" true
     (contains p "# TYPE alpha_total counter");
   Alcotest.(check bool) "gauge type line" true
     (contains p "# TYPE queue_depth gauge");
+  Alcotest.(check bool) "polled gauge value" true
+    (contains p "queue_depth 3\n");
   Alcotest.(check bool) "summary type line" true
     (contains p "# TYPE latency_seconds summary");
   Alcotest.(check bool) "quoted labels" true

@@ -554,21 +554,6 @@ let test_resource_queueing () =
       (* resource was busy the whole 3 seconds *)
       Alcotest.(check (float 1e-9)) "busy" 3.0 (Sim.Resource.busy_time r))
 
-let test_resource_capacity_2 () =
-  run_sim (fun e ->
-      let r = Sim.Resource.create e ~capacity:2 "pair" in
-      let completion = ref [] in
-      for i = 1 to 4 do
-        Sim.Engine.spawn e (fun () ->
-            Sim.Resource.use r 1.0;
-            completion := (i, Sim.Engine.now e) :: !completion)
-      done;
-      Sim.Engine.sleep e 10.0;
-      Alcotest.(check (list (pair int (float 1e-9))))
-        "two at a time"
-        [ (1, 1.0); (2, 1.0); (3, 2.0); (4, 2.0) ]
-        (List.rev !completion))
-
 (* ---- waitgroup ---- *)
 
 let test_waitgroup_joins () =
@@ -790,7 +775,6 @@ let () =
         [
           Alcotest.test_case "busy time" `Quick test_resource_busy_time;
           Alcotest.test_case "queueing" `Quick test_resource_queueing;
-          Alcotest.test_case "capacity 2" `Quick test_resource_capacity_2;
         ] );
       ( "waitgroup",
         [

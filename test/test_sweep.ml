@@ -50,8 +50,9 @@ let campaign_subset () =
 
 let test_parallel_campaign_byte_identical () =
   let configs = campaign_subset () in
-  let seq = Campaign.run ~jobs:1 ~observe:true configs in
-  let par = Campaign.run ~jobs:2 ~observe:true configs in
+  let run_all ~jobs = Sweep.map ~jobs ~f:(Campaign.run_one ~observe:true) configs in
+  let seq = run_all ~jobs:1 in
+  let par = run_all ~jobs:2 in
   Alcotest.(check int) "same count" (List.length seq) (List.length par);
   List.iter2
     (fun (s : Campaign.run) (p : Campaign.run) ->
@@ -83,42 +84,6 @@ let test_parallel_campaign_byte_identical () =
         true
         (String.length r.Campaign.trace_json > 0))
     seq
-
-(* Satellite of the causal-tracing PR: each campaign slot's tracer
-   allocates span ids from its own [id_base] range, so ids stay unique
-   when per-slot traces are merged into one timeline. *)
-let test_slot_span_ids_disjoint () =
-  let runs = Campaign.run ~jobs:2 ~observe:true (campaign_subset ()) in
-  let ids_of (r : Campaign.run) =
-    match Obs.Json.parse r.Campaign.trace_json with
-    | exception Obs.Json.Error msg ->
-        Alcotest.failf "%s: bad trace JSON: %s" r.Campaign.name msg
-    | json -> (
-        match Obs.Json.member "traceEvents" json with
-        | Some (Obs.Json.Arr entries) ->
-            List.filter_map
-              (fun e ->
-                match Obs.Json.str_member "ph" e with
-                | Some "b" -> Obs.Json.num_member "id" e
-                | _ -> None)
-              entries
-        | _ -> Alcotest.failf "%s: no traceEvents" r.Campaign.name)
-  in
-  let seen = Hashtbl.create 4096 in
-  List.iter
-    (fun (r : Campaign.run) ->
-      let ids = List.sort_uniq compare (ids_of r) in
-      Alcotest.(check bool) (r.Campaign.name ^ " has spans") true (ids <> []);
-      List.iter
-        (fun id ->
-          (match Hashtbl.find_opt seen id with
-          | Some owner ->
-              Alcotest.failf "span id %.0f used by both %s and %s" id owner
-                r.Campaign.name
-          | None -> ());
-          Hashtbl.replace seen id r.Campaign.name)
-        ids)
-    runs
 
 let test_dls_slots_are_per_domain () =
   (* installing a registry here must be invisible inside another
@@ -174,8 +139,6 @@ let () =
         [
           Alcotest.test_case "2-domain campaign byte-identical" `Slow
             test_parallel_campaign_byte_identical;
-          Alcotest.test_case "per-slot span ids disjoint" `Slow
-            test_slot_span_ids_disjoint;
         ] );
       ( "per-domain slots",
         [
