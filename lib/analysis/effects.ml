@@ -25,9 +25,7 @@ let blocking_suffixes =
     [ "Engine"; "sleep" ];
     [ "Engine"; "suspend" ];
     [ "Ivar"; "read" ];
-    [ "Resource"; "acquire" ];
     [ "Resource"; "use" ];
-    [ "Semaphore"; "acquire" ];
     [ "Semaphore"; "with_unit" ];
     [ "Waitgroup"; "wait" ];
     [ "Rpc"; "call" ];

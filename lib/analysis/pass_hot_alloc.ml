@@ -48,7 +48,8 @@ let builtin_allowlist =
     ("lib/sim/inttbl.ml", [ "index"; "slot"; "find"; "replace"; "remove" ]);
     ( "lib/blockcache/cache.ml",
       [ "lru_unlink"; "lru_append"; "touch"; "key"; "find" ] );
-    ("lib/netsim/rpc.ml", [ "note_duplicate"; "handle_request" ]);
+    ( "lib/netsim/rpc.ml",
+      [ "note_duplicate"; "handle_request"; "dispatch"; "work" ] );
     ("lib/netsim/drc.ml", [ "admit"; "arrive"; "reply"; "publish" ]);
     ( "lib/xdr/xdr.ml",
       [

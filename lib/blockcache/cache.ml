@@ -537,20 +537,34 @@ let cancel_dirty t ~file =
 
 (* Flush a batch four at a time, like the pool of biod-style write-back
    daemons real clients ran; a serial flusher could not keep up with a
-   busy application. *)
+   busy application. The batch list is the queue: [min 4 n] flushers
+   each take its next block until it is empty, so a block waiting its
+   turn costs a list cell, not a process. A flusher takes its next
+   block where its write-back ends, where a 4-unit pool's release would
+   resume the next of one process per block, so the blocks are written
+   in list order at the same instants. A block's [done_] comes before
+   its successor starts, and the count cannot reach zero while a
+   successor is pending. *)
 let flush_batch t victims =
   match victims with
   | [] -> ()
   | victims ->
-      let pool = Sim.Semaphore.create t.engine 4 in
       let wg = Sim.Waitgroup.create t.engine in
-      Sim.Waitgroup.add wg ~n:(List.length victims) ();
-      List.iter
-        (fun b ->
-          Sim.Engine.spawn t.engine ~name:t.flusher_name (fun () ->
-              Sim.Semaphore.with_unit pool (fun () -> do_writeback t b);
-              Sim.Waitgroup.done_ wg))
-        victims;
+      let n = List.length victims in
+      Sim.Waitgroup.add wg ~n ();
+      let batch = ref victims in
+      let rec flusher () =
+        match !batch with
+        | [] -> ()
+        | b :: rest ->
+            batch := rest;
+            do_writeback t b;
+            Sim.Waitgroup.done_ wg;
+            flusher ()
+      in
+      for _ = 1 to Int.min 4 n do
+        Sim.Engine.spawn t.engine ~name:t.flusher_name flusher
+      done;
       Sim.Waitgroup.wait wg
 
 (* Each tick writes back the blocks dirty for at least [min_age], in

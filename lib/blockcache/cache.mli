@@ -116,7 +116,12 @@ val holds_file : t -> file:int -> bool
 (** Start the periodic syncer (the simulated [/etc/update]): every
     [interval] seconds, write back all blocks that have been dirty for
     at least [min_age] seconds (default 0: flush everything, the
-    traditional Unix policy). Call at most once. *)
+    traditional Unix policy), in (file, index) order. A tick's batch is
+    written by at most 4 flusher processes at once, like a client's
+    biod daemons: each takes the next block of the batch when its
+    previous write-back is done, so the blocks waiting their turn sit
+    in the batch list, not in processes of their own. The syncer waits
+    for the whole batch before it sleeps again. Call at most once. *)
 val start_syncer : t -> ?min_age:float -> interval:float -> unit -> unit
 
 (** {2 Statistics}

@@ -34,8 +34,8 @@ type reply = { data : bytes; bulk : int }
    negative bulk *)
 let pending = { data = Bytes.empty; bulk = -1 }
 
-(* a returned call's reply: the record may outlive the call in a timer
-   or a retransmission still in flight, the reply's data need not *)
+(* a returned call's reply: its [caller] record may outlive the call in
+   the retransmission timer, the reply's data need not *)
 let returned = { data = Bytes.empty; bulk = -2 }
 
 (* [ctx] is the causal context of the client operation this request
@@ -57,12 +57,25 @@ type proc_info = {
   count : int ref; (* this proc's cell in the service's [counts] *)
 }
 
+(* A served program. Its [threads] threads are its one bound: a request
+   the DRC lets through runs at once on an idle thread, or waits in
+   [backlog] for a thread that finishes, which takes it up in the same
+   process. So a waiting request costs a ring slot, not a process. *)
 type service = {
   prog : string;
   host : Net.Host.t;
   config : config; (* the transport's: server CPU charges *)
   mutable handler : handler;
-  pool : Sim.Semaphore.t;
+  mutable idle : int; (* threads executing nothing *)
+  (* requests waiting for a thread, in arrival order: a ring of
+     [waiting] calls from [head], with each one's first arrival beside
+     it, unboxed, for the trace's [queued]. A slot a thread takes is
+     reset to [vacant], so the ring keeps no call alive. *)
+  mutable backlog : call array;
+  mutable arrivals : float array;
+  mutable head : int;
+  mutable waiting : int;
+  vacant : call;
   drc : reply Drc.t;
   (* in registration order; a protocol has a few dozen procedures, so
      a scan by string equality beats hashing the name *)
@@ -70,6 +83,34 @@ type service = {
   counts : Stats.Counter.t;
   mutable on_restart : (unit -> unit) option;
   mutable epoch_seen : int;
+}
+
+(* One call's state, from its first transmission to its return: what
+   the request carries, where it goes, and what its caller waits for.
+   The request delivery, the reply delivery and the server's execution
+   are small closures over this record. *)
+and call = {
+  src : Net.Host.t;
+  dst : Net.Host.t;
+  svc : service option; (* None: no such program at [dst] *)
+  info : proc_info;
+  ctx : Obs.Causal.t;
+  xid : int;
+  proc : string;
+  args : bytes;
+  bulk : int;
+  caller : caller;
+}
+
+(* What the waiting caller needs, apart from the request: the
+   retransmission timer reaches only this, so a call that has returned
+   does not keep its record and [args] alive in a timer that will do
+   nothing. [args] itself stays with the record: a retransmission still
+   in flight may execute again after a reboot. *)
+and caller = {
+  mutable reply : reply; (* [pending] until one lands *)
+  mutable resume : unit -> unit; (* the waiting caller's *)
+  mutable round : int; (* the round whose timer is live; -1: none *)
 }
 
 type t = {
@@ -107,6 +148,24 @@ let create net ?(config = default_config) () =
 let net t = t.net
 let config t = t.config
 
+(* a call to a program [dst] does not serve: its requests go nowhere *)
+let unserved proc = { proc; pname = ""; count = ref 0 }
+
+(* the call in no backlog slot *)
+let vacant host =
+  {
+    src = host;
+    dst = host;
+    svc = None;
+    info = unserved "";
+    ctx = Obs.Causal.none;
+    xid = -1;
+    proc = "";
+    args = Bytes.empty;
+    bulk = 0;
+    caller = { reply = pending; resume = ignore; round = -1 };
+  }
+
 let serve t host ~prog ~threads handler =
   let key = (Net.Host.addr host, prog) in
   match Hashtbl.find_opt t.services key with
@@ -120,7 +179,12 @@ let serve t host ~prog ~threads handler =
           host;
           config = t.config;
           handler;
-          pool = Sim.Semaphore.create (Net.engine t.net) threads;
+          idle = threads;
+          backlog = [||];
+          arrivals = [||];
+          head = 0;
+          waiting = 0;
+          vacant = vacant host;
           drc = Drc.create ~pending;
           procs = [||];
           counts = Stats.Counter.create ();
@@ -185,45 +249,27 @@ let note_duplicate svc ~trace_name ~pname ~xid =
       ~args:[ ("proc", Obs.Trace.Str pname); ("xid", Obs.Trace.Int xid) ]
       ()
 
-(* One call's state, from its first transmission to its return: what
-   the request carries, where it goes, and what its caller waits for.
-   The request delivery, the reply delivery, the retransmission timer
-   and the server's execution are small closures over this record. *)
-type call = {
-  src : Net.Host.t;
-  dst : Net.Host.t;
-  svc : service option; (* None: no such program at [dst] *)
-  info : proc_info;
-  ctx : Obs.Causal.t;
-  xid : int;
-  proc : string;
-  args : bytes;
-  bulk : int;
-  mutable reply : reply; (* [pending] until one lands *)
-  mutable resume : unit -> unit; (* the waiting caller's *)
-  mutable round : int; (* the round whose timer is live; -1: none *)
-}
-
 (* Wake the caller if it still waits: a timer or a reply, whichever
    comes first, ends the round. *)
-let wake c =
-  if c.round >= 0 then begin
-    c.round <- -1;
-    c.resume ()
+let wake w =
+  if w.round >= 0 then begin
+    w.round <- -1;
+    w.resume ()
   end
 
 (* Runs on the client when a reply message arrives. The first reply of
    the call lands, later ones (to retransmissions) are ignored. *)
 let land_reply c reply =
-  if c.reply == pending then begin
+  let w = c.caller in
+  if w.reply == pending then begin
     if Obs.Trace.on () then
       Obs.Trace.instant
         ~ts:(Sim.Engine.now (Net.Host.engine c.src))
         ~cat:"rpc" ~name:"reply" ~track:(Net.Host.name c.src)
         ~args:[ ("xid", Obs.Trace.Int c.xid) ]
         ();
-    c.reply <- reply;
-    wake c
+    w.reply <- reply;
+    wake w
   end
 
 (* sends a reply back along the path of this call's request *)
@@ -232,60 +278,112 @@ let reply_to c reply =
     ~bytes:(Bytes.length reply.data + reply.bulk)
     ~deliver:(fun () -> land_reply c reply)
 
-(* The server's execution of a request, in its own process. It is
-   spawned at the request's arrival, so the clock it starts at is the
-   arrival time. *)
-let execute svc c =
-  let traced = Obs.Trace.on () in
-  let arrival = if traced then server_now svc else 0.0 in
-  Sim.Semaphore.acquire svc.pool;
-  match
-    let count = c.info.count in
-    count := !count + 1;
-    (* same site as the legacy Stats.Counter path, so the registry and
-       the counter tables can never disagree *)
-    if Obs.Metrics.on () then
-      Obs.Metrics.incr
-        ~labels:
-          [
-            ("host", Net.Host.name svc.host);
-            ("prog", svc.prog);
-            ("proc", c.proc);
-          ]
-        "rpc_server_calls_total";
-    let sp =
-      if traced then
-        (* [queued] = dispatch-to-thread wait, so the analyzer can split
-           server queueing from server compute *)
-        Obs.Trace.span ~ts:(server_now svc) ~cat:"rpc"
-          ~name:("exec " ^ svc.prog ^ "." ^ c.proc)
-          ~track:(Net.Host.name svc.host)
-          ~args:
-            (Obs.Causal.arg c.ctx
-               [
-                 ("xid", Obs.Trace.Int c.xid);
-                 ("queued", Obs.Trace.Float (server_now svc -. arrival));
-               ])
-          ()
-      else Obs.Trace.none
-    in
-    Net.Host.use_cpu svc.host
-      (svc.config.server_cpu_per_call
-      +. payload_cpu svc.config (Bytes.length c.args + c.bulk));
-    let reply =
-      svc.handler ~caller:c.src ~ctx:c.ctx ~proc:c.proc
-        (Xdr.Dec.of_bytes c.args)
-    in
-    Net.Host.use_cpu svc.host
-      (payload_cpu svc.config (Bytes.length reply.data + reply.bulk));
-    Obs.Trace.finish ~ts:(server_now svc) sp;
-    Drc.publish svc.drc c.xid reply;
-    reply_to c reply
-  with
-  | () -> Sim.Semaphore.release svc.pool
+(* The server's execution of a request on one of its threads, after
+   [queued] seconds in the backlog (0 unless traced). *)
+let execute svc c queued =
+  let count = c.info.count in
+  count := !count + 1;
+  (* same site as the legacy Stats.Counter path, so the registry and
+     the counter tables can never disagree *)
+  if Obs.Metrics.on () then
+    Obs.Metrics.incr
+      ~labels:
+        [
+          ("host", Net.Host.name svc.host);
+          ("prog", svc.prog);
+          ("proc", c.proc);
+        ]
+      "rpc_server_calls_total";
+  let sp =
+    if Obs.Trace.on () then
+      (* [queued] = arrival-to-thread wait, so the analyzer can split
+         server queueing from server compute *)
+      Obs.Trace.span ~ts:(server_now svc) ~cat:"rpc"
+        ~name:("exec " ^ svc.prog ^ "." ^ c.proc)
+        ~track:(Net.Host.name svc.host)
+        ~args:
+          (Obs.Causal.arg c.ctx
+             [
+               ("xid", Obs.Trace.Int c.xid);
+               ("queued", Obs.Trace.Float queued);
+             ])
+        ()
+    else Obs.Trace.none
+  in
+  Net.Host.use_cpu svc.host
+    (svc.config.server_cpu_per_call
+    +. payload_cpu svc.config (Bytes.length c.args + c.bulk));
+  let reply =
+    svc.handler ~caller:c.src ~ctx:c.ctx ~proc:c.proc (Xdr.Dec.of_bytes c.args)
+  in
+  Net.Host.use_cpu svc.host
+    (payload_cpu svc.config (Bytes.length reply.data + reply.bulk));
+  Obs.Trace.finish ~ts:(server_now svc) sp;
+  Drc.publish svc.drc c.xid reply;
+  reply_to c reply
+
+(* A thread: it executes its request, then each request waiting in the
+   backlog, and goes idle when the backlog is empty. It takes the next
+   request where a pool semaphore's release would resume the next of
+   one process per request, so requests run at the same instants and
+   in the same order as those processes would. DESIGN.md §11.1 rule 10
+   names the one same-instant case where the two differ. *)
+let rec work svc c queued =
+  match execute svc c queued with
   | exception e ->
-      Sim.Semaphore.release svc.pool;
+      svc.idle <- svc.idle + 1;
       raise e
+  | () ->
+      if svc.waiting = 0 then svc.idle <- svc.idle + 1
+      else begin
+        let h = svc.head in
+        let next = Array.unsafe_get svc.backlog h in
+        Array.unsafe_set svc.backlog h svc.vacant;
+        svc.head <- (h + 1) land (Array.length svc.backlog - 1);
+        svc.waiting <- svc.waiting - 1;
+        (* a failure names the request being served *)
+        if not (next.info.pname == c.info.pname) then
+          Sim.Engine.rename (Net.Host.engine svc.host) next.info.pname;
+        (* two calls rather than one with a float [if] as its argument,
+           which would box that float untraced too *)
+        if Obs.Trace.on () then
+          work svc next (server_now svc -. Array.unsafe_get svc.arrivals h)
+        else work svc next 0.0
+      end
+
+(* the backlog is full: double it, unrolling the ring head first *)
+let grow_backlog svc =
+  let cap = Array.length svc.backlog in
+  let backlog = Array.make (Int.max 4 (2 * cap)) svc.vacant
+  and arrivals = Array.make (Int.max 4 (2 * cap)) 0.0 in
+  let tail = cap - svc.head in
+  Array.blit svc.backlog svc.head backlog 0 tail;
+  Array.blit svc.backlog 0 backlog tail svc.head;
+  Array.blit svc.arrivals svc.head arrivals 0 tail;
+  Array.blit svc.arrivals 0 arrivals tail svc.head;
+  svc.backlog <- backlog;
+  svc.arrivals <- arrivals;
+  svc.head <- 0
+
+(* A request the DRC lets through, at its first arrival: a thread if one
+   is idle, else the backlog. *)
+let dispatch svc c =
+  if svc.idle > 0 then begin
+    svc.idle <- svc.idle - 1;
+    Sim.Engine.spawn (Net.Host.engine svc.host) ~name:c.info.pname
+      (* it starts at the arrival instant, so it waited 0 s. One spawned
+         task per request an idle thread takes is the DRC's budgeted
+         cost; duplicates were filtered above, and a request that waits
+         costs no process — snfs-lint: allow hot-alloc *)
+      (fun () -> work svc c 0.0)
+  end
+  else begin
+    if svc.waiting = Array.length svc.backlog then grow_backlog svc;
+    let i = (svc.head + svc.waiting) land (Array.length svc.backlog - 1) in
+    Array.unsafe_set svc.backlog i c;
+    Array.unsafe_set svc.arrivals i (server_now svc);
+    svc.waiting <- svc.waiting + 1
+  end
 
 (* Runs on the server when a request message arrives. *)
 let handle_request svc c =
@@ -304,11 +402,7 @@ let handle_request svc c =
       note_duplicate svc ~trace_name:"dup_replay" ~pname:c.info.pname
         ~xid:c.xid;
       reply_to c (Drc.reply svc.drc c.xid)
-  | Execute ->
-      Sim.Engine.spawn (Net.Host.engine svc.host) ~name:c.info.pname
-        (* one spawned task per executed request is the DRC's budgeted cost;
-           duplicates were filtered above — snfs-lint: allow hot-alloc *)
-        (fun () -> execute svc c)
+  | Execute -> dispatch svc c
 
 (* Enough retries that transient packet loss is very unlikely to be
    mistaken for a crashed client, but still finishing (~31 s) before the
@@ -356,9 +450,6 @@ let latency_table m =
         "max ms";
       ]
     (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) rows))
-
-(* a call to a program [dst] does not serve: its requests go nowhere *)
-let unserved proc = { proc; pname = ""; count = ref 0 }
 
 let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
   let engine = Net.engine t.net in
@@ -410,27 +501,26 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
       proc;
       args;
       bulk;
-      reply = pending;
-      resume = ignore;
-      round = -1;
+      caller = { reply = pending; resume = ignore; round = -1 };
     }
   in
+  let w = c.caller in
   let deliver () =
     match c.svc with Some svc -> handle_request svc c | None -> ()
   in
   (* a round's timer wakes the caller only if no reply has landed and
      the round is still live; at most one round is live at a time *)
-  let expire () = if c.reply == pending then wake c in
+  let expire () = if w.reply == pending then wake w in
   Net.Host.use_cpu src
     (config.client_cpu_per_call +. payload_cpu t.config bytes);
   let rec attempt n timeout =
     Net.send t.net ~src ~dst ~bytes ~deliver;
     Sim.Engine.timer engine timeout expire;
-    c.round <- n;
-    Sim.Engine.suspend engine (fun resume -> c.resume <- resume);
-    if c.reply != pending then begin
+    w.round <- n;
+    Sim.Engine.suspend engine (fun resume -> w.resume <- resume);
+    if w.reply != pending then begin
       Net.Host.use_cpu src
-        (payload_cpu t.config (Bytes.length c.reply.data + c.reply.bulk));
+        (payload_cpu t.config (Bytes.length w.reply.data + w.reply.bulk));
       let now = Sim.Engine.now engine in
       if Obs.Metrics.on () then
         observe_latency ~prog ~proc "ok" (now -. issued);
@@ -440,8 +530,8 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
              [ ("status", Obs.Trace.Str "ok");
                ("retries", Obs.Trace.Int n) ]
            else []);
-      let data = c.reply.data in
-      c.reply <- returned;
+      let data = w.reply.data in
+      w.reply <- returned;
       data
     end
     else if n >= config.retries then begin

@@ -58,8 +58,15 @@ type handler =
 type service
 
 (** [serve t host ~prog ~threads handler] registers program [prog] on
-    [host] with a pool of [threads] worker threads. Re-registering an
-    existing program replaces its handler (used by hybrid servers). *)
+    [host] with [threads] worker threads. A request the duplicate-request
+    cache lets through starts on an idle thread, in a process spawned
+    at its arrival. With every thread busy it waits in a FIFO backlog,
+    as a queue slot rather than a process, and the next thread to
+    finish takes it up in its own process, at the instant of that
+    finish. A retransmission of a waiting request is dropped, and the
+    request's traced [queued] time runs from its first arrival.
+    Re-registering an existing program replaces its handler (used by
+    hybrid servers). *)
 val serve : t -> Net.Host.t -> prog:string -> threads:int -> handler -> service
 
 val service_host : service -> Net.Host.t

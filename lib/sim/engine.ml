@@ -49,16 +49,19 @@ type t = {
       (* the running fiber was entered by its own start or wake-up
          event, so nothing else runs at this instant once it blocks.
          Read only inside a fiber, and set by every way into one: true
-         by [start] and by a sleep's return (only its wake-up event
-         resumes a sleep), false by [suspend]'s resume, which may run
-         inside any event and restores the resumer's value once the
-         fiber blocks again. *)
+         by [start] and by the return of a sleep or a
+         [suspend_then_sleep] (only its wake-up event resumes either),
+         false by [suspend]'s resume, which may run inside any event
+         and restores the resumer's value once the fiber blocks
+         again. *)
 }
 
 type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | Sleep : float -> unit Effect.t
+  | Suspend_sleep : float * ((unit -> unit) -> unit) -> unit Effect.t
   | Park : unit Effect.t
+  | Rename : string -> unit Effect.t
 
 let new_lane delay cap =
   {
@@ -243,6 +246,15 @@ let start t name fn =
                   Some
                     (fun (k : (b, _) continuation) ->
                       after t d (fun () -> continue k ()))
+              | Suspend_sleep (d, register) ->
+                  Some
+                    (fun (k : (b, _) continuation) ->
+                      register (fun () -> after t d (fun () -> continue k ())))
+              | Rename name ->
+                  Some
+                    (fun (k : (b, _) continuation) ->
+                      f.name <- name;
+                      continue k ())
               | Park ->
                   Some
                     (fun (k : (b, _) continuation) ->
@@ -252,6 +264,8 @@ let start t name fn =
         }
 
 let spawn t ?(name = "anon") fn = after t 0.0 (fun () -> start t name fn)
+
+let rename (_t : t) name = Effect.perform (Rename name)
 
 let stop t = t.stopped <- true
 
@@ -357,3 +371,11 @@ let sleep t d =
     Effect.perform (Sleep d);
     t.entered <- true
   end
+
+(* The booking closure only queues the wake-up, so whoever calls it
+   carries on; the wake-up event then resumes the fiber as a sleep's
+   does, and the fiber is entered. *)
+let suspend_then_sleep t d register =
+  if d < 0.0 then invalid_arg "Engine.suspend_then_sleep: negative duration";
+  Effect.perform (Suspend_sleep (d, register));
+  t.entered <- true

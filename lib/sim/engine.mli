@@ -46,6 +46,12 @@ val timer : t -> float -> (unit -> unit) -> unit
     {!run_until} returns. *)
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
+(** [rename t name] names the calling process [name] in error reports
+    from now on: a process that takes up another job, as a server thread
+    takes the next request of its backlog, is then named after the job
+    it is doing. Usable only inside a process; it does not block. *)
+val rename : t -> string -> unit
+
 (** An exception a process raised, with the process's name and the
     backtrace inside it (empty unless backtraces are recorded). It
     prints as [process "NAME" failed with EXN]. *)
@@ -91,3 +97,14 @@ val sleep : t -> float -> unit
     called exactly once. *)
 val suspend : t -> (('a -> unit) -> unit) -> 'a
 
+(** [suspend_then_sleep t d register] blocks the calling process, then
+    sleeps it for [d]: [register] is called immediately with a [book]
+    function, and calling [book] queues the process's wake-up [d]
+    seconds from that moment, the event, time and sequence number a
+    {!sleep} of [d] started there would have queued. [book] returns at
+    once; it never runs the process inline. Once woken, the process
+    continues as from a {!sleep}, in its own wake-up event. It is the
+    hand-off of a busy resource (see {!Resource.use}): the releasing
+    holder books its successor's hold. [book] must be called exactly
+    once. Raises [Invalid_argument] if [d] is negative. *)
+val suspend_then_sleep : t -> float -> ((unit -> unit) -> unit) -> unit

@@ -240,9 +240,10 @@ let test_rpc_proc_lookup () =
    retransmission timer firing dead, is seven events: the caller's
    start and CPU charge, the request's delivery, the server process's
    start and CPU charge, the reply's delivery and the timer. Each
-   message is one event, and the call's state is one record with a
-   closure per delivery, the timer and the execution: 191 minor words.
-   A second event per message fails the count. *)
+   message is one event, and the call's state is one record, plus the
+   small caller record the timer reaches, with a closure per delivery,
+   the timer and the execution: 193 minor words. A second event per
+   message fails the count. *)
 let rpc_round_trip_events = 7
 let rpc_round_trip_words = 200.0
 
@@ -436,7 +437,7 @@ let footprint ~before ~after roots =
   words () - w0
 
 (* The 32nd mount of a 32-client SNFS cluster: its host, its client
-   (gnode table, block cache, RPC stub) and its callback service: 373
+   (gnode table, block cache, RPC stub) and its callback service: 388
    words. *)
 let mount_footprint_bound = 512
 
@@ -462,9 +463,10 @@ let test_mount_footprint () =
     Alcotest.failf "one mount holds %d words (bound %d)" words
       mount_footprint_bound
 
-(* A program served on a host, before its first request: its pool,
-   procedure and counter tables and an empty duplicate-request cache:
-   82 words. *)
+(* A program served on a host, before its first request: its idle
+   thread count, empty backlog and the placeholder call of its vacant
+   backlog slots, procedure and counter tables and an empty
+   duplicate-request cache: 103 words. *)
 let served_footprint_bound = 640
 
 let test_served_footprint () =
@@ -488,10 +490,10 @@ let test_served_footprint () =
 (* One whole run of the andrew workload's SNFS config allocates a
    fixed number of minor words: the simulation is deterministic, so
    from the second run in a process on (the first also fills lazy
-   tables) the count is exact, not a sample: 1,193,585 words in a build
-   that inlines across modules. The ceiling sits about 7% above it, so
+   tables) the count is exact, not a sample: 1,168,625 words in a build
+   that inlines across modules. The ceiling sits about 9% above it, so
    a new per-event or per-RPC allocation on the hot path fails here,
-   with no timing noise. An -opaque build allocates some 27% more. *)
+   with no timing noise. An -opaque build allocates some 24% more. *)
 let snfs_run_minor_words_ceiling = 1_277_000.0
 
 let test_snfs_andrew_run () =

@@ -219,6 +219,48 @@ let test_syncer_min_age () =
       Sim.Engine.sleep e 20.0;
       Alcotest.(check int) "old block flushed" 1 (List.length log.bwrites))
 
+(* A syncer tick writes its batch in (file, index) order, at most four
+   write-backs at a time, from [min 4 n] flusher processes that each
+   take the next block when their write is done. Each process costs a
+   start event, so the tick dispatches its own wake-up, [min 4 n]
+   starts and one wake-up per backend write. *)
+let test_syncer_batch_flushers () =
+  List.iter
+    (fun n ->
+      run_sim (fun e ->
+          let starts = ref [] and active = ref 0 and most = ref 0 in
+          let backend =
+            {
+              Blockcache.Cache.read_block = (fun ~ctx:_ ~file:_ ~index:_ -> (0, 0));
+              write_block =
+                (fun ~ctx:_ ~file ~index ~stamp:_ ~len:_ ->
+                  starts := (file, index) :: !starts;
+                  incr active;
+                  most := max !most !active;
+                  Sim.Engine.sleep e 0.01;
+                  decr active);
+            }
+          in
+          let c = make_cache e backend in
+          Blockcache.Cache.start_syncer c ~interval:30.0 ();
+          let blocks = List.init n (fun i -> (1 + (i mod 3), i / 3)) in
+          List.iter
+            (fun (file, index) ->
+              Blockcache.Cache.write c ~file ~index ~stamp:1 ~len:4096 `Delayed)
+            (List.rev blocks);
+          Sim.Engine.sleep e 29.0;
+          let before = Sim.Engine.events_executed e in
+          Sim.Engine.sleep e 2.0;
+          let label what = Printf.sprintf "%d blocks: %s" n what in
+          Alcotest.(check (list (pair int int)))
+            (label "list order") (List.sort compare blocks) (List.rev !starts);
+          Alcotest.(check int) (label "in flight") (min 4 n) !most;
+          Alcotest.(check int)
+            (label "events: main, tick, flusher starts, writes")
+            (2 + min 4 n + n)
+            (Sim.Engine.events_executed e - before)))
+    [ 1; 3; 4; 9 ]
+
 let test_delete_before_syncer_averts () =
   run_sim (fun e ->
       let log, backend = make_backend e in
@@ -570,6 +612,7 @@ let () =
         [
           Alcotest.test_case "periodic flush" `Quick test_syncer_flushes_periodically;
           Alcotest.test_case "min age" `Quick test_syncer_min_age;
+          Alcotest.test_case "batch flushers" `Quick test_syncer_batch_flushers;
           Alcotest.test_case "delete averts" `Quick test_delete_before_syncer_averts;
         ] );
       ( "properties",

@@ -254,7 +254,7 @@ let test_exact_counts () =
       (label ^ ": events, server calls, net bytes")
       counts (exact_counts f)
   in
-  check "SNFS Andrew" (33613, 3973, 1551444) (fun () ->
+  check "SNFS Andrew" (33328, 3973, 1551444) (fun () ->
       Experiments.Campaign.run_one
         {
           Experiments.Campaign.name = "t";
@@ -262,11 +262,11 @@ let test_exact_counts () =
           tmp = Experiments.Testbed.Tmp_remote;
           andrew = Workload.Andrew.default_config;
         });
-  check "scaling NFS x4" (17353, 1848, 4790960) (fun () ->
+  check "scaling NFS x4" (16796, 1848, 4790960) (fun () ->
       Experiments.Scaling_exp.run ~protocol:nfs ~clients:4 ());
   check "scaling SNFS x4" (9644, 1156, 214800) (fun () ->
       Experiments.Scaling_exp.run ~protocol:snfs ~clients:4 ());
-  check "sharing table" (1620, 960, 2766684) Experiments.Sharing_exp.table;
+  check "sharing table" (1491, 960, 2766684) Experiments.Sharing_exp.table;
   List.iter
     (fun (protocol, counts) ->
       check
@@ -274,9 +274,9 @@ let test_exact_counts () =
         counts
         (fun () -> Experiments.Crash_exp.run ~protocol ~seed:42L ()))
     [
-      (Experiments.Crash_exp.Nfs, (41557, 4631, 7825602));
+      (Experiments.Crash_exp.Nfs, (41113, 4631, 7825602));
       (Experiments.Crash_exp.Snfs, (32744, 3917, 787264));
-      (Experiments.Crash_exp.Rfs, (40687, 4581, 5088804));
+      (Experiments.Crash_exp.Rfs, (40243, 4581, 5088804));
       (Experiments.Crash_exp.Kent, (35078, 4131, 831824));
     ];
   let ops =

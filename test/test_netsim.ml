@@ -185,6 +185,116 @@ let test_thread_pool_bound () =
       Alcotest.(check int) "all completed" 10 !done_count;
       Alcotest.(check int) "pool bound respected" 3 !max_active)
 
+(* Six calls at once to a two-thread service: the four that find both
+   threads busy wait in the backlog, and each thread takes the next one
+   when it finishes. Each handler runs 1.5 s, longer than the first
+   retransmission timeout, so every waiting call is retransmitted while
+   it waits. *)
+let backlog_run () =
+  let tr = Obs.Trace.create () in
+  let started = ref [] and active = ref 0 and most = ref 0 in
+  let events =
+    Obs.Trace.with_tracer tr (fun () ->
+        run_sim (fun e ->
+            let _, rpc, client, server = setup e in
+            let handler ~caller:_ ~ctx:_ ~proc:_ dec =
+              started := Xdr.Dec.string dec :: !started;
+              incr active;
+              most := max !most !active;
+              Sim.Engine.sleep e 1.5;
+              decr active;
+              { Netsim.Rpc.data = encode_string "ok"; bulk = 0 }
+            in
+            ignore (Netsim.Rpc.serve rpc server ~prog:"pool" ~threads:2 handler);
+            for i = 1 to 6 do
+              Sim.Engine.spawn e (fun () ->
+                  ignore
+                    (Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"pool"
+                       ~proc:"op" (encode_string (string_of_int i))))
+            done;
+            Sim.Engine.sleep e 30.0;
+            Sim.Engine.events_executed e))
+  in
+  (List.rev !started, !most, events, Obs.Trace.events tr)
+
+let test_thread_backlog () =
+  let started, most, events, trace = backlog_run () in
+  Alcotest.(check (list string))
+    "each call executes once, in arrival order"
+    [ "1"; "2"; "3"; "4"; "5"; "6" ]
+    started;
+  Alcotest.(check int) "never more than the threads" 2 most;
+  (* a process per request would add one start event for each of the
+     four calls that waited *)
+  Alcotest.(check int) "no process for a waiting call" 78 events;
+  let int_arg k (ev : Obs.Trace.event) =
+    match List.assoc_opt k ev.args with
+    | Some (Obs.Trace.Int n) -> n
+    | _ -> Alcotest.failf "%s without %s" ev.name k
+  in
+  let float_arg k (ev : Obs.Trace.event) =
+    match List.assoc_opt k ev.args with
+    | Some (Obs.Trace.Float x) -> x
+    | _ -> Alcotest.failf "%s without %s" ev.name k
+  in
+  let execs =
+    List.filter
+      (fun (ev : Obs.Trace.event) ->
+        ev.kind = Obs.Trace.Begin && ev.name = "exec pool.op")
+      trace
+  in
+  let drops =
+    List.filter (fun (ev : Obs.Trace.event) -> ev.name = "dup_drop") trace
+  in
+  Alcotest.(check int) "six executions" 6 (List.length execs);
+  List.iteri
+    (fun i exec ->
+      let xid = int_arg "xid" exec and queued = float_arg "queued" exec in
+      let arrived = exec.Obs.Trace.ts -. queued in
+      let dropped_while_waiting =
+        List.filter
+          (fun (d : Obs.Trace.event) ->
+            int_arg "xid" d = xid && d.ts <= exec.Obs.Trace.ts)
+          drops
+      in
+      if i < 2 then Alcotest.(check (float 0.0)) "a thread was idle" 0.0 queued
+      else begin
+        Alcotest.(check bool) "retransmitted while it waited" true
+          (dropped_while_waiting <> []);
+        List.iter
+          (fun (d : Obs.Trace.event) ->
+            if not (arrived < d.ts) then
+              Alcotest.failf
+                "xid %d: queued %g runs from %g, not before the \
+                 retransmission at %g"
+                xid queued arrived d.ts)
+          dropped_while_waiting
+      end)
+    execs
+
+(* A thread that takes a waiting request is named after it, so a
+   handler that fails while serving it names its own procedure. *)
+let test_backlog_failure_names_request () =
+  let e = Sim.Engine.create () in
+  let _, rpc, client, server = setup e in
+  let handler ~caller:_ ~ctx:_ ~proc _ =
+    if proc = "boom" then failwith "boom";
+    Sim.Engine.sleep e 0.5;
+    { Netsim.Rpc.data = encode_string "ok"; bulk = 0 }
+  in
+  ignore (Netsim.Rpc.serve rpc server ~prog:"pool" ~threads:1 handler);
+  List.iter
+    (fun proc ->
+      Sim.Engine.spawn e (fun () ->
+          ignore
+            (Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"pool" ~proc
+               (encode_string "x"))))
+    [ "ok"; "boom" ];
+  match Sim.Engine.run e with
+  | () -> Alcotest.fail "the failing handler should abort the run"
+  | exception Sim.Engine.Process_failure (name, _, _) ->
+      Alcotest.(check string) "names the request it served" "pool.boom" name
+
 let test_crashed_server_times_out () =
   run_sim (fun e ->
       let _, rpc, client, server = setup e in
@@ -635,6 +745,9 @@ let () =
           Alcotest.test_case "server->client callback" `Quick
             test_server_calls_client_back;
           Alcotest.test_case "thread pool bound" `Quick test_thread_pool_bound;
+          Alcotest.test_case "thread backlog" `Quick test_thread_backlog;
+          Alcotest.test_case "backlog failure names its request" `Quick
+            test_backlog_failure_names_request;
           Alcotest.test_case "crashed server" `Quick test_crashed_server_times_out;
           Alcotest.test_case "restart hook" `Quick test_restart_hook_fires;
           Alcotest.test_case "message size matters" `Quick

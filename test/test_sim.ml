@@ -554,6 +554,108 @@ let test_resource_queueing () =
       (* resource was busy the whole 3 seconds *)
       Alcotest.(check (float 1e-9)) "busy" 3.0 (Sim.Resource.busy_time r))
 
+(* The hand-off property: processes that [use] one or two resources,
+   and nap between uses, run exactly as under a resource that resumes
+   its next waiter at the release to acquire the unit and sleep out its
+   hold, as [Resource] once did. Durations come from a small set so
+   that holds end, and naps wake, at the same instants. *)
+type hold_step = Hold of int * float | Rest of float
+
+let show_hold_step = function
+  | Hold (r, d) -> Printf.sprintf "use r%d %g" r d
+  | Rest d -> Printf.sprintf "nap %g" d
+
+let gen_holders =
+  let open QCheck.Gen in
+  let dur = map (fun k -> 0.5 *. float_of_int k) (int_bound 2) in
+  let step =
+    frequency
+      [
+        (3, map2 (fun r d -> Hold (r, d)) (int_bound 1) dur);
+        (1, map (fun d -> Rest d) dur);
+      ]
+  in
+  list_size (int_range 1 6) (list_size (int_range 1 5) step)
+
+(* The resource as it was: acquire (waiting for a release to resume
+   this process), sleep, release, with the same busy-time notes. *)
+module Reference_resource = struct
+  type t = {
+    e : Sim.Engine.t;
+    mutable held : bool;
+    waiters : (unit -> unit) Queue.t;
+    mutable busy : float;
+    mutable since : float;
+  }
+
+  let create e = { e; held = false; waiters = Queue.create (); busy = 0.0; since = 0.0 }
+
+  let acquire t =
+    if t.held then Sim.Engine.suspend t.e (fun resume -> Queue.push resume t.waiters);
+    t.held <- true;
+    t.since <- Sim.Engine.now t.e
+
+  let release t =
+    t.held <- false;
+    t.busy <- t.busy +. (Sim.Engine.now t.e -. t.since);
+    if not (Queue.is_empty t.waiters) then (Queue.pop t.waiters) ()
+
+  let use t d =
+    acquire t;
+    Sim.Engine.sleep t.e d;
+    release t
+end
+
+(* Runs [procs] with [use] and returns the (time, process, step) trace
+   of finished steps, each resource's busy time and the event count. *)
+let run_holders procs ~create ~use ~busy_time =
+  let e = Sim.Engine.create () in
+  let rs = [| create e; create e |] in
+  let trace = ref [] in
+  List.iteri
+    (fun p steps ->
+      Sim.Engine.spawn e (fun () ->
+          List.iteri
+            (fun i step ->
+              (match step with
+              | Hold (r, d) -> use rs.(r) d
+              | Rest d -> Sim.Engine.sleep e d);
+              trace := (Sim.Engine.now e, p, i) :: !trace)
+            steps))
+    procs;
+  Sim.Engine.run e;
+  (List.rev !trace, Array.map busy_time rs, Sim.Engine.events_executed e)
+
+let prop_resource_hand_off =
+  QCheck.Test.make ~name:"resource hand-off matches acquire, sleep, release"
+    ~count:300 ~long_factor:20
+    (QCheck.make
+       ~print:(fun procs ->
+         String.concat " | "
+           (List.map
+              (fun steps -> String.concat "; " (List.map show_hold_step steps))
+              procs))
+       gen_holders)
+    (fun procs ->
+      let got =
+        run_holders procs ~create:(fun e -> Sim.Resource.create e "r")
+          ~use:Sim.Resource.use ~busy_time:Sim.Resource.busy_time
+      and expected =
+        run_holders procs ~create:Reference_resource.create
+          ~use:Reference_resource.use ~busy_time:(fun r ->
+            r.Reference_resource.busy)
+      in
+      let show (trace, busy, events) =
+        Printf.sprintf "%s busy [%s] events %d"
+          (String.concat " "
+             (List.map (fun (t, p, i) -> Printf.sprintf "%g:p%d.%d" t p i) trace))
+          (String.concat "; " (Array.to_list (Array.map string_of_float busy)))
+          events
+      in
+      if got <> expected then
+        QCheck.Test.fail_reportf "got %s\nexpected %s" (show got) (show expected);
+      true)
+
 (* ---- waitgroup ---- *)
 
 let test_waitgroup_joins () =
@@ -775,7 +877,8 @@ let () =
         [
           Alcotest.test_case "busy time" `Quick test_resource_busy_time;
           Alcotest.test_case "queueing" `Quick test_resource_queueing;
-        ] );
+        ]
+        @ qc [ prop_resource_hand_off ] );
       ( "waitgroup",
         [
           Alcotest.test_case "joins" `Quick test_waitgroup_joins;
