@@ -16,6 +16,9 @@ let has_suffix path suff =
   let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
   drop (lp - ls) path = suff
 
+let table_walks =
+  [ [ "Hashtbl"; "iter" ]; [ "Hashtbl"; "fold" ]; [ "Inttbl"; "fold" ] ]
+
 (* [Stdlib.print_endline] and friends must not dodge the bare-ident
    entries *)
 let strip_stdlib = function "Stdlib" :: rest -> rest | path -> path

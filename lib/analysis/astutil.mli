@@ -13,6 +13,11 @@ val flatten : Longident.t -> string list option
     [has_suffix ["Netsim";"Rpc";"call"] ["Rpc";"call"] = true]. *)
 val has_suffix : string list -> string list -> bool
 
+(** The live table walks: heads whose function argument runs once per
+    binding of a table they take no snapshot of ([Hashtbl.iter] and
+    [fold], [Sim.Inttbl.fold]). Match with {!has_suffix}. *)
+val table_walks : string list list
+
 (** Drop a leading ["Stdlib"], so [Stdlib.print_endline] matches the
     same entries as [print_endline]. *)
 val strip_stdlib : string list -> string list

@@ -31,13 +31,9 @@ val build : ?defer:string list list -> Source.t list -> t
 val nodes : t -> node list
 (** every node, sorted by id — the deterministic walk order *)
 
-val find : t -> string -> node option
-
-val refs : t -> string -> string list
-(** all resolved references of a node's body, sorted and deduped *)
-
 val sync_refs : t -> string -> string list
-(** [refs] minus everything inside deferred-thunk lambdas *)
+(** the resolved references of a node's body outside deferred-thunk
+    lambdas, sorted and deduped *)
 
 val sync_heads : t -> string -> string list list
 (** raw application-head paths outside deferred thunks, in source
@@ -54,7 +50,7 @@ val resolve_in : t -> node:string -> string list -> string list
 
 val reachable :
   ?sync_only:bool -> t -> (string * string) list -> (string, string) Hashtbl.t
-(** breadth-first closure over [refs] (or [sync_refs]) from labeled
-    [(label, root)] pairs; each reached node maps to the
-    lexicographically first label that reaches it, so derived messages
-    are deterministic *)
+(** breadth-first closure over all resolved references (or only
+    [sync_refs]) from labeled [(label, root)] pairs; each reached node
+    maps to the lexicographically first label that reaches it, so
+    derived messages are deterministic *)

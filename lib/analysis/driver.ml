@@ -211,5 +211,5 @@ let load_tree root =
   List.iter
     (fun dir ->
       if Sys.file_exists (Filename.concat root dir) then walk dir)
-    [ "lib"; "bin"; "test"; "examples" ];
+    [ "lib"; "bin"; "test"; "examples"; "perfbench" ];
   List.rev !acc

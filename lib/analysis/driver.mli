@@ -32,12 +32,6 @@ val passes : Pass.t list
 exception Unknown_rule of string
 (** raised by [analyze] when [only]/[skip] names no registered pass *)
 
-val context : input list -> Pass.ctx
-(** Parse the inputs and pre-compute the shared fact tables (mutable
-    field names, call graph, may-yield summaries) without running any
-    pass — the test hook for exercising a pass or the legacy
-    judgements directly. *)
-
 val analyze :
   ?baseline:Baseline.t ->
   ?only:string list ->
@@ -68,6 +62,7 @@ val rule_docs : (string * string) list
     [stale-waiver] pseudo-rules — the SARIF rule table *)
 
 val load_tree : string -> input list
-(** Read every [.ml]/[.mli] under [root]/{lib,bin,test,examples},
+(** Read every [.ml]/[.mli] under
+    [root]/{lib,bin,test,examples,perfbench},
     skipping dot- and underscore-prefixed entries, in sorted order.
     Returned paths are relative to [root]. *)

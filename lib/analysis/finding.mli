@@ -20,9 +20,6 @@ val compare : t -> t -> int
 (** GNU error format: [path:line:col: error: [rule] message]. *)
 val to_string : t -> string
 
-(** One finding as a JSON object (deterministic field order). *)
-val to_json : t -> string
-
-(** A whole report: JSON array, one object per line, byte-deterministic
-    for identical inputs. *)
+(** A whole report: JSON array, one object per line with a fixed field
+    order, byte-deterministic for identical inputs. *)
 val report_to_json : t list -> string

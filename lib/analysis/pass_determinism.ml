@@ -34,9 +34,12 @@ let check_file (file : Source.t) =
   match file.Source.impl with
   | None -> []
   | Some structure ->
-      let in_bin = Source.under "bin" file.Source.path in
+      let host_side =
+        Source.under "bin" file.Source.path
+        || Source.under "perfbench" file.Source.path
+      in
       let in_lib = Source.under "lib" file.Source.path in
-      if in_bin then []
+      if host_side then []
       else begin
         let findings = ref [] in
         let active =

@@ -36,9 +36,6 @@ let in_scope path = Source.under "lib" path || Source.under "examples" path
 let serve_suffix = [ "Rpc"; "serve" ]
 
 (* iteration heads: (suffix, element-fn position is first, data is last) *)
-let table_iter_suffixes =
-  [ [ "Hashtbl"; "iter" ]; [ "Hashtbl"; "fold" ]; [ "Inttbl"; "fold" ] ]
-
 let list_iter_suffixes =
   [
     [ "List"; "iter" ];
@@ -54,13 +51,7 @@ let list_iter_suffixes =
   ]
 
 (* heads that build a value straight out of a table's full contents *)
-let projection_prims =
-  [
-    [ "Hashtbl"; "fold" ];
-    [ "Hashtbl"; "iter" ];
-    [ "Hashtbl"; "to_seq" ];
-    [ "Inttbl"; "fold" ];
-  ]
+let projection_prims = [ "Hashtbl"; "to_seq" ] :: Astutil.table_walks
 
 let suffix_in p suffixes = List.exists (Astutil.has_suffix p) suffixes
 
@@ -303,7 +294,7 @@ let run (ctx : Pass.ctx) =
       | Pexp_apply (head, args) -> (
           match Astutil.path_of_expr head with
           | Some p
-            when suffix_in p table_iter_suffixes
+            when suffix_in p Astutil.table_walks
                  || suffix_in p list_iter_suffixes -> (
               let positional = List.map snd args in
               let fn = match positional with a :: _ -> Some a | [] -> None in
@@ -321,7 +312,7 @@ let run (ctx : Pass.ctx) =
                         'snfs-fanout: bounded <reason>'"
                        head_name label)
               | _ ->
-                  if suffix_in p table_iter_suffixes then
+                  if suffix_in p Astutil.table_walks then
                     report e.pexp_loc
                       (Printf.sprintf
                          "'%s' walks a live table on a server path \

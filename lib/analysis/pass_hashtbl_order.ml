@@ -65,9 +65,7 @@ let rec tainted env e =
   | Pexp_ident { txt = Lident x; _ } -> List.mem x env
   | Pexp_apply (head, args) -> (
       match head_path head with
-      | Some p
-        when Astutil.has_suffix p [ "Hashtbl"; "fold" ]
-             || Astutil.has_suffix p [ "Inttbl"; "fold" ] ->
+      | Some p when List.exists (Astutil.has_suffix p) Astutil.table_walks ->
           true
       | Some p when is_sort p -> false
       | Some p when is_propagator p ->

@@ -63,7 +63,7 @@ let builtin_allowlist =
        every protocol, traced or not, so it must stay allocation-free
        even if someone drops the marker comments *)
     ( "lib/obs/causal.ml",
-      [ "is_none"; "live"; "id"; "of_id"; "mint" ] );
+      [ "live"; "id"; "of_id" ] );
   ]
 
 let raising_heads = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg";

@@ -101,8 +101,25 @@ let scan_file usage (file : Source.t) =
     | _ -> ());
     Ast_iterator.default_iterator.signature_item it item
   in
+  (* a functor argument is used through the parameter's signature, so
+     it counts as opened *)
+  let module_expr it me =
+    (match me.pmod_desc with
+    | Pmod_apply (_, arg) -> (
+        match module_expr_path arg with
+        | Some p -> note_open (resolve p)
+        | None -> ())
+    | _ -> ());
+    Ast_iterator.default_iterator.module_expr it me
+  in
   let it =
-    { Ast_iterator.default_iterator with expr; structure_item; signature_item }
+    {
+      Ast_iterator.default_iterator with
+      expr;
+      structure_item;
+      signature_item;
+      module_expr;
+    }
   in
   Option.iter (it.structure it) file.Source.impl;
   Option.iter (it.signature it) file.Source.intf
@@ -146,7 +163,10 @@ let check_mli usage (file : Source.t) =
 
 let run ctx =
   let usage = { opened = Hashtbl.create 32; used = Hashtbl.create 256 } in
-  List.iter (scan_file usage) ctx.Pass.files;
+  List.iter
+    (fun (f : Source.t) ->
+      if not (Source.under "test" f.Source.path) then scan_file usage f)
+    ctx.Pass.files;
   List.concat_map (check_mli usage) ctx.Pass.files
 
 let pass =

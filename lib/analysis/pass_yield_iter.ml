@@ -4,10 +4,11 @@ let name = "yield-iter"
 
 (* Blocking inside a live table iteration.
 
-   [Hashtbl.iter]/[fold] give no snapshot: under cooperative
-   scheduling, if the per-binding lambda reaches a yield point, another
-   task can run and add or remove table entries mid-iteration —
-   OCaml's Hashtbl documents that as undefined behaviour, and in the
+   [Hashtbl.iter]/[fold] and [Sim.Inttbl.fold] give no snapshot: under
+   cooperative scheduling, if the per-binding lambda reaches a yield
+   point, another task can run and add or remove table entries
+   mid-iteration — OCaml's Hashtbl documents that as undefined
+   behaviour, an Inttbl may move its bindings when it grows, and in the
    simulator it shows up as clients skipped during a recall broadcast
    or visited twice by the laundromat. The per-element function's
    blocking-ness is judged by the interprocedural may-yield summaries,
@@ -19,8 +20,6 @@ let name = "yield-iter"
    but it is no longer UB. *)
 
 let in_scope path = Source.under "lib" path || Source.under "examples" path
-
-let iter_suffixes = [ [ "Hashtbl"; "iter" ]; [ "Hashtbl"; "fold" ] ]
 
 let check_file cg may_yield (file : Source.t) =
   match file.Source.impl with
@@ -53,7 +52,7 @@ let check_file cg may_yield (file : Source.t) =
           | Pexp_apply (head, (_, fn) :: _) -> (
               match Astutil.path_of_expr head with
               | Some p
-                when List.exists (Astutil.has_suffix p) iter_suffixes
+                when List.exists (Astutil.has_suffix p) Astutil.table_walks
                      && fn_yields fn ->
                   let line, col = Astutil.pos e.pexp_loc in
                   findings :=
@@ -61,7 +60,7 @@ let check_file cg may_yield (file : Source.t) =
                       (Printf.sprintf
                          "'%s' may yield inside a live table iteration — \
                           the table can be mutated at the yield point, \
-                          which is undefined for Hashtbl; snapshot the \
+                          which no table walk survives; snapshot the \
                           bindings into a list first"
                          (String.concat "." p))
                     :: !findings
@@ -110,7 +109,7 @@ let pass =
   {
     Pass.name;
     doc =
-      "blocking calls inside live Hashtbl iteration (mutation at the yield \
+      "blocking calls inside live table iteration (mutation at the yield \
        point is undefined)";
     run;
   }

@@ -108,7 +108,6 @@ let create engine ~name ~capacity_blocks ~block_size backend =
   t
 
 let name t = t.name
-let resident_blocks t = t.count
 
 (* One instant per cache action on this cache's own track. Args carry
    the block's (file, index) address only — never its stamp, which is a
@@ -517,8 +516,6 @@ let block_dirty t ~file ~index =
 
 let dirty_count t ~file =
   fold_file t ~file (fun _ b n -> if is_dirty b then n + 1 else n) 0
-
-let holds_file t ~file = Sim.Inttbl.find t.file_heads file != none t
 
 let invalidate_file t ~file =
   fold_file t ~file

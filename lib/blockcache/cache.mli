@@ -108,9 +108,6 @@ val block_dirty : t -> file:int -> index:int -> bool
 (** Number of dirty blocks for the file. *)
 val dirty_count : t -> file:int -> int
 
-(** True if the cache holds any block of the file. *)
-val holds_file : t -> file:int -> bool
-
 (** {2 Background write-back} *)
 
 (** Start the periodic syncer (the simulated [/etc/update]): every
@@ -131,5 +128,3 @@ val start_syncer : t -> ?min_age:float -> interval:float -> unit -> unit
     [cache_hits_total], [cache_misses_total], [cache_evictions_total],
     [cache_writebacks_total] and [cache_writes_averted_total] labelled
     with the cache's name. *)
-
-val resident_blocks : t -> int

@@ -50,10 +50,6 @@ type violation = {
   v_detail : string;
 }
 
-let violation_to_string v =
-  Printf.sprintf "[%s] %s (after: %s)" v.v_inv v.v_detail
-    (Invariant.ops_to_string v.v_path)
-
 type stats = { distinct_states : int; transitions : int; deepest : int }
 
 type result = {

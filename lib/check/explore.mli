@@ -53,15 +53,11 @@ type config = {
   path_stride : int;  (** keep every n-th distinct state's op path *)
 }
 
-val default_config : config
-
 type violation = {
   v_inv : string;  (** invariant name *)
   v_path : Invariant.op list;  (** op sequence reaching the violation *)
   v_detail : string;
 }
-
-val violation_to_string : violation -> string
 
 type stats = {
   distinct_states : int;
@@ -73,10 +69,14 @@ type result = {
   stats : stats;
   violations : violation list;
   paths : Invariant.op list list;
-      (** sampled op paths to distinct states, for the {!Oracle} *)
+      (** sampled op paths to distinct states, for the consistency
+          oracle the tests replay them through *)
 }
 
 module Make (T : TABLE) : sig
+  (** Explore from an empty table. [config] defaults to 3 clients,
+      2 files, depth 8, 60,000 states, 25 violations and a path
+      stride of 257. *)
   val run : ?config:config -> unit -> result
 
   (** Replay one op sequence (illegal ops skipped) through [T] and the

@@ -18,7 +18,6 @@ type op =
   | Forget of int  (** client crash (Section 3.2) *)
   | Remove of int  (** file deleted *)
 
-val op_to_string : op -> string
 val ops_to_string : op list -> string
 
 (** Everything the table will say about one file, for a fixed client

@@ -34,11 +34,6 @@ let lifetime_steps = 2
 
 type violation = { v_inv : string; v_path : op list; v_detail : string }
 
-let violation_to_string v =
-  Printf.sprintf "%s after [%s]: %s" v.v_inv
-    (String.concat "; " (List.map op_to_string v.v_path))
-    v.v_detail
-
 (* ---- pure reference model ---- *)
 
 (* Active clients are absent; [since] is the Tick step of demotion. *)

@@ -42,15 +42,11 @@ end
     laundromat pass: read [due] (twice), check it, reap it. *)
 type op = Demote of int | Conflict of int | Revive of int | Tick | Scan
 
-val op_to_string : op -> string
-
 type violation = {
   v_inv : string;  (** invariant name, or ["exception"] *)
   v_path : op list;  (** op sequence reaching the violation *)
   v_detail : string;
 }
-
-val violation_to_string : violation -> string
 
 module Make (L : LIFE) : sig
   (** Replay one op sequence from a fresh table, returning the first

@@ -11,21 +11,26 @@ type config = {
   andrew : Workload.Andrew.config;
 }
 
-let seeded ?(tmp = Testbed.Tmp_remote)
-    ?(protocol = Testbed.Snfs_proto Snfs.Snfs_client.default_config) ~name
-    ~seed () =
+(* the default Andrew workload over the source tree of seed 1 *)
+let seeded ?(tmp = Testbed.Tmp_remote) ~name protocol =
   let base = Workload.Andrew.default_config in
-  { name; protocol; tmp; andrew = { base with tree = { base.tree with seed } } }
+  {
+    name;
+    protocol;
+    tmp;
+    andrew = { base with tree = { base.tree with seed = 1L } };
+  }
 
 (* The standard campaign: every protocol stack plus the design variants
    the paper compares, over one Andrew run each. Eight configs split
    evenly over two domains ([--jobs 2]); perfbench's andrew workload
    runs the same eight per seed. *)
 let default () =
-  List.map
-    (fun (name, protocol) -> seeded ~protocol ~name ~seed:1L ())
-    Stack.presets
-  @ [ seeded ~tmp:Testbed.Tmp_local ~name:"snfs-tmp-local" ~seed:1L () ]
+  List.map (fun (name, protocol) -> seeded ~name protocol) Stack.presets
+  @ [
+      seeded ~tmp:Testbed.Tmp_local ~name:"snfs-tmp-local"
+        (Testbed.Snfs_proto Snfs.Snfs_client.default_config);
+    ]
 
 type run = {
   name : string;

@@ -16,16 +16,6 @@ type config = {
   andrew : Workload.Andrew.config;
 }
 
-(** A config with the default Andrew workload re-seeded; protocol
-    defaults to SNFS, /tmp to remote. *)
-val seeded :
-  ?tmp:Testbed.tmp_placement ->
-  ?protocol:Testbed.protocol ->
-  name:string ->
-  seed:int64 ->
-  unit ->
-  config
-
 (** The standard eight-config campaign: every protocol stack plus the
     design variants the paper compares (NFS without the
     invalidate-on-close bug, SNFS with delayed close, SNFS with local

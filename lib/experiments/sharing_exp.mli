@@ -25,7 +25,6 @@ type row = {
   server_rpcs : int;
 }
 
-(* snfs-lint: allow interface-drift — called from perfbench/ *)
 val run_protocol :
   label:string ->
   make_clients:

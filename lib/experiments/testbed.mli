@@ -47,10 +47,6 @@ val server_host : t -> Netsim.Net.Host.t
 (** RPC service of the protocol under test ([None] for Local). *)
 val service : t -> Netsim.Rpc.service option
 
-(** Snapshot of the server-side per-procedure call counts (empty
-    counter for Local). *)
-val rpc_counts : t -> Stats.Counter.t
-
 (** Let in-flight background work (write-behinds) settle without
     advancing past [horizon] virtual seconds. *)
 val drain : t -> horizon:float -> unit

@@ -408,5 +408,3 @@ let fsync ?ctx t ino =
   let _ = get_inode t ino in
   Blockcache.Cache.flush_file ?ctx t.cache ~file:ino;
   Blockcache.Cache.flush_file ?ctx t.cache ~file:inode_table_fid
-
-let sync_all t = Blockcache.Cache.flush_all t.cache

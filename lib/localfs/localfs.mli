@@ -43,7 +43,6 @@ type error =
 
 exception Error of error
 
-(* snfs-lint: allow interface-drift — called from perfbench/ *)
 val error_to_string : error -> string
 
 (** How metadata (inode, directory) updates reach the disk:
@@ -119,6 +118,3 @@ val write_block :
 
 (** Force the file's dirty data and metadata to disk. *)
 val fsync : ?ctx:Obs.Causal.t -> t -> ino -> unit
-
-(** Flush everything dirty (umount / shutdown). *)
-val sync_all : t -> unit

@@ -34,9 +34,11 @@ val create : Sim.Engine.t -> ?params:params -> unit -> t
 val engine : t -> Sim.Engine.t
 
 (** Probability that any given message is lost (default 0). *)
+(* snfs-lint: allow interface-drift — test seam: injects loss for DRC tests *)
 val set_drop_probability : t -> float -> unit
 
 (** Change the delivery jitter (failure injection). *)
+(* snfs-lint: allow interface-drift — test seam: injects jitter for DRC tests *)
 val set_jitter : t -> float -> unit
 
 module Host : sig
@@ -82,6 +84,3 @@ val send :
 val partition : t -> Host.t -> Host.t -> unit
 
 val heal : t -> Host.t -> Host.t -> unit
-
-(** Is traffic between the two hosts currently cut? *)
-val partitioned : t -> Host.t -> Host.t -> bool

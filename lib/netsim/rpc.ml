@@ -236,8 +236,6 @@ let proc_info svc proc =
   done;
   if !i < n then Array.unsafe_get procs !i else register_proc svc proc
 
-let proc_name svc proc = (proc_info svc proc).pname
-
 let note_duplicate svc ~trace_name ~pname ~xid =
   if Obs.Metrics.on () then
     Obs.Metrics.incr

@@ -78,12 +78,6 @@ val service_prog : service -> string
     procedure name. *)
 val counters : service -> Stats.Counter.t
 
-(** [proc_name svc proc] is ["prog.proc"], the name [svc]'s request
-    processes run under. The first lookup of a procedure, by a call or
-    by this function, resolves its name and its cell in {!counters}
-    (at 0 until a call runs); later lookups allocate nothing. *)
-val proc_name : service -> string -> string
-
 (** Invoked when the service first receives traffic after its host
     rebooted; protocol layers reset volatile state here. *)
 val set_on_restart : service -> (unit -> unit) -> unit

@@ -15,21 +15,12 @@ type t = int
 let none = 0
 
 (* snfs-hot *)
-let is_none c = c = 0
-
-(* snfs-hot *)
 let live c = c > 0
 
 (* snfs-hot *)
 let id c = c
 
 let of_id i = if i > 0 then i else none
-
-(* Mint a context for a new client operation. One load-and-compare
-   when tracing is off — this is on every operation path of every
-   protocol, traced or not. *)
-(* snfs-hot *)
-let mint () = if Trace.on () then Trace.mint () else none
 
 (* Prepend the op tag to a span's argument list. Only called from
    sites already guarded by [Trace.on]. *)

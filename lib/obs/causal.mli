@@ -20,8 +20,6 @@ type t = int
     operation caused. *)
 val none : t
 
-val is_none : t -> bool
-
 (** A real operation id (positive)? *)
 val live : t -> bool
 
@@ -31,11 +29,6 @@ val id : t -> int
 (** Rebuild a context from a marshalled id; non-positive ids collapse
     to {!none}. *)
 val of_id : int -> t
-
-(** Mint a context for a new client operation: {!none} when tracing is
-    off, a fresh op id otherwise. Allocation-free when tracing is
-    off. *)
-val mint : unit -> t
 
 (** [arg c args] prepends [("op", Int (id c))] when [c] is live. *)
 val arg : t -> (string * Trace.value) list -> (string * Trace.value) list

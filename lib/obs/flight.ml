@@ -18,8 +18,6 @@ let slot : state option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 (* ring size: the newest events a post-mortem sees *)
 let limit = 4096
 
-let armed () = Domain.DLS.get slot <> None
-
 let arm () =
   match Domain.DLS.get slot with
   | Some _ -> ()

@@ -14,8 +14,6 @@
     installed. *)
 val arm : unit -> unit
 
-val armed : unit -> bool
-
 (** Uninstall the ring (if we installed it) and forget any snapshot. *)
 val disarm : unit -> unit
 

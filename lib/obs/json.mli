@@ -23,9 +23,6 @@ val parse : string -> t
 (** Object member lookup ([None] on non-objects and absent keys). *)
 val member : string -> t -> t option
 
-val str : t -> string option
-val num : t -> float option
-
 (** [str_member k j] = the string under key [k], if present. *)
 val str_member : string -> t -> string option
 

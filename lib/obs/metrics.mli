@@ -83,7 +83,6 @@ val counters_with : t -> string -> (labels * int) list
 val histograms_with : t -> string -> (labels * Stats.Histogram.t) list
 
 (** The histogram under a name (created empty on first use). *)
-(* snfs-lint: allow interface-drift — called from perfbench/ *)
 val histogram : t -> ?labels:labels -> string -> Stats.Histogram.t
 
 (** {1 Sampling}

@@ -24,8 +24,6 @@ let create ?(limit = 0) () =
   if limit < 0 then invalid_arg "Trace.create: limit must be >= 0";
   { events = []; next_span = 1; count = 0; live = 0; limit }
 
-let limit t = t.limit
-
 (* The installed tracer. A single mutable slot (rather than a tracer
    threaded through every constructor) keeps the disabled case to one
    load-and-compare per probe site, which is what makes tracing free

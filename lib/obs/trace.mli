@@ -41,8 +41,6 @@ type t
     ring holding the newest [limit] events — see {!Flight}. *)
 val create : ?limit:int -> unit -> t
 
-(** The ring bound given at {!create} (0 when unbounded). *)
-val limit : t -> int
 
 (** Install [t] as the sink for all probe sites. The slot is
     {e per-domain} (Domain.DLS): an install only affects the calling

@@ -1,7 +1,7 @@
 (* A FIFO of the watchdog events that share one delay, in a ring whose
    capacity is a power of two. Each is queued at [now + delay], and
    [now] never decreases while the engine exists ([at] refuses the
-   past, dispatch and [run_until] only move the clock forward), so
+   past, and dispatch only moves the clock forward), so
    with [delay] fixed the times are non-decreasing in push order
    (float addition of a constant is monotone) and the seqs strictly
    increasing: a lane is already sorted by (time, seq), and its head
@@ -25,7 +25,6 @@ type t = {
      to a mutable float field allocates a fresh box, and the dispatch
      loop stores the clock once per event. A float array cell is
      unboxed storage, so advancing the clock allocates nothing. *)
-  limit : float array; (* the running dispatch's limit, one cell too *)
   mutable seq : int;
   mutable stopped : bool;
   mutable events : int; (* events executed since creation *)
@@ -77,7 +76,6 @@ let create () =
   let t =
     {
       now = [| 0.0 |];
-      limit = [| 0.0 |];
       seq = 0;
       stopped = false;
       events = 0;
@@ -287,38 +285,33 @@ let lane_leads q l =
 
 (* The next event by full (time, seq) key: the earliest lane's head if
    it orders before the heap's top, else the heap's top. Returns
-   [Eventq.nop] when neither is due by [limit]. *)
-let next t limit =
+   [Eventq.nop] when both are empty. *)
+let next t =
   let l = t.first in
   if l.count > 0 && lane_leads t.queue l then begin
     let h = l.head in
-    let time = Array.unsafe_get l.times h in
-    if time > limit then Eventq.nop
-    else begin
-      t.now.(0) <- time;
-      let fn = Array.unsafe_get l.fns h in
-      Array.unsafe_set l.fns h Eventq.nop;
-      l.head <- (h + 1) land (Array.length l.times - 1);
-      l.count <- l.count - 1;
-      refresh_first t;
-      fn
-    end
+    t.now.(0) <- Array.unsafe_get l.times h;
+    let fn = Array.unsafe_get l.fns h in
+    Array.unsafe_set l.fns h Eventq.nop;
+    l.head <- (h + 1) land (Array.length l.times - 1);
+    l.count <- l.count - 1;
+    refresh_first t;
+    fn
   end
-  else Eventq.pop_until t.queue limit t.now
+  else Eventq.pop_until t.queue t.now
 
 (* One out-of-line call per dispatched event: the event's closure.
    next's key comparison and pops, which advance the clock cell
    unboxed, inline here along with pop_fn's sift (the root dune file
    says why an -opaque build would keep them as calls) — the loop
    itself allocates nothing and compares nothing it doesn't need. *)
-let dispatch_loop t limit =
+let dispatch_loop t =
   t.stopped <- false;
-  t.limit.(0) <- limit;
   let continue_loop = ref true in
   while !continue_loop do
     if t.stopped then continue_loop := false
     else begin
-      let fn = next t limit in
+      let fn = next t in
       if fn == Eventq.nop then continue_loop := false
       else begin
         t.events <- t.events + 1;
@@ -327,21 +320,13 @@ let dispatch_loop t limit =
     end
   done
 
-let dispatch_until t limit =
-  match dispatch_loop t limit with
+let run t =
+  match dispatch_loop t with
   | () -> retire t
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       retire t;
       Printexc.raise_with_backtrace e bt
-
-let run t = dispatch_until t infinity
-
-(* A run cut short by [stop] may leave events before the limit queued,
-   so only a run that found nothing more due moves the clock on. *)
-let run_until t limit =
-  dispatch_until t limit;
-  if (not t.stopped) && t.now.(0) < limit then t.now.(0) <- limit
 
 let suspend (_t : t) register = Effect.perform (Suspend register)
 
@@ -361,8 +346,7 @@ let leads t time =
 let sleep t d =
   if d < 0.0 then invalid_arg "Engine.sleep: negative duration";
   let time = t.now.(0) +. d in
-  if t.entered && (not t.stopped) && time <= t.limit.(0) && leads t time
-  then begin
+  if t.entered && (not t.stopped) && leads t time then begin
     t.now.(0) <- time;
     t.seq <- t.seq + 1;
     t.events <- t.events + 1

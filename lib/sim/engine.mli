@@ -42,8 +42,7 @@ val timer : t -> float -> (unit -> unit) -> unit
     starts when the engine next reaches the head of its event queue (it
     never runs synchronously inside [spawn]). [name] is used in error
     reports. A process that has returned leaves its fiber (up to 64 of
-    them) parked for a later [spawn] to reuse, until {!run} or
-    {!run_until} returns. *)
+    them) parked for a later [spawn] to reuse, until {!run} returns. *)
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
 (** [rename t name] names the calling process [name] in error reports
@@ -61,17 +60,11 @@ exception Process_failure of string * exn * Printexc.raw_backtrace
     a process raises escapes [run] as {!Process_failure}. *)
 val run : t -> unit
 
-(** Halt {!run} / {!run_until} after the current event. Daemon
+(** Halt {!run} after the current event. Daemon
     processes (periodic syncers, keepalive loops) keep the event queue
     populated forever, so a driver whose work is done calls [stop].
     The engine can be run again afterwards. *)
 val stop : t -> unit
-
-(** Run until the given virtual time: events strictly later stay
-    queued, and the clock is left at the limit. A run that {!stop}
-    ends early leaves the clock at the stopping event's time, since
-    events before the limit may still be queued. *)
-val run_until : t -> float -> unit
 
 (** {2 Operations usable only inside a process} *)
 
@@ -80,12 +73,11 @@ val run_until : t -> float -> unit
     When the wake-up would be the next event dispatched, the process
     continues in place instead: the clock moves to [now + d], one
     sequence number and one executed event are counted, and no event
-    is queued. It does so when all four of these hold: the process is
+    is queued. It does so when all three of these hold: the process is
     running in its own start or wake-up event, not inside another event
     whose [resume] (see {!suspend}) woke it, so nothing else runs at
-    this instant once it blocks; {!stop} has not been called; [now + d]
-    is within the running {!run_until} limit; and [now + d] is strictly
-    earlier than every queued event (one queued at the same time has a
+    this instant once it blocks; {!stop} has not been called; and
+    [now + d] is strictly earlier than every queued event (one queued at the same time has a
     smaller sequence number and goes first). A queued wake-up would
     then have been dispatched next, so the dispatch order, the clock
     and {!events_executed} are exactly what they would have been. *)

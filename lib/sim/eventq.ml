@@ -143,24 +143,14 @@ let pop_fn t =
   Array.unsafe_set slots n top;
   fn
 
-let pop t =
-  if t.len = 0 then raise Not_found;
-  let time = t.times.(0) and seq = t.seqs.(0) in
-  let fn = pop_fn t in
-  (time, seq, fn)
-
-(* One call per dispatched event: bounds check, clock store and pop in
-   a single crossing of the module boundary. The timestamp goes into
+(* One call per dispatched event: emptiness check, clock store and pop
+   in a single crossing of the module boundary. The timestamp goes into
    [cell.(0)] (the engine's clock cell — a float array store, so it is
-   never boxed), and the not-ready cases return the [nop] sentinel
-   instead of an option. *)
-let pop_until t limit cell =
+   never boxed), and an empty queue returns the [nop] sentinel instead
+   of an option. *)
+let pop_until t cell =
   if t.len = 0 then nop
   else begin
-    let time = t.times.(0) in
-    if time > limit then nop
-    else begin
-      cell.(0) <- time;
-      pop_fn t
-    end
+    cell.(0) <- t.times.(0);
+    pop_fn t
   end

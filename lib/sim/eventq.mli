@@ -13,9 +13,6 @@ val create : unit -> t
 (** [push t ~time ~seq fn] inserts event [fn] to fire at [time]. *)
 val push : t -> time:float -> seq:int -> (unit -> unit) -> unit
 
-(** Earliest event, by (time, seq). Raises [Not_found] if empty. *)
-val pop : t -> float * int * (unit -> unit)
-
 (** Time of the earliest event. Raises [Not_found] if empty. Does not
     allocate an option; the caller pays one float box at most. *)
 val min_time : t -> float
@@ -32,13 +29,12 @@ val min_seq : t -> int
     Compare with [==]. *)
 val nop : unit -> unit
 
-(** [pop_until t limit cell] pops the earliest event if its time is
-    [<= limit], stores that time in [cell.(0)] (unboxed — meant for
-    the engine's clock cell) and returns its closure. Returns {!nop},
-    without popping, if the queue is empty or the top is later than
-    [limit]. The engine never enqueues {!nop} itself, so a [==] test
-    against it is unambiguous. *)
-val pop_until : t -> float -> float array -> unit -> unit
+(** [pop_until t cell] pops the earliest event, stores its time in
+    [cell.(0)] (unboxed — meant for the engine's clock cell) and
+    returns its closure. Returns {!nop} if the queue is empty. The
+    engine never enqueues {!nop} itself, so a [==] test against it is
+    unambiguous. *)
+val pop_until : t -> float array -> unit -> unit
 
 (** Remove and return the earliest event's closure (by (time, seq)).
     Raises [Not_found] if empty. The zero-allocation half of the

@@ -24,5 +24,3 @@ let wait t =
   if t.count > 0 then
     Engine.suspend t.engine (fun resume ->
         t.waiters <- (fun () -> resume ()) :: t.waiters)
-
-let outstanding t = t.count

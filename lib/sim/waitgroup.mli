@@ -16,5 +16,3 @@ val done_ : t -> unit
 (** Block until the outstanding count reaches zero (returns immediately
     if it already is). Multiple waiters are all released. *)
 val wait : t -> unit
-
-val outstanding : t -> int

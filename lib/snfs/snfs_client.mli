@@ -57,7 +57,3 @@ val start_syncer : t -> interval:float -> unit
     seconds; on a boot-epoch change, re-sends this client's open state
     so the server can rebuild its tables. *)
 val start_keepalive : t -> interval:float -> unit
-
-(** Immediately run the recovery hand-shake (what the keepalive daemon
-    does upon detecting a reboot). *)
-val recover_now : t -> unit

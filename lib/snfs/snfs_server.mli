@@ -34,9 +34,6 @@ val serve :
   Localfs.t ->
   t
 
-(** Is the server currently inside a post-reboot grace period? *)
-val in_grace : t -> bool
-
 (** An implicit open for a client that speaks plain NFS (the hybrid
     server of Section 6.1): inside the file's consistency critical
     section, like an [open], it opens the file in the state table and

@@ -13,10 +13,6 @@ let cell t name =
       Hashtbl.replace t name c;
       c
 
-let incr t ?(n = 1) name =
-  let c = cell t name in
-  c := !c + n
-
 let get t name = match Hashtbl.find_opt t name with Some c -> !c | None -> 0
 
 let total t = Hashtbl.fold (fun _ c acc -> acc + !c) t 0

@@ -5,10 +5,6 @@ type t
 
 val create : unit -> t
 
-(** Add [n] (default 1) to the named counter, creating it at zero if
-    needed. *)
-val incr : t -> ?n:int -> string -> unit
-
 (** The named counter's storage cell, created at zero if needed.
     Callers on hot paths look the cell up once and bump it directly:
     a name keeps its cell for the life of the set. *)

@@ -16,14 +16,12 @@ val bin_width : t -> float
 (** Add [v] to the bin containing time [time]. *)
 val add : t -> time:float -> float -> unit
 
-(** Number of bins up to the last one touched. *)
-val bins : t -> int
-
 (** Accumulated value in bin [i] (0 if untouched). *)
 val value : t -> int -> float
 
 (** Accumulated value divided by bin width (a per-second rate). *)
 val rate : t -> int -> float
 
-(** All bin values as (bin_start_time, value). *)
+(** All bin values up to the last one touched, as (bin_start_time,
+    value). *)
 val to_list : t -> (float * float) list

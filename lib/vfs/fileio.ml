@@ -36,9 +36,6 @@ let close fd =
   fd.open_ <- false;
   fd.vn.Fs.fs.Fs.fs_close fd.vn fd.mode
 
-let offset fd = fd.pos
-let vnode fd = fd.vn
-
 let seek fd pos =
   check_open fd;
   if pos < 0 then invalid_arg "Fileio.seek: negative offset";

@@ -32,11 +32,9 @@ val read_bytes : fd -> len:int -> int
 val write : ?stamp:int -> fd -> len:int -> int
 
 val fsync : fd -> unit
-val offset : fd -> int
 
 (** Reposition the file offset (absolute). *)
 val seek : fd -> int -> unit
-val vnode : fd -> Fs.vn
 
 (** {2 Whole-file and namespace conveniences} *)
 
@@ -52,7 +50,10 @@ val copy_file : Mount.t -> src:string -> dst:string -> int
 
 val unlink : Mount.t -> string -> unit
 val mkdir : Mount.t -> string -> unit
+(* snfs-lint: allow interface-drift — test seam: the only way to reach RMDIR *)
 val rmdir : Mount.t -> string -> unit
+
+(* snfs-lint: allow interface-drift — test seam: the only way to reach RENAME *)
 val rename : Mount.t -> src:string -> dst:string -> unit
 val stat : Mount.t -> string -> Localfs.attrs
 val readdir : Mount.t -> string -> string list

@@ -29,6 +29,3 @@ and t = {
   write_block : vn -> index:int -> stamp:int -> len:int -> unit;
   fsync : vn -> unit;
 }
-
-let blocks_for ~block_size ~len =
-  if len <= 0 then 0 else ((len - 1) / block_size) + 1

@@ -45,6 +45,3 @@ and t = {
   fsync : vn -> unit;
 }
 
-(** [blocks_for ~block_size ~len] is the number of blocks spanning
-    [len] bytes from offset 0. *)
-val blocks_for : block_size:int -> len:int -> int

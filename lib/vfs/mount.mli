@@ -33,5 +33,3 @@ val resolve_parent : t -> string -> Fs.vn * string
     rename). Harmless when the cache is off. *)
 val uncache : t -> string -> unit
 
-(** Split an absolute path into components (no leading empty). *)
-val components : string -> string list

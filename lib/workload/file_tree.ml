@@ -58,10 +58,6 @@ let plan spec ~root =
   in
   { spec; root; dirs; files; c_files; header_files }
 
-let total_bytes t = List.fold_left (fun a (_, n) -> a + n) 0 t.files
-
-let file_count t = List.length t.files
-
 let populate (ctx : App.t) t =
   Vfs.Fileio.mkdir ctx.App.mounts t.root;
   List.iter
@@ -71,5 +67,3 @@ let populate (ctx : App.t) t =
     (fun (name, bytes) ->
       Vfs.Fileio.write_file ctx.App.mounts (t.root ^ "/" ^ name) ~bytes)
     t.files
-
-let at_root t ~root = { t with root }

@@ -30,12 +30,5 @@ type tree = {
 (** Lay out the tree (pure; no I/O). *)
 val plan : spec -> root:string -> tree
 
-val total_bytes : tree -> int
-val file_count : tree -> int
-
 (** Create the source tree in the file system. *)
 val populate : App.t -> tree -> unit
-
-(** [at_root tree ~root] is the same layout rooted elsewhere (the
-    benchmark's target subtree). *)
-val at_root : tree -> root:string -> tree

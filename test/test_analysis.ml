@@ -26,7 +26,9 @@ let contains_sub s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let cg_of inputs = (D.context inputs).Analysis.Pass.cg
+let cg_of inputs =
+  C.build
+    (List.map (fun i -> Analysis.Source.parse ~path:i.D.path i.D.src) inputs)
 
 let run inputs = (D.analyze inputs).D.findings
 
@@ -69,6 +71,10 @@ let test_determinism_scoping () =
   check_quiet "env read in test/" "determinism" [ input "test/t.ml" src ];
   check_quiet "wall clock in bin/" "determinism"
     [ input "bin/main.ml" "let t = Unix.gettimeofday ()\n" ];
+  check_quiet "host time in perfbench/" "determinism"
+    [ input "perfbench/bench.ml" "let now () = Sys.time ()\n" ];
+  check_fires "host time in lib/" "determinism"
+    [ input "lib/sim/clock.ml" "let now () = Sys.time ()\n" ];
   check_fires "wall clock in test/" "determinism"
     [ input "test/t.ml" "let t = Unix.gettimeofday ()\n" ];
   check_fires "eprintf in lib/" "determinism"
@@ -152,17 +158,17 @@ let test_callgraph_nodes_and_edges () =
         input "lib/x/c.ml" "open A\nlet k y = f (A.g y)\n";
       ]
   in
-  (match C.find cg "A.f" with
+  (match List.find_opt (fun n -> n.C.id = "A.f") (C.nodes cg) with
   | Some n ->
       Alcotest.(check string) "node file" "lib/x/a.ml" n.C.path;
       Alcotest.(check int) "node line" 1 n.C.line
   | None -> Alcotest.fail "A.f missing from the graph");
   Alcotest.(check (list string)) "bare ident resolves in-module" [ "A.f" ]
-    (C.refs cg "A.g");
+    (C.sync_refs cg "A.g");
   Alcotest.(check (list string)) "module alias resolves" [ "A.f" ]
-    (C.refs cg "B.h");
+    (C.sync_refs cg "B.h");
   Alcotest.(check (list string)) "open brings bare idents in scope"
-    [ "A.f"; "A.g" ] (C.refs cg "C.k")
+    [ "A.f"; "A.g" ] (C.sync_refs cg "C.k")
 
 let test_callgraph_wrapper_and_defer () =
   let cg =
@@ -183,9 +189,13 @@ let test_callgraph_wrapper_and_defer () =
   Alcotest.(check (list string)) "spawned thunk excluded from sync refs"
     [ "Rpc.call" ]
     (C.sync_refs cg "User.go");
-  Alcotest.(check (list string)) "but still present in full refs"
-    [ "Rpc.call"; "User.tick" ]
-    (C.refs cg "User.go")
+  let reaches ~sync_only id =
+    Hashtbl.mem (C.reachable ~sync_only cg [ ("root", "User.go") ]) id
+  in
+  Alcotest.(check bool) "but still reached through full refs" true
+    (reaches ~sync_only:false "User.tick");
+  Alcotest.(check bool) "and not through sync refs" false
+    (reaches ~sync_only:true "User.tick")
 
 let test_callgraph_functor () =
   let cg =
@@ -203,10 +213,10 @@ let test_callgraph_functor () =
      module the functor is applied to anywhere in the tree *)
   Alcotest.(check (list string)) "functor argument substituted"
     [ "Impl.v" ]
-    (C.refs cg "F.Make.get");
+    (C.sync_refs cg "F.Make.get");
   Alcotest.(check (list string)) "application alias resolves into the functor"
     [ "F.Make.get" ]
-    (C.refs cg "User.go");
+    (C.sync_refs cg "User.go");
   let closure = C.reachable cg [ ("root", "User.go") ] in
   List.iter
     (fun id ->
@@ -449,6 +459,12 @@ let test_yield_iter_seeded () =
       input "lib/snfs/bcast.ml"
         "let sum t rpc = Hashtbl.fold (fun _ c n -> n + Netsim.Rpc.call rpc \
          c) t.clients 0\n";
+    ];
+  check_fires "blocking Inttbl.fold over the live table" "yield-iter"
+    [
+      input "lib/snfs/bcast.ml"
+        "let sum t rpc =\n\
+        \  Sim.Inttbl.fold (fun _ c n -> n + Netsim.Rpc.call rpc c) t.clients 0\n";
     ]
 
 let test_yield_iter_interprocedural () =
@@ -472,6 +488,11 @@ let test_yield_iter_clean () =
     [
       input "lib/a/x.ml"
         "let size t = Hashtbl.fold (fun _ _ n -> n + 1) t.tbl 0\n";
+    ];
+  check_quiet "pure Inttbl.fold" "yield-iter"
+    [
+      input "lib/a/x.ml"
+        "let size t = Sim.Inttbl.fold (fun _ _ n -> n + 1) t.tbl 0\n";
     ];
   check_quiet "resolved pure wrapper is trusted" "yield-iter"
     [
@@ -978,6 +999,44 @@ let test_interface_drift_alias_resolved () =
   check_quiet "alias use" "interface-drift"
     (drift_fixture "module X = A\nlet g x = X.used (X.dead x)\n")
 
+let test_interface_drift_program_callers () =
+  let lib =
+    [
+      input "lib/m/a.mli" "val used : int -> int\n";
+      input "lib/m/a.ml" "let used x = x\n";
+    ]
+  in
+  check_fires "a test caller is no use" "interface-drift"
+    (lib @ [ input "test/test_a.ml" "let () = ignore (A.used 1)\n" ]);
+  check_fires "a test's open is no use either" "interface-drift"
+    (lib @ [ input "test/test_a.ml" "open A\nlet () = ignore (used 1)\n" ]);
+  check_quiet "a perfbench caller is a use" "interface-drift"
+    (lib @ [ input "perfbench/bench.ml" "let () = ignore (A.used 1)\n" ]);
+  (* a functor argument is used through the parameter's signature *)
+  check_quiet "a functor argument is a use" "interface-drift"
+    (lib
+    @ [
+        input "lib/m/f.ml"
+          "module Make (S : sig val used : int -> int end) = struct\n\
+          \  let go () = S.used 1\n\
+           end\n\
+           module M = Make (A)\n";
+        input "lib/m/f.mli" "";
+      ])
+
+let test_interface_drift_test_seam () =
+  let seam =
+    [
+      input "lib/m/a.mli"
+        "(* snfs-lint: allow interface-drift — test seam: injects a fault *)\n\
+         val inject : int -> int\n";
+      input "lib/m/a.ml" "let inject x = x\n";
+      input "test/test_a.ml" "let () = ignore (A.inject 1)\n";
+    ]
+  in
+  check_quiet "a test seam waiver" "interface-drift" seam;
+  check_quiet "and it is live" "stale-waiver" seam
+
 let test_interface_drift_open_skips_module () =
   (* open A makes bare references unattributable: A is skipped *)
   check_quiet "open suppresses drift for the module" "interface-drift"
@@ -1137,8 +1196,10 @@ let test_finding_format () =
   Alcotest.(check string) "GNU error format"
     "lib/a.ml:12:4: error: [determinism] m" (F.to_string f);
   Alcotest.(check string) "JSON object, fixed field order"
-    {|{"path":"lib/a.ml","line":12,"col":4,"rule":"determinism","message":"m"}|}
-    (F.to_json f)
+    ("[\n  "
+    ^ {|{"path":"lib/a.ml","line":12,"col":4,"rule":"determinism","message":"m"}|}
+    ^ "\n]\n")
+    (F.report_to_json [ f ])
 
 let test_registry () =
   Alcotest.(check (list string)) "pass registry"
@@ -1438,6 +1499,10 @@ let () =
             test_interface_drift_alias_resolved;
           Alcotest.test_case "open skips the module" `Quick
             test_interface_drift_open_skips_module;
+          Alcotest.test_case "only program callers count" `Quick
+            test_interface_drift_program_callers;
+          Alcotest.test_case "test seam waiver" `Quick
+            test_interface_drift_test_seam;
         ] );
       ( "driver",
         [

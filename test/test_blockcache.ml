@@ -136,7 +136,10 @@ let test_cancel_dirty_averts_writes () =
       Alcotest.(check int) "averted" 5 averted;
       Alcotest.(check int) "stat" 5 (total "cache_writes_averted_total");
       Alcotest.(check int) "backend untouched" 0 (List.length log.bwrites);
-      Alcotest.(check bool) "gone" false (Blockcache.Cache.holds_file c ~file:9))
+      for i = 0 to 4 do
+        Alcotest.(check bool) "gone" true
+          (Blockcache.Cache.peek c ~file:9 ~index:i = None)
+      done)
 
 let test_invalidate_rejects_dirty () =
   run_sim (fun e ->
@@ -154,7 +157,8 @@ let test_invalidate_clean () =
       let c = make_cache e backend in
       ignore (Blockcache.Cache.read c ~file:1 ~index:0);
       Blockcache.Cache.invalidate_file c ~file:1;
-      Alcotest.(check bool) "dropped" false (Blockcache.Cache.holds_file c ~file:1);
+      Alcotest.(check bool) "dropped" true
+        (Blockcache.Cache.peek c ~file:1 ~index:0 = None);
       (* re-read misses again *)
       ignore (Blockcache.Cache.read c ~file:1 ~index:0);
       Alcotest.(check int) "refetched" 2 (List.length log.breads))
@@ -387,11 +391,11 @@ let table_ops_arbitrary =
 
 (* The model holds the resident blocks with their (stamp, len) and
    dirtiness, and the backend store that flushes reach. After every
-   step, [peek] of every key and [holds_file] and [dirty_count] of
-   every file must agree with it. A run that never held more than 256
+   step, [peek] of every key and [dirty_count] of every file must
+   agree with it. A run that never held more than 256
    blocks did not grow the table, and fails too. *)
 let prop_table_matches_model =
-  QCheck.Test.make ~name:"peek/holds_file/dirty_count match a model" ~count:25
+  QCheck.Test.make ~name:"peek/dirty_count match a model" ~count:25
     table_ops_arbitrary (fun ops ->
       run_sim (fun e ->
           let _, backend = make_backend ~delay:0.0 e in
@@ -413,7 +417,6 @@ let prop_table_matches_model =
                         (fun (s, l, _) -> (s, l))
                         (Hashtbl.find_opt resident (f, i)))
                   table_indices
-                && Blockcache.Cache.holds_file c ~file:f = (of_file f <> [])
                 && Blockcache.Cache.dirty_count c ~file:f
                    = List.length
                        (List.filter (fun (_, (_, _, d)) -> d) (of_file f)))

@@ -98,14 +98,15 @@ let test_report_deterministic () =
    sites, snapshot on demand ---- *)
 
 let test_flight_recorder () =
-  (* with nothing installed, minting is free and yields the empty
+  (* with nothing installed, a root operation runs under the empty
      context *)
-  Alcotest.(check bool)
-    "mint with tracing off" true
-    (Obs.Causal.is_none (Obs.Causal.mint ()));
+  Alcotest.(check int)
+    "root context with tracing off" Obs.Causal.none
+    (Obs.Causal.root
+       ~now:(fun () -> Alcotest.fail "clock read with tracing off")
+       ~track:"t" ~name:"op" Fun.id);
   (* a ring tracer keeps counting but retains a bounded window *)
   let tr = Obs.Trace.create ~limit:64 () in
-  Alcotest.(check int) "ring bound recorded" 64 (Obs.Trace.limit tr);
   Obs.Trace.with_tracer tr (fun () ->
       for i = 1 to 1000 do
         Obs.Trace.instant ~ts:(float_of_int i) ~cat:"x" ~name:"tick" ()
@@ -117,7 +118,6 @@ let test_flight_recorder () =
   (* arm the recorder, run the real workload through the ordinary
      probe sites, snapshot as a post-mortem would *)
   Obs.Flight.arm ();
-  Alcotest.(check bool) "armed" true (Obs.Flight.armed ());
   run_sim scenario;
   Obs.Flight.capture ~reason:"test oracle";
   (match Obs.Flight.last () with
@@ -134,9 +134,7 @@ let test_flight_recorder () =
       let phased =
         List.filter
           (fun e ->
-            match Obs.Json.member "ph" e with
-            | Some ph -> Obs.Json.str ph <> None
-            | None -> false)
+            Obs.Json.str_member "ph" e <> None)
           entries
       in
       Alcotest.(check bool) "ring dump non-empty" true (phased <> []);
@@ -145,13 +143,16 @@ let test_flight_recorder () =
         (List.for_all
            (fun e ->
              match Obs.Json.member "ts" e with
-             | Some ts -> Obs.Json.num ts <> None
+             | Some (Obs.Json.Num _) -> true
+             | Some _ -> false
              | None -> true (* metadata entries have no ts *))
            phased));
   Obs.Flight.disarm ();
-  Alcotest.(check bool) "disarmed" false (Obs.Flight.armed ());
   Alcotest.(check (option (pair string string)))
-    "capture forgotten on disarm" None (Obs.Flight.last ())
+    "capture forgotten on disarm" None (Obs.Flight.last ());
+  Obs.Flight.capture ~reason:"after disarm";
+  Alcotest.(check (option (pair string string)))
+    "no capture once disarmed" None (Obs.Flight.last ())
 
 let () =
   Alcotest.run "causal"

@@ -17,7 +17,11 @@ module St = Spritely.State_table
 module E = Check.Explore
 module TC = E.Table_checker
 
-let fail_on v = Alcotest.fail (E.violation_to_string v)
+let violation_to_string v =
+  Printf.sprintf "[%s] %s (after: %s)" v.E.v_inv v.E.v_detail
+    (Check.Invariant.ops_to_string v.E.v_path)
+
+let fail_on v = Alcotest.fail (violation_to_string v)
 
 (* ---- exhaustive exploration ---- *)
 
@@ -40,7 +44,14 @@ let test_exhaustive () =
 (* a smaller universe explored to the full depth bound *)
 let test_exhaustive_deep () =
   let config =
-    { E.default_config with E.clients = 2; files = 1; max_states = 100_000 }
+    {
+      E.clients = 2;
+      files = 1;
+      depth = 8;
+      max_states = 100_000;
+      max_violations = 25;
+      path_stride = 257;
+    }
   in
   let r = TC.run ~config () in
   (match r.E.violations with v :: _ -> fail_on v | [] -> ());
@@ -49,7 +60,14 @@ let test_exhaustive_deep () =
 (* ---- negative tests: seeded bugs must be caught ---- *)
 
 let small_config =
-  { E.default_config with E.depth = 4; max_states = 3_000; max_violations = 5 }
+  {
+    E.clients = 3;
+    files = 2;
+    depth = 4;
+    max_states = 3_000;
+    max_violations = 5;
+    path_stride = 257;
+  }
 
 let catches name checker_result expected_inv =
   match checker_result.E.violations with
@@ -132,7 +150,7 @@ let prop_replay_clean =
     ops_arbitrary (fun ops ->
       match TC.replay ops with
       | [] -> true
-      | v :: _ -> QCheck.Test.fail_report (E.violation_to_string v))
+      | v :: _ -> QCheck.Test.fail_report (violation_to_string v))
 
 let prop_roundtrip =
   (* the literal ISSUE invariant, whenever the state is fully

@@ -149,13 +149,11 @@ let run_trace ?(jitter = 0.0) ~drop ~make_clients ops =
                       note (Printf.sprintf "d%d/%d" c f) "Noent unlinking"))
           | Truncate (c, f) -> (
               let m = List.nth mounts c in
-              match Vfs.Fileio.openf m (path f) Vfs.Fs.Write_only with
-              | fd ->
-                  (Vfs.Fileio.vnode fd).Vfs.Fs.fs.Vfs.Fs.setattr
-                    (Vfs.Fileio.vnode fd) ~size:0;
-                  Vfs.Fileio.close fd;
-                  Hashtbl.replace model f None
-              | exception Localfs.Error Localfs.Noent -> ()));
+              (* creat of an existing file truncates it *)
+              if Vfs.Fileio.exists m (path f) then begin
+                Vfs.Fileio.close (Vfs.Fileio.creat m (path f));
+                Hashtbl.replace model f None
+              end));
           Sim.Engine.sleep e 0.2)
         ops;
       !violations)

@@ -370,12 +370,17 @@ let test_grace_rejects_unrecovered_clients () =
       in
       let _, c1, m1 = mount_on "g1" in
       let lone_host, _, _ = mount_on "g2" in
+      (* client 1's keepalive learns the boot epoch before the crash,
+         and replays its state once a ping sees the new one *)
+      Snfs.Snfs_client.start_keepalive c1 ~interval:1.0;
       Vfs.Fileio.write_file m1 "/a" ~bytes:4096;
+      Sim.Engine.sleep e 1.5;
       Netsim.Net.Host.crash w.server_host;
       Sim.Engine.sleep e 2.0;
       Netsim.Net.Host.reboot w.server_host;
-      (* a raw open from a client that has not recovered; this is also
-         the first post-reboot call, which starts the grace window *)
+      (* a raw open from a client that has not recovered; the first
+         post-reboot call, this or a keepalive ping, starts the grace
+         window *)
       let raw_call ~proc ?bulk args =
         Netsim.Rpc.call w.rpc ~src:lone_host ~dst:w.server_host
           ~prog:Snfs.Snfs_server.prog ~proc ?bulk args
@@ -384,24 +389,18 @@ let test_grace_rejects_unrecovered_clients () =
       (match Nfs.Wire.snfs_open raw_call root ~write_mode:false with
       | _ -> Alcotest.fail "open from unrecovered client must be refused"
       | exception Localfs.Error Localfs.Again -> ());
-      Alcotest.(check bool) "grace active" true
-        (Snfs.Snfs_server.in_grace server);
       (* client 1 replays its state and is admitted during the grace *)
-      Snfs.Snfs_client.recover_now c1;
+      Sim.Engine.sleep e 3.0;
       let t0 = Sim.Engine.now e in
       ignore (Vfs.Fileio.read_file m1 "/a");
       Alcotest.(check bool) "recovered client admitted promptly" true
         (Sim.Engine.now e -. t0 < 5.0);
-      Alcotest.(check bool) "still in grace" true
-        (Snfs.Snfs_server.in_grace server);
       (* the unrecovered client keeps being refused until it replays *)
       (match Nfs.Wire.snfs_open raw_call root ~write_mode:false with
       | _ -> Alcotest.fail "still-unrecovered client must be refused"
       | exception Localfs.Error Localfs.Again -> ());
       (* after the grace expires the refusals stop *)
       Sim.Engine.sleep e 35.0;
-      Alcotest.(check bool) "grace over" false
-        (Snfs.Snfs_server.in_grace server);
       ignore (Nfs.Wire.snfs_open raw_call root ~write_mode:false))
 
 let () =

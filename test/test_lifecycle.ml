@@ -5,6 +5,18 @@
 
 module L = Spritely.Lifecycle
 
+let op_to_string = function
+  | Check.Life.Demote c -> Printf.sprintf "demote(%d)" c
+  | Conflict c -> Printf.sprintf "conflict(%d)" c
+  | Revive c -> Printf.sprintf "revive(%d)" c
+  | Tick -> "tick"
+  | Scan -> "scan"
+
+let violation_to_string v =
+  Printf.sprintf "%s after [%s]: %s" v.Check.Life.v_inv
+    (String.concat "; " (List.map op_to_string v.v_path))
+    v.v_detail
+
 let state = Alcotest.testable
     (fun fmt s -> Format.pp_print_string fmt (L.state_to_string s))
     ( = )
@@ -79,7 +91,7 @@ let test_checker_clean () =
   let violation, checked = Check.Life.Lifecycle_checker.run () in
   (match violation with
   | None -> ()
-  | Some v -> Alcotest.fail (Check.Life.violation_to_string v));
+  | Some v -> Alcotest.fail (violation_to_string v));
   Alcotest.(check bool)
     (Printf.sprintf "substantial state space (%d ops)" checked)
     true
@@ -100,13 +112,13 @@ let qcheck_random_sequences =
   let arb =
     make
       ~print:(fun ops ->
-        String.concat "; " (List.map Check.Life.op_to_string ops))
+        String.concat "; " (List.map op_to_string ops))
       (Gen.list_size (Gen.int_range 1 40) op_gen)
   in
   Test.make ~name:"random op sequences stay clean" ~count:300 arb (fun ops ->
       match Check.Life.Lifecycle_checker.replay ~clients:3 ops with
       | None -> true
-      | Some v -> Test.fail_report (Check.Life.violation_to_string v))
+      | Some v -> Test.fail_report (violation_to_string v))
 
 (* ---- the negative suite: seeded bugs per invariant ---- *)
 

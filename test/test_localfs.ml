@@ -107,7 +107,9 @@ let test_remove_cancels_delayed_writes () =
       done;
       let data_writes_before = total "disk_writes_total" in
       Localfs.remove fs ~dir:root "tmp";
-      Localfs.sync_all fs;
+      (* one syncer tick writes back everything dirty *)
+      Localfs.start_syncer fs ~interval:1.0 ();
+      Sim.Engine.sleep e 10.0;
       (* the 10 data blocks were never written; only metadata reached
          the disk *)
       Alcotest.(check int)
@@ -132,7 +134,9 @@ let test_structural_writes_happen () =
         Localfs.write_block fs ino ~index:0 ~stamp:i ~len:4096 `Delayed;
         Localfs.remove fs ~dir:root name
       done;
-      Localfs.sync_all fs;
+      (* one syncer tick writes back everything dirty *)
+      Localfs.start_syncer fs ~interval:1.0 ();
+      Sim.Engine.sleep e 10.0;
       Alcotest.(check bool) "structural disk writes happened" true
         (total "disk_writes_total" > 0);
       Alcotest.(check int) "data writes averted" 5

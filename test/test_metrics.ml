@@ -254,7 +254,7 @@ let run_small_andrew m =
       let tree = Workload.Andrew.setup ctx small_andrew_config in
       ignore (Workload.Andrew.run ctx small_andrew_config tree);
       let service = Option.get (Experiments.Testbed.service tb) in
-      ( Stats.Counter.to_list (Experiments.Testbed.rpc_counts tb),
+      ( Stats.Counter.to_list (Netsim.Rpc.counters service),
         Netsim.Rpc.service_prog service,
         Netsim.Net.Host.name (Experiments.Testbed.server_host tb) ))
 

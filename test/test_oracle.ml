@@ -9,7 +9,7 @@
    (NFS writes through on close). *)
 
 module E = Check.Explore
-module O = Check.Oracle
+module O = Oracle
 module Stack = Experiments.Stack
 
 (* hand-written sequences covering the interesting shapes: write
@@ -58,7 +58,14 @@ let handoffs =
 let checker_paths =
   lazy
     (let config =
-       { E.default_config with E.max_states = 5_000; path_stride = 251 }
+       {
+         E.clients = 3;
+         files = 2;
+         depth = 8;
+         max_states = 5_000;
+         max_violations = 25;
+         path_stride = 251;
+       }
      in
      let r = E.Table_checker.run ~config () in
      (* drop empty prefixes; cap the suite's simulation budget *)

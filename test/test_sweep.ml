@@ -39,14 +39,10 @@ let test_first_failure_in_input_order () =
   | exception Boom n -> Alcotest.failf "failure for item %d, wanted 3" n
 
 let campaign_subset () =
-  [
-    Campaign.seeded ~name:"snfs" ~seed:11L ();
-    Campaign.seeded
-      ~protocol:(Experiments.Testbed.Nfs_proto Nfs.Nfs_client.default_config)
-      ~name:"nfs" ~seed:12L ();
-    Campaign.seeded ~tmp:Experiments.Testbed.Tmp_local ~name:"snfs_tmp_local"
-      ~seed:13L ();
-  ]
+  List.filter
+    (fun (c : Campaign.config) ->
+      List.mem c.Campaign.name [ "nfs"; "snfs"; "snfs-tmp-local" ])
+    (Campaign.default ())
 
 let test_parallel_campaign_byte_identical () =
   let configs = campaign_subset () in

@@ -30,14 +30,18 @@ let make_local e name =
 (* ---- path handling ---- *)
 
 let test_components () =
-  Alcotest.(check (list string)) "simple" [ "a"; "b" ] (Vfs.Mount.components "/a/b");
-  Alcotest.(check (list string)) "root" [] (Vfs.Mount.components "/");
-  Alcotest.(check (list string))
-    "double slash" [ "a"; "b" ]
-    (Vfs.Mount.components "/a//b");
-  Alcotest.check_raises "relative rejected"
-    (Invalid_argument "Mount: path \"a/b\" is not absolute") (fun () ->
-      ignore (Vfs.Mount.components "a/b"))
+  run_sim (fun e ->
+      let m = Vfs.Mount.create () in
+      Vfs.Mount.mount m ~at:"/" (make_local e "rootfs");
+      Vfs.Fileio.mkdir m "/a";
+      Vfs.Fileio.write_file m "/a/b" ~bytes:7;
+      Alcotest.(check int) "simple" 7 (Vfs.Fileio.stat m "/a/b").Localfs.size;
+      Alcotest.(check (list string)) "root" [ "a" ] (Vfs.Fileio.readdir m "/");
+      Alcotest.(check int)
+        "double slash" 7 (Vfs.Fileio.stat m "/a//b").Localfs.size;
+      Alcotest.check_raises "relative rejected"
+        (Invalid_argument "Mount: path \"a/b\" is not absolute") (fun () ->
+          ignore (Vfs.Fileio.stat m "a/b")))
 
 let test_mount_resolution () =
   run_sim (fun e ->
@@ -135,13 +139,14 @@ let test_seek_and_offset () =
       let m = setup_file e in
       let fd = Vfs.Fileio.creat m "/f" in
       ignore (Vfs.Fileio.write fd ~len:9000);
-      Alcotest.(check int) "offset after write" 9000 (Vfs.Fileio.offset fd);
+      ignore (Vfs.Fileio.write fd ~len:1000);
       Vfs.Fileio.close fd;
+      Alcotest.(check int) "second write continues at the offset" 10_000
+        (Vfs.Fileio.stat m "/f").Localfs.size;
       let fd = Vfs.Fileio.openf m "/f" Vfs.Fs.Read_only in
       Vfs.Fileio.seek fd 4096;
-      Alcotest.(check int) "offset after seek" 4096 (Vfs.Fileio.offset fd);
       let n = Vfs.Fileio.read_bytes fd ~len:100_000 in
-      Alcotest.(check int) "read from seek point" (9000 - 4096) n;
+      Alcotest.(check int) "read from seek point" (10_000 - 4096) n;
       Vfs.Fileio.close fd)
 
 let test_creat_truncates () =
@@ -234,12 +239,6 @@ let test_stamp_uniqueness () =
   let sorted = List.sort_uniq compare stamps in
   Alcotest.(check int) "all distinct" 1000 (List.length sorted)
 
-let test_blocks_for () =
-  Alcotest.(check int) "zero" 0 (Vfs.Fs.blocks_for ~block_size:4096 ~len:0);
-  Alcotest.(check int) "one byte" 1 (Vfs.Fs.blocks_for ~block_size:4096 ~len:1);
-  Alcotest.(check int) "exact" 1 (Vfs.Fs.blocks_for ~block_size:4096 ~len:4096);
-  Alcotest.(check int) "one over" 2 (Vfs.Fs.blocks_for ~block_size:4096 ~len:4097)
-
 let test_modes () =
   Alcotest.(check bool) "ro reads" true (Vfs.Fs.mode_reads Vfs.Fs.Read_only);
   Alcotest.(check bool) "ro no write" false (Vfs.Fs.mode_writes Vfs.Fs.Read_only);
@@ -321,7 +320,6 @@ let () =
           Alcotest.test_case "mode enforcement" `Quick test_mode_enforcement;
           Alcotest.test_case "open/close reach fs" `Quick test_open_close_reach_fs;
           Alcotest.test_case "stamps unique" `Quick test_stamp_uniqueness;
-          Alcotest.test_case "blocks_for" `Quick test_blocks_for;
           Alcotest.test_case "modes" `Quick test_modes;
         ] );
       ( "disk",
