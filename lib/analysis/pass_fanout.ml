@@ -94,9 +94,11 @@ let projections cg =
    [Rpc.serve], and by fixpoint every binding that forwards a handler
    to a serve head: the head's handler argument (its last positional
    one) is one of the binding's parameters or applies one, itself or
-   through the local lets it names. A wrapper around the transport
-   thereby keeps the handlers its callers pass server-reachable; one
-   that serves a handler of its own making forwards nothing. *)
+   through the local lets it names, or hands one on as a value outside
+   any lambda (a procedure list the wrapper extends). A wrapper around
+   the transport thereby keeps the handlers its callers pass
+   server-reachable; one that serves a handler of its own making
+   forwards nothing. *)
 
 let iter_expr f e =
   let expr it e =
@@ -149,7 +151,22 @@ let forwards body handler =
       e;
     !found
   in
-  applies handler
+  (* a value handed on outside any lambda (a lambda is a handler of
+     the binding's own making), as in [procs @ basic core] *)
+  let carries e =
+    let found = ref false in
+    let expr it e =
+      match e.pexp_desc with
+      | _ when !found -> ()
+      | Pexp_fun _ | Pexp_function _ -> ()
+      | Pexp_ident { txt = Lident x; _ } -> found := hands_on x
+      | _ -> Ast_iterator.default_iterator.expr it e
+    in
+    let it = { Ast_iterator.default_iterator with expr } in
+    it.expr it e;
+    !found
+  in
+  applies handler || carries handler
 
 let handler_arg args =
   match List.rev (List.filter (fun (l, _) -> l = Asttypes.Nolabel) args) with

@@ -8,8 +8,8 @@ let run_one ~label ~protocol ~name_cache =
         label;
         Report.secs (Workload.Andrew.total phases);
         string_of_int (Stats.Counter.total counts);
-        string_of_int (Stats.Counter.get counts Nfs.Wire.p_lookup);
-        string_of_int (Stats.Counter.get counts Nfs.Wire.p_read);
+        string_of_int (Stats.Counter.get counts Nfs.Wire.(Proc.lookup.name));
+        string_of_int (Stats.Counter.get counts Nfs.Wire.(Proc.read.name));
       ])
 
 let table () =
@@ -60,7 +60,7 @@ let sort_under ~label ~write_back_policy ~update =
   [
     label;
     Report.secs r.Sort_exp.elapsed;
-    string_of_int (Stats.Counter.get r.Sort_exp.counts Nfs.Wire.p_write);
+    string_of_int (Stats.Counter.get r.Sort_exp.counts Nfs.Wire.(Proc.write.name));
   ]
 
 let write_back_policy_table () =

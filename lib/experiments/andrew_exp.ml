@@ -62,33 +62,34 @@ let table_5_1 () =
 
 (* ---- Table 5-2 ---- *)
 
-let count_rows = [
-    ("lookup", Nfs.Wire.p_lookup);
-    ("getattr", Nfs.Wire.p_getattr);
-    ("setattr", Nfs.Wire.p_setattr);
-    ("read", Nfs.Wire.p_read);
-    ("write", Nfs.Wire.p_write);
-    ("create", Nfs.Wire.p_create);
-    ("remove", Nfs.Wire.p_remove);
-    ("open", Nfs.Wire.p_open);
-    ("close", Nfs.Wire.p_close);
-    ("callback", Nfs.Wire.p_callback);
-  ]
+let count_rows =
+  Nfs.Wire.
+    [
+      Proc.lookup.name;
+      Proc.getattr.name;
+      Proc.setattr.name;
+      Proc.read.name;
+      Proc.write.name;
+      Proc.create.name;
+      Proc.remove.name;
+      Proc.snfs_open.name;
+      Proc.close.name;
+      Proc.callback.name;
+    ]
 
 let rpc_table (results : Campaign.run list) =
   let labels = List.map (fun (r : Campaign.run) -> r.name) results in
   let cells f =
     List.map (fun (r : Campaign.run) -> string_of_int (f r.counts)) results
   in
-  let named = List.map snd count_rows in
   let rows =
     List.map
-      (fun (name, proc) -> name :: cells (fun c -> Stats.Counter.get c proc))
+      (fun proc -> proc :: cells (fun c -> Stats.Counter.get c proc))
       count_rows
     @ [
         "other RPCs"
         :: cells (fun c ->
-               Stats.Counter.total c - Stats.Counter.total_of c named);
+               Stats.Counter.total c - Stats.Counter.total_of c count_rows);
         "data transfer ops"
         :: cells (fun c -> Stats.Counter.total_of c Nfs.Wire.data_procs);
         "Total" :: cells Stats.Counter.total;

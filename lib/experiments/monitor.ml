@@ -53,8 +53,8 @@ let attach engine ~host ~service ~bin =
     let time = Sim.Engine.now engine -. t0 -. (bin /. 2.0) in
     let b = busy ()
     and c = total_calls ()
-    and r = calls_of Nfs.Wire.p_read
-    and w = calls_of Nfs.Wire.p_write in
+    and r = calls_of Nfs.Wire.(Proc.read.name)
+    and w = calls_of Nfs.Wire.(Proc.write.name) in
     Stats.Timeseries.add t.util ~time (b -. b0);
     Stats.Timeseries.add t.calls ~time (float_of_int (c - c0));
     Stats.Timeseries.add t.reads ~time (float_of_int (r - r0));
@@ -63,8 +63,8 @@ let attach engine ~host ~service ~bin =
   in
   Sim.Engine.spawn engine ~name:"monitor.sampler"
     (sample
-       (busy (), total_calls (), calls_of Nfs.Wire.p_read,
-        calls_of Nfs.Wire.p_write));
+       (busy (), total_calls (), calls_of Nfs.Wire.(Proc.read.name),
+        calls_of Nfs.Wire.(Proc.write.name)));
   t
 
 let rows t ~until =

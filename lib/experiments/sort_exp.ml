@@ -106,8 +106,8 @@ let table_5_5 () =
      the local file system still writes structural information.\n"
 
 let ops_row label (r : run_result) =
-  let reads = Stats.Counter.get r.counts Nfs.Wire.p_read in
-  let writes = Stats.Counter.get r.counts Nfs.Wire.p_write in
+  let reads = Stats.Counter.get r.counts Nfs.Wire.(Proc.read.name) in
+  let writes = Stats.Counter.get r.counts Nfs.Wire.(Proc.write.name) in
   let total = Stats.Counter.total r.counts in
   [
     label;

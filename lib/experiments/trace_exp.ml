@@ -52,8 +52,8 @@ let table () =
           label;
           Report.secs r.Workload.Trace.elapsed;
           string_of_int (Stats.Counter.total counts);
-          string_of_int (Stats.Counter.get counts Nfs.Wire.p_write);
-          string_of_int (Stats.Counter.get counts Nfs.Wire.p_read);
+          string_of_int (Stats.Counter.get counts Nfs.Wire.(Proc.write.name));
+          string_of_int (Stats.Counter.get counts Nfs.Wire.(Proc.read.name));
         ])
       runs
   in

@@ -39,11 +39,8 @@ let acquire t ctx (g : gnode) ~index ~len =
         "kent_acquires_total";
     Core.proto_event t.core "acquire"
       [ ("ino", Obs.Trace.Int g.g_ino); ("index", Obs.Trace.Int index) ];
-    let e = Xdr.Enc.create () in
-    Wire.enc_fh e (Core.fh_of t.core g);
-    Xdr.Enc.uint32 e index;
-    Xdr.Enc.uint32 e len;
-    ignore (Wire.request (Core.call t.core ctx) ~proc:Kent_server.p_acquire e);
+    Wire.invoke (Core.call t.core ctx) Kent_server.acquire
+      ((Core.fh_of t.core g, index), len);
     Sim.Inttbl.replace g.g_proto index true
   end
 
@@ -84,14 +81,10 @@ let do_setattr t vn ~size =
   g.g_attrs <- Wire.setattr (Core.call t.core ctx) (Core.fh_of t.core g) ~size
 
 (* block-level callback from the server *)
-let on_callback t dec =
-  let fh = Wire.dec_fh dec in
-  let index = Xdr.Dec.uint32 dec in
-  let writeback = Xdr.Dec.bool dec in
-  let invalidate = Xdr.Dec.bool dec in
-  ( Xdr.Dec.ctx dec,
+let on_callback t (((fh : Wire.fh), index), (writeback, invalidate, id)) =
+  ( id,
     fun cctx ->
-      let ino = fh.Wire.ino in
+      let ino = fh.ino in
       let cache = Core.cache t.core in
       if Obs.Metrics.on () then
         Obs.Metrics.incr
@@ -131,7 +124,7 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "kent")
       ~retry_budget:config.retry_budget
   in
   let t = { core } in
-  Core.serve_callbacks core ~ping:false (on_callback t);
+  Core.serve_callbacks core ~ping:false Kent_server.callback (on_callback t);
   Core.attach core ~getattr:(do_getattr t) ~setattr:(do_setattr t)
     ~fs_open:(do_open t) ~fs_close:(do_close t) ~read_block:(do_read_block t)
     ~write_block:(do_write_block t);

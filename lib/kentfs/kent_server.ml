@@ -2,7 +2,15 @@ module Wire = Nfs.Wire
 
 let prog = "kent"
 
-let p_acquire = "acquire"
+(* ((file, block index), length): the writer's claim on one block *)
+let acquire =
+  Wire.proc "acquire" Xdr.(pair (pair Wire.fh_codec uint32) uint32) Xdr.unit
+
+(* ((file, block index), (write back, invalidate, inducing operation)) *)
+let callback =
+  Wire.proc "callback"
+    Xdr.(pair (pair Wire.fh_codec uint32) (triple bool bool ctx))
+    Xdr.unit
 
 (* per-block consistency state; [lock] serializes directory actions on
    the block (acquire / recall / truncate) — without it, a reader
@@ -40,13 +48,6 @@ let block_callback t ~ctx ~ino ~index ~target ~writeback ~invalidate =
     try (Localfs.getattr ~ctx (Wire.core_fs t.core) ino).Localfs.gen
     with Localfs.Error _ -> 1
   in
-  let e = Xdr.Enc.create () in
-  Wire.enc_fh e { Wire.fsid = Wire.core_fsid t.core; ino; gen };
-  Xdr.Enc.uint32 e index;
-  Xdr.Enc.bool e writeback;
-  Xdr.Enc.bool e invalidate;
-  (* the inducing operation rides in the callback payload *)
-  Xdr.Enc.ctx e (Obs.Causal.id ctx);
   if invalidate && Obs.Metrics.on () then
     Obs.Metrics.incr "kent_invalidations_sent_total";
   if writeback && Obs.Metrics.on () then
@@ -55,7 +56,7 @@ let block_callback t ~ctx ~ino ~index ~target ~writeback ~invalidate =
      server thread stays free for the write-back it may provoke; a
      dead client's copy is gone with it *)
   Sim.Semaphore.with_unit (Wire.callback_tokens t.srv) @@ fun () ->
-  Wire.callback t.srv ~impatient:true ~ctx ~target ~proc:Wire.p_callback
+  Wire.callback t.srv ~impatient:true ~ctx ~target
     ~instant:(fun () ->
       Wire.event t.srv ~cat:"kent"
         ~name:(if writeback then "recall" else "invalidate_send")
@@ -66,7 +67,10 @@ let block_callback t ~ctx ~ino ~index ~target ~writeback ~invalidate =
              ("to", Obs.Trace.Str (Netsim.Net.Host.name target));
              ("invalidate", Obs.Trace.Bool invalidate);
            ]))
-    e
+    callback
+    (* the inducing operation rides in the callback payload *)
+    ( ({ Wire.fsid = Wire.core_fsid t.core; ino; gen }, index),
+      (writeback, invalidate, Obs.Causal.id ctx) )
 
 (* a reader wants current data: if someone owns the block, recall it
    (the owner writes it back and downgrades to a clean copy) *)
@@ -82,101 +86,82 @@ let recall_for_read t ~ctx ~ino ~index =
 
 (* a writer wants ownership: recall from the present owner and
    invalidate every other cached copy *)
-let handle_acquire t ~caller ~ctx d =
-  let ino = (Wire.dec_fh d).Wire.ino in
-  let index = Xdr.Dec.uint32 d in
-  let len = Xdr.Dec.uint32 d in
-  match Localfs.getattr ~ctx (Wire.core_fs t.core) ino with
-  | exception Localfs.Error err -> Wire.error_reply err
-  | _attrs ->
-      let b = bstate t (ino, index) in
-      Sim.Semaphore.with_unit b.lock (fun () ->
-          (match b.owner with
-          | Some o when o <> caller ->
-              ignore
-                (block_callback t ~ctx ~ino ~index ~target:o ~writeback:true
-                   ~invalidate:true)
-          | Some _ | None -> ());
-          List.iter
-            (fun c ->
-              if c <> caller then
-                ignore
-                  (block_callback t ~ctx ~ino ~index ~target:c ~writeback:false
-                     ~invalidate:true))
-            b.copyset;
-          b.owner <- Some caller;
-          b.copyset <- [];
-          (* the logical size advances now, so other clients' opens see
-             the new extent even while the data stays with the owner *)
-          let size =
-            (index * Localfs.block_size) + len
-          in
-          let current =
-            (Localfs.getattr ~ctx (Wire.core_fs t.core) ino).Localfs.size
-          in
-          if size > current then
-            Localfs.setattr ~ctx (Wire.core_fs t.core) ino ~size ());
-      Wire.reply_of (Wire.ok_enc ())
+let handle_acquire t ~caller ~ctx (((fh : Wire.fh), index), len) =
+  let ino = fh.ino in
+  ignore (Localfs.getattr ~ctx (Wire.core_fs t.core) ino);
+  let b = bstate t (ino, index) in
+  Sim.Semaphore.with_unit b.lock (fun () ->
+      (match b.owner with
+      | Some o when o <> caller ->
+          ignore
+            (block_callback t ~ctx ~ino ~index ~target:o ~writeback:true
+               ~invalidate:true)
+      | Some _ | None -> ());
+      List.iter
+        (fun c ->
+          if c <> caller then
+            ignore
+              (block_callback t ~ctx ~ino ~index ~target:c ~writeback:false
+                 ~invalidate:true))
+        b.copyset;
+      b.owner <- Some caller;
+      b.copyset <- [];
+      (* the logical size advances now, so other clients' opens see
+         the new extent even while the data stays with the owner *)
+      let size = (index * Localfs.block_size) + len in
+      let current =
+        (Localfs.getattr ~ctx (Wire.core_fs t.core) ino).Localfs.size
+      in
+      if size > current then
+        Localfs.setattr ~ctx (Wire.core_fs t.core) ino ~size ())
 
 (* reads need per-block recall + copyset tracking under the block's
    lock, so the shared read handler is bypassed *)
-let handle_read t ~caller ~ctx d =
-  let ino = (Wire.dec_fh d).Wire.ino in
-  let index = Xdr.Dec.uint32 d in
-  match Localfs.getattr ~ctx (Wire.core_fs t.core) ino with
-  | exception Localfs.Error err -> Wire.error_reply err
-  | _attrs ->
-      let b = bstate t (ino, index) in
-      let stamp, len =
-        Sim.Semaphore.with_unit b.lock (fun () ->
-            recall_for_read t ~ctx ~ino ~index;
-            let result =
-              Localfs.read_block ~ctx (Wire.core_fs t.core) ino ~index
-            in
-            if not (List.mem caller b.copyset) then
-              b.copyset <- caller :: b.copyset;
-            result)
-      in
-      Wire.read_reply ~stamp ~len
+let handle_read t ~caller ~ctx ((fh : Wire.fh), index) =
+  let ino = fh.ino in
+  ignore (Localfs.getattr ~ctx (Wire.core_fs t.core) ino);
+  let b = bstate t (ino, index) in
+  Sim.Semaphore.with_unit b.lock (fun () ->
+      recall_for_read t ~ctx ~ino ~index;
+      let result = Localfs.read_block ~ctx (Wire.core_fs t.core) ino ~index in
+      if not (List.mem caller b.copyset) then b.copyset <- caller :: b.copyset;
+      result)
 
 (* truncation makes outstanding block states moot: owners and copy
    holders must drop their blocks or stale data could later resurface
    via a delayed write-back. The truncation itself is then the basic
    setattr. *)
-let truncate_blocks t ~caller ~ctx d =
-  let ino = (Wire.dec_fh (Xdr.Dec.clone d)).Wire.ino in
-  match Localfs.getattr ~ctx (Wire.core_fs t.core) ino with
-  | exception Localfs.Error err -> Wire.error_reply err
-  | _attrs ->
-      (* sorted: the invalidation callbacks below must not go out in
-         hash-bucket order (snfs_lint's hashtbl-order rule) *)
-      let affected =
-        Hashtbl.fold
-          (fun (i, index) b acc -> if i = ino then (index, b) :: acc else acc)
-          t.blocks []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      List.iter
-        (fun (index, b) ->
-          Sim.Semaphore.with_unit b.lock (fun () ->
-              (match b.owner with
-              | Some o when o <> caller ->
-                  ignore
-                    (block_callback t ~ctx ~ino ~index ~target:o
-                       ~writeback:false ~invalidate:true)
-              | Some _ | None -> ());
-              List.iter
-                (fun c ->
-                  if c <> caller then
-                    ignore
-                      (block_callback t ~ctx ~ino ~index ~target:c
-                         ~writeback:false ~invalidate:true))
-                b.copyset;
-              b.owner <- None;
-              b.copyset <- []);
-          Hashtbl.remove t.blocks (ino, index))
-        affected;
-      Wire.pass
+let truncate_blocks t ~caller ~ctx ((fh : Wire.fh), _size) =
+  let ino = fh.ino in
+  ignore (Localfs.getattr ~ctx (Wire.core_fs t.core) ino);
+  (* sorted: the invalidation callbacks below must not go out in
+     hash-bucket order (snfs_lint's hashtbl-order rule) *)
+  let affected =
+    Hashtbl.fold
+      (fun (i, index) b acc -> if i = ino then (index, b) :: acc else acc)
+      t.blocks []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  List.iter
+    (fun (index, b) ->
+      Sim.Semaphore.with_unit b.lock (fun () ->
+          (match b.owner with
+          | Some o when o <> caller ->
+              ignore
+                (block_callback t ~ctx ~ino ~index ~target:o
+                   ~writeback:false ~invalidate:true)
+          | Some _ | None -> ());
+          List.iter
+            (fun c ->
+              if c <> caller then
+                ignore
+                  (block_callback t ~ctx ~ino ~index ~target:c
+                     ~writeback:false ~invalidate:true))
+            b.copyset;
+          b.owner <- None;
+          b.copyset <- []);
+      Hashtbl.remove t.blocks (ino, index))
+    affected
 
 let forget_file t ino =
   let doomed =
@@ -201,14 +186,15 @@ let serve rpc host ~fsid fs =
            ()
        in
        let srv =
-         Wire.serve rpc host ~prog ~threads core (fun ~caller ~ctx ~proc dec ->
-             if proc = p_acquire then
-               handle_acquire (Lazy.force t) ~caller ~ctx dec
-             else if proc = Wire.p_read then
-               handle_read (Lazy.force t) ~caller ~ctx dec
-             else if proc = Wire.p_setattr then
-               truncate_blocks (Lazy.force t) ~caller ~ctx dec
-             else Wire.pass)
+         Wire.serve rpc host ~prog ~threads core
+           (Wire.serves acquire (fun ~caller ~ctx args ->
+                handle_acquire (Lazy.force t) ~caller ~ctx args)
+           :: Wire.serves Wire.Proc.read (fun ~caller ~ctx args ->
+                  handle_read (Lazy.force t) ~caller ~ctx args)
+           :: Wire.before Wire.Proc.setattr
+                (fun ~caller ~ctx args ->
+                  truncate_blocks (Lazy.force t) ~caller ~ctx args)
+                (Wire.basic core))
        in
        let engine = Netsim.Net.engine (Netsim.Rpc.net rpc) in
        { core; srv; engine; blocks = Hashtbl.create 256 })

@@ -23,9 +23,13 @@ type t
 
 val prog : string
 
-(** Acquire-ownership procedure name (the protocol's one addition to
-    the shared wire vocabulary). *)
-val p_acquire : string
+(** The protocol's own procedures: [acquire] ((file, block), length)
+    before writing a block, and the server's block [callback] ((file,
+    block), (write back, invalidate, inducing operation)). *)
+val acquire : ((Nfs.Wire.fh * int) * int, unit) Nfs.Wire.procedure
+
+val callback :
+  ((Nfs.Wire.fh * int) * (bool * bool * int), unit) Nfs.Wire.procedure
 
 (** Serve [fs] with 8 server threads. Ownership recalls and copy
     invalidations sent count in the metrics registry as

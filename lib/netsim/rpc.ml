@@ -44,17 +44,18 @@ let returned = { data = Bytes.empty; bulk = -2 }
    wire header, never ambient state — so handlers can tag the work
    they do, and the work they induce, with the operation that caused
    it. *)
-type handler =
-  caller:Net.Host.t -> ctx:Obs.Causal.t -> proc:string -> Xdr.Dec.t -> reply
+type handler = caller:Net.Host.t -> ctx:Obs.Causal.t -> Xdr.Dec.t -> reply
 
 (* Everything the request path needs per procedure, resolved once per
-   procedure instead of once per request: the display name (a string
-   concatenation) and the operation-count cell (a string-hashed counter
-   lookup). *)
+   procedure instead of once per request: its handler, its trace names
+   (string concatenations) and its operation-count cell (a
+   string-hashed counter lookup). *)
 type proc_info = {
   proc : string;
   pname : string; (* "prog.proc" *)
+  exec_name : string; (* "exec prog.proc" *)
   count : int ref; (* this proc's cell in the service's [counts] *)
+  handler : handler;
 }
 
 (* A served program. Its [threads] threads are its one bound: a request
@@ -65,7 +66,8 @@ type service = {
   prog : string;
   host : Net.Host.t;
   config : config; (* the transport's: server CPU charges *)
-  mutable handler : handler;
+  table : (string * handler) list; (* as served: the first of a name *)
+  unknown : handler; (* a procedure [table] does not name *)
   mutable idle : int; (* threads executing nothing *)
   (* requests waiting for a thread, in arrival order: a ring of
      [waiting] calls from [head], with each one's first arrival beside
@@ -77,8 +79,9 @@ type service = {
   mutable waiting : int;
   vacant : call;
   drc : reply Drc.t;
-  (* in registration order; a protocol has a few dozen procedures, so
-     a scan by string equality beats hashing the name *)
+  (* each procedure called so far, in order of first call; a protocol
+     has a few dozen procedures, so a scan by string equality beats
+     hashing the name *)
   mutable procs : proc_info array;
   counts : Stats.Counter.t;
   mutable on_restart : (unit -> unit) option;
@@ -96,7 +99,6 @@ and call = {
   info : proc_info;
   ctx : Obs.Causal.t;
   xid : int;
-  proc : string;
   args : bytes;
   bulk : int;
   caller : caller;
@@ -119,8 +121,7 @@ type t = {
   services : (int * string, service) Hashtbl.t; (* (host addr, prog) *)
   (* one-slot memo for the per-call service lookup: every client in a
      testbed talks to the same server address and program, so the
-     tuple-keyed hash lookup hits this slot almost always. [serve]
-     clears it, so a re-registered service is never seen stale. *)
+     tuple-keyed hash lookup hits this slot almost always *)
   mutable memo_addr : int;
   mutable memo_prog : string;
   mutable memo_svc : service option;
@@ -148,8 +149,11 @@ let create net ?(config = default_config) () =
 let net t = t.net
 let config t = t.config
 
-(* a call to a program [dst] does not serve: its requests go nowhere *)
-let unserved proc = { proc; pname = ""; count = ref 0 }
+(* a call to a program [dst] does not serve: its requests go nowhere,
+   so its handler never runs *)
+let unserved ~prog proc =
+  let handler ~caller:_ ~ctx:_ _ = pending in
+  { proc; pname = prog ^ "." ^ proc; exec_name = ""; count = ref 0; handler }
 
 (* the call in no backlog slot *)
 let vacant host =
@@ -157,48 +161,44 @@ let vacant host =
     src = host;
     dst = host;
     svc = None;
-    info = unserved "";
+    info = unserved ~prog:"" "";
     ctx = Obs.Causal.none;
     xid = -1;
-    proc = "";
     args = Bytes.empty;
     bulk = 0;
     caller = { reply = pending; resume = ignore; round = -1 };
   }
 
-let serve t host ~prog ~threads handler =
+let serve t host ~prog ~threads ~unknown table =
   let key = (Net.Host.addr host, prog) in
-  match Hashtbl.find_opt t.services key with
-  | Some svc ->
-      svc.handler <- handler;
-      svc
-  | None ->
-      let svc =
-        {
-          prog;
-          host;
-          config = t.config;
-          handler;
-          idle = threads;
-          backlog = [||];
-          arrivals = [||];
-          head = 0;
-          waiting = 0;
-          vacant = vacant host;
-          drc = Drc.create ~pending;
-          procs = [||];
-          counts = Stats.Counter.create ();
-          on_restart = None;
-          epoch_seen = Net.Host.boot_epoch host;
-        }
-      in
-      Hashtbl.replace t.services key svc;
-      t.memo_svc <- None;
-      Obs.Metrics.register_poll
-        ~labels:[ ("host", Net.Host.name host); ("prog", prog) ]
-        "rpc_dup_cache_entries"
-        (fun () -> float_of_int (Drc.length svc.drc));
-      svc
+  if Hashtbl.mem t.services key then
+    invalid_arg ("Rpc.serve: " ^ prog ^ " is already served on this host");
+  let svc =
+    {
+      prog;
+      host;
+      config = t.config;
+      table;
+      unknown;
+      idle = threads;
+      backlog = [||];
+      arrivals = [||];
+      head = 0;
+      waiting = 0;
+      vacant = vacant host;
+      drc = Drc.create ~pending;
+      procs = [||];
+      counts = Stats.Counter.create ();
+      on_restart = None;
+      epoch_seen = Net.Host.boot_epoch host;
+    }
+  in
+  Hashtbl.replace t.services key svc;
+  Obs.Metrics.register_poll
+    ~labels:[ ("host", Net.Host.name host); ("prog", prog) ]
+    "rpc_dup_cache_entries"
+    (fun () -> float_of_int (Drc.length svc.drc));
+  svc
 
 let service_host svc = svc.host
 let service_prog svc = svc.prog
@@ -210,12 +210,18 @@ let payload_cpu config bytes =
 
 let server_now svc = Sim.Engine.now (Net.Host.engine svc.host)
 
+(* a procedure's first call: its counter cell is made now, so a
+   procedure never called shows in no count *)
 let register_proc svc proc =
+  let pname = svc.prog ^ "." ^ proc in
   let i =
     {
       proc;
-      pname = svc.prog ^ "." ^ proc;
+      pname;
+      exec_name = "exec " ^ pname;
       count = Stats.Counter.cell svc.counts proc;
+      handler =
+        Option.value ~default:svc.unknown (List.assoc_opt proc svc.table);
     }
   in
   svc.procs <- Array.append svc.procs [| i |];
@@ -289,7 +295,7 @@ let execute svc c queued =
         [
           ("host", Net.Host.name svc.host);
           ("prog", svc.prog);
-          ("proc", c.proc);
+          ("proc", c.info.proc);
         ]
       "rpc_server_calls_total";
   let sp =
@@ -297,7 +303,7 @@ let execute svc c queued =
       (* [queued] = arrival-to-thread wait, so the analyzer can split
          server queueing from server compute *)
       Obs.Trace.span ~ts:(server_now svc) ~cat:"rpc"
-        ~name:("exec " ^ svc.prog ^ "." ^ c.proc)
+        ~name:c.info.exec_name
         ~track:(Net.Host.name svc.host)
         ~args:
           (Obs.Causal.arg c.ctx
@@ -312,7 +318,7 @@ let execute svc c queued =
     (svc.config.server_cpu_per_call
     +. payload_cpu svc.config (Bytes.length c.args + c.bulk));
   let reply =
-    svc.handler ~caller:c.src ~ctx:c.ctx ~proc:c.proc (Xdr.Dec.of_bytes c.args)
+    c.info.handler ~caller:c.src ~ctx:c.ctx (Xdr.Dec.of_bytes c.args)
   in
   Net.Host.use_cpu svc.host
     (payload_cpu svc.config (Bytes.length reply.data + reply.bulk));
@@ -426,11 +432,11 @@ let latency_table m =
     List.map
       (fun (labels, h) ->
         let label k = Option.value ~default:"" (List.assoc_opt k labels) in
-        let prog = label "prog" and proc = label "proc" in
+        let prog = label "prog" and procedure = label "proc" in
         let outcome = label "outcome" in
-        ( (prog, proc, outcome <> "ok"),
+        ( (prog, procedure, outcome <> "ok"),
           [
-            prog ^ "." ^ proc;
+            prog ^ "." ^ procedure;
             outcome;
             string_of_int (Stats.Histogram.count h);
             ms (Stats.Histogram.mean h);
@@ -449,37 +455,16 @@ let latency_table m =
       ]
     (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) rows))
 
-let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
+let call_once t config ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
   let engine = Net.engine t.net in
   let xid = t.next_xid in
   t.next_xid <- xid + 1;
-  (* one tuple-keyed service lookup per call, not one per transmission
-     (a service registered between retransmissions of the same call is
-     not a case the simulation produces) *)
-  let dst_addr = Net.Host.addr dst in
-  let svc =
-    match t.memo_svc with
-    | Some _ when t.memo_addr = dst_addr && String.equal t.memo_prog prog ->
-        t.memo_svc
-    | _ ->
-        let s = Hashtbl.find_opt t.services (dst_addr, prog) in
-        (match s with
-        | Some _ ->
-            t.memo_addr <- dst_addr;
-            t.memo_prog <- prog;
-            t.memo_svc <- s
-        | None -> ());
-        s
-  in
-  let info =
-    match svc with Some s -> proc_info s proc | None -> unserved proc
-  in
   let issued = Sim.Engine.now engine in
   let track = Net.Host.name src in
   let bytes = Bytes.length args + bulk in
   let sp =
     if Obs.Trace.on () then
-      Obs.Trace.span ~ts:issued ~cat:"rpc" ~name:(prog ^ "." ^ proc) ~track
+      Obs.Trace.span ~ts:issued ~cat:"rpc" ~name:info.pname ~track
         ~args:
           (Obs.Causal.arg ctx
              [ ("xid", Obs.Trace.Int xid);
@@ -496,7 +481,6 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
       info;
       ctx;
       xid;
-      proc;
       args;
       bulk;
       caller = { reply = pending; resume = ignore; round = -1 };
@@ -545,8 +529,7 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
       if Obs.Trace.on () then
         Obs.Trace.instant ~ts:now ~cat:"rpc" ~name:"timeout" ~track
           ~args:
-            [ ("proc", Obs.Trace.Str (prog ^ "." ^ proc));
-              ("xid", Obs.Trace.Int xid) ]
+            [ ("proc", Obs.Trace.Str info.pname); ("xid", Obs.Trace.Int xid) ]
           ();
       Obs.Trace.finish ~ts:now sp
         ~args:
@@ -563,7 +546,7 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
         Obs.Trace.instant ~ts:(Sim.Engine.now engine) ~cat:"rpc"
           ~name:"retransmit" ~track
           ~args:
-            [ ("proc", Obs.Trace.Str (prog ^ "." ^ proc));
+            [ ("proc", Obs.Trace.Str info.pname);
               ("xid", Obs.Trace.Int xid);
               ("attempt", Obs.Trace.Int (n + 1)) ]
           ();
@@ -584,8 +567,30 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args =
 let call t ?config ?(ctx = Obs.Causal.none) ~src ~dst ~prog ~proc ?budget
     ?(bulk = 0) args =
   let config = match config with Some c -> c | None -> t.config in
+  (* one tuple-keyed service lookup and one procedure lookup per call,
+     not one per transmission or budgeted round (a program served only
+     after a call to it was issued is not a case the simulation
+     produces) *)
+  let dst_addr = Net.Host.addr dst in
+  let svc =
+    match t.memo_svc with
+    | Some _ when t.memo_addr = dst_addr && String.equal t.memo_prog prog ->
+        t.memo_svc
+    | _ ->
+        let s = Hashtbl.find_opt t.services (dst_addr, prog) in
+        (match s with
+        | Some _ ->
+            t.memo_addr <- dst_addr;
+            t.memo_prog <- prog;
+            t.memo_svc <- s
+        | None -> ());
+        s
+  in
+  let info =
+    match svc with Some s -> proc_info s proc | None -> unserved ~prog proc
+  in
   match budget with
-  | None -> call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args
+  | None -> call_once t config ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args
   | Some give_up_after ->
       (* each round is a complete call (fresh xid, its own span and
          latency record); between rounds the caller sleeps out a
@@ -595,7 +600,9 @@ let call t ?config ?(ctx = Obs.Causal.none) ~src ~dst ~prog ~proc ?budget
       let started = Sim.Engine.now engine in
       let track = Net.Host.name src in
       let rec go backoff =
-        match call_once t config ~ctx ~src ~dst ~prog ~proc ~bulk args with
+        match
+          call_once t config ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args
+        with
         | data -> data
         | exception Timeout _ ->
             let waited = Sim.Engine.now engine -. started in
@@ -609,7 +616,7 @@ let call t ?config ?(ctx = Obs.Causal.none) ~src ~dst ~prog ~proc ?budget
                   ~ts:(Sim.Engine.now engine)
                   ~cat:"rpc" ~name:"unavailable" ~track
                   ~args:
-                    [ ("proc", Obs.Trace.Str (prog ^ "." ^ proc));
+                    [ ("proc", Obs.Trace.Str info.pname);
                       ("waited", Obs.Trace.Float waited) ]
                   ();
               raise (Server_unavailable { prog; proc; waited })

@@ -47,27 +47,31 @@ exception Server_unavailable of { prog : string; proc : string; waited : float }
     payload bytes (file data) that count toward message size. *)
 type reply = { data : bytes; bulk : int }
 
-(** [ctx] is the causal context of the client operation this request
+(** One procedure's server side, from its arguments to its reply.
+    [ctx] is the causal context of the client operation this request
     serves ({!Obs.Causal.none} for background traffic) — an explicit
     field of the simulated request header, threaded rather than
     ambient, so handlers tag their work (and the work they induce)
     with the inducing operation. *)
-type handler =
-  caller:Net.Host.t -> ctx:Obs.Causal.t -> proc:string -> Xdr.Dec.t -> reply
+type handler = caller:Net.Host.t -> ctx:Obs.Causal.t -> Xdr.Dec.t -> reply
 
 type service
 
-(** [serve t host ~prog ~threads handler] registers program [prog] on
-    [host] with [threads] worker threads. A request the duplicate-request
-    cache lets through starts on an idle thread, in a process spawned
-    at its arrival. With every thread busy it waits in a FIFO backlog,
-    as a queue slot rather than a process, and the next thread to
-    finish takes it up in its own process, at the instant of that
-    finish. A retransmission of a waiting request is dropped, and the
-    request's traced [queued] time runs from its first arrival.
-    Re-registering an existing program replaces its handler (used by
-    hybrid servers). *)
-val serve : t -> Net.Host.t -> prog:string -> threads:int -> handler -> service
+(** [serve t host ~prog ~threads ~unknown procs] registers program
+    [prog] on [host] with [threads] worker threads; [Invalid_argument]
+    if [host] serves [prog] already. A request runs the handler of the
+    first entry of [procs] that names its procedure, or [unknown]:
+    looked up at a procedure's first call, which makes its counter
+    cell. A request the duplicate-request cache lets through starts on
+    an idle thread, in a process spawned at its arrival. With every
+    thread busy it waits in a FIFO backlog, as a queue slot rather than
+    a process, and the next thread to finish takes it up in its own
+    process, at the instant of that finish. A retransmission of a
+    waiting request is dropped, and the request's traced [queued] time
+    runs from its first arrival. *)
+val serve :
+  t -> Net.Host.t -> prog:string -> threads:int -> unknown:handler ->
+  (string * handler) list -> service
 
 val service_host : service -> Net.Host.t
 

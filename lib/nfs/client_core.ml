@@ -190,32 +190,30 @@ let do_fsync t vn = op t "fsync" @@ fun ctx -> flush ~ctx t (gnode t vn)
 
 (* ---- callback service (Section 4.2.2) ---- *)
 
-let serve_callbacks t ~ping callback =
+let serve_callbacks t ~ping p callback =
+  let on_callback =
+    Wire.serves p (fun ~caller:_ ~ctx:_ args ->
+        let id, act = callback args in
+        (* the inducing operation rode the wire: close the causal chain
+           with the effect end of the flow arrow on this client's
+           track *)
+        let cctx = Obs.Causal.of_id id in
+        if Obs.Trace.on () && Obs.Causal.live cctx then
+          Obs.Trace.flow_end
+            ~ts:(Sim.Engine.now t.engine)
+            ~track:(host t) ~id:(Obs.Causal.id cctx) ();
+        act cctx)
+  in
+  (* liveness probe from the server's laundromat *)
+  let on_ping =
+    Wire.serves Wire.Proc.ping (fun ~caller:_ ~ctx:_ () ->
+        Netsim.Net.Host.boot_epoch t.client)
+  in
   ignore
     (Netsim.Rpc.serve t.rpc t.client
        ~prog:(Wire.callback_prog ~prog:t.policy.prog ~fsid:t.root.Wire.fsid)
-       ~threads:2
-       (fun ~caller:_ ~ctx:_ ~proc dec ->
-         if proc = Wire.p_callback then begin
-           let id, act = callback dec in
-           (* the inducing operation rode the wire: close the causal
-              chain with the effect end of the flow arrow on this
-              client's track *)
-           let cctx = Obs.Causal.of_id id in
-           if Obs.Trace.on () && Obs.Causal.live cctx then
-             Obs.Trace.flow_end
-               ~ts:(Sim.Engine.now t.engine)
-               ~track:(host t) ~id:(Obs.Causal.id cctx) ();
-           act cctx;
-           Wire.reply_of (Wire.ok_enc ())
-         end
-         else if ping && proc = Wire.p_ping then begin
-           (* liveness probe from the server's laundromat *)
-           let e = Wire.ok_enc () in
-           Xdr.Enc.uint32 e (Netsim.Net.Host.boot_epoch t.client);
-           Wire.reply_of e
-         end
-         else Wire.error_reply Localfs.Stale))
+       ~threads:2 ~unknown:Wire.unknown
+       (if ping then [ on_callback; on_ping ] else [ on_callback ]))
 
 (* ---- construction ---- *)
 

@@ -96,15 +96,16 @@ val call : 'p t -> Obs.Causal.t -> Wire.call
     cache and disk touch the operation makes. *)
 val op : 'p t -> string -> (Obs.Causal.t -> 'a) -> 'a
 
-(** [serve_callbacks t ~ping callback] registers the client's callback
-    service, {!Wire.callback_prog} of [policy.prog] and the root fsid.
-    A [callback] call runs [callback args]: it decodes them and returns
-    the inducing operation's id ([cb_ctx]) with what the callback does
-    to the cache, which runs after the operation's flow arrow ends
-    here; the reply is [Ok]. With [ping], a [ping] gets the host's
-    boot epoch. Any other procedure gets [Error Stale]. *)
+(** [serve_callbacks t ~ping p callback] registers the client's
+    callback service, {!Wire.callback_prog} of [policy.prog] and the
+    root fsid. A [p] call runs [callback args]: it returns the inducing
+    operation's id ([cb_ctx]) with what the callback does to the cache,
+    which runs after the operation's flow arrow ends here; the reply is
+    [Ok]. With [ping], a [ping] gets the host's boot epoch. Any other
+    procedure gets [Error Stale]. *)
 val serve_callbacks :
-  'p t -> ping:bool -> (Xdr.Dec.t -> int * (Obs.Causal.t -> unit)) -> unit
+  'p t -> ping:bool -> ('a, unit) Wire.procedure ->
+  ('a -> int * (Obs.Causal.t -> unit)) -> unit
 
 (** A protocol instant on the client's trace track, when tracing. *)
 val proto_event : 'p t -> string -> (string * Obs.Trace.value) list -> unit

@@ -1,6 +1,6 @@
 (** The NFS server: stateless, no open/close, synchronous writes.
 
-    The basic procedures of {!Wire.serve} and nothing else. The
+    The basic procedures, {!Wire.basic}, and nothing else. The
     statelessness is real: nothing about clients is remembered between
     calls, so crashing and rebooting the host changes nothing (the
     trivial crash recovery of Section 2.4). *)

@@ -61,131 +61,8 @@ let status_of_code = function
 let enc_status e s = Xdr.Enc.enum e (status_code s)
 let dec_status d = status_of_code (Xdr.Dec.enum d)
 
-let p_lookup = "lookup"
-let p_getattr = "getattr"
-let p_setattr = "setattr"
-let p_read = "read"
-let p_write = "write"
-let p_create = "create"
-let p_remove = "remove"
-let p_mkdir = "mkdir"
-let p_rmdir = "rmdir"
-let p_rename = "rename"
-let p_readdir = "readdir"
-let p_open = "open"
-let p_close = "close"
-let p_callback = "callback"
-let p_ping = "ping"
-let p_reopen = "reopen"
-
-let data_procs = [ p_read; p_write ]
-
-(* ---- client stubs ---- *)
-
-type call = proc:string -> ?bulk:int -> bytes -> bytes
-
-let check d =
-  match dec_status d with Ok () -> () | Error e -> raise (Localfs.Error e)
-
-let request (call : call) ~proc e =
-  let d = Xdr.Dec.of_bytes (call ~proc (Xdr.Enc.to_bytes e)) in
-  check d;
-  d
-
-let enc () = Xdr.Enc.create ()
-
-let dirop (call : call) ~proc ~dir name =
-  let e = enc () in
-  enc_fh e dir;
-  Xdr.Enc.string e name;
-  let d = request call ~proc e in
-  let fh = dec_fh d in
-  let attrs = dec_attrs d in
-  (fh, attrs)
-
-let lookup call ~dir name = dirop call ~proc:p_lookup ~dir name
-let create call ~dir name = dirop call ~proc:p_create ~dir name
-let mkdir call ~dir name = dirop call ~proc:p_mkdir ~dir name
-
-let getattr (call : call) fh =
-  let e = enc () in
-  enc_fh e fh;
-  let d = request call ~proc:p_getattr e in
-  dec_attrs d
-
-let setattr (call : call) fh ~size =
-  let e = enc () in
-  enc_fh e fh;
-  Xdr.Enc.uint32 e size;
-  let d = request call ~proc:p_setattr e in
-  dec_attrs d
-
-let read (call : call) fh ~index =
-  let e = enc () in
-  enc_fh e fh;
-  Xdr.Enc.uint32 e index;
-  let d = request call ~proc:p_read e in
-  let stamp = Xdr.Dec.uint32 d in
-  let len = Xdr.Dec.uint32 d in
-  (stamp, len)
-
-let write (call : call) fh ~index ~stamp ~len =
-  let e = enc () in
-  enc_fh e fh;
-  Xdr.Enc.uint32 e index;
-  Xdr.Enc.uint32 e stamp;
-  Xdr.Enc.uint32 e len;
-  (* the data itself rides as bulk payload *)
-  let d = Xdr.Dec.of_bytes (call ~proc:p_write ~bulk:len (Xdr.Enc.to_bytes e)) in
-  check d;
-  dec_attrs d
-
-let name_op (call : call) ~proc ~dir name =
-  let e = enc () in
-  enc_fh e dir;
-  Xdr.Enc.string e name;
-  ignore (request call ~proc e)
-
-let remove call ~dir name = name_op call ~proc:p_remove ~dir name
-let rmdir call ~dir name = name_op call ~proc:p_rmdir ~dir name
-
-let rename (call : call) ~fromdir fname ~todir tname =
-  let e = enc () in
-  enc_fh e fromdir;
-  Xdr.Enc.string e fname;
-  enc_fh e todir;
-  Xdr.Enc.string e tname;
-  ignore (request call ~proc:p_rename e)
-
-let readdir (call : call) fh =
-  let e = enc () in
-  enc_fh e fh;
-  let d = request call ~proc:p_readdir e in
-  Xdr.Dec.array d Xdr.Dec.string
-
-type open_reply = {
-  cache_enabled : bool;
-  version : int;
-  prev_version : int;
-  attrs : Localfs.attrs;
-}
-
-let snfs_open (call : call) fh ~write_mode =
-  let e = enc () in
-  enc_fh e fh;
-  Xdr.Enc.bool e write_mode;
-  let d = request call ~proc:p_open e in
-  let cache_enabled = Xdr.Dec.bool d in
-  let version = Xdr.Dec.uint32 d in
-  let prev_version = Xdr.Dec.uint32 d in
-  let attrs = dec_attrs d in
-  { cache_enabled; version; prev_version; attrs }
-
-let snfs_close (call : call) fh ~write_mode =
-  let e = enc () in
-  enc_fh e fh;
-  Xdr.Enc.bool e write_mode;
-  ignore (request call ~proc:p_close e)
+let fh_codec = { Xdr.enc = enc_fh; dec = dec_fh }
+let attrs_codec = { Xdr.enc = enc_attrs; dec = dec_attrs }
 
 (* [cb_ctx] is the causal context of the client operation that induced
    this callback (0 = none): the receiving client tags the work it does
@@ -198,45 +75,157 @@ type callback_args = {
   cb_ctx : int;
 }
 
-let enc_callback e { cb_fh; cb_writeback; cb_invalidate; cb_ctx } =
-  enc_fh e cb_fh;
-  Xdr.Enc.bool e cb_writeback;
-  Xdr.Enc.bool e cb_invalidate;
-  Xdr.Enc.ctx e cb_ctx
+let callback_codec =
+  Xdr.map
+    ~inj:(fun (cb_fh, (cb_writeback, cb_invalidate, cb_ctx)) ->
+      { cb_fh; cb_writeback; cb_invalidate; cb_ctx })
+    ~prj:(fun c -> (c.cb_fh, (c.cb_writeback, c.cb_invalidate, c.cb_ctx)))
+    Xdr.(pair fh_codec (triple bool bool ctx))
 
-let dec_callback d =
-  let cb_fh = dec_fh d in
-  let cb_writeback = Xdr.Dec.bool d in
-  let cb_invalidate = Xdr.Dec.bool d in
-  let cb_ctx = Xdr.Dec.ctx d in
-  { cb_fh; cb_writeback; cb_invalidate; cb_ctx }
+let enc_callback = callback_codec.enc
+let dec_callback = callback_codec.dec
 
-(* ---- replies ---- *)
+type open_reply = {
+  cache_enabled : bool;
+  version : int;
+  prev_version : int;
+  attrs : Localfs.attrs;
+}
 
-let reply_of e = { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 }
+(* ---- procedures ---- *)
 
-let ok_enc () =
+type ('a, 'r) procedure = {
+  name : string;
+  args : 'a Xdr.codec;
+  res : 'r Xdr.codec;
+  args_bulk : 'a -> int option;
+  res_bulk : 'r -> int;
+}
+
+let proc name args res =
+  { name; args; res; args_bulk = (fun _ -> None); res_bulk = (fun _ -> 0) }
+
+module Proc = struct
+  open Xdr
+
+  let dirop name = proc name (pair fh_codec string) (pair fh_codec attrs_codec)
+  let lookup = dirop "lookup"
+  let create = dirop "create"
+  let mkdir = dirop "mkdir"
+  let getattr = proc "getattr" fh_codec attrs_codec
+  let setattr = proc "setattr" (pair fh_codec uint32) attrs_codec
+
+  (* the data block rides back as bulk payload *)
+  let read =
+    { (proc "read" (pair fh_codec uint32) (pair uint32 uint32)) with
+      res_bulk = snd }
+
+  (* (file, (index, stamp, len)); the data itself rides as bulk payload *)
+  let write =
+    { (proc "write" (pair fh_codec (triple uint32 uint32 uint32)) attrs_codec)
+      with
+      args_bulk = (fun (_, (_, _, len)) -> Some len) }
+
+  let remove = proc "remove" (pair fh_codec string) unit
+  let rmdir = proc "rmdir" (pair fh_codec string) unit
+
+  let rename =
+    proc "rename" (pair (pair fh_codec string) (pair fh_codec string)) unit
+
+  let readdir = proc "readdir" fh_codec (list string)
+
+  let snfs_open =
+    proc "open" (pair fh_codec bool)
+      (map
+         ~inj:(fun ((cache_enabled, version, prev_version), attrs) ->
+           { cache_enabled; version; prev_version; attrs })
+         ~prj:(fun r -> ((r.cache_enabled, r.version, r.prev_version), r.attrs))
+         (pair (triple bool uint32 uint32) attrs_codec))
+
+  let rfs_open = proc "open" (pair fh_codec bool) (pair uint32 attrs_codec)
+  let close = proc "close" (pair fh_codec bool) unit
+  let ping = proc "ping" unit uint32
+
+  let reopen =
+    proc "reopen"
+      (list (pair (triple uint32 uint32 uint32) (triple bool bool uint32)))
+      unit
+
+  let callback = proc "callback" callback_codec unit
+end
+
+let data_procs = [ Proc.read.name; Proc.write.name ]
+
+(* ---- client stubs ---- *)
+
+type call = proc:string -> ?bulk:int -> bytes -> bytes
+
+let invoke (call : call) p a =
   let e = Xdr.Enc.create () in
-  enc_status e (Ok ());
-  e
+  p.args.enc e a;
+  let bulk = p.args_bulk a in
+  let d = Xdr.Dec.of_bytes (call ~proc:p.name ?bulk (Xdr.Enc.to_bytes e)) in
+  (match dec_status d with Ok () -> () | Error e -> raise (Localfs.Error e));
+  p.res.dec d
+
+let lookup call ~dir name = invoke call Proc.lookup (dir, name)
+let create call ~dir name = invoke call Proc.create (dir, name)
+let mkdir call ~dir name = invoke call Proc.mkdir (dir, name)
+let getattr call fh = invoke call Proc.getattr fh
+let setattr call fh ~size = invoke call Proc.setattr (fh, size)
+let read call fh ~index = invoke call Proc.read (fh, index)
+
+let write call fh ~index ~stamp ~len =
+  invoke call Proc.write (fh, (index, stamp, len))
+
+let remove call ~dir name = invoke call Proc.remove (dir, name)
+let rmdir call ~dir name = invoke call Proc.rmdir (dir, name)
+
+let rename call ~fromdir fname ~todir tname =
+  invoke call Proc.rename ((fromdir, fname), (todir, tname))
+
+let readdir call fh = invoke call Proc.readdir fh
+let snfs_open call fh ~write_mode = invoke call Proc.snfs_open (fh, write_mode)
+let snfs_close call fh ~write_mode = invoke call Proc.close (fh, write_mode)
+
+(* ---- server side ---- *)
+
+type entry = string * Netsim.Rpc.handler
 
 let error_reply err =
   let e = Xdr.Enc.create () in
   enc_status e (Error err);
-  reply_of e
+  { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 }
 
-let read_reply ~stamp ~len =
-  let e = ok_enc () in
-  Xdr.Enc.uint32 e stamp;
-  Xdr.Enc.uint32 e len;
-  (* the data block rides back as bulk payload *)
-  { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = len }
+(* an unknown procedure: how a hybrid client learns that a plain NFS
+   server rejects open and close (Section 6.1) *)
+let unknown ~caller:_ ~ctx:_ _ = error_reply Localfs.Stale
 
-(* a dispatcher's "not mine", told apart from every real reply by
-   physical equality, so passing a call on allocates nothing *)
-let pass = reply_of (Xdr.Enc.create ())
+let serves p f =
+  ( p.name,
+    fun ~caller ~ctx d ->
+      match f ~caller:(Netsim.Net.Host.addr caller) ~ctx (p.args.dec d) with
+      | r ->
+          let e = Xdr.Enc.create () in
+          enc_status e (Ok ());
+          p.res.enc e r;
+          { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = p.res_bulk r }
+      | exception Localfs.Error err -> error_reply err )
 
-(* ---- server core ---- *)
+let before p f (procs : entry list) =
+  List.map
+    (fun ((name, handler) as entry) ->
+      if not (String.equal name p.name) then entry
+      else
+        ( name,
+          fun ~caller ~ctx d ->
+            match
+              f ~caller:(Netsim.Net.Host.addr caller) ~ctx
+                (p.args.dec (Xdr.Dec.clone d))
+            with
+            | () -> handler ~caller ~ctx d
+            | exception Localfs.Error err -> error_reply err ))
+    procs
 
 (* Hooks receive [ctx], the causal context of the triggering client
    operation, so consistency actions they induce (RFS invalidations)
@@ -257,95 +246,61 @@ let core_fs c = c.fs
 
 let root_fh c = { fsid = c.fsid; ino = Localfs.root c.fs; gen = 1 }
 
-(* the inode a request's file handle names, if it is of this file
-   system *)
-let ino_arg c d =
-  let fh = dec_fh d in
-  if fh.fsid <> c.fsid then raise (Localfs.Error Localfs.Stale);
-  fh.ino
-
-let fh_attrs_reply ~ctx c ino =
-  let attrs = Localfs.getattr ~ctx c.fs ino in
-  let e = ok_enc () in
-  enc_fh e { fsid = c.fsid; ino; gen = attrs.Localfs.gen };
-  enc_attrs e attrs;
-  reply_of e
-
-let attrs_reply attrs =
-  let e = ok_enc () in
-  enc_attrs e attrs;
-  reply_of e
-
-(* Execute a basic procedure, or [pass] if [proc] is not one. Data
-   writes go to the disk synchronously (Section 2.3: "writes are
-   always synchronous with the disk at the server"). [ctx] flows down
-   to the file system, buffer cache and disk. *)
-let handle_basic c ~caller ~ctx ~proc d =
-  let fs = c.fs in
-  try
-    if proc = p_lookup then
-      let dir = ino_arg c d in
-      fh_attrs_reply ~ctx c (Localfs.lookup ~ctx fs ~dir (Xdr.Dec.string d))
-    else if proc = p_getattr then
-      (* snfs-lint: allow yield-race — fs is set at server creation *)
-      attrs_reply (Localfs.getattr ~ctx fs (ino_arg c d))
-    else if proc = p_setattr then begin
-      let ino = ino_arg c d in
-      Localfs.setattr ~ctx fs ino ~size:(Xdr.Dec.uint32 d) ();
-      attrs_reply (Localfs.getattr ~ctx fs ino)
-    end
-    else if proc = p_read then begin
-      let ino = ino_arg c d in
-      let index = Xdr.Dec.uint32 d in
-      let stamp, len = Localfs.read_block ~ctx fs ino ~index in
-      (match c.on_read with Some f -> f ~ino ~caller ~ctx | None -> ());
-      read_reply ~stamp ~len
-    end
-    else if proc = p_write then begin
-      let ino = ino_arg c d in
-      let index = Xdr.Dec.uint32 d in
-      let stamp = Xdr.Dec.uint32 d in
-      let len = Xdr.Dec.uint32 d in
-      (* stable storage before replying *)
-      Localfs.write_block ~ctx fs ino ~index ~stamp ~len `Sync;
-      (match c.on_write with Some f -> f ~ino ~caller ~ctx | None -> ());
-      attrs_reply (Localfs.getattr ~ctx fs ino)
-    end
-    else if proc = p_create then
-      let dir = ino_arg c d in
-      let name = Xdr.Dec.string d in
-      fh_attrs_reply ~ctx c (Localfs.create_file ~ctx fs ~dir name)
-    else if proc = p_mkdir then
-      let dir = ino_arg c d in
-      fh_attrs_reply ~ctx c (Localfs.mkdir ~ctx fs ~dir (Xdr.Dec.string d))
-    else if proc = p_remove then begin
-      let dir = ino_arg c d in
-      let name = Xdr.Dec.string d in
-      let ino = Localfs.lookup ~ctx fs ~dir name in
-      Localfs.remove ~ctx fs ~dir name;
-      (match c.on_remove with Some f -> f ~ino ~ctx | None -> ());
-      reply_of (ok_enc ())
-    end
-    else if proc = p_rmdir then begin
-      let dir = ino_arg c d in
-      Localfs.rmdir ~ctx fs ~dir (Xdr.Dec.string d);
-      reply_of (ok_enc ())
-    end
-    else if proc = p_rename then begin
-      let fromdir = ino_arg c d in
-      let fname = Xdr.Dec.string d in
-      let todir = ino_arg c d in
-      Localfs.rename ~ctx fs ~fromdir fname ~todir (Xdr.Dec.string d);
-      reply_of (ok_enc ())
-    end
-    else if proc = p_readdir then begin
-      let names = Localfs.readdir ~ctx fs ~dir:(ino_arg c d) in
-      let e = ok_enc () in
-      Xdr.Enc.array e (Xdr.Enc.string e) names;
-      reply_of e
-    end
-    else pass
-  with Localfs.Error err -> error_reply err
+(* The basic procedures. Data writes go to the disk synchronously
+   (Section 2.3: "writes are always synchronous with the disk at the
+   server"). [ctx] flows down to the file system, buffer cache and
+   disk. *)
+let basic c =
+  (* the inode a request's file handle names, if it is of this file
+     system *)
+  let ino (fh : fh) =
+    if fh.fsid <> c.fsid then raise (Localfs.Error Localfs.Stale);
+    fh.ino
+  in
+  let fh_attrs ~ctx ino =
+    let attrs = Localfs.getattr ~ctx c.fs ino in
+    ({ fsid = c.fsid; ino; gen = attrs.Localfs.gen }, attrs)
+  in
+  let dirop p
+      (op : ?ctx:Obs.Causal.t -> Localfs.t -> dir:int -> string -> int) =
+    serves p (fun ~caller:_ ~ctx (dir, name) ->
+        fh_attrs ~ctx (op ~ctx c.fs ~dir:(ino dir) name))
+  in
+  [
+    dirop Proc.lookup Localfs.lookup;
+    serves Proc.getattr (fun ~caller:_ ~ctx fh ->
+        Localfs.getattr ~ctx c.fs (ino fh));
+    serves Proc.setattr (fun ~caller:_ ~ctx (fh, size) ->
+        let ino = ino fh in
+        Localfs.setattr ~ctx c.fs ino ~size ();
+        Localfs.getattr ~ctx c.fs ino);
+    serves Proc.read (fun ~caller ~ctx (fh, index) ->
+        let ino = ino fh in
+        let block = Localfs.read_block ~ctx c.fs ino ~index in
+        (match c.on_read with Some f -> f ~ino ~caller ~ctx | None -> ());
+        block);
+    serves Proc.write (fun ~caller ~ctx (fh, (index, stamp, len)) ->
+        let ino = ino fh in
+        (* stable storage before replying *)
+        Localfs.write_block ~ctx c.fs ino ~index ~stamp ~len `Sync;
+        (match c.on_write with Some f -> f ~ino ~caller ~ctx | None -> ());
+        Localfs.getattr ~ctx c.fs ino);
+    dirop Proc.create Localfs.create_file;
+    dirop Proc.mkdir Localfs.mkdir;
+    serves Proc.remove (fun ~caller:_ ~ctx (dir, name) ->
+        let dir = ino dir in
+        let ino = Localfs.lookup ~ctx c.fs ~dir name in
+        Localfs.remove ~ctx c.fs ~dir name;
+        match c.on_remove with Some f -> f ~ino ~ctx | None -> ());
+    serves Proc.rmdir (fun ~caller:_ ~ctx (dir, name) ->
+        Localfs.rmdir ~ctx c.fs ~dir:(ino dir) name);
+    serves Proc.rename
+      (fun ~caller:_ ~ctx ((fromdir, fname), (todir, tname)) ->
+        Localfs.rename ~ctx c.fs ~fromdir:(ino fromdir) fname
+          ~todir:(ino todir) tname);
+    serves Proc.readdir (fun ~caller:_ ~ctx fh ->
+        Localfs.readdir ~ctx c.fs ~dir:(ino fh));
+  ]
 
 (* ---- the one serve site ---- *)
 
@@ -360,24 +315,14 @@ type server = {
 
 let callback_prog ~prog ~fsid = prog ^ "_cb." ^ string_of_int fsid
 
-let serve rpc host ~prog ~threads core dispatch =
+let serve rpc host ~prog ~threads core procs =
   if threads < 2 then invalid_arg "Wire.serve: need at least 2 threads";
   let engine = Netsim.Net.engine (Netsim.Rpc.net rpc) in
-  let handler ~caller ~ctx ~proc dec =
-    let caller = Netsim.Net.Host.addr caller in
-    let reply = dispatch ~caller ~ctx ~proc dec in
-    if reply != pass then reply
-    else
-      let reply = handle_basic core ~caller ~ctx ~proc dec in
-      (* an unknown procedure: how a hybrid client learns that a plain
-         NFS server rejects open and close (Section 6.1) *)
-      if reply != pass then reply else error_reply Localfs.Stale
-  in
   {
     rpc;
     host;
     engine;
-    service = Netsim.Rpc.serve rpc host ~prog ~threads handler;
+    service = Netsim.Rpc.serve rpc host ~prog ~threads ~unknown procs;
     callback_prog = callback_prog ~prog ~fsid:core.fsid;
     callback_tokens = Sim.Semaphore.create engine (threads - 1);
   }
@@ -396,7 +341,7 @@ let event srv ~cat ~name args =
 
 (* ---- the one callback channel ---- *)
 
-let callback srv ~impatient ~ctx ~target ~proc ~instant e =
+let callback srv ~impatient ~ctx ~target ~instant p args =
   if Obs.Trace.on () then instant ();
   (* the flow arrow ties the work induced on the client back to the
      inducing client operation *)
@@ -407,9 +352,12 @@ let callback srv ~impatient ~ctx ~target ~proc ~instant e =
       ~id:(Obs.Causal.id ctx) ();
   let config = Netsim.Rpc.config srv.rpc in
   let config = if impatient then Netsim.Rpc.impatient config else config in
+  let e = Xdr.Enc.create () in
+  p.args.enc e args;
   match
     Netsim.Rpc.call srv.rpc ~config ~ctx ~src:srv.host ~dst:target
-      ~prog:srv.callback_prog ~proc (Xdr.Enc.to_bytes e)
+      ~prog:srv.callback_prog ~proc:p.name ?bulk:(p.args_bulk args)
+      (Xdr.Enc.to_bytes e)
   with
   | _reply -> true
   | exception Netsim.Rpc.Timeout _ -> false

@@ -17,69 +17,10 @@ val enc_fh : Xdr.Enc.t -> fh -> unit
 val dec_fh : Xdr.Dec.t -> fh
 
 val enc_attrs : Xdr.Enc.t -> Localfs.attrs -> unit
-val dec_attrs : Xdr.Dec.t -> Localfs.attrs
 
 (** Status codes; [Ok] or a [Localfs.error]. *)
 val enc_status : Xdr.Enc.t -> (unit, Localfs.error) result -> unit
 val dec_status : Xdr.Dec.t -> (unit, Localfs.error) result
-
-(** {2 Procedure names}
-
-    All protocols share the basic NFS-like procedures; SNFS adds
-    [p_open]/[p_close] (client to server) and [p_callback] (server to
-    client); recovery adds [p_ping]/[p_reopen]. *)
-
-val p_lookup : string
-val p_getattr : string
-val p_setattr : string
-val p_read : string
-val p_write : string
-val p_create : string
-val p_remove : string
-val p_open : string
-val p_close : string
-val p_callback : string
-val p_ping : string
-val p_reopen : string
-
-(** Procedures that move file data (the "data transfer operations" row
-    of Table 5-2). *)
-val data_procs : string list
-
-(** {2 Client-side stubs}
-
-    [call] is a closure over the RPC transport, source and destination;
-    the stubs marshal arguments, unmarshal results, and raise
-    [Localfs.Error] on error status. *)
-
-type call = proc:string -> ?bulk:int -> bytes -> bytes
-
-(** [request call ~proc args] sends the encoded arguments and returns
-    the reply past its [Ok] status. *)
-val request : call -> proc:string -> Xdr.Enc.t -> Xdr.Dec.t
-
-val lookup : call -> dir:fh -> string -> fh * Localfs.attrs
-val getattr : call -> fh -> Localfs.attrs
-val setattr : call -> fh -> size:int -> Localfs.attrs
-val read : call -> fh -> index:int -> int * int
-val write : call -> fh -> index:int -> stamp:int -> len:int -> Localfs.attrs
-val create : call -> dir:fh -> string -> fh * Localfs.attrs
-val remove : call -> dir:fh -> string -> unit
-val mkdir : call -> dir:fh -> string -> fh * Localfs.attrs
-val rmdir : call -> dir:fh -> string -> unit
-val rename : call -> fromdir:fh -> string -> todir:fh -> string -> unit
-val readdir : call -> fh -> string list
-
-(** SNFS open reply (Section 3.1). *)
-type open_reply = {
-  cache_enabled : bool;
-  version : int;
-  prev_version : int;
-  attrs : Localfs.attrs;
-}
-
-val snfs_open : call -> fh -> write_mode:bool -> open_reply
-val snfs_close : call -> fh -> write_mode:bool -> unit
 
 (** Callback arguments (Section 3.2), server-to-client. [cb_ctx] is
     the causal context of the client operation that induced the
@@ -95,17 +36,118 @@ type callback_args = {
 val enc_callback : Xdr.Enc.t -> callback_args -> unit
 val dec_callback : Xdr.Dec.t -> callback_args
 
-(** {2 Replies} *)
+(** SNFS open reply (Section 3.1). *)
+type open_reply = {
+  cache_enabled : bool;
+  version : int;
+  prev_version : int;
+  attrs : Localfs.attrs;
+}
 
-val reply_of : Xdr.Enc.t -> Netsim.Rpc.reply
+(** {2 Procedures}
 
-(** A fresh encoder holding the [Ok] status. *)
-val ok_enc : unit -> Xdr.Enc.t
+    Each procedure is described once, and its client stub and server
+    handler both use that description: its name, its argument and
+    result formats, and the bulk payload bytes (file data accounted by
+    the RPC layer, not marshalled) of each, its arguments' as the
+    call's [?bulk]. On the wire a result follows an [Ok] status; an
+    error status is the whole reply. *)
 
-val error_reply : Localfs.error -> Netsim.Rpc.reply
+type ('a, 'r) procedure = {
+  name : string;
+  args : 'a Xdr.codec;
+  res : 'r Xdr.codec;
+  args_bulk : 'a -> int option;
+  res_bulk : 'r -> int;
+}
 
-(** A block's (stamp, length); the data rides as [len] bulk bytes. *)
-val read_reply : stamp:int -> len:int -> Netsim.Rpc.reply
+(** [proc name args res] carries no bulk payload. *)
+val proc : string -> 'a Xdr.codec -> 'r Xdr.codec -> ('a, 'r) procedure
+
+val fh_codec : fh Xdr.codec
+
+(** All protocols share the basic NFS-like procedures. [read] returns
+    a block's (stamp, length), and [write] takes (index, stamp,
+    length): the block rides as [length] bulk bytes. SNFS adds
+    [snfs_open] and [close] (file, write mode), [callback] (server to
+    client), and for recovery [ping] (either way; the reply is the
+    host's boot epoch) and [reopen], one ((file, readers, writers),
+    (cachable, dirty, version)) per file the client holds state for.
+    RFS's [rfs_open] returns (version, attributes); it shares SNFS's
+    [close] and [callback]. *)
+module Proc : sig
+  val lookup : (fh * string, fh * Localfs.attrs) procedure
+  val create : (fh * string, fh * Localfs.attrs) procedure
+  val mkdir : (fh * string, fh * Localfs.attrs) procedure
+  val getattr : (fh, Localfs.attrs) procedure
+  val setattr : (fh * int, Localfs.attrs) procedure
+  val read : (fh * int, int * int) procedure
+  val write : (fh * (int * int * int), Localfs.attrs) procedure
+  val remove : (fh * string, unit) procedure
+  val rmdir : (fh * string, unit) procedure
+  val rename : ((fh * string) * (fh * string), unit) procedure
+  val readdir : (fh, string list) procedure
+  val snfs_open : (fh * bool, open_reply) procedure
+  val rfs_open : (fh * bool, int * Localfs.attrs) procedure
+  val close : (fh * bool, unit) procedure
+  val ping : (unit, int) procedure
+  val reopen : (((int * int * int) * (bool * bool * int)) list, unit) procedure
+  val callback : (callback_args, unit) procedure
+end
+
+(** Procedures that move file data (the "data transfer operations" row
+    of Table 5-2). *)
+val data_procs : string list
+
+(** {2 Client-side stubs}
+
+    [call] is a closure over the RPC transport, source and destination.
+    [invoke call p args] calls [p] and returns its result, or raises
+    [Localfs.Error] on an error status; the stubs below are its
+    shorthands. *)
+
+type call = proc:string -> ?bulk:int -> bytes -> bytes
+
+val invoke : call -> ('a, 'r) procedure -> 'a -> 'r
+
+val lookup : call -> dir:fh -> string -> fh * Localfs.attrs
+val getattr : call -> fh -> Localfs.attrs
+val setattr : call -> fh -> size:int -> Localfs.attrs
+val read : call -> fh -> index:int -> int * int
+val write : call -> fh -> index:int -> stamp:int -> len:int -> Localfs.attrs
+val create : call -> dir:fh -> string -> fh * Localfs.attrs
+val remove : call -> dir:fh -> string -> unit
+val mkdir : call -> dir:fh -> string -> fh * Localfs.attrs
+val rmdir : call -> dir:fh -> string -> unit
+val rename : call -> fromdir:fh -> string -> todir:fh -> string -> unit
+val readdir : call -> fh -> string list
+val snfs_open : call -> fh -> write_mode:bool -> open_reply
+val snfs_close : call -> fh -> write_mode:bool -> unit
+
+(** {2 Server-side handlers} *)
+
+(** A procedure table entry: the procedure's name and its handler. *)
+type entry = string * Netsim.Rpc.handler
+
+(** [serves p f] is [p]'s entry: it decodes [p]'s arguments, runs [f]
+    with the caller's address and the request's causal context, and
+    replies with [f]'s result, or with the error status when [f]
+    raises [Localfs.Error]. *)
+val serves :
+  ('a, 'r) procedure -> (caller:int -> ctx:Obs.Causal.t -> 'a -> 'r) -> entry
+
+(** [before p f procs] is [procs] with a prologue on [p]'s entry: [f]
+    runs on a request's decoded arguments, then the entry's own
+    handler on the request; a [Localfs.Error] from [f] is the reply
+    instead. *)
+val before :
+  ('a, 'r) procedure -> (caller:int -> ctx:Obs.Causal.t -> 'a -> unit) ->
+  entry list -> entry list
+
+(** The handler of a procedure no entry names: [Error Stale] — how a
+    hybrid client learns that a plain NFS server does not speak SNFS
+    (Section 6.1). *)
+val unknown : Netsim.Rpc.handler
 
 (** {2 Server-side core}
 
@@ -134,25 +176,22 @@ val core_fs : server_core -> Localfs.t
 (** Root file handle of the served file system. *)
 val root_fh : server_core -> fh
 
+(** The entries of the basic procedures of [core]. *)
+val basic : server_core -> entry list
+
 (** {2 The one serve site} *)
 
 type server
 
-(** [serve rpc host ~prog ~threads core dispatch] registers [prog] on
-    [host] with [threads] daemons (at least 2). [dispatch ~caller ~ctx
-    ~proc args] serves the protocol's own procedures, given the
-    caller's address and the request's causal context, and returns
-    {!pass} for the rest: those go to the basic procedures of [core],
-    and an unknown one gets [Error Stale] — how a hybrid client learns
-    that a plain NFS server does not speak SNFS (Section 6.1). *)
+(** [serve rpc host ~prog ~threads core procs] registers [prog] on
+    [host] with [threads] daemons (at least 2) and the procedure table
+    [procs]: the protocol's own entries, then {!basic} [core], so a
+    protocol entry replaces the basic one of its name; a procedure
+    [procs] does not name gets {!unknown}. *)
 val serve :
   Netsim.Rpc.t -> Netsim.Net.Host.t -> prog:string -> threads:int ->
-  server_core ->
-  (caller:int -> ctx:Obs.Causal.t -> proc:string -> Xdr.Dec.t ->
-   Netsim.Rpc.reply) ->
-  server
+  server_core -> entry list -> server
 
-val pass : Netsim.Rpc.reply
 val service : server -> Netsim.Rpc.service
 
 (** [threads - 1] units, held per batch of callbacks or per callback,
@@ -172,13 +211,13 @@ val event :
 (** ["<prog>_cb.<fsid>"]: a client's callback program. *)
 val callback_prog : prog:string -> fsid:int -> string
 
-(** [callback srv ~impatient ~ctx ~target ~proc ~instant body] calls
-    [proc] of [target]'s callback program with [body] under [ctx], the
-    inducing operation's causal context. If that may be traced,
-    [instant ()] emits the caller's trace instant, then the flow arrow
-    to the induced work starts. [impatient] picks
+(** [callback srv ~impatient ~ctx ~target ~instant p args] calls [p]
+    of [target]'s callback program with [args] under [ctx], the
+    inducing operation's causal context; the reply is not read. If
+    that may be traced, [instant ()] emits the caller's trace instant,
+    then the flow arrow to the induced work starts. [impatient] picks
     {!Netsim.Rpc.impatient}'s retry schedule. False when the call
     times out (the client is down or cut off). *)
 val callback :
   server -> impatient:bool -> ctx:Obs.Causal.t -> target:Netsim.Net.Host.t ->
-  proc:string -> instant:(unit -> unit) -> Xdr.Enc.t -> bool
+  instant:(unit -> unit) -> ('a, 'r) procedure -> 'a -> bool

@@ -28,12 +28,10 @@ let policy =
 
 (* open RPC: returns the file's version for cache revalidation *)
 let rfs_open t ctx (g : gnode) ~write =
-  let e = Xdr.Enc.create () in
-  Wire.enc_fh e (Core.fh_of t.core g);
-  Xdr.Enc.bool e write;
-  let d = Wire.request (Core.call t.core ctx) ~proc:Wire.p_open e in
-  let version = Xdr.Dec.uint32 d in
-  let attrs = Wire.dec_attrs d in
+  let version, attrs =
+    Wire.invoke (Core.call t.core ctx) Wire.Proc.rfs_open
+      (Core.fh_of t.core g, write)
+  in
   g.g_attrs <- attrs;
   (* writers bump the version; our own bump must not look like someone
      else's update, so accept either exact match or the bump we caused *)
@@ -85,8 +83,7 @@ let do_setattr t vn ~size =
   Core.drop t.core g;
   g.g_attrs <- Wire.setattr (Core.call t.core ctx) (Core.fh_of t.core g) ~size
 
-let on_callback t dec =
-  let args = Wire.dec_callback dec in
+let on_callback t (args : Wire.callback_args) =
   ( args.cb_ctx,
     fun cctx ->
       let ino = args.cb_fh.ino in
@@ -114,7 +111,7 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "rfs")
       ~retry_budget:config.retry_budget
   in
   let t = { core } in
-  Core.serve_callbacks core ~ping:false (on_callback t);
+  Core.serve_callbacks core ~ping:false Wire.Proc.callback (on_callback t);
   Core.attach core ~getattr:(do_getattr t) ~setattr:(do_setattr t)
     ~fs_open:(do_open t) ~fs_close:(do_close t) ~read_block:(do_read_block t)
     ~write_block:(do_write_block t);

@@ -45,20 +45,11 @@ let on_write t ~ino ~caller ~ctx =
             try (Localfs.getattr (Wire.core_fs t.core) ino).Localfs.gen
             with Localfs.Error _ -> 1
           in
-          let e = Xdr.Enc.create () in
-          Wire.enc_callback e
-            {
-              Wire.cb_fh = { Wire.fsid = Wire.core_fsid t.core; ino; gen };
-              cb_writeback = false;
-              cb_invalidate = true;
-              cb_ctx = Obs.Causal.id ctx;
-            };
           if Obs.Metrics.on () then
             Obs.Metrics.incr "rfs_invalidations_sent_total";
           (* a dead reader's copy is gone with it *)
           ignore
             (Wire.callback t.srv ~impatient:false ~ctx ~target
-               ~proc:Wire.p_callback
                ~instant:(fun () ->
                  Wire.event t.srv ~cat:"rfs" ~name:"callback_send"
                    (Obs.Causal.arg ctx
@@ -66,25 +57,24 @@ let on_write t ~ino ~caller ~ctx =
                         ("file", Obs.Trace.Int ino);
                         ("to", Obs.Trace.Str (Netsim.Net.Host.name target));
                       ]))
-               e))
+               Wire.Proc.callback
+               {
+                 Wire.cb_fh = { Wire.fsid = Wire.core_fsid t.core; ino; gen };
+                 cb_writeback = false;
+                 cb_invalidate = true;
+                 cb_ctx = Obs.Causal.id ctx;
+               }))
         victims
 
-let handle_open t ~caller ~ctx d =
-  let fh = Wire.dec_fh d in
-  let write_mode = Xdr.Dec.bool d in
-  match Localfs.getattr ~ctx (Wire.core_fs t.core) fh.Wire.ino with
-  | exception Localfs.Error err -> Wire.error_reply err
-  | attrs ->
-      let f = entry t fh.Wire.ino in
-      if write_mode then begin
-        t.counter <- t.counter + 1;
-        f.version <- t.counter
-      end;
-      add_cacher f caller;
-      let e = Wire.ok_enc () in
-      Xdr.Enc.uint32 e f.version;
-      Wire.enc_attrs e attrs;
-      Wire.reply_of e
+let handle_open t ~caller ~ctx ((fh : Wire.fh), write_mode) =
+  let attrs = Localfs.getattr ~ctx (Wire.core_fs t.core) fh.ino in
+  let f = entry t fh.ino in
+  if write_mode then begin
+    t.counter <- t.counter + 1;
+    f.version <- t.counter
+  end;
+  add_cacher f caller;
+  (f.version, attrs)
 
 let threads = 4
 
@@ -104,14 +94,13 @@ let serve rpc host ~fsid fs =
            ()
        in
        let srv =
-         Wire.serve rpc host ~prog ~threads core (fun ~caller ~ctx ~proc d ->
-             if proc = Wire.p_open then
-               handle_open (Lazy.force t) ~caller ~ctx d
-             else if proc = Wire.p_close then
-               (* the cacher list persists: closed files may stay cached
-                  until a write invalidates them *)
-               Wire.reply_of (Wire.ok_enc ())
-             else Wire.pass)
+         Wire.serve rpc host ~prog ~threads core
+           (Wire.serves Wire.Proc.rfs_open (fun ~caller ~ctx args ->
+                handle_open (Lazy.force t) ~caller ~ctx args)
+           (* the cacher list persists: closed files may stay cached
+              until a write invalidates them *)
+           :: Wire.serves Wire.Proc.close (fun ~caller:_ ~ctx:_ _ -> ())
+           :: Wire.basic core)
        in
        { core; srv; table = Hashtbl.create 64; counter = 0 })
   in

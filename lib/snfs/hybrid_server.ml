@@ -51,34 +51,32 @@ let note_nfs_access t ~ctx ~file ~client ~write =
 (* threads of each half: the SNFS service and the NFS one *)
 let threads = 4
 
-(* The NFS half: data accesses imply SNFS opens (Section 6.1), then
-   the basic procedures run; open and close from an NFS client are
+(* The NFS half: the basic procedures, data accesses first implying
+   SNFS opens (Section 6.1); open and close from an NFS client are
    rejected, as a plain NFS server would — this is how hybrid clients
    probe. *)
-let dispatch t ~caller ~ctx ~proc dec =
-  (if proc = Wire.p_read || proc = Wire.p_write
-     || proc = Wire.p_setattr || proc = Wire.p_getattr
-   then
-     let fh = Wire.dec_fh (Xdr.Dec.clone dec) in
-     note_nfs_access t ~ctx ~file:fh.Wire.ino ~client:caller
-       ~write:(proc = Wire.p_write || proc = Wire.p_setattr)
-   else if proc = Wire.p_lookup then begin
-     (* a lookup is how NFS clients first reach a file: resolve the
-        name and record the access *before* the real lookup runs, so
-        the reply's attributes reflect any dirty blocks recalled from
-        an SNFS client *)
-     let peek = Xdr.Dec.clone dec in
-     let dir = Wire.dec_fh peek in
-     let name = Xdr.Dec.string peek in
-     let fs = Wire.core_fs (Snfs_server.core t.snfs) in
-     match Localfs.lookup ~ctx fs ~dir:dir.Wire.ino name with
-     | ino ->
-         (* directories need no consistency tracking *)
-         if (Localfs.getattr ~ctx fs ino).Localfs.ftype = Localfs.File then
-           note_nfs_access t ~ctx ~file:ino ~client:caller ~write:false
-     | exception Localfs.Error _ -> ()
-   end);
-  Wire.pass
+let nfs_procs t core =
+  let access p ~write (file_of : _ -> Wire.fh) =
+    Wire.before p (fun ~caller ~ctx args ->
+        note_nfs_access t ~ctx ~file:(file_of args).ino ~client:caller ~write)
+  in
+  Wire.basic core
+  |> access Wire.Proc.read ~write:false fst
+  |> access Wire.Proc.write ~write:true fst
+  |> access Wire.Proc.setattr ~write:true fst
+  |> access Wire.Proc.getattr ~write:false Fun.id
+  (* a lookup is how NFS clients first reach a file: resolve the name
+     and record the access *before* the real lookup runs, so the
+     reply's attributes reflect any dirty blocks recalled from an SNFS
+     client *)
+  |> Wire.before Wire.Proc.lookup (fun ~caller ~ctx ((dir : Wire.fh), name) ->
+         let fs = Wire.core_fs core in
+         match Localfs.lookup ~ctx fs ~dir:dir.ino name with
+         | ino ->
+             (* directories need no consistency tracking *)
+             if (Localfs.getattr ~ctx fs ino).Localfs.ftype = Localfs.File
+             then note_nfs_access t ~ctx ~file:ino ~client:caller ~write:false
+         | exception Localfs.Error _ -> ())
 
 let serve rpc host ?(nfs_probe_interval = 150.0) ~fsid fs =
   let snfs = Snfs_server.serve rpc host ~threads ~fsid fs in
@@ -90,9 +88,10 @@ let serve rpc host ?(nfs_probe_interval = 150.0) ~fsid fs =
       phantoms = Hashtbl.create 64;
     }
   in
+  let core = Snfs_server.core snfs in
   ignore
-    (Wire.serve rpc host ~prog:Nfs.Nfs_server.prog ~threads
-       (Snfs_server.core snfs) (dispatch t));
+    (Wire.serve rpc host ~prog:Nfs.Nfs_server.prog ~threads core
+       (nfs_procs t core));
   t
 
 let snfs t = t.snfs

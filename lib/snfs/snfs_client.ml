@@ -247,8 +247,7 @@ let do_setattr t vn ~size =
 
 (* ---- callback service (Section 4.2.2) ---- *)
 
-let on_callback t dec =
-  let args = Wire.dec_callback dec in
+let on_callback t (args : Wire.callback_args) =
   ( args.cb_ctx,
     fun cctx ->
       let ino = args.cb_fh.ino in
@@ -303,8 +302,9 @@ let build_reports t =
       let writers = st.writes + unsent_writes in
       let dirty = Blockcache.Cache.dirty_count cache ~file:g.g_ino > 0 in
       if readers > 0 || writers > 0 || dirty then
-        (g.g_ino, readers, writers, st.cache_enabled, dirty,
-         Option.value ~default:0 st.cached_version)
+        ( (g.g_ino, readers, writers),
+          (st.cache_enabled, dirty, Option.value ~default:0 st.cached_version)
+        )
         :: acc
       else acc)
     t.core []
@@ -314,34 +314,13 @@ let recover_now t =
   let reports = build_reports t in
   Core.proto_event t.core "reopen"
     [ ("files", Obs.Trace.Int (List.length reports)) ];
-  let e = Xdr.Enc.create () in
-  Xdr.Enc.uint32 e (List.length reports);
-  List.iter
-    (fun (ino, readers, writers, can_cache, dirty, version) ->
-      Xdr.Enc.uint32 e ino;
-      Xdr.Enc.uint32 e readers;
-      Xdr.Enc.uint32 e writers;
-      Xdr.Enc.bool e can_cache;
-      Xdr.Enc.bool e dirty;
-      Xdr.Enc.uint32 e version)
-    reports;
-  ignore (Wire.request (Core.call t.core Obs.Causal.none) ~proc:Wire.p_reopen e)
-
-let ping t =
-  let e = Xdr.Enc.create () in
-  let d =
-    Xdr.Dec.of_bytes
-      (Core.call t.core Obs.Causal.none ~proc:Wire.p_ping (Xdr.Enc.to_bytes e))
-  in
-  match Wire.dec_status d with
-  | Ok () -> Some (Xdr.Dec.uint32 d)
-  | Error _ -> None
+  Wire.invoke (Core.call t.core Obs.Causal.none) Wire.Proc.reopen reports
 
 let start_keepalive t ~interval =
   let rec loop () =
     Sim.Engine.sleep (engine t) interval;
-    (match ping t with
-    | Some epoch -> (
+    (match Wire.invoke (Core.call t.core Obs.Causal.none) Wire.Proc.ping () with
+    | epoch -> (
         match t.last_epoch with
         | None -> t.last_epoch <- Some epoch
         | Some known when epoch <> known ->
@@ -349,7 +328,7 @@ let start_keepalive t ~interval =
             t.last_epoch <- Some epoch;
             recover_now t
         | Some _ -> ())
-    | None -> ()
+    | exception Localfs.Error _ -> () (* not an SNFS server *)
     | exception Netsim.Rpc.Timeout _ -> () (* server down; try again later *)
     | exception Netsim.Rpc.Server_unavailable _ ->
         () (* budgeted mount: outage outlasted the budget; keep pinging *));
@@ -368,7 +347,7 @@ let mount rpc ~client ~server ~root ?(config = default_config) ?(name = "snfs")
   in
   let t = { core; config; next_unsent_id = 0; last_epoch = None } in
   (* the client fields the server's callbacks and laundromat pings *)
-  Core.serve_callbacks core ~ping:true (on_callback t);
+  Core.serve_callbacks core ~ping:true Wire.Proc.callback (on_callback t);
   Core.attach core ~getattr:(do_getattr t) ~setattr:(do_setattr t)
     ~fs_open:(do_open t) ~fs_close:(do_close t) ~read_block:(do_read_block t)
     ~write_block:(do_write_block t);

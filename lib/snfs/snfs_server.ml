@@ -114,14 +114,6 @@ let conflict_with_suspect t ~file (cb : Spritely.State_table.callback) =
 let perform_callback_live t ~ctx ~file (cb : Spritely.State_table.callback) =
   let target = Wire.client t.srv cb.target in
   let gen = (Localfs.getattr ~ctx (Wire.core_fs t.core) file).Localfs.gen in
-  let e = Xdr.Enc.create () in
-  Wire.enc_callback e
-    {
-      Wire.cb_fh = { Wire.fsid = Wire.core_fsid t.core; ino = file; gen };
-      cb_writeback = cb.writeback;
-      cb_invalidate = cb.invalidate;
-      cb_ctx = Obs.Causal.id ctx;
-    };
   t.callbacks_sent <- t.callbacks_sent + 1;
   if Obs.Metrics.on () then
     Obs.Metrics.incr
@@ -138,7 +130,7 @@ let perform_callback_live t ~ctx ~file (cb : Spritely.State_table.callback) =
   (* a short retry schedule: the opener waiting on this callback must
      not itself time out before we give up on a dead client *)
   if
-    Wire.callback t.srv ~impatient:true ~ctx ~target ~proc:Wire.p_callback
+    Wire.callback t.srv ~impatient:true ~ctx ~target
       ~instant:(fun () ->
         server_event t "callback_send"
           (Obs.Causal.arg ctx
@@ -148,7 +140,13 @@ let perform_callback_live t ~ctx ~file (cb : Spritely.State_table.callback) =
                ("writeback", Obs.Trace.Bool cb.writeback);
                ("invalidate", Obs.Trace.Bool cb.invalidate);
              ]))
-      e
+      Wire.Proc.callback
+      {
+        Wire.cb_fh = { Wire.fsid = Wire.core_fsid t.core; ino = file; gen };
+        cb_writeback = cb.writeback;
+        cb_invalidate = cb.invalidate;
+        cb_ctx = Obs.Causal.id ctx;
+      }
   then (
     if cb.writeback then
       Spritely.State_table.note_clean t.table ~file ~client:cb.target)
@@ -223,101 +221,78 @@ let with_file_lock t file f =
   in
   Sim.Semaphore.with_unit lock f
 
-let handle_open t ~caller ~ctx d =
-  let file = (Wire.dec_fh d).Wire.ino in
-  let write_mode = Xdr.Dec.bool d in
+let handle_open t ~caller ~ctx ((fh : Wire.fh), write_mode) =
+  let file = fh.ino in
   if in_grace t && not (Hashtbl.mem t.recovered caller) then begin
     (* the consistency state may not change until recovery completes
        (Section 2.4); the client backs off and retries *)
     server_event t "grace_reject"
       [ ("file", Obs.Trace.Int file); ("caller", Obs.Trace.Int caller) ];
-    Wire.error_reply Localfs.Again
-  end
-  else
-    with_file_lock t file @@ fun () ->
-    match Localfs.getattr ~ctx (Wire.core_fs t.core) file with
-    | exception Localfs.Error err -> Wire.error_reply err
-    | attrs ->
-        let rec try_open retried =
-          match
-            Spritely.State_table.open_file t.table ~file ~client:caller
-              ~mode:(mode_of_flag write_mode)
-          with
-          | exception Spritely.State_table.Table_full ->
-              if (not retried) && relinquish_for_space t ~ctx then
-                try_open true
-              else Wire.error_reply Localfs.Stale
-          | result ->
-              note_state t ~file;
-              (* the opener must not see the file until the other
-                 clients' dirty blocks are back and their caches are
-                 off *)
-              perform_callbacks t ~ctx ~file
-                result.Spritely.State_table.callbacks;
-              (* attributes may have changed during the write-backs *)
-              let attrs =
-                try Localfs.getattr ~ctx (Wire.core_fs t.core) file
-                with Localfs.Error _ -> attrs
-              in
-              let e = Wire.ok_enc () in
-              Xdr.Enc.bool e result.Spritely.State_table.cache_enabled;
-              Xdr.Enc.uint32 e result.Spritely.State_table.version;
-              Xdr.Enc.uint32 e result.Spritely.State_table.prev_version;
-              Wire.enc_attrs e attrs;
-              Wire.reply_of e
-        in
-        try_open false
+    raise (Localfs.Error Localfs.Again)
+  end;
+  with_file_lock t file @@ fun () ->
+  let attrs = Localfs.getattr ~ctx (Wire.core_fs t.core) file in
+  let rec try_open retried =
+    match
+      Spritely.State_table.open_file t.table ~file ~client:caller
+        ~mode:(mode_of_flag write_mode)
+    with
+    | exception Spritely.State_table.Table_full ->
+        if (not retried) && relinquish_for_space t ~ctx then try_open true
+        else raise (Localfs.Error Localfs.Stale)
+    | result ->
+        note_state t ~file;
+        (* the opener must not see the file until the other clients'
+           dirty blocks are back and their caches are off *)
+        perform_callbacks t ~ctx ~file result.Spritely.State_table.callbacks;
+        {
+          Wire.cache_enabled = result.Spritely.State_table.cache_enabled;
+          version = result.Spritely.State_table.version;
+          prev_version = result.Spritely.State_table.prev_version;
+          (* attributes may have changed during the write-backs *)
+          attrs =
+            (try Localfs.getattr ~ctx (Wire.core_fs t.core) file
+             with Localfs.Error _ -> attrs);
+        }
+  in
+  try_open false
 
-let handle_close t ~caller d =
-  let fh = Wire.dec_fh d in
-  let write_mode = Xdr.Dec.bool d in
+let handle_close t ~caller ((fh : Wire.fh), write_mode) =
   (* a close the server does not know about (it rebooted, or reclaimed
      the entry) is harmless; tolerate it *)
-  (try
-     Spritely.State_table.close_file t.table ~file:fh.Wire.ino
-       ~client:caller ~mode:(mode_of_flag write_mode);
-     note_state t ~file:fh.Wire.ino
-   with Invalid_argument _ -> ());
-  Wire.reply_of (Wire.ok_enc ())
-
-let handle_ping t =
-  let e = Wire.ok_enc () in
-  Xdr.Enc.uint32 e (Netsim.Net.Host.boot_epoch t.host);
-  Wire.reply_of e
+  try
+    Spritely.State_table.close_file t.table ~file:fh.ino ~client:caller
+      ~mode:(mode_of_flag write_mode);
+    note_state t ~file:fh.ino
+  with Invalid_argument _ -> ()
 
 (* recovery: one client's statement of everything it holds *)
-let handle_reopen t ~caller d =
+let handle_reopen t ~caller reports =
   Hashtbl.replace t.recovered caller ();
-  let n = Xdr.Dec.uint32 d in
   server_event t "reopen_merge"
-    [ ("caller", Obs.Trace.Int caller); ("files", Obs.Trace.Int n) ];
-  for _ = 1 to n do
-    let file = Xdr.Dec.uint32 d in
-    let readers = Xdr.Dec.uint32 d in
-    let writers = Xdr.Dec.uint32 d in
-    let can_cache = Xdr.Dec.bool d in
-    let dirty = Xdr.Dec.bool d in
-    let version = Xdr.Dec.uint32 d in
-    Spritely.State_table.merge_report t.table
-      {
-        Spritely.State_table.r_client = caller;
-        r_file = file;
-        r_readers = readers;
-        r_writers = writers;
-        r_can_cache = can_cache;
-        r_dirty = dirty;
-        r_version = version;
-      }
-  done;
-  Wire.reply_of (Wire.ok_enc ())
+    [ ("caller", Obs.Trace.Int caller);
+      ("files", Obs.Trace.Int (List.length reports)) ];
+  List.iter
+    (fun ((file, readers, writers), (can_cache, dirty, version)) ->
+      Spritely.State_table.merge_report t.table
+        {
+          Spritely.State_table.r_client = caller;
+          r_file = file;
+          r_readers = readers;
+          r_writers = writers;
+          r_can_cache = can_cache;
+          r_dirty = dirty;
+          r_version = version;
+        })
+    reports
 
 (* Every request refreshes the caller's lease, and any RPC from a
    Courtesy client revives it: it resumes with its state intact, no
    reopen storm. The [nonactive] guard keeps the revival off the hot
    path while nobody is suspect. *)
-let dispatch t ~caller ~ctx ~proc dec =
+let heard_from t caller =
   heard t caller;
-  (match t.lifecycle with
+  match t.lifecycle with
   | Some lc when Spritely.Lifecycle.nonactive lc > 0 ->
       if Spritely.Lifecycle.revive lc ~client:caller then begin
         t.revivals <- t.revivals + 1;
@@ -328,12 +303,26 @@ let dispatch t ~caller ~ctx ~proc dec =
         server_event t "client_revived"
           [ ("client", Obs.Trace.Int caller); ("via", Obs.Trace.Str "rpc") ]
       end
-  | _ -> ());
-  if proc = Wire.p_open then handle_open t ~caller ~ctx dec
-  else if proc = Wire.p_close then handle_close t ~caller dec
-  else if proc = Wire.p_ping then handle_ping t
-  else if proc = Wire.p_reopen then handle_reopen t ~caller dec
-  else Wire.pass
+  | _ -> ()
+
+(* SNFS's procedures, then the basic ones, each after the lease refresh;
+   [t] is the server under construction *)
+let procs (t : t Lazy.t) core =
+  List.map
+    (fun (name, handler) ->
+      ( name,
+        fun ~caller ~ctx d ->
+          heard_from (Lazy.force t) (Netsim.Net.Host.addr caller);
+          handler ~caller ~ctx d ))
+    (Wire.serves Wire.Proc.snfs_open (fun ~caller ~ctx args ->
+         handle_open (Lazy.force t) ~caller ~ctx args)
+    :: Wire.serves Wire.Proc.close (fun ~caller ~ctx:_ args ->
+           handle_close (Lazy.force t) ~caller args)
+    :: Wire.serves Wire.Proc.ping (fun ~caller:_ ~ctx:_ () ->
+           Netsim.Net.Host.boot_epoch (Lazy.force t).host)
+    :: Wire.serves Wire.Proc.reopen (fun ~caller ~ctx:_ reports ->
+           handle_reopen (Lazy.force t) ~caller reports)
+    :: Wire.basic core)
 
 (* the default thread count leaves headroom for open handlers parked on
    a file lock while another open's callbacks complete; at least one
@@ -350,10 +339,7 @@ let serve rpc host ?(threads = 8) ?(max_table_entries = 1000)
              Spritely.State_table.remove_file (Lazy.force t).table ~file:ino)
            ()
        in
-       let srv =
-         Wire.serve rpc host ~prog ~threads core (fun ~caller ~ctx ~proc dec ->
-             dispatch (Lazy.force t) ~caller ~ctx ~proc dec)
-       in
+       let srv = Wire.serve rpc host ~prog ~threads core (procs t core) in
        {
          host;
          core;
@@ -445,8 +431,7 @@ let start_laundromat ?(lease = 120.0) ?(courtesy_lifetime = 300.0) t ~interval =
     (fun () -> float_of_int (snd (Spritely.Lifecycle.counts lc)));
   let probe client =
     Wire.callback t.srv ~impatient:true ~ctx:Obs.Causal.none
-      ~target:(Wire.client t.srv client) ~proc:Wire.p_ping
-      ~instant:ignore (Xdr.Enc.create ())
+      ~target:(Wire.client t.srv client) ~instant:ignore Wire.Proc.ping ()
     && begin
          heard t client;
          true

@@ -237,3 +237,33 @@ module Dec = struct
   (* inverse of [Enc.ctx]: 0 decodes to "no context" *)
   let ctx t = Int64.to_int (hyper t)
 end
+
+type 'a codec = { enc : Enc.t -> 'a -> unit; dec : Dec.t -> 'a }
+
+let unit = { enc = (fun _ () -> ()); dec = ignore }
+let uint32 = { enc = Enc.uint32; dec = Dec.uint32 }
+let bool = { enc = Enc.bool; dec = Dec.bool }
+let string = { enc = Enc.string; dec = Dec.string }
+let ctx = { enc = Enc.ctx; dec = Dec.ctx }
+
+let list c =
+  {
+    enc = (fun e items -> Enc.array e (c.enc e) items);
+    dec = (fun d -> Dec.array d c.dec);
+  }
+
+(* each [let] decodes a component before the next, in encoding order *)
+let pair a b =
+  {
+    enc = (fun e (x, y) -> a.enc e x; b.enc e y);
+    dec = (fun d -> let x = a.dec d in (x, b.dec d));
+  }
+
+let triple a b c =
+  {
+    enc = (fun e (x, y, z) -> a.enc e x; b.enc e y; c.enc e z);
+    dec = (fun d -> let x = a.dec d in let y = b.dec d in (x, y, c.dec d));
+  }
+
+let map ~inj ~prj c =
+  { enc = (fun e v -> c.enc e (prj v)); dec = (fun d -> inj (c.dec d)) }

@@ -113,3 +113,24 @@ module Dec : sig
   (** Inverse of {!Enc.ctx}; 0 decodes to "no context". *)
   val ctx : t -> int
 end
+
+(** {2 Codecs}
+
+    A message format written once: the encoder and the decoder of one
+    type, so the two sides of a message cannot drift apart. Composite
+    codecs encode their components in order and decode them in the
+    same order. *)
+
+type 'a codec = { enc : Enc.t -> 'a -> unit; dec : Dec.t -> 'a }
+
+val unit : unit codec
+val uint32 : int codec
+val bool : bool codec
+val string : string codec
+val ctx : int codec
+val list : 'a codec -> 'a list codec
+val pair : 'a codec -> 'b codec -> ('a * 'b) codec
+val triple : 'a codec -> 'b codec -> 'c codec -> ('a * 'b * 'c) codec
+
+(** [map ~inj ~prj c] carries [v] as [c] carries [prj v]. *)
+val map : inj:('a -> 'b) -> prj:('b -> 'a) -> 'a codec -> 'b codec

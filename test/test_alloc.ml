@@ -208,6 +208,7 @@ let test_engine_sleep_in_place () =
   Alcotest.(check int) "events dispatched" 2001 (Sim.Engine.events_executed e)
 
 let null_reply = { Netsim.Rpc.data = Bytes.empty; bulk = 0 }
+let null_handler ~caller:_ ~ctx:_ _ = null_reply
 
 (* Resolving a procedure the service has seen before, once per RPC,
    scans the service's short array of procedures by string equality and
@@ -221,15 +222,15 @@ let test_rpc_proc_lookup () =
   let rpc = Netsim.Rpc.create net () in
   let client = Netsim.Net.Host.create net "client" in
   let server = Netsim.Net.Host.create net "server" in
-  let svc =
-    Netsim.Rpc.serve rpc server ~prog:"prog" ~threads:1
-      (fun ~caller:_ ~ctx:_ ~proc:_ _ -> null_reply)
-  in
   let procs =
     [|
       "null"; "getattr"; "setattr"; "lookup"; "read"; "write"; "create";
       "remove"; "rename"; "mkdir"; "rmdir"; "readdir"; "open"; "close";
     |]
+  in
+  let svc =
+    Netsim.Rpc.serve rpc server ~prog:"prog" ~threads:1 ~unknown:null_handler
+      (List.map (fun p -> (p, null_handler)) (Array.to_list procs))
   in
   let round_trip proc () =
     Sim.Engine.spawn e ~name:"caller" (fun () ->
@@ -273,8 +274,8 @@ let test_rpc_round_trip () =
   let client = Netsim.Net.Host.create net "client" in
   let server = Netsim.Net.Host.create net "server" in
   ignore
-    (Netsim.Rpc.serve rpc server ~prog:"prog" ~threads:1
-       (fun ~caller:_ ~ctx:_ ~proc:_ _ -> null_reply)
+    (Netsim.Rpc.serve rpc server ~prog:"prog" ~threads:1 ~unknown:null_handler
+       [ ("null", null_handler) ]
       : Netsim.Rpc.service);
   let call () =
     ignore
@@ -491,8 +492,9 @@ let test_mount_footprint () =
 
 (* A program served on a host, before its first request: its idle
    thread count, empty backlog and the placeholder call of its vacant
-   backlog slots, procedure and counter tables and an empty
-   duplicate-request cache: 103 words. *)
+   backlog slots, its procedure table and fallback handler, procedure
+   and counter tables and an empty duplicate-request cache: 111
+   words. *)
 let served_footprint_bound = 640
 
 let test_served_footprint () =
@@ -505,7 +507,8 @@ let test_served_footprint () =
       ~after:(fun () ->
         ignore
           (Netsim.Rpc.serve rpc host ~prog:"prog" ~threads:4
-             (fun ~caller:_ ~ctx:_ ~proc:_ _ -> assert false)
+             ~unknown:(fun ~caller:_ ~ctx:_ _ -> assert false)
+             []
             : Netsim.Rpc.service))
       (fun () -> (e, net, rpc, host))
   in
@@ -517,12 +520,14 @@ let test_served_footprint () =
    fixed number of minor words in one build: the simulation is
    deterministic, so from the second run in a process on (the first
    also fills lazy tables) every run reads the same count. Builds of
-   one tree differ by up to a few hundred words: 1,168,622 on an x86-64
+   one tree differ by up to a few hundred words: 1,212,997 on an x86-64
    host with OCaml 5.1.1 and the release profile, which inlines across
    modules, where an earlier tree read 1,193,585 in one build and
-   1,193,093 in another. The ceiling sits about 9% above it, so a new
-   per-event or per-RPC allocation on the hot path fails here, with no
-   timing noise. An -opaque build allocates some 24% more. *)
+   1,193,093 in another, and the tree before each message got one
+   generic codec read 1,168,622. The ceiling sits about 5% above it,
+   so a new per-event or per-RPC allocation on the hot path fails
+   here, with no timing noise. An -opaque build allocates some 24%
+   more. *)
 let snfs_run_minor_words_ceiling = 1_277_000.0
 
 let test_snfs_andrew_run () =

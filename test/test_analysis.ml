@@ -740,6 +740,33 @@ let test_fanout_forwarding_wrapper () =
         (Printf.sprintf "expected exactly the handler iteration, got %d"
            (List.length fs))
 
+let test_fanout_forwarded_procedure_list () =
+  (* the handlers reach [Rpc.serve] inside a procedure list that the
+     wrapper extends with entries of its own: its parameter is handed
+     on as a value, not applied, and the wrapper is still a serve head *)
+  match
+    rule_findings "fanout"
+      [
+        input "lib/wire/wire.ml"
+          "let basic core = [ (\"null\", fun q -> reply core q) ]\n\
+           let serve rpc host core procs =\n\
+          \  Netsim.Rpc.serve rpc host ~unknown:stale (procs @ basic core)\n";
+        input "lib/srv/server.ml"
+          "let handle t q = Hashtbl.iter (fun _ c -> touch c q) t.clients\n\
+           let start rpc host t core =\n\
+          \  Wire.serve rpc host core [ (\"op\", fun q -> handle t q) ]\n";
+      ]
+  with
+  | [ f ] ->
+      Alcotest.(check string) "flagged in the protocol's file"
+        "lib/srv/server.ml" f.F.path;
+      Alcotest.(check bool) "message names the protocol's serving root" true
+        (contains_sub f.F.message "reachable from 'Server.start'")
+  | fs ->
+      Alcotest.fail
+        (Printf.sprintf "expected exactly the handler iteration, got %d"
+           (List.length fs))
+
 let test_fanout_wrapper_without_forwarding () =
   (* a wrapper that serves a handler of its own making is no serve
      head: what its callers pass it is not a handler *)
@@ -1464,6 +1491,8 @@ let () =
             test_fanout_cross_file_handler;
           Alcotest.test_case "handler through a forwarding wrapper" `Quick
             test_fanout_forwarding_wrapper;
+          Alcotest.test_case "handlers in a forwarded procedure list" `Quick
+            test_fanout_forwarded_procedure_list;
           Alcotest.test_case "wrapper that does not forward" `Quick
             test_fanout_wrapper_without_forwarding;
           Alcotest.test_case "bounded waiver idiom" `Quick

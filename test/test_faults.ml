@@ -60,14 +60,17 @@ let snfs_client w name =
 (* a counting echo service: the handler's side effect is visible, so
    re-execution of a retried request cannot hide *)
 let serve_echo rpc host executions =
-  Netsim.Rpc.serve rpc host ~prog:"echo" ~threads:4
-    (fun ~caller:_ ~ctx:_ ~proc:_ dec ->
-      let x = Xdr.Dec.int32 dec in
-      let n = try Hashtbl.find executions x with Not_found -> 0 in
-      Hashtbl.replace executions x (n + 1);
-      let e = Xdr.Enc.create () in
-      Xdr.Enc.int32 e (x + 1);
-      { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 })
+  Netsim.Rpc.serve rpc host ~prog:"echo" ~threads:4 ~unknown:Nfs.Wire.unknown
+    [
+      ( "bump",
+        fun ~caller:_ ~ctx:_ dec ->
+          let x = Xdr.Dec.int32 dec in
+          let n = try Hashtbl.find executions x with Not_found -> 0 in
+          Hashtbl.replace executions x (n + 1);
+          let e = Xdr.Enc.create () in
+          Xdr.Enc.int32 e (x + 1);
+          { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 } );
+    ]
 
 let echo_once rpc ~src ~dst x =
   let e = Xdr.Enc.create () in
@@ -354,14 +357,16 @@ let test_grace_rejects_unrecovered_clients () =
      Again error; the same server admits a recovered client at once *)
   run_sim (fun e ->
       let w = make_world e in
+      (* a server of its own, on a host of its own *)
+      let server_host = Netsim.Net.Host.create w.net "grace-server" in
       let server =
-        Snfs.Snfs_server.serve w.rpc w.server_host ~fsid:9 ~recovery_grace:30.0
+        Snfs.Snfs_server.serve w.rpc server_host ~fsid:9 ~recovery_grace:30.0
           w.server_fs
       in
       let mount_on name =
         let host = Netsim.Net.Host.create w.net name in
         let c =
-          Snfs.Snfs_client.mount w.rpc ~client:host ~server:w.server_host
+          Snfs.Snfs_client.mount w.rpc ~client:host ~server:server_host
             ~root:(Snfs.Snfs_server.root_fh server) ~name ()
         in
         let m = Vfs.Mount.create () in
@@ -375,14 +380,14 @@ let test_grace_rejects_unrecovered_clients () =
       Snfs.Snfs_client.start_keepalive c1 ~interval:1.0;
       Vfs.Fileio.write_file m1 "/a" ~bytes:4096;
       Sim.Engine.sleep e 1.5;
-      Netsim.Net.Host.crash w.server_host;
+      Netsim.Net.Host.crash server_host;
       Sim.Engine.sleep e 2.0;
-      Netsim.Net.Host.reboot w.server_host;
+      Netsim.Net.Host.reboot server_host;
       (* a raw open from a client that has not recovered; the first
          post-reboot call, this or a keepalive ping, starts the grace
          window *)
       let raw_call ~proc ?bulk args =
-        Netsim.Rpc.call w.rpc ~src:lone_host ~dst:w.server_host
+        Netsim.Rpc.call w.rpc ~src:lone_host ~dst:server_host
           ~prog:Snfs.Snfs_server.prog ~proc ?bulk args
       in
       let root = Snfs.Snfs_server.root_fh server in

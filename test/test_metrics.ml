@@ -178,8 +178,9 @@ let test_latency_outcomes () =
       let silent = Netsim.Net.Host.create net "silent" in
       ignore
         (Netsim.Rpc.serve rpc server ~prog:"p" ~threads:1
-           (fun ~caller:_ ~ctx:_ ~proc:_ _ ->
-             { Netsim.Rpc.data = Bytes.empty; bulk = 0 }));
+           ~unknown:(fun ~caller:_ ~ctx:_ _ ->
+             { Netsim.Rpc.data = Bytes.empty; bulk = 0 })
+           []);
       let call dst proc =
         match
           Netsim.Rpc.call rpc ~src:client ~dst ~prog:"p" ~proc Bytes.empty

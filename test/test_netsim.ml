@@ -24,7 +24,11 @@ let counted f =
   in
   Obs.Metrics.with_metrics m (fun () -> run_sim (f total))
 
-let echo_handler ~caller:_ ~ctx:_ ~proc:_ dec =
+(* a program whose every procedure runs [handler] *)
+let serve_all rpc host ~prog ~threads handler =
+  Netsim.Rpc.serve rpc host ~prog ~threads ~unknown:handler []
+
+let echo_handler ~caller:_ ~ctx:_ dec =
   let s = Xdr.Dec.string dec in
   let e = Xdr.Enc.create () in
   Xdr.Enc.string e ("echo:" ^ s);
@@ -45,7 +49,7 @@ let encode_string s =
 let test_basic_call () =
   run_sim (fun e ->
       let _, rpc, client, server = setup e in
-      let _svc = Netsim.Rpc.serve rpc server ~prog:"echo" ~threads:2 echo_handler in
+      let _svc = serve_all rpc server ~prog:"echo" ~threads:2 echo_handler in
       let reply =
         Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"echo" ~proc:"ping"
           (encode_string "hello")
@@ -54,10 +58,40 @@ let test_basic_call () =
       Alcotest.(check string) "reply" "echo:hello" (Xdr.Dec.string d);
       Alcotest.(check bool) "took some time" true (Sim.Engine.now e > 0.0))
 
+(* A request runs the first entry of the served table that names its
+   procedure, or the fallback when none does; a host serves a program
+   once. *)
+let test_procedure_table () =
+  run_sim (fun e ->
+      let _, rpc, client, server = setup e in
+      let answer s ~caller:_ ~ctx:_ _ =
+        { Netsim.Rpc.data = encode_string s; bulk = 0 }
+      in
+      ignore
+        (Netsim.Rpc.serve rpc server ~prog:"t" ~threads:2
+           ~unknown:(answer "fallback")
+           [ ("a", answer "first a"); ("b", answer "b"); ("a", answer "2nd a") ]);
+      let call proc =
+        Xdr.Dec.string
+          (Xdr.Dec.of_bytes
+             (Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"t" ~proc
+                Bytes.empty))
+      in
+      Alcotest.(check (list string))
+        "replies" [ "first a"; "b"; "fallback" ]
+        (List.map call [ "a"; "b"; "c" ]);
+      Alcotest.check_raises "served twice"
+        (Invalid_argument "Rpc.serve: t is already served on this host")
+        (fun () ->
+          ignore
+            (Netsim.Rpc.serve rpc server ~prog:"t" ~threads:2
+               ~unknown:(answer "") []
+              : Netsim.Rpc.service)))
+
 let test_call_counted () =
   run_sim (fun e ->
       let _, rpc, client, server = setup e in
-      let svc = Netsim.Rpc.serve rpc server ~prog:"echo" ~threads:2 echo_handler in
+      let svc = serve_all rpc server ~prog:"echo" ~threads:2 echo_handler in
       for _ = 1 to 5 do
         ignore
           (Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"echo" ~proc:"ping"
@@ -88,7 +122,7 @@ let test_timeout_no_server () =
 let test_retransmit_on_loss () =
   counted (fun total e ->
       let net, rpc, client, server = setup e in
-      let svc = Netsim.Rpc.serve rpc server ~prog:"echo" ~threads:2 echo_handler in
+      let svc = serve_all rpc server ~prog:"echo" ~threads:2 echo_handler in
       (* heavy loss: calls still succeed thanks to retransmission (the
          simulation is deterministic, so this never flakes) *)
       Netsim.Net.set_drop_probability net 0.25;
@@ -113,13 +147,13 @@ let test_duplicate_execution_suppressed () =
   run_sim (fun e ->
       let net, rpc, client, server = setup e in
       let executions = ref 0 in
-      let slow_handler ~caller:_ ~ctx:_ ~proc:_ _dec =
+      let slow_handler ~caller:_ ~ctx:_ _dec =
         incr executions;
         Sim.Engine.sleep e 3.0;
         (* longer than the first client timeout *)
         { Netsim.Rpc.data = encode_string "done"; bulk = 0 }
       in
-      let _svc = Netsim.Rpc.serve rpc server ~prog:"slow" ~threads:2 slow_handler in
+      let _svc = serve_all rpc server ~prog:"slow" ~threads:2 slow_handler in
       ignore net;
       let reply =
         Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"slow" ~proc:"op"
@@ -135,14 +169,14 @@ let test_server_calls_client_back () =
       (* the client provides RPC service too, as SNFS requires *)
       let callback_received = ref false in
       let _client_svc =
-        Netsim.Rpc.serve rpc client ~prog:"cb" ~threads:2
-          (fun ~caller:_ ~ctx:_ ~proc:_ _dec ->
+        serve_all rpc client ~prog:"cb" ~threads:2
+          (fun ~caller:_ ~ctx:_ _dec ->
             callback_received := true;
             { Netsim.Rpc.data = encode_string "ok"; bulk = 0 })
       in
       let _server_svc =
-        Netsim.Rpc.serve rpc server ~prog:"main" ~threads:2
-          (fun ~caller ~ctx:_ ~proc:_ _dec ->
+        serve_all rpc server ~prog:"main" ~threads:2
+          (fun ~caller ~ctx:_ _dec ->
             (* server calls the client back before replying *)
             let r =
               Netsim.Rpc.call rpc ~src:server ~dst:caller ~prog:"cb"
@@ -165,14 +199,14 @@ let test_thread_pool_bound () =
       let _, rpc, client, server = setup e in
       let active = ref 0 in
       let max_active = ref 0 in
-      let handler ~caller:_ ~ctx:_ ~proc:_ _dec =
+      let handler ~caller:_ ~ctx:_ _dec =
         incr active;
         max_active := max !max_active !active;
         Sim.Engine.sleep e 0.5;
         decr active;
         { Netsim.Rpc.data = encode_string "ok"; bulk = 0 }
       in
-      let _svc = Netsim.Rpc.serve rpc server ~prog:"pool" ~threads:3 handler in
+      let _svc = serve_all rpc server ~prog:"pool" ~threads:3 handler in
       let done_count = ref 0 in
       for _ = 1 to 10 do
         Sim.Engine.spawn e (fun () ->
@@ -197,7 +231,7 @@ let backlog_run () =
     Obs.Trace.with_tracer tr (fun () ->
         run_sim (fun e ->
             let _, rpc, client, server = setup e in
-            let handler ~caller:_ ~ctx:_ ~proc:_ dec =
+            let handler ~caller:_ ~ctx:_ dec =
               started := Xdr.Dec.string dec :: !started;
               incr active;
               most := max !most !active;
@@ -205,7 +239,7 @@ let backlog_run () =
               decr active;
               { Netsim.Rpc.data = encode_string "ok"; bulk = 0 }
             in
-            ignore (Netsim.Rpc.serve rpc server ~prog:"pool" ~threads:2 handler);
+            ignore (serve_all rpc server ~prog:"pool" ~threads:2 handler);
             for i = 1 to 6 do
               Sim.Engine.spawn e (fun () ->
                   ignore
@@ -277,12 +311,13 @@ let test_thread_backlog () =
 let test_backlog_failure_names_request () =
   let e = Sim.Engine.create () in
   let _, rpc, client, server = setup e in
-  let handler ~caller:_ ~ctx:_ ~proc _ =
-    if proc = "boom" then failwith "boom";
+  let handler ~caller:_ ~ctx:_ _ =
     Sim.Engine.sleep e 0.5;
     { Netsim.Rpc.data = encode_string "ok"; bulk = 0 }
   in
-  ignore (Netsim.Rpc.serve rpc server ~prog:"pool" ~threads:1 handler);
+  ignore
+    (Netsim.Rpc.serve rpc server ~prog:"pool" ~threads:1 ~unknown:handler
+       [ ("boom", fun ~caller:_ ~ctx:_ _ -> failwith "boom") ]);
   List.iter
     (fun proc ->
       Sim.Engine.spawn e (fun () ->
@@ -298,7 +333,7 @@ let test_backlog_failure_names_request () =
 let test_crashed_server_times_out () =
   run_sim (fun e ->
       let _, rpc, client, server = setup e in
-      let _svc = Netsim.Rpc.serve rpc server ~prog:"echo" ~threads:2 echo_handler in
+      let _svc = serve_all rpc server ~prog:"echo" ~threads:2 echo_handler in
       Netsim.Net.Host.crash server;
       (match
          Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"echo" ~proc:"ping"
@@ -318,7 +353,7 @@ let test_crashed_server_times_out () =
 let test_restart_hook_fires () =
   run_sim (fun e ->
       let _, rpc, client, server = setup e in
-      let svc = Netsim.Rpc.serve rpc server ~prog:"echo" ~threads:2 echo_handler in
+      let svc = serve_all rpc server ~prog:"echo" ~threads:2 echo_handler in
       let restarted = ref 0 in
       Netsim.Rpc.set_on_restart svc (fun () -> incr restarted);
       ignore
@@ -337,8 +372,8 @@ let test_bigger_messages_slower () =
     run_sim (fun e ->
         let _, rpc, client, server = setup e in
         let _svc =
-          Netsim.Rpc.serve rpc server ~prog:"x" ~threads:2
-            (fun ~caller:_ ~ctx:_ ~proc:_ _ ->
+          serve_all rpc server ~prog:"x" ~threads:2
+            (fun ~caller:_ ~ctx:_ _ ->
               { Netsim.Rpc.data = Bytes.create 16; bulk = 0 })
         in
         ignore
@@ -355,7 +390,7 @@ let test_bigger_messages_slower () =
 let test_host_utilization_accrues () =
   run_sim (fun e ->
       let _, rpc, client, server = setup e in
-      let _svc = Netsim.Rpc.serve rpc server ~prog:"echo" ~threads:2 echo_handler in
+      let _svc = serve_all rpc server ~prog:"echo" ~threads:2 echo_handler in
       for _ = 1 to 20 do
         ignore
           (Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"echo" ~proc:"p"
@@ -367,7 +402,7 @@ let test_host_utilization_accrues () =
 let test_partition_and_heal () =
   run_sim (fun e ->
       let net, rpc, client, server = setup e in
-      let _svc = Netsim.Rpc.serve rpc server ~prog:"echo" ~threads:2 echo_handler in
+      let _svc = serve_all rpc server ~prog:"echo" ~threads:2 echo_handler in
       (* does a message from client to server arrive within a second? *)
       let delivered () =
         let got = ref false in
@@ -397,7 +432,7 @@ let test_partition_is_directional_pairwise () =
   run_sim (fun e ->
       let net, rpc, client, server = setup e in
       let third = Netsim.Net.Host.create net "third" in
-      let _svc = Netsim.Rpc.serve rpc server ~prog:"echo" ~threads:2 echo_handler in
+      let _svc = serve_all rpc server ~prog:"echo" ~threads:2 echo_handler in
       Netsim.Net.partition net client server;
       (* an unrelated host still reaches the server *)
       let reply =
@@ -743,6 +778,7 @@ let () =
       ( "rpc",
         [
           Alcotest.test_case "basic call" `Quick test_basic_call;
+          Alcotest.test_case "procedure table" `Quick test_procedure_table;
           Alcotest.test_case "calls counted" `Quick test_call_counted;
           Alcotest.test_case "timeout" `Quick test_timeout_no_server;
           Alcotest.test_case "retransmit on loss" `Quick test_retransmit_on_loss;

@@ -591,15 +591,16 @@ let test_snfs_relinquish_reclaims_delayed_closes () =
      them to let go, and the blocked open then succeeds. *)
   run_sim (fun e ->
       let w = make_world e in
-      (* a dedicated small-table server *)
+      (* a dedicated small-table server, on a host of its own *)
       let small_fs = w.server_fs in
+      let server_host = Netsim.Net.Host.create w.net "small-server" in
       let server =
-        Snfs.Snfs_server.serve w.rpc w.server_host ~fsid:9
+        Snfs.Snfs_server.serve w.rpc server_host ~fsid:9
           ~max_table_entries:4 small_fs
       in
       let host = Netsim.Net.Host.create w.net "dc" in
       let client =
-        Snfs.Snfs_client.mount w.rpc ~client:host ~server:w.server_host
+        Snfs.Snfs_client.mount w.rpc ~client:host ~server:server_host
           ~root:(Snfs.Snfs_server.root_fh server)
           ~config:
             {
@@ -703,14 +704,16 @@ let test_snfs_recovery_grace_period () =
      from unrecovered clients, while recovered clients proceed. *)
   run_sim (fun e ->
       let w = make_world e in
+      (* a server of its own, on a host of its own *)
+      let server_host = Netsim.Net.Host.create w.net "grace-server" in
       let server =
-        Snfs.Snfs_server.serve w.rpc w.server_host ~fsid:9 ~recovery_grace:20.0
+        Snfs.Snfs_server.serve w.rpc server_host ~fsid:9 ~recovery_grace:20.0
           w.server_fs
       in
       let client_on name =
         let host = Netsim.Net.Host.create w.net name in
         let c =
-          Snfs.Snfs_client.mount w.rpc ~client:host ~server:w.server_host
+          Snfs.Snfs_client.mount w.rpc ~client:host ~server:server_host
             ~root:(Snfs.Snfs_server.root_fh server) ~name ()
         in
         let m = Vfs.Mount.create () in
@@ -724,9 +727,9 @@ let test_snfs_recovery_grace_period () =
       Vfs.Fileio.write_file m2 "/b" ~bytes:4096;
       Sim.Engine.sleep e 1.5;
       (* server reboots with a 20 s grace period *)
-      Netsim.Net.Host.crash w.server_host;
+      Netsim.Net.Host.crash server_host;
       Sim.Engine.sleep e 2.0;
-      Netsim.Net.Host.reboot w.server_host;
+      Netsim.Net.Host.reboot server_host;
       (* client 1's keepalive sees the new boot epoch and recovers at
          once; it may work during grace *)
       Sim.Engine.sleep e 3.0;
@@ -813,13 +816,125 @@ let test_unknown_procedure_is_stale () =
           ("kent client", kent_host, "kent_cb.4");
         ];
       let d =
-        Xdr.Dec.of_bytes (call snfs_host ~prog:"snfs_cb.2" ~proc:Nfs.Wire.p_ping)
+        Xdr.Dec.of_bytes
+          (call snfs_host ~prog:"snfs_cb.2" ~proc:Nfs.Wire.(Proc.ping.name))
       in
       Alcotest.(check bool) "snfs client ping: Ok" true
         (Nfs.Wire.dec_status d = Ok ());
       Alcotest.(check int) "snfs client ping: its boot epoch"
         (Netsim.Net.Host.boot_epoch snfs_host)
         (Xdr.Dec.uint32 d))
+
+(* ---- the message formats ---- *)
+
+(* One message format with a generator of its values. *)
+type format = Format : string * 'a Xdr.codec * 'a QCheck.Gen.t -> format
+
+(* a value of one format *)
+type sample = Sample : string * 'a Xdr.codec * 'a -> sample
+
+let formats =
+  let open QCheck.Gen in
+  let u32 = int_bound 0xFFFFFFFF in
+  let fh =
+    map3 (fun fsid ino gen -> { Nfs.Wire.fsid; ino; gen }) u32 u32 u32
+  in
+  let attrs =
+    let time = float_bound_inclusive 1e9 in
+    map
+      (fun ((ftype, ino, gen), (size, nlink), (mtime, ctime)) ->
+        { Localfs.ftype; ino; gen; size; nlink; mtime; ctime })
+      (triple
+         (triple (oneofl [ Localfs.File; Localfs.Dir ]) u32 u32)
+         (pair u32 u32) (pair time time))
+  in
+  let name = string_size ~gen:printable (int_bound 12) in
+  let open_reply =
+    map
+      (fun ((cache_enabled, version, prev_version), attrs) ->
+        { Nfs.Wire.cache_enabled; version; prev_version; attrs })
+      (pair (triple bool u32 u32) attrs)
+  in
+  let callback =
+    map
+      (fun ((cb_fh, cb_writeback), (cb_invalidate, cb_ctx)) ->
+        { Nfs.Wire.cb_fh; cb_writeback; cb_invalidate; cb_ctx })
+      (pair (pair fh bool) (pair bool int))
+  in
+  let report = pair (triple u32 u32 u32) (triple bool bool u32) in
+  let proc (type a r) (p : (a, r) Nfs.Wire.procedure) (args : a t) (res : r t) =
+    [
+      Format (p.name ^ " arguments", p.args, args);
+      Format (p.name ^ " result", p.res, res);
+    ]
+  in
+  let module P = Nfs.Wire.Proc in
+  List.concat
+    [
+      proc P.lookup (pair fh name) (pair fh attrs);
+      proc P.create (pair fh name) (pair fh attrs);
+      proc P.mkdir (pair fh name) (pair fh attrs);
+      proc P.getattr fh attrs;
+      proc P.setattr (pair fh u32) attrs;
+      proc P.read (pair fh u32) (pair u32 u32);
+      proc P.write (pair fh (triple u32 u32 u32)) attrs;
+      proc P.remove (pair fh name) unit;
+      proc P.rmdir (pair fh name) unit;
+      proc P.rename (pair (pair fh name) (pair fh name)) unit;
+      proc P.readdir fh (small_list name);
+      proc P.snfs_open (pair fh bool) open_reply;
+      proc P.rfs_open (pair fh bool) (pair u32 attrs);
+      proc P.close (pair fh bool) unit;
+      proc P.ping unit u32;
+      proc P.reopen (small_list report) unit;
+      proc P.callback callback unit;
+      proc Kentfs.Kent_server.acquire (pair (pair fh u32) u32) unit;
+      proc Kentfs.Kent_server.callback
+        (pair (pair fh u32) (triple bool bool int))
+        unit;
+    ]
+
+let encode (Sample (_, codec, x)) =
+  let e = Xdr.Enc.create () in
+  codec.Xdr.enc e x;
+  Xdr.Enc.to_bytes e
+
+(* Every procedure's arguments and result: decoding an encoding gives
+   the value back and leaves no byte over, and every proper prefix of
+   an encoding fails with [Xdr.Error] and no other exception. *)
+let prop_message_formats =
+  let gen =
+    QCheck.Gen.flatten_l
+      (List.map
+         (fun (Format (label, codec, g)) ->
+           QCheck.Gen.map (fun x -> Sample (label, codec, x)) g)
+         formats)
+  in
+  let print samples =
+    String.concat "\n"
+      (List.map
+         (fun (Sample (label, _, _) as s) ->
+           label ^ ": " ^ String.escaped (Bytes.to_string (encode s)))
+         samples)
+  in
+  QCheck.Test.make ~name:"every procedure's formats round-trip" ~count:200
+    (QCheck.make ~print gen)
+    (List.for_all (fun (Sample (label, codec, x) as s) ->
+         let b = encode s in
+         let d = Xdr.Dec.of_bytes b in
+         let back = codec.Xdr.dec d in
+         Xdr.Dec.check_done d;
+         if back <> x then
+           QCheck.Test.fail_reportf "%s: decodes to another value" label;
+         List.iter
+           (fun n ->
+             match codec.Xdr.dec (Xdr.Dec.of_bytes (Bytes.sub b 0 n)) with
+             | _ ->
+                 QCheck.Test.fail_reportf "%s: its %d-byte prefix decodes"
+                   label n
+             | exception Xdr.Error _ -> ())
+           (List.init (Bytes.length b) Fun.id);
+         true))
 
 let () =
   let conformance name make =
@@ -888,5 +1003,6 @@ let () =
         [
           Alcotest.test_case "unknown procedure is Stale" `Quick
             test_unknown_procedure_is_stale;
+          QCheck_alcotest.to_alcotest prop_message_formats;
         ] );
     ]
