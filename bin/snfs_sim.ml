@@ -130,24 +130,33 @@ let with_observability ~trace_file ~latency_table ~metrics_file ~metrics_format
       Some (Obs.Metrics.create ())
     else None
   in
-  f ?trace:tracer ?metrics ();
-  (match (tracer, sink) with
-  | Some tr, Some (path, oc) ->
-      output_string oc (Obs.Chrome.to_string tr);
-      close_out oc;
-      Printf.printf "trace: %d events -> %s\n" (Obs.Trace.count tr) path
-  | _ -> ());
-  (match (metrics, msink) with
-  | Some m, Some (path, oc) ->
-      output_string oc
-        (match metrics_format with
-        | `Prom -> Obs.Metrics.to_prometheus m
-        | `Csv -> Obs.Metrics.to_csv m);
-      close_out oc;
-      Printf.printf "metrics: %s -> %s\n"
-        (match metrics_format with `Prom -> "prometheus" | `Csv -> "csv")
-        path
-  | _ -> ());
+  let write_outputs () =
+    (match (tracer, sink) with
+    | Some tr, Some (path, oc) ->
+        output_string oc (Obs.Chrome.to_string tr);
+        close_out oc;
+        Printf.printf "trace: %d events -> %s\n" (Obs.Trace.count tr) path
+    | _ -> ());
+    match (metrics, msink) with
+    | Some m, Some (path, oc) ->
+        output_string oc
+          (match metrics_format with
+          | `Prom -> Obs.Metrics.to_prometheus m
+          | `Csv -> Obs.Metrics.to_csv m);
+        close_out oc;
+        Printf.printf "metrics: %s -> %s\n"
+          (match metrics_format with `Prom -> "prometheus" | `Csv -> "csv")
+          path
+    | _ -> ()
+  in
+  (* an aborted run still leaves its trace and metrics, the evidence of
+     how it got there *)
+  (match f ?trace:tracer ?metrics () with
+  | () -> write_outputs ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      write_outputs ();
+      Printexc.raise_with_backtrace e bt);
   match metrics with
   | Some m ->
       if report then print_string (Obs.Metrics.report m);

@@ -32,6 +32,13 @@ let module_expr_path me =
   | Pmod_ident { txt; _ } -> Astutil.flatten txt
   | _ -> None
 
+(* [module X = F (Y)] makes [X.v] a use of the functor result's [v]:
+   the alias names the functor *)
+let alias_path me =
+  match me.pmod_desc with
+  | Pmod_apply (f, _) -> module_expr_path f
+  | _ -> module_expr_path me
+
 let scan_file usage (file : Source.t) =
   let aliases : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let resolve = function
@@ -62,7 +69,7 @@ let scan_file usage (file : Source.t) =
         | Some p -> note_open (resolve p)
         | None -> ())
     | Pexp_letmodule ({ txt = Some n; _ }, me, _) -> (
-        match module_expr_path me with
+        match alias_path me with
         | Some p -> note_alias n (resolve p)
         | None -> ())
     | _ -> ());
@@ -79,7 +86,7 @@ let scan_file usage (file : Source.t) =
         | Some p -> note_open (resolve p)
         | None -> ())
     | Pstr_module { pmb_name = { txt = Some n; _ }; pmb_expr; _ } -> (
-        match module_expr_path pmb_expr with
+        match alias_path pmb_expr with
         | Some p -> note_alias n (resolve p)
         | None -> ())
     | _ -> ());
@@ -128,37 +135,56 @@ let is_plain_ident name =
   String.length name > 0
   && (match name.[0] with 'a' .. 'z' | '_' -> true | _ -> false)
 
+(* the vals of a signature, judged as members of module [m]; a nested
+   [module X : sig ... end] (or a functor [X] whose result is one) is
+   judged as module [X] *)
+let rec judge usage ~path ~own ~display m signature =
+  if Hashtbl.mem usage.opened m then []
+  else
+    List.concat_map
+      (fun item ->
+        match item.psig_desc with
+        | Psig_value vd when is_plain_ident vd.pval_name.Location.txt ->
+            let v = vd.pval_name.Location.txt in
+            let externally_used =
+              match Hashtbl.find_opt usage.used (m, v) with
+              | None -> false
+              | Some paths ->
+                  List.exists
+                    (fun s -> Filename.remove_extension s <> own)
+                    !paths
+            in
+            if externally_used then []
+            else
+              let line, col = Astutil.pos vd.pval_loc in
+              [
+                Finding.v ~path ~line ~col ~rule:name
+                  (Printf.sprintf
+                     "val %s is never referenced outside %s; drop it from \
+                      the interface or waive with a reason"
+                     v display);
+              ]
+        | Psig_module { pmd_name = { txt = Some x; _ }; pmd_type; _ } -> (
+            let rec result mt =
+              match mt.pmty_desc with
+              | Pmty_signature s -> Some s
+              | Pmty_functor (_, r) -> result r
+              | _ -> None
+            in
+            match result pmd_type with
+            | Some s ->
+                judge usage ~path ~own ~display:(display ^ "." ^ x) x s
+            | None -> [])
+        | _ -> [])
+      signature
+
 let check_mli usage (file : Source.t) =
   match file.Source.intf with
   | Some signature when Source.under "lib" file.Source.path ->
       let m = Source.module_name file.Source.path in
-      if Hashtbl.mem usage.opened m then []
-      else
-        let own = Filename.remove_extension file.Source.path in
-        List.filter_map
-          (fun item ->
-            match item.psig_desc with
-            | Psig_value vd when is_plain_ident vd.pval_name.Location.txt ->
-                let v = vd.pval_name.Location.txt in
-                let externally_used =
-                  match Hashtbl.find_opt usage.used (m, v) with
-                  | None -> false
-                  | Some paths ->
-                      List.exists
-                        (fun s -> Filename.remove_extension s <> own)
-                        !paths
-                in
-                if externally_used then None
-                else
-                  let line, col = Astutil.pos vd.pval_loc in
-                  Some
-                    (Finding.v ~path:file.Source.path ~line ~col ~rule:name
-                       (Printf.sprintf
-                          "val %s is never referenced outside %s; drop it \
-                           from the interface or waive with a reason"
-                          v m))
-            | _ -> None)
-          signature
+      judge usage ~path:file.Source.path
+        ~own:(Filename.remove_extension file.Source.path)
+        ~display:m m signature
   | _ -> []
 
 let run ctx =

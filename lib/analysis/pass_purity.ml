@@ -3,7 +3,7 @@ open Parsetree
 let name = "purity"
 
 let in_scope path =
-  Source.under "lib/core" path || path = "lib/check/model.ml"
+  Source.under "lib/core" path || Source.under "lib/check" path
 
 let banned_modules =
   [ "Unix"; "Sys"; "Sim"; "Netsim"; "Obs"; "Random"; "In_channel";

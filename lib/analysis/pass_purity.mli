@@ -1,8 +1,9 @@
 (** Core-purity pass.
 
-    [lib/core] and [lib/check/model.ml] are the protocol model: they
-    must stay runnable inside the model checker and comparable across
-    runs. The pass rejects, in those files only:
+    [lib/core] is the protocol model and [lib/check] the model checker
+    that runs it: they must stay deterministic and comparable across
+    runs, coupled to nothing but the model. The pass rejects, in those
+    directories only:
 
     - any reference whose head module is [Unix], [Sys], [Sim],
       [Netsim], [Obs], [Random], [In_channel] or [Out_channel] — no

@@ -18,7 +18,7 @@
     sorted by client id so iteration order is deterministic. Active
     clients are represented by absence; only suspects are stored.
 
-    Invariants (checked exhaustively by [Check.Life]):
+    Invariants (checked exhaustively by [Check.Life_machine]):
     - {b expirable-only-on-conflict}: an entry is [Expirable] only after
       {!note_conflict} succeeded on it while it was [Courtesy];
     - {b courtesy-cannot-linger-past-lifetime}: any [Courtesy] entry

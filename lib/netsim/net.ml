@@ -80,7 +80,6 @@ module Host = struct
   let use_cpu h seconds =
     if seconds > 0.0 then Sim.Resource.use h.hcpu seconds
 
-  let is_up h = h.hup
   let crash h = h.hup <- false
 
   let reboot h =

@@ -57,8 +57,6 @@ module Host : sig
   (** Charge [seconds] of CPU time to the calling process. *)
   val use_cpu : t -> float -> unit
 
-  val is_up : t -> bool
-
   (** Take the host down: undelivered and future messages to it are
       dropped, and its services stop answering. *)
   val crash : t -> unit

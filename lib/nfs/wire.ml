@@ -166,7 +166,9 @@ let invoke (call : call) p a =
   let bulk = p.args_bulk a in
   let d = Xdr.Dec.of_bytes (call ~proc:p.name ?bulk (Xdr.Enc.to_bytes e)) in
   (match dec_status d with Ok () -> () | Error e -> raise (Localfs.Error e));
-  p.res.dec d
+  let r = p.res.dec d in
+  Xdr.Dec.check_done d;
+  r
 
 let lookup call ~dir name = invoke call Proc.lookup (dir, name)
 let create call ~dir name = invoke call Proc.create (dir, name)
@@ -204,7 +206,9 @@ let unknown ~caller:_ ~ctx:_ _ = error_reply Localfs.Stale
 let serves p f =
   ( p.name,
     fun ~caller ~ctx d ->
-      match f ~caller:(Netsim.Net.Host.addr caller) ~ctx (p.args.dec d) with
+      let args = p.args.dec d in
+      Xdr.Dec.check_done d;
+      match f ~caller:(Netsim.Net.Host.addr caller) ~ctx args with
       | r ->
           let e = Xdr.Enc.create () in
           enc_status e (Ok ());

@@ -78,15 +78,11 @@ val fh_codec : fh Xdr.codec
 module Proc : sig
   val lookup : (fh * string, fh * Localfs.attrs) procedure
   val create : (fh * string, fh * Localfs.attrs) procedure
-  val mkdir : (fh * string, fh * Localfs.attrs) procedure
   val getattr : (fh, Localfs.attrs) procedure
   val setattr : (fh * int, Localfs.attrs) procedure
   val read : (fh * int, int * int) procedure
   val write : (fh * (int * int * int), Localfs.attrs) procedure
   val remove : (fh * string, unit) procedure
-  val rmdir : (fh * string, unit) procedure
-  val rename : ((fh * string) * (fh * string), unit) procedure
-  val readdir : (fh, string list) procedure
   val snfs_open : (fh * bool, open_reply) procedure
   val rfs_open : (fh * bool, int * Localfs.attrs) procedure
   val close : (fh * bool, unit) procedure
@@ -103,8 +99,8 @@ val data_procs : string list
 
     [call] is a closure over the RPC transport, source and destination.
     [invoke call p args] calls [p] and returns its result, or raises
-    [Localfs.Error] on an error status; the stubs below are its
-    shorthands. *)
+    [Localfs.Error] on an error status; a reply with bytes after the
+    result raises [Xdr.Error]. The stubs below are its shorthands. *)
 
 type call = proc:string -> ?bulk:int -> bytes -> bytes
 
@@ -129,10 +125,10 @@ val snfs_close : call -> fh -> write_mode:bool -> unit
 (** A procedure table entry: the procedure's name and its handler. *)
 type entry = string * Netsim.Rpc.handler
 
-(** [serves p f] is [p]'s entry: it decodes [p]'s arguments, runs [f]
-    with the caller's address and the request's causal context, and
-    replies with [f]'s result, or with the error status when [f]
-    raises [Localfs.Error]. *)
+(** [serves p f] is [p]'s entry: it decodes [p]'s arguments (raising
+    [Xdr.Error] if a byte is left over), runs [f] with the caller's
+    address and the request's causal context, and replies with [f]'s
+    result, or with the error status when [f] raises [Localfs.Error]. *)
 val serves :
   ('a, 'r) procedure -> (caller:int -> ctx:Obs.Causal.t -> 'a -> 'r) -> entry
 

@@ -10,8 +10,8 @@ module Enc = struct
      a Buffer.create per message was a steady ~40 words of minor-GC
      pressure each — the pool brings steady-state encoding down to the
      one [to_bytes] copy that becomes the wire payload. [live] makes
-     recycling safe: [to_bytes]/[to_string] finish the encoder and
-     return it to the pool, after which any further use (rather than
+     recycling safe: [to_bytes] finishes the encoder and returns it to
+     the pool, after which any further use (rather than
      silently corrupting a later message sharing the storage) raises. *)
   type t = { mutable buf : bytes; mutable len : int; mutable live : bool }
 
@@ -47,14 +47,6 @@ module Enc = struct
 
   let check e = if not e.live then error "Enc: encoder already finished"
 
-  let reset e =
-    check e;
-    e.len <- 0
-
-  let length e =
-    check e;
-    e.len
-
   let ensure e n =
     let cap = Bytes.length e.buf in
     if e.len + n > cap then begin
@@ -72,16 +64,6 @@ module Enc = struct
     let b = Bytes.sub e.buf 0 e.len in
     release e;
     b
-
-  let to_string e =
-    check e;
-    let s = Bytes.sub_string e.buf 0 e.len in
-    release e;
-    s
-
-  let unsafe_bytes e =
-    check e;
-    e.buf
 
   let uint32 e v =
     if v < 0 || v > 0xFFFFFFFF then error "Enc.uint32: %d out of range" v;
@@ -117,18 +99,6 @@ module Enc = struct
       e.len <- e.len + p
     end
 
-  let opaque_fixed e b =
-    check e;
-    let n = Bytes.length b in
-    ensure e n;
-    Bytes.blit b 0 e.buf e.len n;
-    e.len <- e.len + n;
-    pad e n
-
-  let opaque e b =
-    uint32 e (Bytes.length b);
-    opaque_fixed e b
-
   let string e s =
     let n = String.length s in
     uint32 e n;
@@ -141,12 +111,6 @@ module Enc = struct
     uint32 e (List.length items);
     List.iter f items
 
-  let option e f = function
-    | None -> bool e false
-    | Some v ->
-        bool e true;
-        f v
-
   (* Causal-context field: the inducing operation's trace id, carried
      in callback payloads so induced work on another host can name the
      operation that caused it: 0 for none, else the op id, as a hyper
@@ -155,24 +119,10 @@ module Enc = struct
 end
 
 module Dec = struct
-  (* [limit], not [Bytes.length buf]: a decoder can be pointed
-     ([reuse]) at the live prefix of an encoder's internal buffer, so
-     an encode/decode round trip over pre-sized buffers allocates
-     nothing but the decoded values. *)
-  type t = { mutable buf : bytes; mutable pos : int; mutable limit : int }
+  type t = { buf : bytes; mutable pos : int; limit : int }
 
   let of_bytes buf = { buf; pos = 0; limit = Bytes.length buf }
-  let of_string s = of_bytes (Bytes.of_string s)
-
-  let reuse t buf ~len =
-    if len < 0 || len > Bytes.length buf then
-      error "Dec.reuse: bad length %d" len;
-    t.buf <- buf;
-    t.pos <- 0;
-    t.limit <- len
-
   let clone t = { buf = t.buf; pos = t.pos; limit = t.limit }
-
   let remaining t = t.limit - t.pos
 
   let check_done t =
@@ -231,8 +181,6 @@ module Dec = struct
       if i = n then List.rev acc else loop (i + 1) (f t :: acc)
     in
     loop 0 []
-
-  let option t f = if bool t then Some (f t) else None
 
   (* inverse of [Enc.ctx]: 0 decodes to "no context" *)
   let ctx t = Int64.to_int (hyper t)

@@ -989,6 +989,8 @@ let test_purity_seeded () =
     [ input "lib/core/state_table.ml" "let n e = Sim.Engine.now e\n" ];
   check_fires "I/O module reference in model.ml" "purity"
     [ input "lib/check/model.ml" "let r f = In_channel.input_all f\n" ];
+  check_fires "simulator reference anywhere in lib/check" "purity"
+    [ input "lib/check/explore.ml" "let n e = Sim.Engine.now e\n" ];
   check_fires "toplevel mutable state" "purity"
     [ input "lib/core/state_table.ml" "let table = Hashtbl.create 16\n" ]
 
@@ -1050,6 +1052,34 @@ let test_interface_drift_program_callers () =
            module M = Make (A)\n";
         input "lib/m/f.mli" "";
       ])
+
+(* vals inside [module X : sig ... end] and inside a functor's result
+   signature are judged like toplevel ones, reached through the module
+   path or through an alias of a functor application *)
+let test_interface_drift_nested () =
+  let lib =
+    [
+      input "lib/m/a.mli"
+        "module Inner : sig\n\
+        \  val used : int -> int\n\
+         end\n\
+         module Make (S : sig end) : sig\n\
+        \  val run : int -> int\n\
+         end\n";
+      input "lib/m/a.ml"
+        "module Inner = struct let used x = x end\n\
+         module Make (S : sig end) = struct let run x = x end\n";
+    ]
+  in
+  let caller path =
+    input path
+      "module M = A.Make (struct end)\n\
+       let () = ignore (A.Inner.used (M.run 1))\n"
+  in
+  Alcotest.(check int) "only tests call either: both flagged" 2
+    (count "interface-drift" (lib @ [ caller "test/test_a.ml" ]));
+  check_quiet "a bin/ caller is a use of both" "interface-drift"
+    (lib @ [ caller "bin/main.ml" ])
 
 let test_interface_drift_test_seam () =
   let seam =
@@ -1530,6 +1560,8 @@ let () =
             test_interface_drift_open_skips_module;
           Alcotest.test_case "only program callers count" `Quick
             test_interface_drift_program_callers;
+          Alcotest.test_case "nested signatures and functor results" `Quick
+            test_interface_drift_nested;
           Alcotest.test_case "test seam waiver" `Quick
             test_interface_drift_test_seam;
         ] );

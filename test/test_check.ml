@@ -9,13 +9,13 @@
    Negative: deliberately-buggy wrappers around the real table are
    each caught by a named invariant — the checker can actually fail.
 
-   Plus qcheck properties replaying random op sequences (shrinking on
-   failure), and unit coverage for Table_full / reclamation /
+   Plus qcheck properties replaying random op sequences through the
+   same machine (shrinking on failure), and unit coverage for Table_full / reclamation /
    least_recently_active_open. *)
 
 module St = Spritely.State_table
 module E = Check.Explore
-module TC = E.Table_checker
+module TC = Check.Table_machine.Make (St)
 
 let violation_to_string v =
   Printf.sprintf "[%s] %s (after: %s)" v.E.v_inv v.E.v_detail
@@ -26,7 +26,7 @@ let fail_on v = Alcotest.fail (violation_to_string v)
 (* ---- exhaustive exploration ---- *)
 
 let test_exhaustive () =
-  let r = TC.run () in
+  let r = E.run (TC.machine ()) in
   (match r.E.violations with v :: _ -> fail_on v | [] -> ());
   Alcotest.(check bool)
     (Printf.sprintf "explored %d distinct states (>= 10_000)"
@@ -43,31 +43,14 @@ let test_exhaustive () =
 
 (* a smaller universe explored to the full depth bound *)
 let test_exhaustive_deep () =
-  let config =
-    {
-      E.clients = 2;
-      files = 1;
-      depth = 8;
-      max_states = 100_000;
-      max_violations = 25;
-      path_stride = 257;
-    }
-  in
-  let r = TC.run ~config () in
+  let r = E.run ~max_states:100_000 (TC.machine ~clients:2 ~files:1 ()) in
   (match r.E.violations with v :: _ -> fail_on v | [] -> ());
   Alcotest.(check int) "ran to the depth bound" 8 r.E.stats.E.deepest
 
 (* ---- negative tests: seeded bugs must be caught ---- *)
 
-let small_config =
-  {
-    E.clients = 3;
-    files = 2;
-    depth = 4;
-    max_states = 3_000;
-    max_violations = 5;
-    path_stride = 257;
-  }
+(* the first 3,000 states, to depth 4 *)
+let small machine = E.run ~depth:4 ~max_states:3_000 (machine ())
 
 let catches name checker_result expected_inv =
   match checker_result.E.violations with
@@ -107,20 +90,20 @@ module Buggy_dirty = struct
     if mode = Write then note_clean t ~file ~client
 end
 
-module BG = E.Make (Buggy_grant)
-module BC = E.Make (Buggy_callback)
-module BD = E.Make (Buggy_dirty)
+module BG = Check.Table_machine.Make (Buggy_grant)
+module BC = Check.Table_machine.Make (Buggy_callback)
+module BD = Check.Table_machine.Make (Buggy_dirty)
 
 let test_catches_bad_grant () =
-  catches "always-cachable client" (BG.run ~config:small_config ())
+  catches "always-cachable client" (small BG.machine)
     "cachable-implies-open"
 
 let test_catches_bad_callback () =
-  catches "callback to opener" (BC.run ~config:small_config ())
+  catches "callback to opener" (small BC.machine)
     "callback-not-opener"
 
 let test_catches_lost_dirty () =
-  catches "lost CLOSED_DIRTY" (BD.run ~config:small_config ()) "model-agreement"
+  catches "lost CLOSED_DIRTY" (small BD.machine) "model-agreement"
 
 (* ---- qcheck: random sequences against the reference model ---- *)
 
@@ -148,7 +131,7 @@ let prop_replay_clean =
   QCheck.Test.make
     ~name:"random op sequences: table matches reference model" ~count:300
     ops_arbitrary (fun ops ->
-      match TC.replay ops with
+      match Script.replay (TC.machine ()) ops with
       | [] -> true
       | v :: _ -> QCheck.Test.fail_report (violation_to_string v))
 

@@ -64,24 +64,24 @@ let serve_echo rpc host executions =
     [
       ( "bump",
         fun ~caller:_ ~ctx:_ dec ->
-          let x = Xdr.Dec.int32 dec in
+          let x = Xdr.Dec.uint32 dec in
           let n = try Hashtbl.find executions x with Not_found -> 0 in
           Hashtbl.replace executions x (n + 1);
           let e = Xdr.Enc.create () in
-          Xdr.Enc.int32 e (x + 1);
+          Xdr.Enc.uint32 e (x + 1);
           { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 } );
     ]
 
 let echo_once rpc ~src ~dst x =
   let e = Xdr.Enc.create () in
-  Xdr.Enc.int32 e x;
+  Xdr.Enc.uint32 e x;
   let d =
     Xdr.Dec.of_bytes
       (Netsim.Rpc.call rpc
          ~config:{ (Netsim.Rpc.config rpc) with timeout = 0.2 }
          ~src ~dst ~prog:"echo" ~proc:"bump" (Xdr.Enc.to_bytes e))
   in
-  Xdr.Dec.int32 d
+  Xdr.Dec.uint32 d
 
 let test_dup_suppression_under_jitter () =
   (* delivery jitter far above the retransmission timeout: most first
@@ -286,13 +286,13 @@ let test_retry_budget_surfaces_server_unavailable () =
       let quick = { (Netsim.Rpc.config rpc) with timeout = 0.2; retries = 3 } in
       let echo ~budget x =
         let enc = Xdr.Enc.create () in
-        Xdr.Enc.int32 enc x;
+        Xdr.Enc.uint32 enc x;
         let d =
           Xdr.Dec.of_bytes
             (Netsim.Rpc.call rpc ~config:quick ~src:client ~dst:server
                ~prog:"echo" ~proc:"bump" ~budget (Xdr.Enc.to_bytes enc))
         in
-        Xdr.Dec.int32 d
+        Xdr.Dec.uint32 d
       in
       (* outage longer than the budget: typed failure, not Timeout *)
       Netsim.Net.Host.crash server;

@@ -1,21 +1,16 @@
-(* The client-lifecycle state machine: unit behavior, the bounded
-   exhaustive checker over the real module, a qcheck random pass, and
-   the negative suite — six deliberately-buggy wrappers proving that
-   each checked invariant actually bites. *)
+(* The client-lifecycle state machine: unit behavior, the lifecycle
+   machine over the real module explored to its fixpoint, a qcheck
+   random pass replayed through it, and the negative suite — six
+   deliberately-buggy wrappers proving that each checked invariant
+   actually bites. *)
 
 module L = Spritely.Lifecycle
-
-let op_to_string = function
-  | Check.Life.Demote c -> Printf.sprintf "demote(%d)" c
-  | Conflict c -> Printf.sprintf "conflict(%d)" c
-  | Revive c -> Printf.sprintf "revive(%d)" c
-  | Tick -> "tick"
-  | Scan -> "scan"
+module E = Check.Explore
+module LM = Check.Life_machine
 
 let violation_to_string v =
-  Printf.sprintf "%s after [%s]: %s" v.Check.Life.v_inv
-    (String.concat "; " (List.map op_to_string v.v_path))
-    v.v_detail
+  Printf.sprintf "%s after [%s]: %s" v.E.v_inv (LM.ops_to_string v.E.v_path)
+    v.E.v_detail
 
 let state = Alcotest.testable
     (fun fmt s -> Format.pp_print_string fmt (L.state_to_string s))
@@ -87,38 +82,38 @@ let test_negative_lifetime_rejected () =
 
 (* ---- the checker over the real module ---- *)
 
+module Real = LM.Make (Spritely.Lifecycle)
+
+(* three clients, each Active, Expirable or Courtesy aged 0, 1 or past
+   the lifetime: every one of the 5^3 canonical states is reachable *)
 let test_checker_clean () =
-  let violation, checked = Check.Life.Lifecycle_checker.run () in
-  (match violation with
-  | None -> ()
-  | Some v -> Alcotest.fail (violation_to_string v));
-  Alcotest.(check bool)
-    (Printf.sprintf "substantial state space (%d ops)" checked)
-    true
-    (checked > 30_000)
+  let r = E.run Real.machine in
+  (match r.E.violations with
+  | [] -> ()
+  | v :: _ -> Alcotest.fail (violation_to_string v));
+  Alcotest.(check bool) "frontier exhausted" true r.E.stats.E.exhausted;
+  Alcotest.(check int) "exhausted at 125 distinct states" 125
+    r.E.stats.E.distinct_states
 
 let qcheck_random_sequences =
   let open QCheck in
   let op_gen =
     Gen.frequency
       [
-        (3, Gen.map (fun c -> Check.Life.Demote c) (Gen.int_bound 2));
-        (2, Gen.map (fun c -> Check.Life.Conflict c) (Gen.int_bound 2));
-        (2, Gen.map (fun c -> Check.Life.Revive c) (Gen.int_bound 2));
-        (2, Gen.return Check.Life.Tick);
-        (2, Gen.return Check.Life.Scan);
+        (3, Gen.map (fun c -> LM.Demote c) (Gen.int_bound 2));
+        (2, Gen.map (fun c -> LM.Conflict c) (Gen.int_bound 2));
+        (2, Gen.map (fun c -> LM.Revive c) (Gen.int_bound 2));
+        (2, Gen.return LM.Tick);
+        (2, Gen.return LM.Scan);
       ]
   in
   let arb =
-    make
-      ~print:(fun ops ->
-        String.concat "; " (List.map op_to_string ops))
-      (Gen.list_size (Gen.int_range 1 40) op_gen)
+    make ~print:LM.ops_to_string (Gen.list_size (Gen.int_range 1 40) op_gen)
   in
   Test.make ~name:"random op sequences stay clean" ~count:300 arb (fun ops ->
-      match Check.Life.Lifecycle_checker.replay ~clients:3 ops with
-      | None -> true
-      | Some v -> Test.fail_report (violation_to_string v))
+      match Script.replay Real.machine ops with
+      | [] -> true
+      | v :: _ -> Test.fail_report (violation_to_string v))
 
 (* ---- the negative suite: seeded bugs per invariant ---- *)
 
@@ -126,15 +121,14 @@ let qcheck_random_sequences =
    through the public API; the checker must catch it and attribute the
    right invariant. *)
 
-let expect_caught name expected (module M : Check.Life.LIFE) =
-  let module C = Check.Life.Make (M) in
-  match C.run () with
-  | None, checked ->
-      Alcotest.failf "%s: checker missed the seeded bug (%d ops)" name checked
-  | Some v, _ ->
+let expect_caught name expected (module M : LM.LIFE) =
+  let module C = LM.Make (M) in
+  match (E.run C.machine).E.violations with
+  | [] -> Alcotest.failf "%s: checker missed the seeded bug" name
+  | v :: _ ->
       Alcotest.(check string)
         (Printf.sprintf "%s attributed to %s" name expected)
-        expected v.Check.Life.v_inv
+        expected v.E.v_inv
 
 (* linger bug 1: the reaper only ever reports Expirable clients, so a
    quiet Courtesy client is retained forever *)

@@ -724,7 +724,7 @@ let prop_network_order =
             Array.init net_hosts (fun i ->
                 Netsim.Net.Host.create net (string_of_int i))
           in
-          let next = ref 0 in
+          let next = ref 0 and live = Array.make net_hosts true in
           List.iter
             (fun (ms, op) ->
               let run =
@@ -735,19 +735,24 @@ let prop_network_order =
                     fun () ->
                       let msgs = total "net_messages_total"
                       and bytes = total "net_bytes_total" in
-                      let live = Netsim.Net.Host.is_up hosts.(a) in
+                      let sent = live.(a) in
                       Netsim.Net.send net ~src:hosts.(a) ~dst:hosts.(b) ~bytes:n
                         ~deliver:(fun () ->
                           delivered :=
-                            (i, b, Sim.Engine.now e,
-                             Netsim.Net.Host.is_up hosts.(b))
+                            (i, b, Sim.Engine.now e, live.(b))
                             :: !delivered);
-                      let wire = if live then n + params.header_bytes else 0 in
-                      if total "net_messages_total" - msgs <> Bool.to_int live
+                      let wire = if sent then n + params.header_bytes else 0 in
+                      if total "net_messages_total" - msgs <> Bool.to_int sent
                          || total "net_bytes_total" - bytes <> wire
                       then miscounted := i :: !miscounted
-                | Crash h -> fun () -> Netsim.Net.Host.crash hosts.(h)
-                | Reboot h -> fun () -> Netsim.Net.Host.reboot hosts.(h)
+                | Crash h ->
+                    fun () ->
+                      live.(h) <- false;
+                      Netsim.Net.Host.crash hosts.(h)
+                | Reboot h ->
+                    fun () ->
+                      live.(h) <- true;
+                      Netsim.Net.Host.reboot hosts.(h)
                 | Cut (a, b) ->
                     fun () -> Netsim.Net.partition net hosts.(a) hosts.(b)
                 | Heal (a, b) ->

@@ -57,17 +57,8 @@ let handoffs =
 
 let checker_paths =
   lazy
-    (let config =
-       {
-         E.clients = 3;
-         files = 2;
-         depth = 8;
-         max_states = 5_000;
-         max_violations = 25;
-         path_stride = 251;
-       }
-     in
-     let r = E.Table_checker.run ~config () in
+    (let module T = Check.Table_machine.Make (Spritely.State_table) in
+     let r = E.run ~max_states:5_000 (T.machine ()) in
      (* drop empty prefixes; cap the suite's simulation budget *)
      let paths = List.filter (fun p -> p <> []) r.E.paths in
      let rec take n = function

@@ -827,11 +827,30 @@ let test_unknown_procedure_is_stale () =
 
 (* ---- the message formats ---- *)
 
-(* One message format with a generator of its values. *)
-type format = Format : string * 'a Xdr.codec * 'a QCheck.Gen.t -> format
+(* One message format with a generator of its values; or a procedure
+   that only Wire itself names, reached through its client stub: the
+   arguments the stub must send, an encoder of its result, and a
+   generator of (arguments, result) pairs. *)
+type format =
+  | Format : string * 'a Xdr.codec * 'a QCheck.Gen.t -> format
+  | Stub :
+      string
+      * (Nfs.Wire.call -> 'a -> 'r)
+      * 'a Xdr.codec
+      * (Xdr.Enc.t -> 'r -> unit)
+      * ('a * 'r) QCheck.Gen.t
+      -> format
 
 (* a value of one format *)
-type sample = Sample : string * 'a Xdr.codec * 'a -> sample
+type sample =
+  | Sample : string * 'a Xdr.codec * 'a -> sample
+  | Stubbed :
+      string
+      * (Nfs.Wire.call -> 'a -> 'r)
+      * 'a Xdr.codec
+      * (Xdr.Enc.t -> 'r -> unit)
+      * ('a * 'r)
+      -> sample
 
 let formats =
   let open QCheck.Gen in
@@ -868,20 +887,39 @@ let formats =
       Format (p.name ^ " result", p.res, res);
     ]
   in
+  let stub label f args res gen = [ Stub (label, f, args, res, gen) ] in
+  let dir_name = Xdr.pair Nfs.Wire.fh_codec Xdr.string in
   let module P = Nfs.Wire.Proc in
   List.concat
     [
       proc P.lookup (pair fh name) (pair fh attrs);
       proc P.create (pair fh name) (pair fh attrs);
-      proc P.mkdir (pair fh name) (pair fh attrs);
+      stub "mkdir"
+        (fun call (dir, n) -> Nfs.Wire.mkdir call ~dir n)
+        dir_name
+        (fun e (fh, a) ->
+          Nfs.Wire.fh_codec.enc e fh;
+          Nfs.Wire.enc_attrs e a)
+        (pair (pair fh name) (pair fh attrs));
       proc P.getattr fh attrs;
       proc P.setattr (pair fh u32) attrs;
       proc P.read (pair fh u32) (pair u32 u32);
       proc P.write (pair fh (triple u32 u32 u32)) attrs;
       proc P.remove (pair fh name) unit;
-      proc P.rmdir (pair fh name) unit;
-      proc P.rename (pair (pair fh name) (pair fh name)) unit;
-      proc P.readdir fh (small_list name);
+      stub "rmdir"
+        (fun call (dir, n) -> Nfs.Wire.rmdir call ~dir n)
+        dir_name
+        (fun _ () -> ())
+        (pair (pair fh name) unit);
+      stub "rename"
+        (fun call ((fromdir, f), (todir, t)) ->
+          Nfs.Wire.rename call ~fromdir f ~todir t)
+        (Xdr.pair dir_name dir_name)
+        (fun _ () -> ())
+        (pair (pair (pair fh name) (pair fh name)) unit);
+      stub "readdir" Nfs.Wire.readdir Nfs.Wire.fh_codec
+        (Xdr.list Xdr.string).enc
+        (pair fh (small_list name));
       proc P.snfs_open (pair fh bool) open_reply;
       proc P.rfs_open (pair fh bool) (pair u32 attrs);
       proc P.close (pair fh bool) unit;
@@ -894,47 +932,108 @@ let formats =
         unit;
     ]
 
-let encode (Sample (_, codec, x)) =
+let encode codec x =
   let e = Xdr.Enc.create () in
   codec.Xdr.enc e x;
   Xdr.Enc.to_bytes e
 
+let with_byte b = Bytes.cat b (Bytes.make 1 '\000')
+
+(* [decodes label dec b] checks that [dec] reads all of [b] back, and
+   that every proper prefix of [b], and [b] with a byte more, fails
+   with [Xdr.Error] and no other exception *)
+let decodes label dec b =
+  let back = dec b in
+  List.iter
+    (fun (what, b) ->
+      match dec b with
+      | _ -> QCheck.Test.fail_reportf "%s: %s decodes" label what
+      | exception Xdr.Error _ -> ())
+    (("a trailing byte", with_byte b)
+    :: List.init (Bytes.length b) (fun n ->
+           (Printf.sprintf "its %d-byte prefix" n, Bytes.sub b 0 n)));
+  back
+
 (* Every procedure's arguments and result: decoding an encoding gives
    the value back and leaves no byte over, and every proper prefix of
-   an encoding fails with [Xdr.Error] and no other exception. *)
+   an encoding fails with [Xdr.Error] and no other exception. A
+   procedure reached through its stub sends its name and its arguments
+   in the stated format, and reads back its result from a reply, but
+   not from a prefix of it or from it with a byte more. *)
 let prop_message_formats =
   let gen =
     QCheck.Gen.flatten_l
       (List.map
-         (fun (Format (label, codec, g)) ->
-           QCheck.Gen.map (fun x -> Sample (label, codec, x)) g)
+         (function
+           | Format (label, codec, g) ->
+               QCheck.Gen.map (fun x -> Sample (label, codec, x)) g
+           | Stub (label, f, args, res, g) ->
+               QCheck.Gen.map (fun x -> Stubbed (label, f, args, res, x)) g)
          formats)
   in
   let print samples =
     String.concat "\n"
       (List.map
-         (fun (Sample (label, _, _) as s) ->
-           label ^ ": " ^ String.escaped (Bytes.to_string (encode s)))
+         (fun sample ->
+           let label, b =
+             match sample with
+             | Sample (label, codec, x) -> (label, encode codec x)
+             | Stubbed (label, _, codec, _, (x, _)) -> (label, encode codec x)
+           in
+           label ^ ": " ^ String.escaped (Bytes.to_string b))
          samples)
   in
   QCheck.Test.make ~name:"every procedure's formats round-trip" ~count:200
     (QCheck.make ~print gen)
-    (List.for_all (fun (Sample (label, codec, x) as s) ->
-         let b = encode s in
-         let d = Xdr.Dec.of_bytes b in
-         let back = codec.Xdr.dec d in
-         Xdr.Dec.check_done d;
-         if back <> x then
-           QCheck.Test.fail_reportf "%s: decodes to another value" label;
-         List.iter
-           (fun n ->
-             match codec.Xdr.dec (Xdr.Dec.of_bytes (Bytes.sub b 0 n)) with
-             | _ ->
-                 QCheck.Test.fail_reportf "%s: its %d-byte prefix decodes"
-                   label n
-             | exception Xdr.Error _ -> ())
-           (List.init (Bytes.length b) Fun.id);
-         true))
+    (List.for_all (function
+      | Sample (label, codec, x) ->
+          let dec b =
+            let d = Xdr.Dec.of_bytes b in
+            let v = codec.Xdr.dec d in
+            Xdr.Dec.check_done d;
+            v
+          in
+          if decodes label dec (encode codec x) <> x then
+            QCheck.Test.fail_reportf "%s: decodes to another value" label;
+          true
+      | Stubbed (label, f, args, res, (a, r)) ->
+          let reply =
+            let e = Xdr.Enc.create () in
+            Nfs.Wire.enc_status e (Ok ());
+            res e r;
+            Xdr.Enc.to_bytes e
+          in
+          let sent = ref [] in
+          let call reply ~proc ?bulk:_ b =
+            sent := (proc, b) :: !sent;
+            reply
+          in
+          if decodes label (fun reply -> f (call reply) a) reply <> r then
+            QCheck.Test.fail_reportf "%s: reads back another result" label;
+          if
+            List.exists
+              (fun (proc, b) ->
+                proc <> label || not (Bytes.equal b (encode args a)))
+              !sent
+          then QCheck.Test.fail_reportf "%s: sent other arguments" label;
+          true))
+
+(* Trailing bytes are refused at the trust boundary: a served entry
+   given its arguments and a byte more raises [Xdr.Error] (a stub
+   handed its reply and a byte more is the property's case). *)
+let test_trailing_byte_refused () =
+  let caller =
+    Netsim.Net.Host.create (Netsim.Net.create (Sim.Engine.create ()) ()) "c"
+  in
+  let p = Nfs.Wire.Proc.remove in
+  let _, handler = Nfs.Wire.serves p (fun ~caller:_ ~ctx:_ _ -> ()) in
+  let serve b =
+    ignore (handler ~caller ~ctx:Obs.Causal.none (Xdr.Dec.of_bytes b))
+  in
+  let args = encode p.args ({ Nfs.Wire.fsid = 1; ino = 2; gen = 3 }, "f") in
+  serve args;
+  Alcotest.check_raises "a byte more" (Xdr.Error "Dec: 1 trailing bytes")
+    (fun () -> serve (with_byte args))
 
 let () =
   let conformance name make =
@@ -1004,5 +1103,7 @@ let () =
           Alcotest.test_case "unknown procedure is Stale" `Quick
             test_unknown_procedure_is_stale;
           QCheck_alcotest.to_alcotest prop_message_formats;
+          Alcotest.test_case "trailing byte refused" `Quick
+            test_trailing_byte_refused;
         ] );
     ]
