@@ -18,15 +18,11 @@ type block = {
   mutable w : wstate;
   mutable doomed : bool; (* deleted while a write/fetch was in flight *)
   mutable write_waiters : (unit -> unit) list;
-  (* Intrusive links. A self-loop ([b.lru_next == b]) means "not
-     linked on that side": option links would allocate a [Some] box on
-     every touch, and the LRU is touched once per cache hit. The LRU
-     list is circular through a sentinel block; the per-file chain is
-     a plain doubly-linked list whose head hangs off [file_heads]. *)
-  mutable lru_prev : block;
-  mutable lru_next : block;
-  mutable fprev : block; (* per-file chain, insertion order *)
-  mutable fnext : block;
+  (* The block's slot in the cache's link arrays, -1 once it is
+     removed. A removed block still serves the fetch or write-back
+     that holds it, through its own fields; its slot is never read
+     again. *)
+  mutable slot : int;
 }
 
 type pending = { mutable count : int; mutable waiters : (unit -> unit) list }
@@ -45,10 +41,24 @@ type t = {
   blocks : block Sim.Inttbl.t;
   file_heads : block Sim.Inttbl.t; (* newest block of each file *)
   mutable count : int;
-  (* The cache's one sentinel block: the head of the circular LRU list
-     (its lru_next side is least recently used) and the empty value of
-     both tables, in neither of which it is ever stored. *)
-  lru : block;
+  (* The cache's one sentinel block, in slot 0: the head of the
+     circular LRU list (its lru_next side is least recently used) and
+     the empty value of both tables, in neither of which it is ever
+     stored. *)
+  sentinel : block;
+  (* The links, by slot. Relinking a block on a cache hit stores ints,
+     which needs no write barrier; block-valued links would cost one
+     per pointer. A self-loop ([lru_next.(s) = s]) means "not linked
+     on that side". The LRU list is circular through slot 0; the
+     per-file chain is a plain doubly-linked list whose head hangs off
+     [file_heads]. Free slots are threaded through [fnext], ending at
+     0. The arrays start at one slot and double as they fill. *)
+  mutable by_slot : block array; (* a free slot holds the sentinel *)
+  mutable lru_prev : int array;
+  mutable lru_next : int array;
+  mutable fprev : int array; (* per-file chain, insertion order *)
+  mutable fnext : int array;
+  mutable free : int;
   pending : pending Sim.Inttbl.t; (* async write-behinds per file *)
   mutable syncer_started : bool;
 }
@@ -57,7 +67,7 @@ let is_dirty b = match b.w with Dirty _ | Writing _ -> true | Clean -> false
 
 let create engine ~name ~capacity_blocks ~block_size backend =
   if capacity_blocks <= 0 then invalid_arg "Cache.create: capacity must be > 0";
-  let rec sentinel =
+  let sentinel =
     {
       bfile = -1;
       bindex = 0;
@@ -67,10 +77,7 @@ let create engine ~name ~capacity_blocks ~block_size backend =
       w = Clean;
       doomed = false;
       write_waiters = [];
-      lru_prev = sentinel;
-      lru_next = sentinel;
-      fprev = sentinel;
-      fnext = sentinel;
+      slot = 0;
     }
   in
   let t =
@@ -85,7 +92,13 @@ let create engine ~name ~capacity_blocks ~block_size backend =
       blocks = Sim.Inttbl.create ~empty:sentinel;
       file_heads = Sim.Inttbl.create ~empty:sentinel;
       count = 0;
-      lru = sentinel;
+      sentinel;
+      by_slot = [| sentinel |];
+      lru_prev = [| 0 |];
+      lru_next = [| 0 |];
+      fprev = [| 0 |];
+      fnext = [| 0 |];
+      free = 0;
       pending = Sim.Inttbl.create ~empty:{ count = 0; waiters = [] };
       syncer_started = false;
     }
@@ -127,28 +140,55 @@ let cache_event ?(ctx = Obs.Causal.none) t name ~file ~index =
            [ ("file", Obs.Trace.Int file); ("index", Obs.Trace.Int index) ])
       ()
 
+(* ---- slots ---- *)
+
+(* Double the arrays and thread the new slots onto the free list. *)
+let grow t =
+  let n = Array.length t.by_slot in
+  let extend a fill =
+    let a' = Array.make (2 * n) fill in
+    Array.blit a 0 a' 0 n;
+    a'
+  in
+  t.by_slot <- extend t.by_slot t.sentinel;
+  t.lru_prev <- extend t.lru_prev 0;
+  t.lru_next <- extend t.lru_next 0;
+  t.fprev <- extend t.fprev 0;
+  t.fnext <- extend t.fnext 0;
+  for s = n to (2 * n) - 2 do
+    t.fnext.(s) <- s + 1
+  done;
+  t.free <- n
+
+let alloc_slot t =
+  if t.free = 0 then grow t;
+  let s = t.free in
+  t.free <- t.fnext.(s);
+  s
+
 (* ---- LRU list ---- *)
 
-(* circular through the sentinel; no allocation on any path *)
-let lru_unlink _t b =
-  if b.lru_next != b then begin
-    b.lru_prev.lru_next <- b.lru_next;
-    b.lru_next.lru_prev <- b.lru_prev;
-    b.lru_prev <- b;
-    b.lru_next <- b
+(* circular through slot 0; no allocation and no write barrier *)
+let lru_unlink t s =
+  let next = t.lru_next.(s) in
+  if next <> s then begin
+    let prev = t.lru_prev.(s) in
+    t.lru_next.(prev) <- next;
+    t.lru_prev.(next) <- prev;
+    t.lru_prev.(s) <- s;
+    t.lru_next.(s) <- s
   end
 
-let lru_append t b =
-  let s = t.lru in
-  let last = s.lru_prev in
-  last.lru_next <- b;
-  b.lru_prev <- last;
-  b.lru_next <- s;
-  s.lru_prev <- b
+let lru_append t s =
+  let last = t.lru_prev.(0) in
+  t.lru_next.(last) <- s;
+  t.lru_prev.(s) <- last;
+  t.lru_next.(s) <- 0;
+  t.lru_prev.(0) <- s
 
 let touch t b =
-  lru_unlink t b;
-  lru_append t b
+  lru_unlink t b.slot;
+  lru_append t b.slot
 
 (* ---- table ---- *)
 
@@ -167,53 +207,61 @@ let key ~file ~index =
 (* the block at (file, index), or [none t] when none is cached *)
 let find t ~file ~index = Sim.Inttbl.find t.blocks (key ~file ~index)
 
-let none t = t.lru
+let none t = t.sentinel
 
 (* The per-file doubly-linked chain serves every whole-file walk
    (flush, invalidate, drop, the syncer). Chain order is reverse
    insertion order: deterministic, and callers that need index order
-   sort (see [by_index]). *)
+   sort (see [by_index]). The slot is freed right after, so its own
+   links are left as they are. *)
 let chain_unlink t b =
-  (if b.fprev == b then (
-     (* no predecessor: b is the head of its chain, or unlinked *)
-     if Sim.Inttbl.find t.file_heads b.bfile == b then
-       if b.fnext == b then ignore (Sim.Inttbl.remove t.file_heads b.bfile)
-       else begin
-         b.fnext.fprev <- b.fnext;
-         Sim.Inttbl.replace t.file_heads b.bfile b.fnext
-       end)
-   else if b.fnext == b then b.fprev.fnext <- b.fprev (* prev becomes tail *)
-   else begin
-     b.fprev.fnext <- b.fnext;
-     b.fnext.fprev <- b.fprev
-   end);
-  b.fprev <- b;
-  b.fnext <- b
+  let s = b.slot in
+  let prev = t.fprev.(s) and next = t.fnext.(s) in
+  if prev = s then (
+    (* no predecessor: b is the head of its chain *)
+    if next = s then ignore (Sim.Inttbl.remove t.file_heads b.bfile : bool)
+    else begin
+      t.fprev.(next) <- next;
+      Sim.Inttbl.replace t.file_heads b.bfile t.by_slot.(next)
+    end)
+  else if next = s then t.fnext.(prev) <- prev (* prev becomes tail *)
+  else begin
+    t.fnext.(prev) <- next;
+    t.fprev.(next) <- prev
+  end
 
 let chain_push t b =
+  let s = b.slot in
   let h = Sim.Inttbl.find t.file_heads b.bfile in
   if h != none t then begin
-    b.fnext <- h;
-    h.fprev <- b
+    t.fnext.(s) <- h.slot;
+    t.fprev.(h.slot) <- s
   end
-  else b.fnext <- b;
-  b.fprev <- b;
+  else t.fnext.(s) <- s;
+  t.fprev.(s) <- s;
   Sim.Inttbl.replace t.file_heads b.bfile b
 
+(* Remove the block if the table still maps its address to it: a
+   removed block whose fetch or write-back ends later must not take a
+   newer block of the same address with it. Its slot goes back on the
+   free list, and [by_slot] lets go of the record. *)
 let table_remove t b =
   let k = key ~file:b.bfile ~index:b.bindex in
-  if Sim.Inttbl.remove t.blocks k then begin
+  if Sim.Inttbl.find t.blocks k == b then begin
+    ignore (Sim.Inttbl.remove t.blocks k : bool);
     t.count <- t.count - 1;
-    lru_unlink t b;
-    chain_unlink t b
+    let s = b.slot in
+    lru_unlink t s;
+    chain_unlink t b;
+    t.by_slot.(s) <- t.sentinel;
+    t.fnext.(s) <- t.free;
+    t.free <- s;
+    b.slot <- -1
   end
 
-(* A new block, linked in as the most recently used. It is built as a
-   plain record whose links name the sentinel, and linking it sets all
-   four: a [let rec] self-loop goes through [caml_alloc_dummy] and
-   [caml_update_dummy], three times the time and twice the words. *)
+(* A new block in a free slot, linked in as the most recently used *)
 let insert t ~file ~index =
-  let s = t.lru in
+  let s = alloc_slot t in
   let b =
     {
       bfile = file;
@@ -224,30 +272,29 @@ let insert t ~file ~index =
       w = Clean;
       doomed = false;
       write_waiters = [];
-      lru_prev = s;
-      lru_next = s;
-      fprev = s;
-      fnext = s;
+      slot = s;
     }
   in
+  t.by_slot.(s) <- b;
   Sim.Inttbl.replace t.blocks (key ~file ~index) b;
   chain_push t b;
   t.count <- t.count + 1;
-  lru_append t b;
+  lru_append t s;
   b
 
-(* Fold [f t] over a chain in place, from block [b] on, newest block
+(* Fold [f t] over a chain in place, from slot [s] on, newest block
    first. [f] may [table_remove] the block it is given: the walk reads
-   [fnext] before the call. [f] gets the cache as an argument, so a
-   walk that needs it takes a closed function and allocates nothing. *)
-let rec fold_chain t f b acc =
-  let next = b.fnext in
-  let acc = f t b acc in
-  if next == b then acc else fold_chain t f next acc
+   the next slot before the call. [f] gets the cache as an argument,
+   so a walk that needs it takes a closed function and allocates
+   nothing. *)
+let rec fold_chain t f s acc =
+  let next = t.fnext.(s) in
+  let acc = f t t.by_slot.(s) acc in
+  if next = s then acc else fold_chain t f next acc
 
 let fold_file t ~file f acc =
   let h = Sim.Inttbl.find t.file_heads file in
-  if h == none t then acc else fold_chain t f h acc
+  if h == none t then acc else fold_chain t f h.slot acc
 
 (* Consing along a chain yields insertion order, which is ascending
    index order for sequential writes: only a run written out of order
@@ -316,12 +363,13 @@ let evictable b =
 let rec ensure_capacity t =
   if t.count >= t.capacity then begin
     (* scan from LRU end for an evictable block *)
-    let rec scan b =
-      if b == t.lru then None
-      else if evictable b then Some b
-      else scan b.lru_next
+    let rec scan s =
+      if s = 0 then None
+      else
+        let b = t.by_slot.(s) in
+        if evictable b then Some b else scan t.lru_next.(s)
     in
-    match scan t.lru.lru_next with
+    match scan t.lru_next.(0) with
     | Some b ->
         (match b.w with
         | Dirty _ -> do_writeback t b (* blocks; may race, rechecked below *)
@@ -445,7 +493,8 @@ let write ?(ctx = Obs.Causal.none) t ~file ~index ~stamp ~len mode =
   in
   b.stamp <- stamp;
   b.len <- Int.max b.len len;
-  b.fetching <- None;
+  (* storing [None] over [None] would still run the write barrier *)
+  if Option.is_some b.fetching then b.fetching <- None;
   mark_dirty t b;
   match mode with
   | `Delayed -> ()
@@ -583,7 +632,7 @@ let start_syncer t ?(min_age = 0.0) ~interval () =
       (* snfs-fanout: bounded — capacity_blocks chains, once per tick *)
       Sim.Inttbl.fold
         (fun _ head runs ->
-          match fold_chain t old_enough head [] with
+          match fold_chain t old_enough head.slot [] with
           | [] -> runs
           | run -> by_index run :: runs)
         t.file_heads []

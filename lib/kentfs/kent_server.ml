@@ -4,12 +4,16 @@ let prog = "kent"
 
 (* ((file, block index), length): the writer's claim on one block *)
 let acquire =
-  Wire.proc "acquire" Xdr.(pair (pair Wire.fh_codec uint32) uint32) Xdr.unit
+  Wire.proc "acquire"
+    (Xdr.pair (Xdr.pair Wire.fh_codec Xdr.uint32) Xdr.uint32)
+    Xdr.unit
 
 (* ((file, block index), (write back, invalidate, inducing operation)) *)
 let callback =
   Wire.proc "callback"
-    Xdr.(pair (pair Wire.fh_codec uint32) (triple bool bool ctx))
+    (Xdr.pair
+       (Xdr.pair Wire.fh_codec Xdr.uint32)
+       (Xdr.triple Xdr.bool Xdr.bool Xdr.ctx))
     Xdr.unit
 
 (* per-block consistency state; [lock] serializes directory actions on

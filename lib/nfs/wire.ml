@@ -80,7 +80,7 @@ let callback_codec =
     ~inj:(fun (cb_fh, (cb_writeback, cb_invalidate, cb_ctx)) ->
       { cb_fh; cb_writeback; cb_invalidate; cb_ctx })
     ~prj:(fun c -> (c.cb_fh, (c.cb_writeback, c.cb_invalidate, c.cb_ctx)))
-    Xdr.(pair fh_codec (triple bool bool ctx))
+    (Xdr.pair fh_codec (Xdr.triple Xdr.bool Xdr.bool Xdr.ctx))
 
 let enc_callback = callback_codec.enc
 let dec_callback = callback_codec.dec
@@ -106,52 +106,63 @@ let proc name args res =
   { name; args; res; args_bulk = (fun _ -> None); res_bulk = (fun _ -> 0) }
 
 module Proc = struct
-  open Xdr
+  let dirop name =
+    proc name (Xdr.pair fh_codec Xdr.string) (Xdr.pair fh_codec attrs_codec)
 
-  let dirop name = proc name (pair fh_codec string) (pair fh_codec attrs_codec)
   let lookup = dirop "lookup"
   let create = dirop "create"
   let mkdir = dirop "mkdir"
   let getattr = proc "getattr" fh_codec attrs_codec
-  let setattr = proc "setattr" (pair fh_codec uint32) attrs_codec
+  let setattr = proc "setattr" (Xdr.pair fh_codec Xdr.uint32) attrs_codec
 
   (* the data block rides back as bulk payload *)
   let read =
-    { (proc "read" (pair fh_codec uint32) (pair uint32 uint32)) with
+    { (proc "read" (Xdr.pair fh_codec Xdr.uint32)
+         (Xdr.pair Xdr.uint32 Xdr.uint32))
+      with
       res_bulk = snd }
 
   (* (file, (index, stamp, len)); the data itself rides as bulk payload *)
   let write =
-    { (proc "write" (pair fh_codec (triple uint32 uint32 uint32)) attrs_codec)
+    { (proc "write"
+         (Xdr.pair fh_codec (Xdr.triple Xdr.uint32 Xdr.uint32 Xdr.uint32))
+         attrs_codec)
       with
       args_bulk = (fun (_, (_, _, len)) -> Some len) }
 
-  let remove = proc "remove" (pair fh_codec string) unit
-  let rmdir = proc "rmdir" (pair fh_codec string) unit
+  let remove = proc "remove" (Xdr.pair fh_codec Xdr.string) Xdr.unit
+  let rmdir = proc "rmdir" (Xdr.pair fh_codec Xdr.string) Xdr.unit
 
   let rename =
-    proc "rename" (pair (pair fh_codec string) (pair fh_codec string)) unit
+    proc "rename"
+      (Xdr.pair (Xdr.pair fh_codec Xdr.string) (Xdr.pair fh_codec Xdr.string))
+      Xdr.unit
 
-  let readdir = proc "readdir" fh_codec (list string)
+  let readdir = proc "readdir" fh_codec (Xdr.list Xdr.string)
 
   let snfs_open =
-    proc "open" (pair fh_codec bool)
-      (map
+    proc "open" (Xdr.pair fh_codec Xdr.bool)
+      (Xdr.map
          ~inj:(fun ((cache_enabled, version, prev_version), attrs) ->
            { cache_enabled; version; prev_version; attrs })
          ~prj:(fun r -> ((r.cache_enabled, r.version, r.prev_version), r.attrs))
-         (pair (triple bool uint32 uint32) attrs_codec))
+         (Xdr.pair (Xdr.triple Xdr.bool Xdr.uint32 Xdr.uint32) attrs_codec))
 
-  let rfs_open = proc "open" (pair fh_codec bool) (pair uint32 attrs_codec)
-  let close = proc "close" (pair fh_codec bool) unit
-  let ping = proc "ping" unit uint32
+  let rfs_open =
+    proc "open" (Xdr.pair fh_codec Xdr.bool) (Xdr.pair Xdr.uint32 attrs_codec)
+
+  let close = proc "close" (Xdr.pair fh_codec Xdr.bool) Xdr.unit
+  let ping = proc "ping" Xdr.unit Xdr.uint32
 
   let reopen =
     proc "reopen"
-      (list (pair (triple uint32 uint32 uint32) (triple bool bool uint32)))
-      unit
+      (Xdr.list
+         (Xdr.pair
+            (Xdr.triple Xdr.uint32 Xdr.uint32 Xdr.uint32)
+            (Xdr.triple Xdr.bool Xdr.bool Xdr.uint32)))
+      Xdr.unit
 
-  let callback = proc "callback" callback_codec unit
+  let callback = proc "callback" callback_codec Xdr.unit
 end
 
 let data_procs = [ Proc.read.name; Proc.write.name ]

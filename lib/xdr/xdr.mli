@@ -6,7 +6,7 @@
     are 4-byte aligned as the standard requires.
 
     Integers are represented as native OCaml [int]s holding 32-bit
-    values; a causal context ({!Enc.ctx}) is a 64-bit hyper. *)
+    values; a causal context ({!ctx}) is a 64-bit hyper. *)
 
 exception Error of string
 
@@ -41,10 +41,6 @@ module Enc : sig
 
   (** Counted array: length word, then each element via [f]. *)
   val array : t -> ('a -> unit) -> 'a list -> unit
-
-  (** Causal-context field (see {!Obs.Causal}): the inducing
-      operation's trace id as a hyper, 0 for "no context". *)
-  val ctx : t -> int -> unit
 end
 
 module Dec : sig
@@ -64,9 +60,6 @@ module Dec : sig
   val enum : t -> int
   val float64 : t -> float
   val string : t -> string
-
-  (** Inverse of {!Enc.ctx}; 0 decodes to "no context". *)
-  val ctx : t -> int
 end
 
 (** {2 Codecs}
@@ -82,6 +75,9 @@ val unit : unit codec
 val uint32 : int codec
 val bool : bool codec
 val string : string codec
+
+(** Causal-context field (see {!Obs.Causal}): the inducing operation's
+    trace id as a hyper, 0 for "no context". *)
 val ctx : int codec
 val list : 'a codec -> 'a list codec
 val pair : 'a codec -> 'b codec -> ('a * 'b) codec

@@ -413,10 +413,12 @@ let test_cache_churn_at_capacity () =
 
 (* A block's whole life in the cache, a [`Delayed] write that inserts
    it and the [cancel_dirty] of its deleted file that drops it, costs
-   its 13-word record and its dirty state: 17 minor words per block.
-   A [let rec] self-loop record (26 words) or a walk that builds a
-   list of the file's blocks (6 more per block) fails here. *)
-let block_lifecycle_bound = 20.0
+   its 10-word record and its dirty state: 14 minor words per block.
+   Its links are ints in the cache's slot arrays, which the first life
+   grows. A record with four block-valued links (17 words per block)
+   or a walk that builds a list of the file's blocks (6 more per
+   block) fails here. *)
+let block_lifecycle_bound = 16.0
 
 let test_block_lifecycle () =
   if native then begin
@@ -464,9 +466,11 @@ let footprint ~before ~after roots =
 (* The 32nd mount of a 32-client SNFS cluster: its host, its client
    (gnode table, block cache, RPC stub) and its callback service. One
    build reads the same count every run, but builds differ by a few
-   words: 388 on an x86-64 host with OCaml 5.1.1 and the release
-   profile, where another build of an earlier tree read 373 and a
-   third 370. *)
+   words: 433 on an x86-64 host with OCaml 5.1.1 and the release
+   profile. A tree whose block cache linked blocks by pointer read 420
+   in the same build: the cache's five one-slot link arrays and their
+   fields cost 16 words, and its sentinel block 3 fewer. Builds of
+   earlier trees read 388, 373 and 370. *)
 let mount_footprint_bound = 512
 
 let test_mount_footprint () =

@@ -478,6 +478,246 @@ let prop_table_matches_model =
             ops
           && !most > 256))
 
+(* ---- eviction order ---- *)
+
+(* Three files of six blocks against a capacity of 8, so misses evict.
+   The backend has no delay and nothing else runs, so nothing is in
+   flight when a block is chosen: the victim is always the least
+   recently used block, written back first if it is dirty. *)
+type lru_op =
+  | Lru_read of int * int
+  | Lru_write of int * int * int * [ `Delayed | `Sync ] (* file, index, len *)
+  | Lru_drop of int * int
+  | Lru_cancel of int
+  | Lru_flush of int
+
+let lru_files = [ 1; 2; 3 ]
+let lru_indices = List.init 6 Fun.id
+
+let print_lru_op = function
+  | Lru_read (f, i) -> Printf.sprintf "read %d/%d" f i
+  | Lru_write (f, i, len, mode) ->
+      Printf.sprintf "write %d/%d (%d, %s)" f i len
+        (match mode with `Delayed -> "delayed" | `Sync -> "sync")
+  | Lru_drop (f, i) -> Printf.sprintf "drop %d/%d" f i
+  | Lru_cancel f -> Printf.sprintf "cancel %d" f
+  | Lru_flush f -> Printf.sprintf "flush %d" f
+
+let lru_ops_arbitrary =
+  QCheck.(
+    let open Gen in
+    let file = oneofl lru_files and index = oneofl lru_indices in
+    let op =
+      frequency
+        [
+          (6, map2 (fun f i -> Lru_read (f, i)) file index);
+          ( 4,
+            map3
+              (fun (f, i) len mode -> Lru_write (f, i, 1 + len, mode))
+              (pair file index) (int_bound 4095)
+              (frequencyl [ (3, `Delayed); (1, `Sync) ]) );
+          (2, map2 (fun f i -> Lru_drop (f, i)) file index);
+          (1, map (fun f -> Lru_cancel f) file);
+          (1, map (fun f -> Lru_flush f) file);
+        ]
+    in
+    make
+      ~print:(fun ops -> String.concat "; " (List.map print_lru_op ops))
+      (list_size (int_range 1 120) op))
+
+(* The model is the recency list, most recent first, of the resident
+   blocks with their (stamp, len) and dirtiness, and the backend store
+   that write-backs reach. After every step, [peek] of every key must
+   agree with it. *)
+let prop_eviction_is_lru =
+  QCheck.Test.make ~name:"eviction takes the least recently used block"
+    ~count:300 ~long_factor:20 lru_ops_arbitrary (fun ops ->
+      let capacity = 8 in
+      run_sim (fun e ->
+          let _, backend = make_backend ~delay:0.0 e in
+          let c = make_cache ~capacity e backend in
+          let recency = ref [] and store = Hashtbl.create 32 in
+          let stamp = ref 0 in
+          let take key =
+            let v = List.assoc_opt key !recency in
+            recency := List.remove_assoc key !recency;
+            v
+          in
+          let write_back key (s, l, _) = Hashtbl.replace store key (s, l) in
+          (* make room for one more block, as a miss does *)
+          let make_room () =
+            if List.length !recency >= capacity then
+              match List.rev !recency with
+              | (key, v) :: older ->
+                  let _, _, dirty = v in
+                  if dirty then write_back key v;
+                  recency := List.rev older
+              | [] -> assert false
+          in
+          let agrees () =
+            List.for_all
+              (fun f ->
+                List.for_all
+                  (fun i ->
+                    Blockcache.Cache.peek c ~file:f ~index:i
+                    = Option.map
+                        (fun (s, l, _) -> (s, l))
+                        (List.assoc_opt (f, i) !recency))
+                  lru_indices)
+              lru_files
+          in
+          List.for_all
+            (fun op ->
+              (match op with
+              | Lru_read (f, i) ->
+                  let want =
+                    match take (f, i) with
+                    | Some ((s, l, _) as v) ->
+                        recency := ((f, i), v) :: !recency;
+                        (s, l)
+                    | None ->
+                        make_room ();
+                        let s, l =
+                          Option.value ~default:(0, 0)
+                            (Hashtbl.find_opt store (f, i))
+                        in
+                        recency := ((f, i), (s, l, false)) :: !recency;
+                        (s, l)
+                  in
+                  if Blockcache.Cache.read c ~file:f ~index:i <> want then
+                    Alcotest.failf "read %d/%d returned the wrong contents" f i
+              | Lru_write (f, i, len, mode) ->
+                  incr stamp;
+                  let old_len =
+                    match take (f, i) with
+                    | Some (_, l, _) -> l
+                    | None ->
+                        make_room ();
+                        0
+                  in
+                  Blockcache.Cache.write c ~file:f ~index:i ~stamp:!stamp ~len
+                    (mode :> [ `Sync | `Async | `Delayed ]);
+                  let v = (!stamp, max old_len len, true) in
+                  let v =
+                    match mode with
+                    | `Delayed -> v
+                    | `Sync ->
+                        write_back (f, i) v;
+                        (!stamp, max old_len len, false)
+                  in
+                  recency := ((f, i), v) :: !recency
+              | Lru_drop (f, i) ->
+                  Blockcache.Cache.drop_block c ~file:f ~index:i;
+                  ignore (take (f, i))
+              | Lru_cancel f ->
+                  ignore (Blockcache.Cache.cancel_dirty c ~file:f : int);
+                  recency := List.filter (fun ((f', _), _) -> f' <> f) !recency
+              | Lru_flush f ->
+                  Blockcache.Cache.flush_file c ~file:f;
+                  recency :=
+                    List.map
+                      (fun (((f', _) as key), ((s, l, dirty) as v)) ->
+                        if f' = f && dirty then begin
+                          write_back key v;
+                          (key, (s, l, false))
+                        end
+                        else (key, v))
+                      !recency);
+              agrees ())
+            ops))
+
+(* ---- slot reuse ---- *)
+
+(* A read miss whose 1 s fetch is overtaken: [drop_block] dooms the
+   fetching block, a [`Delayed] write lands on it and a second drop
+   removes it, freeing its slot. Blocks inserted before the fetch ends
+   take freed slots, and the address is written again. When the fetch
+   ends the reader gets the overtaking write's stamp; the newer blocks,
+   the address's new one included, keep their stamps and their LRU
+   order. *)
+let test_fetch_overtaken_by_write_and_drop () =
+  run_sim (fun e ->
+      let log, backend = make_backend ~delay:1.0 e in
+      Hashtbl.replace log.store (1, 0) (5, 4096);
+      let c = make_cache ~capacity:4 e backend in
+      let got = ref None in
+      Sim.Engine.spawn e (fun () ->
+          got := Some (Blockcache.Cache.read c ~file:1 ~index:0));
+      Sim.Engine.sleep e 0.25;
+      Blockcache.Cache.drop_block c ~file:1 ~index:0;
+      Blockcache.Cache.write c ~file:1 ~index:0 ~stamp:50 ~len:4096 `Delayed;
+      Blockcache.Cache.drop_block c ~file:1 ~index:0;
+      Blockcache.Cache.write c ~file:2 ~index:0 ~stamp:60 ~len:4096 `Delayed;
+      Blockcache.Cache.write c ~file:2 ~index:1 ~stamp:61 ~len:4096 `Delayed;
+      Blockcache.Cache.write c ~file:1 ~index:0 ~stamp:70 ~len:4096 `Delayed;
+      Sim.Engine.sleep e 1.0;
+      Alcotest.(check (option (pair int int)))
+        "the reader gets the overtaking write" (Some (50, 4096)) !got;
+      let peek f i = Blockcache.Cache.peek c ~file:f ~index:i in
+      Alcotest.(check (list (option (pair int int))))
+        "newer blocks keep their stamps"
+        [ Some (60, 4096); Some (61, 4096); Some (70, 4096) ]
+        [ peek 2 0; peek 2 1; peek 1 0 ];
+      Alcotest.(check int) "file 1 has one dirty block" 1
+        (Blockcache.Cache.dirty_count c ~file:1);
+      (* LRU order is 2/0, 2/1, 1/0: fill to capacity, then each new
+         block evicts the oldest *)
+      Blockcache.Cache.write c ~file:3 ~index:0 ~stamp:80 ~len:4096 `Delayed;
+      Blockcache.Cache.write c ~file:3 ~index:1 ~stamp:81 ~len:4096 `Delayed;
+      Alcotest.(check (list (option (pair int int))))
+        "2/0 evicted first" [ None; Some (61, 4096); Some (70, 4096) ]
+        [ peek 2 0; peek 2 1; peek 1 0 ];
+      Blockcache.Cache.write c ~file:3 ~index:2 ~stamp:82 ~len:4096 `Delayed;
+      Alcotest.(check (list (option (pair int int))))
+        "then 2/1" [ None; Some (70, 4096) ] [ peek 2 1; peek 1 0 ];
+      Alcotest.(check (list (triple int int int)))
+        "evicted blocks written back, the dropped ones never"
+        [ (2, 0, 60); (2, 1, 61) ]
+        (List.rev log.bwrites))
+
+(* A block dropped during its write-back is doomed and leaves the cache
+   when the write-back ends, freeing its slot. A [`Sync] write that
+   landed on it meanwhile waits for that write-back, then writes the
+   removed block back itself and tries to remove it again, which must
+   leave alone the blocks that took its slot and its address. Written
+   again after the write-back, the address gets a new block; a block
+   inserted meanwhile took the freed slot. Both keep their own stamps
+   and LRU order, and the next flush writes the new stamp. *)
+let test_doomed_writeback_then_rewritten () =
+  run_sim (fun e ->
+      let log, backend = make_backend ~delay:1.0 e in
+      let c = make_cache ~capacity:3 e backend in
+      Blockcache.Cache.write c ~file:1 ~index:0 ~stamp:1 ~len:4096 `Delayed;
+      Sim.Engine.spawn e (fun () -> Blockcache.Cache.flush_file c ~file:1);
+      Sim.Engine.sleep e 0.5;
+      Blockcache.Cache.drop_block c ~file:1 ~index:0;
+      Alcotest.(check (option (pair int int)))
+        "doomed, still resident" (Some (1, 4096))
+        (Blockcache.Cache.peek c ~file:1 ~index:0);
+      Sim.Engine.spawn e (fun () ->
+          Blockcache.Cache.write c ~file:1 ~index:0 ~stamp:9 ~len:4096 `Sync);
+      Sim.Engine.sleep e 1.0;
+      let peek f i = Blockcache.Cache.peek c ~file:f ~index:i in
+      Alcotest.(check (option (pair int int))) "gone after its write-back" None
+        (peek 1 0);
+      Blockcache.Cache.write c ~file:2 ~index:0 ~stamp:2 ~len:4096 `Delayed;
+      Blockcache.Cache.write c ~file:1 ~index:0 ~stamp:3 ~len:1024 `Delayed;
+      Sim.Engine.sleep e 1.0;
+      Alcotest.(check (list (option (pair int int))))
+        "own stamps" [ Some (2, 4096); Some (3, 1024) ] [ peek 2 0; peek 1 0 ];
+      Alcotest.(check int) "the new block is dirty" 1
+        (Blockcache.Cache.dirty_count c ~file:1);
+      Blockcache.Cache.flush_file c ~file:1;
+      Alcotest.(check (list (triple int int int)))
+        "every write-back reached the backend"
+        [ (1, 0, 1); (1, 0, 9); (1, 0, 3) ]
+        (List.rev log.bwrites);
+      (* LRU order is 2/0, 1/0 *)
+      Blockcache.Cache.write c ~file:3 ~index:0 ~stamp:4 ~len:4096 `Delayed;
+      Blockcache.Cache.write c ~file:3 ~index:1 ~stamp:5 ~len:4096 `Delayed;
+      Alcotest.(check (list (option (pair int int))))
+        "2/0 evicted first" [ None; Some (3, 1024) ] [ peek 2 0; peek 1 0 ])
+
 (* ---- the syncer's write-back order ---- *)
 
 (* Localfs caches its metadata under the pseudo-files -1 and -2, so
@@ -611,6 +851,13 @@ let () =
           Alcotest.test_case "dirty eviction writes back" `Quick
             test_eviction_writes_back_dirty;
         ] );
+      ( "slot reuse",
+        [
+          Alcotest.test_case "fetch overtaken by a write and a drop" `Quick
+            test_fetch_overtaken_by_write_and_drop;
+          Alcotest.test_case "doomed write-back, then written again" `Quick
+            test_doomed_writeback_then_rewritten;
+        ] );
       ( "syncer",
         [
           Alcotest.test_case "periodic flush" `Quick test_syncer_flushes_periodically;
@@ -621,6 +868,9 @@ let () =
       ( "properties",
         qc
           [
-            prop_flush_convergence; prop_table_matches_model; prop_syncer_order;
+            prop_flush_convergence;
+            prop_table_matches_model;
+            prop_eviction_is_lru;
+            prop_syncer_order;
           ] );
     ]
