@@ -20,11 +20,9 @@ type stats = {
 type 'op result = {
   stats : stats;
   violations : 'op violation list;
-  paths : 'op list list;
 }
 
 let max_violations = 25
-let path_stride = 251
 
 let run ?(depth = 8) ?(max_states = 60_000) m =
   let seen = Hashtbl.create 4096 in
@@ -38,17 +36,16 @@ let run ?(depth = 8) ?(max_states = 60_000) m =
             :: !violations
         end)
   in
-  let paths = ref [] and distinct = ref 0 and transitions = ref 0 in
+  let distinct = ref 0 and transitions = ref 0 in
   let level = ref 0 and deepest = ref 0 in
-  (* a state not seen before: count it, sample its path, check it and
-     queue it for the next level *)
+  (* a state not seen before: count it, check it and queue it for the
+     next level *)
   let discover queue state path =
     let fp = m.fingerprint state in
     if not (Hashtbl.mem seen fp) then begin
       Hashtbl.replace seen fp ();
       incr distinct;
       deepest := !level;
-      if !distinct mod path_stride = 0 then paths := List.rev path :: !paths;
       report path (m.check_new state);
       queue := (state, path) :: !queue
     end
@@ -86,5 +83,4 @@ let run ?(depth = 8) ?(max_states = 60_000) m =
         exhausted = !frontier = [];
       };
     violations = List.rev !violations;
-    paths = List.rev !paths;
   }

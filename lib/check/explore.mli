@@ -42,9 +42,6 @@ type stats = {
 type 'op result = {
   stats : stats;
   violations : 'op violation list;  (** the first 25, in discovery order *)
-  paths : 'op list list;
-      (** the op path to every 251st distinct state, for the consistency
-          oracle that replays them through the real stacks *)
 }
 
 (** Explore up to [depth] (default 8) levels from [initial], stopping

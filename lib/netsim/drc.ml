@@ -19,39 +19,41 @@ let slots = 4096
 
 type decision = Execute | Drop | Replay
 
-(* [xids.(i) = -1] marks a free slot; [replies.(i) == pending] under a
-   live xid means the call is still executing. *)
-type 'a t = {
+(* [xids.(i) = -1] marks a free slot; [finished.(i)] says whether the
+   live xid's call has finished. Both hold immediates, so no store here
+   is a major-heap store of a young value: what a finished call
+   answered stays in the call record every copy of its request
+   carries ([Rpc]). *)
+type t = {
   mutable xids : int array;
-  mutable replies : 'a array;
+  mutable finished : bool array;
   mutable used : int;
-  pending : 'a;
 }
 
-let create ~pending = { xids = [||]; replies = [||]; used = 0; pending }
+let create () = { xids = [||]; finished = [||]; used = 0 }
 let length t = t.used
 
 let reset t =
   t.xids <- [||];
-  t.replies <- [||];
+  t.finished <- [||];
   t.used <- 0
 
 let grow t =
-  let old_xids = t.xids and old_replies = t.replies in
+  let old_xids = t.xids and old_finished = t.finished in
   let n = Array.length old_xids in
   let size = Int.max 1 (2 * n) in
-  let xids = Array.make size (-1) and replies = Array.make size t.pending in
+  let xids = Array.make size (-1) and finished = Array.make size false in
   (* at most [slots] entries, moved once per doubling *)
   for i = 0 to n - 1 do
     let x = old_xids.(i) in
     if x <> -1 then begin
       let j = x land (size - 1) in
       xids.(j) <- x;
-      replies.(j) <- old_replies.(i)
+      finished.(j) <- old_finished.(i)
     end
   done;
   t.xids <- xids;
-  t.replies <- replies
+  t.finished <- finished
 
 (* At the bound two xids share a slot only if they share a residue, so
    the doubling stops there at the latest. *)
@@ -67,7 +69,7 @@ let rec admit t xid =
     if held = -1 || held land (slots - 1) = xid land (slots - 1) then begin
       if held = -1 then t.used <- t.used + 1;
       t.xids.(i) <- xid;
-      t.replies.(i) <- t.pending
+      t.finished.(i) <- false
     end
     else begin
       grow t;
@@ -78,17 +80,15 @@ let arrive t xid =
   let size = Array.length t.xids in
   let i = xid land (size - 1) in
   if size > 0 && t.xids.(i) = xid then
-    if t.replies.(i) == t.pending then Drop else Replay
+    if t.finished.(i) then Replay else Drop
   else begin
     admit t xid;
     Execute
   end
 
-let reply t xid = t.replies.(xid land (Array.length t.xids - 1))
-
 (* the slot is derived from the size now: the table may have grown
    while the handler ran *)
-let publish t xid r =
+let publish t xid =
   let size = Array.length t.xids in
   let i = xid land (size - 1) in
-  if size > 0 && t.xids.(i) = xid then t.replies.(i) <- r
+  if size > 0 && t.xids.(i) = xid then t.finished.(i) <- true

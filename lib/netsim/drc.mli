@@ -1,7 +1,9 @@
 (** The duplicate-request cache of one served program (Juszczak's
-    request cache): which xids it has executed or is executing, and the
-    reply each finished one sent, so a retransmission is dropped or
-    answered from the cache instead of executed again.
+    request cache): which xids it has executed or is executing, and
+    which of them have finished, so a retransmission is dropped or
+    answered with the call's reply instead of executed again. The
+    cache holds no reply: the caller answers a [Replay] with the reply
+    its request's call record keeps.
 
     It behaves exactly as a direct-mapped table of 4,096 slots indexed
     by [xid land 4095], where a new xid evicts the entry in its slot.
@@ -10,35 +12,29 @@
     idle service allocates nothing and every decision, eviction and
     {!length} is that of the table at its bound. *)
 
-type 'a t
+type t
 
-(** [create ~pending] is an empty cache. [pending] stands for the reply
-    of a call still executing; it is compared with [==] and must be a
-    value no call replies with. *)
-val create : pending:'a -> 'a t
+(** An empty cache. *)
+val create : unit -> t
 
 type decision =
   | Execute  (** a new xid, now recorded as executing *)
   | Drop  (** a retransmission of a call still executing *)
-  | Replay  (** a retransmission of a finished call: see {!reply} *)
+  | Replay  (** a retransmission of a finished call: send its reply again *)
 
 (** [arrive t xid] decides what to do with a request carrying [xid],
     and records it when it is new (evicting the older entry of its
     residue, if any). *)
-val arrive : 'a t -> int -> decision
+val arrive : t -> int -> decision
 
-(** [reply t xid] is the cached reply of [xid], valid right after
-    {!arrive} returned [Replay] for it. *)
-val reply : 'a t -> int -> 'a
-
-(** [publish t xid r] records [r] as the reply of [xid] if [xid] is
-    still cached; a newer request of the same residue may have evicted
-    it while it ran. *)
-val publish : 'a t -> int -> 'a -> unit
+(** [publish t xid] marks [xid]'s call finished if [xid] is still
+    cached; a newer request of the same residue may have evicted it
+    while it ran. *)
+val publish : t -> int -> unit
 
 (** Drop every entry and every slot: volatile server state does not
     survive a reboot. *)
-val reset : 'a t -> unit
+val reset : t -> unit
 
 (** Entries held: executing and finished calls. *)
-val length : 'a t -> int
+val length : t -> int

@@ -30,8 +30,8 @@ let max_backoff = 30.0
 
 type reply = { data : bytes; bulk : int }
 
-(* the DRC's reply of a call still executing: no handler replies with
-   negative bulk *)
+(* no reply yet: a caller's until one lands, a call record's until its
+   server publishes one. No handler replies with negative bulk. *)
 let pending = { data = Bytes.empty; bulk = -1 }
 
 (* a returned call's reply: its [caller] record may outlive the call in
@@ -78,7 +78,7 @@ type service = {
   mutable head : int;
   mutable waiting : int;
   vacant : call;
-  drc : reply Drc.t;
+  drc : Drc.t;
   (* each procedure called so far, in order of first call; a protocol
      has a few dozen procedures, so a scan by string equality beats
      hashing the name *)
@@ -91,7 +91,11 @@ type service = {
 (* One call's state, from its first transmission to its return: what
    the request carries, where it goes, and what its caller waits for.
    The request delivery, the reply delivery and the server's execution
-   are small closures over this record. *)
+   are small closures over this record. [served] is the reply the
+   server last published for it, which a retransmission the DRC finds
+   finished is answered with: every copy of the request carries this
+   record, so the reply lives exactly as long as a copy in flight, the
+   backlog or the reply's own delivery can still use it. *)
 and call = {
   src : Net.Host.t;
   dst : Net.Host.t;
@@ -102,6 +106,7 @@ and call = {
   args : bytes;
   bulk : int;
   caller : caller;
+  mutable served : reply; (* [pending] until an execution publishes *)
 }
 
 (* What the waiting caller needs, apart from the request: the
@@ -167,6 +172,7 @@ let vacant host =
     args = Bytes.empty;
     bulk = 0;
     caller = { reply = pending; resume = ignore; round = -1 };
+    served = pending;
   }
 
 let serve t host ~prog ~threads ~unknown table =
@@ -186,7 +192,7 @@ let serve t host ~prog ~threads ~unknown table =
       head = 0;
       waiting = 0;
       vacant = vacant host;
-      drc = Drc.create ~pending;
+      drc = Drc.create ();
       procs = [||];
       counts = Stats.Counter.create ();
       on_restart = None;
@@ -323,7 +329,8 @@ let execute svc c queued =
   Net.Host.use_cpu svc.host
     (payload_cpu svc.config (Bytes.length reply.data + reply.bulk));
   Obs.Trace.finish ~ts:(server_now svc) sp;
-  Drc.publish svc.drc c.xid reply;
+  c.served <- reply;
+  Drc.publish svc.drc c.xid;
   reply_to c reply
 
 (* A thread: it executes its request, then each request waiting in the
@@ -403,9 +410,12 @@ let handle_request svc c =
       (* retransmission of a call being served *)
       note_duplicate svc ~trace_name:"dup_drop" ~pname:c.info.pname ~xid:c.xid
   | Replay ->
+      (* the entry is finished, so an execution of this very record
+         published since the xid was last admitted, and [served] is the
+         latest reply published for it *)
       note_duplicate svc ~trace_name:"dup_replay" ~pname:c.info.pname
         ~xid:c.xid;
-      reply_to c (Drc.reply svc.drc c.xid)
+      reply_to c c.served
   | Execute -> dispatch svc c
 
 (* Enough retries that transient packet loss is very unlikely to be
@@ -484,6 +494,7 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
       args;
       bulk;
       caller = { reply = pending; resume = ignore; round = -1 };
+      served = pending;
     }
   in
   let w = c.caller in

@@ -1,7 +1,6 @@
 (** Cross-protocol consistency oracle.
 
-    Replays checker-derived op sequences (see
-    {!Check.Explore.result.paths})
+    Replays op sequences (the table machine's {!Check.Invariant.op}s)
     through the real simulated client–server stacks — NFS, SNFS, RFS
     and the Kent block protocol — and diffs every observable read, and
     the final server-side file contents after a cache quiesce, against

@@ -37,9 +37,7 @@ let test_exhaustive () =
     (Printf.sprintf "checked %d transitions (>= 50_000)"
        r.E.stats.E.transitions)
     true
-    (r.E.stats.E.transitions >= 50_000);
-  Alcotest.(check bool) "derived op paths for the oracle" true
-    (List.length r.E.paths > 0)
+    (r.E.stats.E.transitions >= 50_000)
 
 (* a smaller universe explored to the full depth bound *)
 let test_exhaustive_deep () =

@@ -163,6 +163,106 @@ let test_duplicate_execution_suppressed () =
       Alcotest.(check string) "got reply" "done" (Xdr.Dec.string d);
       Alcotest.(check int) "executed once despite retries" 1 !executions)
 
+(* ---- which reply a retransmission receives ---- *)
+
+(* Called by a handler: the reply it is about to send is lost, and the
+   link heals half a second later, before the client's first
+   retransmission. *)
+let lose_next_reply e net client server =
+  Netsim.Net.partition net client server;
+  Sim.Engine.spawn e (fun () ->
+      Sim.Engine.sleep e 0.5;
+      Netsim.Net.heal net client server)
+
+(* The first reply is lost, so the reply the call returns is the one
+   its retransmission got: the same bytes the one execution sent. *)
+let test_replay_sends_served_reply () =
+  run_sim (fun e ->
+      let net, rpc, client, server = setup e in
+      let sent = ref [] in
+      let handler ~caller:_ ~ctx:_ _ =
+        let data = encode_string "served" in
+        sent := data :: !sent;
+        lose_next_reply e net client server;
+        { Netsim.Rpc.data; bulk = 0 }
+      in
+      ignore (serve_all rpc server ~prog:"p" ~threads:2 handler);
+      let reply =
+        Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"p" ~proc:"op"
+          (encode_string "x")
+      in
+      Alcotest.(check bool) "answered a retransmission" true
+        (Sim.Engine.now e > 1.0);
+      match !sent with
+      | [ data ] ->
+          Alcotest.(check bool) "the bytes the execution sent" true
+            (reply == data)
+      | l -> Alcotest.failf "%d executions, expected 1" (List.length l))
+
+(* A crash is not fail-stop: the execution that began before the
+   reboot runs on, and the retransmission after the reboot executes
+   again, since the reboot emptied the DRC. The second execution
+   finishes first and the first publishes last, while the link is
+   down, so the next retransmission is answered with the last
+   published reply, the first execution's. *)
+let test_replay_after_overtaken_execution () =
+  run_sim (fun e ->
+      let net, rpc, client, server = setup e in
+      let executions = ref 0 in
+      let handler ~caller:_ ~ctx:_ _ =
+        incr executions;
+        let n = !executions in
+        Sim.Engine.sleep e (if n = 1 then 4.0 else 1.0);
+        { Netsim.Rpc.data = encode_string ("run " ^ string_of_int n); bulk = 0 }
+      in
+      ignore (serve_all rpc server ~prog:"p" ~threads:2 handler);
+      let at t f =
+        Sim.Engine.spawn e (fun () ->
+            Sim.Engine.sleep e (t -. Sim.Engine.now e);
+            f ())
+      in
+      at 0.5 (fun () -> Netsim.Net.Host.crash server);
+      at 0.6 (fun () -> Netsim.Net.Host.reboot server);
+      at 1.5 (fun () -> Netsim.Net.partition net client server);
+      at 6.0 (fun () -> Netsim.Net.heal net client server);
+      let reply =
+        Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"p" ~proc:"op"
+          (encode_string "x")
+      in
+      Alcotest.(check int) "executed before and after the reboot" 2
+        !executions;
+      Alcotest.(check string) "the reply published last" "run 1"
+        (Xdr.Dec.string (Xdr.Dec.of_bytes reply));
+      Alcotest.(check bool) "answered after the heal" true
+        (Sim.Engine.now e > 6.0))
+
+(* Once a call has settled (returned, with no copy of its request or
+   reply left in flight) nothing on the server keeps its reply: a weak
+   pointer to the data its handler replied with empties at the next
+   major collection, while the service, transport and engine live. *)
+let settled_reply_is_collected ~lose_first () =
+  let weak = Weak.create 1 in
+  let world =
+    run_sim (fun e ->
+        let net, rpc, client, server = setup e in
+        let handler ~caller:_ ~ctx:_ _ =
+          let data = encode_string "served" in
+          Weak.set weak 0 (Some data);
+          if lose_first then lose_next_reply e net client server;
+          { Netsim.Rpc.data; bulk = 0 }
+        in
+        let svc = serve_all rpc server ~prog:"p" ~threads:2 handler in
+        ignore
+          (Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"p" ~proc:"op"
+             (encode_string "x"));
+        Sim.Engine.sleep e 60.0;
+        (e, rpc, svc))
+  in
+  Gc.full_major ();
+  let held = Weak.check weak 0 in
+  ignore (Sys.opaque_identity world);
+  Alcotest.(check bool) "reply data collected" false held
+
 let test_server_calls_client_back () =
   run_sim (fun e ->
       let _, rpc, client, server = setup e in
@@ -446,39 +546,44 @@ let test_partition_is_directional_pairwise () =
 
 (* What [Netsim.Drc] must behave as: 4,096 slots indexed by [xid land
    4095], a new xid evicting its slot's entry. [occupied] lists the
-   slots in use, so the model can look for collisions without a scan. *)
+   slots in use, so the model can look for collisions without a scan.
+   Which reply a [Replay] sends is the call record's business, checked
+   by the reply-identity tests above. *)
 module Fixed = struct
   let slots = 4096
 
   type t = {
     xids : int array;
-    replies : int option array;
+    finished : bool array;
     mutable occupied : int list;
   }
 
   let create () =
-    { xids = Array.make slots (-1); replies = Array.make slots None; occupied = [] }
+    {
+      xids = Array.make slots (-1);
+      finished = Array.make slots false;
+      occupied = [];
+    }
 
   let used t = List.length t.occupied
 
-  let arrive t xid =
+  let arrive t xid : Netsim.Drc.decision =
     let i = xid land (slots - 1) in
-    if t.xids.(i) = xid then
-      match t.replies.(i) with None -> `Drop | Some r -> `Replay r
+    if t.xids.(i) = xid then if t.finished.(i) then Replay else Drop
     else begin
       if t.xids.(i) = -1 then t.occupied <- i :: t.occupied;
       t.xids.(i) <- xid;
-      t.replies.(i) <- None;
-      `Execute
+      t.finished.(i) <- false;
+      Execute
     end
 
-  let publish t xid r =
+  let publish t xid =
     let i = xid land (slots - 1) in
-    if t.xids.(i) = xid then t.replies.(i) <- Some r
+    if t.xids.(i) = xid then t.finished.(i) <- true
 
   let reset t =
     Array.fill t.xids 0 slots (-1);
-    Array.fill t.replies 0 slots None;
+    Array.fill t.finished 0 slots false;
     t.occupied <- []
 
   (* a live entry other than [xid] on [xid]'s slot of a table of [size]
@@ -519,15 +624,15 @@ let gen_drc_ops =
          (1, return Reset);
        ])
 
-(* After every step the cache made the fixed table's decision, replayed
-   its reply and holds its entry count; and it holds exactly the slots
-   the doublings its false collisions forced, measured in heap words
-   against an empty cache and a one-slot one. *)
+(* After every step the cache made the fixed table's decision and holds
+   its entry count; and it holds exactly the slots the doublings its
+   false collisions forced, measured in heap words against an empty
+   cache and a one-slot one. *)
 let prop_drc_matches_fixed_table =
   let words d = Obj.reachable_words (Obj.repr d) in
-  let empty_words = words (Netsim.Drc.create ~pending:(-1)) in
+  let empty_words = words (Netsim.Drc.create ()) in
   let one_slot_words =
-    let d = Netsim.Drc.create ~pending:(-1) in
+    let d = Netsim.Drc.create () in
     ignore (Netsim.Drc.arrive d 1 : Netsim.Drc.decision);
     words d
   in
@@ -536,8 +641,8 @@ let prop_drc_matches_fixed_table =
        ~print:(fun ops -> String.concat "; " (List.map show_drc_op ops))
        gen_drc_ops)
     (fun ops ->
-      let drc = Netsim.Drc.create ~pending:(-1) and fixed = Fixed.create () in
-      let size = ref 0 and counter = ref 0 and replies = ref 0 in
+      let drc = Netsim.Drc.create () and fixed = Fixed.create () in
+      let size = ref 0 and counter = ref 0 in
       let seen = ref [||] and running = ref [] in
       let rec remove_one x = function
         | [] -> []
@@ -545,20 +650,14 @@ let prop_drc_matches_fixed_table =
       in
       let arrive xid =
         let expected = Fixed.arrive fixed xid in
-        if expected = `Execute then begin
+        if expected = Execute then begin
           size := Int.max 1 !size;
           while Fixed.false_collision fixed xid ~size:!size do
             size := 2 * !size
           done;
           running := xid :: !running
         end;
-        let got =
-          match Netsim.Drc.arrive drc xid with
-          | Execute -> `Execute
-          | Drop -> `Drop
-          | Replay -> `Replay (Netsim.Drc.reply drc xid)
-        in
-        got = expected
+        Netsim.Drc.arrive drc xid = expected
       in
       let step op =
         match op with
@@ -574,9 +673,8 @@ let prop_drc_matches_fixed_table =
         | Complete i when !running <> [] ->
             let xid = List.nth !running (i mod List.length !running) in
             running := remove_one xid !running;
-            incr replies;
-            Fixed.publish fixed xid !replies;
-            Netsim.Drc.publish drc xid !replies;
+            Fixed.publish fixed xid;
+            Netsim.Drc.publish drc xid;
             true
         | Reset ->
             Fixed.reset fixed;
@@ -590,7 +688,7 @@ let prop_drc_matches_fixed_table =
           let fail fmt =
             QCheck.Test.fail_reportf ("step %d (%s): " ^^ fmt) n (show_drc_op op)
           in
-          if not (step op) then fail "decision or replayed reply differs";
+          if not (step op) then fail "decision differs";
           if Netsim.Drc.length drc <> Fixed.used fixed then
             fail "%d entries, expected %d" (Netsim.Drc.length drc)
               (Fixed.used fixed);
@@ -789,6 +887,15 @@ let () =
           Alcotest.test_case "retransmit on loss" `Quick test_retransmit_on_loss;
           Alcotest.test_case "duplicate suppressed" `Quick
             test_duplicate_execution_suppressed;
+          Alcotest.test_case "replay sends the served reply" `Quick
+            test_replay_sends_served_reply;
+          Alcotest.test_case "replay after an overtaken execution" `Quick
+            test_replay_after_overtaken_execution;
+          Alcotest.test_case "settled reply is collected" `Quick
+            (settled_reply_is_collected ~lose_first:false);
+          Alcotest.test_case "settled reply is collected, first reply lost"
+            `Quick
+            (settled_reply_is_collected ~lose_first:true);
           Alcotest.test_case "server->client callback" `Quick
             test_server_calls_client_back;
           Alcotest.test_case "thread pool bound" `Quick test_thread_pool_bound;
