@@ -9,30 +9,24 @@
 
    Run with:  dune exec examples/crash_recovery.exe *)
 
+module Cluster = Experiments.Cluster
+module Stack = Experiments.Stack
+
 let () =
   Experiments.Driver.run @@ fun engine ->
-  let net = Netsim.Net.create engine () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let disk = Diskm.Disk.create engine "disk" in
-  let backing =
-    Localfs.create engine ~name:"backing" ~disk ~cache_blocks:896
-      ~meta_policy:`Sync ()
-  in
-  let server = Snfs.Snfs_server.serve rpc server_host ~fsid:1 backing in
+  let cluster = Cluster.create engine in
+  let stack = Cluster.serve cluster ~fsid:1 Stack.Snfs in
+  let server = Option.get stack.snfs_server in
   let client_on name =
-    let host = Netsim.Net.Host.create net name in
     let c =
-      Snfs.Snfs_client.mount rpc ~client:host ~server:server_host
-        ~root:(Snfs.Snfs_server.root_fh server) ~name ()
+      Cluster.mount cluster stack ~host:name ~name (Stack.default Stack.Snfs)
     in
-    Snfs.Snfs_client.start_keepalive c ~interval:5.0;
-    let m = Vfs.Mount.create () in
-    Vfs.Mount.mount m ~at:"/" (Snfs.Snfs_client.fs c);
-    (c, m)
+    Snfs.Snfs_client.start_keepalive (Option.get c.stack.snfs_client)
+      ~interval:5.0;
+    c.mounts
   in
-  let _c1, m1 = client_on "alice" in
-  let _c2, m2 = client_on "bob" in
+  let m1 = client_on "alice" in
+  let m2 = client_on "bob" in
 
   (* build up state: alice writes (and holds the file open), bob reads *)
   let fd_log = Vfs.Fileio.creat m1 "/journal" in
@@ -60,9 +54,9 @@ let () =
 
   (* the server dies... *)
   Printf.printf "\n*** server crash at t=%.1f ***\n" (Sim.Engine.now engine);
-  Netsim.Net.Host.crash server_host;
+  Netsim.Net.Host.crash cluster.server_host;
   Sim.Engine.sleep engine 8.0;
-  Netsim.Net.Host.reboot server_host;
+  Netsim.Net.Host.reboot cluster.server_host;
   Printf.printf "*** server rebooted at t=%.1f (state table empty) ***\n\n"
     (Sim.Engine.now engine);
 

@@ -8,17 +8,14 @@
 
 let () =
   Experiments.Driver.run @@ fun engine ->
-  let net = Netsim.Net.create engine () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let disk = Diskm.Disk.create engine "disk" in
-  let backing =
-    Localfs.create engine ~name:"backing" ~disk ~cache_blocks:896
-      ~meta_policy:`Sync ()
+  (* the paper's testbed, its file system served by the hybrid, which
+     is not one of the Experiments.Stack protocols *)
+  let { Experiments.Cluster.net; rpc; server_host; server_fs; _ } =
+    Experiments.Cluster.create engine
   in
   let hybrid =
     Snfs.Hybrid_server.serve rpc server_host ~nfs_probe_interval:30.0 ~fsid:1
-      backing
+      server_fs
   in
   (* one modern client speaking SNFS, one legacy client speaking NFS *)
   let snfs_host = Netsim.Net.Host.create net "modern" in

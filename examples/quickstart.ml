@@ -3,29 +3,22 @@
 
    Run with:  dune exec examples/quickstart.exe *)
 
+module Cluster = Experiments.Cluster
+module Stack = Experiments.Stack
+
 let () =
   (* cache statistics are counted in a metrics registry *)
   let metrics = Obs.Metrics.create () in
   Experiments.Driver.run ~metrics @@ fun engine ->
   (* one network, one server host with a disk and a local file system,
-     one client host *)
-  let net = Netsim.Net.create engine () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let client_host = Netsim.Net.Host.create net "client" in
-  let disk = Diskm.Disk.create engine "server-disk" in
-  let backing =
-    Localfs.create engine ~name:"backing" ~disk ~cache_blocks:896
-      ~meta_policy:`Sync ()
-  in
-  (* export it over SNFS and mount it *)
-  let server = Snfs.Snfs_server.serve rpc server_host ~fsid:1 backing in
+     exported over SNFS and mounted on one client host *)
+  let cluster = Cluster.create engine in
+  let server = Cluster.serve cluster ~fsid:1 Stack.Snfs in
   let client =
-    Snfs.Snfs_client.mount rpc ~client:client_host ~server:server_host
-      ~root:(Snfs.Snfs_server.root_fh server) ()
+    Cluster.mount cluster server ~host:"client" ~name:"snfs"
+      (Stack.default Stack.Snfs)
   in
-  let mounts = Vfs.Mount.create () in
-  Vfs.Mount.mount mounts ~at:"/" (Snfs.Snfs_client.fs client);
+  let mounts = client.mounts in
 
   (* ordinary file I/O through the system-call layer *)
   Vfs.Fileio.mkdir mounts "/project";
@@ -37,7 +30,7 @@ let () =
     (Sim.Engine.now engine);
 
   (* the writes are DELAYED: nothing has reached the server yet *)
-  let counts = Netsim.Rpc.counters (Snfs.Snfs_server.service server) in
+  let counts = Netsim.Rpc.counters server.service in
   Printf.printf "write RPCs so far: %d (delayed write-back!)\n"
     (Stats.Counter.get counts "write");
 
@@ -49,7 +42,7 @@ let () =
     (Stats.Counter.get counts "read");
 
   (* the server's state table knows exactly who holds what *)
-  let table = Snfs.Snfs_server.state_table server in
+  let table = Snfs.Snfs_server.state_table (Option.get server.snfs_server) in
   let ino = (Vfs.Fileio.stat mounts "/project/notes.txt").Localfs.ino in
   Printf.printf "server state for the file: %s (last writer: client %d)\n"
     (Spritely.State_table.state_to_string
@@ -72,7 +65,7 @@ let () =
   Vfs.Fileio.close fd;
   Vfs.Fileio.unlink mounts "/project/scratch.tmp";
   Sim.Engine.sleep engine 60.0;
-  let cache = Blockcache.Cache.name (Snfs.Snfs_client.cache client) in
+  let cache = Blockcache.Cache.name client.stack.cache in
   Printf.printf
     "temporary file: wrote 100 kB, deleted it; extra write RPCs: %d, \
      writes averted: %d\n"

@@ -5,7 +5,10 @@
     client host that mounts it.
 
     No other module in [lib/experiments] or [lib/check] creates a net
-    or serves or mounts a {!Stack}. Callers keep only their behaviour:
+    or serves or mounts a {!Stack}, and the test suites and the
+    examples build their protocol stacks here too, with no wrapper of
+    their own. The hybrid server, not a {!Stack.kind}, is served on
+    [server_fs] by its callers. Callers keep only their behaviour:
     syncers, keepalives, the SNFS laundromat, fault schedules and
     workloads. The [fsid] and each mount's [name] are model inputs
     (file handles, traces and metrics carry them), so callers pass

@@ -1,10 +1,15 @@
 (** The one place a protocol stack is wired.
 
-    {!serve} and {!mount} are the only code in [lib/experiments] that
-    names a protocol's [serve] or [mount], and {!Cluster} is their only
-    caller: the experiments, the consistency oracle and tests, and the
-    write-sharing example get a served stack and its client mounts from
-    it. Adding a protocol means adding one case here.
+    {!serve} and {!mount} are the only callers of a protocol's server
+    and client constructors, and {!Cluster} is their only caller: the
+    experiments, the consistency oracle, the test suites and the
+    examples all get a served stack and its client mounts from it.
+    Adding a protocol means adding one case here. The exceptions wire
+    by hand, and CI's "One cluster builder" step names them: the
+    hybrid server of Section 6.1, which is not a {!kind} (its SNFS
+    half, its test and its example), and [test/test_alloc.ml], which
+    pins the allocation of these calls. [perfbench/stacks.ml] still
+    keeps a copy of its own.
 
     {!Cluster} fixes the server's host, disk and file-system names.
     Its callers pass the model inputs, the [fsid] and each mount's

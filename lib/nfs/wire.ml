@@ -234,10 +234,15 @@ let before p f (procs : entry list) =
       else
         ( name,
           fun ~caller ~ctx d ->
-            match
-              f ~caller:(Netsim.Net.Host.addr caller) ~ctx
-                (p.args.dec (Xdr.Dec.clone d))
-            with
+            (* the handler would refuse a byte left over, so the
+               prologue must not act on the request either *)
+            let args =
+              let d = Xdr.Dec.clone d in
+              let args = p.args.dec d in
+              Xdr.Dec.check_done d;
+              args
+            in
+            match f ~caller:(Netsim.Net.Host.addr caller) ~ctx args with
             | () -> handler ~caller ~ctx d
             | exception Localfs.Error err -> error_reply err ))
     procs

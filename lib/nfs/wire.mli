@@ -135,7 +135,9 @@ val serves :
 (** [before p f procs] is [procs] with a prologue on [p]'s entry: [f]
     runs on a request's decoded arguments, then the entry's own
     handler on the request; a [Localfs.Error] from [f] is the reply
-    instead. *)
+    instead. A request with a byte left over raises [Xdr.Error] before
+    [f] runs, as {!serves} does, so [f] never acts on a request the
+    handler rejects. *)
 val before :
   ('a, 'r) procedure -> (caller:int -> ctx:Obs.Causal.t -> 'a -> unit) ->
   entry list -> entry list

@@ -7,7 +7,6 @@ type t = {
   core : Wire.server_core;
   srv : Wire.server;
   mutable table : Spritely.State_table.t;
-  max_table_entries : int;
   mutable callbacks_sent : int;
   (* client addr -> last RPC time. The cell is a [float ref] rather
      than a float value so the per-request refresh is a store into the
@@ -328,8 +327,7 @@ let procs (t : t Lazy.t) core =
    a file lock while another open's callbacks complete; at least one
    thread must stay free to serve the write-backs those callbacks
    provoke (Section 3.2's N-1 rule, extended) *)
-let serve rpc host ?(threads = 8) ?(max_table_entries = 1000)
-    ?(recovery_grace = 0.0) ~fsid fs =
+let serve rpc host ?(threads = 8) ?(recovery_grace = 0.0) ~fsid fs =
   let engine = Netsim.Net.engine (Netsim.Rpc.net rpc) in
   let rec t =
     lazy
@@ -344,8 +342,7 @@ let serve rpc host ?(threads = 8) ?(max_table_entries = 1000)
          host;
          core;
          srv;
-         table = Spritely.State_table.create ~max_entries:max_table_entries ();
-         max_table_entries;
+         table = Spritely.State_table.create ();
          callbacks_sent = 0;
          last_heard = Sim.Inttbl.create ~empty:(ref 0.0);
          file_locks = Sim.Inttbl.create ~empty:(Sim.Semaphore.create engine 1);
@@ -365,8 +362,7 @@ let serve rpc host ?(threads = 8) ?(max_table_entries = 1000)
   let t = Lazy.force t in
   (* volatile consistency state dies with the server process *)
   Netsim.Rpc.set_on_restart (Wire.service t.srv) (fun () ->
-      t.table <-
-        Spritely.State_table.create ~max_entries:t.max_table_entries ();
+      t.table <- Spritely.State_table.create ();
       t.callbacks_sent <- 0;
       Hashtbl.reset t.recovered;
       (* the courtesy ledger is volatile too: a rebooted server starts

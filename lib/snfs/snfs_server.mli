@@ -23,12 +23,12 @@ val prog : string
     grace period: for that many seconds after a reboot, opens from
     clients that have not yet replayed their state via [reopen] are
     refused with a retryable error, so the consistency state cannot
-    change "until the server is willing to allow it". *)
+    change "until the server is willing to allow it". The state table
+    holds {!Spritely.State_table.create}'s default of 1000 entries. *)
 val serve :
   Netsim.Rpc.t ->
   Netsim.Net.Host.t ->
   ?threads:int ->
-  ?max_table_entries:int ->
   ?recovery_grace:float ->
   fsid:int ->
   Localfs.t ->

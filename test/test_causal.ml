@@ -5,57 +5,9 @@
    report deterministically; the flight recorder keeps a bounded ring
    behind the ordinary probe sites. *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
-
-(* ---- the write-sharing SNFS world: two clients ping-pong a file so
-   the server issues callbacks on every conflicting open ---- *)
-
-let scenario e =
-  let net = Netsim.Net.create e () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let server_disk = Diskm.Disk.create e "server-disk" in
-  let server_fs =
-    Localfs.create e ~name:"srvfs" ~disk:server_disk ~cache_blocks:896
-      ~meta_policy:`Sync ()
-  in
-  let server = Snfs.Snfs_server.serve rpc server_host ~fsid:2 server_fs in
-  let client name =
-    let host = Netsim.Net.Host.create net name in
-    let c =
-      Snfs.Snfs_client.mount rpc ~client:host ~server:server_host
-        ~root:(Snfs.Snfs_server.root_fh server) ~name ()
-    in
-    let mounts = Vfs.Mount.create () in
-    Vfs.Mount.mount mounts ~at:"/" (Snfs.Snfs_client.fs c);
-    mounts
-  in
-  let m1 = client "c1" in
-  let m2 = client "c2" in
-  let fd = Vfs.Fileio.creat m1 "/f" in
-  ignore (Vfs.Fileio.write fd ~len:16384);
-  Vfs.Fileio.close fd;
-  ignore (Vfs.Fileio.read_file m2 "/f");
-  let wfd = Vfs.Fileio.openf m1 "/f" Vfs.Fs.Write_only in
-  ignore (Vfs.Fileio.write wfd ~len:4096);
-  Sim.Engine.sleep e 0.5;
-  ignore (Vfs.Fileio.read_file m2 "/f");
-  Vfs.Fileio.close wfd;
-  Sim.Engine.sleep e 1.0
-
 let analyzed () =
-  let tr = Obs.Trace.create () in
-  Obs.Trace.with_tracer tr (fun () -> run_sim scenario);
-  Obs.Analyze.of_chrome ~label:"scenario" (Obs.Chrome.to_string tr)
+  Obs.Analyze.of_chrome ~label:"scenario"
+    (Obs.Chrome.to_string (Sharing.traced ()))
 
 (* ---- every callback is flow-linked to its inducing operation ---- *)
 
@@ -118,7 +70,7 @@ let test_flight_recorder () =
   (* arm the recorder, run the real workload through the ordinary
      probe sites, snapshot as a post-mortem would *)
   Obs.Flight.arm ();
-  run_sim scenario;
+  Harness.run_sim Sharing.scenario;
   Obs.Flight.capture ~reason:"test oracle";
   (match Obs.Flight.last () with
   | None -> Alcotest.fail "no flight capture"

@@ -4,63 +4,27 @@
    mechanics (no probes, non-cachable mode, version rules, keepalive
    recovery). *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
+open Harness
 
-type world = {
-  engine : Sim.Engine.t;
-  net : Netsim.Net.t;
-  rpc : Netsim.Rpc.t;
-  server_host : Netsim.Net.Host.t;
-  server_fs : Localfs.t;
-}
+module Cluster = Experiments.Cluster
+module Stack = Experiments.Stack
 
-let make_world e =
-  let net = Netsim.Net.create e () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let disk = Diskm.Disk.create e "sd" in
-  let server_fs =
-    Localfs.create e ~name:"sfs" ~disk ~cache_blocks:896 ~meta_policy:`Sync ()
-  in
-  { engine = e; net; rpc; server_host; server_fs }
-
-let nfs_world e =
-  let w = make_world e in
-  let server = Nfs.Nfs_server.serve w.rpc w.server_host ~fsid:1 w.server_fs in
-  let host = Netsim.Net.Host.create w.net "c" in
+(* a cluster serving [kind], and a client host "c" with its default
+   stack mounted at / *)
+let world kind e =
+  let cluster = Cluster.create e in
+  let server = Cluster.serve cluster ~fsid:1 kind in
   let client =
-    Nfs.Nfs_client.mount w.rpc ~client:host ~server:w.server_host
-      ~root:(Nfs.Nfs_server.root_fh server) ()
+    Cluster.mount cluster server ~host:"c" ~name:"c" (Stack.default kind)
   in
-  let m = Vfs.Mount.create () in
-  Vfs.Mount.mount m ~at:"/" (Nfs.Nfs_client.fs client);
-  (w, server, client, m)
+  (cluster, server, client, client.Cluster.mounts)
 
-let snfs_world ?config e =
-  let w = make_world e in
-  let server = Snfs.Snfs_server.serve w.rpc w.server_host ~fsid:1 w.server_fs in
-  let host = Netsim.Net.Host.create w.net "c" in
-  let client =
-    Snfs.Snfs_client.mount w.rpc ~client:host ~server:w.server_host
-      ~root:(Snfs.Snfs_server.root_fh server) ?config ()
-  in
-  let m = Vfs.Mount.create () in
-  Vfs.Mount.mount m ~at:"/" (Snfs.Snfs_client.fs client);
-  (w, server, client, m)
+let nfs_world = world Stack.Nfs
+let snfs_world = world Stack.Snfs
 
+(* the server's count so far of one procedure's calls *)
 let count server proc =
-  Stats.Counter.get (Netsim.Rpc.counters (Nfs.Nfs_server.service server)) proc
-
-let scount server proc = Stats.Counter.get (Snfs.Snfs_server.counters server) proc
+  Stats.Counter.get (Netsim.Rpc.counters server.Stack.service) proc
 
 (* ---- NFS client ---- *)
 
@@ -176,7 +140,7 @@ let test_snfs_no_attribute_probes () =
       let _, server, _, m = snfs_world e in
       Vfs.Fileio.write_file m "/f" ~bytes:4096;
       let fd = Vfs.Fileio.openf m "/f" Vfs.Fs.Read_only in
-      let baseline = scount server "getattr" in
+      let baseline = count server "getattr" in
       (* hold it open and keep reading for minutes: cachable files need
          no attribute refreshing (Section 4.2.1) *)
       for _ = 1 to 20 do
@@ -185,43 +149,41 @@ let test_snfs_no_attribute_probes () =
         ignore (Vfs.Fileio.read fd ~len:4096)
       done;
       Alcotest.(check int) "zero getattr RPCs while open" baseline
-        (scount server "getattr");
+        (count server "getattr");
       Vfs.Fileio.close fd)
 
 let test_snfs_non_cachable_mode () =
   run_sim (fun e ->
       let w, server, _, m = snfs_world e in
       (* a second client makes the file write-shared *)
-      let host2 = Netsim.Net.Host.create w.net "c2" in
-      let client2 =
-        Snfs.Snfs_client.mount w.rpc ~client:host2 ~server:w.server_host
-          ~root:(Snfs.Snfs_server.root_fh server) ~name:"snfs2" ()
+      let m2 =
+        (Cluster.mount w server ~host:"c2" ~name:"snfs2"
+           (Stack.default Stack.Snfs))
+          .Cluster.mounts
       in
-      let m2 = Vfs.Mount.create () in
-      Vfs.Mount.mount m2 ~at:"/" (Snfs.Snfs_client.fs client2);
       Vfs.Fileio.write_file m "/shared" ~bytes:(4 * 4096);
       let wfd = Vfs.Fileio.openf m "/shared" Vfs.Fs.Write_only in
       let rfd = Vfs.Fileio.openf m2 "/shared" Vfs.Fs.Read_only in
       (* write-shared now; c2's reads must each go to the server, with
          read-ahead disabled *)
-      let before = scount server "read" in
+      let before = count server "read" in
       ignore (Vfs.Fileio.read rfd ~len:4096);
       Sim.Engine.sleep e 0.5;
       Alcotest.(check int) "exactly one read RPC, no read-ahead" 1
-        (scount server "read" - before);
+        (count server "read" - before);
       ignore (Vfs.Fileio.read rfd ~len:4096);
       Sim.Engine.sleep e 0.5;
       Alcotest.(check int) "every read goes through" 2
-        (scount server "read" - before);
+        (count server "read" - before);
       (* and the writer's writes go straight through too *)
-      let wbefore = scount server "write" in
+      let wbefore = count server "write" in
       ignore (Vfs.Fileio.write wfd ~len:4096);
-      Alcotest.(check int) "write-through" 1 (scount server "write" - wbefore);
+      Alcotest.(check int) "write-through" 1 (count server "write" - wbefore);
       (* attributes are fetched, not cached, in this mode *)
-      let gbefore = scount server "getattr" in
+      let gbefore = count server "getattr" in
       ignore (Vfs.Fileio.stat m2 "/shared");
       Alcotest.(check bool) "attrs fetched" true
-        (scount server "getattr" > gbefore);
+        (count server "getattr" > gbefore);
       Vfs.Fileio.close wfd;
       Vfs.Fileio.close rfd)
 
@@ -237,13 +199,15 @@ let test_snfs_prev_version_rule () =
       let fd = Vfs.Fileio.openf m "/f" Vfs.Fs.Read_write in
       Vfs.Fileio.seek fd 0;
       ignore (Vfs.Fileio.read fd ~len:(4 * 4096));
-      Alcotest.(check int) "no reads from server" 0 (scount server "read");
+      Alcotest.(check int) "no reads from server" 0 (count server "read");
       Vfs.Fileio.close fd)
 
 let test_snfs_keepalive_recovery () =
   run_sim (fun e ->
       let w, server, client, m = snfs_world e in
-      Snfs.Snfs_client.start_keepalive client ~interval:5.0;
+      Snfs.Snfs_client.start_keepalive
+        (Option.get client.Cluster.stack.snfs_client)
+        ~interval:5.0;
       Sim.Engine.sleep e 6.0 (* let the keepalive learn the first epoch *);
       let fd = Vfs.Fileio.creat m "/f" in
       ignore (Vfs.Fileio.write fd ~len:4096);
@@ -253,7 +217,9 @@ let test_snfs_keepalive_recovery () =
       Sim.Engine.sleep e 3.0;
       Netsim.Net.Host.reboot w.server_host;
       Sim.Engine.sleep e 30.0;
-      let table = Snfs.Snfs_server.state_table server in
+      let table =
+        Snfs.Snfs_server.state_table (Option.get server.snfs_server)
+      in
       let files = Spritely.State_table.files table in
       Alcotest.(check bool) "state replayed by keepalive" true
         (List.length files > 0);
@@ -268,9 +234,9 @@ let test_snfs_fsync_pushes_dirty () =
       let _, server, _, m = snfs_world e in
       let fd = Vfs.Fileio.creat m "/f" in
       ignore (Vfs.Fileio.write fd ~len:(8 * 4096));
-      Alcotest.(check int) "delayed" 0 (scount server "write");
+      Alcotest.(check int) "delayed" 0 (count server "write");
       Vfs.Fileio.fsync fd;
-      Alcotest.(check int) "all pushed by fsync" 8 (scount server "write");
+      Alcotest.(check int) "all pushed by fsync" 8 (count server "write");
       Vfs.Fileio.close fd)
 
 let () =

@@ -14,16 +14,7 @@
 module Stack = Experiments.Stack
 module Cluster = Experiments.Cluster
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
+open Harness
 
 type op =
   | Write of int * int * int (* client, file, blocks *)

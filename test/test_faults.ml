@@ -5,57 +5,22 @@
    metrics-registry counters (executed calls, duplicates, retransmits)
    proving that suppression — not luck — produced the right answer. *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
+open Harness
 
-(* [run_sim] under a fresh metrics registry, where the network and RPC
-   statistics are counted: [f] also gets [total], the run's count so far
-   of one registry counter, summed over its labels *)
-let counted f =
-  let m = Obs.Metrics.create () in
-  let total name =
-    List.fold_left (fun a (_, n) -> a + n) 0 (Obs.Metrics.counters_with m name)
-  in
-  Obs.Metrics.with_metrics m (fun () -> run_sim (f total))
+module Cluster = Experiments.Cluster
+module Stack = Experiments.Stack
 
-type world = {
-  net : Netsim.Net.t;
-  rpc : Netsim.Rpc.t;
-  server_host : Netsim.Net.Host.t;
-  server_fs : Localfs.t;
-  snfs_server : Snfs.Snfs_server.t;
-}
+type world = { cluster : Cluster.t; server : Stack.server }
 
 let make_world e =
-  let net = Netsim.Net.create e () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let server_disk = Diskm.Disk.create e "server-disk" in
-  let server_fs =
-    Localfs.create e ~name:"srvfs" ~disk:server_disk ~cache_blocks:896
-      ~meta_policy:`Sync ()
-  in
-  let snfs_server = Snfs.Snfs_server.serve rpc server_host ~fsid:2 server_fs in
-  { net; rpc; server_host; server_fs; snfs_server }
+  let cluster = Cluster.create e in
+  { cluster; server = Cluster.serve cluster ~fsid:2 Stack.Snfs }
 
+let snfs_server w = Option.get w.server.snfs_server
+
+(* a client host [name] with the SNFS stack mounted at / *)
 let snfs_client w name =
-  let host = Netsim.Net.Host.create w.net name in
-  let client =
-    Snfs.Snfs_client.mount w.rpc ~client:host ~server:w.server_host
-      ~root:(Snfs.Snfs_server.root_fh w.snfs_server)
-      ~name ()
-  in
-  let mounts = Vfs.Mount.create () in
-  Vfs.Mount.mount mounts ~at:"/" (Snfs.Snfs_client.fs client);
-  (host, client, mounts)
+  Cluster.mount w.cluster w.server ~host:name ~name (Stack.default Stack.Snfs)
 
 (* a counting echo service: the handler's side effect is visible, so
    re-execution of a retried request cannot hide *)
@@ -158,14 +123,14 @@ let test_dup_suppression_under_drops () =
 let test_partition_lands_in_courtesy_and_resumes () =
   run_sim (fun e ->
       let w = make_world e in
-      let server = w.snfs_server in
+      let server = snfs_server w in
       Snfs.Snfs_server.start_laundromat ~lease:30.0 ~courtesy_lifetime:600.0
         server ~interval:20.0;
       Alcotest.check_raises "second laundromat refused"
         (Invalid_argument "Snfs_server.start_laundromat: already started")
         (fun () ->
           Snfs.Snfs_server.start_laundromat server ~interval:20.0);
-      let host, _, m = snfs_client w "c1" in
+      let { Cluster.host; mounts = m; _ } = snfs_client w "c1" in
       let client_addr = Netsim.Net.Host.addr host in
       let fd = Vfs.Fileio.creat m "/held-open" in
       ignore (Vfs.Fileio.write ~stamp:77 fd ~len:4096);
@@ -181,7 +146,7 @@ let test_partition_lands_in_courtesy_and_resumes () =
               (Spritely.State_table.openers table ~file))
           (Spritely.State_table.files table)
       in
-      Netsim.Net.partition w.net host w.server_host;
+      Netsim.Net.partition w.cluster.net host w.cluster.server_host;
       (* wait for the laundromat's failed probe to demote the client *)
       let deadline = Sim.Engine.now e +. 300.0 in
       while
@@ -203,7 +168,7 @@ let test_partition_lands_in_courtesy_and_resumes () =
       Alcotest.(check (list int)) "open state retained" [ client_addr ]
         (openers ());
       (* heal: the next laundromat probe answers and revives the client *)
-      Netsim.Net.heal w.net host w.server_host;
+      Netsim.Net.heal w.cluster.net host w.cluster.server_host;
       let deadline = Sim.Engine.now e +. 300.0 in
       while
         Snfs.Snfs_server.client_state server ~client:client_addr
@@ -230,7 +195,7 @@ let test_partition_lands_in_courtesy_and_resumes () =
       ignore (Vfs.Fileio.write ~stamp:78 fd ~len:4096);
       Vfs.Fileio.fsync fd;
       Vfs.Fileio.close fd;
-      let _, _, m2 = snfs_client w "c2" in
+      let m2 = (snfs_client w "c2").mounts in
       let fd2 = Vfs.Fileio.openf m2 "/held-open" Vfs.Fs.Read_only in
       let runs = Vfs.Fileio.read fd2 ~len:4096 in
       Vfs.Fileio.close fd2;
@@ -243,15 +208,15 @@ let test_partition_lands_in_courtesy_and_resumes () =
 let test_courtesy_expires_when_partition_outlasts_lifetime () =
   run_sim (fun e ->
       let w = make_world e in
-      let server = w.snfs_server in
+      let server = snfs_server w in
       Snfs.Snfs_server.start_laundromat ~lease:10.0 ~courtesy_lifetime:40.0
         server ~interval:10.0;
-      let host, _, m = snfs_client w "c1" in
+      let { Cluster.host; mounts = m; _ } = snfs_client w "c1" in
       let fd = Vfs.Fileio.creat m "/held-open" in
       ignore (Vfs.Fileio.write fd ~len:4096);
       ignore fd;
       let table = Snfs.Snfs_server.state_table server in
-      Netsim.Net.partition w.net host w.server_host;
+      Netsim.Net.partition w.cluster.net host w.cluster.server_host;
       let deadline = Sim.Engine.now e +. 500.0 in
       while
         Snfs.Snfs_server.clients_reaped server = 0
@@ -320,64 +285,44 @@ let test_retry_budget_surfaces_server_unavailable () =
 let test_retry_budget_validated_at_mount () =
   let e = Sim.Engine.create () in
   let w = make_world e in
-  let root = Snfs.Snfs_server.root_fh w.snfs_server in
+  let mount name ~budget kind =
+    Cluster.mount w.cluster w.server ~host:name ~name
+      (Stack.with_retry_budget (Some budget) (Stack.default kind))
+  in
   let refused =
     Invalid_argument "Client_core.create: retry_budget must be positive"
   in
   List.iteri
     (fun i budget ->
-      let retry_budget = Some budget in
-      let host kind =
-        Netsim.Net.Host.create w.net (Printf.sprintf "%s%d" kind i)
-      in
+      let name kind = Printf.sprintf "%s%d" kind i in
       Alcotest.check_raises "SNFS mount refuses" refused (fun () ->
-          ignore
-            (Snfs.Snfs_client.mount w.rpc ~client:(host "s")
-               ~server:w.server_host ~root
-               ~config:{ Snfs.Snfs_client.default_config with retry_budget }
-               ()));
+          ignore (mount (name "s") ~budget Stack.Snfs));
       Alcotest.check_raises "NFS mount refuses" refused (fun () ->
-          ignore
-            (Nfs.Nfs_client.mount w.rpc ~client:(host "n")
-               ~server:w.server_host ~root
-               ~config:{ Nfs.Nfs_client.default_config with retry_budget }
-               ())))
+          ignore (mount (name "n") ~budget Stack.Nfs)))
     [ 0.0; -1.0 ];
   (* a positive budget mounts *)
-  ignore
-    (Snfs.Snfs_client.mount w.rpc
-       ~client:(Netsim.Net.Host.create w.net "ok")
-       ~server:w.server_host ~root
-       ~config:{ Snfs.Snfs_client.default_config with retry_budget = Some 0.5 }
-       ())
+  ignore (mount "ok" ~budget:0.5 Stack.Snfs)
 
 let test_grace_rejects_unrecovered_clients () =
   (* after a reboot with recovery_grace, an open from a client that has
      not replayed its state via reopen is refused with the retryable
      Again error; the same server admits a recovered client at once *)
   run_sim (fun e ->
-      let w = make_world e in
-      (* a server of its own, on a host of its own *)
-      let server_host = Netsim.Net.Host.create w.net "grace-server" in
+      (* a cluster of its own, whose server has a grace period *)
+      let cluster = Cluster.create e in
       let server =
-        Snfs.Snfs_server.serve w.rpc server_host ~fsid:9 ~recovery_grace:30.0
-          w.server_fs
+        Cluster.serve ~recovery_grace:30.0 cluster ~fsid:9 Stack.Snfs
       in
-      let mount_on name =
-        let host = Netsim.Net.Host.create w.net name in
-        let c =
-          Snfs.Snfs_client.mount w.rpc ~client:host ~server:server_host
-            ~root:(Snfs.Snfs_server.root_fh server) ~name ()
-        in
-        let m = Vfs.Mount.create () in
-        Vfs.Mount.mount m ~at:"/" (Snfs.Snfs_client.fs c);
-        (host, c, m)
-      in
-      let _, c1, m1 = mount_on "g1" in
-      let lone_host, _, _ = mount_on "g2" in
+      let w = { cluster; server } in
+      let server_host = cluster.server_host in
+      let c1 = snfs_client w "g1" in
+      let m1 = c1.mounts in
+      let lone_host = (snfs_client w "g2").host in
       (* client 1's keepalive learns the boot epoch before the crash,
          and replays its state once a ping sees the new one *)
-      Snfs.Snfs_client.start_keepalive c1 ~interval:1.0;
+      Snfs.Snfs_client.start_keepalive
+        (Option.get c1.stack.snfs_client)
+        ~interval:1.0;
       Vfs.Fileio.write_file m1 "/a" ~bytes:4096;
       Sim.Engine.sleep e 1.5;
       Netsim.Net.Host.crash server_host;
@@ -387,10 +332,10 @@ let test_grace_rejects_unrecovered_clients () =
          post-reboot call, this or a keepalive ping, starts the grace
          window *)
       let raw_call ~proc ?bulk args =
-        Netsim.Rpc.call w.rpc ~src:lone_host ~dst:server_host
+        Netsim.Rpc.call cluster.rpc ~src:lone_host ~dst:server_host
           ~prog:Snfs.Snfs_server.prog ~proc ?bulk args
       in
-      let root = Snfs.Snfs_server.root_fh server in
+      let root = server.root in
       (match Nfs.Wire.snfs_open raw_call root ~write_mode:false with
       | _ -> Alcotest.fail "open from unrecovered client must be refused"
       | exception Localfs.Error Localfs.Again -> ());

@@ -2,80 +2,51 @@
    system, both protocols, consistency maintained for the SNFS clients
    and "normal NFS consistency" for the NFS ones. *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
+open Harness
 
-(* [run_sim] under a fresh metrics registry: [f] also gets [count],
-   the run's count so far of one registry counter, summed over every
-   label set that contains [labels] *)
-let counted f =
-  let m = Obs.Metrics.create () in
-  let count ~labels name =
-    List.fold_left
-      (fun acc (ls, n) ->
-        if List.for_all (fun l -> List.mem l ls) labels then acc + n else acc)
-      0
-      (Obs.Metrics.counters_with m name)
-  in
-  Obs.Metrics.with_metrics m (fun () -> run_sim (f count))
+type world = { cluster : Experiments.Cluster.t; hybrid : Snfs.Hybrid_server.t }
 
-type world = {
-  engine : Sim.Engine.t;
-  net : Netsim.Net.t;
-  rpc : Netsim.Rpc.t;
-  server_host : Netsim.Net.Host.t;
-  hybrid : Snfs.Hybrid_server.t;
-}
-
+(* The hybrid is not a {!Experiments.Stack} kind, so it is served, and
+   its clients are mounted, here. *)
 let make_world ?probe e =
-  let net = Netsim.Net.create e () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let disk = Diskm.Disk.create e "server-disk" in
-  let fs =
-    Localfs.create e ~name:"srvfs" ~disk ~cache_blocks:896 ~meta_policy:`Sync ()
-  in
+  let cluster = Experiments.Cluster.create e in
   let hybrid =
-    Snfs.Hybrid_server.serve rpc server_host ?nfs_probe_interval:probe ~fsid:1
-      fs
+    Snfs.Hybrid_server.serve cluster.rpc cluster.server_host
+      ?nfs_probe_interval:probe ~fsid:1 cluster.server_fs
   in
-  { engine = e; net; rpc; server_host; hybrid }
+  { cluster; hybrid }
 
+(* a client host [name] with an SNFS or NFS client of the hybrid
+   mounted at / *)
 let snfs_client w name =
-  let host = Netsim.Net.Host.create w.net name in
+  let host = Netsim.Net.Host.create w.cluster.net name in
   let client =
-    Snfs.Snfs_client.mount w.rpc ~client:host ~server:w.server_host
+    Snfs.Snfs_client.mount w.cluster.rpc ~client:host
+      ~server:w.cluster.server_host
       ~root:(Snfs.Snfs_server.root_fh (Snfs.Hybrid_server.snfs w.hybrid))
       ~name ()
   in
   let mounts = Vfs.Mount.create () in
   Vfs.Mount.mount mounts ~at:"/" (Snfs.Snfs_client.fs client);
-  (client, mounts)
+  mounts
 
 let nfs_client w name =
-  let host = Netsim.Net.Host.create w.net name in
+  let host = Netsim.Net.Host.create w.cluster.net name in
   let client =
-    Nfs.Nfs_client.mount w.rpc ~client:host ~server:w.server_host
+    Nfs.Nfs_client.mount w.cluster.rpc ~client:host
+      ~server:w.cluster.server_host
       ~root:(Snfs.Hybrid_server.nfs_root_fh w.hybrid)
       ~name ()
   in
   let mounts = Vfs.Mount.create () in
   Vfs.Mount.mount mounts ~at:"/" (Nfs.Nfs_client.fs client);
-  (client, mounts)
+  mounts
 
 let test_both_protocols_serve () =
   run_sim (fun e ->
       let w = make_world e in
-      let _, ms = snfs_client w "s1" in
-      let _, mn = nfs_client w "n1" in
+      let ms = snfs_client w "s1" in
+      let mn = nfs_client w "n1" in
       (* an SNFS client writes (data stays dirty at the client) *)
       let stamp = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat ms "/f" in
@@ -88,8 +59,8 @@ let test_both_protocols_serve () =
 let test_nfs_read_forces_writeback () =
   run_sim (fun e ->
       let w = make_world e in
-      let _, ms = snfs_client w "s1" in
-      let _, mn = nfs_client w "n1" in
+      let ms = snfs_client w "s1" in
+      let mn = nfs_client w "n1" in
       (* SNFS client writes and closes; dirty blocks stay at the client *)
       let stamp = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat ms "/doc" in
@@ -111,8 +82,8 @@ let test_nfs_read_forces_writeback () =
 let test_nfs_write_invalidates_snfs_cache () =
   counted (fun count e ->
       let w = make_world ~probe:5.0 e in
-      let _, ms = snfs_client w "s1" in
-      let _, mn = nfs_client w "n1" in
+      let ms = snfs_client w "s1" in
+      let mn = nfs_client w "n1" in
       (* NFS client creates the file; SNFS client opens and caches it
          (after the creating client's access record has expired, so the
          SNFS open is granted cachability) *)
@@ -144,8 +115,8 @@ let test_nfs_write_invalidates_snfs_cache () =
 let test_snfs_denied_caching_during_probe_window () =
   run_sim (fun e ->
       let w = make_world ~probe:20.0 e in
-      let _, ms = snfs_client w "s1" in
-      let _, mn = nfs_client w "n1" in
+      let ms = snfs_client w "s1" in
+      let mn = nfs_client w "n1" in
       (* the NFS client writes a file *)
       let fd = Vfs.Fileio.creat mn "/hot" in
       ignore (Vfs.Fileio.write fd ~len:4096);
@@ -179,7 +150,7 @@ let test_snfs_denied_caching_during_probe_window () =
 let test_phantom_refresh () =
   run_sim (fun e ->
       let w = make_world ~probe:10.0 e in
-      let _, mn = nfs_client w "n1" in
+      let mn = nfs_client w "n1" in
       Vfs.Fileio.write_file mn "/f" ~bytes:4096;
       Alcotest.(check bool) "phantom exists" true
         (Snfs.Hybrid_server.phantom_opens w.hybrid > 0);

@@ -5,56 +5,23 @@
    ownership of a block must move writer-to-writer with the old owner's
    copy invalidated. *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
-
-(* [run_sim] under a fresh metrics registry: [f] also gets [count],
-   the run's count so far of one registry counter under one label set
-   (none by default) *)
-let counted f =
-  let m = Obs.Metrics.create () in
-  let count ?labels name = Obs.Metrics.counter_value m ?labels name in
-  Obs.Metrics.with_metrics m (fun () -> run_sim (f count))
+open Harness
 
 let host h = [ ("host", h) ]
 
-type world = {
-  net : Netsim.Net.t;
-  rpc : Netsim.Rpc.t;
-  server_host : Netsim.Net.Host.t;
-  kent_server : Kentfs.Kent_server.t;
-}
+module Cluster = Experiments.Cluster
+module Stack = Experiments.Stack
+
+type world = { cluster : Cluster.t; server : Stack.server }
 
 let make_world e =
-  let net = Netsim.Net.create e () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let server_disk = Diskm.Disk.create e "server-disk" in
-  let server_fs =
-    Localfs.create e ~name:"srvfs" ~disk:server_disk ~cache_blocks:896
-      ~meta_policy:`Sync ()
-  in
-  let kent_server = Kentfs.Kent_server.serve rpc server_host ~fsid:4 server_fs in
-  { net; rpc; server_host; kent_server }
+  let cluster = Cluster.create e in
+  { cluster; server = Cluster.serve cluster ~fsid:4 Stack.Kent }
 
-let kent_client w name =
-  let host = Netsim.Net.Host.create w.net name in
-  let client =
-    Kentfs.Kent_client.mount w.rpc ~client:host ~server:w.server_host
-      ~root:(Kentfs.Kent_server.root_fh w.kent_server)
-      ~name ()
-  in
-  let mounts = Vfs.Mount.create () in
-  Vfs.Mount.mount mounts ~at:"/" (Kentfs.Kent_client.fs client);
-  (host, client, mounts)
+(* a client host [name] with the Kent stack mounted at / *)
+let mount w name =
+  (Cluster.mount w.cluster w.server ~host:name ~name (Stack.default Stack.Kent))
+    .Cluster.mounts
 
 let first_stamp = function
   | (s, _) :: _ -> s
@@ -67,8 +34,8 @@ let test_concurrent_sharing_visibility () =
      the server recalls the dirty block from the owner *)
   counted (fun count e ->
       let w = make_world e in
-      let _, _, m1 = kent_client w "k1" in
-      let _, _, m2 = kent_client w "k2" in
+      let m1 = mount w "k1" in
+      let m2 = mount w "k2" in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/f" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:4096);
@@ -105,8 +72,8 @@ let test_ownership_transfer_between_writers () =
      the first writer then reads the second writer's data back *)
   counted (fun count e ->
       let w = make_world e in
-      let _, _, m1 = kent_client w "k1" in
-      let _, _, m2 = kent_client w "k2" in
+      let m1 = mount w "k1" in
+      let m2 = mount w "k2" in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/doc" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:8192);
@@ -139,6 +106,40 @@ let test_ownership_transfer_between_writers () =
       Vfs.Fileio.close rfd;
       Vfs.Fileio.close wfd)
 
+(* A setattr with a byte left over is refused before Kent's truncation
+   prologue acts on it: no invalidation goes out, so the owner keeps
+   its block. The refused request still aborts the run. *)
+let test_trailing_bytes_refused_before_truncation () =
+  let invalidations = ref (fun () -> -1) in
+  (match
+     counted (fun count e ->
+         invalidations := (fun () -> count "kent_invalidations_sent_total");
+         let w = make_world e in
+         (* k1 owns block 0 *)
+         Vfs.Fileio.write_file (mount w "k1") "/f" ~bytes:4096;
+         let k2 =
+           (Cluster.mount w.cluster w.server ~host:"k2" ~name:"k2"
+              (Stack.default Stack.Kent))
+             .host
+         in
+         let call ~proc ?bulk args =
+           Netsim.Rpc.call w.cluster.rpc ~src:k2 ~dst:w.cluster.server_host
+             ~prog:Kentfs.Kent_server.prog ~proc ?bulk args
+         in
+         let fh, _ = Nfs.Wire.lookup call ~dir:w.server.root "f" in
+         let setattr = Nfs.Wire.Proc.setattr in
+         let args =
+           let enc = Xdr.Enc.create () in
+           setattr.args.enc enc (fh, 0);
+           Xdr.Enc.uint32 enc 0;
+           Xdr.Enc.to_bytes enc
+         in
+         ignore (call ~proc:setattr.name args))
+   with
+  | () -> Alcotest.fail "a setattr with a trailing uint32 was served"
+  | exception Sim.Engine.Process_failure (_, Xdr.Error _, _) -> ());
+  Alcotest.(check int) "no invalidation sent" 0 (!invalidations ())
+
 let () =
   Alcotest.run "kentfs"
     [
@@ -148,5 +149,7 @@ let () =
             test_concurrent_sharing_visibility;
           Alcotest.test_case "ownership transfer" `Quick
             test_ownership_transfer_between_writers;
+          Alcotest.test_case "trailing bytes refused before truncation" `Quick
+            test_trailing_bytes_refused_before_truncation;
         ] );
     ]

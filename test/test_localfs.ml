@@ -2,27 +2,7 @@
    data path, attribute maintenance, and the structural-write
    accounting that Table 5-5 depends on. *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      (* daemons (syncers etc.) would keep the queue alive forever *)
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
-
-(* [run_sim] under a fresh metrics registry, where the disk and cache
-   statistics are counted: [f] also gets [total], the run's count so far
-   of one registry counter, summed over its labels *)
-let counted f =
-  let m = Obs.Metrics.create () in
-  let total name =
-    List.fold_left (fun a (_, n) -> a + n) 0 (Obs.Metrics.counters_with m name)
-  in
-  Obs.Metrics.with_metrics m (fun () -> run_sim (f total))
+open Harness
 
 let make_fs ?(meta_policy = `Delayed) ?(cache_blocks = 64) e =
   let disk = Diskm.Disk.create e "d0" in

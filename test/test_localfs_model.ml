@@ -3,16 +3,7 @@
    Localfs and a trivial pure model; their observable behaviour
    (results, errors, final tree) must coincide. *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
+open Harness
 
 (* ---- the pure model ---- *)
 

@@ -4,72 +4,6 @@
    determinism guarantee: two runs of the same seeded workload in one
    process produce byte-identical traces. *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
-
-(* ---- a small SNFS world that exercises rpc, net, cache and protocol
-   probe sites ---- *)
-
-type world = {
-  net : Netsim.Net.t;
-  rpc : Netsim.Rpc.t;
-  server_host : Netsim.Net.Host.t;
-  snfs_server : Snfs.Snfs_server.t;
-}
-
-let make_world e =
-  let net = Netsim.Net.create e () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let server_disk = Diskm.Disk.create e "server-disk" in
-  let server_fs =
-    Localfs.create e ~name:"srvfs" ~disk:server_disk ~cache_blocks:896
-      ~meta_policy:`Sync ()
-  in
-  let snfs_server = Snfs.Snfs_server.serve rpc server_host ~fsid:2 server_fs in
-  { net; rpc; server_host; snfs_server }
-
-let snfs_client w name =
-  let host = Netsim.Net.Host.create w.net name in
-  let client =
-    Snfs.Snfs_client.mount w.rpc ~client:host ~server:w.server_host
-      ~root:(Snfs.Snfs_server.root_fh w.snfs_server)
-      ~name ()
-  in
-  let mounts = Vfs.Mount.create () in
-  Vfs.Mount.mount mounts ~at:"/" (Snfs.Snfs_client.fs client);
-  (host, client, mounts)
-
-(* two clients write-share a file: opens, callbacks, cache traffic,
-   and plenty of RPC spans *)
-let scenario e =
-  let w = make_world e in
-  let _, _, m1 = snfs_client w "c1" in
-  let _, _, m2 = snfs_client w "c2" in
-  let fd = Vfs.Fileio.creat m1 "/f" in
-  ignore (Vfs.Fileio.write fd ~len:16384);
-  Vfs.Fileio.close fd;
-  ignore (Vfs.Fileio.read_file m2 "/f");
-  let wfd = Vfs.Fileio.openf m1 "/f" Vfs.Fs.Write_only in
-  ignore (Vfs.Fileio.write wfd ~len:4096);
-  Sim.Engine.sleep e 0.5;
-  ignore (Vfs.Fileio.read_file m2 "/f");
-  Vfs.Fileio.close wfd;
-  Sim.Engine.sleep e 1.0
-
-let traced_scenario () =
-  let tr = Obs.Trace.create () in
-  Obs.Trace.with_tracer tr (fun () -> run_sim scenario);
-  tr
-
 (* ---- JSON accessors that fail the test on a missing member ---- *)
 
 let member = Obs.Json.member
@@ -99,7 +33,7 @@ let test_disabled_tracing_is_silent () =
   Alcotest.(check bool) "uninstalled afterwards" false (Obs.Trace.on ())
 
 let test_spans_well_formed () =
-  let tr = traced_scenario () in
+  let tr = Sharing.traced () in
   let events = Obs.Trace.events tr in
   Alcotest.(check bool) "events were recorded" true (List.length events > 50);
   let begins = Hashtbl.create 64 in
@@ -149,7 +83,7 @@ let test_spans_well_formed () =
     [ "rpc"; "net"; "cache"; "snfs" ]
 
 let test_chrome_export_parses () =
-  let tr = traced_scenario () in
+  let tr = Sharing.traced () in
   let json = Obs.Json.parse (Obs.Chrome.to_string tr) in
   let entries =
     match member "traceEvents" json with
@@ -199,13 +133,13 @@ let test_json_rejects_malformed () =
   rejects "-";
   rejects {|{"n": 1e}|};
   rejects {|{"s": "\uZZZZ"}|};
-  let json = Obs.Chrome.to_string (traced_scenario ()) in
+  let json = Obs.Chrome.to_string (Sharing.traced ()) in
   rejects (String.sub json 0 (String.length json / 2))
 
 (* every server-side flow arrow must point at a minted client op: the
    flow id IS the inducing operation's root span id *)
 let test_flow_ids_match_inducing_op () =
-  let tr = traced_scenario () in
+  let tr = Sharing.traced () in
   let events = Obs.Trace.events tr in
   let op_ids = Hashtbl.create 64 in
   List.iter
@@ -273,8 +207,8 @@ let prop_percentiles_ordered =
       && Stats.Histogram.count h = n)
 
 let test_trace_determinism_scenario () =
-  let a = Obs.Chrome.to_string (traced_scenario ()) in
-  let b = Obs.Chrome.to_string (traced_scenario ()) in
+  let a = Obs.Chrome.to_string (Sharing.traced ()) in
+  let b = Obs.Chrome.to_string (Sharing.traced ()) in
   Alcotest.(check int) "same size" (String.length a) (String.length b);
   Alcotest.(check bool) "byte-identical traces" true (String.equal a b)
 

@@ -4,143 +4,45 @@
    differences the paper is about, callbacks, write-aversion, and crash
    recovery. *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
+open Harness
 
-(* [run_sim] under a fresh metrics registry, where caches, clients and
-   servers count their statistics: [f] also gets [count], the run's
-   count so far of one registry counter, summed over every label set
-   that contains [labels] (default: all of them) *)
-let counted f =
-  let m = Obs.Metrics.create () in
-  let count ?(labels = []) name =
-    List.fold_left
-      (fun acc (ls, n) ->
-        if List.for_all (fun l -> List.mem l ls) labels then acc + n else acc)
-      0
-      (Obs.Metrics.counters_with m name)
-  in
-  Obs.Metrics.with_metrics m (fun () -> run_sim (f count))
+module Cluster = Experiments.Cluster
+module Stack = Experiments.Stack
 
 (* the server's count so far of one procedure's calls *)
 let calls service proc = Stats.Counter.get (Netsim.Rpc.counters service) proc
 
 let host h = [ ("host", h) ]
 
-type world = {
-  engine : Sim.Engine.t;
-  net : Netsim.Net.t;
-  rpc : Netsim.Rpc.t;
-  server_host : Netsim.Net.Host.t;
-  server_fs : Localfs.t;
-  server_disk : Diskm.Disk.t;
-  nfs_server : Nfs.Nfs_server.t;
-  snfs_server : Snfs.Snfs_server.t;
-  rfs_server : Rfs.Rfs_server.t;
-  kent_server : Kentfs.Kent_server.t;
-}
+(* one cluster serving all four protocols, NFS to Kent as fsid 1 to 4 *)
+type world = { cluster : Cluster.t; servers : (Stack.kind * Stack.server) list }
 
 let make_world e =
-  let net = Netsim.Net.create e () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let server_disk = Diskm.Disk.create e "server-disk" in
-  let server_fs =
-    Localfs.create e ~name:"srvfs" ~disk:server_disk ~cache_blocks:896
-      ~meta_policy:`Sync ()
-  in
-  let nfs_server = Nfs.Nfs_server.serve rpc server_host ~fsid:1 server_fs in
-  let snfs_server = Snfs.Snfs_server.serve rpc server_host ~fsid:2 server_fs in
-  let rfs_server = Rfs.Rfs_server.serve rpc server_host ~fsid:3 server_fs in
-  let kent_server = Kentfs.Kent_server.serve rpc server_host ~fsid:4 server_fs in
+  let cluster = Cluster.create e in
   {
-    engine = e;
-    net;
-    rpc;
-    server_host;
-    server_fs;
-    server_disk;
-    nfs_server;
-    snfs_server;
-    rfs_server;
-    kent_server;
+    cluster;
+    servers =
+      List.mapi
+        (fun i kind -> (kind, Cluster.serve cluster ~fsid:(i + 1) kind))
+        Stack.kinds;
   }
 
-module Nfs_setup = struct
-  let get w = w.nfs_server
-end
+let service w kind = (List.assoc kind w.servers).service
+let snfs_server w = Option.get (List.assoc Stack.Snfs w.servers).snfs_server
+let snfs_client (c : Cluster.client) = Option.get c.stack.snfs_client
 
-module Snfs_setup = struct
-  let get w = w.snfs_server
-end
-
-module Rfs_setup = struct
-  let get w = w.rfs_server
-end
-
-module Kent_setup = struct
-  let get w = w.kent_server
-end
-
-(* one client host with the protocol under test mounted at / *)
-let nfs_client ?config w name =
-  let host = Netsim.Net.Host.create w.net name in
-  let server = Nfs_setup.get w in
-  let client =
-    Nfs.Nfs_client.mount w.rpc ~client:host ~server:w.server_host
-      ~root:(Nfs.Nfs_server.root_fh server) ?config ~name ()
-  in
-  let mounts = Vfs.Mount.create () in
-  Vfs.Mount.mount mounts ~at:"/" (Nfs.Nfs_client.fs client);
-  (host, client, mounts)
-
-let snfs_client ?config w name =
-  let host = Netsim.Net.Host.create w.net name in
-  let server = Snfs_setup.get w in
-  let client =
-    Snfs.Snfs_client.mount w.rpc ~client:host ~server:w.server_host
-      ~root:(Snfs.Snfs_server.root_fh server) ?config ~name ()
-  in
-  let mounts = Vfs.Mount.create () in
-  Vfs.Mount.mount mounts ~at:"/" (Snfs.Snfs_client.fs client);
-  (host, client, mounts)
-
-let rfs_client ?config w name =
-  let host = Netsim.Net.Host.create w.net name in
-  let server = Rfs_setup.get w in
-  let client =
-    Rfs.Rfs_client.mount w.rpc ~client:host ~server:w.server_host
-      ~root:(Rfs.Rfs_server.root_fh server) ?config ~name ()
-  in
-  let mounts = Vfs.Mount.create () in
-  Vfs.Mount.mount mounts ~at:"/" (Rfs.Rfs_client.fs client);
-  (host, client, mounts)
-
-let kent_client ?config w name =
-  let host = Netsim.Net.Host.create w.net name in
-  let server = Kent_setup.get w in
-  let client =
-    Kentfs.Kent_client.mount w.rpc ~client:host ~server:w.server_host
-      ~root:(Kentfs.Kent_server.root_fh server) ?config ~name ()
-  in
-  let mounts = Vfs.Mount.create () in
-  Vfs.Mount.mount mounts ~at:"/" (Kentfs.Kent_client.fs client);
-  (host, client, mounts)
+(* a client host [name] with [kind]'s stack mounted at /, configured by
+   [protocol] (default: [kind]'s default) *)
+let mount ?protocol w kind name =
+  Cluster.mount w.cluster (List.assoc kind w.servers) ~host:name ~name
+    (Option.value protocol ~default:(Stack.default kind))
 
 (* ---- generic protocol conformance, run against all four ---- *)
 
-let basic_ops_roundtrip make_mounts () =
+let basic_ops_roundtrip kind () =
   run_sim (fun e ->
       let w = make_world e in
-      let _, _, m = make_mounts w "c1" in
+      let m = (mount w kind "c1").mounts in
       Vfs.Fileio.mkdir m "/src";
       let stamp = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m "/src/a.c" in
@@ -167,12 +69,12 @@ let basic_ops_roundtrip make_mounts () =
 
 (* the namespace operations and fsync every client gets from the shared
    client core *)
-let namespace_and_fsync make_mounts () =
+let namespace_and_fsync kind () =
   run_sim (fun e ->
       let w = make_world e in
-      let _, _, m = make_mounts w "c1" in
+      let m = (mount w kind "c1").mounts in
       let server = Vfs.Mount.create () in
-      Vfs.Mount.mount server ~at:"/" (Vfs.Local_mount.make w.server_fs);
+      Vfs.Mount.mount server ~at:"/" (Vfs.Local_mount.make w.cluster.server_fs);
       let on_server path =
         let fd = Vfs.Fileio.openf server path Vfs.Fs.Read_only in
         let observed = Vfs.Fileio.read fd ~len:4096 in
@@ -204,13 +106,13 @@ let namespace_and_fsync make_mounts () =
       Alcotest.(check bool) "emptied directory removed" false
         (Vfs.Fileio.exists m "/a"))
 
-let sequential_write_sharing make_mounts () =
+let sequential_write_sharing kind () =
   (* writer closes before reader opens: every protocol must provide
      consistency here (Section 2.3 "sequential write-sharing") *)
   run_sim (fun e ->
       let w = make_world e in
-      let _, _, m1 = make_mounts w "c1" in
-      let _, _, m2 = make_mounts w "c2" in
+      let m1 = (mount w kind "c1").mounts in
+      let m2 = (mount w kind "c2").mounts in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/shared" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:8192);
@@ -246,8 +148,9 @@ let test_nfs_stale_read_under_concurrent_sharing () =
       let slow_probe =
         { Nfs.Nfs_client.default_config with attr_min = 30.0; attr_max = 60.0 }
       in
-      let _, _, m1 = nfs_client ~config:slow_probe w "c1" in
-      let _, _, m2 = nfs_client ~config:slow_probe w "c2" in
+      let protocol = Stack.Nfs_proto slow_probe in
+      let m1 = (mount ~protocol w Stack.Nfs "c1").mounts in
+      let m2 = (mount ~protocol w Stack.Nfs "c2").mounts in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/f" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:4096);
@@ -277,8 +180,8 @@ let test_snfs_consistent_under_concurrent_sharing () =
      disables caching, so the reader sees fresh data *)
   counted (fun count e ->
       let w = make_world e in
-      let _, _, m1 = snfs_client w "c1" in
-      let _, _, m2 = snfs_client w "c2" in
+      let m1 = (mount w Stack.Snfs "c1").mounts in
+      let m2 = (mount w Stack.Snfs "c2").mounts in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/f" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:4096);
@@ -309,8 +212,8 @@ let test_snfs_consistent_under_concurrent_sharing () =
 let test_rfs_invalidate_on_write () =
   counted (fun count e ->
       let w = make_world e in
-      let _, _, m1 = rfs_client w "c1" in
-      let _, _, m2 = rfs_client w "c2" in
+      let m1 = (mount w Stack.Rfs "c1").mounts in
+      let m2 = (mount w Stack.Rfs "c2").mounts in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/f" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:4096);
@@ -338,8 +241,9 @@ let test_snfs_write_aversion () =
      the server (Section 5.4) *)
   counted (fun count e ->
       let w = make_world e in
-      let _, client, m = snfs_client w "c1" in
-      let server = Snfs_setup.get w in
+      let c = mount w Stack.Snfs "c1" in
+      let m = c.mounts in
+      let server = snfs_server w in
       let writes_before =
         Stats.Counter.get (Snfs.Snfs_server.counters server) "write"
       in
@@ -353,30 +257,29 @@ let test_snfs_write_aversion () =
         Stats.Counter.get (Snfs.Snfs_server.counters server) "write"
       in
       Alcotest.(check int) "no write RPCs at all" writes_before writes_after;
-      let cache = Blockcache.Cache.name (Snfs.Snfs_client.cache client) in
+      let cache = Blockcache.Cache.name c.stack.cache in
       Alcotest.(check bool) "writes averted counted" true
         (count ~labels:[ ("cache", cache) ] "cache_writes_averted_total" >= 16))
 
 let test_nfs_cannot_avert_writes () =
   run_sim (fun e ->
       let w = make_world e in
-      let _, _, m = nfs_client w "c1" in
-      let server = Nfs_setup.get w in
+      let m = (mount w Stack.Nfs "c1").mounts in
+      let service = service w Stack.Nfs in
       let fd = Vfs.Fileio.creat m "/tmpfile" in
       ignore (Vfs.Fileio.write fd ~len:65536);
       Vfs.Fileio.close fd;
       Vfs.Fileio.unlink m "/tmpfile";
-      let writes =
-        calls (Nfs.Nfs_server.service server) "write"
-      in
-      Alcotest.(check int) "all 16 blocks written through" 16 writes)
+      Alcotest.(check int) "all 16 blocks written through" 16
+        (calls service "write"))
 
 let test_snfs_syncer_writes_back () =
   run_sim (fun e ->
       let w = make_world e in
-      let _, client, m = snfs_client w "c1" in
-      Snfs.Snfs_client.start_syncer client ~interval:30.0;
-      let server = Snfs_setup.get w in
+      let c = mount w Stack.Snfs "c1" in
+      let m = c.mounts in
+      Snfs.Snfs_client.start_syncer (snfs_client c) ~interval:30.0;
+      let server = snfs_server w in
       let fd = Vfs.Fileio.creat m "/data" in
       ignore (Vfs.Fileio.write fd ~len:16384);
       Vfs.Fileio.close fd;
@@ -391,16 +294,17 @@ let test_snfs_closed_dirty_callback_on_other_reader () =
      server calls the last writer back and the reader sees the data *)
   run_sim (fun e ->
       let w = make_world e in
-      let _, c1, m1 = snfs_client w "c1" in
-      let _, _, m2 = snfs_client w "c2" in
-      let server = Snfs_setup.get w in
+      let c1 = mount w Stack.Snfs "c1" in
+      let m1 = c1.mounts in
+      let m2 = (mount w Stack.Snfs "c2").mounts in
+      let server = snfs_server w in
       let stamp = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/dirtyfile" in
       ignore (Vfs.Fileio.write ~stamp fd ~len:8192);
       Vfs.Fileio.close fd;
       (* dirty blocks still at client 1 *)
       Alcotest.(check int) "dirty at client" 2
-        (Blockcache.Cache.dirty_count (Snfs.Snfs_client.cache c1)
+        (Blockcache.Cache.dirty_count c1.stack.cache
            ~file:(Vfs.Fileio.stat m1 "/dirtyfile").Localfs.ino);
       let fd2 = Vfs.Fileio.openf m2 "/dirtyfile" Vfs.Fs.Read_only in
       let observed = Vfs.Fileio.read fd2 ~len:8192 in
@@ -415,8 +319,8 @@ let test_snfs_version_revalidation_avoids_rereads () =
   (* close then reopen: cache revalidates by version, no data re-read *)
   run_sim (fun e ->
       let w = make_world e in
-      let _, _, m = snfs_client w "c1" in
-      let server = Snfs_setup.get w in
+      let m = (mount w Stack.Snfs "c1").mounts in
+      let server = snfs_server w in
       let fd = Vfs.Fileio.creat m "/f" in
       ignore (Vfs.Fileio.write fd ~len:16384);
       Vfs.Fileio.close fd;
@@ -432,54 +336,48 @@ let test_snfs_version_revalidation_avoids_rereads () =
 let test_nfs_bug_forces_rereads () =
   run_sim (fun e ->
       let w = make_world e in
-      let _, _, m = nfs_client w "c1" in
-      let server = Nfs_setup.get w in
+      let m = (mount w Stack.Nfs "c1").mounts in
+      let service = service w Stack.Nfs in
       let fd = Vfs.Fileio.creat m "/f" in
       ignore (Vfs.Fileio.write fd ~len:16384);
       Vfs.Fileio.close fd;
-      let reads_before =
-        calls (Nfs.Nfs_server.service server) "read"
-      in
+      let reads_before = calls service "read" in
       ignore (Vfs.Fileio.read_file m "/f");
-      let reads_after =
-        calls (Nfs.Nfs_server.service server) "read"
-      in
+      let reads_after = calls service "read" in
       Alcotest.(check bool) "invalidate-on-close forces re-reads" true
         (reads_after - reads_before >= 4))
 
 let test_nfs_fixed_client_keeps_cache () =
   run_sim (fun e ->
       let w = make_world e in
-      let fixed =
-        { Nfs.Nfs_client.default_config with invalidate_on_close = false }
+      let protocol =
+        Stack.Nfs_proto
+          { Nfs.Nfs_client.default_config with invalidate_on_close = false }
       in
-      let _, _, m = nfs_client ~config:fixed w "c1" in
-      let server = Nfs_setup.get w in
+      let m = (mount ~protocol w Stack.Nfs "c1").mounts in
+      let service = service w Stack.Nfs in
       let fd = Vfs.Fileio.creat m "/f" in
       ignore (Vfs.Fileio.write fd ~len:16384);
       Vfs.Fileio.close fd;
-      let reads_before =
-        calls (Nfs.Nfs_server.service server) "read"
-      in
+      let reads_before = calls service "read" in
       ignore (Vfs.Fileio.read_file m "/f");
-      let reads_after =
-        calls (Nfs.Nfs_server.service server) "read"
-      in
+      let reads_after = calls service "read" in
       Alcotest.(check int) "fixed client reads from cache" reads_before
         reads_after)
 
 let test_snfs_delayed_close () =
   counted (fun count e ->
       let w = make_world e in
-      let config =
-        {
-          Snfs.Snfs_client.default_config with
-          delayed_close = true;
-          delayed_close_timeout = 60.0;
-        }
+      let protocol =
+        Stack.Snfs_proto
+          {
+            Snfs.Snfs_client.default_config with
+            delayed_close = true;
+            delayed_close_timeout = 60.0;
+          }
       in
-      let _, _, m = snfs_client ~config w "c1" in
-      let server = Snfs_setup.get w in
+      let m = (mount ~protocol w Stack.Snfs "c1").mounts in
+      let server = snfs_server w in
       let fd = Vfs.Fileio.creat m "/header.h" in
       ignore (Vfs.Fileio.write fd ~len:4096);
       Vfs.Fileio.close fd;
@@ -506,13 +404,15 @@ let test_snfs_delayed_close () =
 let test_snfs_crash_recovery () =
   run_sim (fun e ->
       let w = make_world e in
-      let _, c1, m1 = snfs_client w "c1" in
-      let _, c2, m2 = snfs_client w "c2" in
-      let server = Snfs_setup.get w in
+      let c1 = mount w Stack.Snfs "c1" in
+      let c2 = mount w Stack.Snfs "c2" in
+      let m1 = c1.mounts and m2 = c2.mounts in
+      let server = snfs_server w in
       (* each keepalive learns the boot epoch, and replays its client's
          state once a ping sees a new one *)
       List.iter
-        (fun c -> Snfs.Snfs_client.start_keepalive c ~interval:1.0)
+        (fun c ->
+          Snfs.Snfs_client.start_keepalive (snfs_client c) ~interval:1.0)
         [ c1; c2 ];
       (* build interesting state: c1 writes (open), c2 reads another *)
       ignore (Vfs.Fileio.creat m1 "/a" |> fun fd ->
@@ -531,9 +431,9 @@ let test_snfs_crash_recovery () =
       Alcotest.(check bool) "server holds state" true
         (List.length table_before > 0);
       (* crash and reboot the server; clients replay their state *)
-      Netsim.Net.Host.crash w.server_host;
+      Netsim.Net.Host.crash w.cluster.server_host;
       Sim.Engine.sleep e 5.0;
-      Netsim.Net.Host.reboot w.server_host;
+      Netsim.Net.Host.reboot w.cluster.server_host;
       (* a ping triggers the service restart hook that clears the
          table; then the clients re-send their opens *)
       Sim.Engine.sleep e 10.0;
@@ -562,9 +462,9 @@ let test_snfs_dead_client_callback () =
      times out the callback, forgets the dead client, and proceeds *)
   counted (fun count e ->
       let w = make_world e in
-      let h1, _, m1 = snfs_client w "c1" in
-      let _, _, m2 = snfs_client w "c2" in
-      let server = Snfs_setup.get w in
+      let { Cluster.host = h1; mounts = m1; _ } = mount w Stack.Snfs "c1" in
+      let m2 = (mount w Stack.Snfs "c2").mounts in
+      let server = snfs_server w in
       let fd = Vfs.Fileio.creat m1 "/doomed" in
       ignore (Vfs.Fileio.write fd ~len:8192);
       Vfs.Fileio.close fd;
@@ -591,35 +491,29 @@ let test_snfs_relinquish_reclaims_delayed_closes () =
      them to let go, and the blocked open then succeeds. *)
   run_sim (fun e ->
       let w = make_world e in
-      (* a dedicated small-table server, on a host of its own *)
-      let small_fs = w.server_fs in
-      let server_host = Netsim.Net.Host.create w.net "small-server" in
-      let server =
-        Snfs.Snfs_server.serve w.rpc server_host ~fsid:9
-          ~max_table_entries:4 small_fs
+      let protocol =
+        Stack.Snfs_proto
+          {
+            Snfs.Snfs_client.default_config with
+            delayed_close = true;
+            delayed_close_timeout = 10_000.0 (* never spontaneous *);
+          }
       in
-      let host = Netsim.Net.Host.create w.net "dc" in
-      let client =
-        Snfs.Snfs_client.mount w.rpc ~client:host ~server:server_host
-          ~root:(Snfs.Snfs_server.root_fh server)
-          ~config:
-            {
-              Snfs.Snfs_client.default_config with
-              delayed_close = true;
-              delayed_close_timeout = 10_000.0 (* never spontaneous *);
-            }
-          ~name:"dc" ()
+      let m = (mount ~protocol w Stack.Snfs "dc").mounts in
+      let server = snfs_server w in
+      let max_entries =
+        Spritely.State_table.max_entries (Snfs.Snfs_server.state_table server)
       in
-      let m = Vfs.Mount.create () in
-      Vfs.Mount.mount m ~at:"/" (Snfs.Snfs_client.fs client);
-      (* touch enough files that their delayed closes fill the table *)
-      for i = 1 to 5 do
+      (* touch one file more than the table holds: their delayed closes
+         fill it *)
+      let files = max_entries + 1 in
+      for i = 1 to files do
         Vfs.Fileio.write_file m (Printf.sprintf "/f%d" i) ~bytes:100
       done;
       (* every write_file is open+close; the closes were withheld, so
-         the 5th file needed a relinquish to find a slot — and all five
+         the last file needed a relinquish to find a slot — and all the
          writes succeeded *)
-      for i = 1 to 5 do
+      for i = 1 to files do
         Alcotest.(check bool)
           (Printf.sprintf "f%d exists" i)
           true
@@ -627,7 +521,7 @@ let test_snfs_relinquish_reclaims_delayed_closes () =
       done;
       let table = Snfs.Snfs_server.state_table server in
       Alcotest.(check bool) "table stayed within bounds" true
-        (Spritely.State_table.entry_count table <= 4);
+        (Spritely.State_table.entry_count table <= max_entries);
       Alcotest.(check bool) "server issued relinquish callbacks" true
         (Snfs.Snfs_server.callbacks_sent server > 0))
 
@@ -637,9 +531,9 @@ let test_kent_block_granularity_sharing () =
      caches for the whole file) *)
   counted (fun count e ->
       let w = make_world e in
-      let _, _, m1 = kent_client w "k1" in
-      let _, _, m2 = kent_client w "k2" in
-      let server = Kent_setup.get w in
+      let m1 = (mount w Stack.Kent "k1").mounts in
+      let m2 = (mount w Stack.Kent "k2").mounts in
+      let service = service w Stack.Kent in
       (* client 1 creates a 4-block file *)
       let fd = Vfs.Fileio.creat m1 "/shared" in
       ignore (Vfs.Fileio.write fd ~len:(4 * 4096));
@@ -661,7 +555,7 @@ let test_kent_block_granularity_sharing () =
       (* steady state: both write their own blocks with NO traffic at
          all — this is the case SNFS handles by disabling caching *)
       let writes_before =
-        calls (Kentfs.Kent_server.service server) "write"
+        calls service "write"
       in
       for _ = 1 to 10 do
         Vfs.Fileio.seek fd1 0;
@@ -670,7 +564,7 @@ let test_kent_block_granularity_sharing () =
         ignore (Vfs.Fileio.write fd2 ~len:4096)
       done;
       Alcotest.(check int) "steady state: zero write RPCs" writes_before
-        (calls (Kentfs.Kent_server.service server) "write");
+        (calls service "write");
       Alcotest.(check int) "steady state: no more acquires" 1
         (count ~labels:(host "k2") "kent_acquires_total");
       Vfs.Fileio.close fd1;
@@ -679,8 +573,8 @@ let test_kent_block_granularity_sharing () =
 let test_kent_read_recalls_dirty_block () =
   counted (fun count e ->
       let w = make_world e in
-      let _, _, m1 = kent_client w "k1" in
-      let _, _, m2 = kent_client w "k2" in
+      let m1 = (mount w Stack.Kent "k1").mounts in
+      let m2 = (mount w Stack.Kent "k2").mounts in
       (* writer holds a dirty owned block *)
       let stamp = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/doc" in
@@ -703,26 +597,18 @@ let test_snfs_recovery_grace_period () =
      it to change." A rebooted server with a grace period refuses opens
      from unrecovered clients, while recovered clients proceed. *)
   run_sim (fun e ->
-      let w = make_world e in
-      (* a server of its own, on a host of its own *)
-      let server_host = Netsim.Net.Host.create w.net "grace-server" in
+      (* a cluster of its own, whose server has a grace period *)
+      let cluster = Cluster.create e in
       let server =
-        Snfs.Snfs_server.serve w.rpc server_host ~fsid:9 ~recovery_grace:20.0
-          w.server_fs
+        Cluster.serve ~recovery_grace:20.0 cluster ~fsid:9 Stack.Snfs
       in
+      let server_host = cluster.server_host in
       let client_on name =
-        let host = Netsim.Net.Host.create w.net name in
-        let c =
-          Snfs.Snfs_client.mount w.rpc ~client:host ~server:server_host
-            ~root:(Snfs.Snfs_server.root_fh server) ~name ()
-        in
-        let m = Vfs.Mount.create () in
-        Vfs.Mount.mount m ~at:"/" (Snfs.Snfs_client.fs c);
-        (c, m)
+        Cluster.mount cluster server ~host:name ~name (Stack.default Stack.Snfs)
       in
-      let c1, m1 = client_on "g1" in
-      let _c2, m2 = client_on "g2" in
-      Snfs.Snfs_client.start_keepalive c1 ~interval:1.0;
+      let c1 = client_on "g1" in
+      let m1 = c1.mounts and m2 = (client_on "g2").mounts in
+      Snfs.Snfs_client.start_keepalive (snfs_client c1) ~interval:1.0;
       Vfs.Fileio.write_file m1 "/a" ~bytes:4096;
       Vfs.Fileio.write_file m2 "/b" ~bytes:4096;
       Sim.Engine.sleep e 1.5;
@@ -750,10 +636,10 @@ let test_snfs_client_reaper () =
      server's keepalive-based reaper notices and reclaims its state *)
   run_sim (fun e ->
       let w = make_world e in
-      let server = Snfs_setup.get w in
+      let server = snfs_server w in
       Snfs.Snfs_server.start_laundromat ~lease:30.0 ~courtesy_lifetime:0.0
         server ~interval:20.0;
-      let h1, _, m1 = snfs_client w "c1" in
+      let { Cluster.host = h1; mounts = m1; _ } = mount w Stack.Snfs "c1" in
       let fd = Vfs.Fileio.creat m1 "/held-open" in
       ignore (Vfs.Fileio.write fd ~len:4096);
       (* fd deliberately left open; the client dies silently *)
@@ -771,7 +657,7 @@ let test_snfs_client_reaper () =
                (Spritely.State_table.openers table ~file))
            (Spritely.State_table.files table));
       (* a live-but-quiet client is probed, answers, and is kept *)
-      let _, _, m2 = snfs_client w "c2" in
+      let m2 = (mount w Stack.Snfs "c2").mounts in
       let fd2 = Vfs.Fileio.openf m2 "/held-open" Vfs.Fs.Read_only in
       Sim.Engine.sleep e 200.0;
       Alcotest.(check int) "live client not reaped" 1
@@ -786,14 +672,15 @@ let test_snfs_client_reaper () =
 let test_unknown_procedure_is_stale () =
   run_sim (fun e ->
       let w = make_world e in
-      let hybrid_host = Netsim.Net.Host.create w.net "hybrid" in
-      ignore (Snfs.Hybrid_server.serve w.rpc hybrid_host ~fsid:5 w.server_fs);
-      let snfs_host, _, _ = snfs_client w "snfs-c" in
-      let rfs_host, _, _ = rfs_client w "rfs-c" in
-      let kent_host, _, _ = kent_client w "kent-c" in
-      let prober = Netsim.Net.Host.create w.net "prober" in
+      let { Cluster.net; rpc; server_host; server_fs; _ } = w.cluster in
+      let hybrid_host = Netsim.Net.Host.create net "hybrid" in
+      ignore (Snfs.Hybrid_server.serve rpc hybrid_host ~fsid:5 server_fs);
+      let snfs_host = (mount w Stack.Snfs "snfs-c").host in
+      let rfs_host = (mount w Stack.Rfs "rfs-c").host in
+      let kent_host = (mount w Stack.Kent "kent-c").host in
+      let prober = Netsim.Net.Host.create net "prober" in
       let call dst ~prog ~proc =
-        Netsim.Rpc.call w.rpc ~src:prober ~dst ~prog ~proc Bytes.empty
+        Netsim.Rpc.call rpc ~src:prober ~dst ~prog ~proc Bytes.empty
       in
       (* the whole reply is the status: nothing else is decoded or sent *)
       let stale =
@@ -806,10 +693,10 @@ let test_unknown_procedure_is_stale () =
           Alcotest.(check bool) (label ^ ": just Error Stale") true
             (Bytes.equal stale (call dst ~prog ~proc:"no-such-proc")))
         [
-          ("nfs server", w.server_host, "nfs");
-          ("snfs server", w.server_host, "snfs");
-          ("rfs server", w.server_host, "rfs");
-          ("kent server", w.server_host, "kent");
+          ("nfs server", server_host, "nfs");
+          ("snfs server", server_host, "snfs");
+          ("rfs server", server_host, "rfs");
+          ("kent server", server_host, "kent");
           ("hybrid server, NFS half", hybrid_host, "nfs");
           ("snfs client", snfs_host, "snfs_cb.2");
           ("rfs client", rfs_host, "rfs_cb.3");
@@ -1036,22 +923,22 @@ let test_trailing_byte_refused () =
     (fun () -> serve (with_byte args))
 
 let () =
-  let conformance name make =
-    ( name ^ " conformance",
+  let conformance kind =
+    ( Stack.kind_name kind ^ " conformance",
       [
-        Alcotest.test_case "basic ops" `Quick (basic_ops_roundtrip make);
+        Alcotest.test_case "basic ops" `Quick (basic_ops_roundtrip kind);
         Alcotest.test_case "namespace and fsync" `Quick
-          (namespace_and_fsync make);
+          (namespace_and_fsync kind);
         Alcotest.test_case "sequential write sharing" `Quick
-          (sequential_write_sharing make);
+          (sequential_write_sharing kind);
       ] )
   in
   Alcotest.run "protocols"
     [
-      conformance "nfs" (fun w n -> nfs_client w n);
-      conformance "snfs" (fun w n -> snfs_client w n);
-      conformance "rfs" (fun w n -> rfs_client w n);
-      conformance "kent" (fun w n -> kent_client w n);
+      conformance Stack.Nfs;
+      conformance Stack.Snfs;
+      conformance Stack.Rfs;
+      conformance Stack.Kent;
       ( "consistency",
         [
           Alcotest.test_case "NFS stale concurrent read" `Quick

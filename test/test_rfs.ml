@@ -5,53 +5,21 @@
    writer still holds the file, partial blocks become visible at close,
    and version revalidation keeps the no-sharing fast path cheap. *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
+open Harness
 
-(* [run_sim] under a fresh metrics registry: [f] also gets [count],
-   the run's count so far of one registry counter under one label set *)
-let counted f =
-  let m = Obs.Metrics.create () in
-  let count ~labels name = Obs.Metrics.counter_value m ~labels name in
-  Obs.Metrics.with_metrics m (fun () -> run_sim (f count))
+module Cluster = Experiments.Cluster
+module Stack = Experiments.Stack
 
-type world = {
-  net : Netsim.Net.t;
-  rpc : Netsim.Rpc.t;
-  server_host : Netsim.Net.Host.t;
-  rfs_server : Rfs.Rfs_server.t;
-}
+type world = { cluster : Cluster.t; server : Stack.server }
 
 let make_world e =
-  let net = Netsim.Net.create e () in
-  let rpc = Netsim.Rpc.create net () in
-  let server_host = Netsim.Net.Host.create net "server" in
-  let server_disk = Diskm.Disk.create e "server-disk" in
-  let server_fs =
-    Localfs.create e ~name:"srvfs" ~disk:server_disk ~cache_blocks:896
-      ~meta_policy:`Sync ()
-  in
-  let rfs_server = Rfs.Rfs_server.serve rpc server_host ~fsid:3 server_fs in
-  { net; rpc; server_host; rfs_server }
+  let cluster = Cluster.create e in
+  { cluster; server = Cluster.serve cluster ~fsid:3 Stack.Rfs }
 
-let rfs_client w name =
-  let host = Netsim.Net.Host.create w.net name in
-  let client =
-    Rfs.Rfs_client.mount w.rpc ~client:host ~server:w.server_host
-      ~root:(Rfs.Rfs_server.root_fh w.rfs_server)
-      ~name ()
-  in
-  let mounts = Vfs.Mount.create () in
-  Vfs.Mount.mount mounts ~at:"/" (Rfs.Rfs_client.fs client);
-  (host, client, mounts)
+(* a client host [name] with the RFS stack mounted at / *)
+let mount w name =
+  (Cluster.mount w.cluster w.server ~host:name ~name (Stack.default Stack.Rfs))
+    .Cluster.mounts
 
 let first_stamp = function
   | (s, _) :: _ -> s
@@ -63,8 +31,8 @@ let test_concurrent_sharing_visibility () =
      data, because RFS writes through and invalidates reader caches *)
   counted (fun count e ->
       let w = make_world e in
-      let _, _, m1 = rfs_client w "c1" in
-      let _, _, m2 = rfs_client w "c2" in
+      let m1 = mount w "c1" in
+      let m2 = mount w "c2" in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/f" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:4096);
@@ -94,8 +62,8 @@ let test_partial_block_visible_at_close () =
      from then on) *)
   run_sim (fun e ->
       let w = make_world e in
-      let _, _, m1 = rfs_client w "c1" in
-      let _, _, m2 = rfs_client w "c2" in
+      let m1 = mount w "c1" in
+      let m2 = mount w "c2" in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/p" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:100);
@@ -121,13 +89,12 @@ let test_version_revalidation_avoids_rereads () =
      validates the cache and no data is re-read from the server *)
   run_sim (fun e ->
       let w = make_world e in
-      let _, _, m = rfs_client w "c1" in
-      let server = w.rfs_server in
+      let m = mount w "c1" in
       let fd = Vfs.Fileio.creat m "/f" in
       ignore (Vfs.Fileio.write fd ~len:16384);
       Vfs.Fileio.close fd;
       Sim.Engine.sleep e 1.0;
-      let calls = Netsim.Rpc.counters (Rfs.Rfs_server.service server) in
+      let calls = Netsim.Rpc.counters w.server.service in
       let reads_before = Stats.Counter.get calls "read" in
       ignore (Vfs.Fileio.read_file m "/f");
       let reads_after = Stats.Counter.get calls "read" in

@@ -1,17 +1,7 @@
 (* Tests for the discrete-event engine and its synchronization
    primitives. *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      (* daemons (syncers etc.) would keep the queue alive forever *)
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
+open Harness
 
 (* ---- event queue ---- *)
 

@@ -1,26 +1,7 @@
 (* Tests for the GFS layer: mount table and path resolution, the file
    descriptor API, and the local-mount adapter. *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
-
-(* [run_sim] under a fresh metrics registry, where the disk
-   statistics are counted: [f] also gets [total], the run's count so far
-   of one registry counter, summed over its labels *)
-let counted f =
-  let m = Obs.Metrics.create () in
-  let total name =
-    List.fold_left (fun a (_, n) -> a + n) 0 (Obs.Metrics.counters_with m name)
-  in
-  Obs.Metrics.with_metrics m (fun () -> run_sim (f total))
+open Harness
 
 let make_local e name =
   let disk = Diskm.Disk.create e (name ^ "-disk") in

@@ -3,16 +3,7 @@
    microbenchmark — all over the local file system, where the expected
    I/O is easy to reason about. *)
 
-let run_sim f =
-  let e = Sim.Engine.create () in
-  let result = ref None in
-  Sim.Engine.spawn e ~name:"test-main" (fun () ->
-      result := Some (f e);
-      Sim.Engine.stop e);
-  Sim.Engine.run e;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "simulation main process did not complete"
+open Harness
 
 let make_ctx e =
   let net = Netsim.Net.create e () in
