@@ -37,12 +37,12 @@ type violation = string * string
 let writers fo = List.filter (fun (_, _, w) -> w > 0) fo.o_openers
 let any_cachable fo = List.exists (fun b -> b) fo.o_can_cache
 
-let check_state ~max_entries ~entry_count obs =
+let check_state ~entry_count obs =
   let out = ref [] in
   let bad inv fmt = Printf.ksprintf (fun d -> out := (inv, d) :: !out) fmt in
-  if entry_count > max_entries then
+  if entry_count > St.max_entries then
     bad "table-bound" "entry_count %d exceeds max_entries %d" entry_count
-      max_entries;
+      St.max_entries;
   List.iter
     (fun (file, fo) ->
       (* at most one writer whenever any client may still cache *)

@@ -42,7 +42,7 @@ type violation = string * string
     any client may cache (Section 3.1), WRITE_SHARED implies no client
     cachable (Section 4.2.1), derived-state consistency with the open
     counts, and the table-size bound (Section 4.3.1). *)
-val check_state : max_entries:int -> entry_count:int -> obs -> violation list
+val check_state : entry_count:int -> obs -> violation list
 
 (** Invariants of one transition [pre --op--> post]: version-number
     monotonicity (Section 4.3.3), callbacks-before-reply never target

@@ -9,12 +9,14 @@
 module type LIFE = sig
   type t
 
-  val create : ?courtesy_lifetime:float -> unit -> t
+  val create : unit -> t
   val state : t -> client:int -> Spritely.Lifecycle.state
   val demote : t -> client:int -> now:float -> bool
   val note_conflict : t -> client:int -> bool
   val revive : t -> client:int -> bool
-  val due : t -> now:float -> (int * Spritely.Lifecycle.state) list
+  val due :
+    t -> now:float -> courtesy_lifetime:float ->
+    (int * Spritely.Lifecycle.state) list
   val to_list : t -> (int * Spritely.Lifecycle.state * float) list
   val forget : t -> client:int -> unit
   val copy : t -> t
@@ -35,6 +37,7 @@ let clients = 3
 
 (* courtesy lifetime, in [Tick] steps *)
 let lifetime_steps = 2
+let courtesy_lifetime = float_of_int lifetime_steps
 
 (* ---- pure reference model ---- *)
 
@@ -138,8 +141,8 @@ module Make (L : LIFE) = struct
      harmless), and verify the reap took. *)
   let scan impl m ~now =
     let at = float_of_int now in
-    let due1 = L.due impl ~now:at in
-    let due2 = L.due impl ~now:at in
+    let due1 = L.due impl ~now:at ~courtesy_lifetime in
+    let due2 = L.due impl ~now:at ~courtesy_lifetime in
     let lingering =
       List.filter
         (fun e -> lingers e ~now && not (List.mem_assoc e.m_client due1))
@@ -168,7 +171,7 @@ module Make (L : LIFE) = struct
               L.forget impl ~client:c)
             due1;
           let m = List.fold_left (fun m (c, _) -> m_forget m c) m due1 in
-          match L.due impl ~now:at with
+          match L.due impl ~now:at ~courtesy_lifetime with
           | [] -> (m, check_states impl m)
           | after ->
               ( m,
@@ -210,7 +213,7 @@ module Make (L : LIFE) = struct
     {
       Explore.initial =
         {
-          impl = L.create ~courtesy_lifetime:(float_of_int lifetime_steps) ();
+          impl = L.create ();
           model = [];
           now = 0;
         };

@@ -28,12 +28,14 @@
 module type LIFE = sig
   type t
 
-  val create : ?courtesy_lifetime:float -> unit -> t
+  val create : unit -> t
   val state : t -> client:int -> Spritely.Lifecycle.state
   val demote : t -> client:int -> now:float -> bool
   val note_conflict : t -> client:int -> bool
   val revive : t -> client:int -> bool
-  val due : t -> now:float -> (int * Spritely.Lifecycle.state) list
+  val due :
+    t -> now:float -> courtesy_lifetime:float ->
+    (int * Spritely.Lifecycle.state) list
   val to_list : t -> (int * Spritely.Lifecycle.state * float) list
   val forget : t -> client:int -> unit
   val copy : t -> t

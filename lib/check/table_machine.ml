@@ -3,7 +3,7 @@ module St = Spritely.State_table
 module type TABLE = sig
   type t
 
-  val create : ?max_entries:int -> unit -> t
+  val create : unit -> t
   val copy : t -> t
   val open_file : t -> file:int -> client:int -> mode:St.mode -> St.open_result
   val close_file : t -> file:int -> client:int -> mode:St.mode -> unit
@@ -18,9 +18,8 @@ module type TABLE = sig
   val was_inconsistent : t -> file:int -> bool
   val files : t -> int list
   val entry_count : t -> int
-  val max_entries : t -> int
   val to_reports : t -> St.client_report list
-  val of_reports : ?max_entries:int -> St.client_report list -> t
+  val of_reports : St.client_report list -> t
   val merge_report : t -> St.client_report -> unit
   val equal : t -> t -> bool
 end
@@ -188,7 +187,7 @@ module Make (T : TABLE) = struct
     let out = ref [] in
     let bad inv fmt = Printf.ksprintf (fun d -> out := (inv, d) :: !out) fmt in
     let reports = T.to_reports t in
-    let rebuilt = T.of_reports ~max_entries:(T.max_entries t) reports in
+    let rebuilt = T.of_reports reports in
     let reconstructible file =
       T.openers t ~file <> [] || T.last_writer t ~file <> None
     in
@@ -221,7 +220,7 @@ module Make (T : TABLE) = struct
       obs_t;
     (* trickle-in: merging the reports one at a time, in any order,
        builds the same table of_reports builds in one shot *)
-    let trickled = T.create ~max_entries:(T.max_entries t) () in
+    let trickled = T.create () in
     List.iter (fun r -> T.merge_report trickled r) (List.rev reports);
     if not (T.equal trickled rebuilt) then
       bad "recovery-trickle-in" "merge_report order changes the rebuilt table";
@@ -243,8 +242,7 @@ module Make (T : TABLE) = struct
           let model, expected = Model.apply s.model op in
           let obs = observe table in
           ( { table; model; obs },
-            Invariant.check_state ~max_entries:(T.max_entries table)
-              ~entry_count:(T.entry_count table) obs
+            Invariant.check_state ~entry_count:(T.entry_count table) obs
             @ Invariant.check_transition ~pre:s.obs ~op ~result ~post:obs
             @ Invariant.diff_obs
                 ~expected:(Model.observe model ~clients ~files)

@@ -21,7 +21,7 @@ module St := Spritely.State_table
 module type TABLE = sig
   type t
 
-  val create : ?max_entries:int -> unit -> t
+  val create : unit -> t
   val copy : t -> t
   val open_file : t -> file:int -> client:int -> mode:St.mode -> St.open_result
   val close_file : t -> file:int -> client:int -> mode:St.mode -> unit
@@ -36,9 +36,8 @@ module type TABLE = sig
   val was_inconsistent : t -> file:int -> bool
   val files : t -> int list
   val entry_count : t -> int
-  val max_entries : t -> int
   val to_reports : t -> St.client_report list
-  val of_reports : ?max_entries:int -> St.client_report list -> t
+  val of_reports : St.client_report list -> t
   val merge_report : t -> St.client_report -> unit
   val equal : t -> t -> bool
 end

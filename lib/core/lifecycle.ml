@@ -19,17 +19,9 @@ type entry = {
   e_since : float; (* when the client was demoted out of Active *)
 }
 
-type t = {
-  entries : (int, entry) Hashtbl.t;
-  courtesy_lifetime : float;
-}
+type t = { entries : (int, entry) Hashtbl.t }
 
-let create ?(courtesy_lifetime = 300.0) () =
-  if courtesy_lifetime < 0.0 then
-    invalid_arg "Lifecycle.create: courtesy_lifetime must be >= 0";
-  { entries = Hashtbl.create 8; courtesy_lifetime }
-
-let courtesy_lifetime t = t.courtesy_lifetime
+let create () = { entries = Hashtbl.create 8 }
 
 let state t ~client =
   match Hashtbl.find_opt t.entries client with
@@ -69,11 +61,13 @@ let to_list t =
     t.entries []
   |> List.sort compare
 
-let due t ~now =
+let due t ~now ~courtesy_lifetime =
+  if courtesy_lifetime < 0.0 then
+    invalid_arg "Lifecycle.due: courtesy_lifetime must be >= 0";
   Hashtbl.fold
     (fun client e acc ->
       if e.e_expirable then (client, Expirable) :: acc
-      else if now -. e.e_since >= t.courtesy_lifetime then
+      else if now -. e.e_since >= courtesy_lifetime then
         (client, Courtesy) :: acc
       else acc)
     t.entries []
@@ -96,4 +90,4 @@ let reset t = Hashtbl.reset t.entries
 let copy t =
   let entries = Hashtbl.create (max 8 (Hashtbl.length t.entries)) in
   Hashtbl.iter (fun client e -> Hashtbl.replace entries client { e with e_expirable = e.e_expirable }) t.entries;
-  { t with entries }
+  { entries }

@@ -22,9 +22,10 @@
     - {b expirable-only-on-conflict}: an entry is [Expirable] only after
       {!note_conflict} succeeded on it while it was [Courtesy];
     - {b courtesy-cannot-linger-past-lifetime}: any [Courtesy] entry
-      with [now - since >= courtesy_lifetime] appears in {!due} [~now];
-    - {b reclaim-idempotence}: {!due} is read-only (two calls at the
-      same [now] agree), and after forgetting everything due, a third
+      with [now - since >= courtesy_lifetime] appears in {!due} [~now
+      ~courtesy_lifetime];
+    - {b reclaim-idempotence}: {!due} is read-only (two calls with the
+      same arguments agree), and after forgetting everything due, a third
       call returns the empty list; {!forget} of an absent client is a
       no-op. *)
 
@@ -34,13 +35,8 @@ val state_to_string : state -> string
 
 type t
 
-(** [create ~courtesy_lifetime ()] — how long a Courtesy client may
-    stay before the laundromat reaps it anyway (default 300 s). A
-    lifetime of [0] degenerates to the legacy one-step reaper: a
-    demoted client is due immediately. *)
-val create : ?courtesy_lifetime:float -> unit -> t
-
-val courtesy_lifetime : t -> float
+(** [create ()] makes a ledger with every client Active. *)
+val create : unit -> t
 
 (** [Active] when the client has no entry. *)
 val state : t -> client:int -> state
@@ -67,9 +63,11 @@ val note_conflict : t -> client:int -> bool
 val revive : t -> client:int -> bool
 
 (** Every client the laundromat must reap now: all Expirable clients
-    plus Courtesy clients demoted at least a courtesy lifetime ago.
+    plus Courtesy clients demoted at least [courtesy_lifetime] seconds
+    ago. A lifetime of [0] makes a demoted client due at once (a
+    one-step reaper); a negative one raises [Invalid_argument].
     Read-only; sorted by client id. *)
-val due : t -> now:float -> (int * state) list
+val due : t -> now:float -> courtesy_lifetime:float -> (int * state) list
 
 (** Non-Active clients with their state and demotion time, sorted by
     client id (the laundromat's probe list). *)

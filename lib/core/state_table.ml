@@ -50,19 +50,18 @@ type fentry = {
 
 type t = {
   entries : (int, fentry) Hashtbl.t;
-  max : int;
   mutable counter : Version.t; (* global version source, Section 4.3.3 *)
   mutable op_seq : int; (* activity clock for reclamation *)
 }
 
 exception Table_full
 
-let create ?(max_entries = 1000) () =
-  if max_entries <= 0 then invalid_arg "State_table.create";
-  { entries = Hashtbl.create 64; max = max_entries; counter = 0; op_seq = 0 }
+(* Section 4.3.1: the table holds up to 1000 files *)
+let max_entries = 1000
+
+let create () = { entries = Hashtbl.create 64; counter = 0; op_seq = 0 }
 
 let entry_count t = Hashtbl.length t.entries
-let max_entries t = t.max
 
 let copy t =
   let entries = Hashtbl.create (max 64 (Hashtbl.length t.entries)) in
@@ -88,7 +87,7 @@ let copy t =
           f_activity = f.f_activity;
         })
     t.entries;
-  { entries; max = t.max; counter = t.counter; op_seq = t.op_seq }
+  { entries; counter = t.counter; op_seq = t.op_seq }
 
 (* the paper's accounting: 68 bytes per entry; client info blocks are
    part of that figure for the single-client common case, so charge a
@@ -134,7 +133,8 @@ let get_entry t file =
   | Some f -> (f, [])
   | None ->
       let reclaimed =
-        if Hashtbl.length t.entries >= t.max then reclaim_for_space t else []
+        if Hashtbl.length t.entries >= max_entries then reclaim_for_space t
+        else []
       in
       t.counter <- t.counter + 1;
       let f =
@@ -477,8 +477,8 @@ let merge_report t r =
   if r.r_dirty && r.r_writers = 0 then f.f_last_writer <- Some r.r_client;
   t.counter <- max t.counter f.f_version
 
-let of_reports ?max_entries reports =
-  let t = create ?max_entries () in
+let of_reports reports =
+  let t = create () in
   List.iter (fun r -> merge_report t r) reports;
   let empty =
     Hashtbl.fold

@@ -50,12 +50,15 @@ type open_result = {
 
 type t
 
-(** [create ()] makes an empty table. [max_entries] bounds memory as in
-    Section 4.3.1 (default 1000). *)
-val create : ?max_entries:int -> unit -> t
+(** [create ()] makes an empty table. *)
+val create : unit -> t
+
+(** The bound on a table's entries, fixed at Section 4.3.1's 1000
+    files: an open that would exceed it reclaims an entry or raises
+    {!Table_full}. *)
+val max_entries : int
 
 val entry_count : t -> int
-val max_entries : t -> int
 
 (** Independent deep copy. The model checker ({!module:Check}, when
     linked) branches the table at every explored interleaving, so this
@@ -147,7 +150,7 @@ val to_reports : t -> client_report list
 
 (** Rebuild a table from client reports. The version counter resumes
     above the highest reported version. *)
-val of_reports : ?max_entries:int -> client_report list -> t
+val of_reports : client_report list -> t
 
 (** Merge one report into a (possibly freshly rebooted) table — the
     incremental form servers use while clients trickle in their reopen

@@ -166,7 +166,7 @@ let reread_check () =
           Testbed.create engine ~protocol ~tmp:Testbed.Tmp_remote ()
         in
         let ctx = Testbed.ctx tb in
-        let r = Workload.Reread.run ctx Workload.Reread.default_config in
+        let r = Workload.Reread.run ctx in
         [
           label;
           Report.secs r.Workload.Reread.write_close;

@@ -2,12 +2,11 @@ let run_one ~label ~protocol =
   Driver.run (fun engine ->
       let tb = Testbed.create engine ~protocol ~tmp:Testbed.Tmp_remote () in
       let ctx = Testbed.ctx tb in
-      let config = Workload.Trace.default_config in
-      Workload.Trace.setup ctx config;
+      Workload.Trace.setup ctx;
       Testbed.drain tb ~horizon:65.0;
-      let ops = Workload.Trace.generate config in
+      let ops = Workload.Trace.generate () in
       let r, counts =
-        Testbed.counting tb (fun () -> Workload.Trace.replay ctx config ops)
+        Testbed.counting tb (fun () -> Workload.Trace.replay ctx ops)
       in
       (label, r, counts))
 

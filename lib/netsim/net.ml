@@ -1,13 +1,7 @@
-type params = {
-  latency : float;
-  bandwidth : float;
-  header_bytes : int;
-  jitter : float;
-}
-
-(* the default: a 10 Mbit/s LAN of the paper's era *)
-let default_params =
-  { latency = 0.0003; bandwidth = 1.25e6; header_bytes = 64; jitter = 0.0 }
+(* the paper's testbed: a 10 Mbit/s Ethernet (Section 5.2) *)
+let latency = 0.0003 (* propagation + medium access, seconds *)
+let bandwidth = 1.25e6 (* bytes per second *)
+let header_bytes = 64 (* per-message framing on the wire *)
 
 type host = {
   hnet : t;
@@ -20,7 +14,7 @@ type host = {
 
 and t = {
   engine : Sim.Engine.t;
-  mutable params : params;
+  mutable jitter : float;
   medium : Sim.Resource.t;
   rand : Sim.Rand.t;
   mutable drop_prob : float;
@@ -29,10 +23,10 @@ and t = {
   mutable partitions : (int * int) list; (* normalized (lo, hi) addr pairs *)
 }
 
-let create engine ?(params = default_params) () =
+let create engine () =
   {
     engine;
-    params;
+    jitter = 0.0;
     medium = Sim.Resource.create engine "net.medium";
     rand = Sim.Rand.create 0x5EEDL;
     drop_prob = 0.0;
@@ -49,7 +43,7 @@ let set_drop_probability t p =
 
 let set_jitter t j =
   if j < 0.0 then invalid_arg "Net.set_jitter";
-  t.params <- { t.params with jitter = j }
+  t.jitter <- j
 
 module Host = struct
   type nonrec net = t [@@warning "-34"]
@@ -146,7 +140,7 @@ let send t ~src ~dst ~bytes ~deliver =
   if bytes < 0 then invalid_arg "Net.send: negative size";
   if not src.hup then () (* a dead host transmits nothing *)
   else begin
-    let wire_bytes = bytes + t.params.header_bytes in
+    let wire_bytes = bytes + header_bytes in
     if Obs.Metrics.on () then begin
       Obs.Metrics.incr ~labels:[ ("host", src.hname) ] "net_messages_total";
       Obs.Metrics.incr
@@ -171,12 +165,11 @@ let send t ~src ~dst ~bytes ~deliver =
        queued while the message is on the wire (DESIGN.md 11.1 rule 9). *)
     let finish =
       Sim.Resource.reserve t.medium
-        (float_of_int wire_bytes /. t.params.bandwidth)
+        (float_of_int wire_bytes /. bandwidth)
     in
     let delay =
-      if t.params.jitter > 0.0 then
-        t.params.latency +. (Sim.Rand.float t.rand *. t.params.jitter)
-      else t.params.latency
+      if t.jitter > 0.0 then latency +. (Sim.Rand.float t.rand *. t.jitter)
+      else latency
     in
     let arrival = finish +. delay in
     if dropped then

@@ -15,21 +15,11 @@
 
 type t
 
-type params = {
-  latency : float;  (** propagation + medium access, seconds *)
-  bandwidth : float;  (** bytes per second *)
-  header_bytes : int;  (** per-message framing overhead on the wire *)
-  jitter : float;
-      (** extra uniformly-random delivery delay, seconds; nonzero
-          jitter reorders messages and turns retransmissions into the
-          delayed duplicates Section 3.2 warns about (which the
-          duplicate-request caches must absorb) *)
-}
-
-(** [create engine ()] makes a network with the given parameters
-    (default: a 10 Mbit/s LAN). Drops and jitter draw from a generator
-    with a fixed seed. *)
-val create : Sim.Engine.t -> ?params:params -> unit -> t
+(** [create engine ()] makes the paper's 10 Mbit/s Ethernet (Section
+    5.2), fixed: 1.25e6 bytes/s, a 0.3 ms propagation and medium-access
+    latency and 64 bytes of framing per message, with no jitter. Drops
+    and jitter draw from a generator with a fixed seed. *)
+val create : Sim.Engine.t -> unit -> t
 
 val engine : t -> Sim.Engine.t
 
@@ -37,7 +27,10 @@ val engine : t -> Sim.Engine.t
 (* snfs-lint: allow interface-drift — test seam: injects loss for DRC tests *)
 val set_drop_probability : t -> float -> unit
 
-(** Change the delivery jitter (failure injection). *)
+(** Add up to this many seconds of uniformly random delay to every
+    delivery (failure injection): jitter reorders messages and turns
+    retransmissions into the delayed duplicates Section 3.2 warns
+    about, which the duplicate-request caches must absorb. *)
 (* snfs-lint: allow interface-drift — test seam: injects jitter for DRC tests *)
 val set_jitter : t -> float -> unit
 

@@ -1,21 +1,17 @@
-type config = {
-  timeout : float;
-  retries : int;
-  backoff : float;
-  client_cpu_per_call : float;
-  server_cpu_per_call : float;
-  cpu_per_kbyte : float;
-}
+(* The paper's testbed (Section 5.2): Sun RPC's retransmission
+   schedule, 1 s doubling, five retransmissions, and the per-message
+   CPU costs of a Titan host, charged at both ends. *)
+let timeout = 1.0
+let retries = 5
+let backoff = 2.0
+let client_cpu_per_call = 0.002
+let server_cpu_per_call = 0.002
+let cpu_per_kbyte = 0.003
 
-let default_config =
-  {
-    timeout = 1.0;
-    retries = 5;
-    backoff = 2.0;
-    client_cpu_per_call = 0.002;
-    server_cpu_per_call = 0.002;
-    cpu_per_kbyte = 0.003;
-  }
+(* Enough retries that transient packet loss is very unlikely to be
+   mistaken for a crashed client, but still finishing (~31 s) before the
+   default client-side schedule (~63 s) would time the opener out. *)
+let impatient_retries = 4
 
 exception Timeout of { prog : string; proc : string }
 
@@ -65,7 +61,6 @@ type proc_info = {
 type service = {
   prog : string;
   host : Net.Host.t;
-  config : config; (* the transport's: server CPU charges *)
   table : (string * handler) list; (* as served: the first of a name *)
   unknown : handler; (* a procedure [table] does not name *)
   mutable idle : int; (* threads executing nothing *)
@@ -122,7 +117,6 @@ and caller = {
 
 type t = {
   net : Net.t;
-  config : config;
   services : (int * string, service) Hashtbl.t; (* (host addr, prog) *)
   (* one-slot memo for the per-call service lookup: every client in a
      testbed talks to the same server address and program, so the
@@ -134,11 +128,10 @@ type t = {
   mutable in_flight : int;
 }
 
-let create net ?(config = default_config) () =
+let create net () =
   let t =
     {
       net;
-      config;
       services = Hashtbl.create 8;
       memo_addr = -1;
       memo_prog = "";
@@ -152,7 +145,6 @@ let create net ?(config = default_config) () =
   t
 
 let net t = t.net
-let config t = t.config
 
 (* a call to a program [dst] does not serve: its requests go nowhere,
    so its handler never runs *)
@@ -183,7 +175,6 @@ let serve t host ~prog ~threads ~unknown table =
     {
       prog;
       host;
-      config = t.config;
       table;
       unknown;
       idle = threads;
@@ -211,8 +202,7 @@ let service_prog svc = svc.prog
 let counters svc = svc.counts
 let set_on_restart svc f = svc.on_restart <- Some f
 
-let payload_cpu config bytes =
-  config.cpu_per_kbyte *. (float_of_int bytes /. 1024.)
+let payload_cpu bytes = cpu_per_kbyte *. (float_of_int bytes /. 1024.)
 
 let server_now svc = Sim.Engine.now (Net.Host.engine svc.host)
 
@@ -321,13 +311,12 @@ let execute svc c queued =
     else Obs.Trace.none
   in
   Net.Host.use_cpu svc.host
-    (svc.config.server_cpu_per_call
-    +. payload_cpu svc.config (Bytes.length c.args + c.bulk));
+    (server_cpu_per_call +. payload_cpu (Bytes.length c.args + c.bulk));
   let reply =
     c.info.handler ~caller:c.src ~ctx:c.ctx (Xdr.Dec.of_bytes c.args)
   in
   Net.Host.use_cpu svc.host
-    (payload_cpu svc.config (Bytes.length reply.data + reply.bulk));
+    (payload_cpu (Bytes.length reply.data + reply.bulk));
   Obs.Trace.finish ~ts:(server_now svc) sp;
   c.served <- reply;
   Drc.publish svc.drc c.xid;
@@ -418,11 +407,6 @@ let handle_request svc c =
       reply_to c c.served
   | Execute -> dispatch svc c
 
-(* Enough retries that transient packet loss is very unlikely to be
-   mistaken for a crashed client, but still finishing (~31 s) before the
-   default client-side schedule (~63 s) would time the opener out. *)
-let impatient config = { config with retries = 4 }
-
 (* Every call's round trip, client side, once: successes under
    [outcome=ok], calls that ran out their retransmission schedule under
    [outcome=timeout] (the time spent waiting before giving up). *)
@@ -465,7 +449,7 @@ let latency_table m =
       ]
     (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) rows))
 
-let call_once t config ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
+let call_once t ~retries ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
   let engine = Net.engine t.net in
   let xid = t.next_xid in
   t.next_xid <- xid + 1;
@@ -504,8 +488,7 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
   (* a round's timer wakes the caller only if no reply has landed and
      the round is still live; at most one round is live at a time *)
   let expire () = if w.reply == pending then wake w in
-  Net.Host.use_cpu src
-    (config.client_cpu_per_call +. payload_cpu t.config bytes);
+  Net.Host.use_cpu src (client_cpu_per_call +. payload_cpu bytes);
   let rec attempt n timeout =
     Net.send t.net ~src ~dst ~bytes ~deliver;
     Sim.Engine.timer engine timeout expire;
@@ -513,7 +496,7 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
     Sim.Engine.suspend engine (fun resume -> w.resume <- resume);
     if w.reply != pending then begin
       Net.Host.use_cpu src
-        (payload_cpu t.config (Bytes.length w.reply.data + w.reply.bulk));
+        (payload_cpu (Bytes.length w.reply.data + w.reply.bulk));
       let now = Sim.Engine.now engine in
       if Obs.Metrics.on () then
         observe_latency ~prog ~proc "ok" (now -. issued);
@@ -527,7 +510,7 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
       w.reply <- returned;
       data
     end
-    else if n >= config.retries then begin
+    else if n >= retries then begin
       let now = Sim.Engine.now engine in
       if Obs.Metrics.on () then begin
         (* the failed call is part of the latency story too: record
@@ -561,13 +544,13 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
               ("xid", Obs.Trace.Int xid);
               ("attempt", Obs.Trace.Int (n + 1)) ]
           ();
-      attempt (n + 1) (timeout *. config.backoff)
+      attempt (n + 1) (timeout *. backoff)
     end
   in
   (* manual unwind, not Fun.protect: the protect frame and its finally
      closure are measurable on a path taken once per RPC *)
   t.in_flight <- t.in_flight + 1;
-  match attempt 0 config.timeout with
+  match attempt 0 timeout with
   | data ->
       t.in_flight <- t.in_flight - 1;
       data
@@ -575,9 +558,9 @@ let call_once t config ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
       t.in_flight <- t.in_flight - 1;
       raise e
 
-let call t ?config ?(ctx = Obs.Causal.none) ~src ~dst ~prog ~proc ?budget
-    ?(bulk = 0) args =
-  let config = match config with Some c -> c | None -> t.config in
+let call t ?(impatient = false) ?(ctx = Obs.Causal.none) ~src ~dst ~prog
+    ~proc ?budget ?(bulk = 0) args =
+  let retries = if impatient then impatient_retries else retries in
   (* one tuple-keyed service lookup and one procedure lookup per call,
      not one per transmission or budgeted round (a program served only
      after a call to it was issued is not a case the simulation
@@ -601,7 +584,8 @@ let call t ?config ?(ctx = Obs.Causal.none) ~src ~dst ~prog ~proc ?budget
     match svc with Some s -> proc_info s proc | None -> unserved ~prog proc
   in
   match budget with
-  | None -> call_once t config ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args
+  | None ->
+      call_once t ~retries ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args
   | Some give_up_after ->
       (* each round is a complete call (fresh xid, its own span and
          latency record); between rounds the caller sleeps out a
@@ -612,7 +596,7 @@ let call t ?config ?(ctx = Obs.Causal.none) ~src ~dst ~prog ~proc ?budget
       let track = Net.Host.name src in
       let rec go backoff =
         match
-          call_once t config ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args
+          call_once t ~retries ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args
         with
         | data -> data
         | exception Timeout _ ->

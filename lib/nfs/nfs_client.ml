@@ -2,8 +2,6 @@ module Core = Client_core
 
 type config = {
   cache_blocks : int;
-  attr_min : float;
-  attr_max : float;
   invalidate_on_close : bool;
   retry_budget : float option;
       (* ride out server outages this long before Server_unavailable *)
@@ -12,8 +10,6 @@ type config = {
 let default_config =
   {
     cache_blocks = 4096; (* 16 MB of 4 KB blocks, the paper's client *)
-    attr_min = 3.0;
-    attr_max = 150.0;
     invalidate_on_close = true;
     retry_budget = None;
   }
@@ -71,14 +67,17 @@ let policy =
   }
 
 (* adaptive timeout: recently modified files are probed more often
-   (3 s), stable ones rarely (up to 150 s) *)
-let attr_timeout t (g : attr_cache Core.gnode) =
+   (3 s), stable ones rarely (up to 150 s), as in the Ultrix client *)
+let attr_min = 3.0
+let attr_max = 150.0
+
+let attr_timeout (g : attr_cache Core.gnode) =
   let age = g.g_proto.fetched -. g.g_attrs.Localfs.mtime in
-  Float.max t.config.attr_min (Float.min t.config.attr_max (age /. 2.0))
+  Float.max attr_min (Float.min attr_max (age /. 2.0))
 
 let refresh_attrs t ctx (g : attr_cache Core.gnode) =
   let c = t.core in
-  if now c -. g.g_proto.fetched > attr_timeout t g then begin
+  if now c -. g.g_proto.fetched > attr_timeout g then begin
     if Obs.Metrics.on () then
       Obs.Metrics.incr
         ~labels:[ ("host", Core.host c) ]

@@ -1,9 +1,10 @@
 (** The NFS client, modelled on the Ultrix 2.2 reference-port
     behaviour the paper measured (Sections 2.1, 4.2, 5.2):
 
-    - an adaptive attribute cache (3–150 s timeout depending on file
-      age), refreshed on open and on expiry; a changed modification
-      time invalidates the cached data blocks;
+    - an adaptive attribute cache, refreshed on open and on expiry,
+      whose timeout is half the file's age, fixed at the Ultrix
+      client's bounds of 3 s and 150 s; a changed modification time
+      invalidates the cached data blocks;
     - write-through via an asynchronous daemon: full blocks are handed
       to a biod-style writer immediately; partial blocks are delayed
       (footnote 4) until filled or until close;
@@ -19,8 +20,6 @@
 
 type config = {
   cache_blocks : int;  (** client buffer cache capacity, in blocks *)
-  attr_min : float;  (** minimum attribute-cache timeout (3 s) *)
-  attr_max : float;  (** maximum attribute-cache timeout (150 s) *)
   invalidate_on_close : bool;  (** the Ultrix bug; [true] in the paper *)
   retry_budget : float option;
       (** when set, every RPC rides out server outages up to this many

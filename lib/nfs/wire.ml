@@ -370,12 +370,10 @@ let callback srv ~impatient ~ctx ~target ~instant p args =
       ~ts:(Sim.Engine.now srv.engine)
       ~track:(Netsim.Net.Host.name srv.host)
       ~id:(Obs.Causal.id ctx) ();
-  let config = Netsim.Rpc.config srv.rpc in
-  let config = if impatient then Netsim.Rpc.impatient config else config in
   let e = Xdr.Enc.create () in
   p.args.enc e args;
   match
-    Netsim.Rpc.call srv.rpc ~config ~ctx ~src:srv.host ~dst:target
+    Netsim.Rpc.call srv.rpc ~impatient ~ctx ~src:srv.host ~dst:target
       ~prog:srv.callback_prog ~proc:p.name ?bulk:(p.args_bulk args)
       (Xdr.Enc.to_bytes e)
   with

@@ -214,7 +214,7 @@ val callback_prog : prog:string -> fsid:int -> string
     inducing operation's causal context; the reply is not read. If
     that may be traced, [instant ()] emits the caller's trace instant,
     then the flow arrow to the induced work starts. [impatient] picks
-    {!Netsim.Rpc.impatient}'s retry schedule. False when the call
+    {!Netsim.Rpc.call}'s short retry schedule. False when the call
     times out (the client is down or cut off). *)
 val callback :
   server -> impatient:bool -> ctx:Obs.Causal.t -> target:Netsim.Net.Host.t ->

@@ -19,10 +19,11 @@ type t = {
      target client has not yet learned about *)
   file_locks : Sim.Semaphore.t Sim.Inttbl.t;
   mutable clients_reaped : int;
-  (* the NFSD-style Active/Courtesy/Expirable ledger; None until the
-     laundromat is started (oracle runs and plain benchmarks never
-     start one, and then callbacks keep the legacy blunt behavior) *)
-  mutable lifecycle : Spritely.Lifecycle.t option;
+  (* the NFSD-style Active/Courtesy/Expirable ledger. Without the
+     laundromat only a failed callback writes it, and reaps its target
+     at once, so every client stays Active. *)
+  lifecycle : Spritely.Lifecycle.t;
+  mutable laundromat : bool; (* started *)
   mutable laundromat_runs : int;
   mutable demotions : int;
   mutable revivals : int;
@@ -53,15 +54,14 @@ let note_state t ~file =
       "snfs_state_transitions_total"
 
 (* Reap one client: its opens are dropped, files it may have dirtied
-   are flagged inconsistent, and its lifecycle entry (if any) goes. The
-   [state] names the lifecycle stage it was reaped from, for the
-   by-state counters. *)
+   are flagged inconsistent, and its lifecycle entry goes. The [state]
+   names the lifecycle stage it was reaped from, Courtesy or Expirable,
+   for the by-state counters. *)
 let reap t client ~(state : Spritely.Lifecycle.state) =
   t.clients_reaped <- t.clients_reaped + 1;
-  (match state with
-  | Spritely.Lifecycle.Courtesy -> t.reaped_courtesy <- t.reaped_courtesy + 1
-  | Spritely.Lifecycle.Expirable -> t.reaped_expirable <- t.reaped_expirable + 1
-  | Spritely.Lifecycle.Active -> ());
+  if state = Spritely.Lifecycle.Courtesy then
+    t.reaped_courtesy <- t.reaped_courtesy + 1
+  else t.reaped_expirable <- t.reaped_expirable + 1;
   if Obs.Metrics.on () then begin
     Obs.Metrics.incr "snfs_clients_reaped_total";
     Obs.Metrics.incr
@@ -74,9 +74,7 @@ let reap t client ~(state : Spritely.Lifecycle.state) =
       ("state", Obs.Trace.Str (Spritely.Lifecycle.state_to_string state));
     ];
   ignore (Sim.Inttbl.remove t.last_heard client);
-  (match t.lifecycle with
-  | Some lc -> Spritely.Lifecycle.forget lc ~client
-  | None -> ());
+  Spritely.Lifecycle.forget t.lifecycle ~client;
   Spritely.State_table.forget_client t.table client
 
 let note_callback_failure ~cause =
@@ -93,22 +91,18 @@ let note_callback_failure ~cause =
    ping schedule to a client the laundromat already suspects. Returns
    true when the callback was resolved this way (nothing to send). *)
 let conflict_with_suspect t ~file (cb : Spritely.State_table.callback) =
-  match t.lifecycle with
-  | None -> false
-  | Some lc -> (
-      match Spritely.Lifecycle.state lc ~client:cb.target with
-      | Spritely.Lifecycle.Active -> false
-      | Spritely.Lifecycle.Courtesy | Spritely.Lifecycle.Expirable ->
-          ignore (Spritely.Lifecycle.note_conflict lc ~client:cb.target);
-          note_callback_failure ~cause:"courtesy_conflict";
-          server_event t "callback_conflict"
-            [ ("file", Obs.Trace.Int file);
-              ("client", Obs.Trace.Int cb.target) ];
-          reap t cb.target ~state:Spritely.Lifecycle.Expirable;
-          true)
+  match Spritely.Lifecycle.state t.lifecycle ~client:cb.target with
+  | Spritely.Lifecycle.Active -> false
+  | Spritely.Lifecycle.Courtesy | Spritely.Lifecycle.Expirable ->
+      ignore (Spritely.Lifecycle.note_conflict t.lifecycle ~client:cb.target);
+      note_callback_failure ~cause:"courtesy_conflict";
+      server_event t "callback_conflict"
+        [ ("file", Obs.Trace.Int file); ("client", Obs.Trace.Int cb.target) ];
+      reap t cb.target ~state:Spritely.Lifecycle.Expirable;
+      true
 
 (* Deliver one callback prescribed by the state table. A dead client
-   is forgotten, as Section 3.2 prescribes; its dirty data (if any) is
+   is reaped, as Section 3.2 prescribes; its dirty data (if any) is
    lost and the entry stays flagged inconsistent. *)
 let perform_callback_live t ~ctx ~file (cb : Spritely.State_table.callback) =
   let target = Wire.client t.srv cb.target in
@@ -156,18 +150,14 @@ let perform_callback_live t ~ctx ~file (cb : Spritely.State_table.callback) =
         ("file", Obs.Trace.Int file);
         ("to", Obs.Trace.Str (Netsim.Net.Host.name target));
       ];
-    (* with a lifecycle the dead target walks the whole ladder at
-       once — demoted for silence, promoted because this very
-       callback is a conflict, reaped; without one, the legacy blunt
-       forget *)
-    match t.lifecycle with
-    | Some lc ->
-        ignore
-          (Spritely.Lifecycle.demote lc ~client:cb.target
-             ~now:(Sim.Engine.now t.engine));
-        ignore (Spritely.Lifecycle.note_conflict lc ~client:cb.target);
-        reap t cb.target ~state:Spritely.Lifecycle.Expirable
-    | None -> Spritely.State_table.forget_client t.table cb.target
+    (* the dead target walks the whole ladder at once: demoted for
+       silence, promoted because this very callback is a conflict,
+       reaped *)
+    ignore
+      (Spritely.Lifecycle.demote t.lifecycle ~client:cb.target
+         ~now:(Sim.Engine.now t.engine));
+    ignore (Spritely.Lifecycle.note_conflict t.lifecycle ~client:cb.target);
+    reap t cb.target ~state:Spritely.Lifecycle.Expirable
   end
 
 let perform_callback t ~ctx ~file (cb : Spritely.State_table.callback) =
@@ -291,18 +281,18 @@ let handle_reopen t ~caller reports =
    path while nobody is suspect. *)
 let heard_from t caller =
   heard t caller;
-  match t.lifecycle with
-  | Some lc when Spritely.Lifecycle.nonactive lc > 0 ->
-      if Spritely.Lifecycle.revive lc ~client:caller then begin
-        t.revivals <- t.revivals + 1;
-        if Obs.Metrics.on () then
-          Obs.Metrics.incr
-            ~labels:[ ("via", "rpc") ]
-            "snfs_laundromat_revivals_total";
-        server_event t "client_revived"
-          [ ("client", Obs.Trace.Int caller); ("via", Obs.Trace.Str "rpc") ]
-      end
-  | _ -> ()
+  if
+    Spritely.Lifecycle.nonactive t.lifecycle > 0
+    && Spritely.Lifecycle.revive t.lifecycle ~client:caller
+  then begin
+    t.revivals <- t.revivals + 1;
+    if Obs.Metrics.on () then
+      Obs.Metrics.incr
+        ~labels:[ ("via", "rpc") ]
+        "snfs_laundromat_revivals_total";
+    server_event t "client_revived"
+      [ ("client", Obs.Trace.Int caller); ("via", Obs.Trace.Str "rpc") ]
+  end
 
 (* SNFS's procedures, then the basic ones, each after the lease refresh;
    [t] is the server under construction *)
@@ -347,7 +337,8 @@ let serve rpc host ?(threads = 8) ?(recovery_grace = 0.0) ~fsid fs =
          last_heard = Sim.Inttbl.create ~empty:(ref 0.0);
          file_locks = Sim.Inttbl.create ~empty:(Sim.Semaphore.create engine 1);
          clients_reaped = 0;
-         lifecycle = None;
+         lifecycle = Spritely.Lifecycle.create ();
+         laundromat = false;
          laundromat_runs = 0;
          demotions = 0;
          revivals = 0;
@@ -367,9 +358,7 @@ let serve rpc host ?(threads = 8) ?(recovery_grace = 0.0) ~fsid fs =
       Hashtbl.reset t.recovered;
       (* the courtesy ledger is volatile too: a rebooted server starts
          trusting everyone again and relearns silence from scratch *)
-      (match t.lifecycle with
-      | Some lc -> Spritely.Lifecycle.reset lc
-      | None -> ());
+      Spritely.Lifecycle.reset t.lifecycle;
       t.grace_until <- Sim.Engine.now engine +. t.recovery_grace);
   t
 
@@ -406,11 +395,11 @@ let clients_with_state t =
       it) and every Courtesy client older than [courtesy_lifetime] —
       courtesy clients cannot linger indefinitely. *)
 let start_laundromat ?(lease = 120.0) ?(courtesy_lifetime = 300.0) t ~interval =
-  if t.lifecycle <> None then
+  if t.laundromat then
     invalid_arg "Snfs_server.start_laundromat: already started";
+  t.laundromat <- true;
   let engine = t.engine in
-  let lc = Spritely.Lifecycle.create ~courtesy_lifetime () in
-  t.lifecycle <- Some lc;
+  let lc = t.lifecycle in
   Obs.Metrics.register_poll
     ~labels:[ ("state", "active") ]
     "snfs_clients"
@@ -480,7 +469,8 @@ let start_laundromat ?(lease = 120.0) ?(courtesy_lifetime = 300.0) t ~interval =
        demoted in step 1 is due in the same pass) *)
     List.iter
       (fun (client, state) -> reap t client ~state)
-      (Spritely.Lifecycle.due lc ~now:(Sim.Engine.now engine));
+      (Spritely.Lifecycle.due lc ~now:(Sim.Engine.now engine)
+         ~courtesy_lifetime);
     loop ()
   in
   Sim.Engine.spawn engine ~name:"snfs.laundromat" loop
@@ -502,10 +492,7 @@ let lifecycle_stats (t : t) =
     reaped_expirable = t.reaped_expirable;
   }
 
-let client_state t ~client =
-  match t.lifecycle with
-  | None -> Spritely.Lifecycle.Active
-  | Some lc -> Spritely.Lifecycle.state lc ~client
+let client_state t ~client = Spritely.Lifecycle.state t.lifecycle ~client
 
 let clients_reaped t = t.clients_reaped
 

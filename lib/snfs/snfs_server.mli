@@ -7,8 +7,10 @@
       that triggered them is answered; at most [threads - 1] handler
       threads may be performing callbacks at once so the write-backs
       they provoke can always be serviced (Section 3.2);
-    - a crashed callback target is forgotten ({!Spritely.State_table.forget_client});
-      the open proceeds but the file is flagged possibly-inconsistent;
+    - a crashed callback target is reaped at once, demoted, promoted
+      and forgotten ({!Spritely.State_table.forget_client}), whether or
+      not the laundromat runs; the open proceeds but the file is
+      flagged possibly-inconsistent;
     - [ping]/[reopen] procedures implementing the crash-recovery
       protocol sketched in Section 2.4: after a reboot, clients detect
       the new boot epoch and re-send their open state, from which the
@@ -69,17 +71,19 @@ val core : t -> Nfs.Wire.server_core
     seconds, because courtesy clients cannot linger indefinitely. A
     Courtesy client heard from again (its own RPC, or a laundromat
     probe answered after a partition heals) is revived to Active with
-    its state intact: no reopen storm, no grace period. Raises
+    its state intact: no reopen storm, no grace period. [lease]
+    defaults to 120 s and [courtesy_lifetime] to 300 s. Raises
     [Invalid_argument] if a laundromat is already running. *)
 val start_laundromat :
   ?lease:float -> ?courtesy_lifetime:float -> t -> interval:float -> unit
 
-(** The lifecycle state of one client address ([Active] when no
-    laundromat is running or the client is not suspect). *)
+(** The lifecycle state of one client address ([Active] when the
+    client is not suspect; without the laundromat, always). *)
 val client_state : t -> client:int -> Spritely.Lifecycle.state
 
 (** Laundromat odometer: passes run, demotions to Courtesy, revivals
-    back to Active, and reaps by the state they happened from. *)
+    back to Active, and reaps by the state they happened from (a
+    failed callback's reap counts as Expirable). *)
 type lifecycle_stats = {
   laundromat_runs : int;
   demotions : int;
@@ -90,5 +94,5 @@ type lifecycle_stats = {
 
 val lifecycle_stats : t -> lifecycle_stats
 
-(** Clients forgotten by the laundromat so far (any state). *)
+(** Clients reaped so far, by the laundromat or a failed callback. *)
 val clients_reaped : t -> int

@@ -3,17 +3,6 @@ type config = {
   src_root : string;
   dst_root : string;
   tmp_dir : string;
-  mkdir_cpu : float;
-  copy_cpu_per_file : float;
-  scan_cpu_per_entry : float;
-  read_cpu_per_file : float;
-  read_cpu_per_kb : float;
-  compile_cpu_base : float;
-  compile_cpu_per_kb : float;
-  headers_per_compile : int;
-  temp_bytes_factor : float;
-  obj_bytes_factor : float;
-  link_cpu : float;
 }
 
 let default_config =
@@ -22,18 +11,21 @@ let default_config =
     src_root = "/data/src";
     dst_root = "/data/dst";
     tmp_dir = "/tmp";
-    mkdir_cpu = 0.3;
-    copy_cpu_per_file = 0.12;
-    scan_cpu_per_entry = 0.13;
-    read_cpu_per_file = 0.25;
-    read_cpu_per_kb = 0.02;
-    compile_cpu_base = 5.5;
-    compile_cpu_per_kb = 1.0;
-    headers_per_compile = 10;
-    temp_bytes_factor = 30.0;
-    obj_bytes_factor = 12.0;
-    link_cpu = 12.0;
   }
+
+(* The simulated compiler's costs, in seconds of client CPU, calibrated
+   once so the local-disk column lands near Table 5-1's *)
+let mkdir_cpu = 0.3
+let copy_cpu_per_file = 0.12
+let scan_cpu_per_entry = 0.13
+let read_cpu_per_file = 0.25
+let read_cpu_per_kb = 0.02
+let compile_cpu_base = 5.5
+let compile_cpu_per_kb = 1.0
+let headers_per_compile = 10
+let temp_bytes_factor = 30.0 (* compiler temporary vs source size *)
+let obj_bytes_factor = 12.0 (* .o vs source size *)
+let link_cpu = 12.0
 
 type phase_times = {
   makedir : float;
@@ -52,17 +44,17 @@ let setup ctx config =
 
 let phase_makedir ctx config (tree : File_tree.tree) =
   Vfs.Fileio.mkdir ctx.App.mounts config.dst_root;
-  App.think ctx config.mkdir_cpu;
+  App.think ctx mkdir_cpu;
   List.iter
     (fun d ->
       Vfs.Fileio.mkdir ctx.App.mounts (config.dst_root ^ "/" ^ d);
-      App.think ctx config.mkdir_cpu)
+      App.think ctx mkdir_cpu)
     tree.File_tree.dirs
 
 let phase_copy ctx config (tree : File_tree.tree) =
   List.iter
     (fun (name, _) ->
-      App.think ctx config.copy_cpu_per_file;
+      App.think ctx copy_cpu_per_file;
       ignore
         (Vfs.Fileio.copy_file ctx.App.mounts
            ~src:(config.src_root ^ "/" ^ name)
@@ -73,11 +65,11 @@ let phase_scandir ctx config (tree : File_tree.tree) =
   (* recursive traversal of the target subtree, stat-ing every entry *)
   let scan_dir path =
     let names = Vfs.Fileio.readdir ctx.App.mounts path in
-    App.think ctx config.scan_cpu_per_entry;
+    App.think ctx scan_cpu_per_entry;
     List.iter
       (fun name ->
         ignore (Vfs.Fileio.stat ctx.App.mounts (path ^ "/" ^ name));
-        App.think ctx config.scan_cpu_per_entry)
+        App.think ctx scan_cpu_per_entry)
       names
   in
   scan_dir config.dst_root;
@@ -86,9 +78,9 @@ let phase_scandir ctx config (tree : File_tree.tree) =
 let phase_readall ctx config (tree : File_tree.tree) =
   List.iter
     (fun (name, _) ->
-      App.think ctx config.read_cpu_per_file;
+      App.think ctx read_cpu_per_file;
       let bytes = Vfs.Fileio.read_file ctx.App.mounts (config.dst_root ^ "/" ^ name) in
-      App.think ctx (config.read_cpu_per_kb *. (float_of_int bytes /. 1024.)))
+      App.think ctx (read_cpu_per_kb *. (float_of_int bytes /. 1024.)))
     tree.File_tree.files
 
 (* "compile" one module: read the source and some shared headers, burn
@@ -99,22 +91,19 @@ let phase_readall ctx config (tree : File_tree.tree) =
 let compile ctx config headers index (name, bytes) =
   ignore (Vfs.Fileio.read_file ctx.App.mounts (config.dst_root ^ "/" ^ name));
   let nh = Array.length headers in
-  for j = 0 to min config.headers_per_compile nh - 1 do
+  for j = 0 to min headers_per_compile nh - 1 do
     let hname, _ = headers.((index + j) mod nh) in
     ignore (Vfs.Fileio.read_file ctx.App.mounts (config.dst_root ^ "/" ^ hname))
   done;
   App.think ctx
-    (config.compile_cpu_base
-    +. (config.compile_cpu_per_kb *. (float_of_int bytes /. 1024.)));
+    (compile_cpu_base +. (compile_cpu_per_kb *. (float_of_int bytes /. 1024.)));
   let temp = Printf.sprintf "%s/ctm%d.tmp" config.tmp_dir index in
-  let temp_bytes =
-    int_of_float (config.temp_bytes_factor *. float_of_int bytes)
-  in
+  let temp_bytes = int_of_float (temp_bytes_factor *. float_of_int bytes) in
   Vfs.Fileio.write_file ctx.App.mounts temp ~bytes:temp_bytes;
   ignore (Vfs.Fileio.read_file ctx.App.mounts temp);
   Vfs.Fileio.unlink ctx.App.mounts temp;
   let obj = config.dst_root ^ "/" ^ Filename.remove_extension name ^ ".o" in
-  let obj_bytes = int_of_float (config.obj_bytes_factor *. float_of_int bytes) in
+  let obj_bytes = int_of_float (obj_bytes_factor *. float_of_int bytes) in
   Vfs.Fileio.write_file ctx.App.mounts obj ~bytes:obj_bytes;
   (obj, obj_bytes)
 
@@ -123,7 +112,7 @@ let phase_make ctx config (tree : File_tree.tree) =
   let objs = List.mapi (compile ctx config headers) tree.File_tree.c_files in
   (* link: read every object, compute, write the program *)
   List.iter (fun (obj, _) -> ignore (Vfs.Fileio.read_file ctx.App.mounts obj)) objs;
-  App.think ctx config.link_cpu;
+  App.think ctx link_cpu;
   let prog_bytes = List.fold_left (fun a (_, n) -> a + n) 0 objs in
   Vfs.Fileio.write_file ctx.App.mounts (config.dst_root ^ "/a.out")
     ~bytes:prog_bytes

@@ -1,17 +1,16 @@
-type config = { dir : string; bytes : int }
-
-let default_config = { dir = "/data"; bytes = 1024 * 1024 }
+let dir = "/data"
+let bytes = 1024 * 1024
 
 type result = { write_close : float; reread_same : float; read_other : float }
 
-let run ctx config =
-  let same = config.dir ^ "/reread.same" in
-  let other = config.dir ^ "/reread.other" in
+let run ctx =
+  let same = dir ^ "/reread.same" in
+  let other = dir ^ "/reread.other" in
   (* the "different file" pre-exists and is not in any cache *)
-  Vfs.Fileio.write_file ctx.App.mounts other ~bytes:config.bytes;
+  Vfs.Fileio.write_file ctx.App.mounts other ~bytes;
   let write_close, () =
     App.timed ctx (fun () ->
-        Vfs.Fileio.write_file ctx.App.mounts same ~bytes:config.bytes)
+        Vfs.Fileio.write_file ctx.App.mounts same ~bytes)
   in
   let reread_same, _ =
     App.timed ctx (fun () -> Vfs.Fileio.read_file ctx.App.mounts same)

@@ -4,11 +4,9 @@
 
     On the paper's NFS, the elapsed times were indistinguishable —
     evidence that the cost of read misses after the invalidate-on-close
-    bug is negligible next to the cost of writing through. *)
+    bug is negligible next to the cost of writing through.
 
-type config = { dir : string; bytes : int }
-
-val default_config : config
+    Both files are 1 MB, in [/data]. *)
 
 type result = {
   write_close : float;  (** creating + closing the file *)
@@ -16,4 +14,4 @@ type result = {
   read_other : float;  (** reading a different file of equal size *)
 }
 
-val run : App.t -> config -> result
+val run : App.t -> result

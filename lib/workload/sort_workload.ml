@@ -3,10 +3,6 @@ type config = {
   input_path : string;
   output_path : string;
   tmp_dir : string;
-  run_bytes : int;
-  merge_width : int;
-  run_cpu_per_kb : float;
-  merge_cpu_per_kb : float;
 }
 
 let default_config =
@@ -15,11 +11,14 @@ let default_config =
     input_path = "/local/sort.in";
     output_path = "/local/sort.out";
     tmp_dir = "/usr_tmp";
-    run_bytes = 64 * 1024;
-    merge_width = 8;
-    run_cpu_per_kb = 0.0085;
-    merge_cpu_per_kb = 0.0055;
   }
+
+(* Unix sort's shape, with CPU costs in seconds of client CPU per KB
+   calibrated once against Table 5-3 *)
+let run_bytes = 64 * 1024 (* initial run size *)
+let merge_width = 8
+let run_cpu_per_kb = 0.0085 (* in-memory sorting of one run *)
+let merge_cpu_per_kb = 0.0055 (* per KB passing through a merge *)
 
 type result = { elapsed : float; temp_bytes_written : int }
 
@@ -44,10 +43,10 @@ let run ctx config =
         let runs = ref [] in
         let continue_runs = ref true in
         while !continue_runs do
-          let n = Vfs.Fileio.read_bytes input ~len:config.run_bytes in
+          let n = Vfs.Fileio.read_bytes input ~len:run_bytes in
           if n = 0 then continue_runs := false
           else begin
-            App.think ctx (config.run_cpu_per_kb *. kb n);
+            App.think ctx (run_cpu_per_kb *. kb n);
             let name = temp_name () in
             Vfs.Fileio.write_file ctx.App.mounts name ~bytes:n;
             temp_written := !temp_written + n;
@@ -73,7 +72,7 @@ let run ctx config =
                         let taken, rem = take (n - 1) rest in
                         (x :: taken, rem)
                 in
-                let g, rest = take config.merge_width l in
+                let g, rest = take merge_width l in
                 group (g :: acc) rest
           in
           let groups = group [] !runs in
@@ -88,7 +87,7 @@ let run ctx config =
                       acc + n)
                     0 g
                 in
-                App.think ctx (config.merge_cpu_per_kb *. kb total);
+                App.think ctx (merge_cpu_per_kb *. kb total);
                 let out = temp_name () in
                 Vfs.Fileio.write_file ctx.App.mounts out ~bytes:total;
                 temp_written := !temp_written + total;
@@ -105,7 +104,7 @@ let run ctx config =
         (* deliver the output and drop the last temporary *)
         (match !runs with
         | [ (name, n) ] ->
-            App.think ctx (config.merge_cpu_per_kb *. kb n);
+            App.think ctx (merge_cpu_per_kb *. kb n);
             Vfs.Fileio.write_file ctx.App.mounts config.output_path ~bytes:n;
             Vfs.Fileio.unlink ctx.App.mounts name
         | [] -> Vfs.Fileio.write_file ctx.App.mounts config.output_path ~bytes:0

@@ -7,25 +7,16 @@
       never shared — the delayed-write opportunity;
     - a few files (headers, executables) are re-read over and over.
 
-    {!generate} produces a deterministic operation list from a seed;
-    {!replay} runs it through the system-call layer, recording
-    per-operation-class latency histograms. *)
+    {!generate} produces a deterministic operation list from a fixed
+    seed; {!replay} runs it through the system-call layer, recording
+    per-operation-class latency histograms.
 
-type config = {
-  operations : int;
-  working_dir : string;
-  hot_files : int;  (** repeatedly re-read files (headers and the like) *)
-  cold_files : int;  (** the long tail *)
-  temp_lifetime : float;  (** seconds between a temp's birth and death *)
-  temp_fraction : float;  (** fraction of ops that create a temporary *)
-  read_fraction : float;  (** of the non-temp ops, how many are reads *)
-  mean_think : float;  (** CPU-bound think time between operations *)
-  small_bytes : int;
-  large_bytes : int;
-  seed : int64;
-}
-
-val default_config : config
+    The mix is fixed: 400 operations in [/data/trace] over 6 hot and 60
+    cold files; 15% create a temporary that lives 3 s, 75% of the rest
+    are reads, of which 15% only stat the file, and the others are
+    rewrites; 80% of
+    writes are 3,000 bytes and the rest 24,000; operations are
+    separated by exponential think times with a mean of 0.3 s. *)
 
 type op =
   | Read_whole of string
@@ -33,7 +24,7 @@ type op =
   | Stat of string
   | Temp of string * int  (** create, write, read back, delete *)
 
-val generate : config -> op list
+val generate : unit -> op list
 
 (** Latency histograms per operation class, plus total elapsed time. *)
 type result = {
@@ -44,7 +35,7 @@ type result = {
   elapsed : float;
 }
 
-(** [setup ctx config] creates the working directory and its files. *)
-val setup : App.t -> config -> unit
+(** [setup ctx] creates the working directory and its files. *)
+val setup : App.t -> unit
 
-val replay : App.t -> config -> op list -> result
+val replay : App.t -> op list -> result

@@ -42,14 +42,13 @@ let echo_once rpc ~src ~dst x =
   Xdr.Enc.uint32 e x;
   let d =
     Xdr.Dec.of_bytes
-      (Netsim.Rpc.call rpc
-         ~config:{ (Netsim.Rpc.config rpc) with timeout = 0.2 }
-         ~src ~dst ~prog:"echo" ~proc:"bump" (Xdr.Enc.to_bytes e))
+      (Netsim.Rpc.call rpc ~src ~dst ~prog:"echo" ~proc:"bump"
+         (Xdr.Enc.to_bytes e))
   in
   Xdr.Dec.uint32 d
 
 let test_dup_suppression_under_jitter () =
-  (* delivery jitter far above the retransmission timeout: most first
+  (* delivery jitter far above the 1 s retransmission timeout: most first
      attempts are retransmitted while the original request is still in
      flight or already executing, so the server sees a stream of the
      delayed duplicates Section 3.2 warns about *)
@@ -60,7 +59,7 @@ let test_dup_suppression_under_jitter () =
       let client = Netsim.Net.Host.create net "client" in
       let executions = Hashtbl.create 64 in
       ignore (serve_echo rpc server executions);
-      Netsim.Net.set_jitter net 1.0;
+      Netsim.Net.set_jitter net 5.0;
       let ncalls = 50 in
       for i = 1 to ncalls do
         Alcotest.(check int) "reply matches request" (i + 1)
@@ -248,21 +247,21 @@ let test_retry_budget_surfaces_server_unavailable () =
       let client = Netsim.Net.Host.create net "client" in
       let executions = Hashtbl.create 8 in
       ignore (serve_echo rpc server executions);
-      let quick = { (Netsim.Rpc.config rpc) with timeout = 0.2; retries = 3 } in
       let echo ~budget x =
         let enc = Xdr.Enc.create () in
         Xdr.Enc.uint32 enc x;
         let d =
           Xdr.Dec.of_bytes
-            (Netsim.Rpc.call rpc ~config:quick ~src:client ~dst:server
+            (Netsim.Rpc.call rpc ~src:client ~dst:server
                ~prog:"echo" ~proc:"bump" ~budget (Xdr.Enc.to_bytes enc))
         in
         Xdr.Dec.uint32 d
       in
-      (* outage longer than the budget: typed failure, not Timeout *)
+      (* outage longer than the budget: typed failure, not Timeout. One
+         round is the full 63 s retransmission schedule. *)
       Netsim.Net.Host.crash server;
       let t0 = Sim.Engine.now e in
-      (match echo ~budget:20.0 5 with
+      (match echo ~budget:300.0 5 with
       | _ -> Alcotest.fail "call must not succeed against a dead server"
       | exception Netsim.Rpc.Server_unavailable { prog; proc; waited } ->
           Alcotest.(check string) "prog" "echo" prog;
@@ -270,15 +269,19 @@ let test_retry_budget_surfaces_server_unavailable () =
           (* the budget caps the backoff schedule; the final round may
              overshoot it by up to one retransmission schedule *)
           Alcotest.(check bool) "waited out the budget" true
-            (waited > 10.0 && waited < 25.0));
+            (waited > 150.0 && waited < 375.0));
       Alcotest.(check bool) "gave up promptly after the budget" true
-        (Sim.Engine.now e -. t0 < 26.0);
-      (* outage shorter than the budget: the call rides it out *)
+        (Sim.Engine.now e -. t0 < 390.0);
+      (* outage shorter than the budget but longer than one round: the
+         call rides it out in a later round *)
       Sim.Engine.spawn e ~name:"rebooter" (fun () ->
-          Sim.Engine.sleep e 5.0;
+          Sim.Engine.sleep e 75.0;
           Netsim.Net.Host.reboot server);
+      let t1 = Sim.Engine.now e in
       Alcotest.(check int) "budgeted call survives the reboot" 8
-        (echo ~budget:60.0 7))
+        (echo ~budget:900.0 7);
+      Alcotest.(check bool) "the outage outlasted one round" true
+        (Sim.Engine.now e -. t1 > 63.0))
 
 (* a retry budget is checked where the client config enters: mounting
    refuses a budget that is not positive, whatever the protocol *)

@@ -19,7 +19,7 @@ let state = Alcotest.testable
 (* ---- unit behavior ---- *)
 
 let test_basic_transitions () =
-  let t = L.create ~courtesy_lifetime:100.0 () in
+  let t = L.create () in
   Alcotest.check state "fresh client is Active" L.Active (L.state t ~client:7);
   Alcotest.(check bool) "demote Active" true (L.demote t ~client:7 ~now:10.0);
   Alcotest.check state "now Courtesy" L.Courtesy (L.state t ~client:7);
@@ -37,7 +37,7 @@ let test_basic_transitions () =
   L.forget t ~client:7 (* double-forget is harmless *)
 
 let test_revival () =
-  let t = L.create ~courtesy_lifetime:100.0 () in
+  let t = L.create () in
   Alcotest.(check bool) "revive of Active is a no-op" false
     (L.revive t ~client:3);
   ignore (L.demote t ~client:3 ~now:0.0);
@@ -46,7 +46,8 @@ let test_revival () =
   Alcotest.(check int) "no suspects" 0 (L.nonactive t)
 
 let test_due_and_counts () =
-  let t = L.create ~courtesy_lifetime:50.0 () in
+  let t = L.create () in
+  let due ~now = L.due t ~now ~courtesy_lifetime:50.0 in
   ignore (L.demote t ~client:1 ~now:0.0);
   ignore (L.demote t ~client:2 ~now:30.0);
   ignore (L.demote t ~client:3 ~now:30.0);
@@ -55,13 +56,13 @@ let test_due_and_counts () =
   (* at t=49: client1 not yet past its lifetime, client3 Expirable *)
   Alcotest.(check (list (pair int state))) "due at 49"
     [ (3, L.Expirable) ]
-    (L.due t ~now:49.0);
+    (due ~now:49.0);
   (* at t=60: client1 aged out; client2 still inside its lifetime *)
   Alcotest.(check (list (pair int state))) "due at 60"
     [ (1, L.Courtesy); (3, L.Expirable) ]
-    (L.due t ~now:60.0);
+    (due ~now:60.0);
   Alcotest.(check (list (pair int state))) "due is read-only"
-    (L.due t ~now:60.0) (L.due t ~now:60.0);
+    (due ~now:60.0) (due ~now:60.0);
   let copy = L.copy t in
   L.reset t;
   Alcotest.(check int) "reset drops everything" 0 (L.nonactive t);
@@ -69,16 +70,16 @@ let test_due_and_counts () =
 
 let test_zero_lifetime_degenerates () =
   (* lifetime 0 is the legacy one-step reaper: demoted => due now *)
-  let t = L.create ~courtesy_lifetime:0.0 () in
+  let t = L.create () in
   ignore (L.demote t ~client:9 ~now:42.0);
   Alcotest.(check (list (pair int state))) "due immediately"
     [ (9, L.Courtesy) ]
-    (L.due t ~now:42.0)
+    (L.due t ~now:42.0 ~courtesy_lifetime:0.0)
 
 let test_negative_lifetime_rejected () =
   Alcotest.check_raises "negative lifetime"
-    (Invalid_argument "Lifecycle.create: courtesy_lifetime must be >= 0")
-    (fun () -> ignore (L.create ~courtesy_lifetime:(-1.0) ()))
+    (Invalid_argument "Lifecycle.due: courtesy_lifetime must be >= 0")
+    (fun () -> ignore (L.due (L.create ()) ~now:0.0 ~courtesy_lifetime:(-1.0)))
 
 (* ---- the checker over the real module ---- *)
 
@@ -135,8 +136,10 @@ let expect_caught name expected (module M : LM.LIFE) =
 module Linger_only_expirable = struct
   include Spritely.Lifecycle
 
-  let due t ~now =
-    List.filter (fun (_, s) -> s = Spritely.Lifecycle.Expirable) (due t ~now)
+  let due t ~now ~courtesy_lifetime =
+    List.filter
+      (fun (_, s) -> s = Spritely.Lifecycle.Expirable)
+      (due t ~now ~courtesy_lifetime)
 end
 
 (* linger bug 2: due rebuilt over to_list with a 10x-too-generous
@@ -144,11 +147,11 @@ end
 module Linger_wrong_threshold = struct
   include Spritely.Lifecycle
 
-  let due t ~now =
+  let due t ~now ~courtesy_lifetime =
     List.filter_map
       (fun (c, s, since) ->
         if s = Spritely.Lifecycle.Expirable then Some (c, s)
-        else if now -. since >= 10.0 *. courtesy_lifetime t then Some (c, s)
+        else if now -. since >= 10.0 *. courtesy_lifetime then Some (c, s)
         else None)
       (to_list t)
 end
@@ -188,9 +191,9 @@ module Reclaim_flapping_due = struct
 
   let flip = ref false
 
-  let due t ~now =
+  let due t ~now ~courtesy_lifetime =
     flip := not !flip;
-    if !flip then due t ~now else []
+    if !flip then due t ~now ~courtesy_lifetime else []
 end
 
 let test_seeded_bugs () =

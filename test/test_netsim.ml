@@ -735,14 +735,8 @@ let prop_network_order =
        ~print:(fun ops -> String.concat "; " (List.map show_net_op ops))
        gen_net_ops)
     (fun ops ->
-      let params =
-        {
-          Netsim.Net.latency = 0.0003;
-          bandwidth = 1.25e6;
-          header_bytes = 64;
-          jitter = 0.0;
-        }
-      in
+      (* the fixed 10 Mbit/s LAN of Net.create *)
+      let latency = 0.0003 and bandwidth = 1.25e6 and header_bytes = 64 in
       let ops =
         List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) ops
       in
@@ -760,10 +754,10 @@ let prop_network_order =
               let i = !id in
               incr id;
               if up.(a) then begin
-                let wire = n + params.header_bytes in
+                let wire = n + header_bytes in
                 let start = if !reserved > now then !reserved else now in
-                reserved := start +. (float_of_int wire /. params.bandwidth);
-                let arrival = !reserved +. params.latency in
+                reserved := start +. (float_of_int wire /. bandwidth);
+                let arrival = !reserved +. latency in
                 if not (List.mem (pair a b) !cut) then
                   expected := (i, b, arrival) :: !expected
               end
@@ -797,7 +791,7 @@ let prop_network_order =
       let e = Sim.Engine.create () in
       let delivered = ref [] and miscounted = ref [] in
       Obs.Metrics.with_metrics m (fun () ->
-          let net = Netsim.Net.create e ~params () in
+          let net = Netsim.Net.create e () in
           let hosts =
             Array.init net_hosts (fun i ->
                 Netsim.Net.Host.create net (string_of_int i))
@@ -819,7 +813,7 @@ let prop_network_order =
                           delivered :=
                             (i, b, Sim.Engine.now e, live.(b))
                             :: !delivered);
-                      let wire = if sent then n + params.header_bytes else 0 in
+                      let wire = if sent then n + header_bytes else 0 in
                       if total "net_messages_total" - msgs <> Bool.to_int sent
                          || total "net_bytes_total" - bytes <> wire
                       then miscounted := i :: !miscounted

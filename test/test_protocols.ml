@@ -141,16 +141,12 @@ let sequential_write_sharing kind () =
 (* ---- protocol-specific behaviour ---- *)
 
 let test_nfs_stale_read_under_concurrent_sharing () =
-  (* concurrent write-sharing with a long attribute-cache timeout:
-     unmodified NFS serves stale data (Section 2.1) *)
+  (* concurrent write-sharing inside the attribute cache's 3 s minimum
+     timeout: unmodified NFS serves stale data (Section 2.1) *)
   run_sim (fun e ->
       let w = make_world e in
-      let slow_probe =
-        { Nfs.Nfs_client.default_config with attr_min = 30.0; attr_max = 60.0 }
-      in
-      let protocol = Stack.Nfs_proto slow_probe in
-      let m1 = (mount ~protocol w Stack.Nfs "c1").mounts in
-      let m2 = (mount ~protocol w Stack.Nfs "c2").mounts in
+      let m1 = (mount w Stack.Nfs "c1").mounts in
+      let m2 = (mount w Stack.Nfs "c2").mounts in
       let stamp1 = Vfs.Stamp.fresh () in
       let fd = Vfs.Fileio.creat m1 "/f" in
       ignore (Vfs.Fileio.write ~stamp:stamp1 fd ~len:4096);
@@ -459,7 +455,9 @@ let test_snfs_crash_recovery () =
 
 let test_snfs_dead_client_callback () =
   (* a client holding dirty blocks crashes; an open by another client
-     times out the callback, forgets the dead client, and proceeds *)
+     times out the callback, reaps the dead client, and proceeds. No
+     laundromat runs: the failed callback alone walks the client from
+     Active through Courtesy and Expirable to reaped. *)
   counted (fun count e ->
       let w = make_world e in
       let { Cluster.host = h1; mounts = m1; _ } = mount w Stack.Snfs "c1" in
@@ -483,7 +481,18 @@ let test_snfs_dead_client_callback () =
       Alcotest.(check bool) "flagged inconsistent" true
         (Spritely.State_table.was_inconsistent
            (Snfs.Snfs_server.state_table server)
-           ~file:attrs.Localfs.ino))
+           ~file:attrs.Localfs.ino);
+      Alcotest.(check int) "dead client reaped" 1
+        (Snfs.Snfs_server.clients_reaped server);
+      let stats = Snfs.Snfs_server.lifecycle_stats server in
+      Alcotest.(check int) "reaped as Expirable" 1
+        stats.Snfs.Snfs_server.reaped_expirable;
+      Alcotest.(check int) "not from Courtesy" 0
+        stats.Snfs.Snfs_server.reaped_courtesy;
+      Alcotest.(check bool) "reaped client left the ledger" true
+        (Snfs.Snfs_server.client_state server
+           ~client:(Netsim.Net.Host.addr h1)
+        = Spritely.Lifecycle.Active))
 
 let test_snfs_relinquish_reclaims_delayed_closes () =
   (* Section 6.2's worry: delayed-close clients fill the state table
@@ -501,9 +510,7 @@ let test_snfs_relinquish_reclaims_delayed_closes () =
       in
       let m = (mount ~protocol w Stack.Snfs "dc").mounts in
       let server = snfs_server w in
-      let max_entries =
-        Spritely.State_table.max_entries (Snfs.Snfs_server.state_table server)
-      in
+      let max_entries = Spritely.State_table.max_entries in
       (* touch one file more than the table holds: their delayed closes
          fill it *)
       let files = max_entries + 1 in

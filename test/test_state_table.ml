@@ -261,20 +261,23 @@ let test_version_validity_rule () =
 (* ---- reclamation ---- *)
 
 let test_reclaim_closed_entries () =
-  let t = State_table.create ~max_entries:3 () in
+  let t = State_table.create () in
+  let full = State_table.max_entries in
   (* fill the table with closed-dirty files *)
-  for file = 1 to 3 do
+  for file = 1 to full do
     ignore (State_table.open_file t ~file ~client:1 ~mode:State_table.Write);
     State_table.close_file t ~file ~client:1 ~mode:State_table.Write
   done;
-  Alcotest.(check int) "full" 3 (State_table.entry_count t);
-  (* a 4th file forces reclamation of a closed entry via callback *)
-  let r = State_table.open_file t ~file:4 ~client:2 ~mode:State_table.Read in
+  Alcotest.(check int) "full" full (State_table.entry_count t);
+  (* one file more forces reclamation of a closed entry via callback *)
+  let r =
+    State_table.open_file t ~file:(full + 1) ~client:2 ~mode:State_table.Read
+  in
   Alcotest.(check int) "reclamation callback" 1
     (List.length r.State_table.callbacks);
   Alcotest.(check bool) "writeback requested" true
     (List.for_all (fun cb -> cb.State_table.writeback) r.State_table.callbacks);
-  Alcotest.(check int) "bounded" 3 (State_table.entry_count t)
+  Alcotest.(check int) "bounded" full (State_table.entry_count t)
 
 let test_least_recently_active_open () =
   let t = State_table.create () in
@@ -310,10 +313,14 @@ let test_approx_bytes () =
     (bytes = 68_000)
 
 let test_table_full_when_all_open () =
-  let t = State_table.create ~max_entries:2 () in
-  ignore (State_table.open_file t ~file:1 ~client:1 ~mode:State_table.Read);
-  ignore (State_table.open_file t ~file:2 ~client:1 ~mode:State_table.Read);
-  match State_table.open_file t ~file:3 ~client:1 ~mode:State_table.Read with
+  let t = State_table.create () in
+  let full = State_table.max_entries in
+  for file = 1 to full do
+    ignore (State_table.open_file t ~file ~client:1 ~mode:State_table.Read)
+  done;
+  match
+    State_table.open_file t ~file:(full + 1) ~client:1 ~mode:State_table.Read
+  with
   | _ -> Alcotest.fail "expected Table_full"
   | exception State_table.Table_full -> ()
 

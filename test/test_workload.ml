@@ -122,8 +122,7 @@ let test_andrew_runs () =
 
 let sort_config input_kb =
   {
-    Workload.Sort_workload.default_config with
-    input_bytes = input_kb * 1024;
+    Workload.Sort_workload.input_bytes = input_kb * 1024;
     input_path = "/local/in";
     output_path = "/local/out";
     tmp_dir = "/tmp";
@@ -172,10 +171,7 @@ let test_sort_temp_grows_superlinearly () =
 let test_reread_local () =
   run_sim (fun e ->
       let ctx = make_ctx e in
-      let r =
-        Workload.Reread.run ctx
-          { Workload.Reread.dir = "/data"; bytes = 256 * 1024 }
-      in
+      let r = Workload.Reread.run ctx in
       Alcotest.(check bool) "write cost positive" true
         (r.Workload.Reread.write_close >= 0.0);
       (* on a local fs with a big cache, rereading is nearly free *)
@@ -185,13 +181,13 @@ let test_reread_local () =
 (* ---- trace ---- *)
 
 let test_trace_generation_deterministic () =
-  let a = Workload.Trace.generate Workload.Trace.default_config in
-  let b = Workload.Trace.generate Workload.Trace.default_config in
+  let a = Workload.Trace.generate () in
+  let b = Workload.Trace.generate () in
   Alcotest.(check bool) "same ops" true (a = b);
   Alcotest.(check int) "requested length" 400 (List.length a)
 
 let test_trace_mix () =
-  let ops = Workload.Trace.generate Workload.Trace.default_config in
+  let ops = Workload.Trace.generate () in
   let temps =
     List.length
       (List.filter (function Workload.Trace.Temp _ -> true | _ -> false) ops)
@@ -212,12 +208,9 @@ let test_trace_mix () =
 let test_trace_replay () =
   run_sim (fun e ->
       let ctx = make_ctx e in
-      let config =
-        { Workload.Trace.default_config with operations = 60; mean_think = 0.01 }
-      in
-      Workload.Trace.setup ctx config;
-      let ops = Workload.Trace.generate config in
-      let r = Workload.Trace.replay ctx config ops in
+      Workload.Trace.setup ctx;
+      let ops = Workload.Trace.generate () in
+      let r = Workload.Trace.replay ctx ops in
       Alcotest.(check bool) "elapsed > 0" true (r.Workload.Trace.elapsed > 0.0);
       let total =
         Stats.Histogram.count r.Workload.Trace.read_lat
@@ -225,10 +218,10 @@ let test_trace_replay () =
         + Stats.Histogram.count r.Workload.Trace.stat_lat
         + Stats.Histogram.count r.Workload.Trace.temp_lat
       in
-      Alcotest.(check int) "every op recorded" 60 total;
+      Alcotest.(check int) "every op recorded" 400 total;
       (* all temporaries were deleted *)
       let leftovers =
-        Vfs.Fileio.readdir ctx.Workload.App.mounts config.working_dir
+        Vfs.Fileio.readdir ctx.Workload.App.mounts "/data/trace"
         |> List.filter (fun n -> String.length n >= 3 && String.sub n 0 3 = "tmp")
       in
       Alcotest.(check (list string)) "no temp leftovers" [] leftovers)
