@@ -1,22 +1,26 @@
 open Parsetree
 
 (* The whole-program substrate under the interprocedural passes: one
-   node per toplevel value binding anywhere in the workspace (nested
-   modules and functor bodies included), with every identifier
-   reference resolved to node ids through the module-path machinery —
-   [module X = M] aliases, [open M] scopes, library-wrapper prefixes
-   (a reference [Netsim.Rpc.call] reaches the tree module [Rpc] by
-   dropping unknown leading wrapper components), and functor
-   application over-approximated by resolving parameter-qualified
-   references against *every* argument module the functor is applied
-   to anywhere in the tree.
+   node per name a toplevel value binding binds anywhere in the
+   workspace (nested modules and functor bodies included; a binding
+   that binds no name, such as [let () = ...], is one node of its own),
+   with every identifier reference resolved to node ids through the
+   module-path machinery — [module X = M] aliases, [open M] scopes,
+   library-wrapper prefixes (a reference [Netsim.Rpc.call] reaches the
+   tree module [Rpc] by dropping unknown leading wrapper components),
+   and functor application over-approximated by resolving
+   parameter-qualified references against *every* argument module the
+   functor is applied to outside test/. The expression forms
+   [M.( ... )], [let open M in], [let module X = M in] and
+   [let module X = F (A) in] scope the references beneath them the
+   same way.
 
    References are recorded twice: [refs] (everything the body
    mentions) and [sync_refs] (everything outside a lambda handed to a
    deferring primitive such as [Engine.spawn] — code that runs in a
    later task and therefore neither blocks the binding nor runs under
-   its caller). Effect inference and reachability passes pick the set
-   that matches their question. *)
+   its caller). Effect inference follows [sync_refs]; reachability
+   and interface drift follow [refs]. *)
 
 type node = {
   id : string; (* "Module.Sub.binding" *)
@@ -29,9 +33,11 @@ type node = {
 }
 
 type scope = {
-  sc_opens : string list list; (* raw paths of every [open] in the file *)
+  sc_opens : string list list; (* raw paths of every [open] in scope *)
   sc_aliases : (string * string list) list; (* module X = <raw path> *)
 }
+
+let no_scope = { sc_opens = []; sc_aliases = [] }
 
 type t = {
   nodes : (string, node) Hashtbl.t;
@@ -45,7 +51,6 @@ type t = {
   sync_refs_tbl : (string, string list) Hashtbl.t;
   sync_heads_tbl : (string, string list list) Hashtbl.t;
       (* raw application-head paths outside deferred thunks *)
-  defer : string list list;
 }
 
 let default_defer =
@@ -60,7 +65,16 @@ let join = String.concat "."
 
 (* ---- collection: modules, bindings, scopes, functor applications ---- *)
 
-type raw_ref = { rr_path : string list; rr_sync : bool }
+(* [rr_local]: the local opens and [let module] aliases the reference
+   sits under, innermost first *)
+type raw_ref = { rr_path : string list; rr_sync : bool; rr_local : scope }
+
+(* a functor application [F (A) (B)], seen inside module [fa_module] *)
+type raw_app = {
+  fa_module : string list;
+  fa_functor : string list;
+  fa_args : string list list;
+}
 
 type raw_node = {
   rn_module : string list;
@@ -73,7 +87,25 @@ type raw_node = {
   rn_heads : string list list; (* sync application heads *)
 }
 
-let scan_file defer (file : Source.t) structure =
+(* expand a leading alias component through a scope *)
+let expand_aliases scope p =
+  match p with
+  | head :: rest -> (
+      match List.assoc_opt head scope.sc_aliases with
+      | Some target -> target @ rest
+      | None -> p)
+  | [] -> p
+
+(* the module a [module X = ...] or [let module X = ...] makes [X] an
+   alias of: [M] itself, or the functor [F] of [F (A) (B)], through
+   which calls on [X] resolve *)
+let rec alias_target me =
+  match me.pmod_desc with
+  | Pmod_ident { txt; _ } -> Astutil.flatten txt
+  | Pmod_apply (f, _) -> alias_target f
+  | _ -> None
+
+let scan_file (file : Source.t) structure =
   let root = Source.module_name file.Source.path in
   let opens = ref [] in
   let aliases = ref [] in
@@ -81,57 +113,7 @@ let scan_file defer (file : Source.t) structure =
   let fparams = ref [] in
   let fapps = ref [] in
   let raw_nodes = ref [] in
-  (* every ident path in [e], flagged sync/deferred; plus sync heads *)
-  let collect_refs e =
-    let refs = ref [] and heads = ref [] in
-    let rec expr ~sync it e =
-      let e = Astutil.uncurry_pipes e in
-      match e.pexp_desc with
-      | Pexp_ident { txt; _ } -> (
-          match Astutil.flatten txt with
-          | Some p -> refs := { rr_path = p; rr_sync = sync } :: !refs
-          | None -> ())
-      | Pexp_apply (head, args) ->
-          (match Astutil.path_of_expr head with
-          | Some p ->
-              if sync then heads := p :: !heads;
-              refs := { rr_path = p; rr_sync = sync } :: !refs;
-              if List.exists (Astutil.has_suffix p) defer then
-                List.iter
-                  (fun (_, a) ->
-                    if Astutil.is_lambda a then expr ~sync:false it a
-                    else expr ~sync it a)
-                  args
-              else List.iter (fun (_, a) -> expr ~sync it a) args
-          | None ->
-              expr ~sync it head;
-              List.iter (fun (_, a) -> expr ~sync it a) args)
-      | _ ->
-          let sub _it child = expr ~sync it child in
-          let it' = { it with Ast_iterator.expr = sub } in
-          Ast_iterator.default_iterator.expr it' e
-    in
-    let it = Ast_iterator.default_iterator in
-    expr ~sync:true it e;
-    (!refs, List.rev !heads)
-  in
-  let add_binding mpath name vb =
-    let line, col = Astutil.pos vb.pvb_pat.ppat_loc in
-    let refs, heads = collect_refs vb.pvb_expr in
-    raw_nodes :=
-      {
-        rn_module = mpath;
-        rn_name = name;
-        rn_path = file.Source.path;
-        rn_line = line;
-        rn_col = col;
-        rn_body = vb.pvb_expr;
-        rn_refs = refs;
-        rn_heads = heads;
-      }
-      :: !raw_nodes
-  in
-  let record_functor_app mpath me =
+  let record_functor_app mpath local me =
     (* [F (A) (B)]: remember A and B as argument candidates for F's
        parameters, by F's resolved-later raw path *)
     let rec peel acc m =
@@ -140,20 +122,95 @@ let scan_file defer (file : Source.t) structure =
           match arg.pmod_desc with
           | Pmod_ident { txt; _ } -> (
               match Astutil.flatten txt with
-              | Some p -> peel (p :: acc) f
+              | Some p -> peel (expand_aliases local p :: acc) f
               | None -> peel acc f)
           | _ -> peel acc f)
-      | Pmod_ident { txt; _ } -> (
-          match Astutil.flatten txt with
-          | Some f_path -> Some (f_path, acc)
-          | None -> None)
+      | Pmod_ident { txt; _ } ->
+          Option.map
+            (fun f -> (expand_aliases local f, acc))
+            (Astutil.flatten txt)
       | _ -> None
     in
     match peel [] me with
-    | Some (f_path, args) when args <> [] ->
-        ignore mpath;
-        fapps := (f_path, args) :: !fapps
+    | Some (fa_functor, (_ :: _ as fa_args)) ->
+        fapps := { fa_module = mpath; fa_functor; fa_args } :: !fapps
     | _ -> ()
+  in
+  (* every ident path in [e], flagged sync/deferred and scoped by the
+     local opens and modules above it; plus sync heads *)
+  let collect_refs mpath e =
+    let refs = ref [] and heads = ref [] in
+    let rec expr ~sync ~local it e =
+      let e = Astutil.uncurry_pipes e in
+      let add p =
+        refs := { rr_path = p; rr_sync = sync; rr_local = local } :: !refs
+      in
+      let sub ?(sync = sync) ?(local = local) child =
+        expr ~sync ~local it child
+      in
+      let deeper = { it with Ast_iterator.expr = (fun _ child -> sub child) } in
+      match e.pexp_desc with
+      | Pexp_ident { txt; _ } -> Option.iter add (Astutil.flatten txt)
+      | Pexp_apply (head, args) -> (
+          match Astutil.path_of_expr head with
+          | Some p ->
+              if sync then heads := p :: !heads;
+              add p;
+              let defers = List.exists (Astutil.has_suffix p) default_defer in
+              List.iter
+                (fun (_, a) ->
+                  sub ~sync:(sync && not (defers && Astutil.is_lambda a)) a)
+                args
+          | None ->
+              sub head;
+              List.iter (fun (_, a) -> sub a) args)
+      | Pexp_open
+          ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, body)
+        -> (
+          match Astutil.flatten txt with
+          | Some p ->
+              let o = expand_aliases local p in
+              sub ~local:{ local with sc_opens = o :: local.sc_opens } body
+          | None -> sub body)
+      | Pexp_letmodule ({ txt = Some x; _ }, me, body) ->
+          record_functor_app mpath local me;
+          deeper.module_expr deeper me;
+          let local =
+            match alias_target me with
+            | Some p ->
+                let a = (x, expand_aliases local p) in
+                { local with sc_aliases = a :: local.sc_aliases }
+            | None -> local
+          in
+          sub ~local body
+      | _ -> Ast_iterator.default_iterator.expr deeper e
+    in
+    expr ~sync:true ~local:no_scope Ast_iterator.default_iterator e;
+    (!refs, List.rev !heads)
+  in
+  let add_binding mpath vb =
+    let line, col = Astutil.pos vb.pvb_pat.ppat_loc in
+    let refs, heads = collect_refs mpath vb.pvb_expr in
+    let names =
+      match Astutil.pat_names vb.pvb_pat with
+      | [] -> [ Printf.sprintf "<toplevel:%d>" line ]
+      | names -> names
+    in
+    List.iter
+      (fun name ->
+        raw_nodes :=
+          {
+            rn_module = mpath;
+            rn_name = name;
+            rn_path = file.Source.path;
+            rn_line = line;
+            rn_col = col;
+            rn_body = vb.pvb_expr;
+            rn_refs = refs;
+            rn_heads = heads;
+          }
+          :: !raw_nodes)
+      names
   in
   let rec walk_module mpath me ~params =
     match me.pmod_desc with
@@ -166,7 +223,7 @@ let scan_file defer (file : Source.t) structure =
         in
         walk_module mpath body ~params
     | Pmod_constraint (me, _) -> walk_module mpath me ~params
-    | Pmod_apply _ -> record_functor_app mpath me
+    | Pmod_apply _ -> record_functor_app mpath no_scope me
     | _ -> ()
   and walk_structure mpath items ~params =
     if params <> [] then fparams := (join mpath, params) :: !fparams;
@@ -179,36 +236,18 @@ let scan_file defer (file : Source.t) structure =
             | Some p -> opens := p :: !opens
             | None -> ())
         | Pstr_module { pmb_name = { txt = Some sub; _ }; pmb_expr; _ } -> (
-            let sub_path = mpath @ [ sub ] in
             match pmb_expr.pmod_desc with
-            | Pmod_ident { txt; _ } -> (
-                match Astutil.flatten txt with
-                | Some target -> aliases := (sub, target) :: !aliases
-                | None -> ())
-            | Pmod_apply _ ->
+            | Pmod_ident _ | Pmod_apply _ ->
                 (* module A = F (B): calls through A resolve into F *)
-                (match
-                   let rec head m =
-                     match m.pmod_desc with
-                     | Pmod_apply (f, _) -> head f
-                     | Pmod_ident { txt; _ } -> Astutil.flatten txt
-                     | _ -> None
-                   in
-                   head pmb_expr
-                 with
-                | Some f_path -> aliases := (sub, f_path) :: !aliases
-                | None -> ());
-                record_functor_app sub_path pmb_expr
+                Option.iter
+                  (fun target -> aliases := (sub, target) :: !aliases)
+                  (alias_target pmb_expr);
+                record_functor_app mpath no_scope pmb_expr
             | _ ->
+                let sub_path = mpath @ [ sub ] in
                 modules := sub_path :: !modules;
                 walk_module sub_path pmb_expr ~params:[])
-        | Pstr_value (_, vbs) ->
-            List.iter
-              (fun vb ->
-                match Astutil.pat_names vb.pvb_pat with
-                | [ x ] -> add_binding mpath x vb
-                | _ -> ())
-              vbs
+        | Pstr_value (_, vbs) -> List.iter (add_binding mpath) vbs
         | _ -> ())
       items
   in
@@ -221,36 +260,18 @@ let scan_file defer (file : Source.t) structure =
 
 (* ---- resolution ---- *)
 
-(* expand a leading alias component through the file scope *)
-let expand_aliases scope p =
-  match p with
-  | head :: rest -> (
-      match List.assoc_opt head scope.sc_aliases with
-      | Some target -> target @ rest
-      | None -> p)
-  | [] -> p
+(* a module path and each of its ancestors: [A.B] -> [A.B; A] *)
+let rec ancestors m =
+  match List.rev m with [] -> [] | _ :: up -> m :: ancestors (List.rev up)
 
-(* candidate module paths a raw module prefix may denote, given the
-   current module and the file scope *)
+(* candidate module paths a raw module prefix (empty for a bare
+   ident) may denote, given the current module and the scope *)
 let module_candidates t scope current prefix =
   let known m = Hashtbl.mem t.modules (join m) in
   let out = ref [] in
   let add m = if known m && not (List.mem m !out) then out := m :: !out in
   (* relative to the current module and each of its ancestors *)
-  let rec ancestors acc m =
-    match m with [] -> acc | _ :: _ -> ancestors (m :: acc) (List.rev (List.tl (List.rev m)))
-  in
-  List.iter (fun anc -> add (anc @ prefix)) (List.rev (ancestors [] current));
-  (* absolute *)
-  add prefix;
-  (* through each [open] *)
-  List.iter
-    (fun o ->
-      let o = expand_aliases scope o in
-      add (o @ prefix);
-      (* an opened library wrapper: [open Netsim] + [Rpc.call] *)
-      match prefix with _ :: _ -> add prefix | [] -> ())
-    scope.sc_opens;
+  List.iter (fun anc -> add (anc @ prefix)) (ancestors current);
   (* library-wrapper over-approximation: drop unknown leading
      components until a defined module matches *)
   let rec drop p =
@@ -260,20 +281,30 @@ let module_candidates t scope current prefix =
         add p;
         drop rest
   in
+  (* through each [open], whose own wrapper components drop the same
+     way ([Nfs.Wire.( Proc.create )] reaches [Wire.Proc.create]) *)
+  List.iter (fun o -> drop (expand_aliases scope o @ prefix)) scope.sc_opens;
+  (* absolute, and an opened library wrapper: [open Netsim] +
+     [Rpc.call] *)
   drop prefix;
   List.rev !out
 
-(* resolve one raw reference path to node ids *)
-let resolve_raw t ~file ~current raw =
+(* resolve one raw reference path to node ids; [local] scopes go
+   before the file's *)
+let resolve_raw t ~file ~current ?(local = no_scope) raw =
   let scope =
     match Hashtbl.find_opt t.scopes file with
-    | Some s -> s
-    | None -> { sc_opens = []; sc_aliases = [] }
+    | Some s ->
+        {
+          sc_opens = local.sc_opens @ s.sc_opens;
+          sc_aliases = local.sc_aliases @ s.sc_aliases;
+        }
+    | None -> local
   in
   let raw = expand_aliases scope raw in
   (* substitute functor parameters: inside functor [F (X : S)], a
      reference [X.f] is over-approximated by [A.f] for every [A] that
-     [F] is applied to anywhere in the tree *)
+     [F] is applied to outside test/ *)
   let raws =
     match raw with
     | head :: rest when rest <> [] -> (
@@ -290,39 +321,17 @@ let resolve_raw t ~file ~current raw =
     match List.rev raw with
     | [] -> []
     | name :: rev_prefix ->
-        let prefix = List.rev rev_prefix in
-        let mods =
-          if prefix = [] then
-            (* bare ident: the current module, its ancestors, and each
-               opened module (with wrapper components dropped) *)
-            let rec ancestors acc m =
-              match m with
-              | [] -> acc
-              | _ :: _ ->
-                  ancestors (m :: acc) (List.rev (List.tl (List.rev m)))
-            in
-            ancestors [] current
-            @ List.concat_map
-                (fun o ->
-                  let o = expand_aliases scope o in
-                  let rec drop p =
-                    match p with [] -> [] | _ :: rest -> p :: drop rest
-                  in
-                  drop o)
-                scope.sc_opens
-          else module_candidates t scope current prefix
-        in
         List.filter_map
           (fun m ->
             let id = join (m @ [ name ]) in
             if Hashtbl.mem t.nodes id then Some id else None)
-          mods
+          (module_candidates t scope current (List.rev rev_prefix))
   in
   List.concat_map resolve_one raws |> List.sort_uniq compare
 
 (* ---- construction ---- *)
 
-let build ?(defer = default_defer) (files : Source.t list) =
+let build (files : Source.t list) =
   let t =
     {
       nodes = Hashtbl.create 1024;
@@ -334,7 +343,6 @@ let build ?(defer = default_defer) (files : Source.t list) =
       refs_tbl = Hashtbl.create 1024;
       sync_refs_tbl = Hashtbl.create 1024;
       sync_heads_tbl = Hashtbl.create 1024;
-      defer;
     }
   in
   let all_raw = ref [] in
@@ -343,7 +351,7 @@ let build ?(defer = default_defer) (files : Source.t list) =
       match f.Source.impl with
       | Some structure ->
           let scope, modules, fparams, fapps, raws =
-            scan_file defer f structure
+            scan_file f structure
           in
           Hashtbl.replace t.scopes f.Source.path scope;
           List.iter (fun m -> Hashtbl.replace t.modules (join m) ()) modules;
@@ -373,49 +381,53 @@ let build ?(defer = default_defer) (files : Source.t list) =
         raws)
     !all_raw;
   (* functor applications: attribute raw argument paths to the
-     functor's node-table identity (resolved as a module path) *)
+     functor's node-table identity (resolved as a module path from the
+     module the application sits in). Applications in test/ are left
+     out: a test's instance of a program functor is no program use of
+     its argument, and no pass judges test code. *)
   List.iter
     (fun (file, scope, fapps, _) ->
-      List.iter
-        (fun (f_raw, args) ->
-          let f_raw = expand_aliases scope f_raw in
-          let rec drop p =
-            match p with
-            | [] -> None
-            | _ when Hashtbl.mem t.modules (join p) -> Some p
-            | _ :: rest -> drop rest
-          in
-          ignore file;
-          match drop f_raw with
-          | Some fp ->
-              let key = join fp in
-              let prev =
-                Option.value ~default:[] (Hashtbl.find_opt t.functor_args key)
-              in
-              Hashtbl.replace t.functor_args key (args @ prev)
-          | None -> ())
-        fapps)
+      if not (Source.under "test" file) then
+        List.iter
+          (fun fa ->
+            let args = List.map (expand_aliases scope) fa.fa_args in
+            List.iter
+              (fun fp ->
+                let key = join fp in
+                let prev =
+                  Option.value ~default:[]
+                    (Hashtbl.find_opt t.functor_args key)
+                in
+                Hashtbl.replace t.functor_args key (args @ prev))
+              (module_candidates t scope fa.fa_module
+                 (expand_aliases scope fa.fa_functor)))
+          fapps)
     !all_raw;
-  (* resolve every node's references *)
+  (* resolve every node's references; bindings that share an id (a
+     shadowed binding, same-named modules in two libraries) merge
+     theirs, as their references resolve to the one node *)
+  let merge tbl id l =
+    let prev = Option.value ~default:[] (Hashtbl.find_opt tbl id) in
+    Hashtbl.replace tbl id (List.sort_uniq compare (l @ prev))
+  in
   List.iter
     (fun (file, _, _, raws) ->
       List.iter
         (fun rn ->
           let id = join (rn.rn_module @ [ rn.rn_name ]) in
-          let resolve rr = resolve_raw t ~file ~current:rn.rn_module rr in
-          let all =
-            List.concat_map (fun r -> resolve r.rr_path) rn.rn_refs
-            |> List.sort_uniq compare
+          let resolve r =
+            resolve_raw t ~file ~current:rn.rn_module ~local:r.rr_local
+              r.rr_path
           in
-          let sync =
-            List.concat_map
-              (fun r -> if r.rr_sync then resolve r.rr_path else [])
-              rn.rn_refs
-            |> List.sort_uniq compare
+          merge t.refs_tbl id (List.concat_map resolve rn.rn_refs);
+          merge t.sync_refs_tbl id
+            (List.concat_map
+               (fun r -> if r.rr_sync then resolve r else [])
+               rn.rn_refs);
+          let heads =
+            Option.value ~default:[] (Hashtbl.find_opt t.sync_heads_tbl id)
           in
-          Hashtbl.replace t.refs_tbl id all;
-          Hashtbl.replace t.sync_refs_tbl id sync;
-          Hashtbl.replace t.sync_heads_tbl id rn.rn_heads)
+          Hashtbl.replace t.sync_heads_tbl id (rn.rn_heads @ heads))
         raws)
     !all_raw;
   let order =
@@ -447,7 +459,7 @@ let resolve_in t ~node raw =
 (* breadth-first reachability over [refs] from labeled roots; each
    reached node remembers the lexicographically-first label, so
    messages derived from the result are deterministic *)
-let reachable ?(sync_only = false) t roots =
+let reachable t roots =
   let out : (string, string) Hashtbl.t = Hashtbl.create 256 in
   let queue = Queue.create () in
   let visit label id =
@@ -459,13 +471,12 @@ let reachable ?(sync_only = false) t roots =
           Queue.add id queue
   in
   List.iter (fun (label, id) -> visit label id) (List.sort compare roots);
-  let next = if sync_only then sync_refs else refs in
   let rec drain () =
     match Queue.take_opt queue with
     | None -> ()
     | Some id ->
         let label = Hashtbl.find out id in
-        List.iter (visit label) (next t id);
+        List.iter (visit label) (refs t id);
         drain ()
   in
   drain ();

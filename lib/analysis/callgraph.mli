@@ -1,14 +1,17 @@
 (** Whole-program call graph over every parsed source file.
 
-    One node per toplevel value binding (nested modules and functor
-    bodies included), identified by its dotted module path, with every
-    identifier reference resolved through [module X = M] aliases,
-    [open M] scopes, library-wrapper prefixes (dropping unknown leading
-    components, so [Netsim.Rpc.call] reaches the tree module [Rpc]) and
-    functor application over-approximated against every argument module
-    the functor is applied to anywhere in the tree. The interprocedural
-    passes — may-yield effect inference, Domain-safety reachability and
-    the server fan-out cost lint — are all built on this graph. *)
+    One node per name a toplevel value binding binds (nested modules and
+    functor bodies included), identified by its dotted module path; a
+    binding that binds no name ([let () = ...], [let _ = ...]) is a node
+    of its own, named [<toplevel:LINE>]. Every identifier reference is
+    resolved through [module X = M] and [let module X = M in] aliases,
+    [open M], [let open M in] and [M.( ... )] scopes, library-wrapper
+    prefixes (dropping unknown leading components, so [Netsim.Rpc.call]
+    reaches the tree module [Rpc]) and functor application
+    over-approximated against every argument module the functor is
+    applied to outside [test/], [let module X = F (A) in] included. The interprocedural passes — may-yield effect inference,
+    Domain-safety reachability, the server fan-out cost lint and
+    interface drift — are all built on this graph. *)
 
 type node = {
   id : string;  (** dotted id, e.g. ["Snfs_server.perform_callback"] *)
@@ -26,10 +29,14 @@ val default_defer : string list list
 (** the deferring primitives: a lambda handed to one of these runs in a
     later task, so its references are excluded from [sync_refs] *)
 
-val build : ?defer:string list list -> Source.t list -> t
+val build : Source.t list -> t
 
 val nodes : t -> node list
 (** every node, sorted by id — the deterministic walk order *)
+
+val refs : t -> string -> string list
+(** the resolved references of a node's body, sorted and deduped;
+    bindings that share an id merge theirs *)
 
 val sync_refs : t -> string -> string list
 (** the resolved references of a node's body outside deferred-thunk
@@ -48,9 +55,8 @@ val resolve_at :
 val resolve_in : t -> node:string -> string list -> string list
 (** [resolve_at] in the scope of an existing node *)
 
-val reachable :
-  ?sync_only:bool -> t -> (string * string) list -> (string, string) Hashtbl.t
-(** breadth-first closure over all resolved references (or only
-    [sync_refs]) from labeled [(label, root)] pairs; each reached node
-    maps to the lexicographically first label that reaches it, so
-    derived messages are deterministic *)
+val reachable : t -> (string * string) list -> (string, string) Hashtbl.t
+(** breadth-first closure over all resolved references from labeled
+    [(label, root)] pairs; each reached node maps to the
+    lexicographically first label that reaches it, so derived messages
+    are deterministic *)

@@ -20,6 +20,10 @@ val compare : t -> t -> int
 (** GNU error format: [path:line:col: error: [rule] message]. *)
 val to_string : t -> string
 
+(** The body of a JSON string literal: quote, backslash and control
+    characters escaped. The JSON and SARIF reports both use it. *)
+val json_escape : string -> string
+
 (** A whole report: JSON array, one object per line with a fixed field
     order, byte-deterministic for identical inputs. *)
 val report_to_json : t list -> string

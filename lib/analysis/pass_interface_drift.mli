@@ -2,18 +2,14 @@
 
     A [val] in a [lib/] interface that no code outside its own module
     references is dead API surface: it rots silently and widens the
-    audit burden of every protocol change. The pass collects exports
-    from each [.mli] and qualified references ([Module.value], with
-    [module X = ...] aliases resolved) from every source file; a value
-    never referenced outside its defining module is reported at its
-    [.mli] declaration. The values of a nested [module X : sig ... end],
-    and of a functor [X] whose result is a [sig ... end], are judged as
-    [X]'s; [module Y = X (Z)] makes [Y.v] a reference to [X.v].
-
-    Conservative outs: a module that is the target of any [open] or
-    [include] elsewhere is skipped entirely, its nested modules with it
-    (bare references cannot be attributed), operator names are
-    skipped, and same-named modules in different libraries are merged
-    (a reference to either counts for both). *)
+    audit burden of every protocol change. The pass reads references
+    from the whole-program call graph ({!Callgraph}), so aliases,
+    opens, local modules and functor arguments resolve exactly as they
+    do for every other graph pass: a [val v] of module [A] counts as
+    used when a node outside [test/] and outside [A]'s own source
+    references the node [A.v]. A val never so referenced is reported
+    at its [.mli] declaration. The values of a nested
+    [module X : sig ... end], and of a functor [X] whose result is a
+    [sig ... end], are judged as [A.X]'s. Operator names are skipped. *)
 
 val pass : Pass.t

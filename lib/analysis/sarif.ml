@@ -7,22 +7,6 @@
    timestamps or absolute paths. Columns are 1-based in SARIF where
    the compiler (and [Finding.col]) is 0-based, hence the [col + 1]. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_string ~rules findings =
   let buf = Buffer.create 4096 in
   let add = Buffer.add_string buf in
@@ -45,7 +29,7 @@ let to_string ~rules findings =
       add
         (Printf.sprintf
            "{\"id\": \"%s\", \"shortDescription\": {\"text\": \"%s\"}}"
-           (escape id) (escape doc)))
+           (Finding.json_escape id) (Finding.json_escape doc)))
     rules;
   if rules <> [] then add "\n          ";
   add "]\n";
@@ -56,18 +40,20 @@ let to_string ~rules findings =
     (fun i (f : Finding.t) ->
       if i > 0 then add ",";
       add "\n        {\n";
-      add (Printf.sprintf "          \"ruleId\": \"%s\",\n" (escape f.rule));
+      add
+        (Printf.sprintf "          \"ruleId\": \"%s\",\n"
+           (Finding.json_escape f.rule));
       add "          \"level\": \"error\",\n";
       add
         (Printf.sprintf "          \"message\": {\"text\": \"%s\"},\n"
-           (escape f.message));
+           (Finding.json_escape f.message));
       add "          \"locations\": [\n";
       add "            {\n";
       add "              \"physicalLocation\": {\n";
       add
         (Printf.sprintf
            "                \"artifactLocation\": {\"uri\": \"%s\"},\n"
-           (escape f.path));
+           (Finding.json_escape f.path));
       add
         (Printf.sprintf
            "                \"region\": {\"startLine\": %d, \

@@ -20,8 +20,6 @@ let state_to_string = function
   | One_writer -> "ONE_WRITER"
   | Write_shared -> "WRITE_SHARED"
 
-let pp_state fmt s = Format.pp_print_string fmt (state_to_string s)
-
 type callback = { target : client_id; writeback : bool; invalidate : bool }
 
 type open_result = {

@@ -160,5 +160,3 @@ val merge_report : t -> client_report -> unit
 (** Structural equality of the consistency-relevant content, for
     recovery tests. *)
 val equal : t -> t -> bool
-
-val pp_state : Format.formatter -> state -> unit

@@ -5,8 +5,9 @@
    variant (no finding). Fixtures are inline strings fed through
    Driver.analyze, so nothing here can leak into the real tree scan.
    The whole-program substrate gets its own unit tests (call-graph
-   resolution through aliases, opens, wrapper prefixes and functor
-   application), and the interprocedural yield-race pass is proven
+   resolution through aliases, opens, local opens and modules, wrapper
+   prefixes and functor application, and the nodes of unnamed
+   bindings), and the interprocedural yield-race pass is proven
    strictly stronger than the legacy per-module judgement on a
    cross-library fixture. Also covers waivers, the baseline file,
    parse-error reporting, byte-identical JSON and SARIF output across
@@ -189,13 +190,8 @@ let test_callgraph_wrapper_and_defer () =
   Alcotest.(check (list string)) "spawned thunk excluded from sync refs"
     [ "Rpc.call" ]
     (C.sync_refs cg "User.go");
-  let reaches ~sync_only id =
-    Hashtbl.mem (C.reachable ~sync_only cg [ ("root", "User.go") ]) id
-  in
   Alcotest.(check bool) "but still reached through full refs" true
-    (reaches ~sync_only:false "User.tick");
-  Alcotest.(check bool) "and not through sync refs" false
-    (reaches ~sync_only:true "User.tick")
+    (Hashtbl.mem (C.reachable cg [ ("root", "User.go") ]) "User.tick")
 
 let test_callgraph_functor () =
   let cg =
@@ -210,7 +206,7 @@ let test_callgraph_functor () =
       ]
   in
   (* parameter-qualified references are over-approximated against every
-     module the functor is applied to anywhere in the tree *)
+     module the functor is applied to outside test/ *)
   Alcotest.(check (list string)) "functor argument substituted"
     [ "Impl.v" ]
     (C.sync_refs cg "F.Make.get");
@@ -222,6 +218,62 @@ let test_callgraph_functor () =
     (fun id ->
       Alcotest.(check bool) ("reaches " ^ id) true (Hashtbl.mem closure id))
     [ "User.go"; "F.Make.get"; "Impl.v" ]
+
+(* local opens and modules scope the references beneath them, and a
+   toplevel binding that binds no single name is a node too *)
+let test_callgraph_local_scopes () =
+  let cg =
+    cg_of
+      [
+        input "lib/x/a.ml" "let f x = x + 1\n";
+        input "lib/x/f.ml"
+          "module Make (S : sig val f : int -> int end) = struct\n\
+          \  let run x = S.f x\n\
+           end\n";
+        input "lib/x/c.ml"
+          "let k y = A.(f y)\n\
+           let l y = let open A in f y\n\
+           let m y = let module X = A in X.f y\n\
+           let n y = let module M = F.Make (A) in M.run y\n";
+        input "bin/main.ml" "let () = ignore (A.f 1)\nlet u, v = (A.f 2, 3)\n";
+      ]
+  in
+  List.iter
+    (fun (id, what) ->
+      Alcotest.(check (list string)) what [ "A.f" ] (C.sync_refs cg id))
+    [
+      ("C.k", "M.( ... ) opens M");
+      ("C.l", "let open M in opens M");
+      ("C.m", "let module X = M in aliases M");
+      ("F.Make.run", "let module X = F (A) in applies F to A");
+    ];
+  Alcotest.(check (list string)) "the local functor alias resolves into F"
+    [ "F.Make.run" ] (C.sync_refs cg "C.n");
+  Alcotest.(check (list (pair string (list string))))
+    "let () and a tuple binding carry their refs"
+    [
+      ("<toplevel:1>", [ "A.f" ]); ("u", [ "A.f" ]); ("v", [ "A.f" ]);
+    ]
+    (List.filter_map
+       (fun n ->
+         if n.C.path = "bin/main.ml" then Some (n.C.name, C.sync_refs cg n.C.id)
+         else None)
+       (C.nodes cg))
+
+(* same-named modules in two libraries are one node id: its references
+   are both bindings' *)
+let test_callgraph_shared_id () =
+  let cg =
+    cg_of
+      [
+        input "lib/a/trace.ml" "let f () = Foo.x ()\n";
+        input "lib/b/trace.ml" "let f () = Bar.y ()\n";
+        input "lib/c/foo.ml" "let x () = ()\n";
+        input "lib/d/bar.ml" "let y () = ()\n";
+      ]
+  in
+  Alcotest.(check (list string)) "both bodies' references" [ "Bar.y"; "Foo.x" ]
+    (C.refs cg "Trace.f")
 
 (* ---- yield-race ---- *)
 
@@ -1012,16 +1064,20 @@ let drift_fixture b_src =
     input "lib/m/b.mli" "val g : int -> int\n";
   ]
 
-let test_interface_drift_seeded () =
-  match rule_findings "interface-drift" (drift_fixture "let g x = A.used x\n") with
+(* exactly [A.dead] fires: [B]'s reference reached [A.used] *)
+let check_only_dead msg inputs =
+  match rule_findings "interface-drift" inputs with
   | [ f ] ->
-      Alcotest.(check string) "path" "lib/m/a.mli" f.F.path;
-      Alcotest.(check bool) "names the dead val" true
+      Alcotest.(check string) (msg ^ ": path") "lib/m/a.mli" f.F.path;
+      Alcotest.(check bool) (msg ^ ": names the dead val") true
         (String.length f.F.message >= 8 && String.sub f.F.message 0 8 = "val dead")
   | fs ->
       Alcotest.fail
-        (Printf.sprintf "expected exactly the dead val, got %d findings"
-           (List.length fs))
+        (Printf.sprintf "%s: expected exactly the dead val, got %d findings"
+           msg (List.length fs))
+
+let test_interface_drift_seeded () =
+  check_only_dead "qualified use" (drift_fixture "let g x = A.used x\n")
 
 let test_interface_drift_alias_resolved () =
   (* module X = A ... X.dead counts as a use of A.dead *)
@@ -1041,17 +1097,26 @@ let test_interface_drift_program_callers () =
     (lib @ [ input "test/test_a.ml" "open A\nlet () = ignore (used 1)\n" ]);
   check_quiet "a perfbench caller is a use" "interface-drift"
     (lib @ [ input "perfbench/bench.ml" "let () = ignore (A.used 1)\n" ]);
-  (* a functor argument is used through the parameter's signature *)
+  check_quiet "a let () caller in bin/ is a use" "interface-drift"
+    (lib @ [ input "bin/main.ml" "let () = ignore (A.used 1)\n" ]);
+  check_quiet "a tuple binding in perfbench/ is a use" "interface-drift"
+    (lib @ [ input "perfbench/bench.ml" "let a, b = (A.used 1, 2)\n" ]);
+  (* a functor argument is used through the parameter's signature,
+     when program code applies the functor to it *)
+  let functor_user application =
+    [
+      input "lib/m/f.ml"
+        ("module Make (S : sig val used : int -> int end) = struct\n\
+         \  let go () = S.used 1\n\
+          end\n" ^ application);
+      input "lib/m/f.mli" "";
+    ]
+  in
   check_quiet "a functor argument is a use" "interface-drift"
-    (lib
-    @ [
-        input "lib/m/f.ml"
-          "module Make (S : sig val used : int -> int end) = struct\n\
-          \  let go () = S.used 1\n\
-           end\n\
-           module M = Make (A)\n";
-        input "lib/m/f.mli" "";
-      ])
+    (lib @ functor_user "module M = Make (A)\n");
+  check_fires "a test's functor application is no use" "interface-drift"
+    (lib @ functor_user ""
+    @ [ input "test/test_a.ml" "module M = F.Make (A)\nlet () = M.go ()\n" ])
 
 (* vals inside [module X : sig ... end] and inside a functor's result
    signature are judged like toplevel ones, reached through the module
@@ -1094,10 +1159,32 @@ let test_interface_drift_test_seam () =
   check_quiet "a test seam waiver" "interface-drift" seam;
   check_quiet "and it is live" "stale-waiver" seam
 
-let test_interface_drift_open_skips_module () =
-  (* open A makes bare references unattributable: A is skipped *)
-  check_quiet "open suppresses drift for the module" "interface-drift"
-    (drift_fixture "open A\nlet g x = used x\n")
+let test_interface_drift_open_attributes () =
+  (* open A: the bare [used] is A's, and A is still judged *)
+  check_only_dead "open" (drift_fixture "open A\nlet g x = used x\n")
+
+(* the expression-level scopes resolve like their structure-level
+   forms *)
+let test_interface_drift_local_scopes () =
+  List.iter
+    (fun (what, b_src) -> check_only_dead what (drift_fixture b_src))
+    [
+      ("local open", "let g x = A.(used x)\n");
+      ("let open", "let g x = let open A in used x\n");
+      ("let module alias", "let g x = let module X = A in X.used x\n");
+    ];
+  check_only_dead "let module functor argument"
+    (drift_fixture "let g x = let module M = F.Make (A) in M.go x\n"
+    @ [
+        input "lib/m/f.mli"
+          "module Make (S : sig val used : int -> int end) : sig\n\
+          \  val go : int -> int\n\
+           end\n";
+        input "lib/m/f.ml"
+          "module Make (S : sig val used : int -> int end) = struct\n\
+          \  let go x = S.used x\n\
+           end\n";
+      ])
 
 (* ---- missing-mli ---- *)
 
@@ -1454,6 +1541,10 @@ let () =
             test_callgraph_wrapper_and_defer;
           Alcotest.test_case "functor application" `Quick
             test_callgraph_functor;
+          Alcotest.test_case "local scopes and unnamed bindings" `Quick
+            test_callgraph_local_scopes;
+          Alcotest.test_case "bindings sharing an id merge references" `Quick
+            test_callgraph_shared_id;
         ] );
       ( "yield-race",
         [
@@ -1556,8 +1647,10 @@ let () =
             test_interface_drift_seeded;
           Alcotest.test_case "module aliases resolve" `Quick
             test_interface_drift_alias_resolved;
-          Alcotest.test_case "open skips the module" `Quick
-            test_interface_drift_open_skips_module;
+          Alcotest.test_case "open attributes bare names" `Quick
+            test_interface_drift_open_attributes;
+          Alcotest.test_case "local opens and modules" `Quick
+            test_interface_drift_local_scopes;
           Alcotest.test_case "only program callers count" `Quick
             test_interface_drift_program_callers;
           Alcotest.test_case "nested signatures and functor results" `Quick

@@ -10,7 +10,10 @@
 
 open Spritely
 
-let st = Alcotest.testable State_table.pp_state ( = )
+let st =
+  Alcotest.testable
+    (fun fmt s -> Format.pp_print_string fmt (State_table.state_to_string s))
+    ( = )
 
 let file = 7
 
