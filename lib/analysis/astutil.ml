@@ -19,6 +19,42 @@ let has_suffix path suff =
 let table_walks =
   [ [ "Hashtbl"; "iter" ]; [ "Hashtbl"; "fold" ]; [ "Inttbl"; "fold" ] ]
 
+(* [Hashtbl.Make (H)] or [Hashtbl.MakeSeeded (H)], maybe constrained *)
+let rec is_table_functor me =
+  match me.pmod_desc with
+  | Pmod_apply ({ pmod_desc = Pmod_ident { txt; _ }; _ }, _) -> (
+      match flatten txt with
+      | Some p ->
+          has_suffix p [ "Hashtbl"; "Make" ]
+          || has_suffix p [ "Hashtbl"; "MakeSeeded" ]
+      | None -> false)
+  | Pmod_constraint (me, _) -> is_table_functor me
+  | _ -> false
+
+let table_walks_in files =
+  let walks = ref table_walks in
+  let note name me =
+    match name with
+    | Some m when is_table_functor me ->
+        walks := [ m; "iter" ] :: [ m; "fold" ] :: !walks
+    | _ -> ()
+  in
+  let module_binding it mb =
+    note mb.pmb_name.txt mb.pmb_expr;
+    Ast_iterator.default_iterator.module_binding it mb
+  in
+  let expr it e =
+    (match e.pexp_desc with
+    | Pexp_letmodule ({ txt; _ }, me, _) -> note txt me
+    | _ -> ());
+    Ast_iterator.default_iterator.expr it e
+  in
+  let it = { Ast_iterator.default_iterator with module_binding; expr } in
+  List.iter
+    (fun (f : Source.t) -> Option.iter (it.structure it) f.Source.impl)
+    files;
+  !walks
+
 (* [Stdlib.print_endline] and friends must not dodge the bare-ident
    entries *)
 let strip_stdlib = function "Stdlib" :: rest -> rest | path -> path

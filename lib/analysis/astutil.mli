@@ -18,6 +18,12 @@ val has_suffix : string list -> string list -> bool
     [fold], [Sim.Inttbl.fold]). Match with {!has_suffix}. *)
 val table_walks : string list list
 
+(** {!table_walks} plus the [iter] and [fold] of every module the files
+    bind to a [Hashtbl.Make] or [Hashtbl.MakeSeeded] instance
+    ([module Entries = Hashtbl.Make (...)] adds [Entries.iter] and
+    [Entries.fold]): a functor's table is walked just as live. *)
+val table_walks_in : Source.t list -> string list list
+
 (** Drop a leading ["Stdlib"], so [Stdlib.print_endline] matches the
     same entries as [print_endline]. *)
 val strip_stdlib : string list -> string list

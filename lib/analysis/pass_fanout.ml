@@ -19,7 +19,8 @@ let name = "fanout"
      serve head — dispatch and the spawned maintenance loops alike;
    - inside that set it flags (a) iteration whose per-element function
      may yield — an O(n) blocking fan-out, the recall storm itself;
-     (b) [Hashtbl.iter]/[fold] or [Sim.Inttbl.fold] over a live table;
+     (b) [Hashtbl.iter]/[fold], the same of a [Hashtbl.Make] instance,
+     or [Sim.Inttbl.fold] over a live table;
      (c) [List] iteration over a *table projection* — a function
      inferred (by fixpoint over application heads) to build its result
      from a table fold.
@@ -50,17 +51,17 @@ let list_iter_suffixes =
     [ "List"; "exists" ];
   ]
 
-(* heads that build a value straight out of a table's full contents *)
-let projection_prims = [ "Hashtbl"; "to_seq" ] :: Astutil.table_walks
-
 let suffix_in p suffixes = List.exists (Astutil.has_suffix p) suffixes
 
 (* ---- table-projection inference ----
 
    a node is a projection if its body applies a projection primitive in
    synchronous position, or applies another projection node; fixpoint
-   over the raw application heads recorded by the call graph *)
-let projections cg =
+   over the raw application heads recorded by the call graph; the
+   primitives are the heads that build a value straight out of a
+   table's full contents *)
+let projections cg walks =
+  let projection_prims = [ "Hashtbl"; "to_seq" ] :: walks in
   let derived : (string, unit) Hashtbl.t = Hashtbl.create 32 in
   let nodes = Callgraph.nodes cg in
   let pass_once () =
@@ -254,7 +255,8 @@ let server_reachable cg =
 let run (ctx : Pass.ctx) =
   let cg = ctx.Pass.cg in
   let reached = server_reachable cg in
-  let derived = projections cg in
+  let walks = Astutil.table_walks_in ctx.Pass.files in
+  let derived = projections cg walks in
   let findings = ref [] in
   let scan_node (n : Callgraph.node) label =
     let resolve p = Callgraph.resolve_in cg ~node:n.Callgraph.id p in
@@ -311,8 +313,7 @@ let run (ctx : Pass.ctx) =
       | Pexp_apply (head, args) -> (
           match Astutil.path_of_expr head with
           | Some p
-            when suffix_in p Astutil.table_walks
-                 || suffix_in p list_iter_suffixes -> (
+            when suffix_in p walks || suffix_in p list_iter_suffixes -> (
               let positional = List.map snd args in
               let fn = match positional with a :: _ -> Some a | [] -> None in
               let data =
@@ -329,7 +330,7 @@ let run (ctx : Pass.ctx) =
                         'snfs-fanout: bounded <reason>'"
                        head_name label)
               | _ ->
-                  if suffix_in p Astutil.table_walks then
+                  if suffix_in p walks then
                     report e.pexp_loc
                       (Printf.sprintf
                          "'%s' walks a live table on a server path \

@@ -4,7 +4,8 @@ let name = "yield-iter"
 
 (* Blocking inside a live table iteration.
 
-   [Hashtbl.iter]/[fold] and [Sim.Inttbl.fold] give no snapshot: under
+   [Hashtbl.iter]/[fold] (of a [Hashtbl.Make] instance too) and
+   [Sim.Inttbl.fold] give no snapshot: under
    cooperative scheduling, if the per-binding lambda reaches a yield
    point, another task can run and add or remove table entries
    mid-iteration — OCaml's Hashtbl documents that as undefined
@@ -21,7 +22,7 @@ let name = "yield-iter"
 
 let in_scope path = Source.under "lib" path || Source.under "examples" path
 
-let check_file cg may_yield (file : Source.t) =
+let check_file cg may_yield walks (file : Source.t) =
   match file.Source.impl with
   | Some structure when in_scope file.Source.path ->
       let findings = ref [] in
@@ -52,7 +53,7 @@ let check_file cg may_yield (file : Source.t) =
           | Pexp_apply (head, (_, fn) :: _) -> (
               match Astutil.path_of_expr head with
               | Some p
-                when List.exists (Astutil.has_suffix p) Astutil.table_walks
+                when List.exists (Astutil.has_suffix p) walks
                      && fn_yields fn ->
                   let line, col = Astutil.pos e.pexp_loc in
                   findings :=
@@ -101,8 +102,9 @@ let check_file cg may_yield (file : Source.t) =
   | _ -> []
 
 let run (ctx : Pass.ctx) =
+  let walks = Astutil.table_walks_in ctx.Pass.files in
   List.concat_map
-    (fun f -> check_file ctx.Pass.cg ctx.Pass.may_yield f)
+    (fun f -> check_file ctx.Pass.cg ctx.Pass.may_yield walks f)
     ctx.Pass.files
 
 let pass =

@@ -34,6 +34,17 @@ let fail e = raise (Error e)
 
 type meta_policy = [ `Sync | `Delayed ]
 
+(* Directory entries by name, compared with [String.equal] rather than
+   the generic table's polymorphic compare. The hash is the generic
+   table's own, so the buckets, and with them the order of a walk, are
+   what a [Hashtbl.t] would hold. *)
+module Entries = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type inode = {
   i_ino : ino;
   i_gen : int;
@@ -42,7 +53,7 @@ type inode = {
   mutable i_nlink : int;
   mutable i_mtime : float;
   i_ctime : float;
-  i_entries : (string, ino) Hashtbl.t option; (* Some for directories *)
+  i_entries : ino Entries.t option; (* Some for directories *)
 }
 
 type t = {
@@ -122,7 +133,7 @@ let create engine ~name ~disk ~cache_blocks ?(meta_policy = `Delayed) () =
       i_nlink = 2;
       i_mtime = 0.0;
       i_ctime = 0.0;
-      i_entries = Some (Hashtbl.create 16);
+      i_entries = Some (Entries.create 16);
     }
   in
   t.inodes.(root_ino) <- Some root;
@@ -217,7 +228,7 @@ let lookup ?ctx t ~dir name =
   let d = get_inode t dir in
   let entries = dir_entries d in
   read_dir_block ?ctx t d name;
-  match Hashtbl.find_opt entries name with
+  match Entries.find_opt entries name with
   | Some ino -> ino
   | None -> fail Noent
 
@@ -234,7 +245,8 @@ let alloc_inode t ftype =
       i_nlink = (match ftype with File -> 1 | Dir -> 2);
       i_mtime = now;
       i_ctime = now;
-      i_entries = (match ftype with File -> None | Dir -> Some (Hashtbl.create 16));
+      i_entries =
+        (match ftype with File -> None | Dir -> Some (Entries.create 16));
     }
   in
   set_inode t ino inode;
@@ -244,9 +256,9 @@ let add_entry ?ctx t dir name ftype =
   let d = get_inode t dir in
   let entries = dir_entries d in
   read_dir_block ?ctx t d name;
-  if Hashtbl.mem entries name then fail Exist;
+  if Entries.mem entries name then fail Exist;
   let inode = alloc_inode t ftype in
-  Hashtbl.replace entries name inode.i_ino;
+  Entries.replace entries name inode.i_ino;
   d.i_size <- d.i_size + dir_entry_bytes name;
   d.i_mtime <- Sim.Engine.now t.engine;
   write_dir_block ?ctx t d name;
@@ -266,12 +278,12 @@ let remove ?ctx t ~dir name =
   let d = get_inode t dir in
   let entries = dir_entries d in
   read_dir_block ?ctx t d name;
-  match Hashtbl.find_opt entries name with
+  match Entries.find_opt entries name with
   | None -> fail Noent
   | Some ino ->
       let inode = get_inode t ino in
       if inode.i_ftype = Dir then fail Isdir;
-      Hashtbl.remove entries name;
+      Entries.remove entries name;
       d.i_size <- Int.max 0 (d.i_size - dir_entry_bytes name);
       d.i_mtime <- Sim.Engine.now t.engine;
       write_dir_block ?ctx t d name;
@@ -287,13 +299,13 @@ let rmdir ?ctx t ~dir name =
   let d = get_inode t dir in
   let entries = dir_entries d in
   read_dir_block ?ctx t d name;
-  match Hashtbl.find_opt entries name with
+  match Entries.find_opt entries name with
   | None -> fail Noent
   | Some ino ->
       let inode = get_inode t ino in
       if inode.i_ftype <> Dir then fail Notdir;
-      if Hashtbl.length (dir_entries inode) <> 0 then fail Notempty;
-      Hashtbl.remove entries name;
+      if Entries.length (dir_entries inode) <> 0 then fail Notempty;
+      Entries.remove entries name;
       d.i_size <- Int.max 0 (d.i_size - dir_entry_bytes name);
       d.i_mtime <- Sim.Engine.now t.engine;
       write_dir_block ?ctx t d name;
@@ -305,14 +317,14 @@ let rename ?ctx t ~fromdir fname ~todir tname =
   let fd = get_inode t fromdir in
   let fentries = dir_entries fd in
   read_dir_block ?ctx t fd fname;
-  match Hashtbl.find_opt fentries fname with
+  match Entries.find_opt fentries fname with
   | None -> fail Noent
   | Some ino ->
       let td = get_inode t todir in
       let tentries = dir_entries td in
       read_dir_block ?ctx t td tname;
       (* clobber an existing target, Unix-style *)
-      (match Hashtbl.find_opt tentries tname with
+      (match Entries.find_opt tentries tname with
       | Some existing when existing <> ino ->
           let ei = get_inode t existing in
           if ei.i_ftype = Dir then fail Isdir;
@@ -322,9 +334,9 @@ let rename ?ctx t ~fromdir fname ~todir tname =
             drop_inode t existing
           end
       | Some _ | None -> ());
-      Hashtbl.remove fentries fname;
+      Entries.remove fentries fname;
       fd.i_size <- Int.max 0 (fd.i_size - dir_entry_bytes fname);
-      Hashtbl.replace tentries tname ino;
+      Entries.replace tentries tname ino;
       td.i_size <- td.i_size + dir_entry_bytes tname;
       let now = Sim.Engine.now t.engine in
       fd.i_mtime <- now;
@@ -343,7 +355,7 @@ let readdir ?ctx t ~dir =
     ignore (Blockcache.Cache.read ?ctx t.cache ~file:d.i_ino ~index)
   done;
   (* snfs-fanout: bounded — one directory's entries; readdir is O(entries) *)
-  Hashtbl.fold (fun name _ acc -> name :: acc) entries []
+  Entries.fold (fun name _ acc -> name :: acc) entries []
   |> List.sort String.compare
 
 let setattr ?ctx t ino ?size ?mtime () =

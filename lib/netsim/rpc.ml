@@ -449,6 +449,38 @@ let latency_table m =
       ]
     (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) rows))
 
+(* Round [n] of a call: transmit, arm the round's timer, wait for the
+   reply or the timer, and retransmit with the timeout doubled while the
+   schedule lasts. Returns the last round it waited in; the caller's
+   [reply] says whether a reply ended it. A function of the call, not a
+   closure per call: every value it needs is the record's or an
+   argument. *)
+let rec attempt t c ~retries ~prog ~deliver ~expire n timeout =
+  let engine = Net.engine t.net and w = c.caller in
+  Net.send t.net ~src:c.src ~dst:c.dst ~bytes:(Bytes.length c.args + c.bulk)
+    ~deliver;
+  Sim.Engine.timer engine timeout expire;
+  w.round <- n;
+  (* the wait's two resumers, [land_reply] and [expire] (through
+     [wake]), each end their event with the resume *)
+  Sim.Engine.suspend_tail engine (fun resume -> w.resume <- resume);
+  if w.reply != pending || n >= retries then n
+  else begin
+    if Obs.Metrics.on () then
+      Obs.Metrics.incr
+        ~labels:[ ("prog", prog); ("proc", c.info.proc) ]
+        "rpc_retransmits_total";
+    if Obs.Trace.on () then
+      Obs.Trace.instant ~ts:(Sim.Engine.now engine) ~cat:"rpc"
+        ~name:"retransmit" ~track:(Net.Host.name c.src)
+        ~args:
+          [ ("proc", Obs.Trace.Str c.info.pname);
+            ("xid", Obs.Trace.Int c.xid);
+            ("attempt", Obs.Trace.Int (n + 1)) ]
+        ();
+    attempt t c ~retries ~prog ~deliver ~expire (n + 1) (timeout *. backoff)
+  end
+
 let call_once t ~retries ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
   let engine = Net.engine t.net in
   let xid = t.next_xid in
@@ -489,12 +521,14 @@ let call_once t ~retries ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
      the round is still live; at most one round is live at a time *)
   let expire () = if w.reply == pending then wake w in
   Net.Host.use_cpu src (client_cpu_per_call +. payload_cpu bytes);
-  let rec attempt n timeout =
-    Net.send t.net ~src ~dst ~bytes ~deliver;
-    Sim.Engine.timer engine timeout expire;
-    w.round <- n;
-    Sim.Engine.suspend engine (fun resume -> w.resume <- resume);
+  (* manual unwind, not Fun.protect: the protect frame and its finally
+     closure are measurable on a path taken once per RPC *)
+  t.in_flight <- t.in_flight + 1;
+  match
+    let n = attempt t c ~retries ~prog ~deliver ~expire 0 timeout in
     if w.reply != pending then begin
+      (* still inside the resumer's event, so a free CPU's sleep
+         continues in place *)
       Net.Host.use_cpu src
         (payload_cpu (Bytes.length w.reply.data + w.reply.bulk));
       let now = Sim.Engine.now engine in
@@ -510,7 +544,7 @@ let call_once t ~retries ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
       w.reply <- returned;
       data
     end
-    else if n >= retries then begin
+    else begin
       let now = Sim.Engine.now engine in
       if Obs.Metrics.on () then begin
         (* the failed call is part of the latency story too: record
@@ -531,26 +565,7 @@ let call_once t ~retries ~ctx ~src ~dst ~prog ~proc ~svc ~info ~bulk args =
            else []);
       raise (Timeout { prog; proc })
     end
-    else begin
-      if Obs.Metrics.on () then
-        Obs.Metrics.incr
-          ~labels:[ ("prog", prog); ("proc", proc) ]
-          "rpc_retransmits_total";
-      if Obs.Trace.on () then
-        Obs.Trace.instant ~ts:(Sim.Engine.now engine) ~cat:"rpc"
-          ~name:"retransmit" ~track
-          ~args:
-            [ ("proc", Obs.Trace.Str info.pname);
-              ("xid", Obs.Trace.Int xid);
-              ("attempt", Obs.Trace.Int (n + 1)) ]
-          ();
-      attempt (n + 1) (timeout *. backoff)
-    end
-  in
-  (* manual unwind, not Fun.protect: the protect frame and its finally
-     closure are measurable on a path taken once per RPC *)
-  t.in_flight <- t.in_flight + 1;
-  match attempt 0 timeout with
+  with
   | data ->
       t.in_flight <- t.in_flight - 1;
       data

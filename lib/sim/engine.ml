@@ -48,15 +48,17 @@ type t = {
       (* the running fiber was entered by its own start or wake-up
          event, so nothing else runs at this instant once it blocks.
          Read only inside a fiber, and set by every way into one: true
-         by [start] and by the return of a sleep or a
-         [suspend_then_sleep] (only its wake-up event resumes either),
-         false by [suspend]'s resume, which may run inside any event
-         and restores the resumer's value once the fiber blocks
-         again. *)
+         by [start], by the return of a sleep or a
+         [suspend_then_sleep] (only its wake-up event resumes either)
+         and by [suspend_tail]'s resume (its resumer's event ends with
+         it), false by [suspend]'s resume, which may run inside any
+         event. Both resumes restore the resumer's value once the
+         fiber blocks again. *)
 }
 
 type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+  | Suspend_tail : (('a -> unit) -> unit) -> 'a Effect.t
   | Sleep : float -> unit Effect.t
   | Suspend_sleep : float * ((unit -> unit) -> unit) -> unit Effect.t
   | Park : unit Effect.t
@@ -240,6 +242,14 @@ let start t name fn =
                           t.entered <- false;
                           continue k v;
                           t.entered <- entered))
+              | Suspend_tail register ->
+                  Some
+                    (fun (k : (b, _) continuation) ->
+                      register (fun v ->
+                          let entered = t.entered in
+                          t.entered <- true;
+                          continue k v;
+                          t.entered <- entered))
               | Sleep d ->
                   Some
                     (fun (k : (b, _) continuation) ->
@@ -329,6 +339,12 @@ let run t =
       Printexc.raise_with_backtrace e bt
 
 let suspend (_t : t) register = Effect.perform (Suspend register)
+
+(* Its resumer ends its event with the resume, so once the fiber blocks
+   again nothing else runs at this instant: the fiber counts as entered
+   (set by the handler's resume), and a sleep in it may continue in
+   place. *)
+let suspend_tail (_t : t) register = Effect.perform (Suspend_tail register)
 
 (* is [time] strictly before every queued event? One queued at [time]
    already has a smaller seq than a wake-up queued now, so it goes

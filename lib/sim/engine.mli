@@ -74,9 +74,10 @@ val stop : t -> unit
     continues in place instead: the clock moves to [now + d], one
     sequence number and one executed event are counted, and no event
     is queued. It does so when all three of these hold: the process is
-    running in its own start or wake-up event, not inside another event
-    whose [resume] (see {!suspend}) woke it, so nothing else runs at
-    this instant once it blocks; {!stop} has not been called; and
+    running in its own start or wake-up event, or was woken by the
+    [resume] of a {!suspend_tail}, not inside another event whose
+    [resume] (see {!suspend}) woke it, so nothing else runs at this
+    instant once it blocks; {!stop} has not been called; and
     [now + d] is strictly earlier than every queued event (one queued at the same time has a
     smaller sequence number and goes first). A queued wake-up would
     then have been dispatched next, so the dispatch order, the clock
@@ -88,6 +89,18 @@ val sleep : t -> float -> unit
     with the value passed, when [resume] is invoked. [resume] must be
     called exactly once. *)
 val suspend : t -> (('a -> unit) -> unit) -> 'a
+
+(** [suspend_tail t register] is {!suspend} for a wait whose resumer
+    promises to call [resume] as the last action of its event: once
+    the process blocks again or finishes, that event ends and nothing
+    else runs at this instant. The process then counts as running in
+    its own event, so a {!sleep} it makes before blocking again may
+    continue in place. It is the wait of an RPC caller, resumed by its
+    reply's delivery or its retransmission timer, each of which ends
+    with the resume. A resume with more to do after it breaks the
+    dispatch order: use {!suspend} there. [resume] must be called
+    exactly once. *)
+val suspend_tail : t -> (('a -> unit) -> unit) -> 'a
 
 (** [suspend_then_sleep t d register] blocks the calling process, then
     sleeps it for [d]: [register] is called immediately with a [book]

@@ -5,44 +5,31 @@ let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 let padding len = (4 - (len land 3)) land 3
 
 module Enc = struct
-  (* A grow-only byte buffer, recycled through a per-domain pool:
-     every RPC message in the simulation is marshalled through here, so
-     a Buffer.create per message was a steady ~40 words of minor-GC
-     pressure each — the pool brings steady-state encoding down to the
-     one [to_bytes] copy that becomes the wire payload. [live] makes
-     recycling safe: [to_bytes] finishes the encoder and returns it to
-     the pool, after which any further use (rather than
-     silently corrupting a later message sharing the storage) raises. *)
+  (* A grow-only byte buffer. Every RPC message in the simulation is
+     marshalled through here, and a Buffer.create per message was a
+     steady ~40 words of minor-GC pressure each, so each domain keeps
+     one scratch encoder: [create] hands it out, and steady-state
+     encoding costs only the one [to_bytes] copy that becomes the wire
+     payload. A message encoded while the scratch one is still live
+     (one encoding nested in another) gets a fresh encoder. [live]
+     makes the reuse safe: [to_bytes] finishes the encoder, after
+     which any further use (rather than silently corrupting a later
+     message sharing the storage) raises. *)
   type t = { mutable buf : bytes; mutable len : int; mutable live : bool }
 
-  let dummy =
-    (* never mutated after creation: a frozen sentinel filling empty pool
-       slots, shared across domains by design — snfs-lint: allow domain-safety *)
-    { buf = Bytes.empty; len = 0; live = false }
+  let fresh () = { buf = Bytes.create 256; len = 0; live = true }
 
-  type pool = { mutable items : t array; mutable n : int }
-
-  let pool : pool Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> { items = Array.make 32 dummy; n = 0 })
+  let scratch : t Domain.DLS.key =
+    Domain.DLS.new_key (fun () ->
+        { buf = Bytes.create 256; len = 0; live = false })
 
   let create () =
-    let p = Domain.DLS.get pool in
-    if p.n = 0 then { buf = Bytes.create 256; len = 0; live = true }
+    let e = Domain.DLS.get scratch in
+    if e.live then fresh ()
     else begin
-      p.n <- p.n - 1;
-      let e = p.items.(p.n) in
-      p.items.(p.n) <- dummy;
       e.len <- 0;
       e.live <- true;
       e
-    end
-
-  let release e =
-    e.live <- false;
-    let p = Domain.DLS.get pool in
-    if p.n < Array.length p.items then begin
-      p.items.(p.n) <- e;
-      p.n <- p.n + 1
     end
 
   let check e = if not e.live then error "Enc: encoder already finished"
@@ -61,19 +48,16 @@ module Enc = struct
 
   let to_bytes e =
     check e;
-    let b = Bytes.sub e.buf 0 e.len in
-    release e;
-    b
+    e.live <- false;
+    Bytes.sub e.buf 0 e.len
 
   let uint32 e v =
     if v < 0 || v > 0xFFFFFFFF then error "Enc.uint32: %d out of range" v;
     check e;
     ensure e 4;
     let i = e.len in
-    Bytes.unsafe_set e.buf i (Char.unsafe_chr ((v lsr 24) land 0xFF));
-    Bytes.unsafe_set e.buf (i + 1) (Char.unsafe_chr ((v lsr 16) land 0xFF));
-    Bytes.unsafe_set e.buf (i + 2) (Char.unsafe_chr ((v lsr 8) land 0xFF));
-    Bytes.unsafe_set e.buf (i + 3) (Char.unsafe_chr (v land 0xFF));
+    (* one big-endian word store; [Int32.of_int] keeps the low 32 bits *)
+    Bytes.set_int32_be e.buf i (Int32.of_int v);
     e.len <- i + 4
 
   let int32 e v =
@@ -133,13 +117,10 @@ module Dec = struct
 
   let uint32 t =
     need t 4;
-    let buf = t.buf and i = t.pos in
-    let a = Char.code (Bytes.unsafe_get buf i) in
-    let b = Char.code (Bytes.unsafe_get buf (i + 1)) in
-    let c = Char.code (Bytes.unsafe_get buf (i + 2)) in
-    let d = Char.code (Bytes.unsafe_get buf (i + 3)) in
+    let i = t.pos in
     t.pos <- i + 4;
-    (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
+    (* one big-endian word load, sign-extended: mask it back to 32 bits *)
+    Int32.to_int (Bytes.get_int32_be t.buf i) land 0xFFFFFFFF
 
   let int32 t =
     let v = uint32 t in
@@ -160,18 +141,13 @@ module Dec = struct
 
   let float64 t = Int64.float_of_bits (hyper t)
 
-  let opaque_fixed t n =
-    if n < 0 then error "Dec.opaque_fixed: negative length %d" n;
-    need t (n + padding n);
-    let b = Bytes.sub t.buf t.pos n in
-    t.pos <- t.pos + n + padding n;
-    b
-
-  let opaque t =
+  (* one copy, straight into the string *)
+  let string t =
     let n = uint32 t in
-    opaque_fixed t n
-
-  let string t = Bytes.to_string (opaque t)
+    need t (n + padding n);
+    let s = Bytes.sub_string t.buf t.pos n in
+    t.pos <- t.pos + n + padding n;
+    s
 
   let array t f =
     let n = uint32 t in

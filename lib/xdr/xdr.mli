@@ -11,18 +11,20 @@
 exception Error of string
 
 module Enc : sig
-  (** An encoder is a grow-only byte buffer. Encoders are recycled
-      through a per-domain pool: {!create} may return previously-used
-      storage, and {!to_bytes} {e finishes} the encoder — it returns
-      the encoded copy and gives the encoder back to the pool. Using a finished encoder raises {!Error}. The pool is
-      domain-local, so parallel campaigns ({!Experiments.Sweep}) never
-      share encoder storage across domains. *)
+  (** An encoder is a grow-only byte buffer. Each domain keeps one
+      scratch encoder: {!create} returns it, with its previous storage,
+      unless it is still live (an encoding nested in another), in
+      which case it returns a fresh encoder. {!to_bytes} {e finishes}
+      the encoder: it returns the encoded copy, and using the finished
+      encoder raises {!Error}. The scratch encoder is domain-local, so
+      parallel campaigns ({!Experiments.Sweep}) never share encoder
+      storage across domains. *)
   type t
 
   val create : unit -> t
 
   (** Return a copy of the encoded bytes and finish the encoder (see
-      above: it goes back to the pool and must not be used again). *)
+      above: it must not be used again). *)
   val to_bytes : t -> bytes
 
   (** Unsigned 32-bit integer in [0, 2^32). *)

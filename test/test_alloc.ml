@@ -121,7 +121,7 @@ let test_eventq_order_key () =
    with room to spare and a decoder over bytes already received encode
    and decode a word without allocating. [check_zero_alloc] runs the
    loop twice (warm-up, then measured), so each run takes the next 32
-   words: a fresh or pooled encoder holds 256 bytes, both runs' worth. *)
+   words: a fresh or scratch encoder holds 256 bytes, both runs' worth. *)
 let test_xdr_round_trip () =
   let words = 32 in
   let enc = Xdr.Enc.create () in
@@ -263,20 +263,32 @@ let test_rpc_proc_lookup () =
    start and CPU charge, the reply's delivery and the timer. Each
    message is one event, and the call's state is one record, plus the
    small caller record the timer reaches, with a closure per delivery,
-   the timer and the execution: 194 minor words. A second event per
-   message fails the count. *)
-let rpc_round_trip_events = 7
-let rpc_round_trip_words = 200.0
+   the timer and the execution: 172 minor words. A second event per
+   message fails the count, and a closure per call over the call's
+   state fails the bound: the retransmission loop as a local [let rec]
+   was one, 22 words.
 
-let test_rpc_round_trip () =
+   A reply with a payload adds two CPU charges, the server's for
+   sending it and the caller's for receiving it, and so two events:
+   nine. The caller's charge is a sleep inside the reply's delivery
+   event, which ends with the resume ([Engine.suspend_tail]), so it
+   continues in place and costs no more than the null round trip. A
+   [Sleep] effect there, its continuation and its queued wake-up
+   closure, adds 18 words and fails the same bound. *)
+let rpc_round_trip_events = 7
+let rpc_reply_round_trip_events = 9
+let rpc_round_trip_words = 178.0
+
+let rpc_round_trip reply =
   let e = Sim.Engine.create () in
   let net = Netsim.Net.create e () in
   let rpc = Netsim.Rpc.create net () in
   let client = Netsim.Net.Host.create net "client" in
   let server = Netsim.Net.Host.create net "server" in
+  let handler ~caller:_ ~ctx:_ _ = reply in
   ignore
-    (Netsim.Rpc.serve rpc server ~prog:"prog" ~threads:1 ~unknown:null_handler
-       [ ("null", null_handler) ]
+    (Netsim.Rpc.serve rpc server ~prog:"prog" ~threads:1 ~unknown:handler
+       [ ("null", handler) ]
       : Netsim.Rpc.service);
   let call () =
     ignore
@@ -292,12 +304,23 @@ let test_rpc_round_trip () =
   round_trip ();
   let before = Sim.Engine.events_executed e in
   let words = measure round_trip in
-  Alcotest.(check int) "events per round trip" rpc_round_trip_events
-    (Sim.Engine.events_executed e - before);
+  (Sim.Engine.events_executed e - before, words)
+
+let check_round_trip what ~events reply =
+  let n, words = rpc_round_trip reply in
+  Alcotest.(check int) ("events per " ^ what) events n;
   if native && words > rpc_round_trip_words then
-    Alcotest.failf
-      "a null RPC round trip allocates %.0f minor words (bound %.0f)" words
+    Alcotest.failf "a %s allocates %.0f minor words (bound %.0f)" what words
       rpc_round_trip_words
+
+let test_rpc_round_trip () =
+  check_round_trip "null RPC round trip" ~events:rpc_round_trip_events
+    null_reply
+
+let test_rpc_reply_round_trip () =
+  check_round_trip "round trip with a reply payload"
+    ~events:rpc_reply_round_trip_events
+    { Netsim.Rpc.data = Bytes.make 64 'r'; bulk = 0 }
 
 (* Finding the gnode of a known file, which every client operation on
    a file does first, allocates nothing. The client core here mounts an
@@ -525,15 +548,18 @@ let test_served_footprint () =
    fixed number of minor words in one build: the simulation is
    deterministic, so from the second run in a process on (the first
    also fills lazy tables) every run reads the same count. Builds of
-   one tree differ by up to a few hundred words: 1,218,854 on an x86-64
+   one tree differ by up to a few hundred words: 1,057,044 on an x86-64
    host with OCaml 5.1.1 and the release profile, which inlines across
-   modules, where earlier trees read 1,212,997, 1,193,585 in one build and
+   modules. The tree whose RPC caller waited with a plain suspension,
+   so that its CPU charge for the reply performed a [Sleep] effect,
+   and whose retransmission loop was a closure per call read
+   1,218,854; earlier trees read 1,212,997, 1,193,585 in one build and
    1,193,093 in another, and the tree before each message got one
    generic codec read 1,168,622. The ceiling sits about 5% above it,
    so a new per-event or per-RPC allocation on the hot path fails
    here, with no timing noise. An -opaque build allocates some 24%
    more. *)
-let snfs_run_minor_words_ceiling = 1_277_000.0
+let snfs_run_minor_words_ceiling = 1_107_000.0
 
 let snfs_andrew_run () =
   let config =
@@ -559,10 +585,11 @@ let test_snfs_andrew_run () =
    once, and each store of a young value into a major-heap block adds
    a remembered-set entry the next minor collection scans, so this
    counts what the run retains rather than what it allocates. It
-   reads 41,156 in this binary's full run (40,592 run alone: earlier
-   tests leave other survivors) on an x86-64 host with OCaml 5.1.1
-   and the release profile. A tree whose duplicate-request cache kept
-   every reply until a later xid evicted it read 81,038, so a server
+   reads 39,409 in this binary's full run on an x86-64 host with
+   OCaml 5.1.1 and the release profile (earlier tests leave other
+   survivors; the tree before the RPC caller's tail wait read 41,156).
+   A tree whose duplicate-request cache kept every reply until a
+   later xid evicted it read 81,038, so a server
    table that holds replies, or any per-RPC value kept past its call,
    fails the ceiling about 10% above. *)
 let snfs_run_promoted_words_ceiling = 45_000.0
@@ -610,6 +637,8 @@ let () =
           Alcotest.test_case "block write then cancel" `Quick
             test_block_lifecycle;
           Alcotest.test_case "rpc round trip" `Quick test_rpc_round_trip;
+          Alcotest.test_case "rpc round trip with a reply" `Quick
+            test_rpc_reply_round_trip;
           Alcotest.test_case "one SNFS Andrew run" `Quick test_snfs_andrew_run;
           Alcotest.test_case "one SNFS Andrew run, promoted words" `Quick
             test_snfs_andrew_promoted;

@@ -930,6 +930,61 @@ let test_fanout_inttbl_quiet () =
         "let total t = Sim.Inttbl.fold (fun _ c n -> n + c) t.clients 0\n";
     ]
 
+(* A [Hashtbl.Make] instance's table is as live as a [Hashtbl.t]: its
+   fold on a server path is flagged, from its own file or another, a
+   bounded waiver on it is live, not stale, and a lookup in it is
+   quiet. Localfs's directory entries are such a table, and readdir's
+   waiver rests on this. *)
+let names_table =
+  "module Names = Hashtbl.Make (struct\n\
+  \  type t = string\n\
+  \  let equal = String.equal\n\
+  \  let hash = Hashtbl.hash\n\
+   end)\n"
+
+let test_fanout_functor_table () =
+  let serve =
+    "let serve rpc host t = Netsim.Rpc.serve rpc host (fun q -> handle t q)\n"
+  in
+  check_fires "a Hashtbl.Make instance's fold on the dispatch path" "fanout"
+    [
+      input "lib/srv/server.ml"
+        (names_table
+        ^ "let handle t q = Names.fold (fun k _ acc -> k :: acc) t.dir [q]\n"
+        ^ serve);
+    ];
+  check_fires "its iter, named through another file" "fanout"
+    [
+      input "lib/srv/dir.ml" names_table;
+      input "lib/srv/server.ml"
+        ("let handle t q = Dir.Names.iter (fun _ c -> touch c q) t.dir\n"
+        ^ serve);
+    ];
+  let waived =
+    names_table
+    ^ "let handle t q =\n\
+      \  (* snfs-fanout: bounded — one directory's entries *)\n\
+      \  Names.fold (fun k _ acc -> k :: acc) t.dir [q]\n"
+    ^ serve
+  in
+  check_quiet "a waiver on it is live" "stale-waiver"
+    [ input "lib/srv/server.ml" waived ];
+  Alcotest.(check (list (pair string int))) "counted live"
+    [ ("fanout", 1) ]
+    (D.analyze [ input "lib/srv/server.ml" waived ]).D.live_waivers;
+  check_quiet "a lookup is not a walk" "fanout"
+    [
+      input "lib/srv/server.ml"
+        (names_table ^ "let handle t q = Names.find_opt t.dir q\n" ^ serve);
+    ];
+  check_fires "a blocking element function in its iter" "yield-iter"
+    [
+      input "lib/snfs/bcast.ml"
+        (names_table
+        ^ "let recall t e = Names.iter (fun _ c -> Sim.Engine.sleep e c) \
+           t.clients\n");
+    ]
+
 let test_fanout_clean_variants () =
   check_quiet "no serve application: not a server path" "fanout"
     [
@@ -1608,6 +1663,8 @@ let () =
             test_fanout_inttbl_fold;
           Alcotest.test_case "Sim.Inttbl lookups and unserved folds are quiet"
             `Quick test_fanout_inttbl_quiet;
+          Alcotest.test_case "a Hashtbl.Make instance's walk is a table walk"
+            `Quick test_fanout_functor_table;
           Alcotest.test_case "cross-file handler reachability" `Quick
             test_fanout_cross_file_handler;
           Alcotest.test_case "handler through a forwarding wrapper" `Quick

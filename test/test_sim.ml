@@ -197,8 +197,10 @@ let test_many_finished_processes () =
    runs its children. A [Proc] process runs its steps in order: [Nap]
    sleeps, [Wait] suspends until the next [After] event or a [Wake]
    step resumes it, [Wake] resumes the longest-waiting [Wait] (if any)
-   and goes on, and [Do] runs an op. [Stop] calls [Engine.stop], and
-   the runner then runs the engine again. *)
+   and goes on, [Tail_wait] suspends with [Engine.suspend_tail] until
+   the next [After], [At] or [Timer] event resumes it as the last thing
+   that event does, and [Do] runs an op. [Stop] calls [Engine.stop],
+   and the runner then runs the engine again. *)
 type op =
   | After of float * op list
   | At of float * op list (* at [now + d], computed by the caller *)
@@ -206,7 +208,7 @@ type op =
   | Proc of step list
   | Stop
 
-and step = Nap of float | Wait | Wake | Do of op
+and step = Nap of float | Wait | Tail_wait | Wake | Do of op
 
 let rec show_op = function
   | After (d, k) -> Printf.sprintf "after %g %s" d (show_ops k)
@@ -219,6 +221,7 @@ let rec show_op = function
 and show_step = function
   | Nap d -> Printf.sprintf "nap %g" d
   | Wait -> "wait"
+  | Tail_wait -> "tail wait"
   | Wake -> "wake"
   | Do op -> show_op op
 
@@ -237,7 +240,12 @@ let gen_program timer_delays =
         if depth = 0 then [] else [ (2, map (fun o -> Do o) (op (depth - 1))) ]
       in
       frequency
-        ([ (3, map (fun d -> Nap d) step); (1, return Wait); (1, return Wake) ]
+        ([
+           (3, map (fun d -> Nap d) step);
+           (1, return Wait);
+           (1, return Tail_wait);
+           (1, return Wake);
+         ]
         @ run_op)
     in
     frequency
@@ -262,9 +270,10 @@ type entry = Ev of int * float | Halt
    The mirror keeps its own clock: each op and step gets the time of
    the event that runs it, and a resumed [Wait] the time its resumer
    passes, so an engine clock that moves while an event still has work
-   to do shows in the trace. Returns the dispatch trace, the keys of
-   every queued event, the keys of the events that called [Stop], and
-   the engine's event count. *)
+   to do shows in the trace: a [Tail_wait] resumed before its resumer's
+   last action, whose process then sleeps in place, fails here.
+   Returns the dispatch trace, the keys of every queued event, the keys
+   of the events that called [Stop], and the engine's event count. *)
 let run_program prog =
   let e = Sim.Engine.create () in
   let next_seq = ref 0 and keys = ref [] and trace = ref [] in
@@ -279,8 +288,12 @@ let run_program prog =
     current := s;
     trace := Ev (s, Sim.Engine.now e) :: !trace
   in
-  let waiting = Queue.create () in
+  let waiting = Queue.create () and tail_waiting = Queue.create () in
   let wake now = if not (Queue.is_empty waiting) then Queue.pop waiting now in
+  (* only ever an event's last action *)
+  let wake_tail now =
+    if not (Queue.is_empty tail_waiting) then Queue.pop tail_waiting now
+  in
   let rec exec now op =
     match op with
     | After (d, kids) ->
@@ -289,19 +302,22 @@ let run_program prog =
         Sim.Engine.after e d (fun () ->
             fired s;
             wake time;
-            List.iter (exec time) kids)
+            List.iter (exec time) kids;
+            wake_tail time)
     | At (d, kids) ->
         let time = now +. d in
         let s = key time in
         Sim.Engine.at e time (fun () ->
             fired s;
-            List.iter (exec time) kids)
+            List.iter (exec time) kids;
+            wake_tail time)
     | Timer (d, kids) ->
         let time = now +. d in
         let s = key time in
         Sim.Engine.timer e d (fun () ->
             fired s;
-            List.iter (exec time) kids)
+            List.iter (exec time) kids;
+            wake_tail time)
     | Proc steps ->
         let s = key now in
         Sim.Engine.spawn e (fun () ->
@@ -325,6 +341,12 @@ let run_program prog =
     | Wait :: rest ->
         let now =
           Sim.Engine.suspend e (fun resume -> Queue.push resume waiting)
+        in
+        run_steps now rest
+    | Tail_wait :: rest ->
+        let now =
+          Sim.Engine.suspend_tail e (fun resume ->
+              Queue.push resume tail_waiting)
         in
         run_steps now rest
     | Wake :: rest ->

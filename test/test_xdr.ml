@@ -141,6 +141,50 @@ let test_trailing_bytes_detected () =
   | () -> Alcotest.fail "should detect trailing bytes"
   | exception Xdr.Error _ -> ()
 
+(* words go on the wire big-endian, whole *)
+let test_word_bytes () =
+  let e = Xdr.Enc.create () in
+  Xdr.Enc.uint32 e 0x01020304;
+  Xdr.Enc.uint32 e 0xFFFFFFFE;
+  Xdr.Enc.enum e (-2);
+  Alcotest.(check string) "bytes"
+    "\x01\x02\x03\x04\xFF\xFF\xFF\xFE\xFF\xFF\xFF\xFE"
+    (Bytes.to_string (Xdr.Enc.to_bytes e))
+
+(* the padding of a string must be there too *)
+let test_string_padding_truncated () =
+  let e = Xdr.Enc.create () in
+  Xdr.Enc.uint32 e 3;
+  let b = Bytes.cat (Xdr.Enc.to_bytes e) (Bytes.of_string "abc") in
+  match Xdr.Dec.string (Xdr.Dec.of_bytes b) with
+  | _ -> Alcotest.fail "should raise"
+  | exception Xdr.Error _ -> ()
+
+(* An encoder made while another is live (one encoding nested in
+   another) is a separate buffer, and a finished encoder refuses more
+   words. *)
+let test_nested_encoders () =
+  let outer = Xdr.Enc.create () in
+  Xdr.Enc.uint32 outer 1;
+  let inner = Xdr.Enc.create () in
+  Xdr.Enc.uint32 inner 2;
+  Xdr.Enc.uint32 outer 3;
+  let inner_bytes = Xdr.Enc.to_bytes inner in
+  Xdr.Enc.uint32 outer 4;
+  let d = Xdr.Dec.of_bytes (Xdr.Enc.to_bytes outer) in
+  Alcotest.(check (list int)) "outer" [ 1; 3; 4 ]
+    (List.init 3 (fun _ -> Xdr.Dec.uint32 d));
+  Xdr.Dec.check_done d;
+  Alcotest.(check int) "inner" 2
+    (Xdr.Dec.uint32 (Xdr.Dec.of_bytes inner_bytes));
+  Alcotest.check_raises "finished"
+    (Xdr.Error "Enc: encoder already finished") (fun () ->
+      Xdr.Enc.uint32 outer 5);
+  let again = Xdr.Enc.create () in
+  Xdr.Enc.uint32 again 6;
+  Alcotest.(check int) "a new encoder starts empty" 4
+    (Bytes.length (Xdr.Enc.to_bytes again))
+
 (* ---- properties ---- *)
 
 let prop_int32 =
@@ -178,6 +222,7 @@ let () =
           Alcotest.test_case "bool" `Quick test_bool_roundtrip;
           Alcotest.test_case "bad bool" `Quick test_bool_bad_discriminant;
           Alcotest.test_case "float64" `Quick test_float64_roundtrip;
+          Alcotest.test_case "word bytes" `Quick test_word_bytes;
         ] );
       ( "aggregates",
         [
@@ -187,11 +232,14 @@ let () =
           Alcotest.test_case "opaque fixed" `Quick test_opaque_fixed_roundtrip;
           Alcotest.test_case "array" `Quick test_array_roundtrip;
           Alcotest.test_case "mixed structure" `Quick test_mixed_structure;
+          Alcotest.test_case "nested encoders" `Quick test_nested_encoders;
         ] );
       ( "errors",
         [
           Alcotest.test_case "truncated" `Quick test_truncated_input;
           Alcotest.test_case "trailing bytes" `Quick test_trailing_bytes_detected;
+          Alcotest.test_case "string padding truncated" `Quick
+            test_string_padding_truncated;
         ] );
       ( "properties",
         qc [ prop_int32; prop_hyper; prop_string; prop_string_aligned; prop_int_list ]
