@@ -9,7 +9,9 @@ type t = {
   name : string;
   engine : Sim.Engine.t;
   arm : Sim.Resource.t;
-  mutable next_at : int option; (* address following the last request *)
+  (* address following the last request, -1 after one without an
+     address: disk addresses are non-negative *)
+  mutable next_at : int;
 }
 
 let create engine name =
@@ -17,16 +19,14 @@ let create engine name =
     name;
     engine;
     arm = Sim.Resource.create engine (name ^ ".arm");
-    next_at = None;
+    next_at = -1;
   }
 
 let service_time t ~at bytes =
   let sequential =
-    match (at, t.next_at) with
-    | Some a, Some expected -> a = expected
-    | _, _ -> false
+    match at with Some a -> a = t.next_at | None -> false
   in
-  (t.next_at <- match at with Some a -> Some (a + 1) | None -> None);
+  (t.next_at <- match at with Some a -> a + 1 | None -> -1);
   per_request_overhead
   +. (if sequential then 0.0 else positioning)
   +. (float_of_int bytes /. transfer_rate)

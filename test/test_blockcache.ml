@@ -698,6 +698,40 @@ let test_doomed_writeback_then_rewritten () =
       Alcotest.(check (list (option (pair int int))))
         "2/0 evicted first" [ None; Some (3, 1024) ] [ peek 2 0; peek 1 0 ])
 
+(* The syncer's batch list holds each block by a handle. Five dirty
+   blocks make a tick's batch; four flushers take file 1's four and
+   file 2's block waits its turn in the list. Deleted meanwhile, it is
+   dropped and its slot freed, and a new dirty block of file 3 takes
+   that slot. When a flusher reaches the entry, its handle names no
+   block: the new block is not written back, and waits for the next
+   tick. *)
+let test_syncer_batch_entry_outlives_its_slot () =
+  run_sim (fun e ->
+      let log, backend = make_backend ~delay:1.0 e in
+      let c = make_cache e backend in
+      Blockcache.Cache.start_syncer c ~interval:30.0 ();
+      for i = 0 to 3 do
+        Blockcache.Cache.write c ~file:1 ~index:i ~stamp:(10 + i) ~len:4096
+          `Delayed
+      done;
+      Blockcache.Cache.write c ~file:2 ~index:0 ~stamp:20 ~len:4096 `Delayed;
+      Sim.Engine.sleep e 30.5;
+      Alcotest.(check int) "the waiting block is dropped" 1
+        (Blockcache.Cache.cancel_dirty c ~file:2);
+      Blockcache.Cache.write c ~file:3 ~index:0 ~stamp:30 ~len:4096 `Delayed;
+      Sim.Engine.sleep e 2.0;
+      Alcotest.(check (list (triple int int int)))
+        "the tick wrote its own blocks only"
+        [ (1, 0, 10); (1, 1, 11); (1, 2, 12); (1, 3, 13) ]
+        (List.rev log.bwrites);
+      Alcotest.(check bool) "the new block is still dirty" true
+        (Blockcache.Cache.block_dirty c ~file:3 ~index:0);
+      Sim.Engine.sleep e 30.0;
+      Alcotest.(check (list (triple int int int)))
+        "the next tick writes it"
+        [ (1, 0, 10); (1, 1, 11); (1, 2, 12); (1, 3, 13); (3, 0, 30) ]
+        (List.rev log.bwrites))
+
 (* ---- the syncer's write-back order ---- *)
 
 (* Localfs caches its metadata under the pseudo-files -1 and -2, so
@@ -837,6 +871,8 @@ let () =
             test_fetch_overtaken_by_write_and_drop;
           Alcotest.test_case "doomed write-back, then written again" `Quick
             test_doomed_writeback_then_rewritten;
+          Alcotest.test_case "syncer batch entry outlives its slot" `Quick
+            test_syncer_batch_entry_outlives_its_slot;
         ] );
       ( "syncer",
         [
