@@ -112,3 +112,50 @@ let iter_exprs f structure =
   in
   let it = { Ast_iterator.default_iterator with expr } in
   it.structure it structure
+
+(* the constructors of mutable containers, by the module that names
+   them in a finding *)
+let mutable_ctors =
+  [
+    ([ "Hashtbl"; "create" ], "Hashtbl");
+    ([ "Queue"; "create" ], "Queue");
+    ([ "Stack"; "create" ], "Stack");
+    ([ "Buffer"; "create" ], "Buffer");
+    ([ "Bytes"; "create" ], "Bytes");
+    ([ "Bytes"; "make" ], "Bytes");
+    ([ "Array"; "make" ], "Array");
+    ([ "Array"; "init" ], "Array");
+    ([ "Array"; "create_float" ], "Array");
+  ]
+
+type toplevel_state = Atomic_cell | Dls_key | Mutable of string | Inert
+
+let rec unwrap e =
+  match e.pexp_desc with
+  | Pexp_constraint (inner, _) | Pexp_open (_, inner) -> unwrap inner
+  | _ -> e
+
+let toplevel_state records e =
+  let e = unwrap (uncurry_pipes e) in
+  match e.pexp_desc with
+  | Pexp_apply (head, _) -> (
+      match path_of_expr head with
+      | Some p when has_suffix p [ "Atomic"; "make" ] -> Atomic_cell
+      | Some p when has_suffix p [ "Domain"; "DLS"; "new_key" ] -> Dls_key
+      | Some [ "ref" ] -> Mutable "ref cell"
+      | Some p -> (
+          match
+            List.find_opt (fun (suff, _) -> has_suffix p suff) mutable_ctors
+          with
+          | Some (_, what) -> Mutable (what ^ " container")
+          | None -> Inert)
+      | None -> Inert)
+  | Pexp_record (fields, base) ->
+      let labels =
+        List.filter_map (fun (lid, _) -> flatten lid.Asttypes.txt) fields
+      in
+      if Records.literal_mutable records labels ~closed:(base = None) then
+        Mutable "mutable record literal"
+      else Inert
+  | Pexp_array _ -> Mutable "array literal"
+  | _ -> Inert

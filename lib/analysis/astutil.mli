@@ -47,3 +47,14 @@ val pat_names : Parsetree.pattern -> string list
 
 (** Iterate over every expression of a structure, in source order. *)
 val iter_exprs : (Parsetree.expression -> unit) -> Parsetree.structure -> unit
+
+(** How a toplevel binding holds state, judged by the outermost shape
+    of its expression (through type constraints, local opens and
+    [|>] / [@@]): an [Atomic.make] cell, a [Domain.DLS] key, mutable
+    state (a [ref] cell, a mutable container such as [Hashtbl.create],
+    [Bytes.make] or [Array.create_float], an array literal, or a
+    record literal that {!Records.literal_mutable} judges mutable,
+    described for a finding), or none of these. *)
+type toplevel_state = Atomic_cell | Dls_key | Mutable of string | Inert
+
+val toplevel_state : Records.t -> Parsetree.expression -> toplevel_state

@@ -24,59 +24,6 @@ let in_scope path = Source.under "lib" path || Source.under "examples" path
 (* applications whose thunk/function argument runs in other domains *)
 let fanout_suffixes = [ [ "Domain"; "spawn" ]; [ "Sweep"; "map" ] ]
 
-let mutable_ctor_suffixes =
-  [
-    ([ "Hashtbl"; "create" ], "Hashtbl");
-    ([ "Queue"; "create" ], "Queue");
-    ([ "Stack"; "create" ], "Stack");
-    ([ "Buffer"; "create" ], "Buffer");
-    ([ "Bytes"; "create" ], "Bytes");
-    ([ "Bytes"; "make" ], "Bytes");
-    ([ "Array"; "make" ], "Array");
-    ([ "Array"; "init" ], "Array");
-    ([ "Array"; "create_float" ], "Array");
-  ]
-
-let rec unwrap e =
-  match e.pexp_desc with
-  | Pexp_constraint (inner, _) | Pexp_open (_, inner) -> unwrap inner
-  | _ -> e
-
-(* how a toplevel binding holds mutable state, if it does *)
-type classification =
-  | Safe_atomic
-  | Dls_key
-  | Mutable of string (* human description *)
-  | Inert
-
-let classify records e =
-  let e = unwrap (Astutil.uncurry_pipes e) in
-  match e.pexp_desc with
-  | Pexp_apply (head, _) -> (
-      match Astutil.path_of_expr head with
-      | Some p when Astutil.has_suffix p [ "Atomic"; "make" ] -> Safe_atomic
-      | Some p when Astutil.has_suffix p [ "Domain"; "DLS"; "new_key" ] ->
-          Dls_key
-      | Some [ "ref" ] -> Mutable "ref cell"
-      | Some p -> (
-          match
-            List.find_opt
-              (fun (suff, _) -> Astutil.has_suffix p suff)
-              mutable_ctor_suffixes
-          with
-          | Some (_, what) -> Mutable (what ^ " container")
-          | None -> Inert)
-      | None -> Inert)
-  | Pexp_record (fields, base) ->
-      let labels =
-        List.filter_map (fun (lid, _) -> Astutil.flatten lid.Asttypes.txt) fields
-      in
-      if Records.literal_mutable records labels ~closed:(base = None) then
-        Mutable "mutable record literal"
-      else Inert
-  | Pexp_array _ -> Mutable "array literal"
-  | _ -> Inert
-
 (* every raw identifier path mentioned in [e], in source order *)
 let raw_paths e =
   let acc = ref [] in
@@ -192,12 +139,12 @@ let run (ctx : Pass.ctx) =
   List.iter
     (fun (n : Callgraph.node) ->
       if in_scope n.Callgraph.path then
-        match classify ctx.Pass.records n.Callgraph.body with
-        | Mutable what ->
+        match Astutil.toplevel_state ctx.Pass.records n.Callgraph.body with
+        | Astutil.Mutable what ->
             let line, col = Astutil.pos n.Callgraph.body.pexp_loc in
             Hashtbl.replace globals n.Callgraph.id
               (n.Callgraph.path, line, col, what)
-        | Safe_atomic | Dls_key | Inert -> ())
+        | Astutil.Atomic_cell | Astutil.Dls_key | Astutil.Inert -> ())
     (Callgraph.nodes cg);
   let roots = ref [] in
   let findings = ref [] in

@@ -3,9 +3,14 @@ open Parsetree
 let name = "hot-alloc"
 
 (* Allocation linter for the zero-allocation hot paths of DESIGN §11.
-   A function is "hot" when it is on the built-in allowlist below or
-   when its definition (or the whole file header) carries the hot
-   marker comment. Inside a hot function every construct that makes
+   A function is "hot" when its definition carries the hot marker
+   comment, on its first line or one of the two above it; a marker
+   above a file's first item makes the whole file hot. The marked
+   bindings are the hot set test_alloc measures: the event-queue
+   cycle, the int-keyed table under the block cache, the block cache's
+   LRU primitives, the DRC request path, the XDR encoder's word and
+   string writers, the client gnode lookup and the observability and
+   causal-context fast paths. Inside a hot function every construct that makes
    ocamlopt allocate is flagged: constructor/tuple/record/array
    construction, anonymous closures, partial application of known
    same-file functions, Printf/Format, polymorphic compare/hash,
@@ -31,40 +36,6 @@ let name = "hot-alloc"
 let marker = "snfs-" ^ "hot"
 
 let in_scope path = Source.under "lib" path
-
-(* The hot set test_alloc measures: event-queue cycle, the int-keyed
-   table under the block cache, client gnodes and server per-client
-   state, the block cache's LRU primitives, the DRC request path, the
-   XDR encoder's word and string writers, and the observability fast
-   paths.
-   Entries are bare names for file-toplevel bindings, [Sub.name] for
-   bindings inside a nested module. *)
-let builtin_allowlist =
-  [
-    ( "lib/sim/eventq.ml",
-      [
-        "push"; "pop_fn"; "pop_until"; "min_time"; "min_seq"; "is_empty";
-        "length";
-      ] );
-    ("lib/sim/inttbl.ml", [ "index"; "slot"; "find"; "replace"; "remove" ]);
-    ( "lib/blockcache/cache.ml",
-      [ "lru_unlink"; "lru_append"; "touch"; "key"; "find" ] );
-    ( "lib/netsim/rpc.ml",
-      [ "note_duplicate"; "handle_request"; "dispatch"; "work" ] );
-    ("lib/netsim/drc.ml", [ "admit"; "arrive"; "reply"; "publish" ]);
-    ( "lib/xdr/xdr.ml",
-      [
-        "Enc.check"; "Enc.uint32"; "Enc.int32"; "Enc.bool";
-        "Enc.enum"; "Enc.pad"; "Enc.string";
-      ] );
-    ("lib/obs/trace.ml", [ "on"; "mint" ]);
-    ("lib/obs/metrics.ml", [ "on" ]);
-    (* the causal-context fast path: consulted on every operation of
-       every protocol, traced or not, so it must stay allocation-free
-       even if someone drops the marker comments *)
-    ( "lib/obs/causal.ml",
-      [ "live"; "id"; "of_id" ] );
-  ]
 
 let raising_heads = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg";
                       "error" ]
@@ -352,11 +323,6 @@ let run_file (file : Source.t) structure findings =
   let whole_file =
     Hashtbl.fold (fun l () acc -> acc || l < first_item_line) markers false
   in
-  let allowed =
-    match List.assoc_opt file.Source.path builtin_allowlist with
-    | Some names -> names
-    | None -> []
-  in
   let file_module = Source.module_name file.Source.path in
   (* first sweep: arities of every toplevel binding, per module *)
   let arities = Hashtbl.create 64 in
@@ -379,17 +345,13 @@ let run_file (file : Source.t) structure findings =
                     (match arity_of vb.pvb_expr with
                     | Some ar -> Hashtbl.replace arities (modname, x) ar
                     | None -> ());
-                    let qualified =
-                      if modname = file_module then x else modname ^ "." ^ x
-                    in
                     let start = fst (Astutil.pos vb.pvb_loc) in
                     let marked =
                       Hashtbl.mem markers start
                       || Hashtbl.mem markers (start - 1)
                       || Hashtbl.mem markers (start - 2)
                     in
-                    if whole_file || marked || List.mem qualified allowed
-                    then hot := (modname, vb) :: !hot
+                    if whole_file || marked then hot := (modname, vb) :: !hot
                 | _ -> ())
               vbs
         | _ -> ())

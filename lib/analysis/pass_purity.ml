@@ -18,17 +18,6 @@ let banned_bare =
 
 let printing_fns = [ "printf"; "eprintf"; "fprintf"; "kfprintf" ]
 
-let mutable_ctor_suffixes =
-  [
-    [ "Hashtbl"; "create" ];
-    [ "Queue"; "create" ];
-    [ "Stack"; "create" ];
-    [ "Buffer"; "create" ];
-    [ "Bytes"; "create" ];
-    [ "Array"; "make" ];
-    [ "Array"; "init" ];
-  ]
-
 let check_refs file structure findings =
   Astutil.iter_exprs
     (fun e ->
@@ -61,51 +50,43 @@ let check_refs file structure findings =
                 :: !findings)
     structure
 
-(* toplevel mutable state: scan binding bodies without descending into
-   function bodies or lazy thunks (those allocate per call, which is
-   fine) *)
-let rec scan_toplevel file findings e =
+(* toplevel mutable state, as domain-safety classifies it: scan binding
+   bodies without descending into function bodies or lazy thunks (those
+   allocate per call, which is fine) *)
+let rec scan_toplevel file records findings e =
+  let scan = scan_toplevel file records findings in
   let e = Astutil.uncurry_pipes e in
   match e.pexp_desc with
   | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ -> ()
-  | Pexp_apply (head, args) ->
-      (match Astutil.path_of_expr head with
-      | Some [ "ref" ] ->
-          let line, col = Astutil.pos e.pexp_loc in
-          findings :=
-            Finding.v ~path:file.Source.path ~line ~col ~rule:name
-              "toplevel ref cell: core model state must be explicit \
-               function arguments"
-            :: !findings
-      | Some p when List.exists (Astutil.has_suffix p) mutable_ctor_suffixes
-        ->
+  | Pexp_constraint (inner, _) | Pexp_open (_, inner) -> scan inner
+  | _ -> (
+      (match Astutil.toplevel_state records e with
+      | Astutil.Mutable what ->
           let line, col = Astutil.pos e.pexp_loc in
           findings :=
             Finding.v ~path:file.Source.path ~line ~col ~rule:name
               (Printf.sprintf
-                 "toplevel mutable container (%s): core model state must \
-                  be explicit function arguments"
-                 (String.concat "." p))
+                 "toplevel mutable state (%s): core model state must be \
+                  explicit function arguments"
+                 what)
             :: !findings
-      | _ -> ());
-      scan_toplevel file findings head;
-      List.iter (fun (_, a) -> scan_toplevel file findings a) args
-  | Pexp_let (_, vbs, body) ->
-      List.iter (fun vb -> scan_toplevel file findings vb.pvb_expr) vbs;
-      scan_toplevel file findings body
-  | Pexp_tuple es -> List.iter (scan_toplevel file findings) es
-  | Pexp_record (fields, base) ->
-      List.iter (fun (_, v) -> scan_toplevel file findings v) fields;
-      Option.iter (scan_toplevel file findings) base
-  | Pexp_construct (_, Some arg) | Pexp_variant (_, Some arg) ->
-      scan_toplevel file findings arg
-  | Pexp_constraint (inner, _) | Pexp_open (_, inner)
-  | Pexp_sequence (_, inner) ->
-      scan_toplevel file findings inner
-  | Pexp_array es -> List.iter (scan_toplevel file findings) es
-  | _ -> ()
+      | Astutil.Atomic_cell | Astutil.Dls_key | Astutil.Inert -> ());
+      match e.pexp_desc with
+      | Pexp_apply (head, args) ->
+          scan head;
+          List.iter (fun (_, a) -> scan a) args
+      | Pexp_let (_, vbs, body) ->
+          List.iter (fun vb -> scan vb.pvb_expr) vbs;
+          scan body
+      | Pexp_tuple es | Pexp_array es -> List.iter scan es
+      | Pexp_record (fields, base) ->
+          List.iter (fun (_, v) -> scan v) fields;
+          Option.iter scan base
+      | Pexp_construct (_, Some arg) | Pexp_variant (_, Some arg) -> scan arg
+      | Pexp_sequence (_, inner) -> scan inner
+      | _ -> ())
 
-let check_file (file : Source.t) =
+let check_file records (file : Source.t) =
   match file.Source.impl with
   | Some structure when in_scope file.Source.path ->
       let findings = ref [] in
@@ -115,7 +96,7 @@ let check_file (file : Source.t) =
           match item.pstr_desc with
           | Pstr_value (_, vbs) ->
               List.iter
-                (fun vb -> scan_toplevel file findings vb.pvb_expr)
+                (fun vb -> scan_toplevel file records findings vb.pvb_expr)
                 vbs
           | _ -> ())
         structure;
@@ -126,5 +107,7 @@ let pass =
   {
     Pass.name;
     doc = "I/O, simulator coupling and hidden state in the core model";
-    run = (fun ctx -> List.concat_map check_file ctx.Pass.files);
+    run =
+      (fun ctx ->
+        List.concat_map (check_file ctx.Pass.records) ctx.Pass.files);
   }

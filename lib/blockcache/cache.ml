@@ -224,6 +224,7 @@ let alloc_slot t =
 (* ---- LRU list ---- *)
 
 (* circular through slot 0; no allocation and no write barrier *)
+(* snfs-hot *)
 let lru_unlink t s =
   let next = t.lru_next.!(s) in
   if next <> s then begin
@@ -234,6 +235,7 @@ let lru_unlink t s =
     t.lru_next.!(s) <- s
   end
 
+(* snfs-hot *)
 let lru_append t s =
   let last = t.lru_prev.!(0) in
   t.lru_next.!(last) <- s;
@@ -241,6 +243,7 @@ let lru_append t s =
   t.lru_next.!(s) <- 0;
   t.lru_prev.!(0) <- s
 
+(* snfs-hot *)
 let touch t s =
   lru_unlink t s;
   lru_append t s
@@ -254,6 +257,7 @@ let touch t s =
    40+ bits for file ids. *)
 let index_bits = 21
 
+(* snfs-hot *)
 let key ~file ~index =
   if index < 0 || index lsr index_bits <> 0 then
     invalid_arg (Printf.sprintf "Cache: block index %d out of range" index);
@@ -263,6 +267,7 @@ let file_of t s = t.key.!(s) asr index_bits
 let index_of t s = t.key.!(s) land ((1 lsl index_bits) - 1)
 
 (* the slot of the block at (file, index), or 0 when none is cached *)
+(* snfs-hot *)
 let find t ~file ~index = Sim.Inttbl.find t.blocks (key ~file ~index)
 
 (* The per-file doubly-linked chain serves every whole-file walk
@@ -579,7 +584,11 @@ let write ?(ctx = Obs.Causal.none) t ~file ~index ~stamp ~len mode =
   t.len.!(s) <- Int.max t.len.!(s) len;
   mark_dirty t s;
   match mode with
-  | `Delayed -> ()
+  | `Delayed ->
+      (* a doomed block would leave the cache dirty when its fetch or
+         write-back ends, and nothing would write it: the write revives
+         it *)
+      t.fate.!(s) <- Resident
   | `Sync -> do_writeback ~ctx t t.handle.!(s)
   | `Async ->
       let h = t.handle.!(s) in

@@ -28,9 +28,7 @@ type bstate = {
 }
 
 type t = {
-  core : Wire.server_core;
   srv : Wire.server;
-  engine : Sim.Engine.t;
   blocks : (int * int, bstate) Hashtbl.t; (* (ino, index) *)
 }
 
@@ -39,7 +37,11 @@ let bstate t key =
   | Some b -> b
   | None ->
       let b =
-        { owner = None; copyset = []; lock = Sim.Semaphore.create t.engine 1 }
+        {
+          owner = None;
+          copyset = [];
+          lock = Sim.Semaphore.create (Wire.engine t.srv) 1;
+        }
       in
       Hashtbl.replace t.blocks key b;
       b
@@ -49,7 +51,7 @@ let bstate t key =
 let block_callback t ~ctx ~ino ~index ~target ~writeback ~invalidate =
   let target = Wire.client t.srv target in
   let gen =
-    try (Localfs.getattr ~ctx (Wire.core_fs t.core) ino).Localfs.gen
+    try (Localfs.getattr ~ctx (Wire.fs t.srv) ino).Localfs.gen
     with Localfs.Error _ -> 1
   in
   if invalidate && Obs.Metrics.on () then
@@ -73,7 +75,7 @@ let block_callback t ~ctx ~ino ~index ~target ~writeback ~invalidate =
            ]))
     callback
     (* the inducing operation rides in the callback payload *)
-    ( ({ Wire.fsid = Wire.core_fsid t.core; ino; gen }, index),
+    ( ({ Wire.fsid = Wire.fsid t.srv; ino; gen }, index),
       (writeback, invalidate, Obs.Causal.id ctx) )
 
 (* a reader wants current data: if someone owns the block, recall it
@@ -92,7 +94,7 @@ let recall_for_read t ~ctx ~ino ~index =
    invalidate every other cached copy *)
 let handle_acquire t ~caller ~ctx (((fh : Wire.fh), index), len) =
   let ino = fh.ino in
-  ignore (Localfs.getattr ~ctx (Wire.core_fs t.core) ino);
+  ignore (Localfs.getattr ~ctx (Wire.fs t.srv) ino);
   let b = bstate t (ino, index) in
   Sim.Semaphore.with_unit b.lock (fun () ->
       (match b.owner with
@@ -114,20 +116,20 @@ let handle_acquire t ~caller ~ctx (((fh : Wire.fh), index), len) =
          the new extent even while the data stays with the owner *)
       let size = (index * Localfs.block_size) + len in
       let current =
-        (Localfs.getattr ~ctx (Wire.core_fs t.core) ino).Localfs.size
+        (Localfs.getattr ~ctx (Wire.fs t.srv) ino).Localfs.size
       in
       if size > current then
-        Localfs.setattr ~ctx (Wire.core_fs t.core) ino ~size ())
+        Localfs.setattr ~ctx (Wire.fs t.srv) ino ~size ())
 
 (* reads need per-block recall + copyset tracking under the block's
    lock, so the shared read handler is bypassed *)
 let handle_read t ~caller ~ctx ((fh : Wire.fh), index) =
   let ino = fh.ino in
-  ignore (Localfs.getattr ~ctx (Wire.core_fs t.core) ino);
+  ignore (Localfs.getattr ~ctx (Wire.fs t.srv) ino);
   let b = bstate t (ino, index) in
   Sim.Semaphore.with_unit b.lock (fun () ->
       recall_for_read t ~ctx ~ino ~index;
-      let result = Localfs.read_block ~ctx (Wire.core_fs t.core) ino ~index in
+      let result = Localfs.read_block ~ctx (Wire.fs t.srv) ino ~index in
       if not (List.mem caller b.copyset) then b.copyset <- caller :: b.copyset;
       result)
 
@@ -137,7 +139,7 @@ let handle_read t ~caller ~ctx ((fh : Wire.fh), index) =
    setattr. *)
 let truncate_blocks t ~caller ~ctx ((fh : Wire.fh), _size) =
   let ino = fh.ino in
-  ignore (Localfs.getattr ~ctx (Wire.core_fs t.core) ino);
+  ignore (Localfs.getattr ~ctx (Wire.fs t.srv) ino);
   (* sorted: the invalidation callbacks below must not go out in
      hash-bucket order (snfs_lint's hashtbl-order rule) *)
   let affected =
@@ -182,28 +184,21 @@ let forget_file t ino =
 let threads = 8
 
 let serve rpc host ~fsid fs =
-  let rec t =
-    lazy
-      (let core =
-         Wire.make_server_core ~fsid fs
-           ~on_remove:(fun ~ino ~ctx:_ -> forget_file (Lazy.force t) ino)
-           ()
-       in
-       let srv =
-         Wire.serve rpc host ~prog ~threads core
-           (Wire.serves acquire (fun ~caller ~ctx args ->
-                handle_acquire (Lazy.force t) ~caller ~ctx args)
-           :: Wire.serves Wire.Proc.read (fun ~caller ~ctx args ->
-                  handle_read (Lazy.force t) ~caller ~ctx args)
-           :: Wire.before Wire.Proc.setattr
-                (fun ~caller ~ctx args ->
-                  truncate_blocks (Lazy.force t) ~caller ~ctx args)
-                (Wire.basic core))
-       in
-       let engine = Netsim.Net.engine (Netsim.Rpc.net rpc) in
-       { core; srv; engine; blocks = Hashtbl.create 256 })
+  let t =
+    {
+      srv = Wire.server rpc host ~prog ~threads ~fsid fs;
+      blocks = Hashtbl.create 256;
+    }
   in
-  Lazy.force t
+  Wire.serve t.srv
+    (Wire.serves acquire (fun ~caller ~ctx args ->
+         handle_acquire t ~caller ~ctx args)
+    :: Wire.serves Wire.Proc.read (fun ~caller ~ctx args ->
+           handle_read t ~caller ~ctx args)
+    :: Wire.before Wire.Proc.setattr
+         (fun ~caller ~ctx args -> truncate_blocks t ~caller ~ctx args)
+         (Wire.basic t.srv ~on_remove:(fun ~ino ~ctx:_ -> forget_file t ino)));
+  t
 
-let root_fh t = Wire.root_fh t.core
+let root_fh t = Wire.root_fh t.srv
 let service t = Wire.service t.srv

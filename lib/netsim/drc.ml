@@ -57,6 +57,7 @@ let grow t =
 
 (* At the bound two xids share a slot only if they share a residue, so
    the doubling stops there at the latest. *)
+(* snfs-hot *)
 let rec admit t xid =
   let size = Array.length t.xids in
   if size = 0 then begin
@@ -76,6 +77,7 @@ let rec admit t xid =
       admit t xid
     end
 
+(* snfs-hot *)
 let arrive t xid =
   let size = Array.length t.xids in
   let i = xid land (size - 1) in
@@ -88,6 +90,7 @@ let arrive t xid =
 
 (* the slot is derived from the size now: the table may have grown
    while the handler ran *)
+(* snfs-hot *)
 let publish t xid =
   let size = Array.length t.xids in
   let i = xid land (size - 1) in

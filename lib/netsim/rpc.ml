@@ -197,6 +197,7 @@ let serve t host ~prog ~threads ~unknown table =
     (fun () -> float_of_int (Drc.length svc.drc));
   svc
 
+let find_service t h ~prog = Hashtbl.find t.services (Net.Host.addr h, prog)
 let service_host svc = svc.host
 let service_prog svc = svc.prog
 let counters svc = svc.counts
@@ -238,6 +239,7 @@ let proc_info svc proc =
   done;
   if !i < n then Array.unsafe_get procs !i else register_proc svc proc
 
+(* snfs-hot *)
 let note_duplicate svc ~trace_name ~pname ~xid =
   if Obs.Metrics.on () then
     Obs.Metrics.incr
@@ -328,6 +330,7 @@ let execute svc c queued =
    one process per request, so requests run at the same instants and
    in the same order as those processes would. DESIGN.md §11.1 rule 10
    names the one same-instant case where the two differ. *)
+(* snfs-hot *)
 let rec work svc c queued =
   match execute svc c queued with
   | exception e ->
@@ -367,6 +370,7 @@ let grow_backlog svc =
 
 (* A request the DRC lets through, at its first arrival: a thread if one
    is idle, else the backlog. *)
+(* snfs-hot *)
 let dispatch svc c =
   if svc.idle > 0 then begin
     svc.idle <- svc.idle - 1;
@@ -386,6 +390,7 @@ let dispatch svc c =
   end
 
 (* Runs on the server when a request message arrives. *)
+(* snfs-hot *)
 let handle_request svc c =
   (* volatile server state does not survive a reboot *)
   let epoch = Net.Host.boot_epoch svc.host in

@@ -69,6 +69,10 @@ val serve :
   t -> Net.Host.t -> prog:string -> threads:int -> unknown:handler ->
   (string * handler) list -> service
 
+(** The service [serve] registered for [prog] on [host]; [Not_found]
+    if there is none. *)
+val find_service : t -> Net.Host.t -> prog:string -> service
+
 val service_host : service -> Net.Host.t
 
 (** The program name the service was registered under. *)

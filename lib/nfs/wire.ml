@@ -247,107 +247,108 @@ let before p f (procs : entry list) =
             | exception Localfs.Error err -> error_reply err ))
     procs
 
-(* Hooks receive [ctx], the causal context of the triggering client
-   operation, so consistency actions they induce (RFS invalidations)
-   can be attributed to it. *)
-type server_core = {
-  fsid : int;
-  fs : Localfs.t;
-  on_read : (ino:int -> caller:int -> ctx:Obs.Causal.t -> unit) option;
-  on_write : (ino:int -> caller:int -> ctx:Obs.Causal.t -> unit) option;
-  on_remove : (ino:int -> ctx:Obs.Causal.t -> unit) option;
-}
-
-let make_server_core ~fsid fs ?on_read ?on_write ?on_remove () =
-  { fsid; fs; on_read; on_write; on_remove }
-
-let core_fsid c = c.fsid
-let core_fs c = c.fs
-
-let root_fh c = { fsid = c.fsid; ino = Localfs.root c.fs; gen = 1 }
-
-(* The basic procedures. Data writes go to the disk synchronously
-   (Section 2.3: "writes are always synchronous with the disk at the
-   server"). [ctx] flows down to the file system, buffer cache and
-   disk. *)
-let basic c =
-  (* the inode a request's file handle names, if it is of this file
-     system *)
-  let ino (fh : fh) =
-    if fh.fsid <> c.fsid then raise (Localfs.Error Localfs.Stale);
-    fh.ino
-  in
-  let fh_attrs ~ctx ino =
-    let attrs = Localfs.getattr ~ctx c.fs ino in
-    ({ fsid = c.fsid; ino; gen = attrs.Localfs.gen }, attrs)
-  in
-  let dirop p
-      (op : ?ctx:Obs.Causal.t -> Localfs.t -> dir:int -> string -> int) =
-    serves p (fun ~caller:_ ~ctx (dir, name) ->
-        fh_attrs ~ctx (op ~ctx c.fs ~dir:(ino dir) name))
-  in
-  [
-    dirop Proc.lookup Localfs.lookup;
-    serves Proc.getattr (fun ~caller:_ ~ctx fh ->
-        Localfs.getattr ~ctx c.fs (ino fh));
-    serves Proc.setattr (fun ~caller:_ ~ctx (fh, size) ->
-        let ino = ino fh in
-        Localfs.setattr ~ctx c.fs ino ~size ();
-        Localfs.getattr ~ctx c.fs ino);
-    serves Proc.read (fun ~caller ~ctx (fh, index) ->
-        let ino = ino fh in
-        let block = Localfs.read_block ~ctx c.fs ino ~index in
-        (match c.on_read with Some f -> f ~ino ~caller ~ctx | None -> ());
-        block);
-    serves Proc.write (fun ~caller ~ctx (fh, (index, stamp, len)) ->
-        let ino = ino fh in
-        (* stable storage before replying *)
-        Localfs.write_block ~ctx c.fs ino ~index ~stamp ~len `Sync;
-        (match c.on_write with Some f -> f ~ino ~caller ~ctx | None -> ());
-        Localfs.getattr ~ctx c.fs ino);
-    dirop Proc.create Localfs.create_file;
-    dirop Proc.mkdir Localfs.mkdir;
-    serves Proc.remove (fun ~caller:_ ~ctx (dir, name) ->
-        let dir = ino dir in
-        let ino = Localfs.lookup ~ctx c.fs ~dir name in
-        Localfs.remove ~ctx c.fs ~dir name;
-        match c.on_remove with Some f -> f ~ino ~ctx | None -> ());
-    serves Proc.rmdir (fun ~caller:_ ~ctx (dir, name) ->
-        Localfs.rmdir ~ctx c.fs ~dir:(ino dir) name);
-    serves Proc.rename
-      (fun ~caller:_ ~ctx ((fromdir, fname), (todir, tname)) ->
-        Localfs.rename ~ctx c.fs ~fromdir:(ino fromdir) fname
-          ~todir:(ino todir) tname);
-    serves Proc.readdir (fun ~caller:_ ~ctx fh ->
-        Localfs.readdir ~ctx c.fs ~dir:(ino fh));
-  ]
-
-(* ---- the one serve site ---- *)
+(* ---- the one server record ---- *)
 
 type server = {
   rpc : Netsim.Rpc.t;
   host : Netsim.Net.Host.t;
   engine : Sim.Engine.t;
-  service : Netsim.Rpc.service;
+  prog : string;
+  threads : int;
+  fsid : int;
+  fs : Localfs.t;
   callback_prog : string;
   callback_tokens : Sim.Semaphore.t;
 }
 
 let callback_prog ~prog ~fsid = prog ^ "_cb." ^ string_of_int fsid
 
-let serve rpc host ~prog ~threads core procs =
-  if threads < 2 then invalid_arg "Wire.serve: need at least 2 threads";
+let server rpc host ~prog ~threads ~fsid fs =
+  if threads < 2 then invalid_arg "Wire.server: need at least 2 threads";
   let engine = Netsim.Net.engine (Netsim.Rpc.net rpc) in
   {
     rpc;
     host;
     engine;
-    service = Netsim.Rpc.serve rpc host ~prog ~threads ~unknown procs;
-    callback_prog = callback_prog ~prog ~fsid:core.fsid;
+    prog;
+    threads;
+    fsid;
+    fs;
+    callback_prog = callback_prog ~prog ~fsid;
     callback_tokens = Sim.Semaphore.create engine (threads - 1);
   }
 
-let service srv = srv.service
+let host srv = srv.host
+let engine srv = srv.engine
+let fsid srv = srv.fsid
+let fs srv = srv.fs
+let root_fh srv = { fsid = srv.fsid; ino = Localfs.root srv.fs; gen = 1 }
+
+(* The basic procedures. Data writes go to the disk synchronously
+   (Section 2.3: "writes are always synchronous with the disk at the
+   server"). [ctx] flows down to the file system, buffer cache and
+   disk, and the hooks receive it so consistency actions they induce
+   (RFS invalidations) can be attributed to the client operation. *)
+let basic ?on_read ?on_write ?on_remove srv =
+  (* the inode a request's file handle names, if it is of this file
+     system *)
+  let ino (fh : fh) =
+    if fh.fsid <> srv.fsid then raise (Localfs.Error Localfs.Stale);
+    fh.ino
+  in
+  let fh_attrs ~ctx ino =
+    let attrs = Localfs.getattr ~ctx srv.fs ino in
+    ({ fsid = srv.fsid; ino; gen = attrs.Localfs.gen }, attrs)
+  in
+  let dirop p
+      (op : ?ctx:Obs.Causal.t -> Localfs.t -> dir:int -> string -> int) =
+    serves p (fun ~caller:_ ~ctx (dir, name) ->
+        fh_attrs ~ctx (op ~ctx srv.fs ~dir:(ino dir) name))
+  in
+  [
+    dirop Proc.lookup Localfs.lookup;
+    serves Proc.getattr (fun ~caller:_ ~ctx fh ->
+        Localfs.getattr ~ctx srv.fs (ino fh));
+    serves Proc.setattr (fun ~caller:_ ~ctx (fh, size) ->
+        let ino = ino fh in
+        Localfs.setattr ~ctx srv.fs ino ~size ();
+        Localfs.getattr ~ctx srv.fs ino);
+    serves Proc.read (fun ~caller ~ctx (fh, index) ->
+        let ino = ino fh in
+        let block = Localfs.read_block ~ctx srv.fs ino ~index in
+        (match on_read with Some f -> f ~ino ~caller ~ctx | None -> ());
+        block);
+    serves Proc.write (fun ~caller ~ctx (fh, (index, stamp, len)) ->
+        let ino = ino fh in
+        (* stable storage before replying *)
+        Localfs.write_block ~ctx srv.fs ino ~index ~stamp ~len `Sync;
+        (match on_write with Some f -> f ~ino ~caller ~ctx | None -> ());
+        Localfs.getattr ~ctx srv.fs ino);
+    dirop Proc.create Localfs.create_file;
+    dirop Proc.mkdir Localfs.mkdir;
+    serves Proc.remove (fun ~caller:_ ~ctx (dir, name) ->
+        let dir = ino dir in
+        let ino = Localfs.lookup ~ctx srv.fs ~dir name in
+        Localfs.remove ~ctx srv.fs ~dir name;
+        match on_remove with Some f -> f ~ino ~ctx | None -> ());
+    serves Proc.rmdir (fun ~caller:_ ~ctx (dir, name) ->
+        Localfs.rmdir ~ctx srv.fs ~dir:(ino dir) name);
+    serves Proc.rename
+      (fun ~caller:_ ~ctx ((fromdir, fname), (todir, tname)) ->
+        Localfs.rename ~ctx srv.fs ~fromdir:(ino fromdir) fname
+          ~todir:(ino todir) tname);
+    serves Proc.readdir (fun ~caller:_ ~ctx fh ->
+        Localfs.readdir ~ctx srv.fs ~dir:(ino fh));
+  ]
+
+(* ---- the one serve site ---- *)
+
+let serve srv procs =
+  ignore
+    (Netsim.Rpc.serve srv.rpc srv.host ~prog:srv.prog ~threads:srv.threads
+       ~unknown procs)
+
+let service srv = Netsim.Rpc.find_service srv.rpc srv.host ~prog:srv.prog
 let callback_tokens srv = srv.callback_tokens
 let client srv addr = Netsim.Net.Host.by_addr (Netsim.Rpc.net srv.rpc) addr
 

@@ -147,49 +147,53 @@ val before :
     (Section 6.1). *)
 val unknown : Netsim.Rpc.handler
 
-(** {2 Server-side core}
+(** {2 The server}
 
-    The basic procedures against a {!Localfs} — the "service code
-    simply translates RPC requests into GFS operations" layer of
-    Section 4.1. Data writes reach the disk before the reply (Section
-    2.3). *)
-
-type server_core
-
-(** The hooks receive [ctx], the causal context of the triggering
-    client operation, so induced consistency work (RFS invalidations)
-    is attributed to it. *)
-val make_server_core :
-  fsid:int ->
-  Localfs.t ->
-  ?on_read:(ino:int -> caller:int -> ctx:Obs.Causal.t -> unit) ->
-  ?on_write:(ino:int -> caller:int -> ctx:Obs.Causal.t -> unit) ->
-  ?on_remove:(ino:int -> ctx:Obs.Causal.t -> unit) ->
-  unit ->
-  server_core
-
-val core_fsid : server_core -> int
-val core_fs : server_core -> Localfs.t
-
-(** Root file handle of the served file system. *)
-val root_fh : server_core -> fh
-
-(** The entries of the basic procedures of [core]. *)
-val basic : server_core -> entry list
-
-(** {2 The one serve site} *)
+    One record per served program: its host and engine, the
+    {!Localfs} it exports under [fsid], its callback program and its
+    callback tokens. A protocol server builds its own state around
+    it, then serves a procedure table whose handlers close over that
+    state. *)
 
 type server
 
-(** [serve rpc host ~prog ~threads core procs] registers [prog] on
-    [host] with [threads] daemons (at least 2) and the procedure table
-    [procs]: the protocol's own entries, then {!basic} [core], so a
-    protocol entry replaces the basic one of its name; a procedure
-    [procs] does not name gets {!unknown}. *)
-val serve :
+(** [server rpc host ~prog ~threads ~fsid fs] is the server of [fs]
+    under [prog] on [host], with [threads] daemons (at least 2). It
+    registers nothing: {!serve} does. *)
+val server :
   Netsim.Rpc.t -> Netsim.Net.Host.t -> prog:string -> threads:int ->
-  server_core -> entry list -> server
+  fsid:int -> Localfs.t -> server
 
+val host : server -> Netsim.Net.Host.t
+val engine : server -> Sim.Engine.t
+val fsid : server -> int
+val fs : server -> Localfs.t
+
+(** Root file handle of the served file system. *)
+val root_fh : server -> fh
+
+(** The entries of the basic procedures against the served file system
+    — the "service code simply translates RPC requests into GFS
+    operations" layer of Section 4.1. Data writes reach the disk
+    before the reply (Section 2.3). The hooks run after a read, a
+    write or a remove and receive [ctx], the causal context of the
+    triggering client operation, so induced consistency work (RFS
+    invalidations) is attributed to it. *)
+val basic :
+  ?on_read:(ino:int -> caller:int -> ctx:Obs.Causal.t -> unit) ->
+  ?on_write:(ino:int -> caller:int -> ctx:Obs.Causal.t -> unit) ->
+  ?on_remove:(ino:int -> ctx:Obs.Causal.t -> unit) ->
+  server -> entry list
+
+(** {2 The one serve site} *)
+
+(** [serve srv procs] registers [srv]'s program on its host with the
+    procedure table [procs]: the protocol's own entries, then its
+    {!basic} ones, so a protocol entry replaces the basic one of its
+    name; a procedure [procs] does not name gets {!unknown}. *)
+val serve : server -> entry list -> unit
+
+(** The RPC service {!serve} registered; [Not_found] before that. *)
 val service : server -> Netsim.Rpc.service
 
 (** [threads - 1] units, held per batch of callbacks or per callback,

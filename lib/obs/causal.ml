@@ -20,6 +20,7 @@ let live c = c > 0
 (* snfs-hot *)
 let id c = c
 
+(* snfs-hot *)
 let of_id i = if i > 0 then i else none
 
 (* Prepend the op tag to a span's argument list. Only called from

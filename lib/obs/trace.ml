@@ -90,6 +90,7 @@ let instant ?(track = "sim") ?(args = []) ~ts ~cat ~name () =
 
 (* An op id comes from the same counter as span ids, so the
    operation's root span can carry it; 0 means "no tracer". *)
+(* snfs-hot *)
 let mint () =
   match current () with
   | None -> 0

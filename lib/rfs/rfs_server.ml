@@ -7,7 +7,6 @@ let prog = "rfs"
 type fentry = { mutable version : int; mutable cachers : int list }
 
 type t = {
-  core : Wire.server_core;
   srv : Wire.server;
   table : (int, fentry) Hashtbl.t;
   mutable counter : int;
@@ -42,7 +41,7 @@ let on_write t ~ino ~caller ~ctx =
         (fun victim ->
           let target = Wire.client t.srv victim in
           let gen =
-            try (Localfs.getattr (Wire.core_fs t.core) ino).Localfs.gen
+            try (Localfs.getattr (Wire.fs t.srv) ino).Localfs.gen
             with Localfs.Error _ -> 1
           in
           if Obs.Metrics.on () then
@@ -59,7 +58,7 @@ let on_write t ~ino ~caller ~ctx =
                       ]))
                Wire.Proc.callback
                {
-                 Wire.cb_fh = { Wire.fsid = Wire.core_fsid t.core; ino; gen };
+                 Wire.cb_fh = { Wire.fsid = Wire.fsid t.srv; ino; gen };
                  cb_writeback = false;
                  cb_invalidate = true;
                  cb_ctx = Obs.Causal.id ctx;
@@ -67,7 +66,7 @@ let on_write t ~ino ~caller ~ctx =
         victims
 
 let handle_open t ~caller ~ctx ((fh : Wire.fh), write_mode) =
-  let attrs = Localfs.getattr ~ctx (Wire.core_fs t.core) fh.ino in
+  let attrs = Localfs.getattr ~ctx (Wire.fs t.srv) fh.ino in
   let f = entry t fh.ino in
   if write_mode then begin
     t.counter <- t.counter + 1;
@@ -79,32 +78,27 @@ let handle_open t ~caller ~ctx ((fh : Wire.fh), write_mode) =
 let threads = 4
 
 let serve rpc host ~fsid fs =
-  let rec t =
-    lazy
-      (let core =
-         Wire.make_server_core ~fsid fs
-           ~on_read:(fun ~ino ~caller ~ctx:_ ->
-             (* whoever fetches data may cache it and must be told when
-                a write invalidates it *)
-             add_cacher (entry (Lazy.force t) ino) caller)
-           ~on_write:(fun ~ino ~caller ~ctx ->
-             on_write (Lazy.force t) ~ino ~caller ~ctx)
-           ~on_remove:(fun ~ino ~ctx:_ ->
-             Hashtbl.remove (Lazy.force t).table ino)
-           ()
-       in
-       let srv =
-         Wire.serve rpc host ~prog ~threads core
-           (Wire.serves Wire.Proc.rfs_open (fun ~caller ~ctx args ->
-                handle_open (Lazy.force t) ~caller ~ctx args)
-           (* the cacher list persists: closed files may stay cached
-              until a write invalidates them *)
-           :: Wire.serves Wire.Proc.close (fun ~caller:_ ~ctx:_ _ -> ())
-           :: Wire.basic core)
-       in
-       { core; srv; table = Hashtbl.create 64; counter = 0 })
+  let t =
+    {
+      srv = Wire.server rpc host ~prog ~threads ~fsid fs;
+      table = Hashtbl.create 64;
+      counter = 0;
+    }
   in
-  Lazy.force t
+  Wire.serve t.srv
+    (Wire.serves Wire.Proc.rfs_open (fun ~caller ~ctx args ->
+         handle_open t ~caller ~ctx args)
+    (* the cacher list persists: closed files may stay cached until a
+       write invalidates them *)
+    :: Wire.serves Wire.Proc.close (fun ~caller:_ ~ctx:_ _ -> ())
+    :: Wire.basic t.srv
+         ~on_read:(fun ~ino ~caller ~ctx:_ ->
+           (* whoever fetches data may cache it and must be told when a
+              write invalidates it *)
+           add_cacher (entry t ino) caller)
+         ~on_write:(fun ~ino ~caller ~ctx -> on_write t ~ino ~caller ~ctx)
+         ~on_remove:(fun ~ino ~ctx:_ -> Hashtbl.remove t.table ino));
+  t
 
-let root_fh t = Wire.root_fh t.core
+let root_fh t = Wire.root_fh t.srv
 let service t = Wire.service t.srv

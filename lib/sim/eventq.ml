@@ -44,6 +44,7 @@ let create () =
     len = 0;
   }
 
+(* snfs-hot *)
 let is_empty t = t.len = 0
 let length t = t.len
 
@@ -64,6 +65,7 @@ let grow t =
   t.slots <- slots;
   t.fns <- fns
 
+(* snfs-hot *)
 let push t ~time ~seq fn =
   if t.len = Array.length t.times then grow t;
   let times = t.times and seqs = t.seqs and slots = t.slots in
@@ -88,14 +90,17 @@ let push t ~time ~seq fn =
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set slots !i slot
 
+(* snfs-hot *)
 let min_time t =
   if t.len = 0 then raise Not_found;
   t.times.(0)
 
+(* snfs-hot *)
 let min_seq t =
   if t.len = 0 then raise Not_found;
   t.seqs.(0)
 
+(* snfs-hot *)
 let pop_fn t =
   if t.len = 0 then raise Not_found;
   let times = t.times and seqs = t.seqs and slots = t.slots in
@@ -148,6 +153,7 @@ let pop_fn t =
    [cell.(0)] (the engine's clock cell — a float array store, so it is
    never boxed), and an empty queue returns the [nop] sentinel instead
    of an option. *)
+(* snfs-hot *)
 let pop_until t cell =
   if t.len = 0 then nop
   else begin

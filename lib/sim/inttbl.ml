@@ -15,6 +15,7 @@ let empty t = t.empty
 (* A full-width multiply folded with its high bits, so every bit of the
    key reaches the slot bits: mixing only the low bits put block i of
    neighbouring files (keys file lsl 21 lor i) in adjacent slots. *)
+(* snfs-hot *)
 let index mask k =
   let h = k * 0x1E3779B97F4A7C15 in
   (h lxor (h lsr 29)) land mask
@@ -22,6 +23,7 @@ let index mask k =
 (* The slot holding [k], or the free slot that ends its probe run. The
    probe loops are [while] loops over non-escaping refs: a local
    [let rec] capturing the arrays would allocate a closure per call. *)
+(* snfs-hot *)
 let slot t k =
   let keys = t.keys and vals = t.vals in
   let mask = Array.length keys - 1 in
@@ -32,6 +34,7 @@ let slot t k =
   !i
 
 (* an empty table may have no slots at all *)
+(* snfs-hot *)
 let find t k =
   if t.live = 0 then t.empty else Array.unsafe_get t.vals (slot t k)
 
@@ -46,6 +49,7 @@ let rec grow t =
     if v != t.empty then replace t (Array.unsafe_get keys i) v
   done
 
+(* snfs-hot *)
 and replace t k v =
   if 2 * (t.live + 1) > Array.length t.keys then grow t;
   let i = slot t k in
@@ -59,6 +63,7 @@ and replace t k v =
    every entry that may legally sit in the hole, so no probe run ever
    has a gap. The entry at [j] stays when its home slot lies cyclically
    in (hole, j], i.e. it is nearer home than the hole is. *)
+(* snfs-hot *)
 let remove t k =
   let keys = t.keys and vals = t.vals in
   let mask = Array.length keys - 1 in

@@ -4,7 +4,7 @@ type phantom = { mutable expires : float }
 
 type t = {
   snfs : Snfs_server.t;
-  engine : Sim.Engine.t;
+  nfs : Wire.server;
   probe_interval : float;
   (* implicit SNFS opens held for NFS clients: (file, client, write) *)
   phantoms : (int * int * bool, phantom) Hashtbl.t;
@@ -19,7 +19,8 @@ let mode_of_write write =
    caches). The implicit open expires after the probe interval. *)
 let note_nfs_access t ~ctx ~file ~client ~write =
   let key = (file, client, write) in
-  let now = Sim.Engine.now t.engine in
+  let engine = Wire.engine t.nfs in
+  let now = Sim.Engine.now engine in
   match Hashtbl.find_opt t.phantoms key with
   | Some p -> p.expires <- now +. t.probe_interval
   | None -> (
@@ -29,9 +30,9 @@ let note_nfs_access t ~ctx ~file ~client ~write =
           let p = { expires = now +. t.probe_interval } in
           Hashtbl.replace t.phantoms key p;
           let rec expire () =
-            let remaining = p.expires -. Sim.Engine.now t.engine in
+            let remaining = p.expires -. Sim.Engine.now engine in
             if remaining > 0.0 then begin
-              Sim.Engine.sleep t.engine remaining;
+              Sim.Engine.sleep engine remaining;
               expire ()
             end
             else begin
@@ -42,7 +43,7 @@ let note_nfs_access t ~ctx ~file ~client ~write =
               with Invalid_argument _ -> () (* file was removed meanwhile *)
             end
           in
-          Sim.Engine.spawn t.engine ~name:"hybrid.phantom-close" expire
+          Sim.Engine.spawn engine ~name:"hybrid.phantom-close" expire
       | exception Spritely.State_table.Table_full ->
           (* no room to track this NFS client; it still gets served,
              just without consistency vis-a-vis SNFS clients *)
@@ -51,16 +52,16 @@ let note_nfs_access t ~ctx ~file ~client ~write =
 (* threads of each half: the SNFS service and the NFS one *)
 let threads = 4
 
-(* The NFS half: the basic procedures, data accesses first implying
+(* The NFS half: SNFS's basic procedures, data accesses first implying
    SNFS opens (Section 6.1); open and close from an NFS client are
    rejected, as a plain NFS server would — this is how hybrid clients
    probe. *)
-let nfs_procs t core =
+let nfs_procs t =
   let access p ~write (file_of : _ -> Wire.fh) =
     Wire.before p (fun ~caller ~ctx args ->
         note_nfs_access t ~ctx ~file:(file_of args).ino ~client:caller ~write)
   in
-  Wire.basic core
+  Snfs_server.basic t.snfs
   |> access Wire.Proc.read ~write:false fst
   |> access Wire.Proc.write ~write:true fst
   |> access Wire.Proc.setattr ~write:true fst
@@ -70,7 +71,7 @@ let nfs_procs t core =
      reply's attributes reflect any dirty blocks recalled from an SNFS
      client *)
   |> Wire.before Wire.Proc.lookup (fun ~caller ~ctx ((dir : Wire.fh), name) ->
-         let fs = Wire.core_fs core in
+         let fs = Wire.fs t.nfs in
          match Localfs.lookup ~ctx fs ~dir:dir.ino name with
          | ino ->
              (* directories need no consistency tracking *)
@@ -83,17 +84,14 @@ let serve rpc host ?(nfs_probe_interval = 150.0) ~fsid fs =
   let t =
     {
       snfs;
-      engine = Netsim.Net.engine (Netsim.Rpc.net rpc);
+      nfs = Wire.server rpc host ~prog:Nfs.Nfs_server.prog ~threads ~fsid fs;
       probe_interval = nfs_probe_interval;
       phantoms = Hashtbl.create 64;
     }
   in
-  let core = Snfs_server.core snfs in
-  ignore
-    (Wire.serve rpc host ~prog:Nfs.Nfs_server.prog ~threads core
-       (nfs_procs t core));
+  Wire.serve t.nfs (nfs_procs t);
   t
 
 let snfs t = t.snfs
-let nfs_root_fh t = Wire.root_fh (Snfs_server.core t.snfs)
+let nfs_root_fh t = Wire.root_fh t.nfs
 let phantom_opens t = Hashtbl.length t.phantoms

@@ -3,8 +3,6 @@ module Wire = Nfs.Wire
 let prog = "snfs"
 
 type t = {
-  host : Netsim.Net.Host.t;
-  core : Wire.server_core;
   srv : Wire.server;
   mutable table : Spritely.State_table.t;
   mutable callbacks_sent : int;
@@ -32,7 +30,6 @@ type t = {
   recovery_grace : float;
   mutable grace_until : float;
   recovered : (int, unit) Hashtbl.t; (* clients that replayed state *)
-  engine : Sim.Engine.t;
 }
 
 let mode_of_flag write_mode =
@@ -106,7 +103,7 @@ let conflict_with_suspect t ~file (cb : Spritely.State_table.callback) =
    lost and the entry stays flagged inconsistent. *)
 let perform_callback_live t ~ctx ~file (cb : Spritely.State_table.callback) =
   let target = Wire.client t.srv cb.target in
-  let gen = (Localfs.getattr ~ctx (Wire.core_fs t.core) file).Localfs.gen in
+  let gen = (Localfs.getattr ~ctx (Wire.fs t.srv) file).Localfs.gen in
   t.callbacks_sent <- t.callbacks_sent + 1;
   if Obs.Metrics.on () then
     Obs.Metrics.incr
@@ -135,7 +132,7 @@ let perform_callback_live t ~ctx ~file (cb : Spritely.State_table.callback) =
              ]))
       Wire.Proc.callback
       {
-        Wire.cb_fh = { Wire.fsid = Wire.core_fsid t.core; ino = file; gen };
+        Wire.cb_fh = { Wire.fsid = Wire.fsid t.srv; ino = file; gen };
         cb_writeback = cb.writeback;
         cb_invalidate = cb.invalidate;
         cb_ctx = Obs.Causal.id ctx;
@@ -155,7 +152,7 @@ let perform_callback_live t ~ctx ~file (cb : Spritely.State_table.callback) =
        reaped *)
     ignore
       (Spritely.Lifecycle.demote t.lifecycle ~client:cb.target
-         ~now:(Sim.Engine.now t.engine));
+         ~now:(Sim.Engine.now (Wire.engine t.srv)));
     ignore (Spritely.Lifecycle.note_conflict t.lifecycle ~client:cb.target);
     reap t cb.target ~state:Spritely.Lifecycle.Expirable
   end
@@ -189,21 +186,21 @@ let relinquish_for_space t ~ctx =
            clients);
       true
 
-let in_grace t = Sim.Engine.now t.engine < t.grace_until
+let in_grace t = Sim.Engine.now (Wire.engine t.srv) < t.grace_until
 
 (* the laundromat's lease clock: [client] was heard from just now *)
 let heard t client =
+  let now = Sim.Engine.now (Wire.engine t.srv) in
   let cell = Sim.Inttbl.find t.last_heard client in
-  if cell != Sim.Inttbl.empty t.last_heard then
-    cell := Sim.Engine.now t.engine
-  else Sim.Inttbl.replace t.last_heard client (ref (Sim.Engine.now t.engine))
+  if cell != Sim.Inttbl.empty t.last_heard then cell := now
+  else Sim.Inttbl.replace t.last_heard client (ref now)
 
 let with_file_lock t file f =
   let lock =
     let l = Sim.Inttbl.find t.file_locks file in
     if l != Sim.Inttbl.empty t.file_locks then l
     else begin
-      let l = Sim.Semaphore.create t.engine 1 in
+      let l = Sim.Semaphore.create (Wire.engine t.srv) 1 in
       Sim.Inttbl.replace t.file_locks file l;
       l
     end
@@ -220,7 +217,7 @@ let handle_open t ~caller ~ctx ((fh : Wire.fh), write_mode) =
     raise (Localfs.Error Localfs.Again)
   end;
   with_file_lock t file @@ fun () ->
-  let attrs = Localfs.getattr ~ctx (Wire.core_fs t.core) file in
+  let attrs = Localfs.getattr ~ctx (Wire.fs t.srv) file in
   let rec try_open retried =
     match
       Spritely.State_table.open_file t.table ~file ~client:caller
@@ -240,7 +237,7 @@ let handle_open t ~caller ~ctx ((fh : Wire.fh), write_mode) =
           prev_version = result.Spritely.State_table.prev_version;
           (* attributes may have changed during the write-backs *)
           attrs =
-            (try Localfs.getattr ~ctx (Wire.core_fs t.core) file
+            (try Localfs.getattr ~ctx (Wire.fs t.srv) file
              with Localfs.Error _ -> attrs);
         }
   in
@@ -294,72 +291,67 @@ let heard_from t caller =
       [ ("client", Obs.Trace.Int caller); ("via", Obs.Trace.Str "rpc") ]
   end
 
-(* SNFS's procedures, then the basic ones, each after the lease refresh;
-   [t] is the server under construction *)
-let procs (t : t Lazy.t) core =
+(* the basic procedures; a removed file leaves the state table *)
+let basic t =
+  Wire.basic t.srv ~on_remove:(fun ~ino ~ctx:_ ->
+      Spritely.State_table.remove_file t.table ~file:ino)
+
+(* SNFS's procedures, then the basic ones, each after the lease
+   refresh *)
+let procs t =
   List.map
     (fun (name, handler) ->
       ( name,
         fun ~caller ~ctx d ->
-          heard_from (Lazy.force t) (Netsim.Net.Host.addr caller);
+          heard_from t (Netsim.Net.Host.addr caller);
           handler ~caller ~ctx d ))
     (Wire.serves Wire.Proc.snfs_open (fun ~caller ~ctx args ->
-         handle_open (Lazy.force t) ~caller ~ctx args)
+         handle_open t ~caller ~ctx args)
     :: Wire.serves Wire.Proc.close (fun ~caller ~ctx:_ args ->
-           handle_close (Lazy.force t) ~caller args)
+           handle_close t ~caller args)
     :: Wire.serves Wire.Proc.ping (fun ~caller:_ ~ctx:_ () ->
-           Netsim.Net.Host.boot_epoch (Lazy.force t).host)
+           Netsim.Net.Host.boot_epoch (Wire.host t.srv))
     :: Wire.serves Wire.Proc.reopen (fun ~caller ~ctx:_ reports ->
-           handle_reopen (Lazy.force t) ~caller reports)
-    :: Wire.basic core)
+           handle_reopen t ~caller reports)
+    :: basic t)
 
 (* the default thread count leaves headroom for open handlers parked on
    a file lock while another open's callbacks complete; at least one
    thread must stay free to serve the write-backs those callbacks
    provoke (Section 3.2's N-1 rule, extended) *)
 let serve rpc host ?(threads = 8) ?(recovery_grace = 0.0) ~fsid fs =
-  let engine = Netsim.Net.engine (Netsim.Rpc.net rpc) in
-  let rec t =
-    lazy
-      (let core =
-         Wire.make_server_core ~fsid fs
-           ~on_remove:(fun ~ino ~ctx:_ ->
-             Spritely.State_table.remove_file (Lazy.force t).table ~file:ino)
-           ()
-       in
-       let srv = Wire.serve rpc host ~prog ~threads core (procs t core) in
-       {
-         host;
-         core;
-         srv;
-         table = Spritely.State_table.create ();
-         callbacks_sent = 0;
-         last_heard = Sim.Inttbl.create ~empty:(ref 0.0);
-         file_locks = Sim.Inttbl.create ~empty:(Sim.Semaphore.create engine 1);
-         clients_reaped = 0;
-         lifecycle = Spritely.Lifecycle.create ();
-         laundromat = false;
-         laundromat_runs = 0;
-         demotions = 0;
-         revivals = 0;
-         reaped_courtesy = 0;
-         reaped_expirable = 0;
-         recovery_grace;
-         grace_until = 0.0;
-         recovered = Hashtbl.create 16;
-         engine;
-       })
+  let srv = Wire.server rpc host ~prog ~threads ~fsid fs in
+  let t =
+    {
+      srv;
+      table = Spritely.State_table.create ();
+      callbacks_sent = 0;
+      last_heard = Sim.Inttbl.create ~empty:(ref 0.0);
+      file_locks =
+        Sim.Inttbl.create ~empty:(Sim.Semaphore.create (Wire.engine srv) 1);
+      clients_reaped = 0;
+      lifecycle = Spritely.Lifecycle.create ();
+      laundromat = false;
+      laundromat_runs = 0;
+      demotions = 0;
+      revivals = 0;
+      reaped_courtesy = 0;
+      reaped_expirable = 0;
+      recovery_grace;
+      grace_until = 0.0;
+      recovered = Hashtbl.create 16;
+    }
   in
-  let t = Lazy.force t in
+  Wire.serve srv (procs t);
   (* volatile consistency state dies with the server process *)
-  Netsim.Rpc.set_on_restart (Wire.service t.srv) (fun () ->
+  Netsim.Rpc.set_on_restart (Wire.service srv) (fun () ->
       t.table <- Spritely.State_table.create ();
       t.callbacks_sent <- 0;
       Hashtbl.reset t.recovered;
       (* the courtesy ledger is volatile too: a rebooted server starts
          trusting everyone again and relearns silence from scratch *)
       Spritely.Lifecycle.reset t.lifecycle;
-      t.grace_until <- Sim.Engine.now engine +. t.recovery_grace);
+      t.grace_until <- Sim.Engine.now (Wire.engine srv) +. t.recovery_grace);
   t
 
 let open_implicit t ~ctx ~file ~client ~write =
@@ -398,7 +390,7 @@ let start_laundromat ?(lease = 120.0) ?(courtesy_lifetime = 300.0) t ~interval =
   if t.laundromat then
     invalid_arg "Snfs_server.start_laundromat: already started";
   t.laundromat <- true;
-  let engine = t.engine in
+  let engine = Wire.engine t.srv in
   let lc = t.lifecycle in
   Obs.Metrics.register_poll
     ~labels:[ ("state", "active") ]
@@ -496,9 +488,7 @@ let client_state t ~client = Spritely.Lifecycle.state t.lifecycle ~client
 
 let clients_reaped t = t.clients_reaped
 
-let core t = t.core
-
-let root_fh t = Wire.root_fh t.core
+let root_fh t = Wire.root_fh t.srv
 let service t = Wire.service t.srv
 let counters t = Netsim.Rpc.counters (service t)
 let state_table t = t.table

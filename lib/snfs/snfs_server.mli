@@ -55,9 +55,10 @@ val state_table : t -> Spritely.State_table.t
     [snfs_callbacks_failed_total]. *)
 val callbacks_sent : t -> int
 
-(** The underlying basic-procedure core (shared with the hybrid
-    server). *)
-val core : t -> Nfs.Wire.server_core
+(** The basic procedures of the served file system, a remove dropping
+    the file from the state table; the hybrid server's NFS half serves
+    them too. *)
+val basic : t -> Nfs.Wire.entry list
 
 (** Start the client-lifecycle laundromat, the crash detector of
     Section 2.4 done the NFSD way. Every [interval] seconds it probes

@@ -32,6 +32,7 @@ module Enc = struct
       e
     end
 
+  (* snfs-hot *)
   let check e = if not e.live then error "Enc: encoder already finished"
 
   let ensure e n =
@@ -51,6 +52,7 @@ module Enc = struct
     e.live <- false;
     Bytes.sub e.buf 0 e.len
 
+  (* snfs-hot *)
   let uint32 e v =
     if v < 0 || v > 0xFFFFFFFF then error "Enc.uint32: %d out of range" v;
     check e;
@@ -60,6 +62,7 @@ module Enc = struct
     Bytes.set_int32_be e.buf i (Int32.of_int v);
     e.len <- i + 4
 
+  (* snfs-hot *)
   let int32 e v =
     if v < -0x80000000 || v > 0x7FFFFFFF then
       error "Enc.int32: %d out of range" v;
@@ -69,10 +72,12 @@ module Enc = struct
     uint32 e (Int64.to_int (Int64.shift_right_logical v 32));
     uint32 e (Int64.to_int (Int64.logand v 0xFFFFFFFFL))
 
+  (* snfs-hot *)
   let bool e b = uint32 e (if b then 1 else 0)
   let enum e v = int32 e v
   let float64 e f = hyper e (Int64.bits_of_float f)
 
+  (* snfs-hot *)
   let pad e len =
     let p = padding len in
     if p > 0 then begin
@@ -83,6 +88,7 @@ module Enc = struct
       e.len <- e.len + p
     end
 
+  (* snfs-hot *)
   let string e s =
     let n = String.length s in
     uint32 e n;

@@ -1020,8 +1020,9 @@ let test_hot_alloc_seeded () =
       input "lib/z/m.ml"
         (hot ^ "\nlet find t k = if k = 0 then None else Some t\n");
     ];
-  (* builtin allowlist needs no marker: Eventq.push is hot by name *)
-  check_fires "allowlisted function is hot without a marker" "hot-alloc"
+  (* the marker is the only declaration of the hot set: no binding is
+     hot by its name *)
+  check_quiet "an unmarked Eventq.push is not hot" "hot-alloc"
     [ input "lib/sim/eventq.ml" "let push t x = (t, x)\n" ];
   (* whole-file header marker *)
   check_fires "file-header marker covers the whole file" "hot-alloc"
@@ -1030,15 +1031,19 @@ let test_hot_alloc_seeded () =
         ("(* perf-critical path: " ^ hot ^ " everything below *)\n"
        ^ "let wrap x = Some x\n");
     ];
-  (* the causal-context fast path is hot by name, no marker needed:
-     a boxed rewrite of Causal.live must be caught even after the
-     marker comments are stripped *)
-  check_fires "causal fast path is allowlisted by name" "hot-alloc"
-    [ input "lib/obs/causal.ml" "let live c = Some c <> None\n" ];
-  check_fires "trace mint is allowlisted by name" "hot-alloc"
-    [ input "lib/obs/trace.ml" "let mint () = Some 1\n" ];
-  check_quiet "unlisted causal helpers are not hot" "hot-alloc"
-    [ input "lib/obs/causal.ml" "let arg c args = (\"op\", c) :: args\n" ]
+  (* below the first item, a marker makes only the binding under it
+     hot *)
+  check_fires "a marker above a later binding" "hot-alloc"
+    [
+      input "lib/obs/causal.ml"
+        ("let none = 0\n\n" ^ hot ^ "\nlet live c = Some c <> None\n");
+    ];
+  check_quiet "the bindings around a marked one are not hot" "hot-alloc"
+    [
+      input "lib/obs/causal.ml"
+        ("let arg c args = (\"op\", c) :: args\n\n" ^ hot
+       ^ "\nlet live c = c > 0\n\nlet wrap c = Some c\n");
+    ]
 
 let test_hot_alloc_constructs () =
   let fires what src =
@@ -1099,13 +1104,40 @@ let test_purity_seeded () =
   check_fires "simulator reference anywhere in lib/check" "purity"
     [ input "lib/check/explore.ml" "let n e = Sim.Engine.now e\n" ];
   check_fires "toplevel mutable state" "purity"
-    [ input "lib/core/state_table.ml" "let table = Hashtbl.create 16\n" ]
+    [ input "lib/core/state_table.ml" "let table = Hashtbl.create 16\n" ];
+  (* the containers domain-safety classifies as mutable, one finding
+     each *)
+  Alcotest.(check (list int))
+    "every toplevel mutable container, each once" [ 1; 2; 3; 4; 5; 6 ]
+    (List.sort compare
+       (List.map
+          (fun f -> f.F.line)
+          (rule_findings "purity"
+             [
+               input "lib/core/state_table.ml"
+                 "let table = Hashtbl.create 16\n\
+                  let slots = [| 0; 1 |]\n\
+                  let buf = Bytes.make 8 ' '\n\
+                  let times : float array = Array.create_float 4\n\
+                  let cell = ref 0\n\
+                  let q = Queue.create () |> Fun.id\n";
+             ])));
+  check_fires "a mutable record literal" "purity"
+    [
+      input "lib/core/state_table.ml"
+        "type c = { mutable n : int }\nlet counter = { n = 0 }\n";
+    ]
 
 let test_purity_clean_variants () =
   check_quiet "sprintf is pure" "purity"
     [ input "lib/core/state_table.ml" "let s x = Printf.sprintf \"%d\" x\n" ];
   check_quiet "mutable state inside a function" "purity"
     [ input "lib/core/state_table.ml" "let f () = Hashtbl.create 16\n" ];
+  check_quiet "an immutable record literal" "purity"
+    [
+      input "lib/core/state_table.ml"
+        "type p = { x : int }\nlet origin = { x = 0 }\n";
+    ];
   check_quiet "other lib/ modules are out of scope" "purity"
     [ input "lib/obs/x.ml" "let n e = Sim.Engine.now e\n" ]
 

@@ -698,6 +698,53 @@ let test_doomed_writeback_then_rewritten () =
       Alcotest.(check (list (option (pair int int))))
         "2/0 evicted first" [ None; Some (3, 1024) ] [ peek 2 0; peek 1 0 ])
 
+(* A block dropped during its write-back is doomed. A [`Delayed] write
+   that lands on it before the write-back ends revives it: the block
+   stays cached and dirty with the new stamp, and a flush writes it. *)
+let test_doomed_writeback_revived_by_delayed_write () =
+  run_sim (fun e ->
+      let log, backend = make_backend ~delay:1.0 e in
+      let c = make_cache e backend in
+      Blockcache.Cache.write c ~file:1 ~index:0 ~stamp:1 ~len:4096 `Delayed;
+      Sim.Engine.spawn e (fun () ->
+          Blockcache.Cache.flush_block c ~file:1 ~index:0);
+      Sim.Engine.sleep e 0.5;
+      Blockcache.Cache.drop_block c ~file:1 ~index:0;
+      Sim.Engine.sleep e 0.1;
+      Blockcache.Cache.write c ~file:1 ~index:0 ~stamp:9 ~len:4096 `Delayed;
+      Sim.Engine.sleep e 1.0;
+      Alcotest.(check (option (pair int int)))
+        "still cached" (Some (9, 4096))
+        (Blockcache.Cache.peek c ~file:1 ~index:0);
+      Alcotest.(check bool) "still dirty" true
+        (Blockcache.Cache.block_dirty c ~file:1 ~index:0);
+      Blockcache.Cache.flush_all c;
+      Alcotest.(check (list (triple int int int)))
+        "the revived block is written back" [ (1, 0, 1); (1, 0, 9) ]
+        (List.rev log.bwrites))
+
+(* The same for a block dropped during a read miss's fetch: the
+   [`Delayed] write that lands on it before the fetch ends keeps it
+   cached and dirty. *)
+let test_doomed_fetch_revived_by_delayed_write () =
+  run_sim (fun e ->
+      let log, backend = make_backend ~delay:1.0 e in
+      Hashtbl.replace log.store (1, 0) (5, 4096);
+      let c = make_cache e backend in
+      Sim.Engine.spawn e (fun () ->
+          ignore (Blockcache.Cache.read c ~file:1 ~index:0 : int * int));
+      Sim.Engine.sleep e 0.25;
+      Blockcache.Cache.drop_block c ~file:1 ~index:0;
+      Blockcache.Cache.write c ~file:1 ~index:0 ~stamp:50 ~len:4096 `Delayed;
+      Sim.Engine.sleep e 1.0;
+      Alcotest.(check (option (pair int int)))
+        "still cached" (Some (50, 4096))
+        (Blockcache.Cache.peek c ~file:1 ~index:0);
+      Blockcache.Cache.flush_all c;
+      Alcotest.(check (list (triple int int int)))
+        "the revived block is written back" [ (1, 0, 50) ]
+        (List.rev log.bwrites))
+
 (* The syncer's batch list holds each block by a handle. Five dirty
    blocks make a tick's batch; four flushers take file 1's four and
    file 2's block waits its turn in the list. Deleted meanwhile, it is
@@ -873,6 +920,10 @@ let () =
             test_doomed_writeback_then_rewritten;
           Alcotest.test_case "syncer batch entry outlives its slot" `Quick
             test_syncer_batch_entry_outlives_its_slot;
+          Alcotest.test_case "doomed write-back revived by a delayed write"
+            `Quick test_doomed_writeback_revived_by_delayed_write;
+          Alcotest.test_case "doomed fetch revived by a delayed write" `Quick
+            test_doomed_fetch_revived_by_delayed_write;
         ] );
       ( "syncer",
         [

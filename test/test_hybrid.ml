@@ -165,6 +165,30 @@ let test_phantom_refresh () =
       Alcotest.(check int) "expired after quiescence" 0
         (Snfs.Hybrid_server.phantom_opens w.hybrid))
 
+(* An NFS client removes a file an SNFS client holds open: the remove
+   drops the file's state-table entry, as an SNFS remove does. (The
+   NFS client's own accesses may leave entries of other inodes.) *)
+let test_nfs_remove_forgets_file () =
+  run_sim (fun e ->
+      let w = make_world e in
+      let ms = snfs_client w "s1" in
+      let mn = nfs_client w "n1" in
+      let files () =
+        Spritely.State_table.files
+          (Snfs.Snfs_server.state_table (Snfs.Hybrid_server.snfs w.hybrid))
+      in
+      let fd = Vfs.Fileio.creat ms "/f" in
+      ignore (Vfs.Fileio.write fd ~len:4096);
+      let file =
+        match files () with
+        | [ file ] -> file
+        | _ -> Alcotest.fail "the open file should have the only entry"
+      in
+      Vfs.Fileio.unlink mn "/f";
+      Alcotest.(check bool) "the NFS remove drops it" false
+        (List.mem file (files ()));
+      Vfs.Fileio.close fd)
+
 let () =
   Alcotest.run "hybrid"
     [
@@ -179,5 +203,7 @@ let () =
           Alcotest.test_case "probe window denies caching" `Quick
             test_snfs_denied_caching_during_probe_window;
           Alcotest.test_case "phantom refresh" `Quick test_phantom_refresh;
+          Alcotest.test_case "NFS remove forgets the file" `Quick
+            test_nfs_remove_forgets_file;
         ] );
     ]

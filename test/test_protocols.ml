@@ -397,6 +397,24 @@ let test_snfs_delayed_close () =
       Alcotest.(check bool) "spontaneous close arrived" true
         (Stats.Counter.get (Snfs.Snfs_server.counters server) "close" > 0))
 
+(* A remove drops the file's state-table entry: a file written and
+   closed keeps one, and removing it leaves the table empty. *)
+let test_snfs_remove_forgets_file () =
+  run_sim (fun e ->
+      let w = make_world e in
+      let files () =
+        Spritely.State_table.files
+          (Snfs.Snfs_server.state_table (snfs_server w))
+      in
+      let m = (mount w Stack.Snfs "c1").mounts in
+      let fd = Vfs.Fileio.creat m "/scratch" in
+      ignore (Vfs.Fileio.write fd ~len:4096);
+      Vfs.Fileio.close fd;
+      Alcotest.(check int) "the closed file has an entry" 1
+        (List.length (files ()));
+      Vfs.Fileio.unlink m "/scratch";
+      Alcotest.(check (list int)) "the remove drops it" [] (files ()))
+
 let test_snfs_crash_recovery () =
   run_sim (fun e ->
       let w = make_world e in
@@ -973,6 +991,8 @@ let () =
           Alcotest.test_case "fixed NFS keeps cache" `Quick
             test_nfs_fixed_client_keeps_cache;
           Alcotest.test_case "delayed close" `Quick test_snfs_delayed_close;
+          Alcotest.test_case "remove forgets the file" `Quick
+            test_snfs_remove_forgets_file;
         ] );
       ( "kent block protocol",
         [
